@@ -76,13 +76,16 @@ func BenchmarkE2ExclusiveDegeneration(b *testing.B) {
 	}
 }
 
-// benchWorkload runs one sim workload inside a benchmark iteration loop
-// and reports committed-transactions/sec.
-func benchWorkload(b *testing.B, w sim.Workload) {
+// benchWorkload runs one point of a txsim experiment inside a benchmark
+// iteration loop and reports committed-transactions/sec. mk is the sim
+// package's own per-point constructor — the one statement of the
+// experiment — and the benchmark shrinks only its transaction count.
+func benchWorkload(b *testing.B, txs int, mk func(seed int64) sim.Workload) {
 	b.Helper()
 	var committed, seconds float64
 	for i := 0; i < b.N; i++ {
-		w.Seed = int64(i + 1)
+		w := mk(int64(i + 1))
+		w.Transactions = txs
 		res, err := sim.Run(w)
 		if err != nil {
 			b.Fatal(err)
@@ -99,28 +102,19 @@ func benchWorkload(b *testing.B, w sim.Workload) {
 // read fraction rises (the paper's central qualitative claim).
 func BenchmarkE3ReadFractionSweep(b *testing.B) {
 	for _, frac := range []float64{0, 0.5, 0.9} {
-		base := sim.Workload{
-			Objects: 4, Transactions: 48, Concurrency: 8,
-			Depth: 0, OpsPerLeaf: 4, WriterOps: 1,
-			ReadTxFraction: frac, HotspotFraction: 0.5, ThinkNs: 200000,
-		}
-		if frac == 0 {
-			base.ReadTxFraction = -1
-			base.OpsPerLeaf = 1
-		}
+		rw := func(seed int64) sim.Workload { return sim.ReadFractionWorkload(seed, frac) }
 		b.Run(fmt.Sprintf("rw/read=%.0f%%", frac*100), func(b *testing.B) {
-			benchWorkload(b, base)
+			benchWorkload(b, 48, rw)
 		})
-		excl := base
-		excl.Exclusive = true
 		b.Run(fmt.Sprintf("exclusive/read=%.0f%%", frac*100), func(b *testing.B) {
-			benchWorkload(b, excl)
+			benchWorkload(b, 48, func(seed int64) sim.Workload {
+				w := rw(seed)
+				w.Exclusive = true
+				return w
+			})
 		})
-		serial := base
-		serial.Sequential = true
-		serial.Concurrency = 1
 		b.Run(fmt.Sprintf("serial/read=%.0f%%", frac*100), func(b *testing.B) {
-			benchWorkload(b, serial)
+			benchWorkload(b, 48, func(seed int64) sim.Workload { return rw(seed).Serial() })
 		})
 	}
 }
@@ -129,13 +123,8 @@ func BenchmarkE3ReadFractionSweep(b *testing.B) {
 // work.
 func BenchmarkE4NestingDepth(b *testing.B) {
 	for _, depth := range []int{0, 1, 2, 3} {
-		w := sim.Workload{
-			Objects: 16, Transactions: 32, Concurrency: 8,
-			Depth: depth, Fanout: 2, OpsPerLeaf: 2, ReadFraction: 1,
-			ThinkNs: 200000,
-		}
 		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
-			benchWorkload(b, w)
+			benchWorkload(b, 32, func(seed int64) sim.Workload { return sim.DepthWorkload(seed, depth) })
 		})
 	}
 }
@@ -143,14 +132,8 @@ func BenchmarkE4NestingDepth(b *testing.B) {
 // BenchmarkE5AbortRate: recovery under rising voluntary-abort rates.
 func BenchmarkE5AbortRate(b *testing.B) {
 	for _, p := range []float64{0, 0.2, 0.5} {
-		w := sim.Workload{
-			Objects: 16, Transactions: 32, Concurrency: 8,
-			Depth: 2, Fanout: 2, OpsPerLeaf: 2,
-			ReadTxFraction: 0.5, WriterOps: 1, ThinkNs: 50000,
-			AbortProb: p,
-		}
 		b.Run(fmt.Sprintf("abort=%.0f%%", p*100), func(b *testing.B) {
-			benchWorkload(b, w)
+			benchWorkload(b, 32, func(seed int64) sim.Workload { return sim.AbortWorkload(seed, p) })
 		})
 	}
 }
@@ -322,18 +305,15 @@ func BenchmarkCheckerWitness(b *testing.B) {
 // identical flat workloads (the paper's cited alternative as baseline).
 func BenchmarkE9EngineComparison(b *testing.B) {
 	for _, frac := range []float64{0.25, 0.9} {
-		w := sim.Workload{
-			Objects: 8, Transactions: 48, Concurrency: 8,
-			Depth: 0, OpsPerLeaf: 4, WriterOps: 1,
-			ReadTxFraction: frac, HotspotFraction: 0.5, ThinkNs: 200000,
-		}
+		mk := func(seed int64) sim.Workload { return sim.ReadFractionWorkload(seed, frac) }
 		b.Run(fmt.Sprintf("locking/read=%.0f%%", frac*100), func(b *testing.B) {
-			benchWorkload(b, w)
+			benchWorkload(b, 48, mk)
 		})
 		b.Run(fmt.Sprintf("mvto/read=%.0f%%", frac*100), func(b *testing.B) {
 			var committed, seconds float64
 			for i := 0; i < b.N; i++ {
-				w.Seed = int64(i + 1)
+				w := mk(int64(i + 1))
+				w.Transactions = 48
 				res, err := sim.RunMVTO(w)
 				if err != nil {
 					b.Fatal(err)

@@ -453,6 +453,9 @@ func (c *Client) RunRetry(attempts int, fn func(*Tx) error) error {
 		if !errors.Is(err, nestedtx.ErrDeadlock) {
 			return err
 		}
+		if i+1 == attempts {
+			break
+		}
 		sleepBackoff(i)
 	}
 	return err

@@ -284,6 +284,9 @@ func (p *Pool) RunRetry(attempts int, fn func(*Tx) error) error {
 			(!errors.Is(err, nestedtx.ErrDeadlock) && !errors.Is(err, ErrConnLost)) {
 			return err
 		}
+		if i+1 == attempts {
+			break
+		}
 		sleepBackoff(i)
 	}
 	return err

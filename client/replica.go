@@ -207,6 +207,9 @@ func (rp *ReplicaPool) RunRetry(attempts int, fn func(*Tx) error) error {
 			!errors.Is(err, ErrConnLost) && !errors.Is(err, ErrReadOnly)) {
 			return err
 		}
+		if i+1 == attempts {
+			break
+		}
 		sleepBackoff(i)
 	}
 	return err

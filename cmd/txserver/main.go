@@ -6,19 +6,16 @@
 //
 //	txserver [-addr :7654] [-objects spec] [-max-conns N]
 //	         [-idle-timeout D] [-req-timeout D] [-exclusive] [-record]
-//	         [-trace N] [-metrics-every D] [-pprof addr] [-chaos]
+//	         [-trace N] [-metrics-every D] [-pprof addr] [-duration D]
 //	         [-data-dir dir] [-sync-window D] [-follow leader:port]
 //
 // With -data-dir the server is durable: every top-level commit is
 // write-ahead logged and fsynced (group-committed within -sync-window)
 // before its reply goes out, the directory's previous contents are
-// recovered on boot (torn tail truncated, recovery summary logged), and
-// a graceful drain checkpoints the log. Objects recovered from the log
-// keep their state; -objects only adds ones the log does not know.
-// Combined with -chaos, the drain is followed by a crash-recovery
-// self-test: the log is reopened as a cold process would, the recovered
-// history is machine-checked (Theorem 34 across the restart), and the
-// recovered states are compared against the live ones.
+// recovered on boot (torn tail truncated, recovery summary logged, the
+// recovered history machine-checked), and a graceful drain flushes and
+// closes the log. Objects recovered from the log keep their state;
+// -objects only adds ones the log does not know.
 //
 // With -follow the server is a read replica instead: -data-dir (still
 // required) is kept in sync by streaming the leader's WAL over the wire
@@ -33,13 +30,6 @@
 // does the server start accepting writes as a new leader, itself
 // shippable to further replicas. A durable leader needs no flag to
 // serve replicas: any durable txserver accepts REPL_HELLO.
-//
-// A durable -chaos run additionally performs a replication self-test
-// before draining: it boots an in-process replica (in-memory WAL)
-// against the live server through a faultnet proxy, partitions and
-// heals the replication link mid-stream, waits for catch-up, then
-// promotes the replica — recovery plus full verification — and checks
-// the promoted states match the leader's exactly.
 //
 // Observability: metrics (latency histograms, outcome counters,
 // contention gauges) are always on and served to clients via the
@@ -57,16 +47,15 @@
 // whole run; on drain (SIGINT/SIGTERM or -duration elapsing) the server
 // machine-checks it with Manager.Verify — well-formedness, replay on the
 // formal M(X) automata, and serial correctness per Theorem 34 — so the
-// paper's guarantee stays checkable against real network executions.
-// Recording grows memory with history size, so it is meant for bounded
-// validation runs rather than long-lived production service.
+// paper's guarantee stays checkable against real network executions. A
+// replica promoted under -record records and verifies its own epoch the
+// same way. Recording grows memory with history size, so it is meant for
+// bounded validation runs rather than long-lived production service.
 //
-// With -chaos the server does not wait for clients: it fronts itself
-// with an internal/faultnet fault-injection proxy, drives a pooled
-// workload through connection cuts and a partition/heal cycle, checks
-// committed state against its own commit counter, then drains —
-// `txserver -record -chaos` is a self-contained "Theorem 34 under
-// network faults" check.
+// Fault injection lives outside this binary: cmd/txdst drives a served,
+// durable, replicated universe through seeded connection cuts,
+// partitions, crashes and promotions and machine-checks the outcome (see
+// the README's "Server" section for the scenario names).
 package main
 
 import (
@@ -74,24 +63,19 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
 	"net/http"
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"syscall"
 	"time"
 
 	"nestedtx"
-	"nestedtx/client"
-	"nestedtx/internal/faultnet"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/repl"
 	"nestedtx/internal/server"
 	"nestedtx/internal/wal"
-	"nestedtx/internal/wire"
 )
 
 func main() {
@@ -104,7 +88,6 @@ func main() {
 		exclusive   = flag.Bool("exclusive", false, "exclusive-locking mode: treat every access as a write (the paper's [LM] baseline)")
 		record      = flag.Bool("record", false, "record the formal schedule and Verify it on drain (Theorem 34 check)")
 		duration    = flag.Duration("duration", 0, "serve this long, then drain (0 = until SIGINT/SIGTERM)")
-		chaos       = flag.Bool("chaos", false, "fault-injection self-test: drive a pooled workload through a faultnet proxy with connection cuts and a partition, then drain (and with -record, verify) and exit")
 		traceCap    = flag.Int("trace", 0, "keep a ring of the last N lifecycle/lock trace events, dumpable via METRICS dump or SIGQUIT (0 = off)")
 		metricsLog  = flag.Duration("metrics-every", 0, "log a one-line metrics summary this often (0 = never)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
@@ -124,82 +107,113 @@ func main() {
 	if *traceCap > 0 {
 		opts = append(opts, nestedtx.WithTracing(*traceCap))
 	}
-	if *follow != "" {
+	cfg := server.Config{
+		MaxConns:       *maxConns,
+		IdleTimeout:    *idleTimeout,
+		RequestTimeout: *reqTimeout,
+	}
+
+	var srv *server.Server
+	switch {
+	case *follow != "":
 		if *dataDir == "" {
 			log.Fatalf("txserver: -follow needs -data-dir (the replica keeps its own WAL)")
 		}
-		if *chaos {
-			log.Fatalf("txserver: -chaos drives writes and cannot run on a read replica")
-		}
-		runFollower(followerConfig{
-			leader: *follow, dataDir: *dataDir, syncWindow: *syncWindow,
-			promoteOpts: opts, addr: *addr, maxConns: *maxConns,
-			idleTimeout: *idleTimeout, reqTimeout: *reqTimeout,
-			metricsEvery: *metricsLog, pprofAddr: *pprofAddr, duration: *duration,
-		})
-		return
-	}
-	var mgr *nestedtx.Manager
-	if *dataDir != "" {
-		m, rec, err := nestedtx.OpenDurable(*dataDir, nestedtx.DurableOptions{SyncWindow: *syncWindow}, opts...)
+		srv = newFollower(*follow, *dataDir, *syncWindow, opts, cfg)
+	case *dataDir != "":
+		mgr, rec, err := nestedtx.OpenDurable(*dataDir, nestedtx.DurableOptions{SyncWindow: *syncWindow}, opts...)
 		if err != nil {
 			log.Fatalf("txserver: open %s: %v", *dataDir, err)
 		}
-		mgr = m
 		log.Printf("txserver: recovered %s: %d objects, %d records past checkpoint (lsn %d), next lsn %d, torn bytes cut %d, dropped %v",
 			*dataDir, len(rec.States()), len(rec.Records), rec.CheckpointLSN, rec.NextLSN, rec.TornBytes, rec.Dropped)
 		if err := rec.Verify(); err != nil {
 			log.Fatalf("txserver: recovered history failed verification: %v", err)
 		}
-	} else {
+		srv = newLeader(mgr, *objects, cfg)
+	default:
 		if *syncWindow != 0 {
 			log.Fatalf("txserver: -sync-window needs -data-dir")
 		}
-		mgr = nestedtx.NewManager(opts...)
+		srv = newLeader(nestedtx.NewManager(opts...), *objects, cfg)
 	}
-	if err := registerObjects(mgr, *objects); err != nil {
+
+	log.Printf("txserver: serving on %s (record=%v exclusive=%v max-conns=%d trace=%d)",
+		*addr, *record, *exclusive, *maxConns, *traceCap)
+	if err := serve(srv, *addr, *pprofAddr, *metricsLog, *duration); err != nil {
 		log.Fatalf("txserver: %v", err)
 	}
-	if *chaos {
-		// The self-test workload runs on its own objects, so it composes
-		// with whatever -objects declared (or a recovered data dir).
-		for i := 0; i < chaosWorkers; i++ {
-			if err := ensure(mgr, fmt.Sprintf("chaos%d", i), nestedtx.Counter{}); err != nil {
-				log.Fatalf("txserver: %v", err)
-			}
-		}
-		if err := ensure(mgr, "chaos_hot", nestedtx.Counter{}); err != nil {
-			log.Fatalf("txserver: %v", err)
-		}
+}
+
+// newLeader registers the -objects universe on mgr and wraps it in a
+// server.
+func newLeader(mgr *nestedtx.Manager, objects string, cfg server.Config) *server.Server {
+	if err := registerObjects(mgr, objects); err != nil {
+		log.Fatalf("txserver: %v", err)
 	}
+	return server.New(mgr, cfg)
+}
 
-	srv := server.New(mgr, server.Config{
-		MaxConns:       *maxConns,
-		IdleTimeout:    *idleTimeout,
-		RequestTimeout: *reqTimeout,
-	})
+// newFollower is the -follow mode: the data dir is kept in sync with the
+// leader's WAL over the wire, the server serves committed reads and
+// refuses transaction verbs, and SIGUSR1 (or the PROMOTE verb from any
+// client) promotes — recovery, full re-verification, then writes.
+func newFollower(leader, dataDir string, syncWindow time.Duration, promoteOpts []nestedtx.Option, cfg server.Config) *server.Server {
+	f, err := repl.OpenFollower(dataDir, wal.Options{SyncWindow: syncWindow})
+	if err != nil {
+		log.Fatalf("txserver: open replica %s: %v", dataDir, err)
+	}
+	log.Printf("txserver: read-only replica of %s: recovered %s to lsn %d; SIGUSR1 (or PROMOTE) promotes",
+		leader, dataDir, f.Status().NextLSN)
+	cfg.Follower = f
+	cfg.PromoteOptions = promoteOpts
+	srv := server.New(nil, cfg)
+	go func() {
+		if err := f.Run(leader); err != nil {
+			log.Printf("txserver: replication stopped: %v", err)
+		}
+	}()
+	usr := make(chan os.Signal, 1)
+	signal.Notify(usr, syscall.SIGUSR1)
+	go func() {
+		for range usr {
+			rec, err := srv.Promote()
+			if err != nil {
+				log.Printf("txserver: promote: %v", err)
+				continue
+			}
+			log.Printf("txserver: PROMOTED: %d objects, %d records re-verified (Theorem 34 across failover); accepting writes, shipping to replicas",
+				len(rec.States()), len(rec.Records))
+		}
+	}()
+	return srv
+}
 
+// serve listens on addr, runs the side channels (pprof, the metrics
+// ticker, the SIGQUIT dump), waits for a stop signal or -duration, and
+// drains. Leader, replica and promoted replica all come through here:
+// everything below asks srv what is live *now* (srv.Follower() until a
+// promotion, srv.Manager() after), so a role change mid-run needs no
+// second code path.
+func serve(srv *server.Server, addr, pprofAddr string, metricsEvery, duration time.Duration) error {
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
 	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe(*addr) }()
-	log.Printf("txserver: serving on %s (record=%v exclusive=%v max-conns=%d trace=%d)",
-		*addr, *record, *exclusive, *maxConns, *traceCap)
-
-	if *pprofAddr != "" {
+	go func() { done <- srv.ListenAndServe(addr) }()
+	if pprofAddr != "" {
 		go func() {
-			log.Printf("txserver: pprof on http://%s/debug/pprof/", *pprofAddr)
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+			log.Printf("txserver: pprof on http://%s/debug/pprof/", pprofAddr)
+			if err := http.ListenAndServe(pprofAddr, nil); err != nil {
 				log.Printf("txserver: pprof: %v", err)
 			}
 		}()
 	}
-	if *metricsLog > 0 {
+	if metricsEvery > 0 {
 		go func() {
-			tick := time.NewTicker(*metricsLog)
+			tick := time.NewTicker(metricsEvery)
 			defer tick.Stop()
 			for range tick.C {
-				logMetrics(mgr.Metrics())
+				logLive(srv)
 			}
 		}()
 	}
@@ -209,118 +223,90 @@ func main() {
 	signal.Notify(quitSig, syscall.SIGQUIT)
 	go func() {
 		for range quitSig {
-			logMetrics(mgr.Metrics())
-			dumpTrace(mgr.Metrics())
+			logLive(srv)
+			dumpTrace(liveMetrics(srv))
 		}
 	}()
 
-	if *chaos {
-		if err := runChaos(mgr, srv); err != nil {
-			log.Fatalf("txserver: chaos self-test: %v", err)
-		}
-		if *dataDir != "" {
-			if err := runReplChaos(mgr, srv); err != nil {
-				log.Fatalf("txserver: replication self-test: %v", err)
-			}
-		}
-	} else if *duration > 0 {
-		select {
-		case <-stop:
-		case <-time.After(*duration):
-		case err := <-done:
-			log.Fatalf("txserver: serve: %v", err)
-		}
-	} else {
-		select {
-		case <-stop:
-		case err := <-done:
-			log.Fatalf("txserver: serve: %v", err)
-		}
+	var timeout <-chan time.Time // nil (never fires) without -duration
+	if duration > 0 {
+		timeout = time.After(duration)
 	}
-
+	select {
+	case <-stop:
+	case <-timeout:
+	case err := <-done:
+		return fmt.Errorf("serve: %w", err)
+	}
 	log.Printf("txserver: draining...")
+	return drain(srv)
+}
+
+// drain shuts srv down and closes out whatever is live: a replica's log
+// was closed by Shutdown itself; a manager — a leader's, or the one a
+// promotion installed — has its schedule machine-checked if it was
+// recording, and its WAL closed if it is durable.
+func drain(srv *server.Server) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {
-		log.Fatalf("txserver: drain: %v", err)
+		return fmt.Errorf("drain: %w", err)
+	}
+	m := srv.Manager()
+	var lk nestedtx.Stats
+	if m != nil {
+		lk = m.Stats()
 	}
 	c := srv.Counters()
-	lk := mgr.Stats()
 	log.Printf("txserver: drained: sessions=%d requests=%d commits=%d aborts=%d deadlock-victims=%d reaped=%d rejected=%d lock-waits=%d",
 		c.TotalSessions, c.Requests, c.Commits, c.Aborts, c.DeadlockVictims,
 		c.ReapedSessions, c.RejectedConns, lk.Waits)
-
-	if *record {
-		log.Printf("txserver: verifying recorded schedule (%d events)...", len(mgr.Schedule()))
-		if err := mgr.Verify(); err != nil {
-			log.Fatalf("txserver: VERIFY FAILED: %v", err)
+	if m == nil {
+		if f := srv.Follower(); f != nil {
+			log.Printf("txserver: replica drained at lsn %d", f.Status().NextLSN)
+		}
+		return nil
+	}
+	// A recording manager's schedule is never empty: T0's CREATE is
+	// recorded at construction.
+	if n := len(m.Schedule()); n > 0 {
+		log.Printf("txserver: verifying recorded schedule (%d events)...", n)
+		if err := m.Verify(); err != nil {
+			return fmt.Errorf("VERIFY FAILED: %w", err)
 		}
 		log.Printf("txserver: schedule verified: well-formed, replays on M(X), serially correct (Theorem 34)")
 	}
-
-	if *dataDir != "" {
-		if ws, ok := mgr.WalStats(); ok {
-			log.Printf("txserver: wal: next lsn %d, checkpoint lsn %d, active segment %s (%d bytes)",
-				ws.NextLSN, ws.CheckpointLSN, ws.Segment, ws.SegmentBytes)
-		}
-		if err := mgr.CloseWAL(); err != nil {
-			log.Fatalf("txserver: close wal: %v", err)
-		}
-		if *chaos {
-			if err := crashRecoverSelfTest(mgr, *dataDir); err != nil {
-				log.Fatalf("txserver: crash-recovery self-test: %v", err)
-			}
-		}
+	if ws, ok := m.WalStats(); ok {
+		log.Printf("txserver: wal: next lsn %d, checkpoint lsn %d, active segment %s (%d bytes)",
+			ws.NextLSN, ws.CheckpointLSN, ws.Segment, ws.SegmentBytes)
 	}
-}
-
-// crashRecoverSelfTest reopens the data directory exactly as a cold
-// process would, machine-checks the recovered history (Theorem 34 across
-// the restart), compares the recovered states against the live manager's,
-// and leaves the directory checkpointed for the next boot.
-func crashRecoverSelfTest(live *nestedtx.Manager, dir string) error {
-	m2, rec, err := nestedtx.OpenDurable(dir, nestedtx.DurableOptions{})
-	if err != nil {
-		return err
+	if err := m.CloseWAL(); err != nil {
+		return fmt.Errorf("close wal: %w", err)
 	}
-	defer m2.CloseWAL()
-	if err := rec.Verify(); err != nil {
-		return fmt.Errorf("recovered history rejected: %w", err)
-	}
-	states := rec.States()
-	for name, st := range states {
-		want, err := live.State(name)
-		if err != nil {
-			return fmt.Errorf("recovered object %q unknown to the live manager: %w", name, err)
-		}
-		// Compare via the codec: states may hold maps, so == won't do.
-		a, err := wire.EncodeState(st)
-		if err != nil {
-			return err
-		}
-		b, err := wire.EncodeState(want)
-		if err != nil {
-			return err
-		}
-		if string(a) != string(b) {
-			return fmt.Errorf("recovered %q = %s, live manager has %s", name, a, b)
-		}
-	}
-	if err := m2.Checkpoint(); err != nil {
-		return fmt.Errorf("post-recovery checkpoint: %w", err)
-	}
-	log.Printf("txserver: crash-recovery self-test ok: %d objects recovered, %d records replayed, history verified (Theorem 34 across restart)",
-		len(states), len(rec.Records))
 	return nil
 }
 
-// ensure registers name with initial state unless the manager already
-// knows it (e.g. it was recovered from the data dir).
-func ensure(m *nestedtx.Manager, name string, st nestedtx.State) error {
-	if _, err := m.State(name); err == nil {
-		return nil
+// liveMetrics follows the role: the follower's metric set until
+// promotion, the manager's after (and always, on a leader).
+func liveMetrics(srv *server.Server) *obs.Metrics {
+	if f := srv.Follower(); f != nil {
+		return f.Metrics()
 	}
-	return m.Register(name, st)
+	if m := srv.Manager(); m != nil {
+		return m.Metrics()
+	}
+	return &obs.Metrics{} // promotion in flight: neither is installed
+}
+
+// logLive logs the live metrics line, plus the replication position
+// while the server is a replica.
+func logLive(srv *server.Server) {
+	logMetrics(liveMetrics(srv))
+	if f := srv.Follower(); f != nil {
+		st := f.Status()
+		log.Printf("txserver: replica: leader=%s connected=%v lsn=%d lag=%d records %.3fs",
+			st.Leader, st.Connected, st.NextLSN, st.LagRecords, st.LagSeconds)
+	}
 }
 
 // logMetrics prints a one-line latency/outcome summary of the live
@@ -358,362 +344,6 @@ func dumpTrace(met *obs.Metrics) {
 	}
 }
 
-const (
-	chaosWorkers   = 4
-	chaosPerWorker = 25
-)
-
-// runChaos is the -chaos self-test: it fronts the live server with a
-// faultnet proxy, drives a pooled workload through it while repeatedly
-// cutting every live connection and imposing one partition/heal cycle,
-// and checks the workload completes and the committed state matches the
-// server's commit counter exactly. The caller then drains (and with
-// -record, verifies) as usual — so `txserver -record -chaos` is a
-// one-command "Theorem 34 under network faults" check.
-func runChaos(mgr *nestedtx.Manager, srv *server.Server) error {
-	var addr net.Addr
-	for i := 0; i < 100 && addr == nil; i++ {
-		if addr = srv.Addr(); addr == nil {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	if addr == nil {
-		return fmt.Errorf("server never started listening")
-	}
-	px, err := faultnet.New(addr.String(), faultnet.Faults{
-		Latency: 200 * time.Microsecond,
-		Jitter:  time.Millisecond,
-	}, 1)
-	if err != nil {
-		return err
-	}
-	defer px.Close()
-	pool, err := client.NewPool(px.Addr(), chaosWorkers, client.WithTimeout(5*time.Second))
-	if err != nil {
-		return err
-	}
-	defer pool.Close()
-	log.Printf("txserver: chaos self-test: %d workers × %d transactions through %s (cuts + partition)",
-		chaosWorkers, chaosPerWorker, px.Addr())
-
-	chaosDone := make(chan struct{})
-	go func() {
-		defer close(chaosDone)
-		for i := 0; i < 16; i++ {
-			time.Sleep(30 * time.Millisecond)
-			if i == 8 {
-				px.Partition()
-				time.Sleep(150 * time.Millisecond)
-				px.Heal()
-				continue
-			}
-			px.CutAll()
-		}
-	}()
-
-	var wg sync.WaitGroup
-	errc := make(chan error, chaosWorkers)
-	for w := 0; w < chaosWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			obj := fmt.Sprintf("chaos%d", w)
-			for j := 0; j < chaosPerWorker; j++ {
-				err := pool.RunRetry(200, func(tx *client.Tx) error {
-					if err := tx.Sub(func(sub *client.Tx) error {
-						_, err := sub.Write("chaos_hot", nestedtx.CtrAdd{Delta: 1})
-						return err
-					}); err != nil {
-						return err
-					}
-					_, err := tx.Write(obj, nestedtx.CtrAdd{Delta: 1})
-					return err
-				})
-				if err != nil {
-					errc <- fmt.Errorf("worker %d item %d: %w", w, j, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	<-chaosDone
-	close(errc)
-	for err := range errc {
-		return err
-	}
-
-	// Exact accounting despite lost responses: every commit is one +1 to
-	// chaos_hot, so state must equal the server's commit counter.
-	st, err := mgr.State("chaos_hot")
-	if err != nil {
-		return err
-	}
-	hot := st.(nestedtx.Counter).N
-	commits := int64(srv.Counters().Commits)
-	if hot != commits {
-		return fmt.Errorf("chaos_hot = %d but server committed %d: counters drifted", hot, commits)
-	}
-	accepted, cut := px.Stats()
-	ps := pool.Stats()
-	log.Printf("txserver: chaos self-test ok: %d commits (state matches), proxy accepted=%d cut=%d, pool redials=%d discarded=%d",
-		commits, accepted, cut, ps.Redials, ps.Discarded)
-	return nil
-}
-
-type followerConfig struct {
-	leader, dataDir, addr, pprofAddr    string
-	syncWindow, idleTimeout, reqTimeout time.Duration
-	metricsEvery, duration              time.Duration
-	maxConns                            int
-	promoteOpts                         []nestedtx.Option
-}
-
-// runFollower is the -follow mode: the data dir is kept in sync with the
-// leader's WAL over the wire, the server serves committed reads and
-// refuses transaction verbs, and SIGUSR1 (or the PROMOTE verb from any
-// client) promotes — recovery, full re-verification, then writes.
-func runFollower(cfg followerConfig) {
-	f, err := repl.OpenFollower(cfg.dataDir, wal.Options{SyncWindow: cfg.syncWindow})
-	if err != nil {
-		log.Fatalf("txserver: open replica %s: %v", cfg.dataDir, err)
-	}
-	log.Printf("txserver: replica of %s: recovered %s to lsn %d",
-		cfg.leader, cfg.dataDir, f.Status().NextLSN)
-	srv := server.New(nil, server.Config{
-		MaxConns:       cfg.maxConns,
-		IdleTimeout:    cfg.idleTimeout,
-		RequestTimeout: cfg.reqTimeout,
-		Follower:       f,
-		PromoteOptions: cfg.promoteOpts,
-	})
-	go func() {
-		if err := f.Run(cfg.leader); err != nil {
-			log.Printf("txserver: replication stopped: %v", err)
-		}
-	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	done := make(chan error, 1)
-	go func() { done <- srv.ListenAndServe(cfg.addr) }()
-	log.Printf("txserver: serving read-only replica on %s; SIGUSR1 (or PROMOTE) promotes", cfg.addr)
-
-	if cfg.pprofAddr != "" {
-		go func() {
-			log.Printf("txserver: pprof on http://%s/debug/pprof/", cfg.pprofAddr)
-			if err := http.ListenAndServe(cfg.pprofAddr, nil); err != nil {
-				log.Printf("txserver: pprof: %v", err)
-			}
-		}()
-	}
-	// liveMetrics follows the role: the follower's metric set until
-	// promotion, the promoted manager's after.
-	liveMetrics := func() *obs.Metrics {
-		if fo := srv.Follower(); fo != nil {
-			return fo.Metrics()
-		}
-		if m := srv.Manager(); m != nil {
-			return m.Metrics()
-		}
-		return &obs.Metrics{}
-	}
-	logReplica := func() {
-		logMetrics(liveMetrics())
-		if fo := srv.Follower(); fo != nil {
-			st := fo.Status()
-			log.Printf("txserver: replica: leader=%s connected=%v lsn=%d lag=%d records %.3fs",
-				st.Leader, st.Connected, st.NextLSN, st.LagRecords, st.LagSeconds)
-		}
-	}
-	if cfg.metricsEvery > 0 {
-		go func() {
-			tick := time.NewTicker(cfg.metricsEvery)
-			defer tick.Stop()
-			for range tick.C {
-				logReplica()
-			}
-		}()
-	}
-	quitSig := make(chan os.Signal, 1)
-	signal.Notify(quitSig, syscall.SIGQUIT)
-	go func() {
-		for range quitSig {
-			logReplica()
-			dumpTrace(liveMetrics())
-		}
-	}()
-	usr := make(chan os.Signal, 1)
-	signal.Notify(usr, syscall.SIGUSR1)
-	go func() {
-		for range usr {
-			rec, err := srv.Promote()
-			if err != nil {
-				log.Printf("txserver: promote: %v", err)
-				continue
-			}
-			log.Printf("txserver: PROMOTED: %d objects, %d records re-verified (Theorem 34 across failover); accepting writes, shipping to replicas",
-				len(rec.States()), len(rec.Records))
-		}
-	}()
-
-	if cfg.duration > 0 {
-		select {
-		case <-stop:
-		case <-time.After(cfg.duration):
-		case err := <-done:
-			log.Fatalf("txserver: serve: %v", err)
-		}
-	} else {
-		select {
-		case <-stop:
-		case err := <-done:
-			log.Fatalf("txserver: serve: %v", err)
-		}
-	}
-	log.Printf("txserver: draining...")
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		log.Fatalf("txserver: drain: %v", err)
-	}
-	if m := srv.Manager(); m != nil { // promoted during this run
-		if ws, ok := m.WalStats(); ok {
-			log.Printf("txserver: wal: next lsn %d, checkpoint lsn %d", ws.NextLSN, ws.CheckpointLSN)
-		}
-		if err := m.CloseWAL(); err != nil {
-			log.Fatalf("txserver: close wal: %v", err)
-		}
-	} else {
-		log.Printf("txserver: replica drained at lsn %d", f.Status().NextLSN)
-	}
-}
-
-// runReplChaos is the replication leg of -chaos on a durable server: an
-// in-process replica (in-memory WAL) follows the live server through a
-// faultnet proxy, survives a partition/heal of the replication link
-// mid-stream, drains to the leader's exact durable position, and is then
-// promoted over the wire — recovery plus the full machine check — with
-// the promoted states compared against the leader's. The leader is
-// checkpointed first, so the replica bootstraps over the snapshot path
-// and promotion re-verifies a bounded post-checkpoint suffix.
-func runReplChaos(mgr *nestedtx.Manager, srv *server.Server) error {
-	if err := mgr.Checkpoint(); err != nil {
-		return err
-	}
-	addr := srv.Addr()
-	if addr == nil {
-		return fmt.Errorf("server not listening")
-	}
-	px, err := faultnet.New(addr.String(), faultnet.Faults{}, 2)
-	if err != nil {
-		return err
-	}
-	defer px.Close()
-	f, err := repl.OpenFollower("replica", wal.Options{FS: wal.NewMemFS()})
-	if err != nil {
-		return err
-	}
-	fln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	fsrv := server.New(nil, server.Config{Follower: f})
-	go fsrv.Serve(fln)
-	go f.Run(px.Addr())
-	defer func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		fsrv.Shutdown(ctx)
-	}()
-	log.Printf("txserver: replication self-test: replica %s following through %s", fln.Addr(), px.Addr())
-
-	pool, err := client.NewPool(addr.String(), 4, client.WithTimeout(5*time.Second))
-	if err != nil {
-		return err
-	}
-	defer pool.Close()
-	var wrote int64
-	for i := 0; i < 60; i++ {
-		switch i {
-		case 20:
-			px.Partition() // cut the stream mid-flight; writes continue
-		case 40:
-			px.Heal()
-		}
-		if err := pool.RunRetry(20, func(tx *client.Tx) error {
-			_, err := tx.Write("chaos_hot", nestedtx.CtrAdd{Delta: 1})
-			return err
-		}); err != nil {
-			return fmt.Errorf("write %d: %w", i, err)
-		}
-		wrote++
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	// The writes above are done (fence); drain the replica to the
-	// leader's exact durable position so promotion loses nothing.
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		ws, _ := mgr.WalStats()
-		if f.Status().NextLSN == ws.DurableLSN {
-			break
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("replica never caught up: at lsn %d, leader durable %d",
-				f.Status().NextLSN, ws.DurableLSN)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	fc, err := client.Dial(fln.Addr().String(), client.WithTimeout(time.Minute))
-	if err != nil {
-		return err
-	}
-	defer fc.Close()
-	if err := fc.Promote(); err != nil {
-		return fmt.Errorf("promote: %w", err)
-	}
-
-	// The promoted universe must match the leader's exactly.
-	names := []string{"chaos_hot"}
-	for i := 0; i < chaosWorkers; i++ {
-		names = append(names, fmt.Sprintf("chaos%d", i))
-	}
-	for _, name := range names {
-		want, err := mgr.State(name)
-		if err != nil {
-			return err
-		}
-		got, err := fc.State(name)
-		if err != nil {
-			return fmt.Errorf("promoted replica missing %q: %w", name, err)
-		}
-		a, err := wire.EncodeState(got)
-		if err != nil {
-			return err
-		}
-		b, err := wire.EncodeState(want)
-		if err != nil {
-			return err
-		}
-		if string(a) != string(b) {
-			return fmt.Errorf("promoted %q = %s, leader has %s", name, a, b)
-		}
-	}
-	// And it takes writes.
-	if err := fc.Run(func(tx *client.Tx) error {
-		_, err := tx.Write("chaos_hot", nestedtx.CtrAdd{Delta: 1})
-		return err
-	}); err != nil {
-		return fmt.Errorf("write on promoted replica: %w", err)
-	}
-	accepted, cut := px.Stats()
-	log.Printf("txserver: replication self-test ok: %d writes replicated through a partition/heal (proxy accepted=%d cut=%d), promoted replica verified and writable",
-		wrote, accepted, cut)
-	return nil
-}
-
 // registerObjects parses "name=kind,..." and registers each object.
 func registerObjects(m *nestedtx.Manager, spec string) error {
 	if strings.TrimSpace(spec) == "" {
@@ -741,7 +371,10 @@ func registerObjects(m *nestedtx.Manager, spec string) error {
 		default:
 			return fmt.Errorf("unknown object kind %q for %q", kind, name)
 		}
-		if err := ensure(m, name, st); err != nil {
+		if _, err := m.State(name); err == nil {
+			continue // recovered from the data dir: the log's state wins
+		}
+		if err := m.Register(name, st); err != nil {
 			return err
 		}
 	}

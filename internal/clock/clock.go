@@ -1,0 +1,68 @@
+// Package clock is the runtime's time source: the [Clock] interface every
+// schedule-relevant sleep, timeout and backoff routes through, and [Real],
+// the wall clock production code gets by default.
+//
+// This package is on the runtime side of the layering line: stdlib only,
+// imported by the root nestedtx package, internal/wal, internal/repl and
+// internal/faultnet, and importing nothing of ours. The simulator's
+// event-queue implementation of the interface (Virtual) lives above the
+// line, in the simulator's own clock package under internal/dst, which
+// imports this package — never the reverse.
+package clock
+
+import "time"
+
+// Clock is the time source the runtime's sleeps and timeouts draw from.
+type Clock interface {
+	// Now returns the current time on this clock.
+	Now() time.Time
+	// Since returns Now().Sub(t).
+	Since(t time.Time) time.Duration
+	// After returns a channel that delivers the clock's time once d has
+	// elapsed. d <= 0 fires immediately.
+	After(d time.Duration) <-chan time.Time
+	// Sleep blocks for d; d <= 0 returns immediately. On a virtual clock
+	// the block ends when virtual time reaches the deadline, regardless
+	// of wall time.
+	Sleep(d time.Duration)
+	// NewTimer returns a stoppable timer that fires once after d.
+	NewTimer(d time.Duration) Timer
+}
+
+// Timer is a stoppable single-shot timer (the subset of *time.Timer the
+// runtime needs, so a virtual clock can provide its own).
+type Timer interface {
+	// C returns the channel the firing is delivered on.
+	C() <-chan time.Time
+	// Stop cancels the timer; it reports whether the firing was averted.
+	Stop() bool
+}
+
+// Or returns c, or the real clock when c is nil — the idiom for
+// "injected clock, defaulting to production time".
+func Or(c Clock) Clock {
+	if c == nil {
+		return Real{}
+	}
+	return c
+}
+
+// Real is the production clock: the wall clock, delegating to the time
+// package.
+type Real struct{}
+
+func (Real) Now() time.Time                         { return time.Now() }
+func (Real) Since(t time.Time) time.Duration        { return time.Since(t) }
+func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (Real) Sleep(d time.Duration) {
+	if d > 0 {
+		time.Sleep(d)
+	}
+}
+
+func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
+
+type realTimer struct{ t *time.Timer }
+
+func (t realTimer) C() <-chan time.Time { return t.t.C }
+func (t realTimer) Stop() bool          { return t.t.Stop() }

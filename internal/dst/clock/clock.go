@@ -1,85 +1,25 @@
-// Package clock abstracts time for the deterministic simulator.
+// Package clock is the simulator's time source: [Virtual], an
+// event-queue implementation of the runtime's clock.Clock interface
+// (nestedtx/internal/clock).
 //
-// Every sleep, timeout and backoff in the runtime that can influence a
-// schedule routes through a [Clock]: production code uses [Real] (the
-// wall clock, zero overhead beyond an interface call), while the
-// whole-system simulator (internal/dst) substitutes a [Virtual] clock —
-// event-queue time, where sleepers park on a deadline heap and time
-// jumps from deadline to deadline instead of passing. Two consequences:
-// a seeded simulation run no longer depends on wall-clock scheduling
-// accidents (a 100ms backoff is a number, not a real delay), and
-// simulated runs are much faster than real time.
-//
-// The package sits at the bottom of the dependency graph (stdlib only)
-// so the root nestedtx package, internal/sim, internal/faultnet,
-// internal/wal, internal/repl and internal/server can all accept an
-// injected Clock without import cycles.
+// This package is on the tools side of the layering line: only the
+// deterministic simulator (internal/dst) and tests import it, and nothing
+// reachable from nestedtx, nestedtx/client, internal/server or
+// cmd/txserver may. The runtime sees a Virtual clock only as an injected
+// clock.Clock: sleepers park on a deadline heap and time jumps from
+// deadline to deadline instead of passing, so a seeded simulation run no
+// longer depends on wall-clock scheduling accidents (a 100ms backoff is a
+// number, not a real delay), and simulated runs are much faster than
+// real time.
 package clock
 
 import (
 	"container/heap"
 	"sync"
 	"time"
+
+	"nestedtx/internal/clock"
 )
-
-// Clock is the time source the runtime's sleeps and timeouts draw from.
-type Clock interface {
-	// Now returns the current time on this clock.
-	Now() time.Time
-	// Since returns Now().Sub(t).
-	Since(t time.Time) time.Duration
-	// After returns a channel that delivers the clock's time once d has
-	// elapsed. d <= 0 fires immediately.
-	After(d time.Duration) <-chan time.Time
-	// Sleep blocks for d; d <= 0 returns immediately. On a Virtual clock
-	// the block ends when virtual time reaches the deadline, regardless
-	// of wall time.
-	Sleep(d time.Duration)
-	// NewTimer returns a stoppable timer that fires once after d.
-	NewTimer(d time.Duration) Timer
-}
-
-// Timer is a stoppable single-shot timer (the subset of *time.Timer the
-// runtime needs, so a Virtual clock can provide its own).
-type Timer interface {
-	// C returns the channel the firing is delivered on.
-	C() <-chan time.Time
-	// Stop cancels the timer; it reports whether the firing was averted.
-	Stop() bool
-}
-
-// Or returns c, or the real clock when c is nil — the idiom for
-// "injected clock, defaulting to production time".
-func Or(c Clock) Clock {
-	if c == nil {
-		return Real{}
-	}
-	return c
-}
-
-// ---- real clock ----
-
-// Real is the production clock: the wall clock, delegating to the time
-// package.
-type Real struct{}
-
-func (Real) Now() time.Time                         { return time.Now() }
-func (Real) Since(t time.Time) time.Duration        { return time.Since(t) }
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
-func (Real) Sleep(d time.Duration) {
-	if d > 0 {
-		time.Sleep(d)
-	}
-}
-
-func (Real) NewTimer(d time.Duration) Timer { return realTimer{time.NewTimer(d)} }
-
-type realTimer struct{ t *time.Timer }
-
-func (t realTimer) C() <-chan time.Time { return t.t.C }
-func (t realTimer) Stop() bool          { return t.t.Stop() }
-
-// ---- virtual clock ----
 
 // Virtual is event-queue time: sleepers park on a min-heap of absolute
 // deadlines, and time advances only by [Virtual.Advance] jumps — either
@@ -183,7 +123,7 @@ func (v *Virtual) Sleep(d time.Duration) {
 }
 
 // NewTimer returns a timer firing once virtual time reaches now+d.
-func (v *Virtual) NewTimer(d time.Duration) Timer {
+func (v *Virtual) NewTimer(d time.Duration) clock.Timer {
 	w, ch := v.addWaiter(d)
 	return &virtTimer{v: v, w: w, ch: ch}
 }

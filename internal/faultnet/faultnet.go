@@ -20,8 +20,9 @@
 // header line plus a payload line, so two newlines delimit one frame).
 //
 // faultnet is test infrastructure: it lives under internal/ and is used
-// by the server's fault-injection suite, the network soak test and
-// txserver's -chaos self-test.
+// by the server's fault-injection suite, the network soak test and the
+// deterministic simulator (internal/dst). Nothing the runtime or
+// cmd/txserver links may import it.
 package faultnet
 
 import (
@@ -31,7 +32,7 @@ import (
 	"sync"
 	"time"
 
-	"nestedtx/internal/dst/clock"
+	"nestedtx/internal/clock"
 )
 
 // Faults scripts the failure behaviour applied to each proxied

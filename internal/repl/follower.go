@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"nestedtx/internal/adt"
-	"nestedtx/internal/dst/clock"
+	"nestedtx/internal/clock"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/snap"
 	"nestedtx/internal/wal"

@@ -157,4 +157,17 @@ func TestDrainDurability(t *testing.T) {
 	if acked.Load() == 0 {
 		t.Fatalf("no commits acknowledged before the drain; test proved nothing")
 	}
+	// A clean drain loses nothing at all — not even unacknowledged
+	// stragglers: the cold reopen serves exactly what the live manager
+	// held, and the recovered manager can checkpoint for the next boot.
+	live, err := mgr.State("ctr")
+	if err != nil {
+		t.Fatalf("live ctr: %v", err)
+	}
+	if live != st {
+		t.Fatalf("recovered ctr = %v, live manager had %v", st, live)
+	}
+	if err := m2.Checkpoint(); err != nil {
+		t.Fatalf("post-recovery checkpoint: %v", err)
+	}
 }

@@ -28,7 +28,6 @@ import (
 
 	"nestedtx"
 	"nestedtx/internal/adt"
-	"nestedtx/internal/dst/clock"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/repl"
 	"nestedtx/internal/wire"
@@ -61,12 +60,6 @@ type Config struct {
 	// PromoteOptions are the Manager options a promotion opens the
 	// inherited data directory with (recording mode, tracing, ...).
 	PromoteOptions []nestedtx.Option
-	// Clock is the time source for the per-request timeout timers. nil
-	// means the wall clock; the deterministic simulator injects its
-	// virtual clock so request timeouts are event-queue time. Network
-	// deadlines (connection reads/writes) stay on the wall clock — they
-	// guard real sockets.
-	Clock clock.Clock
 }
 
 const defaultRequestTimeout = 10 * time.Second
@@ -123,7 +116,6 @@ func New(mgr *nestedtx.Manager, cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = defaultRequestTimeout
 	}
-	cfg.Clock = clock.Or(cfg.Clock)
 	s := &Server{
 		mgr:      mgr,
 		cfg:      cfg,
@@ -943,7 +935,7 @@ func (ss *session) handleOp(req *wire.Request) *wire.Response {
 	if resp := ss.deliver(h, cmd); resp != nil {
 		return resp
 	}
-	timer := ss.srv.cfg.Clock.NewTimer(ss.srv.cfg.RequestTimeout)
+	timer := time.NewTimer(ss.srv.cfg.RequestTimeout)
 	defer timer.Stop()
 	select {
 	case r := <-cmd.reply:
@@ -955,7 +947,7 @@ func (ss *session) handleOp(req *wire.Request) *wire.Response {
 			return fail(wire.CodeInternal, err.Error())
 		}
 		return &wire.Response{OK: true, Value: raw}
-	case <-timer.C():
+	case <-timer.C:
 		// The access is stuck (blocked on a lock past the request
 		// deadline): abort the whole transaction tree, which unblocks it.
 		h.treeCancel()
@@ -1067,7 +1059,7 @@ func treeDead(h *txHandle) bool {
 // deliver hands cmd to h's command loop, failing fast if the loop is
 // gone or cannot take it within the request deadline.
 func (ss *session) deliver(h *txHandle, cmd txCmd) *wire.Response {
-	timer := ss.srv.cfg.Clock.NewTimer(ss.srv.cfg.RequestTimeout)
+	timer := time.NewTimer(ss.srv.cfg.RequestTimeout)
 	defer timer.Stop()
 	select {
 	case h.cmds <- cmd:
@@ -1075,7 +1067,7 @@ func (ss *session) deliver(h *txHandle, cmd txCmd) *wire.Response {
 	case <-h.root().done:
 		delete(ss.txs, h.id)
 		return fail(wire.CodeAborted, "transaction already finished")
-	case <-timer.C():
+	case <-timer.C:
 		return fail(wire.CodeTimeout, "transaction busy")
 	}
 }

@@ -147,23 +147,7 @@ type EnginePoint struct {
 func EngineSweep(seed int64, fractions []float64) ([]EnginePoint, error) {
 	var out []EnginePoint
 	for _, f := range fractions {
-		w := Workload{
-			Objects:         8,
-			Transactions:    200,
-			Concurrency:     8,
-			Depth:           0,
-			OpsPerLeaf:      4,
-			WriterOps:       1,
-			ReadTxFraction:  f,
-			HotspotFraction: 0.5,
-			ThinkNs:         300000,
-			Seed:            seed,
-		}
-		if f == 0 {
-			w.ReadTxFraction = -1
-			w.ReadFraction = 0
-			w.OpsPerLeaf = 1
-		}
+		w := ReadFractionWorkload(seed, f)
 		lock, err := Run(w)
 		if err != nil {
 			return nil, err

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"nestedtx"
-	"nestedtx/internal/dst/clock"
 )
 
 // Workload parameterises one experiment run.
@@ -85,17 +84,7 @@ type Workload struct {
 	// LockShards sets the lock-manager shard count; 0 falls back to
 	// DefaultLockShards, then to the manager default (GOMAXPROCS).
 	LockShards int
-	// Clock is the time source for every sleep the workload performs —
-	// think time and deadlock-retry backoff — and is passed through to
-	// the manager's own retry backoffs. nil means the wall clock; the
-	// deterministic simulator injects a virtual clock so identical seeds
-	// produce identical schedules regardless of wall-clock scheduling.
-	Clock clock.Clock `json:"-"`
 }
-
-// clock returns the workload's time source, defaulting to the wall
-// clock.
-func (w *Workload) clock() clock.Clock { return clock.Or(w.Clock) }
 
 // DefaultLockShards, when non-zero, applies to every workload whose
 // LockShards is unset — the txsim -shards flag sets it so one invocation
@@ -206,9 +195,6 @@ func Run(w Workload) (Result, error) {
 	if shards > 0 {
 		opts = append(opts, nestedtx.WithLockShards(shards))
 	}
-	if w.Clock != nil {
-		opts = append(opts, nestedtx.WithClock(w.Clock))
-	}
 	m := nestedtx.NewManager(opts...)
 	for i := 0; i < w.Objects; i++ {
 		if err := m.Register(objName(i), nestedtx.Counter{}); err != nil {
@@ -270,13 +256,13 @@ func Run(w Workload) (Result, error) {
 	}, nil
 }
 
-// runOne submits one top-level transaction, retrying deadlock victims
-// with jittered backoff so competing victims restart out of phase.
+// runOne submits one top-level transaction through Manager.RunRetry, so
+// deadlock victims restart on the runtime's own jittered backoff; every
+// body invocation past the first is one retry.
 func runOne(m *nestedtx.Manager, w *Workload, rng *rand.Rand, ops, retried *int64) error {
 	if w.ReadOnlyTxFraction > 0 && rng.Float64() < w.ReadOnlyTxFraction {
 		return snapshotScan(m, w, rng, ops)
 	}
-	var err error
 	mode := opMix
 	if w.ReadTxFraction > 0 {
 		if rng.Float64() < w.ReadTxFraction {
@@ -285,24 +271,12 @@ func runOne(m *nestedtx.Manager, w *Workload, rng *rand.Rand, ops, retried *int6
 			mode = allWrites
 		}
 	}
-	for attempt := 0; attempt < w.Retries; attempt++ {
-		err = m.Run(func(tx *nestedtx.Tx) error {
-			return body(tx, w, rng, w.Depth, mode, ops)
-		})
-		if !errors.Is(err, nestedtx.ErrDeadlock) {
-			return err
-		}
-		atomic.AddInt64(retried, 1)
-		shift := attempt
-		if shift > 6 {
-			shift = 6
-		}
-		// Route through the workload clock: under a wall clock this is
-		// the old jittered backoff; under the simulator's virtual clock
-		// the delay is event-queue time, so a "seeded" run no longer
-		// depends on wall-clock scheduling.
-		w.clock().Sleep(time.Duration(rng.Int63n(int64(100<<shift))) * time.Microsecond)
-	}
+	calls := 0
+	err := m.RunRetry(w.Retries, func(tx *nestedtx.Tx) error {
+		calls++
+		return body(tx, w, rng, w.Depth, mode, ops)
+	})
+	atomic.AddInt64(retried, int64(calls-1))
 	return err
 }
 
@@ -422,12 +396,9 @@ func pickObject(w *Workload, rng *rand.Rand) int {
 
 func objName(i int) string { return fmt.Sprintf("obj%d", i) }
 
-// think models per-access latency while holding locks. It sleeps on the
-// workload clock, so simulated runs spend event-queue time, not wall
-// time.
+// think models per-access latency while holding locks.
 func (w *Workload) think() {
-	if w.ThinkNs <= 0 {
-		return
+	if w.ThinkNs > 0 {
+		time.Sleep(time.Duration(w.ThinkNs))
 	}
-	w.clock().Sleep(time.Duration(w.ThinkNs))
 }

@@ -37,29 +37,76 @@ func baseWorkload(seed int64) Workload {
 	}
 }
 
+// Serial returns w as its serial-execution baseline: one worker, siblings
+// run one after another.
+func (w Workload) Serial() Workload {
+	w.Sequential = true
+	w.Concurrency = 1
+	return w
+}
+
+// ReadFractionWorkload is one point of experiment E3 — and of E9, which
+// runs the same flat workload on both engines: share f of the top-level
+// transactions are read-only auditors, the rest single-object updaters.
+// Transactions are classified whole so the sweep isolates read
+// concurrency from upgrade-deadlock effects.
+func ReadFractionWorkload(seed int64, f float64) Workload {
+	w := baseWorkload(seed)
+	w.Depth = 0 // accesses directly in the top-level transaction
+	w.OpsPerLeaf = 4
+	w.WriterOps = 1 // single-object updates: no writer-writer cycles
+	w.ThinkNs = 300000
+	w.ReadTxFraction = f
+	if f == 0 {
+		w.ReadTxFraction = -1 // all writes, explicit
+		w.ReadFraction = 0
+		w.OpsPerLeaf = 1
+	}
+	w.HotspotFraction = 0.5 // contention makes the lock discipline visible
+	return w
+}
+
+// DepthWorkload is one point of experiment E4: nesting depth d at fixed
+// leaf work. Leaf work is pure reads over many objects so the depth axis
+// measures intra-transaction concurrency (the serial system forbids
+// concurrent siblings; the R/W Locking system exploits them), not
+// write-deadlock churn.
+func DepthWorkload(seed int64, d int) Workload {
+	w := baseWorkload(seed)
+	w.Depth = d
+	w.Fanout = 2
+	w.Transactions = 120
+	w.Objects = 16
+	w.OpsPerLeaf = 2
+	w.ReadFraction = 1 // pure-read trees: depth measures sibling concurrency
+	w.ThinkNs = 300000
+	return w
+}
+
+// AbortWorkload is one point of experiment E5: leaf subtransactions
+// abort voluntarily with probability p. Transactions are classified whole
+// (reader/updater) and updaters touch one object per leaf, so the abort
+// axis is not confounded by upgrade-deadlock churn.
+func AbortWorkload(seed int64, p float64) Workload {
+	w := baseWorkload(seed)
+	w.AbortProb = p
+	w.Depth = 2
+	w.ReadTxFraction = 0.5
+	w.WriterOps = 1
+	w.Objects = 16
+	w.ThinkNs = 50000
+	return w
+}
+
 // ReadFractionSweep is experiment E3: throughput of R/W locking vs the
 // exclusive and serial baselines as the share of read-only transactions
 // rises. The paper's claim: R/W Locking allows more concurrency than a
 // serial system, and read locks are exactly what separates Moss' algorithm
 // from exclusive locking (with no read accesses they coincide).
-// Transactions are classified whole (read-only auditors vs write-only
-// updaters) so the sweep isolates read concurrency from upgrade-deadlock
-// effects.
 func ReadFractionSweep(seed int64, fractions []float64) ([]SweepPoint, error) {
 	var out []SweepPoint
 	for _, f := range fractions {
-		w := baseWorkload(seed)
-		w.Depth = 0 // accesses directly in the top-level transaction
-		w.OpsPerLeaf = 4
-		w.WriterOps = 1 // single-object updates: no writer-writer cycles
-		w.ThinkNs = 300000
-		w.ReadTxFraction = f
-		if f == 0 {
-			w.ReadTxFraction = -1 // all writes, explicit
-			w.ReadFraction = 0
-			w.OpsPerLeaf = 1
-		}
-		w.HotspotFraction = 0.5 // contention makes the lock discipline visible
+		w := ReadFractionWorkload(seed, f)
 		rw, err := Run(w)
 		if err != nil {
 			return nil, err
@@ -70,10 +117,7 @@ func ReadFractionSweep(seed int64, fractions []float64) ([]SweepPoint, error) {
 		if err != nil {
 			return nil, err
 		}
-		ws := w
-		ws.Sequential = true
-		ws.Concurrency = 1
-		serial, err := Run(ws)
+		serial, err := Run(w.Serial())
 		if err != nil {
 			return nil, err
 		}
@@ -89,29 +133,16 @@ func ReadFractionSweep(seed int64, fractions []float64) ([]SweepPoint, error) {
 }
 
 // DepthSweep is experiment E4: nesting depth 0..maxDepth, R/W locking vs
-// serial execution of the same trees. Leaf work is mostly reads over many
-// objects so the depth axis measures intra-transaction concurrency (the
-// serial system forbids concurrent siblings; the R/W Locking system
-// exploits them), not write-deadlock churn.
+// serial execution of the same trees.
 func DepthSweep(seed int64, maxDepth int) ([]SweepPoint, error) {
 	var out []SweepPoint
 	for d := 0; d <= maxDepth; d++ {
-		w := baseWorkload(seed)
-		w.Depth = d
-		w.Fanout = 2
-		w.Transactions = 120
-		w.Objects = 16
-		w.OpsPerLeaf = 2
-		w.ReadFraction = 1 // pure-read trees: depth measures sibling concurrency
-		w.ThinkNs = 300000
+		w := DepthWorkload(seed, d)
 		rw, err := Run(w)
 		if err != nil {
 			return nil, err
 		}
-		ws := w
-		ws.Sequential = true
-		ws.Concurrency = 1
-		serial, err := Run(ws)
+		serial, err := Run(w.Serial())
 		if err != nil {
 			return nil, err
 		}
@@ -126,20 +157,11 @@ func DepthSweep(seed int64, maxDepth int) ([]SweepPoint, error) {
 }
 
 // AbortSweep is experiment E5: throughput and recovery as the voluntary
-// abort rate of subtransactions rises. Transactions are classified whole
-// (reader/updater) and updaters touch one object per leaf, so the abort
-// axis is not confounded by upgrade-deadlock churn.
+// abort rate of subtransactions rises.
 func AbortSweep(seed int64, probs []float64) ([]SweepPoint, error) {
 	var out []SweepPoint
 	for _, p := range probs {
-		w := baseWorkload(seed)
-		w.AbortProb = p
-		w.Depth = 2
-		w.ReadTxFraction = 0.5
-		w.WriterOps = 1
-		w.Objects = 16
-		w.ThinkNs = 50000
-		rw, err := Run(w)
+		rw, err := Run(AbortWorkload(seed, p))
 		if err != nil {
 			return nil, err
 		}

@@ -9,7 +9,7 @@ import (
 	"sync"
 	"time"
 
-	"nestedtx/internal/dst/clock"
+	"nestedtx/internal/clock"
 )
 
 // File is the slice of *os.File the log needs. The indirection exists so

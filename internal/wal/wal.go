@@ -49,7 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nestedtx/internal/dst/clock"
+	"nestedtx/internal/clock"
 	"nestedtx/internal/obs"
 )
 
@@ -125,12 +125,12 @@ type Log struct {
 	// mu guards the logical state below. Critical sections are short:
 	// mu is never held across an encode, a write, or an fsync.
 	mu           sync.Mutex
-	nextLSN      uint64 // next LSN to reserve
-	written      uint64 // every LSN below this is staged or written in its segment
-	durable      uint64 // every LSN below this is covered by an fsync
-	ckptLSN      uint64 // next LSN after the newest checkpoint (redo low-water)
-	statSegName  string // mirror of segName for lock-free-ish Stats
-	statSegBytes int64  // mirror of segBytes for Stats
+	nextLSN      uint64   // next LSN to reserve
+	written      uint64   // every LSN below this is staged or written in its segment
+	durable      uint64   // every LSN below this is covered by an fsync
+	ckptLSN      uint64   // next LSN after the newest checkpoint (redo low-water)
+	statSegName  string   // mirror of segName for lock-free-ish Stats
+	statSegBytes int64    // mirror of segBytes for Stats
 	waiters      []waiter // parked appenders, ascending LSN
 	watchers     []chan struct{}
 	err          error // latched fatal error: log is read-only from here on

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"nestedtx/internal/checker"
+	"nestedtx/internal/clock"
 	"nestedtx/internal/core"
-	"nestedtx/internal/dst/clock"
 	"nestedtx/internal/event"
 	"nestedtx/internal/lockmgr"
 	"nestedtx/internal/obs"
@@ -232,6 +232,9 @@ func (m *Manager) RunRetry(attempts int, fn func(*Tx) error) error {
 		err = m.Run(fn)
 		if !errors.Is(err, ErrDeadlock) {
 			return err
+		}
+		if i+1 == attempts {
+			break
 		}
 		m.clk.Sleep(backoffDur(i))
 	}

@@ -166,6 +166,9 @@ func (tx *Tx) SubRetry(attempts int, fn func(*Tx) error) error {
 		if !errors.Is(err, ErrDeadlock) {
 			return err
 		}
+		if i+1 == attempts {
+			break
+		}
 		tx.mgr.clk.Sleep(backoffDur(i))
 	}
 	return err
