@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-short sim sim-mine fuzz fuzz-short metrics-smoke clean
+.PHONY: all build vet test race bench bench-short sim sim-mine fuzz fuzz-short metrics-smoke loc clean
 
 all: build test
 
@@ -71,6 +71,10 @@ fuzz-short:
 # METRICS histograms reconcile exactly with the STATS counters.
 metrics-smoke:
 	./scripts/metrics_smoke.sh
+
+# The number every simplicity PR quotes: non-test Go lines outside bench/.
+loc:
+	./scripts/loc.sh
 
 clean:
 	$(GO) clean ./...

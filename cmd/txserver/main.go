@@ -7,10 +7,10 @@
 //	txserver [-addr :7654] [-objects spec] [-max-conns N]
 //	         [-idle-timeout D] [-req-timeout D] [-exclusive] [-record]
 //	         [-trace N] [-metrics-every D] [-pprof addr] [-duration D]
-//	         [-data-dir dir] [-sync-window D] [-follow leader:port]
+//	         [-data-dir dir] [-follow leader:port]
 //
 // With -data-dir the server is durable: every top-level commit is
-// write-ahead logged and fsynced (group-committed within -sync-window)
+// write-ahead logged and fsynced (concurrent commits share an fsync)
 // before its reply goes out, the directory's previous contents are
 // recovered on boot (torn tail truncated, recovery summary logged, the
 // recovered history machine-checked), and a graceful drain flushes and
@@ -92,7 +92,6 @@ func main() {
 		metricsLog  = flag.Duration("metrics-every", 0, "log a one-line metrics summary this often (0 = never)")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof on this address (empty = off)")
 		dataDir     = flag.String("data-dir", "", "write-ahead log directory: commits are durable and the directory is recovered on boot (empty = in-memory only)")
-		syncWindow  = flag.Duration("sync-window", 0, "group-commit window: concurrent commits within it share one fsync (needs -data-dir)")
 		follow      = flag.String("follow", "", "run as a read replica of this leader address (needs -data-dir); SIGUSR1 or the PROMOTE verb promotes")
 	)
 	flag.Parse()
@@ -119,9 +118,9 @@ func main() {
 		if *dataDir == "" {
 			log.Fatalf("txserver: -follow needs -data-dir (the replica keeps its own WAL)")
 		}
-		srv = newFollower(*follow, *dataDir, *syncWindow, opts, cfg)
+		srv = newFollower(*follow, *dataDir, opts, cfg)
 	case *dataDir != "":
-		mgr, rec, err := nestedtx.OpenDurable(*dataDir, nestedtx.DurableOptions{SyncWindow: *syncWindow}, opts...)
+		mgr, rec, err := nestedtx.OpenDurable(*dataDir, nestedtx.DurableOptions{}, opts...)
 		if err != nil {
 			log.Fatalf("txserver: open %s: %v", *dataDir, err)
 		}
@@ -132,9 +131,6 @@ func main() {
 		}
 		srv = newLeader(mgr, *objects, cfg)
 	default:
-		if *syncWindow != 0 {
-			log.Fatalf("txserver: -sync-window needs -data-dir")
-		}
 		srv = newLeader(nestedtx.NewManager(opts...), *objects, cfg)
 	}
 
@@ -158,8 +154,8 @@ func newLeader(mgr *nestedtx.Manager, objects string, cfg server.Config) *server
 // leader's WAL over the wire, the server serves committed reads and
 // refuses transaction verbs, and SIGUSR1 (or the PROMOTE verb from any
 // client) promotes — recovery, full re-verification, then writes.
-func newFollower(leader, dataDir string, syncWindow time.Duration, promoteOpts []nestedtx.Option, cfg server.Config) *server.Server {
-	f, err := repl.OpenFollower(dataDir, wal.Options{SyncWindow: syncWindow})
+func newFollower(leader, dataDir string, promoteOpts []nestedtx.Option, cfg server.Config) *server.Server {
+	f, err := repl.OpenFollower(dataDir, wal.Options{})
 	if err != nil {
 		log.Fatalf("txserver: open replica %s: %v", dataDir, err)
 	}
@@ -224,7 +220,7 @@ func serve(srv *server.Server, addr, pprofAddr string, metricsEvery, duration ti
 	go func() {
 		for range quitSig {
 			logLive(srv)
-			dumpTrace(liveMetrics(srv))
+			dumpTrace(srv.Metrics())
 		}
 	}()
 
@@ -286,22 +282,10 @@ func drain(srv *server.Server) error {
 	return nil
 }
 
-// liveMetrics follows the role: the follower's metric set until
-// promotion, the manager's after (and always, on a leader).
-func liveMetrics(srv *server.Server) *obs.Metrics {
-	if f := srv.Follower(); f != nil {
-		return f.Metrics()
-	}
-	if m := srv.Manager(); m != nil {
-		return m.Metrics()
-	}
-	return &obs.Metrics{} // promotion in flight: neither is installed
-}
-
 // logLive logs the live metrics line, plus the replication position
 // while the server is a replica.
 func logLive(srv *server.Server) {
-	logMetrics(liveMetrics(srv))
+	logMetrics(srv.Metrics())
 	if f := srv.Follower(); f != nil {
 		st := f.Status()
 		log.Printf("txserver: replica: leader=%s connected=%v lsn=%d lag=%d records %.3fs",

@@ -8,8 +8,7 @@ import (
 
 // DurableOptions configures the write-ahead log of a durable manager;
 // see wal.Options. The zero value is production-ready: real file system,
-// 4 MiB segments, immediate fsync batching (no added group-commit
-// window).
+// 4 MiB segments, concurrent commits sharing each fsync.
 type DurableOptions = wal.Options
 
 // Recovery describes what OpenDurable found on disk; see wal.Recovery.
@@ -29,7 +28,7 @@ type WalStats = wal.Stats
 // Verify method to machine-check the recovered history.
 //
 // On a durable manager every top-level commit is write-ahead logged and
-// fsynced (group-committed per DurableOptions.SyncWindow) before it is
+// fsynced (group-committed with whatever else is waiting) before it is
 // acknowledged, so an acknowledged commit survives kill -9. Objects and
 // operations must use the library's serialisable types (see internal/adt);
 // registering or committing something the codec cannot encode fails

@@ -81,22 +81,6 @@ func (a *SnapshotAnomaly) Error() string {
 	return s + ": " + a.Detail
 }
 
-// SnapRead is one recorded snapshot read: the operation a read-only
-// transaction applied and the value it returned.
-type SnapRead struct {
-	Object string
-	Op     adt.Op
-	Value  adt.Value
-}
-
-// SnapTx is one finished read-only snapshot transaction: the sequence
-// number it pinned and the reads it performed.
-type SnapTx struct {
-	ID    string
-	Seq   uint64
-	Reads []SnapRead
-}
-
 // CheckSnapshots verifies the publication log and the recorded snapshot
 // transactions against the locking history alpha:
 //
@@ -113,7 +97,7 @@ type SnapTx struct {
 // the serial order of Theorem 34 and prove the combined history
 // serially correct; on failure the returned *SnapshotAnomaly names the
 // violated guarantee.
-func CheckSnapshots(alpha event.Schedule, st *event.SystemType, pubs []snap.PubEntry, txs []SnapTx) error {
+func CheckSnapshots(alpha event.Schedule, st *event.SystemType, pubs []snap.PubEntry, txs []snap.TxEntry) error {
 	pubs = append([]snap.PubEntry(nil), pubs...)
 	sort.Slice(pubs, func(i, j int) bool { return pubs[i].Seq < pubs[j].Seq })
 	for i := 1; i < len(pubs); i++ {

@@ -9,9 +9,9 @@
 // The simulator determinizes every *decision plane*: the workload plan
 // (which transactions, touching which objects, nested how deep), the
 // fault plan (checkpoint times, partition windows, the kill-at-byte
-// budget, the bit-rot draws) and virtual time (sleeps, backoffs and
-// group-commit windows park on a deadline heap instead of the wall
-// clock). Two runs with the same seed therefore plan byte-identical
+// budget, the bit-rot draws) and virtual time (sleeps, backoffs and the
+// WAL's batch-gather deadline park on a deadline heap instead of the
+// wall clock). Two runs with the same seed therefore plan byte-identical
 // work and byte-identical faults, and the event log — which records
 // exactly the decision planes plus the final verdict — is
 // byte-identical across runs.
@@ -127,7 +127,7 @@ func (s *Sim) Run() *Result {
 	env.logf("plan kinds zipf=%d nest=%d tree=%d scan=%d bank=%d",
 		plan.Kinds[KZipf], plan.Kinds[KNest], plan.Kinds[KTree], plan.Kinds[KScan], plan.Kinds[KBank])
 	if scn.Durable {
-		env.logf("wal window=%s segbytes=%d", faults.SyncWindow, faults.SegmentBytes)
+		env.logf("wal segbytes=%d", faults.SegmentBytes)
 	}
 	if scn.Net {
 		env.logf("net latency=%s jitter=%s seed=%d", scn.NetLatency, scn.NetJitter, faults.NetSeed)
@@ -243,7 +243,6 @@ func runDurable(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 
 	m, _, err := nestedtx.OpenDurable(dir, nestedtx.DurableOptions{
 		FS:           ffs,
-		SyncWindow:   faults.SyncWindow,
 		SegmentBytes: faults.SegmentBytes,
 		Clock:        env.clk,
 	}, nestedtx.WithClock(env.clk))

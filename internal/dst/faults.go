@@ -49,7 +49,6 @@ type faultPlan struct {
 	FailClosed bool // every few seeds: fail loudly instead of torn writes
 
 	// WAL shape, drawn so crashes land at interesting segment offsets.
-	SyncWindow   time.Duration
 	SegmentBytes int64
 
 	// BitRot draws: raw random values recorded in the log; application
@@ -71,7 +70,6 @@ const horizon = 200 * time.Millisecond
 func planFaults(scn *Scenario, rng *rand.Rand) *faultPlan {
 	p := &faultPlan{}
 	if scn.Durable {
-		p.SyncWindow = scn.SyncWindow
 		p.SegmentBytes = scn.SegmentBytes
 		if p.SegmentBytes == 0 {
 			p.SegmentBytes = int64(512 + rng.Intn(4096))

@@ -24,8 +24,8 @@ import (
 // bit rot (when planned), verified promotion and a post-promotion
 // phase against the new leader.
 //
-// Injected latency, group-commit windows and every retry backoff run
-// on the virtual clock; the server's watchdog request timers stay on
+// Injected latency, the WAL's batch-gather deadline and every retry
+// backoff run on the virtual clock; the server's watchdog request timers stay on
 // the wall clock (a watchdog firing because simulated time jumped
 // would inject timeouts the plan never asked for).
 func runNet(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
@@ -36,7 +36,6 @@ func runNet(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	// any durable manager).
 	mgr, _, err := nestedtx.OpenDurable("leader", nestedtx.DurableOptions{
 		FS:           mem,
-		SyncWindow:   faults.SyncWindow,
 		SegmentBytes: faults.SegmentBytes,
 		Clock:        env.clk,
 	}, nestedtx.WithClock(env.clk))

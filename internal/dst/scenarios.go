@@ -35,19 +35,18 @@ type Scenario struct {
 	Workers  int   // executor goroutines
 	Retries  int   // RunRetry attempts per transaction
 	Mix      Mix
-	MaxDepth int     // nesting depth for Nest specs (paper trees)
-	Fanout   int     // children per interior transaction
-	Ops      int     // accesses per transaction level
-	ReadPct  int     // read fraction of tree accesses
-	AbortPct int     // voluntary subtransaction abort rate
-	ZipfS    float64 // zipf skew (>1); 0 means uniform object picks
+	MaxDepth int           // nesting depth for Nest specs (paper trees)
+	Fanout   int           // children per interior transaction
+	Ops      int           // accesses per transaction level
+	ReadPct  int           // read fraction of tree accesses
+	AbortPct int           // voluntary subtransaction abort rate
+	ZipfS    float64       // zipf skew (>1); 0 means uniform object picks
 	ThinkMax time.Duration // max virtual think time between a worker's txs
 
 	// Environment.
-	Durable      bool          // write-ahead logged manager over a MemFS
-	SyncWindow   time.Duration // WAL group-commit window (virtual time)
-	SegmentBytes int64         // WAL segment size; 0 = draw a small one
-	Net          bool          // leader + replica + faultnet proxy + client pool
+	Durable      bool  // write-ahead logged manager over a MemFS
+	SegmentBytes int64 // WAL segment size; 0 = draw a small one
+	Net          bool  // leader + replica + faultnet proxy + client pool
 
 	// Fault plane.
 	Crash       bool // arm FaultFS kill-at-byte during the workload

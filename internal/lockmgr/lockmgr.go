@@ -338,7 +338,9 @@ func (m *Manager) Objects() []string {
 }
 
 // CurrentState returns the current (least write-lockholder) state of x,
-// for inspection after a run.
+// for inspection after a run. Mid-run that may be a live writer's
+// tentative version; observers outside any transaction read the
+// committed-version store (internal/snap) instead.
 func (m *Manager) CurrentState(x string) (adt.State, error) {
 	sh := m.shardFor(x)
 	sh.mu.Lock()
@@ -348,29 +350,6 @@ func (m *Manager) CurrentState(x string) (adt.State, error) {
 		return nil, fmt.Errorf("lockmgr: object %q not registered", x)
 	}
 	return ls.current(), nil
-}
-
-// CommittedState returns the committed-to-root state of x: the root's
-// version in M(X)'s version map, which reflects exactly the top-level
-// transactions whose commits have reached x — never a live writer's
-// tentative version. This is the safe read path for observers outside
-// any transaction; CurrentState by contrast answers the *least*
-// write-lockholder's version and may expose uncommitted state.
-func (m *Manager) CommittedState(x string) (adt.State, error) {
-	sh := m.shardFor(x)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ls, ok := sh.objects[x]
-	if !ok {
-		return nil, fmt.Errorf("lockmgr: object %q not registered", x)
-	}
-	v, ok := ls.versions[tree.Root]
-	if !ok {
-		// The root's version exists from Register until the object dies
-		// with the manager; Commit only ever moves versions toward it.
-		panic("lockmgr: root version lost for " + x)
-	}
-	return v, nil
 }
 
 // TopVersions returns the new root versions a committing top-level

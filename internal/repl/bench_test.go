@@ -57,7 +57,7 @@ func BenchmarkReplCatchup(b *testing.B) {
 func BenchmarkReplSteadyState(b *testing.B) {
 	for _, writers := range []int{16} {
 		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
-			leader := newLeaderLog(b, nil, b.TempDir(), wal.Options{SyncWindow: 100 * time.Microsecond})
+			leader := newLeaderLog(b, nil, b.TempDir(), wal.Options{})
 			defer leader.lg.Close()
 			leader.register("ctr", adt.Counter{})
 			sh := NewShipper(leader.lg, &obs.Metrics{})

@@ -30,8 +30,9 @@ var errStopped = errors.New("repl: follower stopped")
 const replReadTimeout = 15 * time.Second
 
 // Follower is a read replica: it maintains its own WAL as a prefix of
-// the leader's durable history, applies committed effects to in-memory
-// states, and serves reads from them. It carries everything a
+// the leader's durable history, replays committed effects into a
+// committed-version store, and serves reads from it — the same store
+// type, read the same way, as a leader's. It carries everything a
 // promotion needs: Dir/WalOptions hand the data directory to
 // nestedtx.OpenDurable, whose recovery re-verifies the inherited
 // history before the promoted node accepts writes.
@@ -43,9 +44,7 @@ type Follower struct {
 	clk  clock.Clock // reconnect-backoff time source (wal.Options.Clock)
 
 	mu            sync.Mutex
-	states        map[string]adt.State
-	snap          *snap.Store // committed-version store behind BeginSnapshot
-	snapID        uint64
+	snap          *snap.Store // the replicated committed states; swapped by installSnapshot
 	leader        string
 	leaderDurable uint64
 	progress      time.Time // last time the local log advanced
@@ -67,19 +66,13 @@ func OpenFollower(dir string, opts wal.Options) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	states := rec.States()
-	sn := snap.New(false)
-	for x, st := range states {
-		sn.Base(x, st)
-	}
 	return &Follower{
 		dir:      dir,
 		opts:     opts,
 		log:      lg,
 		met:      opts.Metrics,
 		clk:      clock.Or(opts.Clock),
-		states:   states,
-		snap:     sn,
+		snap:     newStore(rec.States()),
 		progress: time.Now(),
 		stop:     make(chan struct{}),
 	}, nil
@@ -207,9 +200,9 @@ func (f *Follower) stream(leader string) error {
 
 // applyBatch makes a shipped batch durable locally and then visible:
 // decode (re-verifying each record's CRC), append to the local WAL in
-// strict LSN order, then apply the effects to the served states with
-// the same value re-validation recovery's redo performs — divergence
-// here is fatal, not retryable.
+// strict LSN order, then replay the effects into the store with the
+// same value re-validation recovery's redo performs — divergence here
+// is fatal, not retryable.
 func (f *Follower) applyBatch(r *wire.Repl) error {
 	f.noteLeaderDurable(r.DurableLSN)
 	if r.Count == 0 {
@@ -240,24 +233,28 @@ func (f *Follower) applyBatch(r *wire.Repl) error {
 	for _, rec := range recs {
 		switch {
 		case rec.Register != nil:
-			if _, ok := f.states[rec.Register.Name]; !ok {
-				f.states[rec.Register.Name] = rec.Register.Initial
+			if _, err := f.snap.Head(rec.Register.Name); err != nil {
 				f.snap.Base(rec.Register.Name, rec.Register.Initial)
 			}
 		case rec.Commit != nil:
+			// Each effect applies to what the record's earlier writes made
+			// of its object, else to the committed head; a read-only
+			// effect is verified against that state and changes nothing.
 			var updates map[string]adt.State
 			for i, e := range rec.Commit.Effects {
-				st, ok := f.states[e.Obj]
+				st, ok := updates[e.Obj]
 				if !ok {
-					return fmt.Errorf("%w: record %d effect %d: unknown object %q",
-						ErrDiverged, rec.LSN, i, e.Obj)
+					var err error
+					if st, err = f.snap.Head(e.Obj); err != nil {
+						return fmt.Errorf("%w: record %d effect %d: unknown object %q",
+							ErrDiverged, rec.LSN, i, e.Obj)
+					}
 				}
 				nextSt, v := e.Op.Apply(st)
 				if v != e.Val {
 					return fmt.Errorf("%w: record %d effect %d on %q: logged value %v, apply produced %v",
 						ErrDiverged, rec.LSN, i, e.Obj, e.Val, v)
 				}
-				f.states[e.Obj] = nextSt
 				if !e.Op.ReadOnly() {
 					if updates == nil {
 						updates = make(map[string]adt.State)
@@ -281,7 +278,7 @@ func (f *Follower) applyBatch(r *wire.Repl) error {
 	return nil
 }
 
-// installSnapshot replaces the local log and states with the leader's
+// installSnapshot replaces the local log and store with the leader's
 // checkpoint — the catch-up path for a follower below the leader's
 // low-water mark.
 func (f *Follower) installSnapshot(r *wire.Repl) error {
@@ -300,12 +297,8 @@ func (f *Follower) installSnapshot(r *wire.Repl) error {
 	// The old version chains describe a history this checkpoint replaces;
 	// swap in a fresh store. Pins already taken keep reading the old
 	// store's (still valid, just pre-checkpoint) prefix until released.
-	sn := snap.New(false)
-	for x, st := range states {
-		sn.Base(x, st)
-	}
+	sn := newStore(states)
 	f.mu.Lock()
-	f.states = states
 	f.snap = sn
 	f.progress = time.Now()
 	f.mu.Unlock()
@@ -356,26 +349,31 @@ func (f *Follower) publishLagLocked() {
 	f.met.SetReplLag(f.leaderDurable-applied, time.Since(f.progress))
 }
 
-// State returns the replicated (committed-to-root) state of an object.
-func (f *Follower) State(name string) (adt.State, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	st, ok := f.states[name]
-	if !ok {
-		return nil, fmt.Errorf("repl: unknown object %q", name)
+// newStore returns a store whose every chain starts at states.
+func newStore(states map[string]adt.State) *snap.Store {
+	sn := snap.New(false)
+	for x, st := range states {
+		sn.Base(x, st)
 	}
-	return st, nil
+	return sn
 }
 
-// States returns a copy of all replicated object states.
-func (f *Follower) States() map[string]adt.State {
+// Store returns the committed-version store this replica serves reads
+// from: its head is the replicated committed-to-root state, and a
+// read-only transaction begun on it pins the commit records replayed so
+// far — the same consistent-cut guarantee a leader gives, replay order
+// being WAL order being the leader's conflict order, just possibly
+// lagging by the replication delay. installSnapshot swaps it, so callers
+// ask again per request instead of holding on to it.
+func (f *Follower) Store() *snap.Store {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make(map[string]adt.State, len(f.states))
-	for k, v := range f.states {
-		out[k] = v
-	}
-	return out
+	return f.snap
+}
+
+// State returns the replicated (committed-to-root) state of an object.
+func (f *Follower) State(name string) (adt.State, error) {
+	return f.Store().Head(name)
 }
 
 // Status reports the follower-side replication view.
@@ -424,13 +422,13 @@ func (f *Follower) Leader() string {
 }
 
 // Stop ends streaming (Run returns) but leaves the log open and the
-// states serveable.
+// store serveable.
 func (f *Follower) Stop() {
 	f.stopOnce.Do(func() { close(f.stop) })
 }
 
-// Close stops streaming and closes the local log. The in-memory states
-// remain readable; the data directory is ready for OpenDurable.
+// Close stops streaming and closes the local log. The store remains
+// readable; the data directory is ready for OpenDurable.
 func (f *Follower) Close() error {
 	f.Stop()
 	return f.log.Close()

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"encoding/json"
 	"errors"
 	"net"
 	"reflect"
@@ -12,6 +13,7 @@ import (
 
 	"nestedtx/internal/adt"
 	"nestedtx/internal/obs"
+	"nestedtx/internal/snap"
 	"nestedtx/internal/wal"
 	"nestedtx/internal/wire"
 )
@@ -111,6 +113,17 @@ func waitFor(tb testing.TB, what string, cond func() bool) {
 	tb.Fatalf("timed out waiting for %s", what)
 }
 
+// wantStates asserts the follower's committed head of every object in
+// want is want's.
+func wantStates(t *testing.T, f *Follower, want map[string]adt.State) {
+	t.Helper()
+	for x, st := range want {
+		if got, err := f.State(x); err != nil || !reflect.DeepEqual(got, st) {
+			t.Fatalf("follower state of %q = %v, %v; leader has %v", x, got, err, st)
+		}
+	}
+}
+
 func TestShipAndCatchUp(t *testing.T) {
 	fs := wal.NewMemFS()
 	leader := newLeaderLog(t, fs, "leader", wal.Options{})
@@ -136,9 +149,7 @@ func TestShipAndCatchUp(t *testing.T) {
 	waitFor(t, "initial catch-up", func() bool {
 		return f.Status().NextLSN == leader.lg.DurableLSN()
 	})
-	if !reflect.DeepEqual(f.States(), leader.states) {
-		t.Fatalf("follower states %v != leader states %v", f.States(), leader.states)
-	}
+	wantStates(t, f, leader.states)
 
 	// Steady state: live commits flow through.
 	for i := 0; i < 10; i++ {
@@ -205,9 +216,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 	waitFor(t, "snapshot catch-up", func() bool {
 		return f.Status().NextLSN == leader.lg.DurableLSN()
 	})
-	if !reflect.DeepEqual(f.States(), leader.states) {
-		t.Fatalf("follower states %v != leader states %v", f.States(), leader.states)
-	}
+	wantStates(t, f, leader.states)
 	st := f.Status()
 	if st.CheckpointLSN != leader.lg.Stats().CheckpointLSN {
 		t.Fatalf("follower checkpoint %d, want the installed snapshot at %d",
@@ -258,9 +267,7 @@ func TestFollowerRestartResumes(t *testing.T) {
 	waitFor(t, "resume catch-up", func() bool {
 		return f2.Status().NextLSN == leader.lg.DurableLSN()
 	})
-	if !reflect.DeepEqual(f2.States(), leader.states) {
-		t.Fatalf("follower states %v != leader states %v", f2.States(), leader.states)
-	}
+	wantStates(t, f2, leader.states)
 }
 
 func TestHelloRefusesAheadFollower(t *testing.T) {
@@ -293,28 +300,128 @@ func TestHelloRefusesAheadFollower(t *testing.T) {
 	}
 }
 
-func TestDivergenceIsFatal(t *testing.T) {
-	fs := wal.NewMemFS()
-	f, err := OpenFollower("follower", wal.Options{FS: fs})
-	if err != nil {
-		t.Fatalf("OpenFollower: %v", err)
-	}
-	defer f.Close()
-
-	// A batch whose logged value contradicts the op's actual return on
-	// the follower's state must be rejected with ErrDiverged.
+// batchOf frames recs, numbered from first, as one shipped batch.
+func batchOf(t *testing.T, first uint64, recs ...wal.Record) *wire.Repl {
+	t.Helper()
 	var frames []byte
-	for i, rec := range []wal.Record{
-		{LSN: 0, Register: &wal.RegisterRecord{Name: "ctr", Initial: adt.Counter{}}},
-		{LSN: 1, Commit: &wal.CommitRecord{TID: "T0.1", Value: int64(1),
-			Effects: []wal.Effect{{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(999)}}}},
-	} {
-		if frames, err = wal.EncodeFrame(frames, rec); err != nil {
+	for i := range recs {
+		recs[i].LSN = first + uint64(i)
+		var err error
+		if frames, err = wal.EncodeFrame(frames, recs[i]); err != nil {
 			t.Fatalf("EncodeFrame %d: %v", i, err)
 		}
 	}
-	err = f.applyBatch(&wire.Repl{Kind: wire.ReplBatch, FirstLSN: 0, Count: 2, Frames: frames})
-	if !errors.Is(err, ErrDiverged) {
-		t.Fatalf("applyBatch with bad logged value: err = %v, want ErrDiverged", err)
+	return &wire.Repl{Kind: wire.ReplBatch, FirstLSN: first, Count: len(recs), Frames: frames}
+}
+
+func commitOf(effects ...wal.Effect) wal.Record {
+	return wal.Record{Commit: &wal.CommitRecord{TID: "T0.1", Value: int64(1), Effects: effects}}
+}
+
+// replayFollower opens a follower holding one registered counter.
+func replayFollower(t *testing.T) *Follower {
+	t.Helper()
+	f, err := OpenFollower("follower", wal.Options{FS: wal.NewMemFS()})
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	t.Cleanup(func() { f.Close() })
+	reg := wal.Record{Register: &wal.RegisterRecord{Name: "ctr", Initial: adt.Counter{}}}
+	if err := f.applyBatch(batchOf(t, 0, reg)); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	return f
+}
+
+// TestReplayOffTheStore: the follower keeps no states of its own — redo
+// reads the store's head, threads a record's own earlier writes through
+// its later effects, verifies every logged value (read-only ones too)
+// and publishes only what the record wrote.
+func TestReplayOffTheStore(t *testing.T) {
+	f := replayFollower(t)
+	// Two writes to one object: the second applies to the first's result,
+	// and the read behind them sees both.
+	if err := f.applyBatch(batchOf(t, 1, commitOf(
+		wal.Effect{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(1)},
+		wal.Effect{Obj: "ctr", Op: adt.CtrAdd{Delta: 2}, Val: int64(3)},
+		wal.Effect{Obj: "ctr", Op: adt.CtrGet{}, Val: int64(3)},
+	))); err != nil {
+		t.Fatalf("two effects on one object: %v", err)
+	}
+	// A read-only record is verified against the head and publishes nothing.
+	if err := f.applyBatch(batchOf(t, 2, commitOf(
+		wal.Effect{Obj: "ctr", Op: adt.CtrGet{}, Val: int64(3)},
+	))); err != nil {
+		t.Fatalf("read-only record: %v", err)
+	}
+	if st, err := f.State("ctr"); err != nil || st.(adt.Counter).N != 3 {
+		t.Fatalf("State(ctr) = %v, %v; want 3", st, err)
+	}
+	if seq, pubs := f.Store().Seq(), f.Metrics().SnapPublishes.Load(); seq != 1 || pubs != 1 {
+		t.Fatalf("store seq %d, %d publications; want one publication for the one writing record", seq, pubs)
+	}
+}
+
+// TestDivergenceIsFatal: a record that does not replay on the store's
+// committed states is rejected with ErrDiverged.
+func TestDivergenceIsFatal(t *testing.T) {
+	for name, effects := range map[string][]wal.Effect{
+		"logged value contradicts the head": {
+			{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(999)}},
+		"second effect logged against the head, not the first's result": {
+			{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(1)},
+			{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(1)}},
+		"read-only effect logged a value the head does not yield": {
+			{Obj: "ctr", Op: adt.CtrGet{}, Val: int64(5)}},
+		"unknown object": {
+			{Obj: "nope", Op: adt.CtrAdd{Delta: 1}, Val: int64(1)}},
+	} {
+		t.Run(name, func(t *testing.T) {
+			f := replayFollower(t)
+			if err := f.applyBatch(batchOf(t, 1, commitOf(effects...))); !errors.Is(err, ErrDiverged) {
+				t.Fatalf("applyBatch: err = %v, want ErrDiverged", err)
+			}
+		})
+	}
+}
+
+// TestInstallSnapshotSwapsStore: a checkpoint install replaces the store;
+// a read-only transaction opened before keeps its pre-checkpoint prefix,
+// State and new transactions see the checkpoint, and a closed one fails
+// with the one sentinel the leader uses too.
+func TestInstallSnapshotSwapsStore(t *testing.T) {
+	f := replayFollower(t)
+	if err := f.applyBatch(batchOf(t, 1, commitOf(
+		wal.Effect{Obj: "ctr", Op: adt.CtrAdd{Delta: 3}, Val: int64(3)},
+	))); err != nil {
+		t.Fatal(err)
+	}
+	old := f.Store().Begin(f.Metrics())
+
+	raw, err := adt.EncodeState(adt.Counter{N: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.installSnapshot(&wire.Repl{Kind: wire.ReplSnapshot, NextLSN: 50,
+		States: map[string]json.RawMessage{"ctr": raw}}); err != nil {
+		t.Fatalf("installSnapshot: %v", err)
+	}
+	if v, err := old.Read("ctr", adt.CtrGet{}); err != nil || v != int64(3) {
+		t.Fatalf("pre-install transaction read %v, %v; want its own prefix's 3", v, err)
+	}
+	if st, err := f.State("ctr"); err != nil || st.(adt.Counter).N != 100 {
+		t.Fatalf("State after install = %v, %v; want the checkpoint's 100", st, err)
+	}
+	fresh := f.Store().Begin(f.Metrics())
+	defer fresh.Close()
+	if v, err := fresh.Read("ctr", adt.CtrGet{}); err != nil || v != int64(100) {
+		t.Fatalf("post-install transaction read %v, %v; want 100", v, err)
+	}
+	old.Close()
+	if _, err := old.Read("ctr", adt.CtrGet{}); !errors.Is(err, snap.ErrDone) {
+		t.Fatalf("read through a closed transaction: err = %v, want snap.ErrDone", err)
+	}
+	if n := f.Metrics().SnapPinned.Load(); n != 1 {
+		t.Fatalf("pinned gauge = %d, want only the open transaction", n)
 	}
 }

@@ -83,9 +83,7 @@ func TestOversizeStateExplicitError(t *testing.T) {
 // recovered history passes the Theorem-34 checker.
 func TestDrainDurability(t *testing.T) {
 	mem := wal.NewMemFS()
-	mgr, _, err := nestedtx.OpenDurable("d", nestedtx.DurableOptions{
-		FS: mem, SyncWindow: 200 * time.Microsecond,
-	})
+	mgr, _, err := nestedtx.OpenDurable("d", nestedtx.DurableOptions{FS: mem})
 	if err != nil {
 		t.Fatalf("OpenDurable: %v", err)
 	}

@@ -3,6 +3,7 @@ package server_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"reflect"
 	"sync"
@@ -522,5 +523,94 @@ func TestReplicaPoolRoutingAndFailover(t *testing.T) {
 	}
 	if st.(nestedtx.Counter).N != 15 {
 		t.Fatalf("state after failover = %v, want 15", st)
+	}
+}
+
+// gateFS blocks ReadDir — the first thing recovery does to a data
+// directory — while armed, so a test can hold a promotion inside its
+// recovery for as long as it likes.
+type gateFS struct {
+	wal.FS
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *gateFS) ReadDir(dir string) ([]string, error) {
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return g.FS.ReadDir(dir)
+}
+
+// TestReadsServedDuringPromotion: a promotion spends WAL recovery plus
+// Recovery.Verify between claiming the follower and installing the
+// manager. The replica's store is intact for all of it, so STATE,
+// METRICS and read-only transactions must keep answering with the
+// pre-promotion values; only locking verbs wait. Before the server had
+// one read-side accessor each of the three went dark in that window.
+func TestReadsServedDuringPromotion(t *testing.T) {
+	gate := &gateFS{FS: wal.NewMemFS(), entered: make(chan struct{}), release: make(chan struct{})}
+	mgr, _, leaderAddr := startLeader(t, wal.NewMemFS(), "leader")
+	mgr.MustRegister("ctr", nestedtx.Counter{})
+	fsrv, f, followerAddr := startFollower(t, gate, "follower", leaderAddr)
+	for i := 0; i < 7; i++ {
+		if err := mgr.Run(func(tx *nestedtx.Tx) error {
+			_, err := tx.Write("ctr", nestedtx.CtrAdd{Delta: 1})
+			return err
+		}); err != nil {
+			t.Fatalf("leader commit: %v", err)
+		}
+	}
+	waitUntil(t, "follower caught up", func() bool { return caughtUpState(f, mgr, "ctr", 7) })
+
+	// The gated FS reaches OpenDurable through Follower.WalOptions().
+	gate.armed.Store(true)
+	promoted := make(chan error, 1)
+	go func() {
+		_, err := fsrv.Promote()
+		promoted <- err
+	}()
+	<-gate.entered // recovery is parked on its first read
+
+	c := dial(t, followerAddr)
+	st, err := c.State("ctr")
+	if err != nil || st.(nestedtx.Counter).N != 7 {
+		t.Errorf("STATE during promotion = %v, %v; want 7", st, err)
+	}
+	if met, err := c.Metrics(false); err != nil {
+		t.Errorf("METRICS during promotion: %v", err)
+	} else if met.SnapPublishes != 7 {
+		t.Errorf("METRICS during promotion: %d publications, want the replica's 7", met.SnapPublishes)
+	}
+	if err := c.RunReadOnly(func(s *client.Snapshot) error {
+		v, err := s.Read("ctr", nestedtx.CtrGet{})
+		if err == nil && v.(int64) != 7 {
+			err = fmt.Errorf("read %v, want 7", v)
+		}
+		return err
+	}); err != nil {
+		t.Errorf("BEGIN read_only + READ during promotion: %v", err)
+	}
+	if _, err := c.Begin(); !errors.Is(err, client.ErrReadOnly) {
+		t.Errorf("BEGIN during promotion: err = %v, want ErrReadOnly", err)
+	}
+	if _, err := fsrv.Promote(); err == nil {
+		t.Error("a second Promote was accepted while the first is in flight")
+	}
+
+	close(gate.release)
+	if err := <-promoted; err != nil {
+		t.Fatalf("Promote: %v", err)
+	}
+	if err := c.Run(func(tx *client.Tx) error {
+		_, err := tx.Write("ctr", nestedtx.CtrAdd{Delta: 1})
+		return err
+	}); err != nil {
+		t.Fatalf("commit on the promoted leader: %v", err)
+	}
+	if st, err := c.State("ctr"); err != nil || st.(nestedtx.Counter).N != 8 {
+		t.Fatalf("STATE after promotion = %v, %v; want 8", st, err)
 	}
 }

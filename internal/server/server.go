@@ -30,6 +30,7 @@ import (
 	"nestedtx/internal/adt"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/repl"
+	"nestedtx/internal/snap"
 	"nestedtx/internal/wire"
 )
 
@@ -52,10 +53,11 @@ type Config struct {
 	// of 10s.
 	RequestTimeout time.Duration
 	// Follower, when non-nil, runs the server as a read replica: it
-	// serves STATE from the follower's replicated states, rejects every
-	// transaction verb with CodeReadOnly, and stays promotable (see
-	// [Server.Promote]). New's mgr argument may be nil in this mode.
-	// The caller owns starting Follower.Run.
+	// serves STATE and read-only transactions from the follower's
+	// replicated store, rejects every locking transaction verb with
+	// CodeReadOnly, and stays promotable (see [Server.Promote]). New's
+	// mgr argument may be nil in this mode. The caller owns starting
+	// Follower.Run.
 	Follower *repl.Follower
 	// PromoteOptions are the Manager options a promotion opens the
 	// inherited data directory with (recording mode, tracing, ...).
@@ -97,15 +99,20 @@ type Server struct {
 	cnt Counters
 
 	mu       sync.Mutex
-	mgrMu    sync.Mutex // guards mgr/follower/shipper across Promote
+	mgrMu    sync.Mutex // guards mgr/follower/promoting/shipper across Promote
 	ln       net.Listener
 	sessions map[*session]struct{}
 	closed   bool
 	reapStop chan struct{}
 	wg       sync.WaitGroup // live session goroutines
 
-	follower *repl.Follower // non-nil while serving as a read replica
-	shipper  *repl.Shipper  // non-nil while serving a durable leader
+	// Exactly one of mgr and follower is live: a promotion keeps the
+	// follower (and so its store) in place, flagged promoting, until the
+	// recovered manager is installed in the same critical section that
+	// retires it.
+	follower  *repl.Follower // non-nil while serving as a read replica
+	promoting bool           // a Promote holds the follower; reads go on, writes wait
+	shipper   *repl.Shipper  // non-nil while serving a durable leader
 }
 
 // New returns a Server for mgr. The objects clients may touch must be
@@ -144,6 +151,56 @@ func (s *Server) Follower() *repl.Follower {
 	return s.follower
 }
 
+// readSide is the one place that decides where this node's reads come
+// from right now: the committed-version store STATE and read-only
+// transactions are answered from, and the metrics registry beside it —
+// the manager's on a leader, the replica's on a follower, and still the
+// replica's while a promotion is recovering the manager that will
+// replace it. Both are nil only on a server given neither.
+func (s *Server) readSide() (*snap.Store, *obs.Metrics) {
+	s.mgrMu.Lock()
+	defer s.mgrMu.Unlock()
+	switch {
+	case s.mgr != nil:
+		return s.mgr.Store(), s.mgr.Metrics()
+	case s.follower != nil:
+		return s.follower.Store(), s.follower.Metrics()
+	}
+	return nil, nil
+}
+
+// Metrics returns the live node's metrics registry: the replica's until
+// a promotion installs the manager, the manager's after (and always, on
+// a leader).
+func (s *Server) Metrics() *obs.Metrics {
+	_, met := s.readSide()
+	return met
+}
+
+// errNoReadSide answers a read verb on a server with no node behind it.
+func errNoReadSide() *wire.Response {
+	return fail(wire.CodeInternal, "server: no manager or replica to read from")
+}
+
+// refuseLocking is the gate in front of every locking transaction verb:
+// nil once a manager is live, otherwise the read_only refusal retrying
+// clients already chase to the leader.
+func (s *Server) refuseLocking() *wire.Response {
+	s.mgrMu.Lock()
+	defer s.mgrMu.Unlock()
+	switch {
+	case s.mgr != nil:
+		return nil
+	case s.follower != nil && !s.promoting:
+		// A read replica serves no locking transactions at all — not even
+		// reads: a replica read is a plain committed-state read (STATE)
+		// or a read-only transaction, never a locked access.
+		return fail(wire.CodeReadOnly,
+			fmt.Sprintf("server: read-only replica of %s; transactions go to the leader", s.follower.Leader()))
+	}
+	return fail(wire.CodeReadOnly, "server: promotion in progress; retry")
+}
+
 func (s *Server) shipperRef() *repl.Shipper {
 	s.mgrMu.Lock()
 	defer s.mgrMu.Unlock()
@@ -156,42 +213,46 @@ func (s *Server) shipperRef() *repl.Shipper {
 // hold for the state the new leader will serve — a promotion that fails
 // verification is refused), and only then does the server start
 // accepting writes and shipping to its own followers. The recovered
-// objects are Registered on the new manager by recovery itself.
+// objects are Registered on the new manager by recovery itself. Reads
+// are answered from the replica's store throughout (see readSide); only
+// locking verbs are told to retry.
 func (s *Server) Promote() (*nestedtx.Recovery, error) {
 	s.mgrMu.Lock()
 	f := s.follower
-	if f == nil {
+	if f == nil || s.promoting {
 		s.mgrMu.Unlock()
 		return nil, errors.New("server: not a follower")
 	}
-	s.follower = nil // claim the promotion; concurrent calls fail above
+	s.promoting = true // claim the promotion; concurrent calls fail above
 	s.mgrMu.Unlock()
 
-	if err := f.Close(); err != nil {
-		s.mgrMu.Lock()
-		s.follower = f
-		s.mgrMu.Unlock()
-		return nil, fmt.Errorf("server: promote: close replica log: %w", err)
-	}
-	mgr, rec, err := nestedtx.OpenDurable(f.Dir(), f.WalOptions(), s.cfg.PromoteOptions...)
+	mgr, rec, err := recoverLeader(f, s.cfg.PromoteOptions)
+	s.mgrMu.Lock()
+	defer s.mgrMu.Unlock()
+	s.promoting = false
 	if err != nil {
-		s.mgrMu.Lock()
-		s.follower = f // log closed, but states still serve reads
-		s.mgrMu.Unlock()
-		return nil, fmt.Errorf("server: promote: recover %s: %w", f.Dir(), err)
+		return nil, err // still a follower: its log may be closed, its store serves reads
+	}
+	s.mgr, s.follower = mgr, nil
+	s.shipper = repl.NewShipper(mgr.WAL(), mgr.Metrics())
+	return rec, nil
+}
+
+// recoverLeader is the slow middle of a promotion: close the replica's
+// log, recover its directory as a durable manager, re-verify it.
+func recoverLeader(f *repl.Follower, opts []nestedtx.Option) (*nestedtx.Manager, *nestedtx.Recovery, error) {
+	if err := f.Close(); err != nil {
+		return nil, nil, fmt.Errorf("server: promote: close replica log: %w", err)
+	}
+	mgr, rec, err := nestedtx.OpenDurable(f.Dir(), f.WalOptions(), opts...)
+	if err != nil {
+		return nil, nil, fmt.Errorf("server: promote: recover %s: %w", f.Dir(), err)
 	}
 	if err := rec.Verify(); err != nil {
 		mgr.CloseWAL()
-		s.mgrMu.Lock()
-		s.follower = f
-		s.mgrMu.Unlock()
-		return nil, fmt.Errorf("server: promote: inherited history fails verification: %w", err)
+		return nil, nil, fmt.Errorf("server: promote: inherited history fails verification: %w", err)
 	}
-	s.mgrMu.Lock()
-	s.mgr = mgr
-	s.shipper = repl.NewShipper(mgr.WAL(), mgr.Metrics())
-	s.mgrMu.Unlock()
-	return rec, nil
+	return mgr, rec, nil
 }
 
 // Counters returns a consistent snapshot of the server counters (see
@@ -367,27 +428,20 @@ type session struct {
 	lastActive atomic.Int64 // unix nanos of last request activity
 	inFlight   atomic.Bool  // a request is being handled right now
 
-	txs    map[uint64]*txHandle
-	ros    map[uint64]roTx // open read-only snapshot transactions
-	nextTx uint64          // shared id space for txs and ros
-}
-
-// roTx is an open read-only snapshot transaction, served either by the
-// leader's version store (*nestedtx.Snapshot) or by a follower's
-// replicated one (*repl.Snapshot). It never touches the lock manager,
-// which is why its verbs bypass the follower and promotion gates.
-type roTx interface {
-	ID() string
-	Seq() uint64
-	Read(obj string, op adt.Op) (adt.Value, error)
-	Close() error
+	txs map[uint64]*txHandle
+	// ros are the open read-only transactions. One never touches the
+	// lock manager, which is why its verbs bypass the locking gate, and
+	// it holds its own store, so it outlives a promotion or a replica's
+	// checkpoint install.
+	ros    map[uint64]*snap.Tx
+	nextTx uint64 // shared id space for txs and ros
 }
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	ctx, cancel := context.WithCancel(context.Background())
 	ss := &session{srv: s, conn: conn, ctx: ctx, cancel: cancel,
-		txs: make(map[uint64]*txHandle), ros: make(map[uint64]roTx)}
+		txs: make(map[uint64]*txHandle), ros: make(map[uint64]*snap.Tx)}
 	ss.lastActive.Store(time.Now().UnixNano())
 	s.mu.Lock()
 	if s.closed {
@@ -561,7 +615,7 @@ func (ss *session) body(h *txHandle) func(*nestedtx.Tx) error {
 // ---- request handling ----
 
 func (ss *session) handle(req *wire.Request) *wire.Response {
-	// Read-only snapshot transactions bypass the locking gates below:
+	// Read-only snapshot transactions bypass the locking gate below:
 	// they never touch the lock manager, so a follower can serve them
 	// (from its replicated version store) just as well as the leader.
 	switch req.Type {
@@ -576,20 +630,8 @@ func (ss *session) handle(req *wire.Request) *wire.Response {
 	}
 	switch req.Type {
 	case wire.TBegin, wire.TSub, wire.TRead, wire.TWrite, wire.TCommit, wire.TAbort:
-		// A read replica serves no locking transactions at all — not even
-		// reads: a replica read is a plain committed-state read (STATE)
-		// or a snapshot transaction, never a locked access. Writes must
-		// go to the leader.
-		if f := ss.srv.Follower(); f != nil {
-			return fail(wire.CodeReadOnly,
-				fmt.Sprintf("server: read-only replica of %s; transactions go to the leader", f.Leader()))
-		}
-		// Between "promotion claimed" and "recovered manager installed"
-		// both the follower and the manager are nil; a transaction verb
-		// in that window must be refused, not crash on the missing
-		// manager. CodeReadOnly is what retrying clients already chase.
-		if ss.srv.Manager() == nil {
-			return fail(wire.CodeReadOnly, "server: promotion in progress; retry")
+		if resp := ss.srv.refuseLocking(); resp != nil {
+			return resp
 		}
 	}
 	switch req.Type {
@@ -705,13 +747,9 @@ func histQ(s obs.HistSnapshot) wire.HistQ {
 }
 
 func (ss *session) handleMetrics(dump bool) *wire.Response {
-	var met *obs.Metrics
-	if f := ss.srv.Follower(); f != nil {
-		met = f.Metrics()
-	} else if m := ss.srv.Manager(); m != nil {
-		met = m.Metrics()
-	} else {
-		return fail(wire.CodeInternal, "server: no metrics source")
+	_, met := ss.srv.readSide()
+	if met == nil {
+		return errNoReadSide()
 	}
 	s := met.Snapshot()
 	m := &wire.Metrics{
@@ -773,17 +811,14 @@ func (ss *session) handleMetrics(dump bool) *wire.Response {
 }
 
 func (ss *session) handleState(req *wire.Request) *wire.Response {
-	var st adt.State
-	var err error
-	if f := ss.srv.Follower(); f != nil {
-		// Replica read: the replicated committed-to-root state. Every
-		// record behind it was CRC-checked and value-verified on apply.
-		st, err = f.State(req.Obj)
-	} else if m := ss.srv.Manager(); m != nil {
-		st, err = m.State(req.Obj)
-	} else {
-		err = errors.New("server: no state source")
+	store, _ := ss.srv.readSide()
+	if store == nil {
+		return errNoReadSide()
 	}
+	// The head of the committed chain: committed-to-root on a leader; on
+	// a replica, replayed from records CRC-checked and value-verified on
+	// apply.
+	st, err := store.Head(req.Obj)
 	if err != nil {
 		return fail(wire.CodeBadRequest, err.Error())
 	}
@@ -834,22 +869,18 @@ func (ss *session) handleBegin() *wire.Response {
 	}
 }
 
-// handleBeginRO opens a read-only snapshot transaction. It is served by
-// whichever committed-version store this node has — the manager's on a
-// leader, the replicated one on a follower — and involves no locks, so
-// long scans neither block nor are blocked by writers.
+// handleBeginRO opens a read-only snapshot transaction on whichever
+// committed-version store this node reads from. It involves no locks,
+// so long scans neither block nor are blocked by writers.
 func (ss *session) handleBeginRO() *wire.Response {
 	if ss.srv.isClosed() {
 		return fail(wire.CodeShutdown, "server: draining")
 	}
-	var ro roTx
-	if f := ss.srv.Follower(); f != nil {
-		ro = f.BeginSnapshot()
-	} else if m := ss.srv.Manager(); m != nil {
-		ro = m.BeginSnapshot()
-	} else {
-		return fail(wire.CodeReadOnly, "server: promotion in progress; retry")
+	store, met := ss.srv.readSide()
+	if store == nil {
+		return errNoReadSide()
 	}
+	ro := store.Begin(met)
 	ss.srv.count(func(c *Counters) { c.SnapshotTxs++ })
 	ss.nextTx++
 	id := ss.nextTx
@@ -870,10 +901,7 @@ func (ss *session) handleRO(req *wire.Request) *wire.Response {
 		if err != nil {
 			return fail(wire.CodeBadRequest, err.Error())
 		}
-		if !op.ReadOnly() {
-			return fail(wire.CodeBadRequest, fmt.Sprintf("READ with non-read-only op %v", op))
-		}
-		v, err := ro.Read(req.Obj, op)
+		v, err := ro.Read(req.Obj, op) // refuses a mutating op itself
 		if err != nil {
 			return fail(wire.CodeBadRequest, err.Error())
 		}
@@ -1083,12 +1111,11 @@ func (ss *session) mapOpErr(obj string, err error) *wire.Response {
 		return fail(wire.CodeAborted, err.Error())
 	default:
 		// Off the happy path only: distinguish the client naming an
-		// unregistered object from a genuine server-side failure. The
-		// manager can be nil here (a promotion claimed the server while
-		// this access was in flight): skip the classification rather
-		// than crash the session on the missing manager.
-		if m := ss.srv.Manager(); m != nil {
-			if _, serr := m.State(obj); serr != nil {
+		// unregistered object from a genuine server-side failure. With
+		// nothing to ask, skip the classification rather than crash the
+		// session.
+		if store, _ := ss.srv.readSide(); store != nil {
+			if _, serr := store.Head(obj); serr != nil {
 				return fail(wire.CodeBadRequest, serr.Error())
 			}
 		}

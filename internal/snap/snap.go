@@ -1,8 +1,12 @@
-// Package snap is the committed-version store behind read-only snapshot
-// transactions: a multi-version map from object name to the chain of
-// committed-to-root states the object has passed through, each tagged
-// with the monotone sequence number of the top-level commit that
-// installed it.
+// Package snap is the committed-version store: the one reader-facing
+// home of committed state, on a leader and on a replica alike. It is a
+// multi-version map from object name to the chain of committed-to-root
+// states the object has passed through, each tagged with the monotone
+// sequence number of the top-level commit that installed it. A plain
+// committed read (Head), a read-only transaction (Begin) and a replica
+// read all answer from the same chains under the same mutex; the lock
+// manager's root versions exist for the locking argument and for the
+// checkpoint writer, not for observers.
 //
 // The store is fed from inside the runtime's top-level commit sequence,
 // *before* the lock manager releases the committing transaction's locks.
@@ -15,7 +19,7 @@
 // never a write that later aborts (aborted transactions are not
 // published).
 //
-// Readers never touch the lock manager: Acquire pins the current
+// Readers never touch the lock manager: Begin pins the current
 // sequence number under the store's read-write mutex and every read is
 // a binary search over one object's version chain. Chains are trimmed
 // on publication down to the oldest version still reachable from a live
@@ -24,12 +28,23 @@
 package snap
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
+	"time"
 
 	"nestedtx/internal/adt"
+	"nestedtx/internal/obs"
 )
+
+// ErrDone is returned by operations on a transaction that has already
+// finished — here, a read through a closed [Tx]. The root package's
+// ErrDone is this value, so a caller matches one sentinel whether the
+// transaction was a locking one or a read-only one, on a leader or on a
+// replica.
+var ErrDone = errors.New("nestedtx: transaction already finished")
 
 // PubEntry is one recorded publication: the versions a committing
 // top-level transaction installed and the sequence number it was
@@ -39,6 +54,23 @@ type PubEntry struct {
 	Seq     uint64
 	Top     string
 	Updates map[string]adt.State
+}
+
+// ReadEntry is one recorded read of a read-only transaction: the
+// operation it applied and the value it returned.
+type ReadEntry struct {
+	Object string
+	Op     adt.Op
+	Value  adt.Value
+}
+
+// TxEntry is one finished read-only transaction: the sequence number it
+// pinned and the reads it performed. Like the publication log it is
+// kept only by a recording store, for the same checker.
+type TxEntry struct {
+	ID    string
+	Seq   uint64
+	Reads []ReadEntry
 }
 
 // version is one committed state of an object, visible to pins ≥ Seq.
@@ -53,13 +85,16 @@ type Store struct {
 	seq  uint64 // sequence number of the latest publication
 	objs map[string][]version
 	pins map[uint64]int // live pin refcounts by pinned seq
+	txs  uint64         // read-only transactions begun; names the next one
 	rec  bool
 	log  []PubEntry
+	done []TxEntry // finished read-only transactions (recording only)
 }
 
-// New returns an empty store. With record set, every publication is
-// appended to a log retrievable via Log — unbounded, like the event
-// recorder, so meant for verification runs, not production.
+// New returns an empty store. With record set, every publication and
+// every finished read-only transaction is appended to a log retrievable
+// via Log and TxLog — unbounded, like the event recorder, so meant for
+// verification runs, not production.
 func New(record bool) *Store {
 	return &Store{
 		objs: make(map[string][]version),
@@ -69,8 +104,8 @@ func New(record bool) *Store {
 }
 
 // Base registers object x with its initial committed state, visible to
-// pins at or above the current sequence number — a pin taken before the
-// registration correctly fails to read x.
+// pins at or above the current sequence number — a pin at a lower
+// sequence number correctly fails to read x.
 func (s *Store) Base(x string, st adt.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -136,6 +171,18 @@ func (s *Store) Seq() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.seq
+}
+
+// Head returns object x's latest committed state: what a pin taken now
+// would read.
+func (s *Store) Head(x string) (adt.State, error) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	chain := s.objs[x]
+	if len(chain) == 0 {
+		return nil, fmt.Errorf("snap: object %q not registered", x)
+	}
+	return chain[len(chain)-1].st, nil
 }
 
 // Pin is a live reference to one sequence number; reads through it see
@@ -212,4 +259,106 @@ func (s *Store) Log() []PubEntry {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return append([]PubEntry(nil), s.log...)
+}
+
+// TxLog returns a snapshot of the finished read-only transactions (nil
+// unless the store was created with record set).
+func (s *Store) TxLog() []TxEntry {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return append([]TxEntry(nil), s.done...)
+}
+
+// Tx is a read-only transaction: it pins the sequence number of the
+// latest publication and serves every read from the committed version
+// chain at or below that point, without ever touching the lock manager.
+// Reads are repeatable, multi-object consistent (a commit is visible in
+// full or not at all), and never block — or are blocked by — writers.
+// A Tx is safe for concurrent use; Close releases the pin so the store
+// can trim history.
+//
+// The mode is licensed by the paper's §4.3 equieffectiveness argument:
+// a read-only operation returns the state it was given, so running it
+// against a committed version is indistinguishable from a serial
+// execution inserted at the pin point. The checker's CheckSnapshots
+// machine-checks exactly that placement from Log and TxLog.
+type Tx struct {
+	pin Pin
+	met *obs.Metrics
+	id  string
+
+	mu    sync.Mutex
+	done  bool
+	reads []ReadEntry // recording stores only
+}
+
+// Begin starts a read-only transaction pinned at the current sequence
+// number, counting it and its reads in met (which may be nil). The
+// caller must Close it.
+func (s *Store) Begin(met *obs.Metrics) *Tx {
+	s.mu.Lock()
+	n, seq := s.txs, s.seq
+	s.txs++
+	s.pins[seq]++
+	s.mu.Unlock()
+	t := &Tx{pin: Pin{s: s, seq: seq}, met: met, id: "S" + strconv.FormatUint(n, 10)}
+	met.SnapBegin()
+	met.Trace("SNAP_BEGIN", t.id, "", 0)
+	return t
+}
+
+// ID returns the transaction's identifier (S0, S1, …); the namespace is
+// disjoint from the transaction tree's TIDs.
+func (t *Tx) ID() string { return t.id }
+
+// Seq returns the pinned sequence number: the transaction observes
+// exactly the first Seq publications.
+func (t *Tx) Seq() uint64 { return t.pin.seq }
+
+// Read applies a read-only operation to obj's state as of the pinned
+// sequence number and returns its value. It fails if op is not
+// read-only, if the transaction is closed (ErrDone), or if obj was not
+// registered at the pin point.
+func (t *Tx) Read(obj string, op adt.Op) (adt.Value, error) {
+	if !op.ReadOnly() {
+		return nil, fmt.Errorf("nestedtx: %s: operation %T is not read-only", t.id, op)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.done {
+		return nil, ErrDone
+	}
+	start := time.Now()
+	st, err := t.pin.Read(obj)
+	if err != nil {
+		return nil, fmt.Errorf("nestedtx: %s: %w", t.id, err)
+	}
+	_, v := op.Apply(st)
+	t.met.ObserveSnapRead(time.Since(start))
+	if t.pin.s.rec {
+		t.reads = append(t.reads, ReadEntry{Object: obj, Op: op, Value: v})
+	}
+	return v, nil
+}
+
+// Close ends the transaction and releases its pin. Idempotent.
+func (t *Tx) Close() error {
+	t.mu.Lock()
+	if t.done {
+		t.mu.Unlock()
+		return nil
+	}
+	t.done = true
+	reads := t.reads
+	t.reads = nil
+	t.mu.Unlock()
+	t.pin.Release()
+	t.met.SnapEnd()
+	t.met.Trace("SNAP_END", t.id, "", 0)
+	if s := t.pin.s; s.rec {
+		s.mu.Lock()
+		s.done = append(s.done, TxEntry{ID: t.id, Seq: t.pin.seq, Reads: reads})
+		s.mu.Unlock()
+	}
+	return nil
 }

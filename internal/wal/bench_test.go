@@ -10,12 +10,12 @@ import (
 	"nestedtx/internal/obs"
 )
 
-// BenchmarkGroupCommit measures the effect of the group-commit window on
-// fsync amortisation: W concurrent writers append durable commit records
-// to a log on the real file system, and the reported "fsyncs/commit"
-// metric is the number of physical fsyncs divided by the number of
-// acknowledged commits. With one writer every commit pays a full fsync
-// (≈1.0); with concurrent writers the batch shares it (≪1.0).
+// BenchmarkGroupCommit measures fsync amortisation: W concurrent writers
+// append durable commit records to a log on the real file system, and
+// the reported "fsyncs/commit" metric is the number of physical fsyncs
+// divided by the number of acknowledged commits. With one writer every
+// commit pays a full fsync (≈1.0); with concurrent writers the batch
+// shares it (≪1.0).
 //
 // The delay dimension injects extra fsync latency through FaultFS: a
 // slow disk makes the cost of serializing appends behind a flush visible
@@ -26,30 +26,19 @@ import (
 func BenchmarkGroupCommit(b *testing.B) {
 	type cfg struct {
 		delay   time.Duration
-		window  time.Duration
 		writers int
 	}
-	var cfgs []cfg
-	for _, window := range []time.Duration{0, 100 * time.Microsecond, time.Millisecond} {
-		for _, writers := range []int{1, 4, 16} {
-			cfgs = append(cfgs, cfg{0, window, writers})
-		}
-	}
-	// The slow-fsync sweep: 1 ms injected per fsync (the acceptance
-	// configuration is delay=1ms/window=0/writers=16).
-	for _, window := range []time.Duration{0, 100 * time.Microsecond} {
-		for _, writers := range []int{4, 16} {
-			cfgs = append(cfgs, cfg{time.Millisecond, window, writers})
-		}
-	}
+	// The slow-fsync rows inject 1 ms per fsync (the acceptance
+	// configuration is delay=1ms/writers=16).
+	cfgs := []cfg{{0, 1}, {0, 4}, {0, 16}, {time.Millisecond, 4}, {time.Millisecond, 16}}
 
 	for _, c := range cfgs {
-		name := fmt.Sprintf("delay=%v/window=%v/writers=%d", c.delay, c.window, c.writers)
+		name := fmt.Sprintf("delay=%v/writers=%d", c.delay, c.writers)
 		b.Run(name, func(b *testing.B) {
 			met := &obs.Metrics{}
 			ffs := NewFaultFS(OSFS{})
 			ffs.SetSyncDelay(c.delay)
-			lg, _, err := Open(b.TempDir(), Options{SyncWindow: c.window, FS: ffs, Metrics: met})
+			lg, _, err := Open(b.TempDir(), Options{FS: ffs, Metrics: met})
 			if err != nil {
 				b.Fatalf("Open: %v", err)
 			}

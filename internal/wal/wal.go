@@ -33,8 +33,7 @@
 //
 // Group commit falls out of the split: every appender parks a per-LSN
 // waiter after its write, and one fsync retires all waiters below the
-// watermark it covers, optionally after a configurable window so
-// concurrent commits share the flush. Checkpoints snapshot the
+// watermark it covers, so concurrent commits share the flush. Checkpoints snapshot the
 // committed-to-root object states behind a writer lock that drains
 // in-flight appends, so a checkpoint is exactly equivalent to the redo of
 // every record below its LSN.
@@ -55,13 +54,6 @@ import (
 
 // Options configures a Log.
 type Options struct {
-	// SyncWindow is the group-commit window: before issuing a shared
-	// fsync the syncer waits this long so more commits can join the
-	// batch. Zero syncs each batch immediately. Batching happens while a
-	// previous fsync is in flight regardless: appends are never blocked
-	// by a flush — they write their frames and park, and the next flush
-	// retires them all with one fsync.
-	SyncWindow time.Duration
 	// SegmentBytes rotates the active segment once it exceeds this many
 	// bytes. Zero means the 4 MiB default.
 	SegmentBytes int64
@@ -70,10 +62,10 @@ type Options struct {
 	// Metrics, when non-nil, receives fsync latencies, append/fsync/
 	// checkpoint counts and the batching high-water mark.
 	Metrics *obs.Metrics
-	// Clock is the time source for the group-commit machinery (the sync
-	// window wait and the batch-gather budget). nil means the wall
-	// clock; the deterministic simulator injects its virtual clock so a
-	// seeded run's batching schedule is event-queue time.
+	// Clock is the time source for the group-commit machinery (the
+	// batch-gather budget). nil means the wall clock; the deterministic
+	// simulator injects its virtual clock so a seeded run's batching
+	// schedule is event-queue time.
 	Clock clock.Clock
 }
 
@@ -93,7 +85,6 @@ type Log struct {
 	met *obs.Metrics
 	clk clock.Clock
 
-	window   time.Duration
 	segLimit int64
 
 	// gate orders appends against checkpoints: every append holds a read
@@ -162,13 +153,9 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	if fs == nil {
 		fs = OSFS{}
 	}
-	// Reject impossible options at the boundary, not mid-commit: a
-	// negative group-commit window would park appenders forever, and a
-	// directory we cannot write to would surface as a failed append on
-	// the first commit.
-	if opts.SyncWindow < 0 {
-		return nil, nil, fmt.Errorf("wal: negative SyncWindow %v", opts.SyncWindow)
-	}
+	// Reject an unusable directory at the boundary, not mid-commit: one
+	// we cannot write to would surface as a failed append on the first
+	// commit.
 	if opts.SegmentBytes <= 0 {
 		opts.SegmentBytes = defaultSegmentBytes
 	}
@@ -188,7 +175,6 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		fs:       fs,
 		met:      opts.Metrics,
 		clk:      clock.Or(opts.Clock),
-		window:   opts.SyncWindow,
 		segLimit: opts.SegmentBytes,
 		writeSeq: rec.NextLSN,
 		nextLSN:  rec.NextLSN,
@@ -458,36 +444,19 @@ func (l *Log) rotate() error {
 }
 
 // syncer is the goroutine that retires parked appenders: one fsync per
-// batch, optionally after the group-commit window. Waiters that park
-// while a flush is in flight form the next batch and are retired without
-// waiting for another kick.
+// batch. Waiters that park while a flush is in flight form the next
+// batch and are retired without waiting for another kick.
 func (l *Log) syncer() {
 	defer close(l.done)
 	for {
 		select {
 		case <-l.kick:
-			l.waitWindow()
 			for l.flushOnce() {
-				l.waitWindow()
 			}
 		case <-l.stop:
 			l.flushOnce()
 			return
 		}
-	}
-}
-
-// waitWindow sleeps the group-commit window on the log's clock
-// (interruptible by stop).
-func (l *Log) waitWindow() {
-	if l.window <= 0 {
-		return
-	}
-	t := l.clk.NewTimer(l.window)
-	select {
-	case <-t.C():
-	case <-l.stop:
-		t.Stop()
 	}
 }
 
@@ -619,8 +588,7 @@ func (l *Log) finishFlush(target uint64, d time.Duration, err error) {
 }
 
 // syncNow drains the staged frames and fsyncs the active segment
-// immediately, regardless of the group-commit window, and retires the
-// covered waiters.
+// immediately and retires the covered waiters.
 func (l *Log) syncNow() error {
 	l.wmu.Lock()
 	l.smu.Lock()
@@ -639,8 +607,7 @@ func (l *Log) syncNow() error {
 	return err
 }
 
-// Sync forces any buffered records to stable storage now, regardless of
-// the group-commit window. If the log has latched a fatal error — a
+// Sync forces any buffered records to stable storage now. If the log has latched a fatal error — a
 // failed append poisoned it — Sync reports that error even when this
 // flush itself succeeds: state past the torn frame is gone, and a drain
 // that relied on it must fail loudly, not report a clean shutdown.

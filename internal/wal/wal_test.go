@@ -268,9 +268,12 @@ func TestAppendErrorFailsNotAcks(t *testing.T) {
 }
 
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
-	fs := NewMemFS()
+	// A slow device is what makes commits pile up behind the in-flight
+	// fsync; the next flush must retire them together.
+	fs := NewFaultFS(NewMemFS())
+	fs.SetSyncDelay(2 * time.Millisecond)
 	met := &obs.Metrics{}
-	lg, _ := mustOpen(t, fs, "d", Options{SyncWindow: 2 * time.Millisecond, Metrics: met})
+	lg, _ := mustOpen(t, fs, "d", Options{Metrics: met})
 	if _, err := lg.Append(Record{Register: &RegisterRecord{Name: "reg", Initial: adt.NewRegister(int64(0))}}); err != nil {
 		t.Fatal(err)
 	}

@@ -31,3 +31,25 @@ func TestRuntimeDoesNotImportTools(t *testing.T) {
 		}
 	}
 }
+
+// TestSnapIsTheReadSidesLeaf: internal/snap is what every reader —
+// root package, server, replica, checker — is served from or checks, so
+// it may depend on nothing in this module but the data types and the
+// metrics registry; importing the checker, the lock manager or the root
+// package would close a cycle through one of them.
+func TestSnapIsTheReadSidesLeaf(t *testing.T) {
+	allowed := map[string]bool{
+		"nestedtx/internal/snap": true,
+		"nestedtx/internal/adt":  true,
+		"nestedtx/internal/obs":  true,
+	}
+	out, err := exec.Command("go", "list", "-deps", "nestedtx/internal/snap").Output()
+	if err != nil {
+		t.Fatalf("go list -deps nestedtx/internal/snap: %v", err)
+	}
+	for _, dep := range strings.Fields(string(out)) {
+		if (dep == "nestedtx" || strings.HasPrefix(dep, "nestedtx/")) && !allowed[dep] {
+			t.Errorf("internal/snap depends on %s", dep)
+		}
+	}
+}

@@ -28,8 +28,8 @@ var ErrDeadlock = lockmgr.ErrDeadlock
 var ErrAborted = errors.New("nestedtx: transaction aborted")
 
 // ErrDone is returned by operations on a transaction whose body has
-// already returned.
-var ErrDone = errors.New("nestedtx: transaction already finished")
+// already returned, and by reads through a closed [Snapshot].
+var ErrDone = snap.ErrDone
 
 // Stats counts lock-manager activity during a run.
 type Stats = lockmgr.Stats
@@ -91,22 +91,17 @@ type Manager struct {
 	// locks are released (see OpenDurable).
 	wal *wal.Log
 
-	// snap is the committed-version store behind read-only snapshot
-	// transactions: every top-level commit publishes its new root
-	// versions there (inside commitTop, before the locks are released),
-	// and BeginSnapshot readers pin a sequence number and read from it
-	// without ever touching the lock manager.
+	// snap is the committed-version store, the manager's whole read
+	// side: every top-level commit publishes its new root versions there
+	// (inside commitTop, before the locks are released); State reads its
+	// head and BeginSnapshot readers pin a sequence number, neither ever
+	// touching the lock manager. In recording mode it also keeps the
+	// publication and read-only-transaction logs Verify checks.
 	snap *snap.Store
 
 	mu      sync.Mutex
 	st      *event.SystemType
 	nextTop int
-
-	// snapMu guards the read-only transaction records kept for Verify
-	// (recording mode only) and the snapshot id counter.
-	snapMu   sync.Mutex
-	snapTxs  []checker.SnapTx
-	nextSnap int
 
 	// clk is the time source for retry backoffs (WithClock; the wall
 	// clock by default).
@@ -183,17 +178,22 @@ func (m *Manager) MustRegister(name string, initial State) {
 	}
 }
 
-// State returns the committed-to-root state of an object: the root's
-// version in M(X)'s version map, reflecting exactly the top-level
-// transactions whose commits have reached the object. The answer is
+// State returns the committed-to-root state of an object: the head of
+// its committed version chain, reflecting exactly the top-level
+// transactions whose commits have been published. The answer is
 // always some committed prefix of the history — never a live writer's
 // tentative version, and never a write that later aborts. Transactions
 // may commit concurrently with the call; a commit in flight lands
 // either entirely before or entirely after the read for this object.
 // For a multi-object consistent cut, use [Manager.RunReadOnly].
 func (m *Manager) State(name string) (State, error) {
-	return m.lm.CommittedState(name)
+	return m.snap.Head(name)
 }
+
+// Store exposes the committed-version store State and BeginSnapshot read
+// from. The server answers its read verbs from it, the same way it
+// answers them from a replica's; ordinary callers never need it.
+func (m *Manager) Store() *snap.Store { return m.snap }
 
 // Stats returns a copy of the lock-manager counters.
 func (m *Manager) Stats() Stats { return m.lm.Stats() }
@@ -362,10 +362,7 @@ func (m *Manager) Verify() error {
 	if err := checker.CheckAll(sched, st); err != nil {
 		return fmt.Errorf("nestedtx: %w", err)
 	}
-	m.snapMu.Lock()
-	snapTxs := append([]checker.SnapTx(nil), m.snapTxs...)
-	m.snapMu.Unlock()
-	if err := checker.CheckSnapshots(sched, st, m.snap.Log(), snapTxs); err != nil {
+	if err := checker.CheckSnapshots(sched, st, m.snap.Log(), m.snap.TxLog()); err != nil {
 		return fmt.Errorf("nestedtx: %w", err)
 	}
 	return nil

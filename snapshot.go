@@ -1,56 +1,18 @@
 package nestedtx
 
-import (
-	"fmt"
-	"sync"
-	"time"
-
-	"nestedtx/internal/checker"
-)
+import "nestedtx/internal/snap"
 
 // Snapshot is a read-only snapshot transaction: it pins the sequence
 // number of the latest published top-level commit and serves every read
 // from the committed version chain at or below that point, without ever
-// touching the lock manager. Reads are repeatable, multi-object
-// consistent (a commit is visible in full or not at all), and never
-// block — or are blocked by — writers. A Snapshot is safe for
-// concurrent use; Close releases the pin so the store can trim history.
-//
-// The mode is licensed by the paper's §4.3 equieffectiveness argument:
-// a read-only operation returns the state it was given, so running it
-// against a committed version is indistinguishable from a serial
-// execution inserted at the pin point. [Manager.Verify] machine-checks
-// exactly that placement.
-type Snapshot struct {
-	mgr *Manager
-	pin snapPin
-	id  string
-
-	mu    sync.Mutex
-	done  bool
-	reads []checker.SnapRead // recording mode only
-}
-
-// snapPin is the store pin interface (satisfied by *snap.Pin); it keeps
-// the concrete store type out of the public struct.
-type snapPin interface {
-	Seq() uint64
-	Read(x string) (State, error)
-	Release()
-}
+// touching the lock manager (see [snap.Tx] for the guarantees and the
+// §4.3 argument that licenses them). It is the same type a replica
+// serves; [Manager.Verify] machine-checks each one at its pin point.
+type Snapshot = snap.Tx
 
 // BeginSnapshot starts a read-only snapshot transaction pinned at the
 // current commit sequence number. The caller must Close it.
-func (m *Manager) BeginSnapshot() *Snapshot {
-	m.snapMu.Lock()
-	n := m.nextSnap
-	m.nextSnap++
-	m.snapMu.Unlock()
-	m.met.SnapBegin()
-	s := &Snapshot{mgr: m, pin: m.snap.Acquire(), id: fmt.Sprintf("S%d", n)}
-	m.met.Trace("SNAP_BEGIN", s.id, "", 0)
-	return s
-}
+func (m *Manager) BeginSnapshot() *Snapshot { return m.snap.Begin(m.met) }
 
 // RunReadOnly runs fn as a read-only snapshot transaction and releases
 // the snapshot when fn returns. All reads inside fn observe one
@@ -59,60 +21,4 @@ func (m *Manager) RunReadOnly(fn func(*Snapshot) error) error {
 	s := m.BeginSnapshot()
 	defer s.Close()
 	return fn(s)
-}
-
-// ID returns the snapshot transaction's identifier (S0, S1, …); the
-// namespace is disjoint from the transaction tree's TIDs.
-func (s *Snapshot) ID() string { return s.id }
-
-// Seq returns the pinned commit sequence number: the snapshot observes
-// exactly the first Seq published top-level commits.
-func (s *Snapshot) Seq() uint64 { return s.pin.Seq() }
-
-// Read applies a read-only operation to obj's state as of the pinned
-// sequence number and returns its value. It fails if op is not
-// read-only, if the snapshot is closed, or if obj was not registered at
-// the pin point.
-func (s *Snapshot) Read(obj string, op Op) (Value, error) {
-	if !op.ReadOnly() {
-		return nil, fmt.Errorf("nestedtx: %s: operation %T is not read-only", s.id, op)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.done {
-		return nil, ErrDone
-	}
-	start := time.Now()
-	st, err := s.pin.Read(obj)
-	if err != nil {
-		return nil, fmt.Errorf("nestedtx: %s: %w", s.id, err)
-	}
-	_, v := op.Apply(st)
-	s.mgr.met.ObserveSnapRead(time.Since(start))
-	if s.mgr.rec != nil {
-		s.reads = append(s.reads, checker.SnapRead{Object: obj, Op: op, Value: v})
-	}
-	return v, nil
-}
-
-// Close ends the snapshot transaction and releases its pin. Idempotent.
-func (s *Snapshot) Close() error {
-	s.mu.Lock()
-	if s.done {
-		s.mu.Unlock()
-		return nil
-	}
-	s.done = true
-	reads := s.reads
-	s.reads = nil
-	s.mu.Unlock()
-	s.pin.Release()
-	s.mgr.met.SnapEnd()
-	s.mgr.met.Trace("SNAP_END", s.id, "", 0)
-	if s.mgr.rec != nil {
-		s.mgr.snapMu.Lock()
-		s.mgr.snapTxs = append(s.mgr.snapTxs, checker.SnapTx{ID: s.id, Seq: s.pin.Seq(), Reads: reads})
-		s.mgr.snapMu.Unlock()
-	}
-	return nil
 }

@@ -12,7 +12,7 @@ import (
 
 // snapHistory runs a small mixed workload under recording and returns
 // the pieces CheckSnapshots consumes, for the corruption tests below.
-func snapHistory(t *testing.T) (event.Schedule, *event.SystemType, []snap.PubEntry, []checker.SnapTx) {
+func snapHistory(t *testing.T) (event.Schedule, *event.SystemType, []snap.PubEntry, []snap.TxEntry) {
 	t.Helper()
 	m := NewManager(WithRecording())
 	m.MustRegister("x", Counter{})
@@ -37,15 +37,12 @@ func snapHistory(t *testing.T) (event.Schedule, *event.SystemType, []snap.PubEnt
 	}); err != nil {
 		t.Fatal(err)
 	}
-	m.snapMu.Lock()
-	txs := append([]checker.SnapTx(nil), m.snapTxs...)
-	m.snapMu.Unlock()
-	return m.Schedule(), m.SystemType(), m.snap.Log(), txs
+	return m.Schedule(), m.SystemType(), m.snap.Log(), m.snap.TxLog()
 }
 
 // wantAnomaly asserts that CheckSnapshots rejects the history with the
 // given anomaly kind.
-func wantAnomaly(t *testing.T, kind string, sched event.Schedule, st *event.SystemType, pubs []snap.PubEntry, txs []checker.SnapTx) {
+func wantAnomaly(t *testing.T, kind string, sched event.Schedule, st *event.SystemType, pubs []snap.PubEntry, txs []snap.TxEntry) {
 	t.Helper()
 	err := checker.CheckSnapshots(sched, st, pubs, txs)
 	if err == nil {
@@ -129,18 +126,18 @@ func TestCheckSnapshotsClassifiesInconsistentRead(t *testing.T) {
 	}
 	// The reader claims a value the committed prefix at its pin cannot
 	// produce (a dirty or future read).
-	bad := checker.SnapTx{ID: txs[0].ID, Seq: txs[0].Seq}
-	bad.Reads = append([]checker.SnapRead(nil), txs[0].Reads...)
-	bad.Reads[0] = checker.SnapRead{Object: bad.Reads[0].Object, Op: bad.Reads[0].Op, Value: int64(424242)}
-	wantAnomaly(t, checker.AnomalyInconsistentRead, sched, st, pubs, []checker.SnapTx{bad})
+	bad := snap.TxEntry{ID: txs[0].ID, Seq: txs[0].Seq}
+	bad.Reads = append([]snap.ReadEntry(nil), txs[0].Reads...)
+	bad.Reads[0] = snap.ReadEntry{Object: bad.Reads[0].Object, Op: bad.Reads[0].Op, Value: int64(424242)}
+	wantAnomaly(t, checker.AnomalyInconsistentRead, sched, st, pubs, []snap.TxEntry{bad})
 }
 
 func TestCheckSnapshotsClassifiesNonReadOnlyOp(t *testing.T) {
 	sched, st, pubs, txs := snapHistory(t)
-	bad := checker.SnapTx{ID: "S-bad", Seq: txs[0].Seq, Reads: []checker.SnapRead{
+	bad := snap.TxEntry{ID: "S-bad", Seq: txs[0].Seq, Reads: []snap.ReadEntry{
 		{Object: "x", Op: CtrAdd{Delta: 1}, Value: int64(1)},
 	}}
-	wantAnomaly(t, checker.AnomalyNonReadOnlyOp, sched, st, pubs, []checker.SnapTx{bad})
+	wantAnomaly(t, checker.AnomalyNonReadOnlyOp, sched, st, pubs, []snap.TxEntry{bad})
 }
 
 // lyingReadOp claims to be read-only but mutates the state it is applied
@@ -156,8 +153,8 @@ func (lyingReadOp) String() string { return "lying-read" }
 
 func TestCheckSnapshotsClassifiesMutatingRead(t *testing.T) {
 	sched, st, pubs, txs := snapHistory(t)
-	bad := checker.SnapTx{ID: "S-bad", Seq: txs[0].Seq, Reads: []checker.SnapRead{
+	bad := snap.TxEntry{ID: "S-bad", Seq: txs[0].Seq, Reads: []snap.ReadEntry{
 		{Object: "x", Op: lyingReadOp{}, Value: int64(3)},
 	}}
-	wantAnomaly(t, checker.AnomalyMutatingRead, sched, st, pubs, []checker.SnapTx{bad})
+	wantAnomaly(t, checker.AnomalyMutatingRead, sched, st, pubs, []snap.TxEntry{bad})
 }
