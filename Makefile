@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-short sim sim-mine fuzz fuzz-short metrics-smoke loc clean
+.PHONY: all build vet test race bench bench-short sim sim-mine fuzz fuzz-short metrics-smoke loc perf-check perf-check-smoke clean
 
 all: build test
 
@@ -75,6 +75,23 @@ metrics-smoke:
 # The number every simplicity PR quotes: non-test Go lines outside bench/.
 loc:
 	./scripts/loc.sh
+
+# The gate for a change that claims or risks performance: BASE against
+# this checkout, PAIRS interleaved runs of bench/run.sh per side, then its
+# --compare table. Exit status 1 means a bounded metric got worse or the
+# runs spread too widely to tell. About seven minutes per pair.
+BASE ?= HEAD~1
+PAIRS ?= 10
+WORKLOAD ?= all
+perf-check:
+	./scripts/perf-check.sh $(BASE) $(PAIRS) $(WORKLOAD)
+
+# CI: the tool still runs end to end. HEAD against itself, two pairs of
+# one workload — too few to trust the verdict (a 100 µs setup_s spreads
+# past its bound over two runs), so only a failure to compare (status 2)
+# fails the step.
+perf-check-smoke:
+	./scripts/perf-check.sh HEAD 2 embed_hot_rw; test $$? -le 1
 
 clean:
 	$(GO) clean ./...

@@ -1,0 +1,157 @@
+package nestedtx
+
+import (
+	"context"
+	"fmt"
+	"runtime"
+	"sort"
+	"sync"
+	"testing"
+)
+
+// nestedWorkload registers 32 counters and returns a transaction body
+// shaped like the benchmark's embed_nested: a 15-node binary tree of
+// subtransactions, a write and a read of two different counters in every
+// node — 30 accesses, 15 commits.
+func nestedWorkload(m *Manager) func(*Tx) error {
+	names := make([]string, 32)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%02d", i)
+		m.MustRegister(names[i], Counter{})
+	}
+	var node func(tx *Tx, n int) error
+	node = func(tx *Tx, n int) error {
+		if _, err := tx.Do(names[2*n], CtrAdd{Delta: 1}); err != nil {
+			return err
+		}
+		if _, err := tx.Do(names[2*n+1], CtrGet{}); err != nil {
+			return err
+		}
+		for c := 2*n + 1; c <= 2*n+2 && c < 15; c++ {
+			if err := tx.Sub(func(sub *Tx) error { return node(sub, c) }); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return func(tx *Tx) error { return node(tx, 0) }
+}
+
+// TestAccessPathAllocationBudget: on a non-recording manager an access
+// costs what the protocol needs — names, versions, lock-table entries —
+// and nothing is spent on bookkeeping only Verify reads. The budgets sit
+// a quarter to a half above what the code allocates today (97 and 8) and
+// far below what it did when every access entered the system type and
+// every ancestor was a new string (434 and 28).
+func TestAccessPathAllocationBudget(t *testing.T) {
+	run := func(m *Manager, body func(*Tx) error) func() {
+		return func() {
+			if err := m.Run(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	nested := NewManager()
+	if n := testing.AllocsPerRun(200, run(nested, nestedWorkload(nested))); n > 120 {
+		t.Errorf("15-node, 30-access transaction: %.0f allocations, budget 120", n)
+	}
+	flat := NewManager()
+	flat.MustRegister("a", Counter{})
+	flat.MustRegister("b", Counter{})
+	body := func(tx *Tx) error {
+		if _, err := tx.Do("a", CtrGet{}); err != nil {
+			return err
+		}
+		_, err := tx.Do("b", CtrAdd{Delta: 1})
+		return err
+	}
+	if n := testing.AllocsPerRun(200, run(flat, body)); n > 12 {
+		t.Errorf("flat 2-access transaction: %.0f allocations, budget 12", n)
+	}
+}
+
+// TestNonRecordingSoakKeepsNothingPerAccess is the flat-heap acceptance
+// sized for go test: 200k accesses on a non-recording manager leave the
+// system type without a single access, and the live heap after a forced
+// collection does not climb between the first and the last quarter of
+// the run.
+func TestNonRecordingSoakKeepsNothingPerAccess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("soak test skipped in -short mode")
+	}
+	m := NewManager()
+	body := nestedWorkload(m)
+	const accesses, perTx, samples = 200_000, 30, 16
+	heap := make([]uint64, 0, samples)
+	for i := 0; i < samples; i++ {
+		for n := 0; n < accesses/perTx/samples; n++ {
+			if err := m.Run(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		heap = append(heap, ms.HeapInuse)
+	}
+	if n := len(m.SystemType().Accesses()); n != 0 {
+		t.Errorf("non-recording manager's system type holds %d accesses, want 0", n)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	median := func(s []uint64) uint64 {
+		s = append([]uint64(nil), s...)
+		sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		return s[len(s)/2]
+	}
+	first, last := median(heap[:samples/4]), median(heap[samples-samples/4:])
+	// The access map alone grew by ~150 B per access: 20 MB over this
+	// run. Half a megabyte is span-rounding noise.
+	if last > first+512<<10 {
+		t.Errorf("heap in use after GC grew from %d B (first quarter) to %d B (last quarter): %v", first, last, heap)
+	}
+}
+
+// TestTopLevelIDsDistinctAndGapFree: Run and RunCtx mint top-level names
+// from one counter, so concurrent callers see every name from T0.0 up
+// exactly once.
+func TestTopLevelIDsDistinctAndGapFree(t *testing.T) {
+	m := NewManager()
+	const workers, each = 8, 200
+	var mu sync.Mutex
+	seen := make(map[string]bool)
+	note := func(tx *Tx) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if seen[tx.ID()] {
+			t.Errorf("top-level name %s minted twice", tx.ID())
+		}
+		seen[tx.ID()] = true
+		return nil
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				var err error
+				if (w+i)%2 == 0 {
+					err = m.Run(note)
+				} else {
+					err = m.RunCtx(context.Background(), note)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := 0; i < workers*each; i++ {
+		if id := fmt.Sprintf("T0.%d", i); !seen[id] {
+			t.Fatalf("top-level name %s never minted (%d names seen)", id, len(seen))
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"nestedtx/internal/event"
-	"nestedtx/internal/tree"
 )
 
 // RunCtx is [Manager.Run] with context cancellation: if ctx is cancelled
@@ -18,11 +17,7 @@ func (m *Manager) RunCtx(ctx context.Context, fn func(*Tx) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	m.mu.Lock()
-	id := tree.Root.Child(m.nextTop)
-	m.nextTop++
-	m.mu.Unlock()
-
+	id := m.newTop()
 	m.rec.RecordAll(
 		event.Event{Kind: event.RequestCreate, T: id},
 		event.Event{Kind: event.Create, T: id},

@@ -30,8 +30,8 @@ package lockmgr
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -51,6 +51,11 @@ var ErrDeadlock = errors.New("lockmgr: deadlock victim")
 // ErrCancelled is returned by Acquire when the caller's cancel channel
 // closed while waiting.
 var ErrCancelled = errors.New("lockmgr: acquire cancelled")
+
+// ErrUnknownObject is wrapped by every error that reports an object name
+// nobody registered: the caller named it wrong, nothing in the manager
+// failed.
+var ErrUnknownObject = errors.New("object not registered")
 
 // Stats counts manager activity, aggregated across shards. Read a
 // consistent copy via Manager.Stats.
@@ -86,10 +91,12 @@ type Manager struct {
 // top-level TID space. Two maps, both keyed by top-level transaction:
 //
 //   - held: the set of shard ids where the tree holds (or ever held, until
-//     it ends) at least one lock — the footprint Commit and Abort visit.
-//     Entries are deleted when the top-level transaction commits or
-//     aborts; over-approximation in between is harmless (a visited shard
-//     with nothing to move is a no-op).
+//     it ends) at least one lock — the footprint Commit and Abort visit —
+//     as a bit set: one small allocation when the tree takes its first
+//     lock, none to extend or walk it. Entries are deleted when the
+//     top-level transaction commits or aborts; over-approximation in
+//     between is harmless (a visited shard with nothing to move is a
+//     no-op).
 //   - waits: per-shard count of the tree's queued waiters — the
 //     confinement test deadlock detection uses to decide whether a local
 //     walk is sound or must escalate.
@@ -99,9 +106,16 @@ type Manager struct {
 // taken while holding a stripe mutex.
 type indexStripe struct {
 	mu    sync.Mutex
-	held  map[tree.TID]map[int]struct{}
+	held  map[tree.TID]shardSet
 	waits map[tree.TID]map[int]int
 }
+
+// shardSet is a bit set over shard ids, bit i%64 of word i/64 standing
+// for shard i; every set of a manager has the words its shard count needs.
+type shardSet []uint64
+
+func (s shardSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s shardSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
 
 const numStripes = 64
 
@@ -149,14 +163,14 @@ func NewSharded(rec *event.Recorder, mode core.Mode, met *obs.Metrics, n int) *M
 			id:         i,
 			m:          m,
 			objects:    make(map[string]*lockState),
-			held:       make(map[tree.TID]map[*lockState]struct{}),
+			held:       make(map[tree.TID]lockSet),
 			contended:  make(map[*lockState]struct{}),
 			waiting:    make(map[tree.TID][]*waiter),
 			topWaiting: make(map[tree.TID]map[tree.TID]struct{}),
 		}
 	}
 	for i := range m.stripes {
-		m.stripes[i].held = make(map[tree.TID]map[int]struct{})
+		m.stripes[i].held = make(map[tree.TID]shardSet)
 		m.stripes[i].waits = make(map[tree.TID]map[int]int)
 	}
 	return m
@@ -191,32 +205,38 @@ func (m *Manager) fpAdd(t tree.TID, sid int) {
 	st.mu.Lock()
 	s := st.held[top]
 	if s == nil {
-		s = make(map[int]struct{})
+		s = make(shardSet, (len(m.shards)+63)/64)
 		st.held[top] = s
 	}
-	s[sid] = struct{}{}
+	s.add(sid)
 	st.mu.Unlock()
 }
 
-// fpShards returns the shards (ascending id) where top's tree may hold
-// locks.
-func (m *Manager) fpShards(top tree.TID) []*shard {
-	if len(m.shards) == 1 {
-		return m.shards
+// eachFpShard calls f, under the shard's mutex, on every shard (ascending
+// id) where top's tree may hold locks.
+func (m *Manager) eachFpShard(top tree.TID, f func(*shard)) {
+	visit := func(sh *shard) {
+		sh.mu.Lock()
+		f(sh)
+		sh.mu.Unlock()
 	}
+	if len(m.shards) == 1 {
+		visit(m.shards[0])
+		return
+	}
+	// The walk runs on a copy so the stripe mutex is never held together
+	// with a shard mutex taken after it; up to 256 shards the copy stays
+	// on the stack.
+	var buf [4]uint64
 	st := m.stripeFor(top)
 	st.mu.Lock()
-	ids := make([]int, 0, len(st.held[top]))
-	for sid := range st.held[top] {
-		ids = append(ids, sid)
-	}
+	words := append(buf[:0], st.held[top]...)
 	st.mu.Unlock()
-	sort.Ints(ids)
-	out := make([]*shard, len(ids))
-	for i, sid := range ids {
-		out[i] = m.shards[sid]
+	for i, w := range words {
+		for ; w != 0; w &= w - 1 {
+			visit(m.shards[i*64+bits.TrailingZeros64(w)])
+		}
 	}
-	return out
 }
 
 // fpForget drops top's footprint entry; called when the top-level
@@ -347,7 +367,7 @@ func (m *Manager) CurrentState(x string) (adt.State, error) {
 	defer sh.mu.Unlock()
 	ls, ok := sh.objects[x]
 	if !ok {
-		return nil, fmt.Errorf("lockmgr: object %q not registered", x)
+		return nil, fmt.Errorf("lockmgr: %w: %q", ErrUnknownObject, x)
 	}
 	return ls.current(), nil
 }
@@ -361,8 +381,7 @@ func (m *Manager) CurrentState(x string) (adt.State, error) {
 // discarded, so the result contains only effects that commit to root.
 func (m *Manager) TopVersions(top tree.TID) map[string]adt.State {
 	var out map[string]adt.State
-	for _, sh := range m.fpShards(top) {
-		sh.mu.Lock()
+	m.eachFpShard(top, func(sh *shard) {
 		for ls := range sh.held[top] {
 			// dirty, not just write-locked: under exclusive locking pure
 			// readers hold write locks too, but their (unchanged) versions
@@ -375,8 +394,7 @@ func (m *Manager) TopVersions(top tree.TID) map[string]adt.State {
 				out[ls.name] = ls.versions[top]
 			}
 		}
-		sh.mu.Unlock()
-	}
+	})
 	return out
 }
 
@@ -438,7 +456,7 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel <-cha
 		ls, ok := sh.objects[x]
 		if !ok {
 			sh.mu.Unlock()
-			return nil, fmt.Errorf("lockmgr: object %q not registered", x)
+			return nil, fmt.Errorf("lockmgr: %w: %q", ErrUnknownObject, x)
 		}
 		if _, isBlocked := ls.blocked(access, write); !isBlocked {
 			v := sh.grantLocked(ls, tx, access, op, write)
@@ -559,9 +577,12 @@ func (m *Manager) Commit(t tree.TID, value event.Value) {
 	p := t.Parent()
 	top := topOf(t)
 	m.rec.Record(event.Event{Kind: event.Commit, T: t})
-	for _, sh := range m.fpShards(top) {
-		sh.mu.Lock()
-		for ls := range sh.held[t] {
+	m.eachFpShard(top, func(sh *shard) {
+		set := sh.held[t]
+		if set == nil {
+			return
+		}
+		for ls := range set {
 			touched := false
 			if ls.write.Has(t) {
 				ls.write.Remove(t)
@@ -580,15 +601,14 @@ func (m *Manager) Commit(t tree.TID, value event.Value) {
 				touched = true
 			}
 			if touched {
-				sh.indexAddLocked(p, ls)
 				sh.stats.CommitMoves++
 				m.rec.Record(event.Event{Kind: event.InformCommitAt, T: t, Object: ls.name})
 				sh.wakeQueuedLocked(ls)
 			}
 		}
 		delete(sh.held, t)
-		sh.mu.Unlock()
-	}
+		sh.indexInheritLocked(p, set)
+	})
 	if p == tree.Root {
 		m.fpForget(top)
 	}
@@ -603,15 +623,15 @@ func (m *Manager) Commit(t tree.TID, value event.Value) {
 func (m *Manager) Abort(t tree.TID) {
 	top := topOf(t)
 	m.rec.Record(event.Event{Kind: event.Abort, T: t})
-	for _, sh := range m.fpShards(top) {
-		sh.mu.Lock()
-		affected := make(map[*lockState]struct{})
+	m.eachFpShard(top, func(sh *shard) {
+		affected := sh.newSetLocked()
 		for u, objs := range sh.held {
 			if u.IsDescendantOf(t) {
 				for ls := range objs {
 					affected[ls] = struct{}{}
 				}
 				delete(sh.held, u)
+				sh.recycleSetLocked(objs)
 			}
 		}
 		for ls := range affected {
@@ -636,8 +656,8 @@ func (m *Manager) Abort(t tree.TID) {
 				sh.wakeQueuedLocked(ls)
 			}
 		}
-		sh.mu.Unlock()
-	}
+		sh.recycleSetLocked(affected)
+	})
 	if t.Parent() == tree.Root {
 		m.fpForget(top)
 	}
@@ -683,7 +703,8 @@ func (m *Manager) CheckInvariants() error {
 			top := topOf(t)
 			st := m.stripeFor(top)
 			st.mu.Lock()
-			_, ok := st.held[top][sh.id]
+			fp := st.held[top]
+			ok := fp != nil && fp.has(sh.id)
 			st.mu.Unlock()
 			if !ok {
 				return fmt.Errorf("lockmgr: %s holds locks in shard %d but footprint index misses it", t, sh.id)
@@ -691,9 +712,16 @@ func (m *Manager) CheckInvariants() error {
 		}
 	}
 	striped := make(map[tree.TID]map[int]int)
+	words := (len(m.shards) + 63) / 64
 	for i := range m.stripes {
 		st := &m.stripes[i]
 		st.mu.Lock()
+		for top, fp := range st.held {
+			if err := checkFootprint(top, fp, words, len(m.shards)); err != nil {
+				st.mu.Unlock()
+				return err
+			}
+		}
 		for top, s := range st.waits {
 			for sid, n := range s {
 				if striped[top] == nil {
@@ -717,6 +745,29 @@ func (m *Manager) CheckInvariants() error {
 				return fmt.Errorf("lockmgr: stripe counts %d waiters for tree %s in shard %d but %d are queued", n, top, sid, seenWaits[top][sid])
 			}
 		}
+	}
+	return nil
+}
+
+// checkFootprint verifies the shape of one footprint: exactly the words a
+// manager of this shard count uses, at least one shard named (an entry is
+// created by the grant that sets its first bit), none beyond the last.
+func checkFootprint(top tree.TID, fp shardSet, words, shards int) error {
+	if len(fp) != words {
+		return fmt.Errorf("lockmgr: footprint of %s has %d words, want %d", top, len(fp), words)
+	}
+	named := 0
+	for sid := 0; sid < words*64; sid++ {
+		if !fp.has(sid) {
+			continue
+		}
+		if sid >= shards {
+			return fmt.Errorf("lockmgr: footprint of %s names shard %d of %d", top, sid, shards)
+		}
+		named++
+	}
+	if named == 0 {
+		return fmt.Errorf("lockmgr: footprint of %s names no shard", top)
 	}
 	return nil
 }

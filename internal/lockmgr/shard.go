@@ -2,6 +2,7 @@ package lockmgr
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 
 	"nestedtx/internal/adt"
@@ -24,8 +25,12 @@ type shard struct {
 	// held is the held-locks index: for every transaction holding at
 	// least one lock in this shard, the set of its objects the
 	// transaction holds a (read or write) lock on. Commit and Abort walk
-	// this index instead of the whole universe.
-	held map[tree.TID]map[*lockState]struct{}
+	// this index instead of the whole universe. A set has one owner: a
+	// committing transaction's set passes to its parent (adopted whole or
+	// merged, see indexInheritLocked), and emptied sets wait on freeSets
+	// for the next transaction, so a steady workload allocates none.
+	held     map[tree.TID]lockSet
+	freeSets []lockSet
 	// contended is the set of objects with a non-empty wait queue, so
 	// invariant checks walk only the queues that exist.
 	contended map[*lockState]struct{}
@@ -39,6 +44,15 @@ type shard struct {
 	topWaiting map[tree.TID]map[tree.TID]struct{}
 	stats      Stats
 }
+
+// lockSet is a set of objects, the value type of the held-locks index.
+type lockSet map[*lockState]struct{}
+
+// maxRecycledSet is the largest set kept for reuse. A map never shrinks
+// and clear costs its capacity, so a set one huge transaction grew is
+// left to the collector rather than charged to every small transaction
+// that would draw it from the free list afterwards.
+const maxRecycledSet = 64
 
 // lockState is the M(X) state for one object: the two lock tables, the
 // version map (defined exactly on the write-lockholders), and the queue
@@ -99,10 +113,52 @@ func (ls *lockState) blocked(t tree.TID, write bool) (tree.TID, bool) {
 func (sh *shard) indexAddLocked(t tree.TID, ls *lockState) {
 	s := sh.held[t]
 	if s == nil {
-		s = make(map[*lockState]struct{})
+		s = sh.newSetLocked()
 		sh.held[t] = s
 	}
 	s[ls] = struct{}{}
+}
+
+// indexInheritLocked passes set, the index entry a committing transaction
+// just gave up, to its parent p — every lock in it is now p's. p adopts
+// the set when it has none in this shard; otherwise the smaller of the
+// two is merged into the larger and recycled. Caller holds sh.mu.
+func (sh *shard) indexInheritLocked(p tree.TID, set lockSet) {
+	mine := sh.held[p]
+	if mine == nil {
+		sh.held[p] = set
+		return
+	}
+	if len(mine) < len(set) {
+		mine, set = set, mine
+		sh.held[p] = mine
+	}
+	for ls := range set {
+		mine[ls] = struct{}{}
+	}
+	sh.recycleSetLocked(set)
+}
+
+// newSetLocked returns an empty set, from the free list when it has one.
+// Caller holds sh.mu.
+func (sh *shard) newSetLocked() lockSet {
+	if n := len(sh.freeSets); n > 0 {
+		s := sh.freeSets[n-1]
+		sh.freeSets = sh.freeSets[:n-1]
+		return s
+	}
+	return make(lockSet)
+}
+
+// recycleSetLocked empties a set no index entry refers to any more and
+// keeps it for newSetLocked. The free list never holds more sets than
+// were live in the shard at once. Caller holds sh.mu.
+func (sh *shard) recycleSetLocked(s lockSet) {
+	if len(s) > maxRecycledSet {
+		return
+	}
+	clear(s)
+	sh.freeSets = append(sh.freeSets, s)
 }
 
 // ---- wait queues ----
@@ -253,16 +309,34 @@ func (sh *shard) checkLocked(seenWaits map[tree.TID]map[int]int) error {
 			}
 		}
 	}
-	// Every index entry must be backed by a lock.
+	// Every index entry must be backed by a lock, and every set has one
+	// owner: no two entries share a set, and a set on the free list is
+	// empty, listed once and owned by no entry.
+	owner := make(map[uintptr]tree.TID, len(sh.held))
 	for t, objs := range sh.held {
 		if len(objs) == 0 {
 			return fmt.Errorf("lockmgr: empty held-locks index entry for %s", t)
 		}
+		id := reflect.ValueOf(objs).Pointer()
+		if u, shared := owner[id]; shared {
+			return fmt.Errorf("lockmgr: held-locks index entries of %s and %s share one set", t, u)
+		}
+		owner[id] = t
 		for ls := range objs {
 			if !ls.read.Has(t) && !ls.write.Has(t) {
 				return fmt.Errorf("lockmgr: held-locks index lists %s on %s without a lock", t, ls.name)
 			}
 		}
+	}
+	for _, s := range sh.freeSets {
+		if len(s) != 0 {
+			return fmt.Errorf("lockmgr: shard %d free list holds a set of %d objects", sh.id, len(s))
+		}
+		id := reflect.ValueOf(s).Pointer()
+		if u, taken := owner[id]; taken {
+			return fmt.Errorf("lockmgr: shard %d free list holds a set already owned by %q (empty: the list itself)", sh.id, u)
+		}
+		owner[id] = ""
 	}
 	// Queue bookkeeping: contended is exactly the non-empty queues, and
 	// the waiting index lists exactly the queued waiters.

@@ -968,7 +968,7 @@ func (ss *session) handleOp(req *wire.Request) *wire.Response {
 	select {
 	case r := <-cmd.reply:
 		if r.err != nil {
-			return ss.mapOpErr(req.Obj, r.err)
+			return ss.mapOpErr(r.err)
 		}
 		raw, err := wire.EncodeValue(r.v)
 		if err != nil {
@@ -1102,23 +1102,18 @@ func (ss *session) deliver(h *txHandle, cmd txCmd) *wire.Response {
 
 // mapOpErr converts an access error into its wire form, counting
 // deadlock victims.
-func (ss *session) mapOpErr(obj string, err error) *wire.Response {
+func (ss *session) mapOpErr(err error) *wire.Response {
 	switch {
 	case errors.Is(err, nestedtx.ErrDeadlock):
 		ss.srv.count(func(c *Counters) { c.DeadlockVictims++ })
 		return fail(wire.CodeDeadlock, err.Error())
 	case errors.Is(err, nestedtx.ErrAborted):
 		return fail(wire.CodeAborted, err.Error())
+	case errors.Is(err, nestedtx.ErrUnknownObject):
+		// The client named an object nobody registered; nothing on the
+		// server failed.
+		return fail(wire.CodeBadRequest, err.Error())
 	default:
-		// Off the happy path only: distinguish the client naming an
-		// unregistered object from a genuine server-side failure. With
-		// nothing to ask, skip the classification rather than crash the
-		// session.
-		if store, _ := ss.srv.readSide(); store != nil {
-			if _, serr := store.Head(obj); serr != nil {
-				return fail(wire.CodeBadRequest, serr.Error())
-			}
-		}
 		return fail(wire.CodeInternal, err.Error())
 	}
 }

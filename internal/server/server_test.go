@@ -12,6 +12,7 @@ import (
 	"nestedtx"
 	"nestedtx/client"
 	"nestedtx/internal/server"
+	"nestedtx/internal/wire"
 )
 
 // start serves mgr on a loopback listener and returns the server and its
@@ -451,6 +452,36 @@ func BenchmarkServerThroughput(b *testing.B) {
 			txs := float64(per * clients)
 			b.ReportMetric(txs*3/elapsed.Seconds(), "req/s")
 			b.ReportMetric(txs/elapsed.Seconds(), "tx/s")
+		})
+	}
+}
+
+// TestWriteToUnknownObjectIsBadRequest: WRITE naming an unregistered
+// object inside a locking transaction is the client's mistake — the
+// server answers bad_request, not aborted, and the transaction stays
+// open and commits its other work.
+func TestWriteToUnknownObjectIsBadRequest(t *testing.T) {
+	for name, opts := range map[string][]nestedtx.Option{"plain": nil, "recording": {nestedtx.WithRecording()}} {
+		t.Run(name, func(t *testing.T) {
+			mgr := nestedtx.NewManager(opts...)
+			mgr.MustRegister("hits", nestedtx.Counter{})
+			_, addr := start(t, mgr, server.Config{})
+			c := dial(t, addr)
+			err := c.Run(func(tx *client.Tx) error {
+				_, err := tx.Write("ghost", nestedtx.CtrAdd{Delta: 1})
+				var ce *client.Error
+				if !errors.As(err, &ce) || ce.Code != wire.CodeBadRequest {
+					t.Errorf("WRITE to unknown object: %v, want code %q", err, wire.CodeBadRequest)
+				}
+				_, err = tx.Write("hits", nestedtx.CtrAdd{Delta: 1})
+				return err
+			})
+			if err != nil {
+				t.Fatalf("transaction after a refused WRITE: %v", err)
+			}
+			if st, err := c.State("hits"); err != nil || st.(nestedtx.Counter).N != 1 {
+				t.Fatalf("hits = %+v, %v; want 1", st, err)
+			}
 		})
 	}
 }

@@ -21,7 +21,11 @@ import (
 // transaction T is named T + "." + i. The empty TID ("") is invalid.
 //
 // Using the path as the identity makes Parent, LCA and ancestry pure string
-// computations, with no shared tree structure to synchronize on.
+// computations, with no shared tree structure to synchronize on. Every
+// ancestor of a TID is a prefix of that same string, so the functions that
+// return ancestors return substrings and the ones that compare paths walk
+// the components in place: none of them allocates, except Ancestors for
+// its result slice.
 type TID string
 
 // Root is T0, the "mythical" root transaction modelling the external
@@ -82,10 +86,10 @@ func (t TID) Level() int {
 // IsAncestorOf reports whether t is an ancestor of u (inclusive: every
 // transaction is an ancestor of itself).
 func (t TID) IsAncestorOf(u TID) bool {
-	if t == u {
-		return true
+	if len(u) <= len(t) {
+		return t == u
 	}
-	return strings.HasPrefix(string(u), string(t)+sep)
+	return u[len(t)] == sep[0] && u[:len(t)] == t
 }
 
 // IsProperAncestorOf reports whether t is a strict ancestor of u.
@@ -114,12 +118,16 @@ func LCA(t, u TID) TID {
 	if u.IsAncestorOf(t) {
 		return u
 	}
-	tp, up := t.components(), u.components()
-	n := 0
-	for n < len(tp) && n < len(up) && tp[n] == up[n] {
-		n++
+	// Neither path is a prefix of the other: the LCA ends at the last
+	// separator both strings reach in step, before the first differing
+	// component.
+	end := 0
+	for i := 0; i < len(t) && i < len(u) && t[i] == u[i]; i++ {
+		if t[i] == sep[0] {
+			end = i
+		}
 	}
-	return fromComponents(tp[:n])
+	return t[:end]
 }
 
 // ChildToward returns the child of t on the path to descendant u.
@@ -128,22 +136,23 @@ func (t TID) ChildToward(u TID) TID {
 	if !t.IsProperAncestorOf(u) {
 		panic("tree: ChildToward: " + string(t) + " is not a proper ancestor of " + string(u))
 	}
-	rest := string(u)[len(t)+len(sep):]
-	if i := strings.Index(rest, sep); i >= 0 {
-		rest = rest[:i]
+	start := len(t) + len(sep)
+	if i := strings.Index(string(u[start:]), sep); i >= 0 {
+		return u[:start+i]
 	}
-	return TID(string(t) + sep + rest)
+	return u
 }
 
 // Ancestors returns t's ancestors from the root down to t itself
 // (inclusive, in root-first order).
 func (t TID) Ancestors() []TID {
-	comps := t.components()
-	out := make([]TID, 0, len(comps))
-	for i := 1; i <= len(comps); i++ {
-		out = append(out, fromComponents(comps[:i]))
+	out := make([]TID, 0, t.Level()+1)
+	for i := 0; i < len(t); i++ {
+		if t[i] == sep[0] {
+			out = append(out, t[:i])
+		}
 	}
-	return out
+	return append(out, t)
 }
 
 // ProperAncestors returns t's ancestors from the root down to t's parent,
@@ -164,38 +173,35 @@ func Compare(t, u TID) int {
 	if t == u {
 		return 0
 	}
-	tc, uc := t.components(), u.components()
-	for i := 0; i < len(tc) && i < len(uc); i++ {
-		a, b := tc[i], uc[i]
-		if a == b {
-			continue
-		}
-		ai, aerr := strconv.Atoi(a)
-		bi, berr := strconv.Atoi(b)
-		switch {
-		case aerr == nil && berr == nil && ai != bi:
-			if ai < bi {
+	ts, us := string(t), string(u)
+	for {
+		a, trest, tmore := strings.Cut(ts, sep)
+		b, urest, umore := strings.Cut(us, sep)
+		if a != b {
+			ai, aerr := strconv.Atoi(a)
+			bi, berr := strconv.Atoi(b)
+			switch {
+			case aerr == nil && berr == nil && ai != bi:
+				if ai < bi {
+					return -1
+				}
+				return 1
+			case a < b:
 				return -1
+			default:
+				return 1
 			}
-			return 1
-		case a < b:
+		}
+		// One path ran out of components first (not both: t != u), and
+		// the shorter one is the ancestor.
+		if !tmore {
 			return -1
-		default:
+		}
+		if !umore {
 			return 1
 		}
+		ts, us = trest, urest
 	}
-	if len(tc) < len(uc) {
-		return -1
-	}
-	return 1
-}
-
-func (t TID) components() []string {
-	return strings.Split(string(t), sep)
-}
-
-func fromComponents(c []string) TID {
-	return TID(strings.Join(c, sep))
 }
 
 // Set is a set of transaction IDs. The zero value is not usable; use

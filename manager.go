@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nestedtx/internal/checker"
@@ -27,6 +28,11 @@ var ErrDeadlock = lockmgr.ErrDeadlock
 // aborted (for example because an enclosing transaction aborted it).
 var ErrAborted = errors.New("nestedtx: transaction aborted")
 
+// ErrUnknownObject is wrapped by the error of an access that names an
+// object nobody registered. The transaction is not aborted by it: the
+// body may carry on, or return the error to abort.
+var ErrUnknownObject = lockmgr.ErrUnknownObject
+
 // ErrDone is returned by operations on a transaction whose body has
 // already returned, and by reads through a closed [Snapshot].
 var ErrDone = snap.ErrDone
@@ -47,7 +53,10 @@ type options struct {
 
 // WithRecording makes the manager record the formal event schedule of the
 // run, enabling [Manager.Verify] and [Manager.WriteSchedule]. Recording
-// costs one slice append per formal operation.
+// costs one slice append per formal operation and one system-type entry
+// per access (see [Manager.SystemType]), both kept for the life of the
+// manager. Without it the manager keeps nothing per access: what an
+// access allocated is garbage once its top-level transaction ends.
 func WithRecording() Option { return func(o *options) { o.record = true } }
 
 // WithExclusiveLocking treats every access as a write access. Per the
@@ -99,9 +108,13 @@ type Manager struct {
 	// publication and read-only-transaction logs Verify checks.
 	snap *snap.Store
 
-	mu      sync.Mutex
-	st      *event.SystemType
-	nextTop int
+	// mu guards st. It is taken to register an object and, in recording
+	// mode only, to define an access; Run and a non-recording Do never
+	// touch it.
+	mu sync.Mutex
+	st *event.SystemType
+
+	nextTop atomic.Int64
 
 	// clk is the time source for retry backoffs (WithClock; the wall
 	// clock by default).
@@ -214,11 +227,12 @@ func (m *Manager) Metrics() *obs.Metrics { return m.met }
 // of it and its descendants is rolled back. A panic in fn aborts the
 // transaction and re-panics.
 func (m *Manager) Run(fn func(*Tx) error) error {
-	m.mu.Lock()
-	id := tree.Root.Child(m.nextTop)
-	m.nextTop++
-	m.mu.Unlock()
-	return m.runTx(id, fn)
+	return m.runTx(m.newTop(), fn)
+}
+
+// newTop mints the next top-level transaction name.
+func (m *Manager) newTop() tree.TID {
+	return tree.Root.Child(int(m.nextTop.Add(1) - 1))
 }
 
 // RunRetry is Run, retrying up to attempts times when the transaction
@@ -315,7 +329,10 @@ func (m *Manager) commitTop(id tree.TID, tx *Tx, start time.Time) error {
 // [WithRecording]).
 func (m *Manager) Schedule() event.Schedule { return m.rec.Snapshot() }
 
-// SystemType returns the dynamically grown system type of the run so far.
+// SystemType returns the system type of the run so far: the registered
+// objects and, with [WithRecording], every access performed (what Verify
+// needs to read the schedule). A non-recording manager defines no
+// accesses.
 func (m *Manager) SystemType() *event.SystemType {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -383,9 +400,13 @@ func (m *Manager) WriteSchedule(w io.Writer) error {
 	return nil
 }
 
-// defineAccess registers a dynamically created access in the system type.
+// defineAccess registers a dynamically created access in the system type
+// (recording mode only: Verify is its one reader).
 func (m *Manager) defineAccess(a tree.TID, obj string, op Op) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if _, ok := m.st.ObjectInitial(obj); !ok {
+		return fmt.Errorf("%w: %q", ErrUnknownObject, obj)
+	}
 	return m.st.DefineAccess(a, obj, op)
 }

@@ -65,60 +65,59 @@ func (tx *Tx) result() Value {
 	return tx.committed
 }
 
-// newChild mints the next child name.
-func (tx *Tx) newChild() tree.TID {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	c := tx.id.Child(tx.nextChild)
-	tx.nextChild++
-	return c
-}
-
-func (tx *Tx) checkUsable() error {
+// newChild mints the next child name, refusing when tx can no longer
+// start one.
+func (tx *Tx) newChild() (tree.TID, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.aborted {
-		return ErrAborted
+		return "", ErrAborted
 	}
 	if tx.done {
-		return ErrDone
+		return "", ErrDone
 	}
-	return nil
+	c := tx.id.Child(tx.nextChild)
+	tx.nextChild++
+	return c, nil
 }
 
 // Do performs op on the named object as an access subtransaction, taking a
 // read or write lock according to op.ReadOnly(), blocking until Moss'
 // locking rule admits it. On success the access has committed and its lock
-// is held by tx.
+// is held by tx. Naming an unregistered object fails with an error
+// wrapping [ErrUnknownObject] and leaves tx usable.
 func (tx *Tx) Do(obj string, op Op) (Value, error) {
-	if err := tx.checkUsable(); err != nil {
+	a, err := tx.newChild()
+	if err != nil {
 		return nil, err
 	}
-	a := tx.newChild()
-	if err := tx.mgr.defineAccess(a, obj, op); err != nil {
-		return nil, err
+	m := tx.mgr
+	if m.rec != nil {
+		if err := m.defineAccess(a, obj, op); err != nil {
+			return nil, fmt.Errorf("nestedtx: access %s on %s: %w", a, obj, err)
+		}
+		m.rec.RecordAll(
+			event.Event{Kind: event.RequestCreate, T: a},
+			event.Event{Kind: event.Create, T: a},
+		)
 	}
-	tx.mgr.rec.RecordAll(
-		event.Event{Kind: event.RequestCreate, T: a},
-		event.Event{Kind: event.Create, T: a},
-	)
 	start := time.Now()
-	v, err := tx.mgr.lm.Acquire(tx.id, a, obj, op, tx.cancel)
-	tx.mgr.met.ObserveOp(time.Since(start))
+	v, err := m.lm.Acquire(tx.id, a, obj, op, tx.cancel)
+	m.met.ObserveOp(time.Since(start))
 	if err != nil {
 		// The access never responded; the scheduler aborts it.
-		tx.mgr.rec.RecordAll(
+		m.rec.RecordAll(
 			event.Event{Kind: event.Abort, T: a},
 			event.Event{Kind: event.ReportAbort, T: a},
 		)
-		if errors.Is(err, ErrDeadlock) {
+		if errors.Is(err, ErrDeadlock) || errors.Is(err, ErrUnknownObject) {
 			return nil, fmt.Errorf("nestedtx: access %s on %s: %w", a, obj, err)
 		}
 		return nil, ErrAborted
 	}
 	tx.mu.Lock()
 	tx.committed++
-	if tx.mgr.wal != nil {
+	if m.wal != nil {
 		tx.effects = append(tx.effects, wal.Effect{Obj: obj, Op: op, Val: v})
 	}
 	tx.mu.Unlock()
@@ -148,10 +147,11 @@ func (tx *Tx) Write(obj string, op Op) (Value, error) {
 // rolling back its effects — tx may continue, retry, or propagate the
 // error.
 func (tx *Tx) Sub(fn func(*Tx) error) error {
-	if err := tx.checkUsable(); err != nil {
+	c, err := tx.newChild()
+	if err != nil {
 		return err
 	}
-	return tx.runChild(tx.newChild(), fn)
+	return tx.runChild(c, fn)
 }
 
 // SubRetry is Sub, retrying up to attempts times while fn fails with
@@ -231,13 +231,13 @@ func (h *Handle) ID() string { return string(h.id) }
 // outlive its parent.
 func (tx *Tx) Go(fn func(*Tx) error) *Handle {
 	h := &Handle{done: make(chan struct{})}
-	if err := tx.checkUsable(); err != nil {
+	c, err := tx.newChild()
+	if err != nil {
 		h.id = tx.id
 		h.err = err
 		close(h.done)
 		return h
 	}
-	c := tx.newChild()
 	h.id = c
 	tx.mu.Lock()
 	tx.handles = append(tx.handles, h)

@@ -56,14 +56,38 @@ func TestUseAfterDone(t *testing.T) {
 	}
 }
 
+// TestUnknownObject: an access naming an unregistered object fails with
+// ErrUnknownObject — not ErrAborted, which would tell a server to answer
+// "aborted" for what is the caller's mistake — and leaves the transaction
+// usable, recording or not.
 func TestUnknownObject(t *testing.T) {
-	m := NewManager()
-	err := m.Run(func(tx *Tx) error {
-		_, err := tx.Do("ghost", RegRead{})
-		return err
-	})
-	if err == nil {
-		t.Fatal("access to unregistered object must fail")
+	for name, opts := range map[string][]Option{"plain": nil, "recording": {WithRecording()}} {
+		t.Run(name, func(t *testing.T) {
+			m := NewManager(opts...)
+			m.MustRegister("real", Counter{})
+			err := m.Run(func(tx *Tx) error {
+				_, err := tx.Do("ghost", RegRead{})
+				if !errors.Is(err, ErrUnknownObject) {
+					t.Errorf("access to unregistered object: %v, want ErrUnknownObject", err)
+				}
+				if errors.Is(err, ErrAborted) || errors.Is(err, ErrDeadlock) {
+					t.Errorf("access to unregistered object reads as an abort: %v", err)
+				}
+				_, err = tx.Do("real", CtrAdd{Delta: 1})
+				return err
+			})
+			if err != nil {
+				t.Fatalf("transaction after a refused access: %v", err)
+			}
+			if st, _ := m.State("real"); st.(Counter).N != 1 {
+				t.Fatalf("real = %+v, want 1", st)
+			}
+			if opts != nil {
+				if err := m.Verify(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
