@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-short sim sim-mine fuzz fuzz-short metrics-smoke loc perf-check perf-check-smoke clean
+.PHONY: all build vet fmt-check test race bench bench-short sim sim-mine fuzz fuzz-short metrics-smoke loc perf-check perf-check-smoke clean
 
 all: build test
 
@@ -12,6 +12,11 @@ build:
 
 vet:
 	$(GO) vet ./...
+
+# Fails when any Go file outside the benchmark's build directory is not
+# gofmt-clean, listing the offenders.
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^\.bench_build/'); test -z "$$out" || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 # Tier-1: build + vet + full test suite. bench/ is a nested module, so
 # the root ./... patterns never compile it; vet and test it explicitly

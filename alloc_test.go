@@ -7,6 +7,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 // nestedWorkload registers 32 counters and returns a transaction body
@@ -67,6 +68,11 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, run(flat, body)); n > 12 {
 		t.Errorf("flat 2-access transaction: %.0f allocations, budget 12", n)
+	}
+	// Bytes follow the allocator's size classes: a Tx one word over 160 B
+	// is a 192-byte object, and embed_nested allocates 15 per transaction.
+	if n := unsafe.Sizeof(Tx{}); n > 160 {
+		t.Errorf("Tx is %d bytes, over the 160-byte size class", n)
 	}
 }
 

@@ -3,9 +3,6 @@ package nestedtx
 import (
 	"context"
 	"errors"
-	"time"
-
-	"nestedtx/internal/event"
 )
 
 // RunCtx is [Manager.Run] with context cancellation: if ctx is cancelled
@@ -17,38 +14,19 @@ func (m *Manager) RunCtx(ctx context.Context, fn func(*Tx) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	id := m.newTop()
-	m.rec.RecordAll(
-		event.Event{Kind: event.RequestCreate, T: id},
-		event.Event{Kind: event.Create, T: id},
-	)
-	start := time.Now()
-	m.met.Trace(event.Create.String(), string(id), "", 0)
-	tx := &Tx{mgr: m, id: id, cancel: make(chan struct{})}
-
-	// Bridge context cancellation to the transaction's abort cascade.
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		select {
-		case <-ctx.Done():
-			tx.markAborted()
-		case <-stop:
+	tx := m.Begin()
+	defer context.AfterFunc(ctx, tx.Cancel)()
+	err := tx.run(func(tx *Tx) error {
+		err := fn(tx)
+		if err == nil && ctx.Err() != nil {
+			err = ErrAborted // cancelled: do not let Commit race tx.Cancel
 		}
-	}()
-
-	err := tx.execute(fn)
-	if ctxErr := ctx.Err(); ctxErr != nil {
+		return err
+	})
+	if ctxErr := ctx.Err(); ctxErr != nil && err != nil {
 		err = joinErrs(ctxErr, err)
 	}
-	if err != nil {
-		m.lm.Abort(id)
-		d := time.Since(start)
-		m.met.ObserveTx(d, false)
-		m.met.Trace(event.Abort.String(), string(id), "", d)
-		return err
-	}
-	return m.commitTop(id, tx, start)
+	return err
 }
 
 // RunRetryCtx is [Manager.RunRetry] with context cancellation: each
@@ -60,15 +38,10 @@ func (m *Manager) RunCtx(ctx context.Context, fn func(*Tx) error) error {
 // clamped to 1: fn always executes at least once (unless ctx is already
 // cancelled on entry).
 func (m *Manager) RunRetryCtx(ctx context.Context, attempts int, fn func(*Tx) error) error {
-	attempts = clampAttempts(attempts)
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = m.RunCtx(ctx, fn)
-		if !errors.Is(err, ErrDeadlock) {
+	for i := 0; ; i++ {
+		err := m.RunCtx(ctx, fn)
+		if !errors.Is(err, ErrDeadlock) || i+1 >= attempts {
 			return err
-		}
-		if i+1 == attempts {
-			break
 		}
 		t := m.clk.NewTimer(backoffDur(i))
 		select {
@@ -78,7 +51,6 @@ func (m *Manager) RunRetryCtx(ctx context.Context, attempts int, fn func(*Tx) er
 		case <-t.C():
 		}
 	}
-	return err
 }
 
 // joinErrs merges a context error with the body's error, dropping the

@@ -28,6 +28,24 @@
 //		return h.Wait()
 //	})
 //
+// # The explicit form
+//
+// Run, Sub and Go wrap a body function in the paper's operations —
+// create, then commit or abort. A caller whose transaction is not one
+// function body (a server session executing requests as they arrive)
+// issues them itself; internal/server is built on exactly this:
+//
+//	tx := m.Begin()
+//	sub, _ := tx.Begin()
+//	if _, err := sub.Do("acct", nestedtx.AcctWithdraw{Amount: 70}); err != nil {
+//		sub.Abort() // only the subtransaction rolls back
+//	} else if err := sub.Commit(); err != nil { ... }
+//	err := tx.Commit() // refused while a subtransaction is still open
+//
+// [Tx.Cancel] dooms a transaction from another goroutine (a deadline, a
+// closing connection): its blocked accesses return [ErrAborted] and its
+// owner's Commit turns into an abort.
+//
 // # Correctness
 //
 // The runtime can record its schedule in the formal vocabulary of the

@@ -181,7 +181,7 @@ func BenchmarkE17SnapshotScans(b *testing.B) {
 		}{{"locked", false}, {"snapshot", true}} {
 			cfg := e17Config{
 				objects: 64, scanners: 4, writers: 4,
-				window: 300 * time.Millisecond,
+				window:  300 * time.Millisecond,
 				thinkNs: scan.thinkNs, snapshot: mode.snap,
 			}
 			b.Run(scan.name+"/"+mode.name, func(b *testing.B) {

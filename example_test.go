@@ -26,6 +26,27 @@ func ExampleManager_Run() {
 	// Output: acct(150)
 }
 
+// The explicit form: the paper's operations one call at a time, for
+// callers whose transaction is not one function body — a server session,
+// a state machine, a REPL.
+func ExampleManager_Begin() {
+	m := nestedtx.NewManager()
+	m.MustRegister("ctr", nestedtx.Counter{})
+
+	tx := m.Begin()
+	_, _ = tx.Do("ctr", nestedtx.CtrAdd{Delta: 1})
+	sub, _ := tx.Begin()
+	_, _ = sub.Do("ctr", nestedtx.CtrAdd{Delta: 100})
+	sub.Abort() // rolls back the +100; tx carries on
+	if err := tx.Commit(); err != nil {
+		fmt.Println("aborted:", err)
+		return
+	}
+	s, _ := m.State("ctr")
+	fmt.Println(s)
+	// Output: ctr(1)
+}
+
 // A subtransaction's abort rolls back only its own effects; the parent
 // continues.
 func ExampleTx_Sub() {

@@ -25,9 +25,9 @@ func TestMapOpErr(t *testing.T) {
 		{nestedtx.ErrAborted, wire.CodeAborted},
 		{fmt.Errorf("access T0.1.0 on x: %w", nestedtx.ErrDeadlock), wire.CodeDeadlock},
 	} {
-		resp := ss.mapOpErr(c.err)
+		resp := ss.mapErr(c.err)
 		if resp == nil || resp.OK || resp.Code != c.code {
-			t.Errorf("mapOpErr(%v) = %+v, want code %q", c.err, resp, c.code)
+			t.Errorf("mapErr(%v) = %+v, want code %q", c.err, resp, c.code)
 		}
 	}
 }

@@ -3,17 +3,17 @@
 // universe. It speaks the internal/wire protocol; package client is the
 // matching Go client.
 //
-// Each connection is a session. A session owns the transaction handles
-// it opens: BEGIN starts a server-side top-level transaction whose body
-// is a command loop driven by the session's subsequent requests, SUB
-// nests a child loop inside it (mirroring Tx.Sub's stack discipline),
-// and READ/WRITE/COMMIT/ABORT are executed by the loop owning the
-// handle. Concurrent sessions therefore map onto concurrent top-level
-// transactions of the shared Manager, and every locking, inheritance
-// and deadlock-detection rule of the runtime applies across the network
-// exactly as in-process. With the Manager in recording mode, a server
-// run's schedule remains machine-checkable by Manager.Verify after
-// [Server.Shutdown] has drained the sessions.
+// Each connection is a session: one goroutine that decodes a request
+// and executes it where it stands. A session owns the transaction
+// handles it opens, and each handle holds a live *nestedtx.Tx: BEGIN is
+// Manager.Begin, SUB is Tx.Begin on the parent's handle, READ/WRITE are
+// Tx.Do, COMMIT/ABORT are Tx.Commit/Tx.Abort. Concurrent sessions
+// therefore map onto concurrent top-level transactions of the shared
+// Manager, and every locking, inheritance and deadlock-detection rule of
+// the runtime applies across the network exactly as in-process. With the
+// Manager in recording mode, a server run's schedule remains
+// machine-checkable by Manager.Verify after [Server.Shutdown] has drained
+// the sessions.
 package server
 
 import (
@@ -27,7 +27,6 @@ import (
 	"time"
 
 	"nestedtx"
-	"nestedtx/internal/adt"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/repl"
 	"nestedtx/internal/snap"
@@ -423,10 +422,15 @@ type session struct {
 	conn   net.Conn
 	ctx    context.Context
 	cancel context.CancelFunc
-	wg     sync.WaitGroup // top-level transaction runner goroutines
 
 	lastActive atomic.Int64 // unix nanos of last request activity
 	inFlight   atomic.Bool  // a request is being handled right now
+
+	// The request deadline: one timer, armed around each access, that
+	// cancels the tree whose access is parked (see arm and expired).
+	watchdog *time.Timer
+	parked   atomic.Pointer[nestedtx.Tx]
+	fired    chan struct{}
 
 	txs map[uint64]*txHandle
 	// ros are the open read-only transactions. One never touches the
@@ -440,7 +444,7 @@ type session struct {
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
 	ctx, cancel := context.WithCancel(context.Background())
-	ss := &session{srv: s, conn: conn, ctx: ctx, cancel: cancel,
+	ss := &session{srv: s, conn: conn, ctx: ctx, cancel: cancel, fired: make(chan struct{}, 1),
 		txs: make(map[uint64]*txHandle), ros: make(map[uint64]*snap.Tx)}
 	ss.lastActive.Store(time.Now().UnixNano())
 	s.mu.Lock()
@@ -454,12 +458,17 @@ func (s *Server) serveConn(conn net.Conn) {
 	s.mu.Unlock()
 	s.count(func(c *Counters) { c.ActiveSessions++; c.TotalSessions++ })
 	defer func() {
-		// Abort whatever the client left open, wait for the transaction
-		// goroutines to finish (so Shutdown → Verify sees quiescence),
-		// then deregister.
+		// Abort whatever the client left open — each tree innermost
+		// first, the schedule a client unwinding by hand would have
+		// produced — so Shutdown → Verify sees quiescence, then
+		// deregister.
 		cancel()
 		conn.Close()
-		ss.wg.Wait()
+		for _, h := range ss.txs {
+			if h.parent == nil && !h.dead {
+				ss.abortTree(h)
+			}
+		}
 		// Release any snapshot pins the client left open so the version
 		// store can trim the history they were holding.
 		for _, ro := range ss.ros {
@@ -509,67 +518,33 @@ func (ss *session) close() {
 
 // ---- transaction handles ----
 
-// errAbortRequested is the sentinel a command loop returns when the
-// client asked for ABORT: it makes the runtime roll the transaction
-// back, and the handler maps it back to a successful ABORT response.
-var errAbortRequested = errors.New("server: abort requested by client")
-
-type cmdKind int
-
-const (
-	cmdOp cmdKind = iota
-	cmdSub
-	cmdFinish
-)
-
-type opResult struct {
-	v   nestedtx.Value
-	err error
-}
-
-type txCmd struct {
-	kind  cmdKind
-	obj   string
-	op    adt.Op
-	child *txHandle     // cmdSub
-	abort bool          // cmdFinish
-	reply chan opResult // cmdOp; buffered so the loop never blocks on it
-}
-
 // txHandle is one open transaction (top-level or sub) owned by a session.
 type txHandle struct {
 	id     uint64
 	parent *txHandle // nil for top-level handles
+	tx     *nestedtx.Tx
+	child  *txHandle // non-nil while a SUB is open under this handle
 
-	// treeCtx covers the whole top-level tree; cancelling it (per-request
-	// timeout, session teardown) aborts every transaction in the tree.
-	treeCtx    context.Context
-	treeCancel context.CancelFunc
-
-	cmds    chan txCmd
-	started chan string   // tx.ID(), sent once the body is entered
-	res     chan error    // the Run/Sub outcome, sent exactly once
-	done    chan struct{} // closed after res is sent
-
-	busyChild *txHandle // non-nil while a SUB is open under this handle
+	// Top-level handles only. detach drops the tree's hook on the session
+	// context; dead marks a tree the session aborted as a whole (request
+	// timeout), whose handles are now stale.
+	detach func() bool
+	dead   bool
 }
 
-func (ss *session) newHandle(parent *txHandle) *txHandle {
+func (ss *session) newHandle(parent *txHandle, tx *nestedtx.Tx) *wire.Response {
 	ss.nextTx++
-	h := &txHandle{
-		id:      ss.nextTx,
-		parent:  parent,
-		cmds:    make(chan txCmd),
-		started: make(chan string, 1),
-		res:     make(chan error, 1),
-		done:    make(chan struct{}),
-	}
+	h := &txHandle{id: ss.nextTx, parent: parent, tx: tx}
 	if parent == nil {
-		h.treeCtx, h.treeCancel = context.WithCancel(ss.ctx)
+		// Session teardown (reaper, Shutdown, connection loss) unblocks an
+		// access parked anywhere in the tree; the session goroutine then
+		// aborts the tree on its way out.
+		h.detach = context.AfterFunc(ss.ctx, tx.Cancel)
 	} else {
-		h.treeCtx, h.treeCancel = parent.treeCtx, parent.treeCancel
+		parent.child = h
 	}
-	return h
+	ss.txs[h.id] = h
+	return &wire.Response{OK: true, Tx: h.id, TxID: tx.ID()}
 }
 
 // root returns the top-level handle of h's tree.
@@ -580,86 +555,99 @@ func (h *txHandle) root() *txHandle {
 	return h
 }
 
-// body is the command loop run as the transaction's body: it executes
-// the session's requests against the live *nestedtx.Tx until the client
-// finishes the handle or the tree's context is cancelled.
-func (ss *session) body(h *txHandle) func(*nestedtx.Tx) error {
-	return func(tx *nestedtx.Tx) error {
-		h.started <- tx.ID()
-		for {
-			select {
-			case cmd := <-h.cmds:
-				switch cmd.kind {
-				case cmdOp:
-					v, err := tx.Do(cmd.obj, cmd.op)
-					cmd.reply <- opResult{v, err}
-				case cmdSub:
-					// Runs the child's loop on this stack, exactly like a
-					// local Tx.Sub body; we resume when the child finishes.
-					err := tx.Sub(ss.body(cmd.child))
-					cmd.child.res <- err
-					close(cmd.child.done)
-				case cmdFinish:
-					if cmd.abort {
-						return errAbortRequested
-					}
-					return nil
-				}
-			case <-h.treeCtx.Done():
-				return h.treeCtx.Err()
-			}
-		}
+// returned settles the books for a handle whose transaction has
+// returned: a subtransaction frees its parent, a top-level outcome is
+// counted (before the reply is written).
+func (ss *session) returned(h *txHandle, committed bool) {
+	if h.parent != nil {
+		h.parent.child = nil
+		return
 	}
+	h.detach()
+	ss.srv.count(func(c *Counters) {
+		if committed {
+			c.Commits++
+		} else {
+			c.Aborts++
+		}
+	})
+}
+
+// abortTree aborts root's whole tree, innermost open subtransaction
+// first, and leaves its handles stale. Each is cleared lazily, on its own
+// next touch (see lookup): clearing eagerly would turn that touch into an
+// unknown_tx and confuse a client unwinding the tree level by level. One
+// that never touches them leaks map entries until the session closes,
+// which is bounded and harmless.
+func (ss *session) abortTree(root *txHandle) {
+	root.tx.Abort()
+	root.dead = true
+	ss.returned(root, false)
+}
+
+// arm starts the request deadline of an access about to run in tree:
+// the watchdog, one timer per session, cancels tree if it fires.
+func (ss *session) arm(tree *nestedtx.Tx) {
+	ss.parked.Store(tree)
+	if ss.watchdog != nil {
+		ss.watchdog.Reset(ss.srv.cfg.RequestTimeout)
+		return
+	}
+	ss.watchdog = time.AfterFunc(ss.srv.cfg.RequestTimeout, func() {
+		ss.parked.Load().Cancel()
+		ss.fired <- struct{}{}
+	})
+}
+
+// expired stops the watchdog and reports whether it had fired. If so the
+// cancel is already in: it cannot hit a later request's tree.
+func (ss *session) expired() bool {
+	if ss.watchdog.Stop() {
+		return false
+	}
+	<-ss.fired
+	return true
 }
 
 // ---- request handling ----
 
+// verbs is the request table: what each verb runs, and whether it is a
+// transaction verb that needs a live manager's lock tables.
+var verbs = map[string]struct {
+	locking bool
+	run     func(*session, *wire.Request) *wire.Response
+}{
+	wire.TPing:       {false, func(*session, *wire.Request) *wire.Response { return &wire.Response{OK: true} }},
+	wire.TStats:      {false, (*session).handleStats},
+	wire.TMetrics:    {false, (*session).handleMetrics},
+	wire.TState:      {false, (*session).handleState},
+	wire.TReplStatus: {false, (*session).handleReplStatus},
+	wire.TPromote:    {false, (*session).handlePromote},
+	wire.TBegin:      {true, (*session).handleBegin},
+	wire.TSub:        {true, (*session).handleSub},
+	wire.TRead:       {true, (*session).handleOp},
+	wire.TWrite:      {true, (*session).handleOp},
+	wire.TCommit:     {true, (*session).handleFinish},
+	wire.TAbort:      {true, (*session).handleFinish},
+}
+
 func (ss *session) handle(req *wire.Request) *wire.Response {
-	// Read-only snapshot transactions bypass the locking gate below:
-	// they never touch the lock manager, so a follower can serve them
-	// (from its replicated version store) just as well as the leader.
-	switch req.Type {
-	case wire.TBegin:
-		if req.ReadOnly {
-			return ss.handleBeginRO()
-		}
-	case wire.TSub, wire.TRead, wire.TWrite, wire.TCommit, wire.TAbort:
-		if _, ok := ss.ros[req.Tx]; ok {
+	v, ok := verbs[req.Type]
+	if !ok {
+		return fail(wire.CodeBadRequest, fmt.Sprintf("unknown request type %q", req.Type))
+	}
+	if v.locking {
+		// Read-only snapshot transactions bypass the locking gate: they
+		// never touch the lock manager, so a follower can serve them
+		// (from its replicated version store) just as well as the leader.
+		if _, ro := ss.ros[req.Tx]; ro || req.Type == wire.TBegin && req.ReadOnly {
 			return ss.handleRO(req)
 		}
-	}
-	switch req.Type {
-	case wire.TBegin, wire.TSub, wire.TRead, wire.TWrite, wire.TCommit, wire.TAbort:
 		if resp := ss.srv.refuseLocking(); resp != nil {
 			return resp
 		}
 	}
-	switch req.Type {
-	case wire.TPing:
-		return &wire.Response{OK: true}
-	case wire.TStats:
-		return ss.handleStats()
-	case wire.TMetrics:
-		return ss.handleMetrics(req.Dump)
-	case wire.TState:
-		return ss.handleState(req)
-	case wire.TReplStatus:
-		return ss.handleReplStatus()
-	case wire.TPromote:
-		return ss.handlePromote()
-	case wire.TBegin:
-		return ss.handleBegin()
-	case wire.TSub:
-		return ss.handleSub(req)
-	case wire.TRead, wire.TWrite:
-		return ss.handleOp(req)
-	case wire.TCommit:
-		return ss.handleFinish(req, false)
-	case wire.TAbort:
-		return ss.handleFinish(req, true)
-	default:
-		return fail(wire.CodeBadRequest, fmt.Sprintf("unknown request type %q", req.Type))
-	}
+	return v.run(ss, req)
 }
 
 func fail(code, msg string) *wire.Response {
@@ -677,13 +665,12 @@ func (ss *session) serveRepl(req *wire.Request, br *bufio.Reader, bw *bufio.Writ
 		}
 		wire.WriteFrameMax(bw, &wire.Response{Seq: req.Seq, OK: false,
 			Code: wire.CodeBadRequest, Err: msg}, wire.MaxResponseSize)
-		bw.Flush()
 		return
 	}
 	sh.Serve(ss.ctx.Done(), ss.conn.RemoteAddr().String(), req, br, bw)
 }
 
-func (ss *session) handleReplStatus() *wire.Response {
+func (ss *session) handleReplStatus(*wire.Request) *wire.Response {
 	if f := ss.srv.Follower(); f != nil {
 		return &wire.Response{OK: true, ReplStatus: f.Status()}
 	}
@@ -693,14 +680,14 @@ func (ss *session) handleReplStatus() *wire.Response {
 	return fail(wire.CodeNotConfigured, "server: replication not configured (volatile manager)")
 }
 
-func (ss *session) handlePromote() *wire.Response {
+func (ss *session) handlePromote(*wire.Request) *wire.Response {
 	if _, err := ss.srv.Promote(); err != nil {
 		return fail(wire.CodeBadRequest, err.Error())
 	}
 	return &wire.Response{OK: true}
 }
 
-func (ss *session) handleStats() *wire.Response {
+func (ss *session) handleStats(*wire.Request) *wire.Response {
 	c := ss.srv.Counters()
 	var lk nestedtx.Stats
 	if m := ss.srv.Manager(); m != nil {
@@ -746,7 +733,7 @@ func histQ(s obs.HistSnapshot) wire.HistQ {
 	}
 }
 
-func (ss *session) handleMetrics(dump bool) *wire.Response {
+func (ss *session) handleMetrics(req *wire.Request) *wire.Response {
 	_, met := ss.srv.readSide()
 	if met == nil {
 		return errNoReadSide()
@@ -787,7 +774,7 @@ func (ss *session) handleMetrics(dump bool) *wire.Response {
 		SnapPublishes:   s.SnapPublishes,
 		SnapPinned:      s.SnapPinned,
 	}
-	if dump && met.Tracer != nil {
+	if req.Dump && met.Tracer != nil {
 		entries := met.Tracer.Dump()
 		if len(entries) > maxTraceEntries {
 			entries = entries[len(entries)-maxTraceEntries:]
@@ -837,36 +824,14 @@ func (ss *session) handleState(req *wire.Request) *wire.Response {
 	return &wire.Response{OK: true, State: raw}
 }
 
-func (ss *session) handleBegin() *wire.Response {
+func (ss *session) handleBegin(*wire.Request) *wire.Response {
 	if ss.srv.isClosed() {
 		return fail(wire.CodeShutdown, "server: draining")
 	}
-	h := ss.newHandle(nil)
-	ss.wg.Add(1)
-	go func() {
-		defer ss.wg.Done()
-		// attempts=1: the body is request-driven and cannot be replayed
-		// server-side, so deadlock retry belongs to the remote client;
-		// RunRetryCtx still gives per-request deadlines and session
-		// teardown a cancellation point (including between any future
-		// backoff attempts).
-		ss.srv.count(func(c *Counters) { c.TxBegun++ })
-		err := ss.srv.Manager().RunRetryCtx(h.treeCtx, 1, ss.body(h))
-		if err == nil {
-			ss.srv.count(func(c *Counters) { c.Commits++ })
-		} else {
-			ss.srv.count(func(c *Counters) { c.Aborts++ })
-		}
-		h.res <- err
-		close(h.done)
-	}()
-	select {
-	case txid := <-h.started:
-		ss.txs[h.id] = h
-		return &wire.Response{OK: true, Tx: h.id, TxID: txid}
-	case <-h.done:
-		return mapTxErr(<-h.res)
-	}
+	// Deadlock retry belongs to the remote client: the transaction is
+	// request-driven and cannot be replayed server-side.
+	ss.srv.count(func(c *Counters) { c.TxBegun++ })
+	return ss.newHandle(nil, ss.srv.Manager().Begin())
 }
 
 // handleBeginRO opens a read-only snapshot transaction on whichever
@@ -888,14 +853,17 @@ func (ss *session) handleBeginRO() *wire.Response {
 	return &wire.Response{OK: true, Tx: id, TxID: ro.ID(), Snap: ro.Seq()}
 }
 
-// handleRO serves the transaction verbs on an open snapshot handle.
-// Reads go straight to the pinned version chain; WRITE is refused with
-// read_only; SUB is meaningless (there is nothing to nest — a snapshot
-// cannot abort partially); COMMIT and ABORT are the same operation:
-// release the pin.
+// handleRO serves the transaction verbs of read-only snapshot
+// transactions: a read-only BEGIN, and everything on an open snapshot
+// handle. Reads go straight to the pinned version chain; WRITE is
+// refused with read_only; SUB is meaningless (there is nothing to nest —
+// a snapshot cannot abort partially); COMMIT and ABORT are the same
+// operation: release the pin.
 func (ss *session) handleRO(req *wire.Request) *wire.Response {
 	ro := ss.ros[req.Tx]
 	switch req.Type {
+	case wire.TBegin:
+		return ss.handleBeginRO()
 	case wire.TRead:
 		op, err := wire.DecodeOp(req.Op)
 		if err != nil {
@@ -924,28 +892,20 @@ func (ss *session) handleRO(req *wire.Request) *wire.Response {
 }
 
 func (ss *session) handleSub(req *wire.Request) *wire.Response {
-	parent, resp := ss.lookup(req.Tx)
+	parent, resp := ss.lookup(req)
 	if resp != nil {
 		return resp
 	}
-	child := ss.newHandle(parent)
-	cmd := txCmd{kind: cmdSub, child: child}
-	if resp := ss.deliver(parent, cmd); resp != nil {
-		return resp
+	tx, err := parent.tx.Begin()
+	if err != nil {
+		// Begin refused to start (parent aborted under us).
+		return ss.mapErr(err)
 	}
-	select {
-	case txid := <-child.started:
-		parent.busyChild = child
-		ss.txs[child.id] = child
-		return &wire.Response{OK: true, Tx: child.id, TxID: txid}
-	case <-child.done:
-		// Sub refused to start (parent aborted under us).
-		return mapTxErr(<-child.res)
-	}
+	return ss.newHandle(parent, tx)
 }
 
 func (ss *session) handleOp(req *wire.Request) *wire.Response {
-	h, resp := ss.lookup(req.Tx)
+	h, resp := ss.lookup(req)
 	if resp != nil {
 		return resp
 	}
@@ -959,151 +919,73 @@ func (ss *session) handleOp(req *wire.Request) *wire.Response {
 	if req.Type == wire.TWrite && op.ReadOnly() {
 		return fail(wire.CodeBadRequest, fmt.Sprintf("WRITE with read-only op %v", op))
 	}
-	cmd := txCmd{kind: cmdOp, obj: req.Obj, op: op, reply: make(chan opResult, 1)}
-	if resp := ss.deliver(h, cmd); resp != nil {
-		return resp
-	}
-	timer := time.NewTimer(ss.srv.cfg.RequestTimeout)
-	defer timer.Stop()
-	select {
-	case r := <-cmd.reply:
-		if r.err != nil {
-			return ss.mapOpErr(r.err)
-		}
-		raw, err := wire.EncodeValue(r.v)
-		if err != nil {
-			return fail(wire.CodeInternal, err.Error())
-		}
-		return &wire.Response{OK: true, Value: raw}
-	case <-timer.C:
-		// The access is stuck (blocked on a lock past the request
-		// deadline): abort the whole transaction tree, which unblocks it.
-		h.treeCancel()
-		<-cmd.reply
-		// Wait for the tree to finish unwinding before answering, so the
-		// session's next request deterministically sees a dead root: the
-		// stale handles (this one, ancestors parked in SUB, the root) are
-		// cleared by lookup and follow-ups report "aborted" rather than a
-		// bogus "has open subtransaction". Cancellation makes the unwind
-		// prompt — every loop in the tree selects treeCtx.Done.
-		<-h.root().done
+	root := h.root()
+	ss.arm(root.tx)
+	v, err := h.tx.Do(req.Obj, op)
+	if ss.expired() {
+		// The access was stuck (blocked on a lock past the request
+		// deadline). Abort its whole tree before answering, so the
+		// session's next request already sees a dead root.
+		ss.abortTree(root)
 		return fail(wire.CodeTimeout,
 			fmt.Sprintf("request exceeded %v; transaction aborted", ss.srv.cfg.RequestTimeout))
 	}
+	if err != nil {
+		return ss.mapErr(err)
+	}
+	raw, err := wire.EncodeValue(v)
+	if err != nil {
+		return fail(wire.CodeInternal, err.Error())
+	}
+	return &wire.Response{OK: true, Value: raw}
 }
 
-func (ss *session) handleFinish(req *wire.Request, abort bool) *wire.Response {
-	h, ok := ss.txs[req.Tx]
-	if !ok {
-		return fail(wire.CodeUnknownTx, fmt.Sprintf("no open transaction handle %d", req.Tx))
-	}
-	if treeDead(h) {
-		// The whole tree already aborted (per-request timeout,
-		// cancellation): this handle is stale. Drop it and answer what
-		// the client needs to unwind — ABORT of a dead handle is the
-		// idempotent no-op, COMMIT reports the abort. Each stale handle
-		// is cleared on its own touch (not the whole tree at once), so a
-		// client unwinding sub-by-sub gets a coherent answer at every
-		// level instead of unknown_tx.
-		delete(ss.txs, h.id)
-		if abort {
-			return &wire.Response{OK: true}
-		}
-		return fail(wire.CodeAborted, "transaction already aborted")
-	}
-	if h.busyChild != nil {
-		return fail(wire.CodeBadRequest,
-			fmt.Sprintf("transaction %d has open subtransaction %d", h.id, h.busyChild.id))
-	}
-	cmd := txCmd{kind: cmdFinish, abort: abort}
-	select {
-	case h.cmds <- cmd:
-	case <-h.root().done: // tree already dead; res below is still delivered
+func (ss *session) handleFinish(req *wire.Request) *wire.Response {
+	h, resp := ss.lookup(req)
+	if resp != nil {
+		return resp
 	}
 	var err error
-	select {
-	case err = <-h.res:
-	case <-ss.ctx.Done():
-		return fail(wire.CodeShutdown, "server: draining")
+	if req.Type == wire.TAbort {
+		h.tx.Abort()
+	} else {
+		err = h.tx.Commit()
 	}
 	// The handle is finished either way: forget it.
 	delete(ss.txs, h.id)
-	if h.parent != nil {
-		h.parent.busyChild = nil
-	}
-	if abort {
-		if err == nil || errors.Is(err, errAbortRequested) ||
-			errors.Is(err, nestedtx.ErrAborted) || errors.Is(err, context.Canceled) {
-			return &wire.Response{OK: true}
-		}
-		return mapTxErr(err)
-	}
-	return mapTxErr(err)
+	ss.returned(h, req.Type == wire.TCommit && err == nil)
+	return ss.mapErr(err)
 }
 
-// lookup resolves a handle id, rejecting unknown handles and handles
-// whose command loop is parked under an open subtransaction. A handle
-// whose tree has already died (per-request timeout abort, cancellation)
-// is reported as aborted — not as "has open subtransaction" — and the
-// touched handle is dropped, so a client that lost a subtransaction to
-// a timeout gets coherent answers on the parent.
-func (ss *session) lookup(id uint64) (*txHandle, *wire.Response) {
-	h, ok := ss.txs[id]
-	if !ok {
-		return nil, fail(wire.CodeUnknownTx, fmt.Sprintf("no open transaction handle %d", id))
-	}
-	if treeDead(h) {
+// lookup resolves the handle a request names, rejecting unknown handles
+// and handles with an open subtransaction. A stale handle of a dead tree
+// (see abortTree) is dropped and answered with what the client needs to
+// unwind: ABORT is the idempotent no-op, anything else reports the abort
+// — never "has open subtransaction".
+func (ss *session) lookup(req *wire.Request) (*txHandle, *wire.Response) {
+	h, ok := ss.txs[req.Tx]
+	switch {
+	case !ok:
+		return nil, fail(wire.CodeUnknownTx, fmt.Sprintf("no open transaction handle %d", req.Tx))
+	case h.root().dead:
 		delete(ss.txs, h.id)
-		return nil, fail(wire.CodeAborted, "transaction already finished")
-	}
-	if h.busyChild != nil {
+		if req.Type == wire.TAbort {
+			return nil, &wire.Response{OK: true}
+		}
+		return nil, fail(wire.CodeAborted, "transaction already aborted")
+	case h.child != nil:
 		return nil, fail(wire.CodeBadRequest,
-			fmt.Sprintf("transaction %d has open subtransaction %d", id, h.busyChild.id))
+			fmt.Sprintf("transaction %d has open subtransaction %d", h.id, h.child.id))
 	}
 	return h, nil
 }
 
-// treeDead reports whether h's whole tree has finished (its root's
-// outcome is delivered) — true for handles left stale by a timeout
-// abort of the tree.
-func treeDead(h *txHandle) bool {
-	select {
-	case <-h.root().done:
-		return true
-	default:
-		return false
-	}
-}
-
-// Stale handles of a dead tree are cleared lazily — each on its own
-// next touch (lookup, finish or deliver). A client that abandons a dead
-// tree's handles without touching them leaks the map entries until the
-// session closes, which is bounded and harmless; clearing eagerly would
-// instead make the *next* touch an unknown_tx, confusing clients that
-// unwind a timed-out tree level by level (Sub aborts the child, Run
-// then commits/aborts the parent). Only the session goroutine touches
-// ss.txs, so no locking is needed.
-
-// deliver hands cmd to h's command loop, failing fast if the loop is
-// gone or cannot take it within the request deadline.
-func (ss *session) deliver(h *txHandle, cmd txCmd) *wire.Response {
-	timer := time.NewTimer(ss.srv.cfg.RequestTimeout)
-	defer timer.Stop()
-	select {
-	case h.cmds <- cmd:
-		return nil
-	case <-h.root().done:
-		delete(ss.txs, h.id)
-		return fail(wire.CodeAborted, "transaction already finished")
-	case <-timer.C:
-		return fail(wire.CodeTimeout, "transaction busy")
-	}
-}
-
-// mapOpErr converts an access error into its wire form, counting
-// deadlock victims.
-func (ss *session) mapOpErr(err error) *wire.Response {
+// mapErr converts the outcome of an access or of a transaction verb into
+// its wire form, counting deadlock victims.
+func (ss *session) mapErr(err error) *wire.Response {
 	switch {
+	case err == nil:
+		return &wire.Response{OK: true}
 	case errors.Is(err, nestedtx.ErrDeadlock):
 		ss.srv.count(func(c *Counters) { c.DeadlockVictims++ })
 		return fail(wire.CodeDeadlock, err.Error())
@@ -1113,21 +995,6 @@ func (ss *session) mapOpErr(err error) *wire.Response {
 		// The client named an object nobody registered; nothing on the
 		// server failed.
 		return fail(wire.CodeBadRequest, err.Error())
-	default:
-		return fail(wire.CodeInternal, err.Error())
-	}
-}
-
-// mapTxErr converts a transaction outcome error into its wire form.
-func mapTxErr(err error) *wire.Response {
-	switch {
-	case err == nil:
-		return &wire.Response{OK: true}
-	case errors.Is(err, nestedtx.ErrDeadlock):
-		return fail(wire.CodeDeadlock, err.Error())
-	case errors.Is(err, nestedtx.ErrAborted), errors.Is(err, context.Canceled),
-		errors.Is(err, context.DeadlineExceeded), errors.Is(err, errAbortRequested):
-		return fail(wire.CodeAborted, err.Error())
 	default:
 		return fail(wire.CodeInternal, err.Error())
 	}

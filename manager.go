@@ -6,7 +6,6 @@ import (
 	"io"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"nestedtx/internal/checker"
 	"nestedtx/internal/clock"
@@ -221,70 +220,37 @@ func (m *Manager) LockShards() int { return m.lm.ShardCount() }
 // transaction progress.
 func (m *Manager) Metrics() *obs.Metrics { return m.met }
 
-// Run executes fn as a top-level transaction (a child of the mythical root
-// T0). If fn returns nil the transaction commits — its effects become
-// visible to subsequent transactions; otherwise it aborts and every effect
-// of it and its descendants is rolled back. A panic in fn aborts the
-// transaction and re-panics.
-func (m *Manager) Run(fn func(*Tx) error) error {
-	return m.runTx(m.newTop(), fn)
+// Begin creates a top-level transaction (a child of the mythical root
+// T0) and returns it open: the paper's interface, one operation at a
+// time. The caller owes it exactly one [Tx.Commit] or [Tx.Abort].
+func (m *Manager) Begin() *Tx {
+	return m.begin(nil, tree.Root.Child(int(m.nextTop.Add(1)-1)))
 }
 
-// newTop mints the next top-level transaction name.
-func (m *Manager) newTop() tree.TID {
-	return tree.Root.Child(int(m.nextTop.Add(1) - 1))
-}
+// Run executes fn as a top-level transaction: Begin, the body, and
+// Commit if fn returns nil — its effects become visible to subsequent
+// transactions — or Abort otherwise, rolling back every effect of it and
+// its descendants. A panic in fn aborts the transaction and re-panics.
+func (m *Manager) Run(fn func(*Tx) error) error { return m.Begin().run(fn) }
 
 // RunRetry is Run, retrying up to attempts times when the transaction
 // fails with ErrDeadlock, with jittered exponential backoff between
 // attempts to break victim livelock. attempts values below 1 are clamped
 // to 1: fn always executes at least once.
 func (m *Manager) RunRetry(attempts int, fn func(*Tx) error) error {
-	attempts = clampAttempts(attempts)
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = m.Run(fn)
-		if !errors.Is(err, ErrDeadlock) {
-			return err
-		}
-		if i+1 == attempts {
-			break
-		}
-		m.clk.Sleep(backoffDur(i))
-	}
-	return err
+	return m.retry(attempts, func() error { return m.Run(fn) })
 }
 
-// runTx creates, executes and returns (commits or aborts) transaction id.
-func (m *Manager) runTx(id tree.TID, fn func(*Tx) error) error {
-	m.rec.RecordAll(
-		event.Event{Kind: event.RequestCreate, T: id},
-		event.Event{Kind: event.Create, T: id},
-	)
-	start := time.Now()
-	m.met.Trace(event.Create.String(), string(id), "", 0)
-	tx := &Tx{mgr: m, id: id, cancel: make(chan struct{})}
-	err := tx.execute(fn)
-	if err != nil {
-		m.lm.Abort(id)
-		d := time.Since(start)
-		m.met.ObserveTx(d, false)
-		m.met.Trace(event.Abort.String(), string(id), "", d)
-		return err
-	}
-	return m.commitTop(id, tx, start)
-}
-
-// commitTop runs the top-level commit sequence shared by runTx and
-// RunCtx. On a durable manager the redo record is appended and fsynced
-// *before* the lock manager releases the transaction's locks: strict
-// locking then guarantees that any conflicting successor is granted (and
-// so logged) after us, making WAL order agree with the per-object
-// conflict order — the property recovery's Theorem-34 check relies on.
-// A failed append aborts the transaction instead of committing it: no
-// acknowledged commit is ever absent from the log.
-func (m *Manager) commitTop(id tree.TID, tx *Tx, start time.Time) error {
-	v := tx.result()
+// commitTop runs the top-level commit sequence. On a durable manager the
+// redo record is appended and fsynced *before* the lock manager releases
+// the transaction's locks: strict locking then guarantees that any
+// conflicting successor is granted (and so logged) after us, making WAL
+// order agree with the per-object conflict order — the property
+// recovery's Theorem-34 check relies on. A failed append is returned for
+// the caller to abort the transaction instead: no acknowledged commit is
+// ever absent from the log.
+func (m *Manager) commitTop(tx *Tx) error {
+	id, v := tx.id, tx.result()
 	apply := func() error {
 		m.rec.Record(event.Event{Kind: event.RequestCommit, T: id, Value: v})
 		m.met.Trace(event.RequestCommit.String(), string(id), "", 0)
@@ -299,29 +265,13 @@ func (m *Manager) commitTop(id tree.TID, tx *Tx, start time.Time) error {
 		m.lm.Commit(id, v)
 		return nil
 	}
-	// Both branches route through the same error check: a failing apply
-	// (or a failed durable append) aborts the transaction — the callback
-	// can never fail silently.
-	var err error
-	if m.wal != nil {
-		rec := wal.Record{Commit: &wal.CommitRecord{TID: string(id), Value: v, Effects: tx.takeEffects()}}
-		err = m.wal.AppendApply(rec, apply)
-	} else {
-		err = apply()
+	if m.wal == nil {
+		return apply()
 	}
-	if err != nil {
-		m.lm.Abort(id)
-		d := time.Since(start)
-		m.met.ObserveTx(d, false)
-		m.met.Trace(event.Abort.String(), string(id), "", d)
-		if m.wal != nil {
-			return fmt.Errorf("nestedtx: durable commit of %s: %w", id, err)
-		}
-		return fmt.Errorf("nestedtx: commit of %s: %w", id, err)
+	rec := wal.Record{Commit: &wal.CommitRecord{TID: string(id), Value: v, Effects: tx.takeEffects()}}
+	if err := m.wal.AppendApply(rec, apply); err != nil {
+		return fmt.Errorf("nestedtx: durable commit of %s: %w", id, err)
 	}
-	d := time.Since(start)
-	m.met.ObserveTx(d, true)
-	m.met.Trace(event.Commit.String(), string(id), "", d)
 	return nil
 }
 

@@ -204,7 +204,7 @@ func TestRunCtxCancelWhileBlocked(t *testing.T) {
 	}
 }
 
-// TestAbortCascadeRacesTargetedWakeups races markAborted cascades (parents
+// TestAbortCascadeRacesTargetedWakeups races Cancel cascades (parents
 // aborting spawned children that are parked on wait queues) against the
 // targeted wakeups issued by concurrent commits and aborts on the same
 // objects. Run under -race; asserts quiescence, counter consistency, and

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -13,33 +14,42 @@ import (
 	"nestedtx/internal/wal"
 )
 
-// Tx is a live transaction. A Tx is created by [Manager.Run], [Tx.Sub] or
-// [Tx.Go] and is valid only until its body function returns. The methods
-// of a Tx may be called from the goroutine running its body; concurrency
-// inside a transaction is expressed by spawning subtransactions with
-// [Tx.Go], each of which gets its own Tx.
+// Tx is a live transaction: [Manager.Begin] or [Tx.Begin] creates it,
+// [Tx.Commit] or [Tx.Abort] returns it — the paper's REQUEST_CREATE/CREATE
+// and REQUEST_COMMIT/COMMIT or ABORT. [Manager.Run], [Tx.Sub] and [Tx.Go]
+// wrap that life cycle around a body function. Apart from [Tx.Cancel], a
+// Tx belongs to one goroutine at a time; concurrency inside a transaction
+// is expressed by spawning subtransactions with [Tx.Go], each of which
+// gets its own Tx.
 type Tx struct {
-	mgr *Manager
-	id  tree.TID
+	mgr    *Manager
+	parent *Tx // nil for a top-level transaction
+	id     tree.TID
 
-	// cancel closes when the transaction is aborted from outside (an
-	// ancestor aborted); blocked accesses unblock with ErrAborted.
+	// cancel closes when the transaction is aborted from outside (Cancel,
+	// or an ancestor aborting); blocked accesses unblock with ErrAborted.
 	cancel chan struct{}
+	// start is the creation time as an offset from epoch: 8 bytes where a
+	// time.Time is 24, which keeps Tx inside its 160-byte size class.
+	start time.Duration
 
 	mu        sync.Mutex
-	nextChild int
-	handles   []*Handle
-	children  []*Tx // live child transactions (for cascading cancel)
-	done      bool
-	aborted   bool
-	value     Value // optional user result, set by Return
-	committed int64 // committed children count (default commit value)
+	handles   []*Handle // Go children whose outcome end still has to see
+	children  []*Tx     // open child transactions (for cascading cancel)
+	value     Value     // optional user result, set by Return
+	committed int64     // committed children count (default commit value)
 	// effects accumulates the transaction's surviving accesses (its own
 	// plus those inherited from committed children, in commit order) for
 	// the WAL redo record. Only maintained on durable managers; an
 	// aborted subtree's effects are simply dropped with the subtree.
-	effects []wal.Effect
+	effects   []wal.Effect
+	nextChild int32
+	done      bool // returned: committed or aborted
+	aborted   bool // cancelled; all that is left is to abort
 }
+
+// epoch anchors every Tx.start on the monotonic clock.
+var epoch = time.Now()
 
 // ID returns the transaction's name in the paper's tree notation (e.g.
 // "T0.2.1").
@@ -66,17 +76,15 @@ func (tx *Tx) result() Value {
 }
 
 // newChild mints the next child name, refusing when tx can no longer
-// start one.
+// start one. The caller holds tx.mu.
 func (tx *Tx) newChild() (tree.TID, error) {
-	tx.mu.Lock()
-	defer tx.mu.Unlock()
-	if tx.aborted {
-		return "", ErrAborted
-	}
 	if tx.done {
 		return "", ErrDone
 	}
-	c := tx.id.Child(tx.nextChild)
+	if tx.aborted {
+		return "", ErrAborted
+	}
+	c := tx.id.Child(int(tx.nextChild))
 	tx.nextChild++
 	return c, nil
 }
@@ -87,7 +95,9 @@ func (tx *Tx) newChild() (tree.TID, error) {
 // is held by tx. Naming an unregistered object fails with an error
 // wrapping [ErrUnknownObject] and leaves tx usable.
 func (tx *Tx) Do(obj string, op Op) (Value, error) {
+	tx.mu.Lock()
 	a, err := tx.newChild()
+	tx.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
@@ -147,11 +157,11 @@ func (tx *Tx) Write(obj string, op Op) (Value, error) {
 // rolling back its effects — tx may continue, retry, or propagate the
 // error.
 func (tx *Tx) Sub(fn func(*Tx) error) error {
-	c, err := tx.newChild()
+	c, err := tx.Begin()
 	if err != nil {
 		return err
 	}
-	return tx.runChild(c, fn)
+	return c.run(fn)
 }
 
 // SubRetry is Sub, retrying up to attempts times while fn fails with
@@ -159,29 +169,21 @@ func (tx *Tx) Sub(fn func(*Tx) error) error {
 // attempts values below 1 are clamped to 1: fn always executes at least
 // once.
 func (tx *Tx) SubRetry(attempts int, fn func(*Tx) error) error {
-	attempts = clampAttempts(attempts)
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = tx.Sub(fn)
-		if !errors.Is(err, ErrDeadlock) {
-			return err
-		}
-		if i+1 == attempts {
-			break
-		}
-		tx.mgr.clk.Sleep(backoffDur(i))
-	}
-	return err
+	return tx.mgr.retry(attempts, func() error { return tx.Sub(fn) })
 }
 
-// clampAttempts normalises a retry budget: a non-positive attempts would
-// silently skip the body and report success for a transaction that never
-// executed, so every retry entry point runs at least one attempt.
-func clampAttempts(attempts int) int {
-	if attempts < 1 {
-		return 1
+// retry runs try until it stops failing with ErrDeadlock or attempts are
+// used up, sleeping a jittered backoff in between. It tries at least
+// once: a non-positive attempts must not report success for a
+// transaction that never executed.
+func (m *Manager) retry(attempts int, try func() error) error {
+	for i := 0; ; i++ {
+		err := try()
+		if !errors.Is(err, ErrDeadlock) || i+1 >= attempts {
+			return err
+		}
+		m.clk.Sleep(backoffDur(i))
 	}
-	return attempts
 }
 
 // backoffDur returns the jittered backoff interval after the attempt'th
@@ -231,60 +233,215 @@ func (h *Handle) ID() string { return string(h.id) }
 // outlive its parent.
 func (tx *Tx) Go(fn func(*Tx) error) *Handle {
 	h := &Handle{done: make(chan struct{})}
-	c, err := tx.newChild()
+	c, err := tx.Begin()
 	if err != nil {
 		h.id = tx.id
 		h.err = err
 		close(h.done)
 		return h
 	}
-	h.id = c
+	h.id = c.id
 	tx.mu.Lock()
 	tx.handles = append(tx.handles, h)
 	tx.mu.Unlock()
 	go func() {
 		defer close(h.done)
-		h.err = tx.runChild(c, fn)
+		if h.err = c.run(fn); h.err == nil {
+			// A committed child owes its parent's finish nothing.
+			tx.mu.Lock()
+			tx.handles = unlink(tx.handles, h)
+			tx.mu.Unlock()
+		}
 	}()
 	return h
 }
 
-// runChild creates, executes and returns child transaction c.
-func (tx *Tx) runChild(c tree.TID, fn func(*Tx) error) error {
-	tx.mgr.rec.RecordAll(
-		event.Event{Kind: event.RequestCreate, T: c},
-		event.Event{Kind: event.Create, T: c},
-	)
-	tx.mgr.met.Trace(event.Create.String(), string(c), "", 0)
-	start := time.Now()
-	child := &Tx{mgr: tx.mgr, id: c, cancel: make(chan struct{})}
-	tx.mu.Lock()
-	tx.children = append(tx.children, child)
-	tx.mu.Unlock()
-	err := child.execute(fn)
-	if err != nil {
-		tx.mgr.lm.Abort(c)
-		tx.mgr.met.Trace(event.Abort.String(), string(c), "", time.Since(start))
-		return err
+// unlink removes x from s, scanning from the tail: the last one in is
+// the usual one out.
+func unlink[T comparable](s []T, x T) []T {
+	for i := len(s) - 1; i >= 0; i-- {
+		if s[i] == x {
+			return slices.Delete(s, i, i+1)
+		}
 	}
-	v := child.result()
-	if tx.mgr.wal != nil {
+	return s
+}
+
+// begin creates transaction id under parent (nil for top level):
+// REQUEST_CREATE and CREATE.
+func (m *Manager) begin(parent *Tx, id tree.TID) *Tx {
+	m.rec.RecordAll(
+		event.Event{Kind: event.RequestCreate, T: id},
+		event.Event{Kind: event.Create, T: id},
+	)
+	m.met.Trace(event.Create.String(), string(id), "", 0)
+	return &Tx{mgr: m, parent: parent, id: id, cancel: make(chan struct{}), start: time.Since(epoch)}
+}
+
+// Begin creates a subtransaction of tx and returns it open; the caller
+// owes it exactly one [Tx.Commit] or [Tx.Abort], and tx cannot commit
+// before that. [Tx.Sub] is Begin, a body, and that return.
+func (tx *Tx) Begin() (*Tx, error) {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	id, err := tx.newChild()
+	if err != nil {
+		return nil, err
+	}
+	c := tx.mgr.begin(tx, id)
+	tx.children = append(tx.children, c)
+	return c, nil
+}
+
+// Commit returns tx committed: a subtransaction's locks, versions and
+// effects pass to its parent, a top-level transaction's become the
+// committed state (durably, on a durable manager). It first waits for
+// subtransactions spawned with [Tx.Go]. Commit refuses, leaving
+// everything open, while a subtransaction from [Tx.Begin] is still open.
+// A cancelled tx, one with an unawaited failed Go child, or one whose
+// durable append fails is aborted instead and the reason returned; a tx
+// already returned yields [ErrDone].
+func (tx *Tx) Commit() error { return tx.end(true) }
+
+// Abort returns tx aborted: every effect of it and its descendants is
+// rolled back, subtransactions still open are aborted first (innermost
+// first), and its parent may carry on. On a tx already returned it does
+// nothing.
+func (tx *Tx) Abort() { tx.end(false) }
+
+// Cancel dooms tx from any goroutine: accesses blocked anywhere in its
+// live subtree unblock with [ErrAborted], nothing below it can start, and
+// all its owner can still do is abort it (Commit does so itself).
+func (tx *Tx) Cancel() {
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	if tx.aborted {
+		return
+	}
+	tx.aborted = true
+	close(tx.cancel)
+	// Parent before child is the one lock order, so the cascade may hold
+	// tx.mu across it; a child returning meanwhile waits to unlink.
+	for _, c := range tx.children {
+		c.Cancel()
+	}
+}
+
+// run executes fn as tx's body and returns tx: committed when fn returns
+// nil, aborted when it fails or panics (the panic continues).
+func (tx *Tx) run(fn func(*Tx) error) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			tx.Abort()
+			panic(r)
+		}
+	}()
+	if err = fn(tx); err == nil {
+		err = tx.Commit()
+	}
+	if err != nil {
+		tx.Abort() // nothing left to do if Commit already aborted it
+	}
+	return err
+}
+
+// end is the one way a transaction returns. It settles the subtree —
+// Go children are awaited (cancelled first when aborting), children left
+// open are aborted on the abort path and refuse the commit otherwise —
+// then commits tx to its parent (through commitTop at top level) or
+// aborts it, and unlinks it from its parent.
+func (tx *Tx) end(commit bool) error {
+	err := tx.settle(commit)
+	tx.mu.Lock()
+	switch {
+	case tx.done:
+		tx.mu.Unlock()
+		return ErrDone
+	case commit && len(tx.children) > 0:
+		open := tx.children[0].id
+		tx.mu.Unlock()
+		return fmt.Errorf("nestedtx: commit of %s with subtransaction %s still open", tx.id, open)
+	case commit && err == nil && tx.aborted:
+		err = ErrAborted
+	}
+	tx.done = true
+	tx.mu.Unlock()
+
+	m, p := tx.mgr, tx.parent
+	if commit && err == nil {
+		if p == nil {
+			err = m.commitTop(tx)
+		} else {
+			tx.commitTo(p)
+		}
+	}
+	d := time.Since(epoch) - tx.start
+	kind := event.Commit
+	if !commit || err != nil {
+		kind = event.Abort
+		m.lm.Abort(tx.id)
+	}
+	if p == nil {
+		m.met.ObserveTx(d, kind == event.Commit)
+	}
+	m.met.Trace(kind.String(), string(tx.id), "", d)
+	if p != nil {
+		p.mu.Lock()
+		p.children = unlink(p.children, tx)
+		if kind == event.Commit {
+			p.committed++
+		}
+		p.mu.Unlock()
+	}
+	return err
+}
+
+// settle brings tx's subtree to rest ahead of tx's own return and reports
+// what should stop a commit: a spawned subtransaction that failed and was
+// never Waited is surfaced rather than silently committed around.
+func (tx *Tx) settle(commit bool) (err error) {
+	if !commit {
+		tx.Cancel() // unblock descendants waiting on locks
+	}
+	tx.mu.Lock()
+	handles := slices.Clone(tx.handles)
+	tx.mu.Unlock()
+	for _, h := range handles {
+		<-h.done
+		if err == nil && h.err != nil && !h.observed.Load() {
+			err = fmt.Errorf("nestedtx: unawaited subtransaction %s failed: %w", h.id, h.err)
+		}
+	}
+	for !commit {
+		tx.mu.Lock()
+		n := len(tx.children)
+		if n == 0 {
+			tx.mu.Unlock()
+			break
+		}
+		c := tx.children[n-1]
+		tx.mu.Unlock()
+		c.Abort()
+	}
+	return err
+}
+
+// commitTo returns child tx committed to its parent p.
+func (tx *Tx) commitTo(p *Tx) {
+	m := tx.mgr
+	v := tx.result()
+	if m.wal != nil {
 		// Inherit the child's surviving effects *before* releasing its
 		// locks: once lm.Commit runs, a conflicting sibling access can be
 		// granted and appended after us, so merging first is what keeps
 		// the parent's effect order aligned with the per-object grant
 		// order (the WAL's serial-correctness argument rests on this).
-		tx.mu.Lock()
-		tx.effects = append(tx.effects, child.effects...)
-		tx.mu.Unlock()
+		p.mu.Lock()
+		p.effects = append(p.effects, tx.effects...)
+		p.mu.Unlock()
 	}
-	tx.mgr.rec.Record(event.Event{Kind: event.RequestCommit, T: c, Value: v})
-	tx.mgr.lm.Commit(c, v)
-	tx.mgr.met.Trace(event.Commit.String(), string(c), "", time.Since(start))
-	tx.mu.Lock()
-	tx.committed++
-	tx.mu.Unlock()
-	return nil
+	m.rec.Record(event.Event{Kind: event.RequestCommit, T: tx.id, Value: v})
+	m.lm.Commit(tx.id, v)
 }
 
 // takeEffects transfers ownership of the accumulated effect list to the
@@ -295,71 +452,4 @@ func (tx *Tx) takeEffects() []wal.Effect {
 	e := tx.effects
 	tx.effects = nil
 	return e
-}
-
-// execute runs the body, waits for spawned subtransactions, and leaves the
-// Tx finished. It returns the error that should abort the transaction, or
-// nil to commit. Panics abort and re-panic.
-func (tx *Tx) execute(fn func(*Tx) error) (err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			tx.finish(fmt.Errorf("panic: %v", r))
-			err = fmt.Errorf("nestedtx: transaction %s panicked: %v", tx.id, r)
-			tx.mgr.lm.Abort(tx.id)
-			panic(r)
-		}
-	}()
-	err = fn(tx)
-	return tx.finish(err)
-}
-
-// finish waits for outstanding children (cancelling them first when
-// aborting) and marks the Tx done.
-func (tx *Tx) finish(err error) error {
-	tx.mu.Lock()
-	handles := tx.handles
-	children := tx.children
-	tx.mu.Unlock()
-	if err != nil {
-		// Aborting: unblock descendants waiting on locks.
-		for _, c := range children {
-			c.markAborted()
-		}
-	}
-	for _, h := range handles {
-		<-h.done
-		if err == nil && h.err != nil && !h.observed.Load() {
-			// A spawned subtransaction that failed and was never Waited:
-			// surface the failure rather than silently committing around
-			// an unobserved abort.
-			err = fmt.Errorf("nestedtx: unawaited subtransaction %s failed: %w", h.id, h.err)
-		}
-	}
-	tx.mu.Lock()
-	tx.done = true
-	if err != nil {
-		tx.aborted = true
-	}
-	tx.mu.Unlock()
-	return err
-}
-
-// markAborted cascades an abort signal down the live subtree.
-func (tx *Tx) markAborted() {
-	tx.mu.Lock()
-	if tx.aborted {
-		tx.mu.Unlock()
-		return
-	}
-	tx.aborted = true
-	children := tx.children
-	select {
-	case <-tx.cancel:
-	default:
-		close(tx.cancel)
-	}
-	tx.mu.Unlock()
-	for _, c := range children {
-		c.markAborted()
-	}
 }
