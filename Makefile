@@ -65,11 +65,16 @@ sim-mine:
 fuzz:
 	$(GO) test -fuzz FuzzTheorem34 -fuzztime 30s ./internal/checker
 
-# Short fuzz smoke for CI: the wire framing/decode surface and the WAL
-# segment scanner, a few seconds each.
+# Short fuzz smoke for CI: the wire framing/decode surface, the WAL
+# segment scanner, and the hand-written JSON codecs against the
+# encoding/json implementations they replaced, ten seconds each.
 fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzSegmentScan -fuzztime 10s ./internal/wal
+	$(GO) test -run XXX -fuzz FuzzSyntaxMatchesEncodingJSON -fuzztime 10s ./internal/jscan
+	$(GO) test -run XXX -fuzz FuzzAdtCodecMatchesEncodingJSON -fuzztime 10s ./internal/adt
+	$(GO) test -run XXX -fuzz FuzzWireCodecMatchesEncodingJSON -fuzztime 10s ./internal/wire
+	$(GO) test -run XXX -fuzz FuzzRecordEncodeMatchesEncodingJSON -fuzztime 10s ./internal/wal
 
 # End-to-end observability probe against the real binaries: starts a
 # traced txserver, drives load with txmetrics -exercise, and asserts the

@@ -30,6 +30,7 @@ import (
 	"time"
 
 	"nestedtx"
+	"nestedtx/internal/adt"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/wire"
 )
@@ -93,7 +94,8 @@ type Client struct {
 	bw   *bufio.Writer
 	br   *bufio.Reader
 	seq  uint64
-	lost error // non-nil once the connection is poisoned; the cause
+	lost error    // non-nil once the connection is poisoned; the cause
+	op   [64]byte // where access encodes its op; a larger one gets its own buffer
 }
 
 // Dial connects to a transaction server at addr.
@@ -151,12 +153,39 @@ func (c *Client) poison(cause error) error {
 	return fmt.Errorf("%w: %v", ErrConnLost, cause)
 }
 
-// call performs one request/response round-trip.
-func (c *Client) call(req *wire.Request) (*wire.Response, error) {
+// call performs one request/response round-trip into resp and returns
+// the transport's or the server's failure (see respErr).
+func (c *Client) call(req *wire.Request, resp *wire.Response) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	err := c.roundTrip(req, resp)
+	// These alias c.br's buffer, which the next call overwrites: a verb
+	// that wants one decodes it before releasing c.mu (access, State).
+	resp.Value, resp.State = nil, nil
+	return err
+}
+
+// access is the round trip of READ and WRITE: op is encoded into the
+// connection's scratch, and the reply's value decoded straight from the
+// read buffer, while c.mu protects both.
+func (c *Client) access(typ string, tx uint64, obj string, op nestedtx.Op) (nestedtx.Value, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	raw, err := adt.AppendOp(c.op[:0], op)
+	if err != nil {
+		return nil, fmt.Errorf("client: %w", err)
+	}
+	var resp wire.Response
+	if err := c.roundTrip(&wire.Request{Type: typ, Tx: tx, Obj: obj, Op: raw}, &resp); err != nil {
+		return nil, err
+	}
+	return adt.DecodeValue(resp.Value)
+}
+
+// roundTrip is one exchange on the connection; the caller holds c.mu.
+func (c *Client) roundTrip(req *wire.Request, resp *wire.Response) error {
 	if c.lost != nil {
-		return nil, fmt.Errorf("%w (poisoned by earlier fault: %v)", ErrConnLost, c.lost)
+		return fmt.Errorf("%w (poisoned by earlier fault: %v)", ErrConnLost, c.lost)
 	}
 	c.seq++
 	req.Seq = c.seq
@@ -165,24 +194,23 @@ func (c *Client) call(req *wire.Request) (*wire.Response, error) {
 	}
 	start := time.Now()
 	if err := wire.WriteFrame(c.bw, req); err != nil {
-		return nil, c.poison(fmt.Errorf("send: %w", err))
+		return c.poison(fmt.Errorf("send: %w", err))
 	}
-	resp, err := wire.ReadResponse(c.br)
-	if err != nil {
-		return nil, c.poison(fmt.Errorf("receive: %w", err))
+	if err := wire.ReadFrameMax(c.br, resp, wire.MaxResponseSize); err != nil {
+		return c.poison(fmt.Errorf("receive: %w", err))
 	}
 	c.rtt.Observe(time.Since(start))
 	if resp.Code == wire.CodeBusy {
 		// A pre-session refusal frame (it carries no seq); the server
 		// closes the connection after sending it.
-		return nil, fmt.Errorf("%w: %s", ErrBusy, resp.Err)
+		return fmt.Errorf("%w: %s", ErrBusy, resp.Err)
 	}
 	if resp.Seq != req.Seq {
 		// The stream is desynchronised (e.g. this is the stale response
 		// to a request whose reply we previously timed out waiting for).
-		return nil, c.poison(fmt.Errorf("response seq %d for request %d", resp.Seq, req.Seq))
+		return c.poison(fmt.Errorf("response seq %d for request %d", resp.Seq, req.Seq))
 	}
-	return resp, nil
+	return respErr(resp)
 }
 
 // respErr maps a response to the local error vocabulary: deadlock
@@ -209,11 +237,8 @@ func respErr(resp *wire.Response) error {
 
 // Ping round-trips a no-op frame.
 func (c *Client) Ping() error {
-	resp, err := c.call(&wire.Request{Type: wire.TPing})
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
+	var resp wire.Response
+	return c.call(&wire.Request{Type: wire.TPing}, &resp)
 }
 
 // State fetches the committed-to-root state of an object: the version
@@ -222,23 +247,19 @@ func (c *Client) Ping() error {
 // write that later aborts. Each call is an independent point read; for
 // a multi-object consistent cut, use [Client.RunReadOnly].
 func (c *Client) State(obj string) (nestedtx.State, error) {
-	resp, err := c.call(&wire.Request{Type: wire.TState, Obj: obj})
-	if err != nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var resp wire.Response
+	if err := c.roundTrip(&wire.Request{Type: wire.TState, Obj: obj}, &resp); err != nil {
 		return nil, err
 	}
-	if err := respErr(resp); err != nil {
-		return nil, err
-	}
-	return wire.DecodeState(resp.State)
+	return adt.DecodeState(resp.State)
 }
 
 // Stats fetches the server's counters.
 func (c *Client) Stats() (wire.Stats, error) {
-	resp, err := c.call(&wire.Request{Type: wire.TStats})
-	if err != nil {
-		return wire.Stats{}, err
-	}
-	if err := respErr(resp); err != nil {
+	var resp wire.Response
+	if err := c.call(&wire.Request{Type: wire.TStats}, &resp); err != nil {
 		return wire.Stats{}, err
 	}
 	if resp.Stats == nil {
@@ -253,11 +274,8 @@ func (c *Client) Stats() (wire.Stats, error) {
 // dump, the response includes the server's recent event-trace ring
 // (empty unless the server enabled tracing).
 func (c *Client) Metrics(dump bool) (wire.Metrics, error) {
-	resp, err := c.call(&wire.Request{Type: wire.TMetrics, Dump: dump})
-	if err != nil {
-		return wire.Metrics{}, err
-	}
-	if err := respErr(resp); err != nil {
+	var resp wire.Response
+	if err := c.call(&wire.Request{Type: wire.TMetrics, Dump: dump}, &resp); err != nil {
 		return wire.Metrics{}, err
 	}
 	if resp.Metrics == nil {
@@ -271,11 +289,8 @@ func (c *Client) Metrics(dump bool) (wire.Metrics, error) {
 // leader. A server with no replication configured (volatile manager)
 // answers with an error.
 func (c *Client) ReplStatus() (*wire.ReplStatus, error) {
-	resp, err := c.call(&wire.Request{Type: wire.TReplStatus})
-	if err != nil {
-		return nil, err
-	}
-	if err := respErr(resp); err != nil {
+	var resp wire.Response
+	if err := c.call(&wire.Request{Type: wire.TReplStatus}, &resp); err != nil {
 		return nil, err
 	}
 	if resp.ReplStatus == nil {
@@ -290,11 +305,8 @@ func (c *Client) ReplStatus() (*wire.ReplStatus, error) {
 // Fails on a server that is not a follower, and on a follower whose
 // inherited history does not verify.
 func (c *Client) Promote() error {
-	resp, err := c.call(&wire.Request{Type: wire.TPromote})
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
+	var resp wire.Response
+	return c.call(&wire.Request{Type: wire.TPromote}, &resp)
 }
 
 // CallStats summarises this client's request round-trip latencies, as
@@ -331,11 +343,8 @@ func (t *Tx) ID() string { return t.txid }
 // Begin opens a top-level transaction. Callers must resolve it with
 // [Tx.Commit] or [Tx.Abort]; prefer [Client.Run], which does.
 func (c *Client) Begin() (*Tx, error) {
-	resp, err := c.call(&wire.Request{Type: wire.TBegin})
-	if err != nil {
-		return nil, err
-	}
-	if err := respErr(resp); err != nil {
+	var resp wire.Response
+	if err := c.call(&wire.Request{Type: wire.TBegin}, &resp); err != nil {
 		return nil, err
 	}
 	return &Tx{c: c, id: resp.Tx, txid: resp.TxID}, nil
@@ -348,18 +357,7 @@ func (t *Tx) Do(obj string, op nestedtx.Op) (nestedtx.Value, error) {
 	if op.ReadOnly() {
 		typ = wire.TRead
 	}
-	raw, err := wire.EncodeOp(op)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	resp, err := t.c.call(&wire.Request{Type: typ, Tx: t.id, Obj: obj, Op: raw})
-	if err != nil {
-		return nil, err
-	}
-	if err := respErr(resp); err != nil {
-		return nil, err
-	}
-	return wire.DecodeValue(resp.Value)
+	return t.c.access(typ, t.id, obj, op)
 }
 
 // Read performs a read-only op; it errors if op is not read-only.
@@ -380,32 +378,23 @@ func (t *Tx) Write(obj string, op nestedtx.Op) (nestedtx.Value, error) {
 
 // Commit commits the transaction.
 func (t *Tx) Commit() error {
-	resp, err := t.c.call(&wire.Request{Type: wire.TCommit, Tx: t.id})
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
+	var resp wire.Response
+	return t.c.call(&wire.Request{Type: wire.TCommit, Tx: t.id}, &resp)
 }
 
 // Abort aborts the transaction, rolling back its and its descendants'
 // effects.
 func (t *Tx) Abort() error {
-	resp, err := t.c.call(&wire.Request{Type: wire.TAbort, Tx: t.id})
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
+	var resp wire.Response
+	return t.c.call(&wire.Request{Type: wire.TAbort, Tx: t.id}, &resp)
 }
 
 // Sub runs fn as a subtransaction of t, exactly like the local Tx.Sub: a
 // nil return commits the child (its locks and versions pass to t), an
 // error aborts only the child's effects.
 func (t *Tx) Sub(fn func(*Tx) error) error {
-	resp, err := t.c.call(&wire.Request{Type: wire.TSub, Tx: t.id})
-	if err != nil {
-		return err
-	}
-	if err := respErr(resp); err != nil {
+	var resp wire.Response
+	if err := t.c.call(&wire.Request{Type: wire.TSub, Tx: t.id}, &resp); err != nil {
 		return err
 	}
 	child := &Tx{c: t.c, id: resp.Tx, txid: resp.TxID}

@@ -34,11 +34,8 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 // server's current commit sequence number. Callers must resolve it with
 // [Snapshot.Close]; prefer [Client.RunReadOnly], which does.
 func (c *Client) BeginReadOnly() (*Snapshot, error) {
-	resp, err := c.call(&wire.Request{Type: wire.TBegin, ReadOnly: true})
-	if err != nil {
-		return nil, err
-	}
-	if err := respErr(resp); err != nil {
+	var resp wire.Response
+	if err := c.call(&wire.Request{Type: wire.TBegin, ReadOnly: true}, &resp); err != nil {
 		return nil, err
 	}
 	return &Snapshot{c: c, id: resp.Tx, txid: resp.TxID, seq: resp.Snap}, nil
@@ -51,28 +48,14 @@ func (s *Snapshot) Read(obj string, op nestedtx.Op) (nestedtx.Value, error) {
 	if !op.ReadOnly() {
 		return nil, fmt.Errorf("client: snapshot Read with non-read-only op %v", op)
 	}
-	raw, err := wire.EncodeOp(op)
-	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
-	}
-	resp, err := s.c.call(&wire.Request{Type: wire.TRead, Tx: s.id, Obj: obj, Op: raw})
-	if err != nil {
-		return nil, err
-	}
-	if err := respErr(resp); err != nil {
-		return nil, err
-	}
-	return wire.DecodeValue(resp.Value)
+	return s.c.access(wire.TRead, s.id, obj, op)
 }
 
 // Close ends the snapshot transaction, releasing the server-side pin so
 // the version store can trim the history it was holding.
 func (s *Snapshot) Close() error {
-	resp, err := s.c.call(&wire.Request{Type: wire.TCommit, Tx: s.id})
-	if err != nil {
-		return err
-	}
-	return respErr(resp)
+	var resp wire.Response
+	return s.c.call(&wire.Request{Type: wire.TCommit, Tx: s.id}, &resp)
 }
 
 // RunReadOnly runs fn as a remote read-only snapshot transaction and

@@ -26,7 +26,7 @@ func TestMapOpErr(t *testing.T) {
 		{fmt.Errorf("access T0.1.0 on x: %w", nestedtx.ErrDeadlock), wire.CodeDeadlock},
 	} {
 		resp := ss.mapErr(c.err)
-		if resp == nil || resp.OK || resp.Code != c.code {
+		if resp.OK || resp.Code != c.code {
 			t.Errorf("mapErr(%v) = %+v, want code %q", c.err, resp, c.code)
 		}
 	}

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"nestedtx"
+	"nestedtx/internal/adt"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/repl"
 	"nestedtx/internal/snap"
@@ -177,27 +178,27 @@ func (s *Server) Metrics() *obs.Metrics {
 }
 
 // errNoReadSide answers a read verb on a server with no node behind it.
-func errNoReadSide() *wire.Response {
+func errNoReadSide() wire.Response {
 	return fail(wire.CodeInternal, "server: no manager or replica to read from")
 }
 
 // refuseLocking is the gate in front of every locking transaction verb:
-// nil once a manager is live, otherwise the read_only refusal retrying
-// clients already chase to the leader.
-func (s *Server) refuseLocking() *wire.Response {
+// not refused once a manager is live, otherwise the read_only refusal
+// retrying clients already chase to the leader.
+func (s *Server) refuseLocking() (refusal wire.Response, refused bool) {
 	s.mgrMu.Lock()
 	defer s.mgrMu.Unlock()
 	switch {
 	case s.mgr != nil:
-		return nil
+		return refusal, false
 	case s.follower != nil && !s.promoting:
 		// A read replica serves no locking transactions at all — not even
 		// reads: a replica read is a plain committed-state read (STATE)
 		// or a read-only transaction, never a locked access.
 		return fail(wire.CodeReadOnly,
-			fmt.Sprintf("server: read-only replica of %s; transactions go to the leader", s.follower.Leader()))
+			fmt.Sprintf("server: read-only replica of %s; transactions go to the leader", s.follower.Leader())), true
 	}
-	return fail(wire.CodeReadOnly, "server: promotion in progress; retry")
+	return fail(wire.CodeReadOnly, "server: promotion in progress; retry"), true
 }
 
 func (s *Server) shipperRef() *repl.Shipper {
@@ -439,6 +440,11 @@ type session struct {
 	// checkpoint install.
 	ros    map[uint64]*snap.Tx
 	nextTx uint64 // shared id space for txs and ros
+
+	// val is where an access's result is encoded for the reply. A value
+	// that outgrows it gets a buffer of its own, dropped with the reply,
+	// so the session never retains its largest value.
+	val [128]byte
 }
 
 func (s *Server) serveConn(conn net.Conn) {
@@ -480,11 +486,15 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.count(func(c *Counters) { c.ActiveSessions-- })
 	}()
 
+	// The two buffers and the two frame structs are the session's, reused
+	// for every frame. req.Op aliases br's buffer: the handler decodes it
+	// before the next frame is read.
 	br := newBufReader(conn)
 	bw := newBufWriter(conn)
+	var req wire.Request
+	var resp wire.Response
 	for {
-		req, err := wire.ReadRequest(br)
-		if err != nil {
+		if err := wire.ReadFrame(br, &req); err != nil {
 			return // EOF, reset, or reaped/drained under us
 		}
 		if req.Type == wire.TReplHello {
@@ -492,15 +502,15 @@ func (s *Server) serveConn(conn net.Conn) {
 			// owns both directions until the follower disconnects. Marked
 			// permanently in flight so the idle reaper leaves it alone.
 			ss.inFlight.Store(true)
-			ss.serveRepl(req, br, bw)
+			ss.serveRepl(&req, br, bw)
 			return
 		}
 		ss.inFlight.Store(true)
 		ss.lastActive.Store(time.Now().UnixNano())
 		s.count(func(c *Counters) { c.Requests++ })
-		resp := ss.handle(req)
+		resp = ss.handle(&req)
 		resp.Seq = req.Seq
-		werr := wire.WriteFrameMax(bw, resp, wire.MaxResponseSize)
+		werr := wire.WriteFrameMax(bw, &resp, wire.MaxResponseSize)
 		ss.lastActive.Store(time.Now().UnixNano())
 		ss.inFlight.Store(false)
 		if werr != nil {
@@ -532,7 +542,7 @@ type txHandle struct {
 	dead   bool
 }
 
-func (ss *session) newHandle(parent *txHandle, tx *nestedtx.Tx) *wire.Response {
+func (ss *session) newHandle(parent *txHandle, tx *nestedtx.Tx) wire.Response {
 	ss.nextTx++
 	h := &txHandle{id: ss.nextTx, parent: parent, tx: tx}
 	if parent == nil {
@@ -544,7 +554,7 @@ func (ss *session) newHandle(parent *txHandle, tx *nestedtx.Tx) *wire.Response {
 		parent.child = h
 	}
 	ss.txs[h.id] = h
-	return &wire.Response{OK: true, Tx: h.id, TxID: tx.ID()}
+	return wire.Response{OK: true, Tx: h.id, TxID: tx.ID()}
 }
 
 // root returns the top-level handle of h's tree.
@@ -615,9 +625,9 @@ func (ss *session) expired() bool {
 // transaction verb that needs a live manager's lock tables.
 var verbs = map[string]struct {
 	locking bool
-	run     func(*session, *wire.Request) *wire.Response
+	run     func(*session, *wire.Request) wire.Response
 }{
-	wire.TPing:       {false, func(*session, *wire.Request) *wire.Response { return &wire.Response{OK: true} }},
+	wire.TPing:       {false, func(*session, *wire.Request) wire.Response { return wire.Response{OK: true} }},
 	wire.TStats:      {false, (*session).handleStats},
 	wire.TMetrics:    {false, (*session).handleMetrics},
 	wire.TState:      {false, (*session).handleState},
@@ -631,7 +641,7 @@ var verbs = map[string]struct {
 	wire.TAbort:      {true, (*session).handleFinish},
 }
 
-func (ss *session) handle(req *wire.Request) *wire.Response {
+func (ss *session) handle(req *wire.Request) wire.Response {
 	v, ok := verbs[req.Type]
 	if !ok {
 		return fail(wire.CodeBadRequest, fmt.Sprintf("unknown request type %q", req.Type))
@@ -643,15 +653,15 @@ func (ss *session) handle(req *wire.Request) *wire.Response {
 		if _, ro := ss.ros[req.Tx]; ro || req.Type == wire.TBegin && req.ReadOnly {
 			return ss.handleRO(req)
 		}
-		if resp := ss.srv.refuseLocking(); resp != nil {
+		if resp, refused := ss.srv.refuseLocking(); refused {
 			return resp
 		}
 	}
 	return v.run(ss, req)
 }
 
-func fail(code, msg string) *wire.Response {
-	return &wire.Response{OK: false, Code: code, Err: msg}
+func fail(code, msg string) wire.Response {
+	return wire.Response{OK: false, Code: code, Err: msg}
 }
 
 // serveRepl hands a REPL_HELLO connection to the shipper. Only a
@@ -670,30 +680,30 @@ func (ss *session) serveRepl(req *wire.Request, br *bufio.Reader, bw *bufio.Writ
 	sh.Serve(ss.ctx.Done(), ss.conn.RemoteAddr().String(), req, br, bw)
 }
 
-func (ss *session) handleReplStatus(*wire.Request) *wire.Response {
+func (ss *session) handleReplStatus(*wire.Request) wire.Response {
 	if f := ss.srv.Follower(); f != nil {
-		return &wire.Response{OK: true, ReplStatus: f.Status()}
+		return wire.Response{OK: true, ReplStatus: f.Status()}
 	}
 	if sh := ss.srv.shipperRef(); sh != nil {
-		return &wire.Response{OK: true, ReplStatus: sh.Status()}
+		return wire.Response{OK: true, ReplStatus: sh.Status()}
 	}
 	return fail(wire.CodeNotConfigured, "server: replication not configured (volatile manager)")
 }
 
-func (ss *session) handlePromote(*wire.Request) *wire.Response {
+func (ss *session) handlePromote(*wire.Request) wire.Response {
 	if _, err := ss.srv.Promote(); err != nil {
 		return fail(wire.CodeBadRequest, err.Error())
 	}
-	return &wire.Response{OK: true}
+	return wire.Response{OK: true}
 }
 
-func (ss *session) handleStats(*wire.Request) *wire.Response {
+func (ss *session) handleStats(*wire.Request) wire.Response {
 	c := ss.srv.Counters()
 	var lk nestedtx.Stats
 	if m := ss.srv.Manager(); m != nil {
 		lk = m.Stats()
 	}
-	return &wire.Response{OK: true, Stats: &wire.Stats{
+	return wire.Response{OK: true, Stats: &wire.Stats{
 		ActiveSessions:  c.ActiveSessions,
 		TotalSessions:   c.TotalSessions,
 		ReapedSessions:  c.ReapedSessions,
@@ -733,7 +743,7 @@ func histQ(s obs.HistSnapshot) wire.HistQ {
 	}
 }
 
-func (ss *session) handleMetrics(req *wire.Request) *wire.Response {
+func (ss *session) handleMetrics(req *wire.Request) wire.Response {
 	_, met := ss.srv.readSide()
 	if met == nil {
 		return errNoReadSide()
@@ -794,10 +804,10 @@ func (ss *session) handleMetrics(req *wire.Request) *wire.Response {
 			m.TraceDropped = total - kept
 		}
 	}
-	return &wire.Response{OK: true, Metrics: m}
+	return wire.Response{OK: true, Metrics: m}
 }
 
-func (ss *session) handleState(req *wire.Request) *wire.Response {
+func (ss *session) handleState(req *wire.Request) wire.Response {
 	store, _ := ss.srv.readSide()
 	if store == nil {
 		return errNoReadSide()
@@ -821,10 +831,10 @@ func (ss *session) handleState(req *wire.Request) *wire.Response {
 			"server: state of %q is %d bytes, over the %d-byte response limit",
 			req.Obj, len(raw), wire.MaxResponseSize))
 	}
-	return &wire.Response{OK: true, State: raw}
+	return wire.Response{OK: true, State: raw}
 }
 
-func (ss *session) handleBegin(*wire.Request) *wire.Response {
+func (ss *session) handleBegin(*wire.Request) wire.Response {
 	if ss.srv.isClosed() {
 		return fail(wire.CodeShutdown, "server: draining")
 	}
@@ -837,7 +847,7 @@ func (ss *session) handleBegin(*wire.Request) *wire.Response {
 // handleBeginRO opens a read-only snapshot transaction on whichever
 // committed-version store this node reads from. It involves no locks,
 // so long scans neither block nor are blocked by writers.
-func (ss *session) handleBeginRO() *wire.Response {
+func (ss *session) handleBeginRO() wire.Response {
 	if ss.srv.isClosed() {
 		return fail(wire.CodeShutdown, "server: draining")
 	}
@@ -850,7 +860,7 @@ func (ss *session) handleBeginRO() *wire.Response {
 	ss.nextTx++
 	id := ss.nextTx
 	ss.ros[id] = ro
-	return &wire.Response{OK: true, Tx: id, TxID: ro.ID(), Snap: ro.Seq()}
+	return wire.Response{OK: true, Tx: id, TxID: ro.ID(), Snap: ro.Seq()}
 }
 
 // handleRO serves the transaction verbs of read-only snapshot
@@ -859,7 +869,7 @@ func (ss *session) handleBeginRO() *wire.Response {
 // refused with read_only; SUB is meaningless (there is nothing to nest —
 // a snapshot cannot abort partially); COMMIT and ABORT are the same
 // operation: release the pin.
-func (ss *session) handleRO(req *wire.Request) *wire.Response {
+func (ss *session) handleRO(req *wire.Request) wire.Response {
 	ro := ss.ros[req.Tx]
 	switch req.Type {
 	case wire.TBegin:
@@ -873,11 +883,7 @@ func (ss *session) handleRO(req *wire.Request) *wire.Response {
 		if err != nil {
 			return fail(wire.CodeBadRequest, err.Error())
 		}
-		raw, err := wire.EncodeValue(v)
-		if err != nil {
-			return fail(wire.CodeInternal, err.Error())
-		}
-		return &wire.Response{OK: true, Value: raw}
+		return ss.value(v)
 	case wire.TWrite:
 		return fail(wire.CodeReadOnly,
 			fmt.Sprintf("transaction %d is a read-only snapshot; writes go to a locking transaction", req.Tx))
@@ -887,13 +893,13 @@ func (ss *session) handleRO(req *wire.Request) *wire.Response {
 	default: // TCommit, TAbort
 		ro.Close()
 		delete(ss.ros, req.Tx)
-		return &wire.Response{OK: true}
+		return wire.Response{OK: true}
 	}
 }
 
-func (ss *session) handleSub(req *wire.Request) *wire.Response {
+func (ss *session) handleSub(req *wire.Request) wire.Response {
 	parent, resp := ss.lookup(req)
-	if resp != nil {
+	if parent == nil {
 		return resp
 	}
 	tx, err := parent.tx.Begin()
@@ -904,9 +910,9 @@ func (ss *session) handleSub(req *wire.Request) *wire.Response {
 	return ss.newHandle(parent, tx)
 }
 
-func (ss *session) handleOp(req *wire.Request) *wire.Response {
+func (ss *session) handleOp(req *wire.Request) wire.Response {
 	h, resp := ss.lookup(req)
-	if resp != nil {
+	if h == nil {
 		return resp
 	}
 	op, err := wire.DecodeOp(req.Op)
@@ -933,16 +939,22 @@ func (ss *session) handleOp(req *wire.Request) *wire.Response {
 	if err != nil {
 		return ss.mapErr(err)
 	}
-	raw, err := wire.EncodeValue(v)
+	return ss.value(v)
+}
+
+// value answers an access with its result, encoded in the session's
+// scratch.
+func (ss *session) value(v nestedtx.Value) wire.Response {
+	raw, err := adt.AppendValue(ss.val[:0], v)
 	if err != nil {
 		return fail(wire.CodeInternal, err.Error())
 	}
-	return &wire.Response{OK: true, Value: raw}
+	return wire.Response{OK: true, Value: raw}
 }
 
-func (ss *session) handleFinish(req *wire.Request) *wire.Response {
+func (ss *session) handleFinish(req *wire.Request) wire.Response {
 	h, resp := ss.lookup(req)
-	if resp != nil {
+	if h == nil {
 		return resp
 	}
 	var err error
@@ -957,12 +969,13 @@ func (ss *session) handleFinish(req *wire.Request) *wire.Response {
 	return ss.mapErr(err)
 }
 
-// lookup resolves the handle a request names, rejecting unknown handles
-// and handles with an open subtransaction. A stale handle of a dead tree
+// lookup resolves the handle a request names; without one it returns the
+// answer instead, rejecting unknown handles and handles with an open
+// subtransaction. A stale handle of a dead tree
 // (see abortTree) is dropped and answered with what the client needs to
 // unwind: ABORT is the idempotent no-op, anything else reports the abort
 // — never "has open subtransaction".
-func (ss *session) lookup(req *wire.Request) (*txHandle, *wire.Response) {
+func (ss *session) lookup(req *wire.Request) (*txHandle, wire.Response) {
 	h, ok := ss.txs[req.Tx]
 	switch {
 	case !ok:
@@ -970,22 +983,22 @@ func (ss *session) lookup(req *wire.Request) (*txHandle, *wire.Response) {
 	case h.root().dead:
 		delete(ss.txs, h.id)
 		if req.Type == wire.TAbort {
-			return nil, &wire.Response{OK: true}
+			return nil, wire.Response{OK: true}
 		}
 		return nil, fail(wire.CodeAborted, "transaction already aborted")
 	case h.child != nil:
 		return nil, fail(wire.CodeBadRequest,
 			fmt.Sprintf("transaction %d has open subtransaction %d", h.id, h.child.id))
 	}
-	return h, nil
+	return h, wire.Response{}
 }
 
 // mapErr converts the outcome of an access or of a transaction verb into
 // its wire form, counting deadlock victims.
-func (ss *session) mapErr(err error) *wire.Response {
+func (ss *session) mapErr(err error) wire.Response {
 	switch {
 	case err == nil:
-		return &wire.Response{OK: true}
+		return wire.Response{OK: true}
 	case errors.Is(err, nestedtx.ErrDeadlock):
 		ss.srv.count(func(c *Counters) { c.DeadlockVictims++ })
 		return fail(wire.CodeDeadlock, err.Error())

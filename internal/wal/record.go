@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"nestedtx/internal/adt"
+	"nestedtx/internal/jscan"
 )
 
 // The log stores two kinds of records. A register record introduces an
@@ -67,80 +68,58 @@ type jsonRecord struct {
 	St   json.RawMessage `json:"st,omitempty"`
 }
 
-// encodeValueOrNil encodes v, falling back to nil for values outside the
-// library vocabulary: a top-level Return value may be any comparable
-// type, and the checker never inspects top-level commit values, so an
-// unencodable one degrades to nil in the log rather than failing the
-// commit. Access values are always library values and never hit the
-// fallback.
-func encodeValueOrNil(v adt.Value) json.RawMessage {
-	raw, err := adt.EncodeValue(v)
-	if err != nil {
-		raw, _ = adt.EncodeValue(nil)
-	}
-	return raw
-}
-
-func marshalRecord(r Record) ([]byte, error) {
-	jr := jsonRecord{LSN: r.LSN}
+// appendBody appends r's JSON from the member after the LSN on —
+// `,"k":…}` — in exactly the bytes encoding/json gave jsonRecord. The
+// appender encodes this much before its LSN exists, so the expensive part
+// stays outside the log's critical sections; sealFrame adds the rest.
+func appendBody(dst []byte, r Record) ([]byte, error) {
+	var err error
 	switch {
 	case r.Commit != nil:
-		jr.Kind = "commit"
-		jr.TID = r.Commit.TID
-		jr.Val = encodeValueOrNil(r.Commit.Value)
-		jr.Ops = make([]jsonEffect, len(r.Commit.Effects))
-		for i, e := range r.Commit.Effects {
-			op, err := adt.EncodeOp(e.Op)
-			if err != nil {
-				return nil, fmt.Errorf("wal: %s op %d on %q: %w", r.Commit.TID, i, e.Obj, err)
+		c := r.Commit
+		dst = append(dst, `,"k":"commit"`...)
+		if c.TID != "" {
+			dst = jscan.AppendString(append(dst, `,"tid":`...), c.TID)
+		}
+		// A top-level Return value may be any comparable type, and the
+		// checker never inspects top-level commit values, so one outside
+		// the library vocabulary degrades to nil in the log rather than
+		// failing the commit. Access values are always library values.
+		dst = append(dst, `,"v":`...)
+		if enc, err := adt.AppendValue(dst, c.Value); err == nil {
+			dst = enc
+		} else {
+			dst, _ = adt.AppendValue(dst, nil)
+		}
+		for i, e := range c.Effects {
+			sep := `,{"x":`
+			if i == 0 {
+				sep = `,"ops":[{"x":`
 			}
-			val, err := adt.EncodeValue(e.Val)
-			if err != nil {
-				return nil, fmt.Errorf("wal: %s value %d on %q: %w", r.Commit.TID, i, e.Obj, err)
+			dst = jscan.AppendString(append(dst, sep...), e.Obj)
+			if dst, err = adt.AppendOp(append(dst, `,"op":`...), e.Op); err != nil {
+				return nil, fmt.Errorf("wal: %s op %d on %q: %w", c.TID, i, e.Obj, err)
 			}
-			jr.Ops[i] = jsonEffect{Obj: e.Obj, Op: op, Val: val}
+			if dst, err = adt.AppendValue(append(dst, `,"v":`...), e.Val); err != nil {
+				return nil, fmt.Errorf("wal: %s value %d on %q: %w", c.TID, i, e.Obj, err)
+			}
+			dst = append(dst, '}')
+		}
+		if len(c.Effects) > 0 {
+			dst = append(dst, ']')
 		}
 	case r.Register != nil:
-		jr.Kind = "register"
-		jr.Obj = r.Register.Name
-		st, err := adt.EncodeState(r.Register.Initial)
-		if err != nil {
+		dst = append(dst, `,"k":"register"`...)
+		if r.Register.Name != "" {
+			dst = jscan.AppendString(append(dst, `,"obj":`...), r.Register.Name)
+		}
+		if dst, err = adt.AppendState(append(dst, `,"st":`...), r.Register.Initial); err != nil {
 			return nil, fmt.Errorf("wal: register %q: %w", r.Register.Name, err)
 		}
-		jr.St = st
 	default:
 		return nil, fmt.Errorf("wal: empty record")
 	}
-	return json.Marshal(jr)
-}
-
-// lsnZeroPrefix is how marshalRecord opens a payload encoded with the
-// placeholder LSN: jsonRecord declares LSN first, and encoding/json
-// emits struct fields in declaration order.
-var lsnZeroPrefix = []byte(`{"lsn":0,`)
-
-// patchLSN splices the reserved LSN into a payload that was marshalled
-// with r.LSN == 0 — the appender encodes before its LSN exists so the
-// expensive JSON encoding stays outside the log's critical sections. If
-// the encoder's shape ever stops matching the expected prefix, it falls
-// back to a full re-marshal (which cannot fail: the placeholder marshal
-// of the same record already succeeded).
-func patchLSN(payload []byte, r Record, lsn uint64) []byte {
-	if lsn == 0 {
-		return payload
-	}
-	if bytes.HasPrefix(payload, lsnZeroPrefix) {
-		out := make([]byte, 0, len(payload)+20)
-		out = append(out, lsnZeroPrefix[:len(lsnZeroPrefix)-2]...) // `{"lsn":`
-		out = strconv.AppendUint(out, lsn, 10)
-		out = append(out, payload[len(lsnZeroPrefix)-1:]...) // from the comma on
-		return out
-	}
-	r.LSN = lsn
-	if p, err := marshalRecord(r); err == nil {
-		return p
-	}
-	return payload
+	return append(dst, '}'), nil
 }
 
 func unmarshalRecord(data []byte) (Record, error) {
@@ -252,6 +231,35 @@ func scanFrame(buf []byte) (payload []byte, frameLen int, err error) {
 	return payload, end, nil
 }
 
+// frameRoom is the space stageRecord leaves in front of a record body
+// for what sealFrame writes there: the frame header (length, space, eight
+// hex digits, newline) and `{"lsn":` with up to twenty digits.
+const frameRoom = 48
+
+// stageRecord appends frameRoom spare bytes and then r's body to dst.
+func stageRecord(dst []byte, r Record) ([]byte, error) {
+	return appendBody(append(dst, make([]byte, frameRoom)...), r)
+}
+
+// sealFrame completes the record whose body stageRecord put at buf[at:]:
+// it writes the LSN and then the frame header backwards into the room in
+// front of the body and appends the terminator. The frame is out[start:].
+func sealFrame(buf []byte, at int, lsn uint64) (out []byte, start int) {
+	before := func(i int, n uint64, base int) int {
+		var digits [20]byte
+		d := strconv.AppendUint(digits[:0], n, base)
+		return i - copy(buf[i-len(d):], d)
+	}
+	i := before(at, lsn, 10)
+	i -= copy(buf[i-7:], `{"lsn":`)
+	payload := buf[i:]
+	buf[i-1] = '\n'
+	i = before(i-1, uint64(crc32.Checksum(payload, castagnoli)), 16)
+	buf[i-1] = ' '
+	i = before(i-1, uint64(len(payload)), 10)
+	return append(buf, '\n'), i
+}
+
 // ---- replication framing ----
 
 // EncodeFrame appends the CRC-framed encoding of r to dst — byte-
@@ -259,11 +267,13 @@ func scanFrame(buf []byte) (payload []byte, frameLen int, err error) {
 // replication batch is re-checked against the same checksums on the
 // follower.
 func EncodeFrame(dst []byte, r Record) ([]byte, error) {
-	payload, err := marshalRecord(r)
+	buf, err := stageRecord(dst, r)
 	if err != nil {
 		return nil, err
 	}
-	return appendFrame(dst, payload), nil
+	buf, start := sealFrame(buf, len(dst)+frameRoom, r.LSN)
+	// Move the frame down over the room it did not need.
+	return buf[:len(dst)+copy(buf[len(dst):], buf[start:])], nil
 }
 
 // DecodeFrames strictly parses a buffer of complete frames (a shipped

@@ -289,14 +289,20 @@ func (l *Log) AppendBatch(recs []Record) error {
 // active segment in LSN order and parks a waiter for a covering fsync.
 //
 // The expensive work — JSON encoding and CRC framing — happens outside
-// every lock: the record is encoded with a placeholder LSN before the
-// reservation (so an unencodable record fails without leaving a hole in
-// the sequence) and the reserved LSN is patched in afterwards.
+// every lock: the record's body is encoded before the reservation (so an
+// unencodable record fails without leaving a hole in the sequence) and
+// sealed with the reserved LSN afterwards, all in one pooled buffer that
+// writeFrame copies into the staging buffer.
 func (l *Log) enqueue(r Record, strict bool) (chan error, uint64, error) {
-	if !strict {
-		r.LSN = 0 // the log assigns LSNs; encode with the placeholder
-	}
-	payload, err := marshalRecord(r)
+	bp := frameBufs.Get().(*[]byte)
+	buf := (*bp)[:0]
+	defer func() {
+		if cap(buf) <= maxPooledFrame {
+			*bp = buf
+			frameBufs.Put(bp)
+		}
+	}()
+	buf, err := stageRecord(buf, r)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -319,17 +325,19 @@ func (l *Log) enqueue(r Record, strict bool) (chan error, uint64, error) {
 	l.nextLSN++
 	l.mu.Unlock()
 
-	if !strict {
-		payload = patchLSN(payload, r, lsn)
-	}
-	frame := appendFrame(nil, payload)
-
+	buf, start := sealFrame(buf, frameRoom, lsn)
 	ch := make(chan error, 1)
-	if err := l.writeFrame(lsn, frame, ch); err != nil {
+	if err := l.writeFrame(lsn, buf[start:], ch); err != nil {
 		return nil, 0, err
 	}
 	return ch, lsn, nil
 }
+
+// frameBufs recycles enqueue's encode buffers; one that a large record
+// grew past maxPooledFrame is dropped rather than pinned.
+var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledFrame = 64 << 10
 
 // writeFrame stages frame as record lsn of the log. Frames enter the
 // write path in LSN order — writeSeq is the ticket — but the segment

@@ -33,7 +33,10 @@ func FuzzReadFrame(f *testing.F) {
 	w := bufio.NewWriter(&buf)
 	op, _ := EncodeOp(adt.CtrAdd{Delta: 1})
 	_ = WriteFrame(w, &Request{Seq: 7, Type: TWrite, Tx: 1, Obj: "ctr", Op: op})
-	seeds = append(seeds, buf.Bytes())
+	seeds = append(seeds, buf.Bytes(),
+		[]byte("+2\n{}\n"),               // a sign is not a digit
+		bytes.Repeat([]byte("1"), 1<<20), // a header that never ends
+	)
 	for _, s := range seeds {
 		f.Add(s)
 	}

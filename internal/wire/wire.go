@@ -17,17 +17,26 @@
 // states cross the wire in the tagged encoding of internal/adt's codec,
 // so only the library's abstract data types are remotely accessible —
 // the same restriction the schedule-persistence tools have.
+//
+// Request and Response frames are written and read by a hand-written
+// codec on internal/jscan, byte-compatible with encoding/json except that
+// keys are case-sensitive; only the cold nested payloads (stats, metrics,
+// repl, repl_status) are delegated to encoding/json. A frame that fits
+// the bufio.Reader is decoded where it lies: Op, Value and State of a
+// decoded frame alias the reader's buffer and are valid until the next
+// read from it.
 package wire
 
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
 
 	"nestedtx/internal/adt"
+	"nestedtx/internal/jscan"
 )
 
 // MaxFrameSize bounds a single request frame's payload; frames
@@ -309,68 +318,300 @@ func EncodeState(s adt.State) (json.RawMessage, error) { return adt.EncodeState(
 // DecodeState reverses EncodeState.
 func DecodeState(raw json.RawMessage) (adt.State, error) { return adt.DecodeState(raw) }
 
-// WriteFrame writes v as one length-prefixed frame and flushes, applying
-// the request-side limit. Servers writing responses use [WriteFrameMax]
-// with [MaxResponseSize].
+// enc builds one frame's JSON. Its methods write a member — key holds
+// the comma, the name and the colon — only when the value is non-empty:
+// encoding/json's omitempty.
+type enc struct {
+	buf []byte
+	err error
+}
+
+func (e *enc) uint(key string, n uint64) {
+	if n != 0 {
+		e.buf = strconv.AppendUint(append(e.buf, key...), n, 10)
+	}
+}
+
+func (e *enc) str(key, s string) {
+	if s != "" {
+		e.buf = jscan.AppendString(append(e.buf, key...), s)
+	}
+}
+
+func (e *enc) flag(key string, b bool) {
+	if b {
+		e.buf = append(append(e.buf, key...), "true"...)
+	}
+}
+
+func (e *enc) raw(key string, raw json.RawMessage) {
+	if len(raw) > 0 && e.err == nil {
+		e.buf, e.err = jscan.AppendCompact(append(e.buf, key...), raw)
+	}
+}
+
+// cold writes a nested payload through encoding/json.
+func cold[T any](e *enc, key string, p *T) {
+	if p != nil && e.err == nil {
+		var nested []byte
+		nested, e.err = json.Marshal(p)
+		e.buf = append(append(e.buf, key...), nested...)
+	}
+}
+
+func appendRequest(dst []byte, r *Request) ([]byte, error) {
+	e := enc{buf: strconv.AppendUint(append(dst, `{"seq":`...), r.Seq, 10)}
+	e.buf = jscan.AppendString(append(e.buf, `,"type":`...), r.Type)
+	e.uint(`,"tx":`, r.Tx)
+	e.str(`,"obj":`, r.Obj)
+	e.raw(`,"op":`, r.Op)
+	e.flag(`,"dump":`, r.Dump)
+	e.uint(`,"lsn":`, r.Lsn)
+	e.flag(`,"read_only":`, r.ReadOnly)
+	return append(e.buf, '}'), e.err
+}
+
+func appendResponse(dst []byte, r *Response) ([]byte, error) {
+	e := enc{buf: strconv.AppendUint(append(dst, `{"seq":`...), r.Seq, 10)}
+	e.buf = strconv.AppendBool(append(e.buf, `,"ok":`...), r.OK)
+	e.str(`,"code":`, r.Code)
+	e.str(`,"err":`, r.Err)
+	e.uint(`,"tx":`, r.Tx)
+	e.str(`,"txid":`, r.TxID)
+	e.uint(`,"snap":`, r.Snap)
+	e.raw(`,"value":`, r.Value)
+	e.raw(`,"state":`, r.State)
+	cold(&e, `,"stats":`, r.Stats)
+	cold(&e, `,"metrics":`, r.Metrics)
+	cold(&e, `,"repl":`, r.Repl)
+	cold(&e, `,"repl_status":`, r.ReplStatus)
+	return append(e.buf, '}'), e.err
+}
+
+// vocabulary is every request type and response code: decoding one of
+// them yields the constant, not a fresh string.
+var vocabulary = [...]string{TBegin, TSub, TRead, TWrite, TCommit, TAbort, TState, TStats, TMetrics, TPing,
+	TReplHello, TReplAck, TReplStatus, TPromote, CodeDeadlock, CodeAborted, CodeTimeout, CodeBusy, CodeShutdown,
+	CodeUnknownTx, CodeBadRequest, CodeTooLarge, CodeInternal, CodeReadOnly, CodeNotConfigured}
+
+// word reads a string that is usually one of vocabulary.
+func word(s *jscan.Scanner, dst *string) error {
+	var b []byte
+	err := s.Bytes(&b)
+	for _, w := range vocabulary {
+		if string(b) == w && b != nil {
+			*dst = w
+			return err
+		}
+	}
+	if b != nil {
+		*dst = string(b)
+	}
+	return err
+}
+
+// decodeCold reads a nested payload through encoding/json, into the value
+// an earlier duplicate of the key left, as encoding/json would.
+func decodeCold[T any](s *jscan.Scanner, dst **T) error {
+	var raw []byte
+	if err := s.Raw(&raw); err != nil {
+		return err
+	}
+	p := *dst
+	err := json.Unmarshal(raw, &p)
+	*dst = p
+	return err
+}
+
+func decodeRequest(data []byte, r *Request) error {
+	*r = Request{}
+	s := jscan.New(data)
+	err := s.Object(func(key []byte) error {
+		switch string(key) {
+		case "seq":
+			return s.Uint64(&r.Seq)
+		case "type":
+			return word(&s, &r.Type)
+		case "tx":
+			return s.Uint64(&r.Tx)
+		case "obj":
+			return s.String(&r.Obj)
+		case "op":
+			return s.Raw((*[]byte)(&r.Op))
+		case "dump":
+			return s.Bool(&r.Dump)
+		case "lsn":
+			return s.Uint64(&r.Lsn)
+		case "read_only":
+			return s.Bool(&r.ReadOnly)
+		}
+		return s.Skip()
+	})
+	if err == nil {
+		err = s.End()
+	}
+	return err
+}
+
+func decodeResponse(data []byte, r *Response) error {
+	*r = Response{}
+	s := jscan.New(data)
+	err := s.Object(func(key []byte) error {
+		switch string(key) {
+		case "seq":
+			return s.Uint64(&r.Seq)
+		case "ok":
+			return s.Bool(&r.OK)
+		case "code":
+			return word(&s, &r.Code)
+		case "err":
+			return s.String(&r.Err)
+		case "tx":
+			return s.Uint64(&r.Tx)
+		case "txid":
+			return s.String(&r.TxID)
+		case "snap":
+			return s.Uint64(&r.Snap)
+		case "value":
+			return s.Raw((*[]byte)(&r.Value))
+		case "state":
+			return s.Raw((*[]byte)(&r.State))
+		case "stats":
+			return decodeCold(&s, &r.Stats)
+		case "metrics":
+			return decodeCold(&s, &r.Metrics)
+		case "repl":
+			return decodeCold(&s, &r.Repl)
+		case "repl_status":
+			return decodeCold(&s, &r.ReplStatus)
+		}
+		return s.Skip()
+	})
+	if err == nil {
+		err = s.End()
+	}
+	return err
+}
+
+// errNotFrame does not name v's type: formatting v would make every
+// caller's frame struct escape to the heap.
+var errNotFrame = errors.New("value is neither *Request nor *Response")
+
+// WriteFrame writes v, a *Request or a *Response, as one length-prefixed
+// frame and flushes, applying the request-side limit. Servers writing
+// responses use [WriteFrameMax] with [MaxResponseSize].
 func WriteFrame(w *bufio.Writer, v any) error {
 	return WriteFrameMax(w, v, MaxFrameSize)
 }
 
+// headerRoom is the space a frame's header can take: eight digits and a
+// newline.
+const headerRoom = 9
+
 // WriteFrameMax writes v as one length-prefixed frame and flushes,
-// rejecting payloads over max bytes.
+// rejecting payloads over max bytes. The frame is built in w's own
+// buffer when it fits there, so writing allocates only for one that
+// does not.
 func WriteFrameMax(w *bufio.Writer, v any, max int) error {
-	payload, err := json.Marshal(v)
+	buf := append(w.AvailableBuffer(), "         "[:headerRoom]...)
+	var err error
+	switch x := v.(type) {
+	case *Request:
+		buf, err = appendRequest(buf, x)
+	case *Response:
+		buf, err = appendResponse(buf, x)
+	default:
+		err = errNotFrame
+	}
 	if err != nil {
 		return fmt.Errorf("wire: marshal frame: %w", err)
 	}
-	if len(payload) > max {
-		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", len(payload), max)
+	n := len(buf) - headerRoom
+	if n > max || n > maxFrameLen {
+		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, max)
 	}
-	if _, err := fmt.Fprintf(w, "%d\n", len(payload)); err != nil {
-		return err
-	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	if err := w.WriteByte('\n'); err != nil {
+	buf = append(buf, '\n')
+	// The header goes right-aligned into the room left before the payload.
+	var digits [headerRoom]byte
+	header := append(strconv.AppendInt(digits[:0], int64(n), 10), '\n')
+	start := headerRoom - copy(buf[headerRoom-len(header):], header)
+	if _, err := w.Write(buf[start:]); err != nil {
 		return err
 	}
 	return w.Flush()
 }
 
-// ReadFrame reads one frame's payload into v, applying the request-side
-// limit. It returns io.EOF (exactly) on a clean end of stream before any
-// byte of a frame. Clients reading responses use [ReadFrameMax] with
-// [MaxResponseSize].
+// ReadFrame reads one frame's payload into v, a *Request or a *Response,
+// applying the request-side limit. It returns io.EOF (exactly) on a clean
+// end of stream before any byte of a frame. Clients reading responses use
+// [ReadFrameMax] with [MaxResponseSize].
 func ReadFrame(r *bufio.Reader, v any) error {
 	return ReadFrameMax(r, v, MaxFrameSize)
 }
 
-// ReadFrameMax reads one frame's payload into v, rejecting frames that
-// advertise more than max bytes without reading their body.
-func ReadFrameMax(r *bufio.Reader, v any, max int) error {
-	header, err := r.ReadString('\n')
+// maxFrameLen is the largest payload length the header grammar (one to
+// eight ASCII digits) can state.
+const maxFrameLen = 99999999
+
+// readHeader reads a frame's length line. The line is bounded before it
+// is parsed: a peer that never sends the newline costs at most one
+// buffer of r, not memory proportional to what it streams.
+func readHeader(r *bufio.Reader) (int, error) {
+	line, err := r.ReadSlice('\n')
 	if err != nil {
-		if err == io.EOF && header == "" {
-			return io.EOF
+		if err == io.EOF && len(line) == 0 {
+			return 0, io.EOF
 		}
-		return fmt.Errorf("wire: read frame header: %w", err)
+		return 0, fmt.Errorf("wire: read frame header: %w", err)
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(header))
-	if err != nil || n < 0 {
-		return fmt.Errorf("wire: bad frame length %q", strings.TrimSpace(header))
+	n, digits := 0, line[:len(line)-1]
+	ok := len(digits) >= 1 && len(digits) <= 8
+	for _, c := range digits {
+		ok = ok && '0' <= c && c <= '9'
+		n = n*10 + int(c-'0')
+	}
+	if !ok {
+		return 0, fmt.Errorf("wire: bad frame length %.20q", digits)
+	}
+	return n, nil
+}
+
+// ReadFrameMax reads one frame's payload into v, rejecting frames that
+// advertise more than max bytes without reading their body. A frame that
+// fits r's buffer is decoded in place (see the package comment for what
+// then aliases it); a larger one gets a buffer of its own, dropped with
+// the frame, so a connection never retains its largest frame.
+func ReadFrameMax(r *bufio.Reader, v any, max int) error {
+	n, err := readHeader(r)
+	if err != nil {
+		return err
 	}
 	if n > max {
 		return fmt.Errorf("wire: frame of %d bytes exceeds limit %d", n, max)
 	}
-	buf := make([]byte, n+1) // payload + trailing newline
-	if _, err := io.ReadFull(r, buf); err != nil {
+	var buf []byte // payload + trailing newline
+	if n+1 <= r.Size() {
+		buf, err = r.Peek(n + 1)
+		r.Discard(len(buf)) // the bytes stay in place until the next read
+	} else {
+		buf = make([]byte, n+1)
+		_, err = io.ReadFull(r, buf)
+	}
+	if err != nil {
 		return fmt.Errorf("wire: read frame payload: %w", err)
 	}
 	if buf[n] != '\n' {
 		return fmt.Errorf("wire: frame missing trailing newline")
 	}
-	if err := json.Unmarshal(buf[:n], v); err != nil {
+	switch x := v.(type) {
+	case *Request:
+		err = decodeRequest(buf[:n], x)
+	case *Response:
+		err = decodeResponse(buf[:n], x)
+	default:
+		err = errNotFrame
+	}
+	if err != nil {
 		return fmt.Errorf("wire: unmarshal frame: %w", err)
 	}
 	return nil
@@ -378,18 +619,18 @@ func ReadFrameMax(r *bufio.Reader, v any, max int) error {
 
 // ReadRequest reads one Request frame.
 func ReadRequest(r *bufio.Reader) (*Request, error) {
-	var req Request
-	if err := ReadFrame(r, &req); err != nil {
+	req := new(Request)
+	if err := ReadFrame(r, req); err != nil {
 		return nil, err
 	}
-	return &req, nil
+	return req, nil
 }
 
 // ReadResponse reads one Response frame (response-side size limit).
 func ReadResponse(r *bufio.Reader) (*Response, error) {
-	var resp Response
-	if err := ReadFrameMax(r, &resp, MaxResponseSize); err != nil {
+	resp := new(Response)
+	if err := ReadFrameMax(r, resp, MaxResponseSize); err != nil {
 		return nil, err
 	}
-	return &resp, nil
+	return resp, nil
 }

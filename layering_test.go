@@ -39,9 +39,10 @@ func TestRuntimeDoesNotImportTools(t *testing.T) {
 // package would close a cycle through one of them.
 func TestSnapIsTheReadSidesLeaf(t *testing.T) {
 	allowed := map[string]bool{
-		"nestedtx/internal/snap": true,
-		"nestedtx/internal/adt":  true,
-		"nestedtx/internal/obs":  true,
+		"nestedtx/internal/snap":  true,
+		"nestedtx/internal/adt":   true,
+		"nestedtx/internal/jscan": true,
+		"nestedtx/internal/obs":   true,
 	}
 	out, err := exec.Command("go", "list", "-deps", "nestedtx/internal/snap").Output()
 	if err != nil {
@@ -50,6 +51,41 @@ func TestSnapIsTheReadSidesLeaf(t *testing.T) {
 	for _, dep := range strings.Fields(string(out)) {
 		if (dep == "nestedtx" || strings.HasPrefix(dep, "nestedtx/")) && !allowed[dep] {
 			t.Errorf("internal/snap depends on %s", dep)
+		}
+	}
+}
+
+// TestJscanIsTheCodecsLeaf: the hand-written JSON layer sits under the
+// three codecs and on nothing — standard library only, and not
+// encoding/json, which it exists to replace on the hot frames. The adt
+// codec has no reflective path left at all, and the layers above the
+// wire (client, server) never marshal a Request or Response themselves:
+// they do not import encoding/json.
+func TestJscanIsTheCodecsLeaf(t *testing.T) {
+	imports := func(pkg string) map[string]bool {
+		out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, pkg).Output()
+		if err != nil {
+			t.Fatalf("go list %s: %v", pkg, err)
+		}
+		set := make(map[string]bool)
+		for _, dep := range strings.Fields(string(out)) {
+			set[dep] = true
+		}
+		return set
+	}
+	for dep := range imports("nestedtx/internal/jscan") {
+		if dep == "encoding/json" || dep == "reflect" || strings.Contains(dep, ".") || strings.HasPrefix(dep, "nestedtx") {
+			t.Errorf("internal/jscan imports %s", dep)
+		}
+	}
+	for _, codec := range []string{"nestedtx/internal/adt", "nestedtx/internal/wire", "nestedtx/internal/wal"} {
+		if !imports(codec)["nestedtx/internal/jscan"] {
+			t.Errorf("%s does not import internal/jscan", codec)
+		}
+	}
+	for _, pkg := range []string{"nestedtx/internal/adt", "nestedtx/client", "nestedtx/internal/server"} {
+		if imports(pkg)["encoding/json"] {
+			t.Errorf("%s imports encoding/json", pkg)
 		}
 	}
 }
