@@ -24,13 +24,13 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"sync"
 	"time"
 
 	"nestedtx"
 	"nestedtx/internal/adt"
+	"nestedtx/internal/clock"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/wire"
 )
@@ -433,41 +433,22 @@ func (c *Client) Run(fn func(*Tx) error) error {
 // remote mirror of Manager.RunRetry. attempts values below 1 are
 // clamped to 1, so fn always runs at least once.
 func (c *Client) RunRetry(attempts int, fn func(*Tx) error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = c.Run(fn)
-		if !errors.Is(err, nestedtx.ErrDeadlock) {
+	return retry(attempts, isDeadlock, func() error { return c.Run(fn) })
+}
+
+func isDeadlock(err error) bool { return errors.Is(err, nestedtx.ErrDeadlock) }
+
+// retry runs try until it succeeds, fails with an error retryable does
+// not accept, or attempts (at least one) are used up. Between attempts
+// it sleeps a jittered, exponentially growing interval, so competing
+// victims restart out of phase (the same policy as the local runtime's
+// retry helpers); nothing is slept after the last.
+func retry(attempts int, retryable func(error) bool, try func() error) error {
+	for i := 0; ; i++ {
+		err := try()
+		if err == nil || !retryable(err) || i+1 >= attempts {
 			return err
 		}
-		if i+1 == attempts {
-			break
-		}
-		sleepBackoff(i)
+		time.Sleep(clock.Backoff(i, 50*time.Microsecond))
 	}
-	return err
-}
-
-// sleepBackoff sleeps a jittered, exponentially growing interval after
-// the attempt'th deadlock, so competing victims restart out of phase
-// (the same policy as the local runtime's retry helpers).
-func sleepBackoff(attempt int) {
-	time.Sleep(backoffDelay(attempt, 50*time.Microsecond))
-}
-
-// backoffDelay returns a jittered delay in (0, min(base·2^attempt,
-// 64·base)]. The delay — not the shift count — is clamped, so
-// out-of-range attempts (negative, or large enough to overflow the
-// shift) saturate at the cap instead of panicking or going negative.
-func backoffDelay(attempt int, base time.Duration) time.Duration {
-	delay := 64 * base // cap after 6 doublings
-	if attempt < 0 {
-		attempt = 0
-	}
-	if attempt < 7 {
-		delay = base << uint(attempt)
-	}
-	return time.Duration(rand.Int63n(int64(delay)) + 1)
 }

@@ -3,11 +3,10 @@ package client
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
-	"nestedtx"
+	"nestedtx/internal/clock"
 	"nestedtx/internal/obs"
 )
 
@@ -34,7 +33,6 @@ type Pool struct {
 
 	mu     sync.Mutex
 	idle   []*Client
-	rng    *rand.Rand
 	closed bool
 
 	redials   uint64 // successful replacement dials after the initial fill
@@ -60,7 +58,6 @@ func NewPool(addr string, size int, opts ...Option) (*Pool, error) {
 		tokens: make(chan struct{}, size),
 		stop:   make(chan struct{}),
 		rtt:    new(obs.Histogram),
-		rng:    rand.New(rand.NewSource(time.Now().UnixNano())),
 	}
 	for i := 0; i < size; i++ {
 		p.tokens <- struct{}{}
@@ -201,10 +198,10 @@ func (p *Pool) noteDiscard() {
 }
 
 // backoff sleeps a jittered, exponentially growing interval after the
-// attempt'th failed redial, interruptible by Close. The delay schedule
-// saturates like backoffDelay's: 5ms doubling to a 320ms cap.
+// attempt'th failed redial, interruptible by Close: 5ms doubling to a
+// 320ms cap.
 func (p *Pool) backoff(attempt int) {
-	t := time.NewTimer(backoffDelay(attempt, 5*time.Millisecond))
+	t := time.NewTimer(clock.Backoff(attempt, 5*time.Millisecond))
 	defer t.Stop()
 	select {
 	case <-t.C:
@@ -274,20 +271,6 @@ func (p *Pool) Run(fn func(*Tx) error) error {
 // effects, so re-running fn is safe. attempts values below 1 are
 // clamped to 1.
 func (p *Pool) RunRetry(attempts int, fn func(*Tx) error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = p.Run(fn)
-		if err == nil ||
-			(!errors.Is(err, nestedtx.ErrDeadlock) && !errors.Is(err, ErrConnLost)) {
-			return err
-		}
-		if i+1 == attempts {
-			break
-		}
-		sleepBackoff(i)
-	}
-	return err
+	return retry(attempts, func(err error) bool { return isDeadlock(err) || errors.Is(err, ErrConnLost) },
+		func() error { return p.Run(fn) })
 }

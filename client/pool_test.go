@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"nestedtx/internal/clock"
 	"nestedtx/internal/wire"
 )
 
@@ -178,9 +179,9 @@ func TestBackoffDelayBounds(t *testing.T) {
 	}
 	for _, c := range cases {
 		for i := 0; i < 50; i++ {
-			d := backoffDelay(c.attempt, base)
+			d := clock.Backoff(c.attempt, base)
 			if d <= 0 || d > c.ceil {
-				t.Fatalf("backoffDelay(%d) = %v, want in (0, %v]", c.attempt, d, c.ceil)
+				t.Fatalf("clock.Backoff(%d) = %v, want in (0, %v]", c.attempt, d, c.ceil)
 			}
 		}
 	}

@@ -197,22 +197,9 @@ func (rp *ReplicaPool) Run(fn func(*Tx) error) error {
 // victims and lost connections are retried with backoff, and a leader
 // change is chased through Failover between attempts.
 func (rp *ReplicaPool) RunRetry(attempts int, fn func(*Tx) error) error {
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for i := 0; i < attempts; i++ {
-		err = rp.Run(fn)
-		if err == nil || (!errors.Is(err, nestedtx.ErrDeadlock) &&
-			!errors.Is(err, ErrConnLost) && !errors.Is(err, ErrReadOnly)) {
-			return err
-		}
-		if i+1 == attempts {
-			break
-		}
-		sleepBackoff(i)
-	}
-	return err
+	return retry(attempts, func(err error) bool {
+		return isDeadlock(err) || errors.Is(err, ErrConnLost) || errors.Is(err, ErrReadOnly)
+	}, func() error { return rp.Run(fn) })
 }
 
 // Failover probes every known endpoint for the current leader and, on

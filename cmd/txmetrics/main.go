@@ -29,6 +29,7 @@ import (
 
 	"nestedtx"
 	"nestedtx/client"
+	"nestedtx/internal/obs"
 	"nestedtx/internal/wire"
 )
 
@@ -127,7 +128,7 @@ func main() {
 		fmt.Printf("  repl metrics   shipped: batches=%d records=%d acks=%d | applied: batches=%d records=%d | followers=%d lag=%d records %.3fs\n",
 			met.ReplBatches, met.ReplRecordsShipped, met.ReplAcks,
 			met.ReplBatchesApplied, met.ReplRecordsApplied,
-			met.ReplFollowers, met.ReplLagRecords, met.ReplLagSeconds)
+			met.ReplFollowers, met.ReplLagRecords, met.ReplLag)
 		printHist("ship latency", met.ShipLatency)
 	}
 	if met.SnapTxs > 0 || met.SnapPublishes > 0 {
@@ -144,21 +145,12 @@ func main() {
 		fmt.Printf("  trace          %d entries (%d evicted before dump)\n",
 			len(met.Trace), met.TraceDropped)
 		for _, e := range met.Trace {
-			at := time.Unix(0, e.AtUnix).Format("15:04:05.000000")
-			fmt.Printf("    #%-8d %s %-14s %s", e.Seq, at, e.Kind, e.T)
-			if e.Object != "" {
-				fmt.Printf(" obj=%s", e.Object)
-			}
-			if e.DurNS != 0 {
-				fmt.Printf(" dur=%s", time.Duration(e.DurNS))
-			}
-			fmt.Println()
+			fmt.Println("    " + e.String())
 		}
 	}
 }
 
-func printHist(name string, h wire.HistQ) {
+func printHist(name string, h obs.HistSnapshot) {
 	fmt.Printf("  %-14s n=%d p50=%s p90=%s p99=%s max=%s\n", name, h.Count,
-		time.Duration(h.P50NS), time.Duration(h.P90NS),
-		time.Duration(h.P99NS), time.Duration(h.MaxNS))
+		h.Quantile(50), h.Quantile(90), h.Quantile(99), h.Max)
 }

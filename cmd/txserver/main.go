@@ -302,29 +302,21 @@ func logMetrics(met *obs.Metrics) {
 		s.TxCommits, s.TxAborts,
 		s.OpLatency.Quantile(50), s.OpLatency.Quantile(99),
 		s.LockWait.Count, s.LockWait.Quantile(99),
-		s.Victims(), s.VictimsDeadlock, s.VictimsCancelled,
+		s.Victims, s.VictimsDeadlock, s.VictimsCancelled,
 		s.QueuedWaiters, s.ContendedObjects)
 }
 
 // dumpTrace logs the retained trace ring oldest-first (no-op without
 // -trace).
 func dumpTrace(met *obs.Metrics) {
-	tr := met.Tracer
-	entries := tr.Dump()
+	entries := met.Tracer.Dump()
 	if len(entries) == 0 {
 		log.Printf("txserver: trace: empty (run with -trace N to enable)")
 		return
 	}
-	log.Printf("txserver: trace: %d retained of %d total", len(entries), tr.Seq())
+	log.Printf("txserver: trace: %d retained of %d total", len(entries), entries[len(entries)-1].Seq)
 	for _, e := range entries {
-		line := fmt.Sprintf("  #%d %s %s %s", e.Seq, e.At.Format("15:04:05.000000"), e.Kind, e.T)
-		if e.Object != "" {
-			line += " obj=" + e.Object
-		}
-		if e.Dur != 0 {
-			line += " dur=" + e.Dur.String()
-		}
-		log.Print(line)
+		log.Print("  " + e.String())
 	}
 }
 

@@ -10,7 +10,10 @@
 // imports this package — never the reverse.
 package clock
 
-import "time"
+import (
+	"math/rand"
+	"time"
+)
 
 // Clock is the time source the runtime's sleeps and timeouts draw from.
 type Clock interface {
@@ -45,6 +48,24 @@ func Or(c Clock) Clock {
 		return Real{}
 	}
 	return c
+}
+
+// Backoff returns the jittered delay before retry number attempt (0 is
+// the first): uniform over (0, min(base·2^attempt, 64·base)], so
+// competing retriers restart out of phase. The delay — not the shift
+// count — is clamped, so out-of-range attempts (negative, or large
+// enough to overflow the shift) saturate at the cap instead of
+// panicking or going negative. How the delay is spent, and on which
+// clock, is the caller's business.
+func Backoff(attempt int, base time.Duration) time.Duration {
+	delay := 64 * base // cap after 6 doublings
+	if attempt < 0 {
+		attempt = 0
+	}
+	if attempt < 7 {
+		delay = base << uint(attempt)
+	}
+	return time.Duration(rand.Int63n(int64(delay)) + 1)
 }
 
 // Real is the production clock: the wall clock, delegating to the time

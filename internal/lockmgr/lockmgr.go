@@ -57,22 +57,10 @@ var ErrCancelled = errors.New("lockmgr: acquire cancelled")
 // failed.
 var ErrUnknownObject = errors.New("object not registered")
 
-// Stats counts manager activity, aggregated across shards. Read a
-// consistent copy via Manager.Stats.
-type Stats struct {
-	Acquires      uint64 // granted lock acquisitions
-	Waits         uint64 // acquisitions that blocked at least once
-	Deadlocks     uint64 // deadlock cycles broken
-	CommitMoves   uint64 // lock inheritances on commit
-	AbortReleases uint64 // lock discards on abort
-
-	Wakeups         uint64 // waiter wakeups issued by commits/aborts
-	SpuriousWakeups uint64 // wakeups after which the waiter was still blocked
-	MaxQueueDepth   uint64 // high-water mark of any per-object wait queue
-
-	Shards      uint64 // number of lock shards (configuration, not a counter)
-	Escalations uint64 // deadlock walks that had to snapshot every shard
-}
+// Stats counts manager activity, aggregated across shards; read a
+// consistent copy via Manager.Stats. The fields are declared once, with
+// the keys STATS publishes them under, in internal/obs.
+type Stats = obs.LockStats
 
 // Manager owns the lock tables and version maps of every registered object
 // and the wait queues of every blocked acquisition, partitioned into
@@ -80,7 +68,7 @@ type Stats struct {
 type Manager struct {
 	mode core.Mode
 	rec  *event.Recorder
-	met  *obs.Metrics // nil disables observability
+	met  *obs.Metrics
 
 	shards      []*shard
 	stripes     []indexStripe
@@ -137,9 +125,9 @@ func ShardOf(x string, shards int) int {
 }
 
 // New returns a Manager recording to rec (nil disables recording) with the
-// given lock classification mode and runtime.GOMAXPROCS(0) shards. met,
-// when non-nil, receives lock-wait latencies, victim counts by cause, and
-// queue-depth gauges.
+// given lock classification mode and runtime.GOMAXPROCS(0) shards. met
+// receives lock-wait latencies, victim counts by cause, and queue-depth
+// gauges; nil means nobody reads them.
 func New(rec *event.Recorder, mode core.Mode, met *obs.Metrics) *Manager {
 	return NewSharded(rec, mode, met, 0)
 }
@@ -153,11 +141,11 @@ func NewSharded(rec *event.Recorder, mode core.Mode, met *obs.Metrics, n int) *M
 	m := &Manager{
 		mode:    mode,
 		rec:     rec,
-		met:     met,
+		met:     obs.Or(met),
 		shards:  make([]*shard, n),
 		stripes: make([]indexStripe, numStripes),
 	}
-	met.InitShards(n)
+	m.met.ShardQueued = make([]obs.Gauge, n)
 	for i := range m.shards {
 		m.shards[i] = &shard{
 			id:         i,
@@ -464,7 +452,7 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel <-cha
 			if waited {
 				sh.stats.Waits++
 				d := time.Since(waitStart)
-				m.met.ObserveLockWait(d)
+				m.met.LockWait.Observe(d)
 				m.met.Trace(obs.KindLockAcquire, string(tx), x, d)
 			}
 			// A grant can complete a wait-for cycle (a newly compatible
@@ -552,11 +540,11 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel <-cha
 // lock-wait histogram exactly once — granted, victimised, or cancelled —
 // so LockWait.Count reconciles with Waits + victims-by-cause.
 func (m *Manager) victimExit(waitStart time.Time, deadlock bool) {
-	m.met.ObserveLockWait(time.Since(waitStart))
+	m.met.LockWait.Observe(time.Since(waitStart))
 	if deadlock {
-		m.met.VictimDeadlock()
+		m.met.VictimsDeadlock.Inc()
 	} else {
-		m.met.VictimCancelled()
+		m.met.VictimsCancelled.Inc()
 	}
 }
 

@@ -169,9 +169,9 @@ func (sh *shard) enqueueLocked(w *waiter) {
 	ls := w.ls
 	ls.queue = append(ls.queue, w)
 	if len(ls.queue) == 1 {
-		sh.m.met.AddContended(1)
+		sh.m.met.ContendedObjects.Add(1)
 	}
-	sh.m.met.AddQueued(1)
+	sh.m.met.QueuedWaiters.Add(1)
 	sh.m.met.AddShardQueued(sh.id, 1)
 	sh.contended[ls] = struct{}{}
 	if len(sh.waiting[w.tx]) == 0 {
@@ -197,10 +197,10 @@ func (sh *shard) dequeueLocked(w *waiter) {
 	for i, q := range ls.queue {
 		if q == w {
 			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			sh.m.met.AddQueued(-1)
+			sh.m.met.QueuedWaiters.Add(-1)
 			sh.m.met.AddShardQueued(sh.id, -1)
 			if len(ls.queue) == 0 {
-				sh.m.met.AddContended(-1)
+				sh.m.met.ContendedObjects.Add(-1)
 			}
 			break
 		}
@@ -246,9 +246,9 @@ func (sh *shard) wakeQueuedLocked(ls *lockState) {
 		sh.unindexWaiterLocked(w)
 	}
 	if n := len(ls.queue); n > 0 {
-		sh.m.met.AddQueued(-int64(n))
+		sh.m.met.QueuedWaiters.Add(-int64(n))
 		sh.m.met.AddShardQueued(sh.id, -int64(n))
-		sh.m.met.AddContended(-1)
+		sh.m.met.ContendedObjects.Add(-1)
 	}
 	ls.queue = nil
 	delete(sh.contended, ls)

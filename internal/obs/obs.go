@@ -14,12 +14,19 @@
 // Everything here is stdlib-only and cheap enough to leave on: counters
 // and histograms are single atomic adds, gauges are atomic int64s, and
 // the tracer is a fixed-capacity ring behind one short mutex (and is
-// entirely optional — a nil *Tracer records nothing). All recording
-// entry points are nil-receiver safe, mirroring event.Recorder, so
-// benchmarks and tests can run with observability absent at zero cost.
+// entirely optional — a nil *Tracer records nothing). A component handed
+// no registry normalises it once, where it enters, with [Or].
+//
+// Every number the server publishes is declared here once: the live
+// registry ([Metrics]), its point-in-time copy ([Snapshot]) and the
+// STATS blocks ([LockStats], [ServerCounters]) carry the JSON keys the
+// STATS and METRICS verbs answer with, so internal/wire embeds these
+// structs and both ends of a connection decode into the same types.
 package obs
 
 import (
+	"encoding/json"
+	"fmt"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -145,12 +152,51 @@ func (h *Histogram) Snapshot() HistSnapshot {
 }
 
 // HistSnapshot is a point-in-time copy of a Histogram, with quantile
-// estimation.
+// estimation. It crosses the wire as histJSON.
 type HistSnapshot struct {
 	Count   uint64
 	Sum     time.Duration
 	Max     time.Duration
 	Buckets [NumBuckets]uint64
+}
+
+// histJSON is a HistSnapshot on the wire: the totals, quantile estimates
+// for a reader that wants only numbers, and the buckets (trailing zeros
+// trimmed) a decoder rebuilds the snapshot from.
+type histJSON struct {
+	Count   uint64   `json:"count"`
+	SumNS   int64    `json:"sum_ns"`
+	P50NS   int64    `json:"p50_ns"`
+	P90NS   int64    `json:"p90_ns"`
+	P99NS   int64    `json:"p99_ns"`
+	MaxNS   int64    `json:"max_ns"`
+	Buckets []uint64 `json:"buckets,omitempty"`
+}
+
+func (s HistSnapshot) MarshalJSON() ([]byte, error) {
+	n := NumBuckets
+	for n > 0 && s.Buckets[n-1] == 0 {
+		n--
+	}
+	return json.Marshal(histJSON{s.Count, int64(s.Sum), int64(s.Quantile(50)), int64(s.Quantile(90)),
+		int64(s.Quantile(99)), int64(s.Max), s.Buckets[:n]})
+}
+
+// UnmarshalJSON rebuilds the snapshot from its totals and buckets; the
+// quantile members are derived and ignored. A payload without buckets
+// (a server older than them) keeps its totals and estimates every
+// quantile as Max.
+func (s *HistSnapshot) UnmarshalJSON(data []byte) error {
+	var j histJSON
+	if err := json.Unmarshal(data, &j); err != nil {
+		return err
+	}
+	if len(j.Buckets) > NumBuckets {
+		return fmt.Errorf("obs: histogram with %d buckets, want at most %d", len(j.Buckets), NumBuckets)
+	}
+	*s = HistSnapshot{Count: j.Count, Sum: time.Duration(j.SumNS), Max: time.Duration(j.MaxNS)}
+	copy(s.Buckets[:], j.Buckets)
+	return nil
 }
 
 // Quantile estimates the p'th percentile (p in [0,100]) as the upper
@@ -205,21 +251,35 @@ const (
 	KindLockAcquire = "LOCK_ACQUIRE" // a blocked acquisition was granted (Dur = wait time)
 )
 
-// TraceEntry is one ring-buffer record.
+// TraceEntry is one ring-buffer record, in the ring and on the wire
+// (METRICS with Dump).
 type TraceEntry struct {
-	Seq    uint64        // global sequence number (monotonic, never reused)
-	At     time.Time     // wall-clock time of the event
-	Kind   string        // event.Kind string or KindLock*
-	T      string        // transaction name in the paper's tree notation
-	Object string        // object name for access/lock events, else ""
-	Dur    time.Duration // latency attached to the event (op, tx, or wait time)
+	Seq    uint64        `json:"seq"`              // global sequence number (monotonic, never reused)
+	At     int64         `json:"at_unix_ns"`       // wall-clock time of the event, Unix nanoseconds
+	Kind   string        `json:"kind"`             // event.Kind string or KindLock*
+	T      string        `json:"t"`                // transaction name in the paper's tree notation
+	Object string        `json:"obj,omitempty"`    // object name for access/lock events, else ""
+	Dur    time.Duration `json:"dur_ns,omitempty"` // latency attached to the event (op, tx, or wait time)
+}
+
+// String renders the entry as one line of a trace dump.
+func (e TraceEntry) String() string {
+	line := fmt.Sprintf("#%-8d %s %-14s %s", e.Seq, time.Unix(0, e.At).Format("15:04:05.000000"), e.Kind, e.T)
+	if e.Object != "" {
+		line += " obj=" + e.Object
+	}
+	if e.Dur != 0 {
+		line += " dur=" + e.Dur.String()
+	}
+	return line
 }
 
 // Tracer is a fixed-capacity ring buffer of the most recent trace
 // entries. Writes overwrite the oldest entry once the ring is full, so
 // memory is bounded regardless of run length; Dump returns the surviving
-// window oldest-first. A nil *Tracer records nothing and dumps empty —
-// tracing is opt-in.
+// window oldest-first, and the Seq of its last entry is the total ever
+// traced. A nil *Tracer records nothing and dumps empty — tracing is
+// opt-in.
 type Tracer struct {
 	mu   sync.Mutex
 	seq  uint64
@@ -242,7 +302,7 @@ func (tr *Tracer) Trace(kind, t, object string, dur time.Duration) {
 	if tr == nil {
 		return
 	}
-	now := time.Now()
+	now := time.Now().UnixNano()
 	tr.mu.Lock()
 	tr.seq++
 	tr.buf[tr.next] = TraceEntry{Seq: tr.seq, At: now, Kind: kind, T: t, Object: object, Dur: dur}
@@ -269,37 +329,20 @@ func (tr *Tracer) Dump() []TraceEntry {
 	return append(out, tr.buf[:tr.next]...)
 }
 
-// Len returns the number of retained entries; Seq the total ever traced.
-func (tr *Tracer) Len() int {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	if tr.full {
-		return len(tr.buf)
-	}
-	return tr.next
-}
-
-// Seq returns the total number of entries ever traced (including
-// evicted ones).
-func (tr *Tracer) Seq() uint64 {
-	if tr == nil {
-		return 0
-	}
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	return tr.seq
-}
-
 // ---- the aggregate metric set ----
 
-// Metrics is the metric set threaded through the nestedtx stack: the
+// Metrics is the live metric set threaded through the nestedtx stack: the
 // runtime (Manager/Tx) records operation and transaction latencies and
 // outcomes, the lock manager records waiting and victim selection, and
-// the server snapshots everything for the METRICS wire verb. All
-// recording methods are nil-receiver safe.
+// the server publishes a [Snapshot] of everything through the METRICS
+// verb. Recorders touch the fields directly (met.WalAppends.Inc()); the
+// methods below exist only where one event moves several fields that
+// must agree. A *Metrics is never nil past the constructor it entered
+// through (see [Or]).
+//
+// Adding a metric: one field here, its tagged twin in Snapshot with the
+// line in [Metrics.Snapshot] that copies it, and one line where
+// txmetrics renders it. The wire, the server and the client need no edit.
 type Metrics struct {
 	// OpLatency is the latency of each successful access (Tx.Do):
 	// lock acquisition (including any wait) plus operation application.
@@ -310,7 +353,7 @@ type Metrics struct {
 	// LockWait is the duration of each blocked lock acquisition, from
 	// first block to grant, victimhood or cancellation. Acquisitions
 	// granted without waiting are not observed, so
-	//   LockWait.Count == Stats.Waits + VictimsDeadlock + VictimsCancelled
+	//   LockWait.Count == LockStats.Waits + VictimsDeadlock + VictimsCancelled
 	// at quiescence.
 	LockWait Histogram
 
@@ -319,16 +362,16 @@ type Metrics struct {
 
 	// Victim counts by cause: a waiter that left its wait queue without
 	// being granted, split by why. Their sum is the total victim count.
-	VictimsDeadlock  Counter // chosen as deadlock victim (== Stats.Deadlocks)
+	VictimsDeadlock  Counter // chosen as deadlock victim (== LockStats.Deadlocks)
 	VictimsCancelled Counter // cancelled while blocked (enclosing abort)
 
 	QueuedWaiters    Gauge // currently blocked lock acquisitions
 	ContendedObjects Gauge // objects with a non-empty wait queue
 
-	// ShardQueued splits QueuedWaiters by lock shard, sized by
-	// InitShards at manager construction (nil until then). The per-shard
-	// gauges expose contention skew — a hot shard shows up as one
-	// outlier entry while the aggregate gauge looks calm.
+	// ShardQueued splits QueuedWaiters by lock shard, sized by the lock
+	// manager at construction (nil until then). The per-shard gauges
+	// expose contention skew — a hot shard shows up as one outlier entry
+	// while the aggregate gauge looks calm.
 	ShardQueued []Gauge
 
 	// FsyncLatency is the duration of each WAL fsync (group commit
@@ -338,7 +381,8 @@ type Metrics struct {
 	WalAppends Counter // records appended to the WAL
 	WalFsyncs  Counter // fsyncs issued by the WAL syncer
 	// WalCheckpoints counts completed checkpoints; WalCheckpointLSN is
-	// the next LSN after the newest checkpoint (the redo low-water mark).
+	// the next LSN after the newest checkpoint (the redo low-water mark),
+	// also set, without a count, when boot recovers one.
 	WalCheckpoints   Counter
 	WalCheckpointLSN Gauge
 	// WalMaxBatch is the largest number of records retired by a single
@@ -365,12 +409,13 @@ type Metrics struct {
 	ReplBatchesApplied Counter
 	ReplRecordsApplied Counter
 
-	// Replication lag, in both the records and the seconds dimension: on
-	// a leader the worst connected follower (records behind the durable
-	// mark / seconds since that follower last made progress), on a
-	// follower its own position against the leader's durable mark.
+	// Replication lag, in both the records and the time dimension
+	// (ReplLag holds nanoseconds): on a leader the worst connected
+	// follower (records behind the durable mark / time since that
+	// follower last made progress), on a follower its own position
+	// against the leader's durable mark.
 	ReplLagRecords Gauge
-	ReplLagNS      Gauge
+	ReplLag        Gauge
 
 	// SnapReadLatency is the latency of each snapshot read: version
 	// lookup plus operation application, never a lock wait.
@@ -390,27 +435,23 @@ type Metrics struct {
 	Tracer *Tracer
 }
 
-// Trace records one tracer entry if tracing is enabled. Nil-safe.
-func (m *Metrics) Trace(kind, t, object string, dur time.Duration) {
+// Or returns m, or a registry of its own that nobody reads when m is
+// nil — the idiom for "injected registry, defaulting to none" at the
+// constructors that accept one.
+func Or(m *Metrics) *Metrics {
 	if m == nil {
-		return
+		return new(Metrics)
 	}
-	m.Tracer.Trace(kind, t, object, dur)
+	return m
 }
 
-// ObserveOp records one successful access latency.
-func (m *Metrics) ObserveOp(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.OpLatency.Observe(d)
+// Trace records one tracer entry if tracing is enabled.
+func (m *Metrics) Trace(kind, t, object string, dur time.Duration) {
+	m.Tracer.Trace(kind, t, object, dur)
 }
 
 // ObserveTx records one finished top-level transaction.
 func (m *Metrics) ObserveTx(d time.Duration, committed bool) {
-	if m == nil {
-		return
-	}
 	m.TxLatency.Observe(d)
 	if committed {
 		m.TxCommits.Inc()
@@ -419,76 +460,16 @@ func (m *Metrics) ObserveTx(d time.Duration, committed bool) {
 	}
 }
 
-// ObserveLockWait records one finished blocked acquisition.
-func (m *Metrics) ObserveLockWait(d time.Duration) {
-	if m == nil {
-		return
-	}
-	m.LockWait.Observe(d)
-}
-
-// VictimDeadlock counts one waiter evicted as a deadlock victim.
-func (m *Metrics) VictimDeadlock() {
-	if m == nil {
-		return
-	}
-	m.VictimsDeadlock.Inc()
-}
-
-// VictimCancelled counts one waiter evicted by cancellation.
-func (m *Metrics) VictimCancelled() {
-	if m == nil {
-		return
-	}
-	m.VictimsCancelled.Inc()
-}
-
-// AddQueued moves the queued-waiters gauge.
-func (m *Metrics) AddQueued(delta int64) {
-	if m == nil {
-		return
-	}
-	m.QueuedWaiters.Add(delta)
-}
-
-// AddContended moves the contended-objects gauge.
-func (m *Metrics) AddContended(delta int64) {
-	if m == nil {
-		return
-	}
-	m.ContendedObjects.Add(delta)
-}
-
-// InitShards sizes the per-shard queued-waiters gauges. Called once by
-// the lock manager at construction, before any concurrent use.
-func (m *Metrics) InitShards(n int) {
-	if m == nil {
-		return
-	}
-	m.ShardQueued = make([]Gauge, n)
-}
-
-// AddShardQueued moves shard's queued-waiters gauge.
+// AddShardQueued moves shard's queued-waiters gauge; a shard the gauges
+// were not sized for is ignored.
 func (m *Metrics) AddShardQueued(shard int, delta int64) {
-	if m == nil || shard < 0 || shard >= len(m.ShardQueued) {
-		return
+	if shard >= 0 && shard < len(m.ShardQueued) {
+		m.ShardQueued[shard].Add(delta)
 	}
-	m.ShardQueued[shard].Add(delta)
-}
-
-// ObserveAppend counts one WAL record append.
-func (m *Metrics) ObserveAppend() {
-	if m == nil {
-		return
-	}
-	m.WalAppends.Inc()
 }
 
 // ObserveFsync records one WAL fsync retiring batch records.
 func (m *Metrics) ObserveFsync(d time.Duration, batch int) {
-	if m == nil {
-		return
-	}
 	m.FsyncLatency.Observe(d)
 	m.WalFsyncs.Inc()
 	// Only the single syncer goroutine observes fsyncs, so a plain
@@ -500,27 +481,12 @@ func (m *Metrics) ObserveFsync(d time.Duration, batch int) {
 
 // ObserveCheckpoint records one completed checkpoint with its next LSN.
 func (m *Metrics) ObserveCheckpoint(nextLSN uint64) {
-	if m == nil {
-		return
-	}
 	m.WalCheckpoints.Inc()
-	m.WalCheckpointLSN.Set(int64(nextLSN))
-}
-
-// SetCheckpointLSN publishes the recovered checkpoint position without
-// counting a new checkpoint (the boot path).
-func (m *Metrics) SetCheckpointLSN(nextLSN uint64) {
-	if m == nil {
-		return
-	}
 	m.WalCheckpointLSN.Set(int64(nextLSN))
 }
 
 // ObserveReplBatch counts one shipped replication batch of n records.
 func (m *Metrics) ObserveReplBatch(n int) {
-	if m == nil {
-		return
-	}
 	m.ReplBatches.Inc()
 	m.ReplRecordsShipped.Add(uint64(n))
 }
@@ -528,9 +494,6 @@ func (m *Metrics) ObserveReplBatch(n int) {
 // ObserveReplAck counts one received ack; d, when positive, is the
 // round trip of the batch the ack covers.
 func (m *Metrics) ObserveReplAck(d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.ReplAcks.Inc()
 	if d > 0 {
 		m.ShipLatency.Observe(d)
@@ -539,116 +502,77 @@ func (m *Metrics) ObserveReplAck(d time.Duration) {
 
 // ObserveReplApply counts one applied replication batch of n records.
 func (m *Metrics) ObserveReplApply(n int) {
-	if m == nil {
-		return
-	}
 	m.ReplBatchesApplied.Inc()
 	m.ReplRecordsApplied.Add(uint64(n))
 }
 
-// AddReplFollowers moves the connected-followers gauge.
-func (m *Metrics) AddReplFollowers(delta int64) {
-	if m == nil {
-		return
-	}
-	m.ReplFollowers.Add(delta)
-}
-
 // SetReplLag publishes the current replication lag in both dimensions.
 func (m *Metrics) SetReplLag(records uint64, behind time.Duration) {
-	if m == nil {
-		return
-	}
 	m.ReplLagRecords.Set(int64(records))
-	m.ReplLagNS.Set(int64(behind))
+	m.ReplLag.Set(int64(behind))
 }
 
 // ObserveSnapRead records one snapshot read.
 func (m *Metrics) ObserveSnapRead(d time.Duration) {
-	if m == nil {
-		return
-	}
 	m.SnapReadLatency.Observe(d)
 	m.SnapReads.Inc()
 }
 
-// SnapBegin records a read-only snapshot transaction starting; SnapEnd
-// records it releasing its pin.
+// SnapBegin records a read-only snapshot transaction starting; its end
+// is SnapPinned.Add(-1).
 func (m *Metrics) SnapBegin() {
-	if m == nil {
-		return
-	}
 	m.SnapTxs.Inc()
 	m.SnapPinned.Add(1)
 }
 
-// SnapEnd undoes SnapBegin's pin count.
-func (m *Metrics) SnapEnd() {
-	if m == nil {
-		return
-	}
-	m.SnapPinned.Add(-1)
-}
-
-// ObserveSnapPublish records one top-level commit published into the
-// snapshot store.
-func (m *Metrics) ObserveSnapPublish() {
-	if m == nil {
-		return
-	}
-	m.SnapPublishes.Inc()
-}
+// ---- what the server publishes ----
 
 // Snapshot is a point-in-time copy of a Metrics set (histograms as
-// HistSnapshots, counters and gauges as plain numbers). The trace ring
-// is not included — dump it separately via Tracer.Dump.
+// HistSnapshots, counters and gauges as plain numbers) and, with the
+// trace ring beside it, the METRICS payload. The blocks after the
+// contention gauges are all-zero, and so absent from the JSON, on a
+// server without durability, replication or snapshot transactions.
 type Snapshot struct {
-	OpLatency    HistSnapshot
-	TxLatency    HistSnapshot
-	LockWait     HistSnapshot
-	FsyncLatency HistSnapshot
+	OpLatency HistSnapshot `json:"op_latency"`
+	TxLatency HistSnapshot `json:"tx_latency"`
+	LockWait  HistSnapshot `json:"lock_wait"`
 
-	TxCommits uint64
-	TxAborts  uint64
+	TxCommits        uint64 `json:"tx_commits"`
+	TxAborts         uint64 `json:"tx_aborts"`
+	VictimsDeadlock  uint64 `json:"victims_deadlock"`
+	VictimsCancelled uint64 `json:"victims_cancelled"`
+	Victims          uint64 `json:"victims"` // the two causes summed
 
-	VictimsDeadlock  uint64
-	VictimsCancelled uint64
+	QueuedWaiters    int64   `json:"queued_waiters"`
+	ContendedObjects int64   `json:"contended_objects"`
+	ShardQueued      []int64 `json:"lock_shard_queued,omitempty"` // QueuedWaiters by lock shard (index == shard id)
 
-	QueuedWaiters    int64
-	ContendedObjects int64
-	ShardQueued      []int64 // QueuedWaiters split by lock shard
+	FsyncLatency     HistSnapshot `json:"fsync_latency,omitzero"`
+	WalAppends       uint64       `json:"wal_appends,omitempty"`
+	WalFsyncs        uint64       `json:"wal_fsyncs,omitempty"`
+	WalMaxBatch      int64        `json:"wal_max_batch,omitempty"`
+	WalCheckpoints   uint64       `json:"wal_checkpoints,omitempty"`
+	WalCheckpointLSN int64        `json:"wal_checkpoint_lsn,omitempty"`
 
-	WalAppends       uint64
-	WalFsyncs        uint64
-	WalCheckpoints   uint64
-	WalCheckpointLSN int64
-	WalMaxBatch      int64
+	ShipLatency        HistSnapshot `json:"ship_latency,omitzero"`
+	ReplBatches        uint64       `json:"repl_batches,omitempty"`
+	ReplRecordsShipped uint64       `json:"repl_records_shipped,omitempty"`
+	ReplAcks           uint64       `json:"repl_acks,omitempty"`
+	ReplBatchesApplied uint64       `json:"repl_batches_applied,omitempty"`
+	ReplRecordsApplied uint64       `json:"repl_records_applied,omitempty"`
+	ReplFollowers      int64        `json:"repl_followers,omitempty"`
+	ReplLagRecords     int64        `json:"repl_lag_records,omitempty"`
+	ReplLag            float64      `json:"repl_lag_seconds,omitempty"` // seconds
 
-	ShipLatency        HistSnapshot
-	ReplBatches        uint64
-	ReplRecordsShipped uint64
-	ReplAcks           uint64
-	ReplBatchesApplied uint64
-	ReplRecordsApplied uint64
-	ReplFollowers      int64
-	ReplLagRecords     int64
-	ReplLag            time.Duration
-
-	SnapReadLatency HistSnapshot
-	SnapTxs         uint64
-	SnapReads       uint64
-	SnapPublishes   uint64
-	SnapPinned      int64
+	SnapReadLatency HistSnapshot `json:"snap_read_latency,omitzero"`
+	SnapTxs         uint64       `json:"snap_txs,omitempty"`
+	SnapReads       uint64       `json:"snap_reads,omitempty"`
+	SnapPublishes   uint64       `json:"snap_publishes,omitempty"`
+	SnapPinned      int64        `json:"snap_pinned,omitempty"`
 }
 
-// Victims returns the total victim count across causes.
-func (s Snapshot) Victims() uint64 { return s.VictimsDeadlock + s.VictimsCancelled }
-
-// Snapshot captures the metric set. Nil-safe (returns zeros).
+// Snapshot captures the metric set.
 func (m *Metrics) Snapshot() Snapshot {
-	if m == nil {
-		return Snapshot{}
-	}
 	var shardQueued []int64
 	if len(m.ShardQueued) > 0 {
 		shardQueued = make([]int64, len(m.ShardQueued))
@@ -656,23 +580,26 @@ func (m *Metrics) Snapshot() Snapshot {
 			shardQueued[i] = m.ShardQueued[i].Load()
 		}
 	}
+	deadlock, cancelled := m.VictimsDeadlock.Load(), m.VictimsCancelled.Load()
 	return Snapshot{
 		OpLatency:        m.OpLatency.Snapshot(),
 		TxLatency:        m.TxLatency.Snapshot(),
 		LockWait:         m.LockWait.Snapshot(),
-		FsyncLatency:     m.FsyncLatency.Snapshot(),
 		TxCommits:        m.TxCommits.Load(),
 		TxAborts:         m.TxAborts.Load(),
-		VictimsDeadlock:  m.VictimsDeadlock.Load(),
-		VictimsCancelled: m.VictimsCancelled.Load(),
+		VictimsDeadlock:  deadlock,
+		VictimsCancelled: cancelled,
+		Victims:          deadlock + cancelled,
 		QueuedWaiters:    m.QueuedWaiters.Load(),
 		ContendedObjects: m.ContendedObjects.Load(),
 		ShardQueued:      shardQueued,
+
+		FsyncLatency:     m.FsyncLatency.Snapshot(),
 		WalAppends:       m.WalAppends.Load(),
 		WalFsyncs:        m.WalFsyncs.Load(),
+		WalMaxBatch:      m.WalMaxBatch.Load(),
 		WalCheckpoints:   m.WalCheckpoints.Load(),
 		WalCheckpointLSN: m.WalCheckpointLSN.Load(),
-		WalMaxBatch:      m.WalMaxBatch.Load(),
 
 		ShipLatency:        m.ShipLatency.Snapshot(),
 		ReplBatches:        m.ReplBatches.Load(),
@@ -682,7 +609,7 @@ func (m *Metrics) Snapshot() Snapshot {
 		ReplRecordsApplied: m.ReplRecordsApplied.Load(),
 		ReplFollowers:      m.ReplFollowers.Load(),
 		ReplLagRecords:     m.ReplLagRecords.Load(),
-		ReplLag:            time.Duration(m.ReplLagNS.Load()),
+		ReplLag:            time.Duration(m.ReplLag.Load()).Seconds(),
 
 		SnapReadLatency: m.SnapReadLatency.Snapshot(),
 		SnapTxs:         m.SnapTxs.Load(),
@@ -690,4 +617,48 @@ func (m *Metrics) Snapshot() Snapshot {
 		SnapPublishes:   m.SnapPublishes.Load(),
 		SnapPinned:      m.SnapPinned.Load(),
 	}
+}
+
+// LockStats counts lock-manager activity, aggregated across shards: the
+// lock block of the STATS payload. The lock manager keeps them as plain
+// per-shard counters under each shard's mutex, not in a Metrics; read a
+// consistent copy via its Stats method.
+type LockStats struct {
+	Acquires      uint64 `json:"lock_acquires"`       // granted lock acquisitions
+	Waits         uint64 `json:"lock_waits"`          // acquisitions that blocked at least once
+	Deadlocks     uint64 `json:"lock_deadlocks"`      // deadlock cycles broken
+	CommitMoves   uint64 `json:"lock_commit_moves"`   // lock inheritances on commit
+	AbortReleases uint64 `json:"lock_abort_releases"` // lock discards on abort
+
+	Wakeups         uint64 `json:"lock_wakeups"`          // waiter wakeups issued by commits/aborts
+	SpuriousWakeups uint64 `json:"lock_spurious_wakeups"` // wakeups after which the waiter was still blocked
+	MaxQueueDepth   uint64 `json:"lock_max_queue_depth"`  // high-water mark of any per-object wait queue
+
+	Shards      uint64 `json:"lock_shards"`                // number of lock shards (configuration, not a counter)
+	Escalations uint64 `json:"lock_escalations,omitempty"` // deadlock walks that had to snapshot every shard
+}
+
+// ServerCounters are the server's own counters: the server block of the
+// STATS payload.
+//
+// A snapshot is mutually consistent: the server updates and copies all
+// fields under one lock, never field-by-field from independent atomics.
+// Cross-field invariants therefore hold in every snapshot — in
+// particular Commits + Aborts <= TxBegun (a transaction's outcome is
+// never visible before its beginning) and TxBegun <= Requests — and
+// snapshots taken in sequence are monotone per field.
+type ServerCounters struct {
+	ActiveSessions  int64  `json:"active_sessions"`
+	TotalSessions   uint64 `json:"total_sessions"`
+	ReapedSessions  uint64 `json:"reaped_sessions"`
+	RejectedConns   uint64 `json:"rejected_conns"`
+	Requests        uint64 `json:"requests"`
+	TxBegun         uint64 `json:"tx_begun"`
+	Commits         uint64 `json:"commits"`
+	Aborts          uint64 `json:"aborts"`
+	DeadlockVictims uint64 `json:"deadlock_victims"`
+	// SnapshotTxs counts read-only snapshot transactions begun. They
+	// never enter the lock manager and are kept out of TxBegun/Commits,
+	// so Commits + Aborts <= TxBegun stays an invariant.
+	SnapshotTxs uint64 `json:"snapshot_txs,omitempty"`
 }

@@ -1,8 +1,10 @@
 package obs
 
 import (
+	"encoding/json"
 	"fmt"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -115,9 +117,6 @@ func TestTracerRingWrapAround(t *testing.T) {
 			t.Errorf("entry %d T = %q, want %q", i, e.T, want)
 		}
 	}
-	if tr.Len() != 4 || tr.Seq() != 10 {
-		t.Fatalf("Len=%d Seq=%d, want 4 and 10", tr.Len(), tr.Seq())
-	}
 }
 
 func TestTracerPartialAndConcurrent(t *testing.T) {
@@ -154,19 +153,24 @@ func TestTracerPartialAndConcurrent(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	var m *Metrics
-	m.ObserveOp(time.Second)
-	m.ObserveTx(time.Second, true)
-	m.ObserveLockWait(time.Second)
-	m.Trace("CREATE", "T0.1", "", 0)
-	if s := m.Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
-		t.Fatalf("nil Metrics snapshot = %+v, want zero", s)
+	// A component handed no registry gets one of its own from Or.
+	var given Metrics
+	if Or(&given) != &given {
+		t.Fatal("Or replaced a registry it was given")
 	}
-	m.InitShards(4)
-	m.AddShardQueued(0, 1)
+	m := Or(nil)
+	m.ObserveTx(time.Second, true)
+	m.Trace("CREATE", "T0.1", "", 0)
+	m.AddShardQueued(0, 1) // gauges never sized: ignored
+	if s := m.Snapshot(); s.TxCommits != 1 || s.ShardQueued != nil {
+		t.Fatalf("Or(nil) registry snapshot = %+v", s)
+	}
+	if s := Or(nil).Snapshot(); !reflect.DeepEqual(s, Snapshot{}) {
+		t.Fatalf("fresh registry snapshot = %+v, want zero (Or(nil) must not share)", s)
+	}
 	var tr *Tracer
 	tr.Trace("CREATE", "T0.1", "", 0)
-	if tr.Dump() != nil || tr.Len() != 0 || tr.Seq() != 0 {
+	if tr.Dump() != nil {
 		t.Fatal("nil Tracer not inert")
 	}
 	var h *Histogram
@@ -191,10 +195,95 @@ func TestMetricsSnapshotVictims(t *testing.T) {
 	m.QueuedWaiters.Add(-1)
 	m.ContendedObjects.Set(2)
 	s := m.Snapshot()
-	if s.Victims() != 5 || s.VictimsDeadlock != 3 || s.VictimsCancelled != 2 {
+	if s.Victims != 5 || s.VictimsDeadlock != 3 || s.VictimsCancelled != 2 {
 		t.Fatalf("victim accounting wrong: %+v", s)
 	}
 	if s.QueuedWaiters != 4 || s.ContendedObjects != 2 {
 		t.Fatalf("gauges wrong: %+v", s)
+	}
+}
+
+// TestEveryMetricIsInTheSnapshot pins "declared once": a Counter, Gauge
+// or Histogram added to Metrics without its tagged twin in Snapshot, or
+// without the line in Snapshot() that copies it, fails here — the wire,
+// the server and the client carry whatever Snapshot holds with no edit.
+func TestEveryMetricIsInTheSnapshot(t *testing.T) {
+	var m Metrics
+	mv := reflect.ValueOf(&m).Elem()
+	var metrics []string
+	for i := 0; i < mv.NumField(); i++ {
+		switch f := mv.Field(i).Addr().Interface().(type) {
+		case *Counter:
+			f.Add(7)
+		case *Gauge:
+			f.Set(7)
+		case *Histogram:
+			f.Observe(7)
+		default:
+			continue
+		}
+		metrics = append(metrics, mv.Type().Field(i).Name)
+	}
+	snap := reflect.ValueOf(m.Snapshot())
+	for _, name := range metrics {
+		if f := snap.FieldByName(name); !f.IsValid() {
+			t.Errorf("Metrics.%s has no same-named field in Snapshot", name)
+		} else if f.IsZero() {
+			t.Errorf("Snapshot() does not fill %s", name)
+		}
+	}
+	for _, typ := range []reflect.Type{snap.Type(), reflect.TypeFor[LockStats](), reflect.TypeFor[ServerCounters]()} {
+		seen := make(map[string]bool)
+		for i := 0; i < typ.NumField(); i++ {
+			key, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			if key == "" || seen[key] {
+				t.Errorf("%s.%s: json key %q is empty or used twice", typ.Name(), typ.Field(i).Name, key)
+			}
+			seen[key] = true
+		}
+	}
+}
+
+// TestHistSnapshotJSONRoundTrip: a histogram decoded from the wire is the
+// histogram that was encoded — totals, maximum and every quantile — so
+// the client computes quantiles with the server's own code. The wire
+// object keeps the precomputed quantile members other readers parse.
+func TestHistSnapshotJSONRoundTrip(t *testing.T) {
+	hists := map[string]*Histogram{"empty": {}, "one bucket": {}, "overflow bucket": {}, "spread": {}}
+	hists["one bucket"].Observe(1500 * time.Nanosecond)
+	hists["one bucket"].Observe(1100 * time.Nanosecond)
+	hists["overflow bucket"].Observe(time.Microsecond)
+	hists["overflow bucket"].Observe(10 * time.Minute)
+	for i := 0; i < 1000; i++ {
+		hists["spread"].Observe(time.Duration(i*i) * time.Microsecond)
+	}
+	for name, h := range hists {
+		want := h.Snapshot()
+		raw, err := json.Marshal(want)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var got HistSnapshot
+		if err := json.Unmarshal(raw, &got); err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, raw)
+		}
+		if got != want {
+			t.Errorf("%s: round trip through %s\n got %+v\nwant %+v", name, raw, got, want)
+		}
+		var members map[string]any
+		if err := json.Unmarshal(raw, &members); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for key, q := range map[string]time.Duration{"p50_ns": want.Quantile(50), "p90_ns": want.Quantile(90),
+			"p99_ns": want.Quantile(99), "max_ns": want.Max, "sum_ns": want.Sum, "count": time.Duration(want.Count)} {
+			if members[key] != float64(q) {
+				t.Errorf("%s: wire member %s = %v, want %d", name, key, members[key], q)
+			}
+		}
+	}
+	// Out-of-range input from outside is an error, not a panic.
+	var h HistSnapshot
+	if err := json.Unmarshal([]byte(`{"count":1,"buckets":[`+strings.Repeat("0,", NumBuckets)+`1]}`), &h); err == nil {
+		t.Error("a histogram with more buckets than NumBuckets decoded without error")
 	}
 }

@@ -59,9 +59,7 @@ type Follower struct {
 // The recovered prefix is kept: streaming resumes from its NextLSN, so
 // a restarted follower re-fetches only what it missed.
 func OpenFollower(dir string, opts wal.Options) (*Follower, error) {
-	if opts.Metrics == nil {
-		opts.Metrics = &obs.Metrics{}
-	}
+	opts.Metrics = obs.Or(opts.Metrics)
 	lg, rec, err := wal.Open(dir, opts)
 	if err != nil {
 		return nil, err
@@ -237,30 +235,12 @@ func (f *Follower) applyBatch(r *wire.Repl) error {
 				f.snap.Base(rec.Register.Name, rec.Register.Initial)
 			}
 		case rec.Commit != nil:
-			// Each effect applies to what the record's earlier writes made
-			// of its object, else to the committed head; a read-only
-			// effect is verified against that state and changes nothing.
-			var updates map[string]adt.State
-			for i, e := range rec.Commit.Effects {
-				st, ok := updates[e.Obj]
-				if !ok {
-					var err error
-					if st, err = f.snap.Head(e.Obj); err != nil {
-						return fmt.Errorf("%w: record %d effect %d: unknown object %q",
-							ErrDiverged, rec.LSN, i, e.Obj)
-					}
-				}
-				nextSt, v := e.Op.Apply(st)
-				if v != e.Val {
-					return fmt.Errorf("%w: record %d effect %d on %q: logged value %v, apply produced %v",
-						ErrDiverged, rec.LSN, i, e.Obj, e.Val, v)
-				}
-				if !e.Op.ReadOnly() {
-					if updates == nil {
-						updates = make(map[string]adt.State)
-					}
-					updates[e.Obj] = nextSt
-				}
+			updates, err := wal.Redo(rec, func(obj string) (adt.State, bool) {
+				st, err := f.snap.Head(obj)
+				return st, err == nil
+			})
+			if err != nil {
+				return fmt.Errorf("%w: %v", ErrDiverged, err)
 			}
 			// Publish the record's writes as one atomic snapshot step:
 			// replay order is WAL order is the leader's conflict order,
@@ -268,7 +248,7 @@ func (f *Follower) applyBatch(r *wire.Repl) error {
 			// snapshots do (just possibly a little behind).
 			if len(updates) > 0 {
 				f.snap.Publish(rec.Commit.TID, updates)
-				f.met.ObserveSnapPublish()
+				f.met.SnapPublishes.Inc()
 			}
 		}
 	}

@@ -76,9 +76,9 @@ type followerConn struct {
 	pendingAt  time.Time
 }
 
-// NewShipper wraps a live log. met may be nil.
+// NewShipper wraps a live log. A nil met means nobody reads the metrics.
 func NewShipper(lg *wal.Log, met *obs.Metrics) *Shipper {
-	return &Shipper{log: lg, met: met, followers: make(map[*followerConn]struct{})}
+	return &Shipper{log: lg, met: obs.Or(met), followers: make(map[*followerConn]struct{})}
 }
 
 // Serve runs the push stream for one follower connection until done is
@@ -98,12 +98,12 @@ func (sh *Shipper) Serve(done <-chan struct{}, remote string, req *wire.Request,
 	sh.mu.Lock()
 	sh.followers[f] = struct{}{}
 	sh.mu.Unlock()
-	sh.met.AddReplFollowers(1)
+	sh.met.ReplFollowers.Add(1)
 	defer func() {
 		sh.mu.Lock()
 		delete(sh.followers, f)
 		sh.mu.Unlock()
-		sh.met.AddReplFollowers(-1)
+		sh.met.ReplFollowers.Add(-1)
 		sh.publishLag()
 	}()
 

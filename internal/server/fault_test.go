@@ -338,8 +338,8 @@ func TestFaultInjectionWorkload(t *testing.T) {
 	if wm.TxLatency.Count == 0 || wm.OpLatency.Count == 0 {
 		t.Errorf("live METRICS empty after workload: %+v", wm)
 	}
-	if wm.TxLatency.P50NS > wm.TxLatency.P90NS || wm.TxLatency.P90NS > wm.TxLatency.P99NS ||
-		wm.TxLatency.P99NS > wm.TxLatency.MaxNS {
+	if h := wm.TxLatency; h.Quantile(50) > h.Quantile(90) || h.Quantile(90) > h.Quantile(99) ||
+		h.Quantile(99) > h.Max {
 		t.Errorf("live METRICS quantiles not monotone: %+v", wm.TxLatency)
 	}
 	mc.Close()
@@ -365,9 +365,9 @@ func TestFaultInjectionWorkload(t *testing.T) {
 	if met.VictimsDeadlock != lk.Deadlocks {
 		t.Errorf("victims_deadlock %d != lock deadlocks %d", met.VictimsDeadlock, lk.Deadlocks)
 	}
-	if met.Victims() != met.VictimsDeadlock+met.VictimsCancelled {
+	if met.Victims != met.VictimsDeadlock+met.VictimsCancelled {
 		t.Errorf("victim sum broken: %d != %d + %d",
-			met.Victims(), met.VictimsDeadlock, met.VictimsCancelled)
+			met.Victims, met.VictimsDeadlock, met.VictimsCancelled)
 	}
 	// Every access acquisition was timed exactly once, whatever its fate.
 	if met.OpLatency.Count != lk.Acquires+met.VictimsDeadlock+met.VictimsCancelled {

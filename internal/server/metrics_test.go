@@ -9,6 +9,7 @@ import (
 
 	"nestedtx"
 	"nestedtx/client"
+	"nestedtx/internal/obs"
 	"nestedtx/internal/server"
 )
 
@@ -111,13 +112,11 @@ func TestMetricsEndToEnd(t *testing.T) {
 			stats.Waits, m.VictimsDeadlock)
 	}
 	// Quantiles are monotone and clamped to the max.
-	for name, q := range map[string]struct{ P50, P90, P99, Max int64 }{
-		"op_latency": {m.OpLatency.P50NS, m.OpLatency.P90NS, m.OpLatency.P99NS, m.OpLatency.MaxNS},
-		"tx_latency": {m.TxLatency.P50NS, m.TxLatency.P90NS, m.TxLatency.P99NS, m.TxLatency.MaxNS},
-		"lock_wait":  {m.LockWait.P50NS, m.LockWait.P90NS, m.LockWait.P99NS, m.LockWait.MaxNS},
+	for name, h := range map[string]obs.HistSnapshot{
+		"op_latency": m.OpLatency, "tx_latency": m.TxLatency, "lock_wait": m.LockWait,
 	} {
-		if q.P50 <= 0 || q.P50 > q.P90 || q.P90 > q.P99 || q.P99 > q.Max {
-			t.Errorf("%s quantiles not monotone positive: %+v", name, q)
+		if h.Quantile(50) <= 0 || h.Quantile(50) > h.Quantile(90) || h.Quantile(90) > h.Quantile(99) || h.Quantile(99) > h.Max {
+			t.Errorf("%s quantiles not monotone positive: %+v", name, h)
 		}
 	}
 	// Quiescent gauges read level, not rate: nothing is blocked now.

@@ -67,28 +67,9 @@ type Config struct {
 const defaultRequestTimeout = 10 * time.Second
 
 // Counters are the server's own counters, exposed (with the lock
-// manager's) via STATS.
-//
-// A [Server.Counters] snapshot is mutually consistent: all fields are
-// updated and copied under one lock, never read field-by-field from
-// independent atomics. Cross-field invariants therefore hold in every
-// snapshot — in particular Commits + Aborts <= TxBegun (a transaction's
-// outcome is never visible before its beginning) and snapshots taken in
-// sequence are monotone per field.
-type Counters struct {
-	ActiveSessions  int64
-	TotalSessions   uint64
-	ReapedSessions  uint64
-	RejectedConns   uint64
-	Requests        uint64
-	TxBegun         uint64
-	Commits         uint64
-	Aborts          uint64
-	DeadlockVictims uint64
-	// SnapshotTxs counts read-only snapshot transactions begun; kept out
-	// of TxBegun so Commits + Aborts <= TxBegun stays an invariant.
-	SnapshotTxs uint64
-}
+// manager's) via STATS; see [obs.ServerCounters] for the fields and the
+// one-lock consistency contract a [Server.Counters] snapshot keeps.
+type Counters = obs.ServerCounters
 
 // Server serves one Manager's transaction universe over a listener.
 type Server struct {
@@ -312,14 +293,30 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
-		if s.cfg.MaxConns > 0 && s.Counters().ActiveSessions >= int64(s.cfg.MaxConns) {
-			s.count(func(c *Counters) { c.RejectedConns++ })
+		if !s.admit() {
 			go refuse(conn)
 			continue
 		}
 		s.wg.Add(1)
 		go s.serveConn(conn)
 	}
+}
+
+// admit counts a new connection as an active session, or as rejected
+// when MaxConns sessions are active already. It runs on the accept
+// goroutine, check and count in one step: counted later, by the
+// session's own goroutine, a burst of connections would all pass the
+// check before any of them ran.
+func (s *Server) admit() bool {
+	full := false
+	s.count(func(c *Counters) {
+		if full = s.cfg.MaxConns > 0 && c.ActiveSessions >= int64(s.cfg.MaxConns); full {
+			c.RejectedConns++
+		} else {
+			c.ActiveSessions++
+		}
+	})
+	return !full
 }
 
 // refuse tells a connection the server is full, then closes it.
@@ -458,11 +455,12 @@ func (s *Server) serveConn(conn net.Conn) {
 		s.mu.Unlock()
 		cancel()
 		conn.Close()
+		s.count(func(c *Counters) { c.ActiveSessions-- }) // admit counted it
 		return
 	}
 	s.sessions[ss] = struct{}{}
 	s.mu.Unlock()
-	s.count(func(c *Counters) { c.ActiveSessions++; c.TotalSessions++ })
+	s.count(func(c *Counters) { c.TotalSessions++ })
 	defer func() {
 		// Abort whatever the client left open — each tree innermost
 		// first, the schedule a client unwinding by hand would have
@@ -698,111 +696,31 @@ func (ss *session) handlePromote(*wire.Request) wire.Response {
 }
 
 func (ss *session) handleStats(*wire.Request) wire.Response {
-	c := ss.srv.Counters()
-	var lk nestedtx.Stats
+	st := &wire.Stats{ServerCounters: ss.srv.Counters()}
 	if m := ss.srv.Manager(); m != nil {
-		lk = m.Stats()
+		st.LockStats = m.Stats()
 	}
-	return wire.Response{OK: true, Stats: &wire.Stats{
-		ActiveSessions:  c.ActiveSessions,
-		TotalSessions:   c.TotalSessions,
-		ReapedSessions:  c.ReapedSessions,
-		RejectedConns:   c.RejectedConns,
-		Requests:        c.Requests,
-		TxBegun:         c.TxBegun,
-		Commits:         c.Commits,
-		Aborts:          c.Aborts,
-		DeadlockVictims: c.DeadlockVictims,
-		SnapshotTxs:     c.SnapshotTxs,
-		Acquires:        lk.Acquires,
-		Waits:           lk.Waits,
-		Deadlocks:       lk.Deadlocks,
-		CommitMoves:     lk.CommitMoves,
-		AbortReleases:   lk.AbortReleases,
-		Wakeups:         lk.Wakeups,
-		SpuriousWakeups: lk.SpuriousWakeups,
-		MaxQueueDepth:   lk.MaxQueueDepth,
-		LockShards:      lk.Shards,
-		LockEscalations: lk.Escalations,
-	}}
+	return wire.Response{OK: true, Stats: st}
 }
 
 // maxTraceEntries caps a METRICS dump so the response frame stays under
-// wire.MaxFrameSize even with long transaction names (~200 bytes per
-// encoded entry against the 1 MiB frame limit).
+// wire.MaxResponseSize even with long transaction names (~200 bytes per
+// encoded entry against the 8 MiB response limit).
 const maxTraceEntries = 4096
-
-func histQ(s obs.HistSnapshot) wire.HistQ {
-	return wire.HistQ{
-		Count: s.Count,
-		SumNS: int64(s.Sum),
-		P50NS: int64(s.Quantile(50)),
-		P90NS: int64(s.Quantile(90)),
-		P99NS: int64(s.Quantile(99)),
-		MaxNS: int64(s.Max),
-	}
-}
 
 func (ss *session) handleMetrics(req *wire.Request) wire.Response {
 	_, met := ss.srv.readSide()
 	if met == nil {
 		return errNoReadSide()
 	}
-	s := met.Snapshot()
-	m := &wire.Metrics{
-		OpLatency:        histQ(s.OpLatency),
-		TxLatency:        histQ(s.TxLatency),
-		LockWait:         histQ(s.LockWait),
-		TxCommits:        s.TxCommits,
-		TxAborts:         s.TxAborts,
-		VictimsDeadlock:  s.VictimsDeadlock,
-		VictimsCancelled: s.VictimsCancelled,
-		Victims:          s.Victims(),
-		QueuedWaiters:    s.QueuedWaiters,
-		ContendedObjects: s.ContendedObjects,
-		ShardQueued:      s.ShardQueued,
-		FsyncLatency:     histQ(s.FsyncLatency),
-		WalAppends:       s.WalAppends,
-		WalFsyncs:        s.WalFsyncs,
-		WalMaxBatch:      uint64(s.WalMaxBatch),
-		WalCheckpoints:   s.WalCheckpoints,
-		WalCheckpointLSN: uint64(s.WalCheckpointLSN),
-
-		ShipLatency:        histQ(s.ShipLatency),
-		ReplBatches:        s.ReplBatches,
-		ReplRecordsShipped: s.ReplRecordsShipped,
-		ReplAcks:           s.ReplAcks,
-		ReplBatchesApplied: s.ReplBatchesApplied,
-		ReplRecordsApplied: s.ReplRecordsApplied,
-		ReplFollowers:      s.ReplFollowers,
-		ReplLagRecords:     s.ReplLagRecords,
-		ReplLagSeconds:     s.ReplLag.Seconds(),
-
-		SnapReadLatency: histQ(s.SnapReadLatency),
-		SnapTxs:         s.SnapTxs,
-		SnapReads:       s.SnapReads,
-		SnapPublishes:   s.SnapPublishes,
-		SnapPinned:      s.SnapPinned,
+	m := &wire.Metrics{Snapshot: met.Snapshot()}
+	if req.Dump {
+		m.Trace = met.Tracer.Dump()
 	}
-	if req.Dump && met.Tracer != nil {
-		entries := met.Tracer.Dump()
-		if len(entries) > maxTraceEntries {
-			entries = entries[len(entries)-maxTraceEntries:]
-		}
-		m.Trace = make([]wire.TraceEntry, len(entries))
-		for i, e := range entries {
-			m.Trace[i] = wire.TraceEntry{
-				Seq:    e.Seq,
-				AtUnix: e.At.UnixNano(),
-				Kind:   e.Kind,
-				T:      e.T,
-				Object: e.Object,
-				DurNS:  int64(e.Dur),
-			}
-		}
-		if total, kept := met.Tracer.Seq(), uint64(len(entries)); total > kept {
-			m.TraceDropped = total - kept
-		}
+	if n := len(m.Trace); n > 0 {
+		m.Trace = m.Trace[max(0, n-maxTraceEntries):]
+		// The newest entry's Seq is the total traced as of this very dump.
+		m.TraceDropped = m.Trace[len(m.Trace)-1].Seq - uint64(len(m.Trace))
 	}
 	return wire.Response{OK: true, Metrics: m}
 }
@@ -819,7 +737,7 @@ func (ss *session) handleState(req *wire.Request) wire.Response {
 	if err != nil {
 		return fail(wire.CodeBadRequest, err.Error())
 	}
-	raw, err := wire.EncodeState(st)
+	raw, err := adt.EncodeState(st)
 	if err != nil {
 		return fail(wire.CodeInternal, err.Error())
 	}
@@ -875,7 +793,7 @@ func (ss *session) handleRO(req *wire.Request) wire.Response {
 	case wire.TBegin:
 		return ss.handleBeginRO()
 	case wire.TRead:
-		op, err := wire.DecodeOp(req.Op)
+		op, err := adt.DecodeOp(req.Op)
 		if err != nil {
 			return fail(wire.CodeBadRequest, err.Error())
 		}
@@ -915,7 +833,7 @@ func (ss *session) handleOp(req *wire.Request) wire.Response {
 	if h == nil {
 		return resp
 	}
-	op, err := wire.DecodeOp(req.Op)
+	op, err := adt.DecodeOp(req.Op)
 	if err != nil {
 		return fail(wire.CodeBadRequest, err.Error())
 	}

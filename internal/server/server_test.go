@@ -337,6 +337,49 @@ func TestConnectionLimitBackpressure(t *testing.T) {
 	}
 }
 
+// TestConnectionLimitHoldsUnderBurst: MaxConns is a bound, not a hint. A
+// burst of dials arrives faster than session goroutines get scheduled, so
+// a session counted only once its goroutine runs lets the whole burst
+// past the check; counted on the accept goroutine, every snapshot stays
+// within the limit and every dial is accounted for exactly once.
+func TestConnectionLimitHoldsUnderBurst(t *testing.T) {
+	const maxConns, dialled = 4, 8 * 4
+	srv, addr := start(t, nestedtx.NewManager(), server.Config{MaxConns: maxConns})
+
+	var wg sync.WaitGroup
+	conns := make(chan net.Conn, dialled)
+	for i := 0; i < dialled; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn, err := net.Dial("tcp", addr)
+			if err != nil {
+				t.Errorf("dial: %v", err)
+				return
+			}
+			conns <- conn // held open: an admitted session stays active
+		}()
+	}
+	// Sample until every dial is accounted for (or one failed).
+	c := srv.Counters()
+	for c.ActiveSessions <= maxConns && c.TotalSessions+c.RejectedConns < dialled && !t.Failed() {
+		time.Sleep(100 * time.Microsecond)
+		c = srv.Counters()
+	}
+	wg.Wait()
+	close(conns)
+	for conn := range conns {
+		conn.Close()
+	}
+	if c.ActiveSessions > maxConns {
+		t.Fatalf("ActiveSessions = %d with MaxConns %d: %+v", c.ActiveSessions, maxConns, c)
+	}
+	if c.TotalSessions != maxConns || c.RejectedConns != dialled-maxConns {
+		t.Fatalf("accepted %d, rejected %d of %d dials, want %d and %d",
+			c.TotalSessions, c.RejectedConns, dialled, maxConns, dialled-maxConns)
+	}
+}
+
 // TestRequestTimeoutAbortsTransaction checks the per-request deadline: an
 // access blocked past RequestTimeout fails with ErrTimeout and its
 // transaction is aborted server-side, releasing nothing to the committed

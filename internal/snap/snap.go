@@ -293,17 +293,17 @@ type Tx struct {
 }
 
 // Begin starts a read-only transaction pinned at the current sequence
-// number, counting it and its reads in met (which may be nil). The
-// caller must Close it.
+// number, counting it and its reads in met (nil: nobody reads them).
+// The caller must Close it.
 func (s *Store) Begin(met *obs.Metrics) *Tx {
 	s.mu.Lock()
 	n, seq := s.txs, s.seq
 	s.txs++
 	s.pins[seq]++
 	s.mu.Unlock()
-	t := &Tx{pin: Pin{s: s, seq: seq}, met: met, id: "S" + strconv.FormatUint(n, 10)}
-	met.SnapBegin()
-	met.Trace("SNAP_BEGIN", t.id, "", 0)
+	t := &Tx{pin: Pin{s: s, seq: seq}, met: obs.Or(met), id: "S" + strconv.FormatUint(n, 10)}
+	t.met.SnapBegin()
+	t.met.Trace("SNAP_BEGIN", t.id, "", 0)
 	return t
 }
 
@@ -353,7 +353,7 @@ func (t *Tx) Close() error {
 	t.reads = nil
 	t.mu.Unlock()
 	t.pin.Release()
-	t.met.SnapEnd()
+	t.met.SnapPinned.Add(-1)
 	t.met.Trace("SNAP_END", t.id, "", 0)
 	if s := t.pin.s; s.rec {
 		s.mu.Lock()

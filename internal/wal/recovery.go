@@ -252,21 +252,49 @@ func (r *Recovery) redo() error {
 				r.states[rec.Register.Name] = rec.Register.Initial
 			}
 		case rec.Commit != nil:
-			for i, e := range rec.Commit.Effects {
-				st, ok := r.states[e.Obj]
-				if !ok {
-					return fmt.Errorf("wal: record %d effect %d: unknown object %q", rec.LSN, i, e.Obj)
-				}
-				next, v := e.Op.Apply(st)
-				if v != e.Val {
-					return fmt.Errorf("wal: record %d effect %d on %q: logged value %v, redo produced %v",
-						rec.LSN, i, e.Obj, e.Val, v)
-				}
-				r.states[e.Obj] = next
+			written, err := Redo(rec, func(obj string) (adt.State, bool) {
+				st, ok := r.states[obj]
+				return st, ok
+			})
+			if err != nil {
+				return fmt.Errorf("wal: %w", err)
+			}
+			for obj, st := range written {
+				r.states[obj] = st
 			}
 		}
 	}
 	return nil
+}
+
+// Redo applies commit record rec's effects in order, each to what the
+// record's earlier writes made of its object, else to the committed
+// state head returns, and verifies every logged value against what the
+// operation produces there. It returns the states the record wrote — a
+// read-only effect is verified and writes nothing — or the first
+// mismatch. Recovery and the replication follower both replay with it.
+func Redo(rec Record, head func(obj string) (adt.State, bool)) (map[string]adt.State, error) {
+	var written map[string]adt.State
+	for i, e := range rec.Commit.Effects {
+		st, ok := written[e.Obj]
+		if !ok {
+			if st, ok = head(e.Obj); !ok {
+				return nil, fmt.Errorf("record %d effect %d: unknown object %q", rec.LSN, i, e.Obj)
+			}
+		}
+		next, v := e.Op.Apply(st)
+		if v != e.Val {
+			return nil, fmt.Errorf("record %d effect %d on %q: logged value %v, redo produced %v",
+				rec.LSN, i, e.Obj, e.Val, v)
+		}
+		if !e.Op.ReadOnly() {
+			if written == nil {
+				written = make(map[string]adt.State)
+			}
+			written[e.Obj] = next
+		}
+	}
+	return written, nil
 }
 
 // Schedule reconstructs the recovered history as a formal concurrent

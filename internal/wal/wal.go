@@ -59,8 +59,8 @@ type Options struct {
 	SegmentBytes int64
 	// FS is the backing file system; nil means the real one (OSFS).
 	FS FS
-	// Metrics, when non-nil, receives fsync latencies, append/fsync/
-	// checkpoint counts and the batching high-water mark.
+	// Metrics receives fsync latencies, append/fsync/checkpoint counts
+	// and the batching high-water mark; nil means nobody reads them.
 	Metrics *obs.Metrics
 	// Clock is the time source for the group-commit machinery (the
 	// batch-gather budget). nil means the wall clock; the deterministic
@@ -173,7 +173,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	l := &Log{
 		dir:      dir,
 		fs:       fs,
-		met:      opts.Metrics,
+		met:      obs.Or(opts.Metrics),
 		clk:      clock.Or(opts.Clock),
 		segLimit: opts.SegmentBytes,
 		writeSeq: rec.NextLSN,
@@ -212,7 +212,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		f.Close()
 		return nil, nil, fmt.Errorf("wal: sync dir: %w", err)
 	}
-	l.met.SetCheckpointLSN(l.ckptLSN)
+	l.met.WalCheckpointLSN.Set(int64(l.ckptLSN))
 	go l.syncer()
 	return l, rec, nil
 }
@@ -373,7 +373,7 @@ func (l *Log) writeFrame(lsn uint64, frame []byte, ch chan error) error {
 	}
 	l.wbuf = append(l.wbuf, frame...)
 	l.segBytes += int64(len(frame))
-	l.met.ObserveAppend()
+	l.met.WalAppends.Inc()
 	l.mu.Lock()
 	l.written = lsn + 1
 	l.statSegBytes = l.segBytes

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"nestedtx/internal/adt"
+	"nestedtx/internal/obs"
 )
 
 // The reference the hand-written frame codec is held to is encoding/json
@@ -109,7 +110,7 @@ func FuzzWireCodecMatchesEncodingJSON(f *testing.F) {
 			sameEncode(t, &Request{Seq: n, Type: s, Tx: n >> 3, Obj: s, Op: raw, Dump: n%2 == 0, Lsn: n >> 5, ReadOnly: n%3 == 0}, appendRequest)
 			sameEncode(t, &Request{Type: TRead, Op: raw}, appendRequest)
 			sameEncode(t, &Response{Seq: n, OK: n%2 == 0, Code: s, Err: s, Tx: n >> 3, TxID: s, Snap: n >> 5, Value: raw, State: raw}, appendResponse)
-			sameEncode(t, &Response{OK: true, Value: raw, Stats: &Stats{Requests: n}, Metrics: &Metrics{TxCommits: n, ReplLagSeconds: 0.5}}, appendResponse)
+			sameEncode(t, &Response{OK: true, Value: raw, Stats: &Stats{ServerCounters: obs.ServerCounters{Requests: n}}, Metrics: &Metrics{Snapshot: obs.Snapshot{TxCommits: n, ReplLag: 0.5}}}, appendResponse)
 			sameEncode(t, &Response{State: raw, ReplStatus: &ReplStatus{Role: s, Followers: []ReplFollower{{Remote: s, AckLSN: n}}},
 				Repl: &Repl{Kind: ReplBatch, FirstLSN: n, Frames: data, States: map[string]json.RawMessage{s: op}}}, appendResponse)
 		}
@@ -210,7 +211,7 @@ func TestFrameLargerThanReaderBuffer(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v, err := DecodeValue(resp.Value); err != nil || v != big || resp.Seq != seq {
+		if v, err := adt.DecodeValue(resp.Value); err != nil || v != big || resp.Seq != seq {
 			t.Fatalf("big frame %d came back as seq %d, %v", seq, resp.Seq, err)
 		}
 		if req, err := ReadRequest(br); err != nil || req.Seq != seq || req.Type != TPing {

@@ -51,7 +51,7 @@ func FuzzReadFrame(f *testing.F) {
 			// Whatever parsed as a frame must also survive payload
 			// decoding without panicking.
 			if len(req.Op) > 0 {
-				_, _ = DecodeOp(req.Op)
+				_, _ = adt.DecodeOp(req.Op)
 			}
 		}
 		r = bufio.NewReader(bytes.NewReader(data))
@@ -61,10 +61,10 @@ func FuzzReadFrame(f *testing.F) {
 				break
 			}
 			if len(resp.Value) > 0 {
-				_, _ = DecodeValue(resp.Value)
+				_, _ = adt.DecodeValue(resp.Value)
 			}
 			if len(resp.State) > 0 {
-				_, _ = DecodeState(resp.State)
+				_, _ = adt.DecodeState(resp.State)
 			}
 		}
 	})

@@ -37,6 +37,7 @@ import (
 
 	"nestedtx/internal/adt"
 	"nestedtx/internal/jscan"
+	"nestedtx/internal/obs"
 )
 
 // MaxFrameSize bounds a single request frame's payload; frames
@@ -183,140 +184,33 @@ type ReplStatus struct {
 }
 
 // Stats is the STATS payload: the server's own counters plus the
-// underlying lock manager's.
+// underlying lock manager's, each declared (keys and all) in internal/obs.
 //
-// Consistency contract: the server-side fields (sessions through
-// deadlock_victims) form one atomic snapshot — they are captured under a
-// single lock, so cross-counter invariants hold within a frame: every
-// finished transaction was begun (commits + aborts <= tx_begun) and
-// every begun transaction was requested (tx_begun <= requests). The
-// lock-manager block is a separate snapshot taken immediately after and
-// is internally consistent but may run slightly ahead of the server
-// block.
+// Consistency contract: the server block is one atomic snapshot (see
+// [obs.ServerCounters]); the lock block is a separate snapshot taken
+// immediately after, internally consistent but possibly slightly ahead
+// of the server block.
 type Stats struct {
-	ActiveSessions  int64  `json:"active_sessions"`
-	TotalSessions   uint64 `json:"total_sessions"`
-	ReapedSessions  uint64 `json:"reaped_sessions"`
-	RejectedConns   uint64 `json:"rejected_conns"`
-	Requests        uint64 `json:"requests"`
-	TxBegun         uint64 `json:"tx_begun"`
-	Commits         uint64 `json:"commits"`
-	Aborts          uint64 `json:"aborts"`
-	DeadlockVictims uint64 `json:"deadlock_victims"`
-
-	Acquires      uint64 `json:"lock_acquires"`
-	Waits         uint64 `json:"lock_waits"`
-	Deadlocks     uint64 `json:"lock_deadlocks"`
-	CommitMoves   uint64 `json:"lock_commit_moves"`
-	AbortReleases uint64 `json:"lock_abort_releases"`
-
-	Wakeups         uint64 `json:"lock_wakeups"`
-	SpuriousWakeups uint64 `json:"lock_spurious_wakeups"`
-	MaxQueueDepth   uint64 `json:"lock_max_queue_depth"`
-
-	LockShards      uint64 `json:"lock_shards"`                // shard count (configuration)
-	LockEscalations uint64 `json:"lock_escalations,omitempty"` // all-shard deadlock walks
-
-	// SnapshotTxs counts read-only snapshot transactions begun. They are
-	// deliberately not folded into TxBegun/Commits: snapshot handles
-	// never enter the lock manager, so keeping them separate preserves
-	// the Commits + Aborts <= TxBegun accounting invariant.
-	SnapshotTxs uint64 `json:"snapshot_txs,omitempty"`
+	obs.ServerCounters
+	obs.LockStats
 }
 
-// HistQ is one latency histogram summarised for the wire: totals plus
-// quantile estimates. Quantiles are conservative upper bounds from the
-// histogram's log-scale buckets, clamped to the observed maximum.
-type HistQ struct {
-	Count uint64 `json:"count"`
-	SumNS int64  `json:"sum_ns"`
-	P50NS int64  `json:"p50_ns"`
-	P90NS int64  `json:"p90_ns"`
-	P99NS int64  `json:"p99_ns"`
-	MaxNS int64  `json:"max_ns"`
-}
-
-// TraceEntry is one ring-buffer trace event (METRICS with Dump).
-type TraceEntry struct {
-	Seq    uint64 `json:"seq"`
-	AtUnix int64  `json:"at_unix_ns"`
-	Kind   string `json:"kind"`
-	T      string `json:"t"`
-	Object string `json:"obj,omitempty"`
-	DurNS  int64  `json:"dur_ns,omitempty"`
-}
-
-// Metrics is the METRICS payload: latency distributions, transaction
-// outcomes, the victim breakdown by cause, instantaneous contention
-// gauges and — when the request set Dump — the most recent trace
-// entries (oldest first, capped so the frame stays under MaxFrameSize).
+// Metrics is the METRICS payload: the registry snapshot — latency
+// distributions, transaction outcomes, the victim breakdown by cause,
+// contention gauges — and, when the request set Dump, the most recent
+// trace entries (oldest first, capped so the frame stays under
+// MaxResponseSize).
 type Metrics struct {
-	OpLatency HistQ `json:"op_latency"`
-	TxLatency HistQ `json:"tx_latency"`
-	LockWait  HistQ `json:"lock_wait"`
-
-	TxCommits        uint64 `json:"tx_commits"`
-	TxAborts         uint64 `json:"tx_aborts"`
-	VictimsDeadlock  uint64 `json:"victims_deadlock"`
-	VictimsCancelled uint64 `json:"victims_cancelled"`
-	Victims          uint64 `json:"victims"`
-
-	QueuedWaiters    int64 `json:"queued_waiters"`
-	ContendedObjects int64 `json:"contended_objects"`
-	// ShardQueued splits QueuedWaiters by lock shard (index == shard id).
-	ShardQueued []int64 `json:"lock_shard_queued,omitempty"`
-
-	// Durability block; all-zero on a non-durable server.
-	FsyncLatency     HistQ  `json:"fsync_latency,omitzero"`
-	WalAppends       uint64 `json:"wal_appends,omitempty"`
-	WalFsyncs        uint64 `json:"wal_fsyncs,omitempty"`
-	WalMaxBatch      uint64 `json:"wal_max_batch,omitempty"`
-	WalCheckpoints   uint64 `json:"wal_checkpoints,omitempty"`
-	WalCheckpointLSN uint64 `json:"wal_checkpoint_lsn,omitempty"`
-
-	// Replication block; all-zero off replication. ShipLatency is the
-	// leader-side batch→covering-ack round trip. The lag pair is the
-	// leader's worst follower (or the follower's own position): records
-	// behind the durable mark, and seconds since progress was last made.
-	ShipLatency        HistQ   `json:"ship_latency,omitzero"`
-	ReplBatches        uint64  `json:"repl_batches,omitempty"`
-	ReplRecordsShipped uint64  `json:"repl_records_shipped,omitempty"`
-	ReplAcks           uint64  `json:"repl_acks,omitempty"`
-	ReplBatchesApplied uint64  `json:"repl_batches_applied,omitempty"`
-	ReplRecordsApplied uint64  `json:"repl_records_applied,omitempty"`
-	ReplFollowers      int64   `json:"repl_followers,omitempty"`
-	ReplLagRecords     int64   `json:"repl_lag_records,omitempty"`
-	ReplLagSeconds     float64 `json:"repl_lag_seconds,omitempty"`
-
-	// Snapshot block; all-zero when no read-only snapshot transactions
-	// ran. SnapPinned is the number of currently live snapshot pins.
-	SnapReadLatency HistQ  `json:"snap_read_latency,omitzero"`
-	SnapTxs         uint64 `json:"snap_txs,omitempty"`
-	SnapReads       uint64 `json:"snap_reads,omitempty"`
-	SnapPublishes   uint64 `json:"snap_publishes,omitempty"`
-	SnapPinned      int64  `json:"snap_pinned,omitempty"`
-
-	TraceDropped uint64       `json:"trace_dropped,omitempty"` // ring overwrites since start
-	Trace        []TraceEntry `json:"trace,omitempty"`
+	obs.Snapshot
+	TraceDropped uint64           `json:"trace_dropped,omitempty"` // ring overwrites since start
+	Trace        []obs.TraceEntry `json:"trace,omitempty"`
 }
 
 // EncodeOp wraps the adt codec for request building.
 func EncodeOp(op adt.Op) (json.RawMessage, error) { return adt.EncodeOp(op) }
 
-// DecodeOp reverses EncodeOp.
-func DecodeOp(raw json.RawMessage) (adt.Op, error) { return adt.DecodeOp(raw) }
-
 // EncodeValue wraps the adt codec for response building.
 func EncodeValue(v adt.Value) (json.RawMessage, error) { return adt.EncodeValue(v) }
-
-// DecodeValue reverses EncodeValue.
-func DecodeValue(raw json.RawMessage) (adt.Value, error) { return adt.DecodeValue(raw) }
-
-// EncodeState wraps the adt codec for STATE responses.
-func EncodeState(s adt.State) (json.RawMessage, error) { return adt.EncodeState(s) }
-
-// DecodeState reverses EncodeState.
-func DecodeState(raw json.RawMessage) (adt.State, error) { return adt.DecodeState(raw) }
 
 // enc builds one frame's JSON. Its methods write a member — key holds
 // the comma, the name and the colon — only when the value is non-empty:

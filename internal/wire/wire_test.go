@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"nestedtx/internal/adt"
+	"nestedtx/internal/obs"
 )
 
 func roundTripReq(t *testing.T, req *Request) *Request {
@@ -34,7 +35,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	if got.Seq != 7 || got.Type != TWrite || got.Tx != 2 || got.Obj != "ctr" {
 		t.Fatalf("round trip mangled request: %+v", got)
 	}
-	dop, err := DecodeOp(got.Op)
+	dop, err := adt.DecodeOp(got.Op)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,12 +49,12 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := EncodeState(adt.Account{Balance: 41})
+	st, err := adt.EncodeState(adt.Account{Balance: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp := &Response{Seq: 9, OK: true, Tx: 3, TxID: "T0.1.2", Value: val, State: st,
-		Stats: &Stats{Requests: 12, Deadlocks: 1}}
+		Stats: &Stats{obs.ServerCounters{Requests: 12}, obs.LockStats{Deadlocks: 1}}}
 	var buf bytes.Buffer
 	if err := WriteFrame(bufio.NewWriter(&buf), resp); err != nil {
 		t.Fatal(err)
@@ -65,14 +66,14 @@ func TestResponseRoundTrip(t *testing.T) {
 	if !got.OK || got.Seq != 9 || got.TxID != "T0.1.2" || got.Stats.Requests != 12 {
 		t.Fatalf("round trip mangled response: %+v", got)
 	}
-	v, err := DecodeValue(got.Value)
+	v, err := adt.DecodeValue(got.Value)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.(adt.AcctResult).Balance != 41 {
 		t.Fatalf("value mangled: %+v", v)
 	}
-	s, err := DecodeState(got.State)
+	s, err := adt.DecodeState(got.State)
 	if err != nil {
 		t.Fatal(err)
 	}

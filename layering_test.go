@@ -2,6 +2,7 @@ package nestedtx_test
 
 import (
 	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,16 @@ func TestSnapIsTheReadSidesLeaf(t *testing.T) {
 	}
 }
 
+// importsOf lists pkg's direct imports, sorted.
+func importsOf(t *testing.T, pkg string) []string {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, pkg).Output()
+	if err != nil {
+		t.Fatalf("go list %s: %v", pkg, err)
+	}
+	return strings.Fields(string(out))
+}
+
 // TestJscanIsTheCodecsLeaf: the hand-written JSON layer sits under the
 // three codecs and on nothing — standard library only, and not
 // encoding/json, which it exists to replace on the hot frames. The adt
@@ -62,30 +73,45 @@ func TestSnapIsTheReadSidesLeaf(t *testing.T) {
 // wire (client, server) never marshal a Request or Response themselves:
 // they do not import encoding/json.
 func TestJscanIsTheCodecsLeaf(t *testing.T) {
-	imports := func(pkg string) map[string]bool {
-		out, err := exec.Command("go", "list", "-f", `{{join .Imports "\n"}}`, pkg).Output()
-		if err != nil {
-			t.Fatalf("go list %s: %v", pkg, err)
-		}
-		set := make(map[string]bool)
-		for _, dep := range strings.Fields(string(out)) {
-			set[dep] = true
-		}
-		return set
-	}
-	for dep := range imports("nestedtx/internal/jscan") {
+	for _, dep := range importsOf(t, "nestedtx/internal/jscan") {
 		if dep == "encoding/json" || dep == "reflect" || strings.Contains(dep, ".") || strings.HasPrefix(dep, "nestedtx") {
 			t.Errorf("internal/jscan imports %s", dep)
 		}
 	}
 	for _, codec := range []string{"nestedtx/internal/adt", "nestedtx/internal/wire", "nestedtx/internal/wal"} {
-		if !imports(codec)["nestedtx/internal/jscan"] {
+		if !slices.Contains(importsOf(t, codec), "nestedtx/internal/jscan") {
 			t.Errorf("%s does not import internal/jscan", codec)
 		}
 	}
 	for _, pkg := range []string{"nestedtx/internal/adt", "nestedtx/client", "nestedtx/internal/server"} {
-		if imports(pkg)["encoding/json"] {
+		if slices.Contains(importsOf(t, pkg), "encoding/json") {
 			t.Errorf("%s imports encoding/json", pkg)
+		}
+	}
+}
+
+// TestPublishedNumbersAreDeclaredInObs: internal/obs declares every
+// number STATS and METRICS publish, so it sits under everything that
+// counts or carries them and imports nothing of ours; internal/wire
+// carries its structs and the adt codec's payloads and nothing else; and
+// the client reaches the lock manager's and the server's counter blocks
+// through those structs, never by importing the packages that fill them.
+func TestPublishedNumbersAreDeclaredInObs(t *testing.T) {
+	inModule := func(pkg string) []string {
+		return slices.DeleteFunc(importsOf(t, pkg), func(dep string) bool {
+			return dep != "nestedtx" && !strings.HasPrefix(dep, "nestedtx/")
+		})
+	}
+	if deps := inModule("nestedtx/internal/obs"); len(deps) != 0 {
+		t.Errorf("internal/obs imports %v, want nothing from this module", deps)
+	}
+	want := []string{"nestedtx/internal/adt", "nestedtx/internal/jscan", "nestedtx/internal/obs"}
+	if deps := inModule("nestedtx/internal/wire"); !slices.Equal(deps, want) {
+		t.Errorf("internal/wire imports %v, want exactly %v", deps, want)
+	}
+	for _, dep := range inModule("nestedtx/client") {
+		if dep == "nestedtx/internal/server" || dep == "nestedtx/internal/lockmgr" {
+			t.Errorf("client imports %s", dep)
 		}
 	}
 }

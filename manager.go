@@ -260,7 +260,7 @@ func (m *Manager) commitTop(tx *Tx) error {
 		// after us, so snapshot order = conflict order = WAL order.
 		if up := m.lm.TopVersions(id); len(up) > 0 {
 			m.snap.Publish(string(id), up)
-			m.met.ObserveSnapPublish()
+			m.met.SnapPublishes.Inc()
 		}
 		m.lm.Commit(id, v)
 		return nil

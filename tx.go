@@ -3,12 +3,12 @@ package nestedtx
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"nestedtx/internal/clock"
 	"nestedtx/internal/event"
 	"nestedtx/internal/tree"
 	"nestedtx/internal/wal"
@@ -113,7 +113,7 @@ func (tx *Tx) Do(obj string, op Op) (Value, error) {
 	}
 	start := time.Now()
 	v, err := m.lm.Acquire(tx.id, a, obj, op, tx.cancel)
-	m.met.ObserveOp(time.Since(start))
+	m.met.OpLatency.Observe(time.Since(start))
 	if err != nil {
 		// The access never responded; the scheduler aborts it.
 		m.rec.RecordAll(
@@ -187,23 +187,9 @@ func (m *Manager) retry(attempts int, try func() error) error {
 }
 
 // backoffDur returns the jittered backoff interval after the attempt'th
-// deadlock: uniform over (0, min(50µs·2^attempt, 3.2ms)]. The delay —
-// not the shift count — is clamped, so out-of-range attempts (negative,
-// or ≥ 64 where the shift itself would overflow) saturate at the cap
-// instead of panicking or going negative.
+// deadlock: uniform over (0, min(50µs·2^attempt, 3.2ms)].
 func backoffDur(attempt int) time.Duration {
-	const (
-		base     = 50 * time.Microsecond
-		maxDelay = 64 * base // cap after 6 doublings
-	)
-	delay := maxDelay
-	if attempt < 0 {
-		attempt = 0
-	}
-	if attempt < 7 {
-		delay = base << uint(attempt)
-	}
-	return time.Duration(rand.Int63n(int64(delay)) + 1)
+	return clock.Backoff(attempt, 50*time.Microsecond)
 }
 
 // Handle is a concurrent subtransaction started by [Tx.Go].
