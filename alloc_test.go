@@ -119,6 +119,34 @@ func TestNonRecordingSoakKeepsNothingPerAccess(t *testing.T) {
 	}
 }
 
+// TestRegisteredObjectFootprint pins what a registered object costs while
+// nothing touches it: its name, its lock state (one chain with the root's
+// version, one empty read table) and its entries in the system type and
+// the committed-version store.
+func TestRegisteredObjectFootprint(t *testing.T) {
+	const objects = 10_000
+	names := make([]string, objects)
+	for i := range names {
+		names[i] = fmt.Sprintf("c%05d", i)
+	}
+	m := NewManager()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, x := range names {
+		m.MustRegister(x, Counter{N: 5})
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.HeapAlloc-before.HeapAlloc) / objects
+	mallocs := float64(after.Mallocs-before.Mallocs) / objects
+	t.Logf("%.0f B of heap and %.2f mallocs per registered object", bytes, mallocs)
+	if bytes > 512 || mallocs > 5 {
+		t.Errorf("a registered object costs %.0f B and %.2f mallocs, budget 512 B and 5", bytes, mallocs)
+	}
+	runtime.KeepAlive(m)
+}
+
 // TestTopLevelIDsDistinctAndGapFree: Run and RunCtx mint top-level names
 // from one counter, so concurrent callers see every name from T0.0 up
 // exactly once.

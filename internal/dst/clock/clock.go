@@ -34,7 +34,6 @@ type Virtual struct {
 	waiters waiterHeap
 	stop    chan struct{}
 	stopped bool
-	wakes   uint64 // total waiters fired; monotone
 }
 
 // NewVirtual returns a Virtual clock starting at start (a fixed epoch
@@ -157,14 +156,6 @@ func (v *Virtual) Pending() int {
 	return len(v.waiters)
 }
 
-// Wakes returns the total number of waiters fired so far (monotone); the
-// auto-advance loop uses it to detect quiescence.
-func (v *Virtual) Wakes() uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.wakes
-}
-
 // Advance moves virtual time forward by d, firing every waiter whose
 // deadline is reached, and returns how many fired.
 func (v *Virtual) Advance(d time.Duration) int {
@@ -202,7 +193,6 @@ func (v *Virtual) advanceToLocked(target time.Time) int {
 		due = append(due, w)
 	}
 	now := v.now
-	v.wakes += uint64(len(due))
 	v.mu.Unlock()
 	for _, w := range due {
 		w.ch <- now // cap-1 channel: never blocks
@@ -251,7 +241,6 @@ func (v *Virtual) Stop() {
 		due = append(due, w)
 	}
 	now := v.now
-	v.wakes += uint64(len(due))
 	v.mu.Unlock()
 	for _, w := range due {
 		w.ch <- now

@@ -29,11 +29,11 @@ import "nestedtx/internal/tree"
 // the caller escalates: drop the shard mutex, take every shard mutex in
 // ascending id order (the global shard-lock order), and rerun the same
 // DFS over the union of all shards' indexes. Holding all shard mutexes
-// makes the snapshot exactly as consistent as the old single-mutex walk,
-// and serialises escalated walks against each other and against every
-// local walk, so each cycle still elects exactly one victim: two local
-// walks in different shards can never see the same cycle (a cycle
-// visible to a local walk has every member tree confined to that shard).
+// makes the snapshot consistent across shards, and serialises escalated
+// walks against each other and against every local walk, so each cycle
+// still elects exactly one victim: two local walks in different shards
+// can never see the same cycle (a cycle visible to a local walk has every
+// member tree confined to that shard).
 
 // graphView enumerates wait-for edges from either one shard's indexes
 // (local, the shard's mutex held) or every shard's (escalated, all
@@ -85,9 +85,9 @@ func (g graphView) succ(t tree.TID, buf []tree.TID) []tree.TID {
 				}
 			}
 		}
-		for u := range ls.write {
-			if !u.IsAncestorOf(wt.access) {
-				addChain(u)
+		for _, h := range ls.chain {
+			if !h.t.IsAncestorOf(wt.access) {
+				addChain(h.t)
 			}
 		}
 		if wt.write {

@@ -15,6 +15,17 @@
 // locked, and waiters queue on the object they are blocked on, so a
 // commit or abort wakes only the waiters whose lock tables it changed.
 //
+// An object's write-lockholders are totally ordered by ancestry (Lemma
+// 21) and the version map is defined exactly on them, so the two are kept
+// as one stack per object: the root with the committed state at the base,
+// each holder a proper descendant of the one below, the least holder —
+// whose version is the object's current state, and who alone decides
+// whether a newcomer conflicts with a write lock — on top. A grant pushes
+// or overwrites the top, a commit renames the top to its parent or folds
+// it into the parent's entry, an abort truncates. The set-based M(X) of
+// internal/core stays the specification: the tests drive both through the
+// same steps and compare after each.
+//
 // The lock tables are partitioned into N independent shards keyed by
 // hash(object name) % N. The paper's locking rules are per-object — a
 // lock's holders, waiters, and M(X)'s version map are all keyed by X — so
@@ -62,7 +73,7 @@ var ErrUnknownObject = errors.New("object not registered")
 // the keys STATS publishes them under, in internal/obs.
 type Stats = obs.LockStats
 
-// Manager owns the lock tables and version maps of every registered object
+// Manager owns the lock tables and versions of every registered object
 // and the wait queues of every blocked acquisition, partitioned into
 // shards by object name.
 type Manager struct {
@@ -152,7 +163,6 @@ func NewSharded(rec *event.Recorder, mode core.Mode, met *obs.Metrics, n int) *M
 			m:          m,
 			objects:    make(map[string]*lockState),
 			held:       make(map[tree.TID]lockSet),
-			contended:  make(map[*lockState]struct{}),
 			waiting:    make(map[tree.TID][]*waiter),
 			topWaiting: make(map[tree.TID]map[tree.TID]struct{}),
 		}
@@ -289,7 +299,9 @@ func (m *Manager) treeConfined(top tree.TID, sid int) bool {
 // ---- public API ----
 
 // Register declares object x with initial state init; the root holds the
-// initial write lock, exactly as in M(X)'s initial state.
+// initial write lock, exactly as in M(X)'s initial state. That lock is the
+// base of x's chain and appears in no index: the root never commits or
+// aborts, so nothing would look it up.
 func (m *Manager) Register(x string, init adt.State) error {
 	sh := m.shardFor(x)
 	sh.mu.Lock()
@@ -297,15 +309,11 @@ func (m *Manager) Register(x string, init adt.State) error {
 	if _, dup := sh.objects[x]; dup {
 		return fmt.Errorf("lockmgr: object %q already registered", x)
 	}
-	ls := &lockState{
-		name:     x,
-		read:     tree.NewSet(),
-		write:    tree.NewSet(tree.Root),
-		versions: map[tree.TID]adt.State{tree.Root: init},
-		dirty:    tree.NewSet(),
-	}
-	sh.objects[x] = ls
-	sh.indexAddLocked(tree.Root, ls)
+	// Room for the root and one top-level writer: the flat case never
+	// grows the chain.
+	chain := make([]writeHolder, 1, 2)
+	chain[0] = writeHolder{t: tree.Root, st: init}
+	sh.objects[x] = &lockState{name: x, chain: chain, read: tree.NewSet()}
 	return nil
 }
 
@@ -332,34 +340,6 @@ func (m *Manager) Stats() Stats {
 	return out
 }
 
-// Objects returns the registered object names.
-func (m *Manager) Objects() []string {
-	var out []string
-	for _, sh := range m.shards {
-		sh.mu.Lock()
-		for x := range sh.objects {
-			out = append(out, x)
-		}
-		sh.mu.Unlock()
-	}
-	return out
-}
-
-// CurrentState returns the current (least write-lockholder) state of x,
-// for inspection after a run. Mid-run that may be a live writer's
-// tentative version; observers outside any transaction read the
-// committed-version store (internal/snap) instead.
-func (m *Manager) CurrentState(x string) (adt.State, error) {
-	sh := m.shardFor(x)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ls, ok := sh.objects[x]
-	if !ok {
-		return nil, fmt.Errorf("lockmgr: %w: %q", ErrUnknownObject, x)
-	}
-	return ls.current(), nil
-}
-
 // TopVersions returns the new root versions a committing top-level
 // transaction is about to install: for every object top holds a write
 // lock on, the version top holds. The runtime calls it inside the
@@ -371,15 +351,17 @@ func (m *Manager) TopVersions(top tree.TID) map[string]adt.State {
 	var out map[string]adt.State
 	m.eachFpShard(top, func(sh *shard) {
 		for ls := range sh.held[top] {
-			// dirty, not just write-locked: under exclusive locking pure
-			// readers hold write locks too, but their (unchanged) versions
-			// are not publications — the conflict order the checker
-			// rebuilds only contains actual mutations.
-			if ls.write.Has(top) && ls.dirty.Has(top) {
+			// top's entry, when it has one, sits directly on the root's.
+			// It is published when dirty, not merely write-locked: under
+			// exclusive locking pure readers hold write locks too, but
+			// their (unchanged) versions are not publications — the
+			// conflict order the checker rebuilds only contains actual
+			// mutations.
+			if len(ls.chain) > 1 && ls.chain[1].t == top && ls.chain[1].dirty {
 				if out == nil {
 					out = make(map[string]adt.State)
 				}
-				out[ls.name] = ls.versions[top]
+				out[ls.name] = ls.chain[1].st
 			}
 		}
 	})
@@ -406,12 +388,7 @@ func (m *Manager) RootStates() map[string]adt.State {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 		for x, ls := range sh.objects {
-			v, ok := ls.versions[tree.Root]
-			if !ok {
-				sh.mu.Unlock()
-				panic("lockmgr: root version lost for " + x)
-			}
-			out[x] = v
+			out[x] = ls.chain[0].st
 		}
 		sh.mu.Unlock()
 	}
@@ -446,7 +423,7 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel <-cha
 			sh.mu.Unlock()
 			return nil, fmt.Errorf("lockmgr: %w: %q", ErrUnknownObject, x)
 		}
-		if _, isBlocked := ls.blocked(access, write); !isBlocked {
+		if !ls.blocked(access, write) {
 			v := sh.grantLocked(ls, tx, access, op, write)
 			sh.stats.Acquires++
 			if waited {
@@ -571,31 +548,25 @@ func (m *Manager) Commit(t tree.TID, value event.Value) {
 			return
 		}
 		for ls := range set {
-			touched := false
-			if ls.write.Has(t) {
-				ls.write.Remove(t)
-				ls.write.Add(p)
-				ls.versions[p] = ls.versions[t]
-				delete(ls.versions, t)
-				if ls.dirty.Has(t) {
-					ls.dirty.Remove(t)
-					ls.dirty.Add(p)
-				}
-				touched = true
-			}
+			// t holds a write lock, a read lock, or both on ls. A read lock
+			// passing to the root is dropped: the root conflicts with nobody.
+			ls.inheritWrite(t, p)
 			if ls.read.Has(t) {
 				ls.read.Remove(t)
-				ls.read.Add(p)
-				touched = true
+				if p != tree.Root {
+					ls.read.Add(p)
+				}
 			}
-			if touched {
-				sh.stats.CommitMoves++
-				m.rec.Record(event.Event{Kind: event.InformCommitAt, T: t, Object: ls.name})
-				sh.wakeQueuedLocked(ls)
-			}
+			sh.stats.CommitMoves++
+			m.rec.Record(event.Event{Kind: event.InformCommitAt, T: t, Object: ls.name})
+			sh.wakeQueuedLocked(ls)
 		}
 		delete(sh.held, t)
-		sh.indexInheritLocked(p, set)
+		if p == tree.Root {
+			sh.recycleSetLocked(set)
+		} else {
+			sh.indexInheritLocked(p, set)
+		}
 	})
 	if p == tree.Root {
 		m.fpForget(top)
@@ -623,15 +594,7 @@ func (m *Manager) Abort(t tree.TID) {
 			}
 		}
 		for ls := range affected {
-			touched := false
-			for u := range ls.write {
-				if u.IsDescendantOf(t) {
-					ls.write.Remove(u)
-					delete(ls.versions, u)
-					ls.dirty.Remove(u)
-					touched = true
-				}
-			}
+			touched := ls.discardWrites(t)
 			for u := range ls.read {
 				if u.IsDescendantOf(t) {
 					ls.read.Remove(u)
@@ -652,15 +615,16 @@ func (m *Manager) Abort(t tree.TID) {
 	m.rec.Record(event.Event{Kind: event.ReportAbort, T: t})
 }
 
-// CheckInvariants verifies Lemma 21 (lockholders of each object are
-// pairwise ancestry-related where one holds a write lock, and the write
-// table is a chain), version-map consistency, that the held-locks index
-// agrees exactly with the lock tables, and that the shard partition is
-// clean: every object lives in exactly the shard its hash names, every
-// held lock is covered by the cross-shard footprint index, and the
-// striped waiter counts match the queues exactly. It locks every shard
-// (ascending, the global order), so the snapshot is as consistent as the
-// old single-mutex check. For tests and stress runs.
+// CheckInvariants verifies Lemma 21 (each object's write-lockholders
+// strictly descend from the root at the base of its chain, and every
+// read-lockholder is ancestry-related to every write-lockholder), that
+// every write-lockholder has a version, that the held-locks index agrees
+// exactly with the lock tables (the root's locks alone are unindexed), and
+// that the shard partition is clean: every object lives in exactly the
+// shard its hash names, every held lock is covered by the cross-shard
+// footprint index, and the striped waiter counts match the queues
+// exactly. It locks every shard (ascending, the global order), so the
+// snapshot is consistent across shards. For tests and stress runs.
 func (m *Manager) CheckInvariants() error {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
@@ -677,17 +641,14 @@ func (m *Manager) CheckInvariants() error {
 			return err
 		}
 	}
-	// Every held lock (other than the root's) must be covered by the
-	// footprint index, and the striped waiter counts must match the
-	// queues exactly. Stripe mutations happen only while holding some
-	// shard mutex — all held here — except fpForget, which runs strictly
-	// after the tree's last lock left every shard, so "footprint ⊇ held"
-	// still holds on any interleaving.
+	// Every indexed lock must be covered by the footprint index, and the
+	// striped waiter counts must match the queues exactly. Stripe
+	// mutations happen only while holding some shard mutex — all held
+	// here — except fpForget, which runs strictly after the tree's last
+	// lock left every shard, so "footprint ⊇ held" still holds on any
+	// interleaving.
 	for _, sh := range m.shards {
 		for t := range sh.held {
-			if t == tree.Root {
-				continue
-			}
 			top := topOf(t)
 			st := m.stripeFor(top)
 			st.mu.Lock()

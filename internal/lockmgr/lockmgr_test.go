@@ -29,11 +29,11 @@ func TestRegisterDuplicate(t *testing.T) {
 	if err := m.Register("X", adt.NewRegister(int64(0))); err == nil {
 		t.Fatal("duplicate registration must fail")
 	}
-	if len(m.Objects()) != 2 {
+	if len(m.RootStates()) != 2 {
 		t.Fatal("objects")
 	}
-	if _, err := m.CurrentState("zzz"); err == nil {
-		t.Fatal("unknown object must fail")
+	if m.Registered("zzz") {
+		t.Fatal("unknown object must not be registered")
 	}
 }
 
@@ -121,8 +121,7 @@ func TestAbortRestoresAndWakes(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("reader did not wake after abort")
 	}
-	s, _ := m.CurrentState("X")
-	if s.(adt.Register).V != int64(0) {
+	if m.RootStates()["X"].(adt.Register).V != int64(0) {
 		t.Fatal("state must roll back")
 	}
 }

@@ -3,106 +3,201 @@ package lockmgr
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"nestedtx/internal/adt"
 	"nestedtx/internal/core"
+	"nestedtx/internal/event"
 	"nestedtx/internal/tree"
 )
 
-// lockModel is the plain-map statement of who holds what: per object, per
-// transaction, the modes held. The root's initial write lock is implicit.
-type lockModel struct {
-	holds map[string]map[tree.TID]modes
-	// What the sequence implies the manager's counters must read.
+// lockstep drives a Manager and, per object, the set-based M(X) of
+// internal/core — the specification the lock tables refine — through the
+// same steps, and compares the two after each one.
+type lockstep struct {
+	m       *Manager
+	st      *event.SystemType
+	objects []string
+	mx      map[string]*core.LockObject
+	// mutated is the one thing M(X) has no word for: per object, the
+	// write-lockholders whose version differs from the one below because
+	// of a non-read-only op — what the chain calls dirty.
+	mutated map[string]tree.Set
+	// What the steps imply the manager's counters must read.
 	acquires, commitMoves, abortReleases uint64
 }
 
-type modes struct{ read, write bool }
-
-// admits reports Moss' rule: every holder of a conflicting lock on x is an
-// ancestor of tx.
-func (lm *lockModel) admits(tx tree.TID, x string, write bool) bool {
-	for u, h := range lm.holds[x] {
-		if (h.write || write) && !u.IsAncestorOf(tx) {
-			return false
-		}
+func newLockstep(tb testing.TB, mode core.Mode, shards int, objects ...string) *lockstep {
+	tb.Helper()
+	l := &lockstep{
+		m:       NewSharded(nil, mode, nil, shards),
+		st:      event.NewSystemType(),
+		objects: objects,
+		mx:      make(map[string]*core.LockObject),
+		mutated: make(map[string]tree.Set),
 	}
-	return true
+	for _, x := range objects {
+		l.st.DefineObject(x, adt.Counter{})
+		if err := l.m.Register(x, adt.Counter{}); err != nil {
+			tb.Fatal(err)
+		}
+		mx, err := core.NewLockObject(l.st, x, mode)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		l.mx[x] = mx
+		l.mutated[x] = tree.NewSet()
+	}
+	return l
 }
 
-func (lm *lockModel) grant(tx tree.TID, x string, write bool) {
-	h := lm.holds[x][tx]
-	if write {
-		h.write = true
-	} else {
-		h.read = true
+// access runs access (a fresh child of tx) applying op to x on both sides
+// when M(X) enables its response, and reports whether it did. The manager
+// must agree on admission, so nothing ever waits, and on the value.
+func (l *lockstep) access(tx, access tree.TID, x string, op adt.Op) (bool, error) {
+	if err := l.st.DefineAccess(access, x, op); err != nil {
+		return false, err
 	}
-	if lm.holds[x] == nil {
-		lm.holds[x] = make(map[tree.TID]modes)
+	mx := l.mx[x]
+	if err := mx.Create(access); err != nil {
+		return false, err
 	}
-	lm.holds[x][tx] = h
-	lm.acquires++
+	enabled := mx.RespondEnabled(access) == nil
+	sh := l.m.shardFor(x)
+	sh.mu.Lock()
+	blocked := sh.objects[x].blocked(access, l.m.isWrite(op))
+	sh.mu.Unlock()
+	if blocked == enabled {
+		return false, fmt.Errorf("%s on %s: M(X) enabled=%v but the lock tables say blocked=%v", access, x, enabled, blocked)
+	}
+	if !enabled {
+		return false, nil
+	}
+	v, err := l.m.Acquire(tx, access, x, op, nil)
+	if err != nil {
+		return false, err
+	}
+	ev, err := mx.Respond(access)
+	if err != nil {
+		return false, err
+	}
+	if ev.Value != v {
+		return false, fmt.Errorf("%s on %s: manager answered %v, M(X) %v", access, x, v, ev.Value)
+	}
+	// The access commits at once and its lock passes to tx.
+	if err := mx.InformCommit(access); err != nil {
+		return false, err
+	}
+	if !op.ReadOnly() {
+		l.mutated[x].Add(tx)
+	}
+	l.acquires++
+	return true, nil
 }
 
-// commit passes tx's locks to its parent: one move per object.
-func (lm *lockModel) commit(tx tree.TID) {
-	p := tx.Parent()
-	for _, hs := range lm.holds {
-		h, ok := hs[tx]
-		if !ok {
-			continue
+// commit passes tx's locks to its parent: one move per object tx holds a
+// lock on.
+func (l *lockstep) commit(tx tree.TID) error {
+	l.m.Commit(tx, nil)
+	for x, mx := range l.mx {
+		if mx.WriteLockholders().Has(tx) || mx.ReadLockholders().Has(tx) {
+			l.commitMoves++
 		}
-		delete(hs, tx)
-		lm.commitMoves++
-		if p == tree.Root {
-			continue // merges into the root's permanent write lock
+		if err := mx.InformCommit(tx); err != nil {
+			return err
 		}
-		ph := hs[p]
-		hs[p] = modes{read: ph.read || h.read, write: ph.write || h.write}
+		if mut := l.mutated[x]; mut.Has(tx) {
+			mut.Remove(tx)
+			mut.Add(tx.Parent())
+		}
 	}
+	return nil
 }
 
 // abort discards the locks of tx's whole subtree: one release per object
-// that lost a holder.
-func (lm *lockModel) abort(tx tree.TID) {
-	for _, hs := range lm.holds {
-		lost := false
-		for u := range hs {
-			if u.IsDescendantOf(tx) {
-				delete(hs, u)
-				lost = true
+// that loses a holder.
+func (l *lockstep) abort(tx tree.TID) error {
+	l.m.Abort(tx)
+	for x, mx := range l.mx {
+		for _, s := range []tree.Set{mx.WriteLockholders(), mx.ReadLockholders()} {
+			before := s.Len()
+			if s.RemoveDescendantsOf(tx); s.Len() != before {
+				l.abortReleases++
+				break
 			}
 		}
-		if lost {
-			lm.abortReleases++
+		if err := mx.InformAbort(tx); err != nil {
+			return err
 		}
+		l.mutated[x].RemoveDescendantsOf(tx)
 	}
+	return nil
 }
 
-// agrees compares the manager's lock tables with the model, object by
-// object.
-func (lm *lockModel) agrees(m *Manager, objects []string) error {
-	for _, x := range objects {
-		sh := m.shardFor(x)
+// check verifies the manager's own invariants and then the refinement:
+// the chain's holders are exactly M(X)'s write-lockholders, each holds the
+// version M(X) maps it to and is dirty exactly when it mutated, the read
+// table is M(X)'s minus the root (which conflicts with nobody), and a
+// top-level transaction would publish exactly the versions it mutated.
+func (l *lockstep) check() error {
+	if err := l.m.CheckInvariants(); err != nil {
+		return err
+	}
+	publish := map[tree.TID]map[string]adt.State{}
+	for _, x := range l.objects {
+		mx := l.mx[x]
+		for _, s := range []tree.Set{mx.WriteLockholders(), mx.ReadLockholders()} {
+			for t := range s {
+				if t.Level() != 1 {
+					continue
+				}
+				if _, seen := publish[t]; !seen {
+					publish[t] = nil
+				}
+				if v, ok := mx.Version(t); ok && l.mutated[x].Has(t) {
+					if publish[t] == nil {
+						publish[t] = map[string]adt.State{}
+					}
+					publish[t][x] = v
+				}
+			}
+		}
+	}
+	for top, want := range publish {
+		if got := l.m.TopVersions(top); !reflect.DeepEqual(got, want) {
+			return fmt.Errorf("TopVersions(%s) = %v, M(X) and the steps say %v", top, got, want)
+		}
+	}
+	for _, x := range l.objects {
+		mx := l.mx[x]
+		if err := mx.CheckLockInvariants(); err != nil {
+			return err
+		}
+		sh := l.m.shardFor(x)
 		sh.mu.Lock()
 		ls := sh.objects[x]
-		want := lm.holds[x]
 		err := func() error {
-			if !ls.write.Has(tree.Root) {
-				return fmt.Errorf("%s: root's write lock lost", x)
+			want := mx.WriteLockholders()
+			if len(ls.chain) != want.Len() {
+				return fmt.Errorf("%s: chain %v, M(X) write-lockholders %v", x, ls.chain, want.Members())
 			}
-			for u, h := range want {
-				if ls.read.Has(u) != h.read || ls.write.Has(u) != h.write {
-					return fmt.Errorf("%s: %s holds read=%v write=%v, model says %+v", x, u, ls.read.Has(u), ls.write.Has(u), h)
+			for i, h := range ls.chain {
+				v, ok := mx.Version(h.t)
+				if !ok {
+					return fmt.Errorf("%s: chain holds %s, M(X) write-lockholders are %v", x, h.t, want.Members())
+				}
+				if !reflect.DeepEqual(v, h.st) {
+					return fmt.Errorf("%s: %s holds version %v, M(X) maps it to %v", x, h.t, h.st, v)
+				}
+				if i > 0 && h.dirty != l.mutated[x].Has(h.t) {
+					return fmt.Errorf("%s: %s dirty=%v, the steps say %v", x, h.t, h.dirty, !h.dirty)
 				}
 			}
-			for _, s := range []tree.Set{ls.read, ls.write} {
-				for u := range s {
-					if _, ok := want[u]; !ok && u != tree.Root {
-						return fmt.Errorf("%s: %s holds a lock the model does not know", x, u)
-					}
-				}
+			wantRead := mx.ReadLockholders()
+			wantRead.Remove(tree.Root)
+			if !reflect.DeepEqual(ls.read, wantRead) {
+				return fmt.Errorf("%s: read-lockholders %v, M(X) says %v", x, ls.read.Members(), wantRead.Members())
 			}
 			return nil
 		}()
@@ -114,132 +209,129 @@ func (lm *lockModel) agrees(m *Manager, objects []string) error {
 	return nil
 }
 
+// checkAtRest verifies what must hold once every transaction has ended:
+// the counters equal what the steps imply, nothing waited, and nothing per
+// transaction survives — the root is in no index, so the held-locks and
+// footprint indexes are empty.
+func (l *lockstep) checkAtRest() error {
+	st := l.m.Stats()
+	if st.Acquires != l.acquires || st.CommitMoves != l.commitMoves || st.AbortReleases != l.abortReleases {
+		return fmt.Errorf("Stats = acquires %d, commit moves %d, abort releases %d; the steps imply %d, %d, %d",
+			st.Acquires, st.CommitMoves, st.AbortReleases, l.acquires, l.commitMoves, l.abortReleases)
+	}
+	if st.Waits != 0 {
+		return fmt.Errorf("Waits = %d: M(X) enabled a response the manager blocked", st.Waits)
+	}
+	for _, sh := range l.m.shards {
+		if len(sh.held) != 0 {
+			return fmt.Errorf("shard %d: %d held-locks index entries after every transaction ended", sh.id, len(sh.held))
+		}
+	}
+	for i := range l.m.stripes {
+		if n := len(l.m.stripes[i].held); n != 0 {
+			return fmt.Errorf("stripe %d: %d footprint entries after every transaction ended", i, n)
+		}
+	}
+	return nil
+}
+
 // TestRandomSequenceAgainstModel runs a seeded single-threaded sequence of
-// grants, nested commits and subtree aborts — only grants the rule admits,
-// so nothing ever waits — and after every step checks the invariants
-// (index sets adopted, merged and recycled; footprint bit sets) and the
-// lock tables against the model. At the end the counters equal what the
-// sequence implies and every per-transaction index is gone.
+// grants, nested commits and subtree aborts — only grants M(X) enables, so
+// nothing ever waits — and after every step checks the invariants (index
+// sets adopted, merged and recycled; footprint bit sets) and that the lock
+// tables refine M(X). At the end the counters equal what the sequence
+// implies and every per-transaction index is gone.
 func TestRandomSequenceAgainstModel(t *testing.T) {
 	for _, shards := range []int{1, 2, 7, 130} { // 130: a footprint of three words
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(shards)))
-			m := NewSharded(nil, core.ReadWrite, nil, shards)
-			objects := make([]string, 12)
-			for i := range objects {
-				objects[i] = fmt.Sprintf("obj%d", i)
-				if err := m.Register(objects[i], adt.Counter{}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			model := &lockModel{holds: make(map[string]map[tree.TID]modes)}
-			var live []tree.TID                // every transaction that has not returned
-			nextChild := map[tree.TID]int{}    // per parent (and the root)
-			liveChildren := map[tree.TID]int{} // running subtransactions
-			begin := func(p tree.TID) {
-				c := p.Child(nextChild[p])
-				nextChild[p]++
-				liveChildren[p]++
-				live = append(live, c)
-			}
-			// end removes tx (and, aborting, its subtree) from the live set.
-			end := func(tx tree.TID, subtree bool) {
-				liveChildren[tx.Parent()]--
-				kept := live[:0]
-				for _, u := range live {
-					if u == tx || (subtree && u.IsDescendantOf(tx)) {
-						delete(liveChildren, u)
-						continue
-					}
-					kept = append(kept, u)
-				}
-				live = kept
-			}
-			step := func(i int) {
-				if len(live) == 0 {
-					begin(tree.Root)
-					return
-				}
-				tx := live[rng.Intn(len(live))]
-				switch r := rng.Intn(20); {
-				case r < 2 && len(live) < 12:
-					begin(tree.Root)
-				case r < 6 && tx.Level() < 4:
-					begin(tx)
-				case r < 15:
-					x := objects[rng.Intn(len(objects))]
-					write := rng.Intn(2) == 0
-					if !model.admits(tx, x, write) {
-						return
-					}
-					var op adt.Op = adt.CtrGet{}
-					if write {
-						op = adt.CtrAdd{Delta: 1}
-					}
-					access := tx.Child(nextChild[tx])
-					nextChild[tx]++
-					if _, err := m.Acquire(tx, access, x, op, nil); err != nil {
-						t.Fatalf("step %d: Acquire(%s, %s, write=%v): %v", i, tx, x, write, err)
-					}
-					model.grant(tx, x, write)
-				case r < 18:
-					if liveChildren[tx] > 0 {
-						return // a transaction commits after its children return
-					}
-					m.Commit(tx, nil)
-					model.commit(tx)
-					end(tx, false)
-				default:
-					m.Abort(tx)
-					model.abort(tx)
-					end(tx, true)
-				}
-			}
-			check := func(i int) {
-				t.Helper()
-				if err := m.CheckInvariants(); err != nil {
-					t.Fatalf("step %d: %v", i, err)
-				}
-				if err := model.agrees(m, objects); err != nil {
-					t.Fatalf("step %d: %v", i, err)
-				}
-			}
-			const steps = 4000
-			for i := 0; i < steps; i++ {
-				step(i)
-				check(i)
-			}
-			// Wind down: abort what is left, top-level by top-level.
-			for len(live) > 0 {
-				top := topOf(live[0])
-				m.Abort(top)
-				model.abort(top)
-				end(top, true)
-				check(steps)
-			}
-			st := m.Stats()
-			if st.Acquires != model.acquires || st.CommitMoves != model.commitMoves || st.AbortReleases != model.abortReleases {
-				t.Fatalf("Stats = acquires %d, commit moves %d, abort releases %d; the sequence implies %d, %d, %d",
-					st.Acquires, st.CommitMoves, st.AbortReleases, model.acquires, model.commitMoves, model.abortReleases)
-			}
-			if model.acquires < steps/8 || model.commitMoves == 0 || model.abortReleases == 0 {
-				t.Fatalf("sequence too thin: %+v", model)
-			}
-			if st.Waits != 0 {
-				t.Fatalf("Waits = %d: the model admitted a grant the manager blocked", st.Waits)
-			}
-			// Nothing per transaction survives: the root's entry is the
-			// only index set, the footprint index is empty.
-			for _, sh := range m.shards {
-				if len(sh.held) > 1 {
-					t.Fatalf("shard %d: %d held-locks index entries after every transaction ended", sh.id, len(sh.held))
-				}
-			}
-			for i := range m.stripes {
-				if n := len(m.stripes[i].held); n != 0 {
-					t.Fatalf("stripe %d: %d footprint entries after every transaction ended", i, n)
-				}
+			for _, mode := range []core.Mode{core.ReadWrite, core.Exclusive} {
+				t.Run(mode.String(), func(t *testing.T) { randomSequence(t, mode, shards) })
 			}
 		})
+	}
+}
+
+func randomSequence(t *testing.T, mode core.Mode, shards int) {
+	rng := rand.New(rand.NewSource(int64(shards)))
+	objects := make([]string, 12)
+	for i := range objects {
+		objects[i] = fmt.Sprintf("obj%d", i)
+	}
+	l := newLockstep(t, mode, shards, objects...)
+	var live []tree.TID                // every transaction that has not returned
+	nextChild := map[tree.TID]int{}    // per parent (and the root)
+	liveChildren := map[tree.TID]int{} // running subtransactions
+	begin := func(p tree.TID) {
+		c := p.Child(nextChild[p])
+		nextChild[p]++
+		liveChildren[p]++
+		live = append(live, c)
+	}
+	// end removes tx (and, aborting, its subtree) from the live set.
+	end := func(tx tree.TID, subtree bool) {
+		liveChildren[tx.Parent()]--
+		kept := live[:0]
+		for _, u := range live {
+			if u == tx || (subtree && u.IsDescendantOf(tx)) {
+				delete(liveChildren, u)
+				continue
+			}
+			kept = append(kept, u)
+		}
+		live = kept
+	}
+	must := func(i int, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+	}
+	step := func(i int) {
+		if len(live) == 0 {
+			begin(tree.Root)
+			return
+		}
+		tx := live[rng.Intn(len(live))]
+		switch r := rng.Intn(20); {
+		case r < 2 && len(live) < 12:
+			begin(tree.Root)
+		case r < 6 && tx.Level() < 4:
+			begin(tx)
+		case r < 15:
+			x := objects[rng.Intn(len(objects))]
+			var op adt.Op = adt.CtrGet{}
+			if rng.Intn(2) == 0 {
+				op = adt.CtrAdd{Delta: 1}
+			}
+			access := tx.Child(nextChild[tx])
+			nextChild[tx]++
+			_, err := l.access(tx, access, x, op)
+			must(i, err)
+		case r < 18:
+			if liveChildren[tx] > 0 {
+				return // a transaction commits after its children return
+			}
+			must(i, l.commit(tx))
+			end(tx, false)
+		default:
+			must(i, l.abort(tx))
+			end(tx, true)
+		}
+	}
+	const steps = 4000
+	for i := 0; i < steps; i++ {
+		step(i)
+		must(i, l.check())
+	}
+	// Wind down: abort what is left, top-level by top-level.
+	for len(live) > 0 {
+		top := topOf(live[0])
+		must(steps, l.abort(top))
+		end(top, true)
+		must(steps, l.check())
+	}
+	must(steps, l.checkAtRest())
+	if l.acquires < steps/8 || l.commitMoves == 0 || l.abortReleases == 0 {
+		t.Fatalf("sequence too thin: %d acquires, %d commit moves, %d abort releases", l.acquires, l.commitMoves, l.abortReleases)
 	}
 }

@@ -10,8 +10,8 @@ import (
 	"nestedtx/internal/tree"
 )
 
-// shard owns the lock tables, version maps, and wait queues of the
-// objects hashing to it. Everything inside is guarded by mu; nothing in a
+// shard owns the lock tables, versions, and wait queues of the objects
+// hashing to it. Everything inside is guarded by mu; nothing in a
 // shard is ever touched under another shard's mutex alone. When a path
 // needs several shard mutexes at once (the escalated deadlock walk,
 // CheckInvariants), it takes them in ascending id order — the global
@@ -22,18 +22,19 @@ type shard struct {
 
 	mu      sync.Mutex
 	objects map[string]*lockState
-	// held is the held-locks index: for every transaction holding at
-	// least one lock in this shard, the set of its objects the
-	// transaction holds a (read or write) lock on. Commit and Abort walk
-	// this index instead of the whole universe. A set has one owner: a
-	// committing transaction's set passes to its parent (adopted whole or
-	// merged, see indexInheritLocked), and emptied sets wait on freeSets
-	// for the next transaction, so a steady workload allocates none.
+	// held is the held-locks index: for every transaction other than the
+	// root holding at least one lock in this shard, the set of its objects
+	// the transaction holds a (read or write) lock on. Commit and Abort
+	// walk this index instead of the whole universe. The root never
+	// commits or aborts, so nothing would walk an entry for it: its write
+	// lock on every object is the base of the object's chain and is listed
+	// nowhere else. A set has one owner: a committing transaction's set
+	// passes to its parent (adopted whole or merged, see
+	// indexInheritLocked; recycled at a top-level commit), and emptied
+	// sets wait on freeSets for the next transaction, so a steady workload
+	// allocates none.
 	held     map[tree.TID]lockSet
 	freeSets []lockSet
-	// contended is the set of objects with a non-empty wait queue, so
-	// invariant checks walk only the queues that exist.
-	contended map[*lockState]struct{}
 	// waiting indexes the queued waiters by their transaction, for
 	// demand-driven wait-for-graph exploration and victim selection.
 	waiting map[tree.TID][]*waiter
@@ -54,21 +55,32 @@ type lockSet map[*lockState]struct{}
 // that would draw it from the free list afterwards.
 const maxRecycledSet = 64
 
-// lockState is the M(X) state for one object: the two lock tables, the
-// version map (defined exactly on the write-lockholders), and the queue
-// of acquisitions blocked on this object.
+// lockState is the M(X) state for one object: the write-lockholders with
+// their versions, the read-lockholders, and the queue of acquisitions
+// blocked on this object.
 type lockState struct {
-	name     string
-	read     tree.Set
-	write    tree.Set
-	versions map[tree.TID]adt.State
-	// dirty marks the write-lockholders that actually mutated the object
-	// (applied a non-read-only op, directly or via a committed
-	// descendant). Under exclusive locking read-only accesses take write
-	// locks too; publication to the snapshot store keys off dirty, not
-	// the write table, so pure readers never publish.
-	dirty tree.Set
+	name string
+	// chain is the write-lock table and the version map in one. Lemma 21
+	// orders the write-lockholders totally by ancestry and §5.1 defines
+	// the version map exactly on them, so together they are a stack:
+	// chain[0] is the root with the committed state, every entry is a
+	// proper descendant of the one below it, and the top is the least
+	// write-lockholder, whose version is the object's current state.
+	chain []writeHolder
+	read  tree.Set
 	queue []*waiter
+}
+
+// writeHolder is one write-lockholder and the version it holds.
+type writeHolder struct {
+	t  tree.TID
+	st adt.State
+	// dirty marks a holder that actually mutated the object (applied a
+	// non-read-only op, directly or via a committed descendant). Under
+	// exclusive locking read-only accesses take write locks too;
+	// publication to the snapshot store keys off dirty, not the lock, so
+	// pure readers never publish.
+	dirty bool
 }
 
 type waiter struct {
@@ -81,30 +93,70 @@ type waiter struct {
 	victim bool
 }
 
-func (ls *lockState) current() adt.State {
-	least, ok := ls.write.Least()
-	if !ok {
-		panic("lockmgr: no write-lockholders (root lock lost)")
-	}
-	return ls.versions[least]
-}
+// top returns the least write-lockholder's entry; its version is what
+// Moss calls the current state of the object.
+func (ls *lockState) top() *writeHolder { return &ls.chain[len(ls.chain)-1] }
 
-// blocked returns a conflicting lockholder that is not an ancestor of t,
-// or "" when the acquisition can proceed.
-func (ls *lockState) blocked(t tree.TID, write bool) (tree.TID, bool) {
-	for u := range ls.write {
-		if !u.IsAncestorOf(t) {
-			return u, true
-		}
+// blocked reports whether some holder of a conflicting lock is not an
+// ancestor of t. On the write side the top of the chain decides: every
+// other write-lockholder is an ancestor of the top, so all of them are
+// ancestors of t exactly when the top is.
+func (ls *lockState) blocked(t tree.TID, write bool) bool {
+	if !ls.top().t.IsAncestorOf(t) {
+		return true
 	}
 	if write {
 		for u := range ls.read {
 			if !u.IsAncestorOf(t) {
-				return u, true
+				return true
 			}
 		}
 	}
-	return "", false
+	return false
+}
+
+// holdsWrite reports whether t is a write-lockholder other than the root.
+func (ls *lockState) holdsWrite(t tree.TID) bool {
+	for _, h := range ls.chain[1:] {
+		if h.t == t {
+			return true
+		}
+	}
+	return false
+}
+
+// inheritWrite passes t's write lock and version, if it holds them, to
+// its parent p. t's descendants have returned by the time t commits, so an
+// entry of t is the top of the chain; it folds into p's entry when that is
+// the one directly below (p's own version is superseded), and is renamed
+// to p otherwise.
+func (ls *lockState) inheritWrite(t, p tree.TID) {
+	n := len(ls.chain) - 1
+	top := &ls.chain[n]
+	if top.t != t {
+		return
+	}
+	if below := &ls.chain[n-1]; below.t == p {
+		below.st, below.dirty = top.st, below.dirty || top.dirty
+		*top = writeHolder{}
+		ls.chain = ls.chain[:n]
+	} else {
+		top.t = p
+	}
+}
+
+// discardWrites drops the write locks and versions of t's descendants and
+// reports whether there were any. The descendants of t in a chain are a
+// suffix of it: whatever sits above a descendant of t descends from t too.
+func (ls *lockState) discardWrites(t tree.TID) bool {
+	for i := 1; i < len(ls.chain); i++ {
+		if ls.chain[i].t.IsDescendantOf(t) {
+			clear(ls.chain[i:])
+			ls.chain = ls.chain[:i]
+			return true
+		}
+	}
+	return false
 }
 
 // ---- held-locks index ----
@@ -173,7 +225,6 @@ func (sh *shard) enqueueLocked(w *waiter) {
 	}
 	sh.m.met.QueuedWaiters.Add(1)
 	sh.m.met.AddShardQueued(sh.id, 1)
-	sh.contended[ls] = struct{}{}
 	if len(sh.waiting[w.tx]) == 0 {
 		top := topOf(w.tx)
 		s := sh.topWaiting[top]
@@ -204,9 +255,6 @@ func (sh *shard) dequeueLocked(w *waiter) {
 			}
 			break
 		}
-	}
-	if len(ls.queue) == 0 {
-		delete(sh.contended, ls)
 	}
 	sh.unindexWaiterLocked(w)
 }
@@ -251,19 +299,20 @@ func (sh *shard) wakeQueuedLocked(ls *lockState) {
 		sh.m.met.ContendedObjects.Add(-1)
 	}
 	ls.queue = nil
-	delete(sh.contended, ls)
 }
 
 // grantLocked applies op, grants the access its lock, and immediately
 // commits the access so the lock is inherited by tx. Caller holds sh.mu.
 func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, write bool) adt.Value {
-	next, v := op.Apply(ls.current())
+	top := ls.top()
+	next, v := op.Apply(top.st)
 	if write {
-		ls.write.Add(tx)
-		ls.versions[tx] = next
-		if !op.ReadOnly() {
-			ls.dirty.Add(tx)
+		if top.t != tx {
+			ls.chain = append(ls.chain, writeHolder{t: tx})
+			top = ls.top()
 		}
+		top.st = next
+		top.dirty = top.dirty || !op.ReadOnly()
 	} else {
 		ls.read.Add(tx)
 	}
@@ -278,34 +327,40 @@ func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, writ
 	return v
 }
 
-// checkLocked runs the single-shard invariants (the old single-table
-// checks, scoped to this shard) and accumulates the shard's queued-waiter
-// counts per tree into seenWaits for the caller's cross-shard
-// reconciliation. Caller holds sh.mu.
+// checkLocked runs the single-shard invariants and accumulates the shard's
+// queued-waiter counts per tree into seenWaits for the caller's
+// cross-shard reconciliation. Caller holds sh.mu.
 func (sh *shard) checkLocked(seenWaits map[tree.TID]map[int]int) error {
 	for x, ls := range sh.objects {
 		if ShardOf(x, len(sh.m.shards)) != sh.id {
 			return fmt.Errorf("lockmgr: object %q stored in shard %d but hashes to %d", x, sh.id, ShardOf(x, len(sh.m.shards)))
 		}
-		if !ls.write.IsChain() {
-			return fmt.Errorf("lockmgr: %s: write-lockholders %v not a chain", x, ls.write.Members())
+		// Lemma 21 on the write side: the root at the base, every holder
+		// a proper descendant of the one below, a version for each.
+		if len(ls.chain) == 0 || ls.chain[0].t != tree.Root {
+			return fmt.Errorf("lockmgr: %s: the root's write lock is not the base of the chain", x)
 		}
-		for w := range ls.write {
+		for i, h := range ls.chain {
+			if i > 0 && !ls.chain[i-1].t.IsProperAncestorOf(h.t) {
+				return fmt.Errorf("lockmgr: %s: write-lockholder %s above %s, not its proper descendant", x, h.t, ls.chain[i-1].t)
+			}
+			if h.st == nil {
+				return fmt.Errorf("lockmgr: %s: write-lockholder %s has no version", x, h.t)
+			}
 			for r := range ls.read {
-				if !w.IsAncestorOf(r) && !r.IsAncestorOf(w) {
-					return fmt.Errorf("lockmgr: %s: write holder %s unrelated to read holder %s", x, w, r)
+				if !h.t.IsAncestorOf(r) && !r.IsAncestorOf(h.t) {
+					return fmt.Errorf("lockmgr: %s: write holder %s unrelated to read holder %s", x, h.t, r)
 				}
 			}
+			// Every lockholder but the root must appear in the held-locks
+			// index.
+			if _, indexed := sh.held[h.t][ls]; i > 0 && !indexed {
+				return fmt.Errorf("lockmgr: %s: write holder %s missing from held-locks index", x, h.t)
+			}
 		}
-		if len(ls.versions) != ls.write.Len() {
-			return fmt.Errorf("lockmgr: %s: %d versions for %d write holders", x, len(ls.versions), ls.write.Len())
-		}
-		// Every lockholder must appear in the held-locks index.
-		for _, s := range []tree.Set{ls.read, ls.write} {
-			for t := range s {
-				if _, ok := sh.held[t][ls]; !ok {
-					return fmt.Errorf("lockmgr: %s: holder %s missing from held-locks index", x, t)
-				}
+		for r := range ls.read {
+			if _, ok := sh.held[r][ls]; !ok {
+				return fmt.Errorf("lockmgr: %s: read holder %s missing from held-locks index", x, r)
 			}
 		}
 	}
@@ -314,6 +369,9 @@ func (sh *shard) checkLocked(seenWaits map[tree.TID]map[int]int) error {
 	// empty, listed once and owned by no entry.
 	owner := make(map[uintptr]tree.TID, len(sh.held))
 	for t, objs := range sh.held {
+		if t == tree.Root {
+			return fmt.Errorf("lockmgr: shard %d indexes the root's locks", sh.id)
+		}
 		if len(objs) == 0 {
 			return fmt.Errorf("lockmgr: empty held-locks index entry for %s", t)
 		}
@@ -323,7 +381,7 @@ func (sh *shard) checkLocked(seenWaits map[tree.TID]map[int]int) error {
 		}
 		owner[id] = t
 		for ls := range objs {
-			if !ls.read.Has(t) && !ls.write.Has(t) {
+			if !ls.read.Has(t) && !ls.holdsWrite(t) {
 				return fmt.Errorf("lockmgr: held-locks index lists %s on %s without a lock", t, ls.name)
 			}
 		}
@@ -338,21 +396,11 @@ func (sh *shard) checkLocked(seenWaits map[tree.TID]map[int]int) error {
 		}
 		owner[id] = ""
 	}
-	// Queue bookkeeping: contended is exactly the non-empty queues, and
-	// the waiting index lists exactly the queued waiters.
-	for ls := range sh.contended {
-		if len(ls.queue) == 0 {
-			return fmt.Errorf("lockmgr: %s marked contended with empty queue", ls.name)
-		}
-	}
+	// Queue bookkeeping: the waiting index lists exactly the queued
+	// waiters.
 	queued := 0
 	for _, ls := range sh.objects {
 		queued += len(ls.queue)
-		if len(ls.queue) > 0 {
-			if _, ok := sh.contended[ls]; !ok {
-				return fmt.Errorf("lockmgr: %s has %d queued waiters but is not marked contended", ls.name, len(ls.queue))
-			}
-		}
 		for _, w := range ls.queue {
 			if w.sh != sh {
 				return fmt.Errorf("lockmgr: waiter of %s on %s carries wrong shard", w.tx, ls.name)

@@ -274,11 +274,6 @@ func Validate(sched event.Schedule, st *event.SystemType) error {
 	return nil
 }
 
-// IsSerial reports whether sched is a serial schedule.
-func IsSerial(sched event.Schedule, st *event.SystemType) bool {
-	return Validate(sched, st) == nil
-}
-
 // SeriallyCorrectFor reports whether concurrent schedule alpha is serially
 // correct for transaction t given a candidate serial schedule beta (§3.5):
 // beta must be a serial schedule and alpha|t == beta|t.

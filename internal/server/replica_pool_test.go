@@ -94,6 +94,16 @@ func TestReplicaPoolRunVsFailoverRace(t *testing.T) {
 	if err := leaderSrv.Shutdown(ctx); err != nil {
 		t.Fatalf("leader shutdown: %v", err)
 	}
+	// Shipping is asynchronous and the leader is shut down without
+	// draining the follower: what the old leader committed beyond what the
+	// follower has applied by now may never arrive, acknowledged or not.
+	counter := func(st nestedtx.State, err error) int64 {
+		if err != nil {
+			t.Fatalf("reading ctr between shutdown and promotion: %v", err)
+		}
+		return st.(nestedtx.Counter).N
+	}
+	unshipped := counter(mgr.State("ctr")) - counter(f.State("ctr"))
 	if _, err := fsrv.Promote(); err != nil {
 		t.Fatalf("Promote: %v", err)
 	}
@@ -127,11 +137,12 @@ func TestReplicaPoolRunVsFailoverRace(t *testing.T) {
 	if err != nil {
 		t.Fatalf("ReadState after hammer: %v", err)
 	}
-	// Every acknowledged write is in the final state. (The state may
-	// exceed the acknowledged count: a commit whose ack was cut by the
-	// shutdown still applied.)
-	if n := st.(nestedtx.Counter).N; n < successes.Load() {
-		t.Fatalf("final state %d < %d acknowledged writes", n, successes.Load())
+	// Every acknowledged write the follower had a chance to receive is in
+	// the final state. (The state may exceed the bound: a commit whose ack
+	// was cut by the shutdown still applied, and the follower may have
+	// applied more of the old leader's tail after it was measured.)
+	if n, acked := st.(nestedtx.Counter).N, successes.Load(); n < acked-unshipped {
+		t.Fatalf("final state %d < %d acknowledged writes − %d the old leader never shipped", n, acked, unshipped)
 	}
 }
 

@@ -257,18 +257,6 @@ func (s Set) RemoveDescendantsOf(t TID) {
 	}
 }
 
-// AllSubsetOfAncestors reports whether every member of s is an ancestor of
-// t. This is the lock-compatibility test of Moss' algorithm: an access may
-// proceed only when every holder of a conflicting lock is an ancestor.
-func (s Set) AllSubsetOfAncestors(t TID) bool {
-	for u := range s {
-		if !u.IsAncestorOf(t) {
-			return false
-		}
-	}
-	return true
-}
-
 // Least returns the least member under the ancestor order: the member that
 // is a descendant of every other member. Moss' lockholder sets always form
 // a chain (Lemma 21), so when the set is non-empty and a chain, Least is

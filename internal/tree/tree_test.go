@@ -168,20 +168,6 @@ func TestSetRemoveDescendantsOf(t *testing.T) {
 	}
 }
 
-func TestSetAllSubsetOfAncestors(t *testing.T) {
-	s := NewSet("T0", "T0.1")
-	if !s.AllSubsetOfAncestors("T0.1.2") {
-		t.Error("chain of ancestors should pass")
-	}
-	s.Add("T0.2")
-	if s.AllSubsetOfAncestors("T0.1.2") {
-		t.Error("sibling holder should fail")
-	}
-	if !NewSet().AllSubsetOfAncestors("T0.1") {
-		t.Error("empty set vacuously passes")
-	}
-}
-
 func TestSetLeastAndChain(t *testing.T) {
 	s := NewSet("T0", "T0.1", "T0.1.2")
 	least, ok := s.Least()

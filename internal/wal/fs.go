@@ -326,13 +326,6 @@ func (fs *FaultFS) SetClock(c clock.Clock) {
 	fs.mu.Unlock()
 }
 
-// Crashed reports whether the crash point has been reached.
-func (fs *FaultFS) Crashed() bool {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	return fs.budget == 0
-}
-
 // consume takes up to n bytes of budget, returning how many may really
 // be written and whether the rest should error (vs vanish).
 func (fs *FaultFS) consume(n int64) (allowed int64, failClosed bool) {

@@ -170,15 +170,18 @@ func (m *Manager) Register(name string, initial State) error {
 	return m.adopt(name, initial)
 }
 
-// adopt installs an object into the system type and lock manager without
-// logging (shared by Register and OpenDurable's recovery path).
+// adopt installs an object into the lock manager, the system type and the
+// committed-version store without logging (shared by Register and
+// OpenDurable's recovery path). The lock manager goes first: it is the one
+// that refuses a duplicate, and a refused registration must leave the
+// first one's initial state where Verify replays from it.
 func (m *Manager) adopt(name string, initial State) error {
-	m.mu.Lock()
-	m.st.DefineObject(name, initial)
-	m.mu.Unlock()
 	if err := m.lm.Register(name, initial); err != nil {
 		return err
 	}
+	m.mu.Lock()
+	m.st.DefineObject(name, initial)
+	m.mu.Unlock()
 	m.snap.Base(name, initial)
 	return nil
 }

@@ -36,6 +36,33 @@ func TestRunCommit(t *testing.T) {
 	}
 }
 
+// TestRefusedDuplicateRegisterLeavesSystemTypeAlone: a Register the lock
+// manager refuses must not replace the object's initial state in the
+// system type, or Verify replays a correct run from the wrong start.
+func TestRefusedDuplicateRegisterLeavesSystemTypeAlone(t *testing.T) {
+	m := NewManager(WithRecording())
+	m.MustRegister("x", Counter{N: 5})
+	if err := m.Register("x", Counter{N: 99}); err == nil {
+		t.Fatal("duplicate registration must fail")
+	}
+	err := m.Run(func(tx *Tx) error {
+		v, err := tx.Read("x", CtrGet{})
+		if v != int64(5) {
+			t.Errorf("read %v, want 5", v)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, _ := m.State("x"); st.(Counter).N != 5 {
+		t.Fatalf("x = %+v, want 5", st)
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRunAbortRollsBack(t *testing.T) {
 	m := NewManager(WithRecording())
 	m.MustRegister("r", NewRegister(int64(1)))
