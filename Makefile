@@ -46,14 +46,17 @@ bench-short:
 
 # Deterministic whole-system simulation: the dst unit tests (generator
 # properties + byte-identical-log determinism) under the race detector,
-# the checked-in seed corpus through txdst, and a cross-process
-# determinism check (two txdst invocations of the same seed must emit
-# identical event logs).
+# the checked-in seed corpus through txdst, and two cross-process
+# determinism checks (two txdst invocations of the same seed must emit
+# identical event logs), one per durable crash scenario.
 sim: vet
 	$(GO) test -race ./internal/dst/...
 	$(GO) run -race ./cmd/txdst -corpus internal/dst/corpus.txt
 	$(GO) run ./cmd/txdst -scenario crash-bitrot-checkpoint -seed 1 -log > /tmp/dst-log-a.txt
 	$(GO) run ./cmd/txdst -scenario crash-bitrot-checkpoint -seed 1 -log > /tmp/dst-log-b.txt
+	cmp /tmp/dst-log-a.txt /tmp/dst-log-b.txt
+	$(GO) run ./cmd/txdst -scenario crash-recovery -seed 1 -log > /tmp/dst-log-a.txt
+	$(GO) run ./cmd/txdst -scenario crash-recovery -seed 1 -log > /tmp/dst-log-b.txt
 	cmp /tmp/dst-log-a.txt /tmp/dst-log-b.txt
 
 # Regenerate the seed corpus: two passing seeds per scenario, at the

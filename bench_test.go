@@ -11,7 +11,10 @@ package nestedtx_test
 import (
 	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"nestedtx"
 
@@ -23,6 +26,7 @@ import (
 	"nestedtx/internal/sim"
 	"nestedtx/internal/system"
 	"nestedtx/internal/tree"
+	"nestedtx/internal/wal"
 )
 
 // genCfg is the standard random-system shape used by the formal-model
@@ -323,6 +327,61 @@ func BenchmarkE9EngineComparison(b *testing.B) {
 			}
 			if seconds > 0 {
 				b.ReportMetric(committed/seconds, "tx/s")
+			}
+		})
+	}
+}
+
+// BenchmarkDurableHotObject: b.N increments of one counter on a durable
+// manager, shared among 1, 2 and 8 writers, on the device bench/ models
+// (memory plus a 1 ms fsync). Every writer conflicts with every other,
+// so tx/s shows how long the write lock is held relative to the device:
+// across the fsync, writers queue one device latency apiece and each
+// commit gets its own fsync; released at the stage, they share one.
+func BenchmarkDurableHotObject(b *testing.B) {
+	for _, writers := range []int{1, 2, 8} {
+		b.Run(fmt.Sprintf("writers=%d", writers), func(b *testing.B) {
+			device := wal.NewFaultFS(wal.NewMemFS())
+			device.SetSyncDelay(time.Millisecond)
+			m, _, err := nestedtx.OpenDurable("wal", nestedtx.DurableOptions{FS: device})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer m.CloseWAL()
+			m.MustRegister("hot", nestedtx.Counter{})
+			if err := m.SyncWAL(); err != nil {
+				b.Fatal(err)
+			}
+			met := m.Metrics()
+			fsyncs0 := met.WalFsyncs.Load()
+			var next atomic.Int64
+			var wg sync.WaitGroup
+			b.ResetTimer()
+			start := time.Now()
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for next.Add(1) <= int64(b.N) {
+						if err := m.Run(func(tx *nestedtx.Tx) error {
+							_, err := tx.Write("hot", nestedtx.CtrAdd{Delta: 1})
+							return err
+						}); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			elapsed := time.Since(start)
+			b.StopTimer()
+			b.ReportMetric(float64(b.N)/elapsed.Seconds(), "tx/s")
+			b.ReportMetric(float64(met.WalFsyncs.Load()-fsyncs0)/float64(b.N), "fsyncs/commit")
+			b.ReportMetric(float64(met.WalMaxBatch.Load()), "max-batch")
+			if lw := met.LockWait.Snapshot(); lw.Count > 0 {
+				b.ReportMetric(float64(lw.Sum.Microseconds())/float64(lw.Count), "lock-wait-us/wait")
+				b.ReportMetric(float64(lw.Sum.Microseconds())/float64(b.N), "lock-wait-us/tx")
 			}
 		})
 	}

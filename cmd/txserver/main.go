@@ -142,10 +142,14 @@ func main() {
 }
 
 // newLeader registers the -objects universe on mgr and wraps it in a
-// server.
+// server. Register only stages its log record, so a durable manager is
+// synced first: a server that says it is serving has durable objects.
 func newLeader(mgr *nestedtx.Manager, objects string, cfg server.Config) *server.Server {
 	if err := registerObjects(mgr, objects); err != nil {
 		log.Fatalf("txserver: %v", err)
+	}
+	if err := mgr.SyncWAL(); err != nil {
+		log.Fatalf("txserver: sync registrations: %v", err)
 	}
 	return server.New(mgr, cfg)
 }

@@ -27,12 +27,16 @@ type WalStats = wal.Stats
 // returned. The returned Recovery reports what was found; call its
 // Verify method to machine-check the recovered history.
 //
-// On a durable manager every top-level commit is write-ahead logged and
-// fsynced (group-committed with whatever else is waiting) before it is
-// acknowledged, so an acknowledged commit survives kill -9. Objects and
-// operations must use the library's serialisable types (see internal/adt);
-// registering or committing something the codec cannot encode fails
-// rather than logging a hole.
+// On a durable manager every top-level commit stages its redo record
+// before its locks are released and is acknowledged — [Tx.Commit] returns
+// nil, [Manager.State] and snapshots show it — only after an fsync
+// (group-committed with whatever else is waiting) covers it, so an
+// acknowledged commit survives kill -9 and no lock waits for the device.
+// A registration is staged the same way and not awaited: it is durable no
+// later than the next acknowledged commit, SyncWAL, Checkpoint or
+// CloseWAL. Objects and operations must use the library's serialisable
+// types (see internal/adt); registering or committing something the codec
+// cannot encode fails rather than logging a hole.
 func OpenDurable(dir string, dopts DurableOptions, opts ...Option) (*Manager, *Recovery, error) {
 	m := NewManager(opts...)
 	dopts.Metrics = m.met
@@ -54,9 +58,10 @@ func OpenDurable(dir string, dopts DurableOptions, opts ...Option) (*Manager, *R
 func (m *Manager) Durable() bool { return m.wal != nil }
 
 // Checkpoint snapshots the committed-to-root state of every object into
-// the log and truncates the segments below it. It waits for in-flight
-// commits to finish their durable apply; new commits block for the
-// (short) duration of the snapshot.
+// the log and truncates the segments below it. It waits for commits
+// between their stage and their lock release (microseconds), makes every
+// staged record durable, and new commits block for the (short) duration
+// of the snapshot.
 func (m *Manager) Checkpoint() error {
 	if m.wal == nil {
 		return fmt.Errorf("nestedtx: Checkpoint requires a durable manager (OpenDurable)")

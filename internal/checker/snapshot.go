@@ -60,6 +60,11 @@ const (
 	// the committed prefix at its pin point cannot produce — the reader
 	// saw a dirty, torn, or future state.
 	AnomalyInconsistentRead = "inconsistent-read"
+	// AnomalyUnsettledPin: a snapshot transaction pinned a sequence
+	// number covering a publication that had not settled — its commit
+	// record was not yet durable, so the reader may have seen a commit a
+	// crash would lose.
+	AnomalyUnsettledPin = "unsettled-pin"
 )
 
 // SnapshotAnomaly is a classified violation of snapshot correctness.
@@ -92,6 +97,9 @@ func (a *SnapshotAnomaly) Error() string {
 //  3. Each snapshot read returns precisely the value a serial
 //     execution of the committed prefix up to its pin point yields,
 //     and its operation is read-only and leaves the state unchanged.
+//  4. Every publication at or below a snapshot transaction's pin point
+//     settled — its commit record was durable — before the pin was
+//     taken (the store's tick orders the two).
 //
 // Together these place every snapshot transaction at its pin point in
 // the serial order of Theorem 34 and prove the combined history
@@ -243,6 +251,19 @@ func CheckSnapshots(alpha event.Schedule, st *event.SystemType, pubs []snap.PubE
 			if val != r.Value {
 				return &SnapshotAnomaly{Kind: AnomalyInconsistentRead, Tx: tx.ID, Object: r.Object,
 					Detail: fmt.Sprintf("read at pin %d returned %v; the committed prefix yields %v", tx.Seq, r.Value, val)}
+			}
+		}
+	}
+
+	// No pin ran ahead of the log: everything it covers had settled.
+	for _, tx := range txs {
+		for _, p := range pubs {
+			if p.Seq > tx.Seq {
+				break
+			}
+			if p.Settled == 0 || p.Settled > tx.Pinned {
+				return &SnapshotAnomaly{Kind: AnomalyUnsettledPin, Tx: tx.ID,
+					Detail: fmt.Sprintf("pin %d (tick %d) covers publication %d of %s, settled at tick %d", tx.Seq, tx.Pinned, p.Seq, p.Top, p.Settled)}
 			}
 		}
 	}

@@ -252,9 +252,13 @@ func runDurable(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	if err := registerUniverse(m, scn); err != nil {
 		return fmt.Errorf("dst: register: %w", err)
 	}
-	// Arm the crash only after registration so the recovered universe is
-	// always complete; the budget still lands crashes before, inside and
-	// after checkpoint writes.
+	// Arm the crash only after registration is on the device (Register
+	// stages, SyncWAL flushes) so the recovered universe is always
+	// complete and the budget counts from the first workload byte; it
+	// still lands crashes before, inside and after checkpoint writes.
+	if err := m.SyncWAL(); err != nil {
+		return fmt.Errorf("dst: sync registrations: %w", err)
+	}
 	if scn.Crash {
 		if faults.FailClosed {
 			ffs.FailAfter(faults.CrashAfter)
@@ -315,7 +319,7 @@ func runDurable(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 // the log: the recovered value must equal the checkpoint base plus the
 // surviving records that bumped it (redo consistency), and — unless
 // bit rot may have truncated durable records — must cover every commit
-// the workload saw acknowledged.
+// the workload saw acknowledged and every value a snapshot scan read.
 func checkCommitPrefix(rec *nestedtx.Recovery, st execStats, scn *Scenario) error {
 	state, ok := rec.States()["txctr"]
 	if !ok {
@@ -342,6 +346,9 @@ func checkCommitPrefix(rec *nestedtx.Recovery, st execStats, scn *Scenario) erro
 	}
 	if !scn.BitRot && got < st.Writes {
 		return fmt.Errorf("dst: durability hole: %d acknowledged commits, only %d recovered", st.Writes, got)
+	}
+	if !scn.BitRot && got < st.Seen {
+		return fmt.Errorf("dst: snapshot ahead of the log: a scan read txctr = %d, only %d recovered", st.Seen, got)
 	}
 	return nil
 }

@@ -224,6 +224,7 @@ type execStats struct {
 	Aborted   int64 // top-level transactions that gave up after retries
 	Scans     int64 // read-only snapshot transactions completed
 	Writes    int64 // committed specs that performed writes (acked)
+	Seen      int64 // largest txctr a snapshot scan read (Crash scenarios)
 }
 
 // runSpecs drives the plan through an embedded manager with
@@ -269,7 +270,7 @@ func runSpec(env *simEnv, m *nestedtx.Manager, spec TxSpec, st *execStats) error
 	scn := env.scn
 	switch spec.Kind {
 	case KScan:
-		if err := runScan(env, m, spec, rng); err != nil {
+		if err := runScan(env, m, spec, rng, st); err != nil {
 			return err
 		}
 		atomic.AddInt64(&st.Scans, 1)
@@ -413,9 +414,23 @@ func execBank(tx *nestedtx.Tx, spec TxSpec) error {
 // audits conservation across every account inside one snapshot — the
 // strongest use of snapshot isolation the system offers. On large
 // banks and counter universes it samples reads.
-func runScan(env *simEnv, m *nestedtx.Manager, spec TxSpec, rng *rand.Rand) error {
+func runScan(env *simEnv, m *nestedtx.Manager, spec TxSpec, rng *rand.Rand, st *execStats) error {
 	scn := env.scn
 	return m.RunReadOnly(func(s *nestedtx.Snapshot) error {
+		if scn.Crash {
+			// What a reader saw of the commit counter: recovery must cover
+			// it (checkCommitPrefix) — no snapshot runs ahead of the log.
+			v, err := s.Read("txctr", adt.CtrGet{})
+			if err != nil {
+				return err
+			}
+			for n := v.(int64); ; {
+				seen := atomic.LoadInt64(&st.Seen)
+				if n <= seen || atomic.CompareAndSwapInt64(&st.Seen, seen, n) {
+					break
+				}
+			}
+		}
 		if scn.Accounts >= 2 && scn.Accounts <= 1024 {
 			var sum int64
 			for i := 0; i < scn.Accounts; i++ {

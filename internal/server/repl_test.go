@@ -401,10 +401,12 @@ func TestFollowerRestartMidCatchUp(t *testing.T) {
 	// Wait for at least one applied batch, then kill the follower while
 	// the stalled stream still holds most of the backlog.
 	waitUntil(t, "partial catch-up", func() bool { return f.Status().NextLSN > 500 })
-	mid := f.Status().NextLSN
 	if err := f.Close(); err != nil {
 		t.Fatalf("close mid-catch-up: %v", err)
 	}
+	// Read the position only now: a batch applied between an earlier read
+	// and Close is durable, and recovery rightly finds it.
+	mid := f.Status().NextLSN
 	leaderStats, _ := mgr.WalStats()
 	if mid >= leaderStats.DurableLSN {
 		t.Fatalf("stall never bit: follower reached %d of %d before restart", mid, leaderStats.DurableLSN)

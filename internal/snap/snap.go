@@ -19,12 +19,28 @@
 // never a write that later aborts (aborted transactions are not
 // published).
 //
-// Readers never touch the lock manager: Begin pins the current
-// sequence number under the store's read-write mutex and every read is
-// a binary search over one object's version chain. Chains are trimmed
-// on publication down to the oldest version still reachable from a live
-// pin, so retained history is bounded by reader lifetimes, not run
-// length.
+// On a durable manager the locks are released when the commit record is
+// staged, a device latency before it is durable, so publication has two
+// halves: Stage installs the versions and notes the record's LSN, Settle
+// — called by every committer once its own record is covered by an
+// fsync — is told the log's durable mark and counts out every
+// publication below it. Readers answer from the durable horizon, the
+// highest sequence number with no unsettled publication at or below it:
+// Head, Begin and Acquire never show a version whose commit record a
+// crash could still lose. (Sequence order is not log order for commits
+// that do not conflict, so the horizon is "oldest unsettled − 1", and a
+// settled publication above an unsettled one stays hidden until that one
+// settles too.) A publication that never settles — its fsync failed —
+// holds the horizon below itself for good. Publish is both halves at
+// once, for a manager with no log and for a follower, which replays only
+// durable records.
+//
+// Readers never touch the lock manager: Begin pins the horizon under the
+// store's read-write mutex and every read is a binary search over one
+// object's version chain. Chains are trimmed on publication down to the
+// oldest version still reachable from a live pin or the horizon, so
+// retained history is bounded by reader lifetimes and commits in flight,
+// not run length.
 package snap
 
 import (
@@ -50,10 +66,16 @@ var ErrDone = errors.New("nestedtx: transaction already finished")
 // top-level transaction installed and the sequence number it was
 // assigned. The log (enabled via New's record argument) is consumed by
 // the snapshot extension of the Theorem-34 checker.
+//
+// Settled and TxEntry.Pinned are readings of one counter the store ticks
+// at every settle and every pin, so they order the two kinds of event:
+// the checker requires every publication a pin covers to have settled
+// before it. Zero means never settled.
 type PubEntry struct {
 	Seq     uint64
 	Top     string
 	Updates map[string]adt.State
+	Settled uint64
 }
 
 // ReadEntry is one recorded read of a read-only transaction: the
@@ -68,10 +90,15 @@ type ReadEntry struct {
 // pinned and the reads it performed. Like the publication log it is
 // kept only by a recording store, for the same checker.
 type TxEntry struct {
-	ID    string
-	Seq   uint64
-	Reads []ReadEntry
+	ID     string
+	Seq    uint64
+	Pinned uint64 // see PubEntry
+	Reads  []ReadEntry
 }
+
+// staged is a publication whose commit record, at lsn, is not yet known
+// to be durable.
+type staged struct{ seq, lsn uint64 }
 
 // version is one committed state of an object, visible to pins ≥ Seq.
 type version struct {
@@ -85,10 +112,15 @@ type Store struct {
 	seq  uint64 // sequence number of the latest publication
 	objs map[string][]version
 	pins map[uint64]int // live pin refcounts by pinned seq
-	txs  uint64         // read-only transactions begun; names the next one
-	rec  bool
-	log  []PubEntry
-	done []TxEntry // finished read-only transactions (recording only)
+	// unsettled holds the publications staged and not yet settled, by
+	// ascending seq: as many as there are durable commits between their
+	// stage and their fsync.
+	unsettled []staged
+	txs       uint64 // read-only transactions begun; names the next one
+	rec       bool
+	tick      uint64 // settle and pin events so far (recording only)
+	log       []PubEntry
+	done      []TxEntry // finished read-only transactions (recording only)
 }
 
 // New returns an empty store. With record set, every publication and
@@ -104,15 +136,15 @@ func New(record bool) *Store {
 }
 
 // Base registers object x with its initial committed state, visible to
-// pins at or above the current sequence number — a pin at a lower
-// sequence number correctly fails to read x.
+// pins at or above the current horizon — a pin at a lower sequence
+// number correctly fails to read x.
 func (s *Store) Base(x string, st adt.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.objs[x]; dup {
 		panic("snap: object " + x + " re-based")
 	}
-	s.objs[x] = []version{{seq: s.seq, st: st}}
+	s.objs[x] = []version{{seq: s.horizonLocked(), st: st}}
 }
 
 // Publish atomically installs the new committed states of one top-level
@@ -122,7 +154,64 @@ func (s *Store) Base(x string, st adt.State) {
 func (s *Store) Publish(top string, updates map[string]adt.State) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.publishLocked(top, updates, 0, true)
+}
+
+// Stage is the first half of a publication whose commit record, at lsn,
+// is not yet durable: the versions are installed under a new sequence
+// number, which stays above the horizon — invisible to Head and to new
+// pins — until Settle is told of a durable mark past lsn.
+func (s *Store) Stage(top string, updates map[string]adt.State, lsn uint64) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.publishLocked(top, updates, lsn, false)
+}
+
+// Settle is the second half: every log record below durable is on the
+// device, so every publication staged below it is settled — the caller's
+// own and any whose committer has not got here yet. It returns the
+// horizon, which passes a publication once every earlier one has settled
+// too.
+func (s *Store) Settle(durable uint64) uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keep := s.unsettled[:0]
+	for _, p := range s.unsettled {
+		if p.lsn < durable {
+			s.settledLocked(p.seq)
+		} else {
+			keep = append(keep, p)
+		}
+	}
+	s.unsettled = keep
+	return s.horizonLocked()
+}
+
+// settledLocked stamps publication seq's log entry with the next tick.
+// Every publication of a recording store is logged, so entry seq−1 is it.
+func (s *Store) settledLocked(seq uint64) {
+	if s.rec {
+		s.tick++
+		s.log[seq-1].Settled = s.tick
+	}
+}
+
+// horizonLocked returns the highest sequence number with no unsettled
+// publication at or below it. Caller holds s.mu.
+func (s *Store) horizonLocked() uint64 {
+	if len(s.unsettled) > 0 {
+		return s.unsettled[0].seq - 1
+	}
+	return s.seq
+}
+
+func (s *Store) publishLocked(top string, updates map[string]adt.State, lsn uint64, settled bool) uint64 {
 	s.seq++
+	if !settled {
+		// Counted before the floor is taken: the horizon must not pass
+		// this publication, or trim drops the version horizon readers need.
+		s.unsettled = append(s.unsettled, staged{s.seq, lsn})
+	}
 	floor := s.minPinLocked()
 	for x, st := range updates {
 		chain := append(s.objs[x], version{seq: s.seq, st: st})
@@ -134,14 +223,18 @@ func (s *Store) Publish(top string, updates map[string]adt.State) uint64 {
 			cp[x] = st
 		}
 		s.log = append(s.log, PubEntry{Seq: s.seq, Top: top, Updates: cp})
+		if settled {
+			s.settledLocked(s.seq)
+		}
 	}
 	return s.seq
 }
 
-// minPinLocked returns the lowest live pinned sequence number, or the
-// current seq when no pins are live. Caller holds s.mu.
+// minPinLocked returns the lowest sequence number a reader can still
+// ask for: the lowest live pin, or the horizon when that is lower (or no
+// pins are live). Caller holds s.mu.
 func (s *Store) minPinLocked() uint64 {
-	min := s.seq
+	min := s.horizonLocked()
 	for p := range s.pins {
 		if p < min {
 			min = p
@@ -166,7 +259,8 @@ func trim(chain []version, floor uint64) []version {
 	return append(chain[:0], chain[keep:]...)
 }
 
-// Seq returns the sequence number of the latest publication.
+// Seq returns the sequence number of the latest publication, settled or
+// not.
 func (s *Store) Seq() uint64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -182,7 +276,12 @@ func (s *Store) Head(x string) (adt.State, error) {
 	if len(chain) == 0 {
 		return nil, fmt.Errorf("snap: object %q not registered", x)
 	}
-	return chain[len(chain)-1].st, nil
+	// Base tags at the horizon and trim floors there, so the chain always
+	// holds a version at or below it.
+	i := len(chain) - 1
+	for h := s.horizonLocked(); chain[i].seq > h; i-- {
+	}
+	return chain[i].st, nil
 }
 
 // Pin is a live reference to one sequence number; reads through it see
@@ -194,12 +293,13 @@ type Pin struct {
 	once sync.Once
 }
 
-// Acquire pins the current sequence number.
+// Acquire pins the horizon.
 func (s *Store) Acquire() *Pin {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.pins[s.seq]++
-	return &Pin{s: s, seq: s.seq}
+	seq := s.horizonLocked()
+	s.pins[seq]++
+	return &Pin{s: s, seq: seq}
 }
 
 // Seq returns the pinned sequence number.
@@ -269,9 +369,10 @@ func (s *Store) TxLog() []TxEntry {
 	return append([]TxEntry(nil), s.done...)
 }
 
-// Tx is a read-only transaction: it pins the sequence number of the
-// latest publication and serves every read from the committed version
-// chain at or below that point, without ever touching the lock manager.
+// Tx is a read-only transaction: it pins the horizon — the latest
+// publication with nothing unsettled at or below it — and serves every
+// read from the committed version chain at or below that point, without
+// ever touching the lock manager.
 // Reads are repeatable, multi-object consistent (a commit is visible in
 // full or not at all), and never block — or are blocked by — writers.
 // A Tx is safe for concurrent use; Close releases the pin so the store
@@ -287,21 +388,26 @@ type Tx struct {
 	met *obs.Metrics
 	id  string
 
-	mu    sync.Mutex
-	done  bool
-	reads []ReadEntry // recording stores only
+	mu   sync.Mutex
+	done bool
+	rec  *TxEntry // recording stores only: what Close logs
 }
 
-// Begin starts a read-only transaction pinned at the current sequence
-// number, counting it and its reads in met (nil: nobody reads them).
-// The caller must Close it.
+// Begin starts a read-only transaction pinned at the horizon, counting
+// it and its reads in met (nil: nobody reads them). The caller must
+// Close it.
 func (s *Store) Begin(met *obs.Metrics) *Tx {
 	s.mu.Lock()
-	n, seq := s.txs, s.seq
+	n, seq := s.txs, s.horizonLocked()
 	s.txs++
 	s.pins[seq]++
+	var rec *TxEntry
+	if s.rec {
+		s.tick++
+		rec = &TxEntry{Seq: seq, Pinned: s.tick}
+	}
 	s.mu.Unlock()
-	t := &Tx{pin: Pin{s: s, seq: seq}, met: obs.Or(met), id: "S" + strconv.FormatUint(n, 10)}
+	t := &Tx{pin: Pin{s: s, seq: seq}, met: obs.Or(met), id: "S" + strconv.FormatUint(n, 10), rec: rec}
 	t.met.SnapBegin()
 	t.met.Trace("SNAP_BEGIN", t.id, "", 0)
 	return t
@@ -335,8 +441,8 @@ func (t *Tx) Read(obj string, op adt.Op) (adt.Value, error) {
 	}
 	_, v := op.Apply(st)
 	t.met.ObserveSnapRead(time.Since(start))
-	if t.pin.s.rec {
-		t.reads = append(t.reads, ReadEntry{Object: obj, Op: op, Value: v})
+	if t.rec != nil {
+		t.rec.Reads = append(t.rec.Reads, ReadEntry{Object: obj, Op: op, Value: v})
 	}
 	return v, nil
 }
@@ -349,15 +455,15 @@ func (t *Tx) Close() error {
 		return nil
 	}
 	t.done = true
-	reads := t.reads
-	t.reads = nil
 	t.mu.Unlock()
 	t.pin.Release()
 	t.met.SnapPinned.Add(-1)
 	t.met.Trace("SNAP_END", t.id, "", 0)
-	if s := t.pin.s; s.rec {
+	if t.rec != nil {
+		t.rec.ID = t.id
+		s := t.pin.s
 		s.mu.Lock()
-		s.done = append(s.done, TxEntry{ID: t.id, Seq: t.pin.seq, Reads: reads})
+		s.done = append(s.done, *t.rec)
 		s.mu.Unlock()
 	}
 	return nil

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"nestedtx/internal/adt"
 )
@@ -64,18 +65,20 @@ func unmarshalCheckpoint(payload []byte) (uint64, map[string]adt.State, error) {
 }
 
 // Checkpoint snapshots the states returned by capture and truncates the
-// log below them. capture runs with the log quiesced: the checkpoint
-// gate excludes in-flight commits, so every record already appended has
-// been applied and nothing is mid-commit — the captured states are
-// exactly the redo of records [0, NextLSN). capture should return the
-// committed-to-root states (Manager.Checkpoint wires this to the lock
-// manager's root versions).
+// log below them. capture runs with staging excluded: the checkpoint
+// gate is held from a record's stage through its apply, so every record
+// already staged has been applied and nothing is between the two — the
+// captured states are exactly the redo of records [0, NextLSN). Commits
+// may still be parked on their tickets; the checkpoint makes every one of
+// them durable and retires it. capture should return the committed-to-
+// root states (Manager.Checkpoint wires this to the lock manager's root
+// versions).
 func (l *Log) Checkpoint(capture func() map[string]adt.State) error {
 	l.gate.Lock()
 	defer l.gate.Unlock()
-	// The gate excludes appenders entirely, so the write and sync paths
-	// are quiescent once acquired; wmu/smu are still taken (in lock
-	// order) so the handle swap cannot race the syncer's fsync.
+	// The gate excludes stagers entirely, so the write path is quiescent
+	// once acquired; wmu/smu are still taken (in lock order) so the handle
+	// swap cannot race the syncer's fsync.
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.smu.Lock()
@@ -162,27 +165,29 @@ func (l *Log) InstallSnapshot(nextLSN uint64, states map[string]adt.State) error
 
 // cutover finishes a checkpoint (or snapshot install) whose file keep is
 // already durable: it seals and retires every other log file and opens a
-// fresh active segment at lsn. Called with gate, wmu and smu held — the
-// log is quiescent (no appender holds the gate, so there are no parked
-// waiters and no in-flight writes).
+// fresh active segment at lsn. Called with gate, wmu and smu held: no
+// stager holds the gate, so nothing is mid-write, but records below lsn
+// may be staged in wbuf or written and unsynced with their tickets
+// parked. The seal makes them durable; a cutover that succeeds retires
+// those tickets, one that fails latches the fault the next flush fails
+// them with.
 func (l *Log) cutover(keep string, lsn uint64) error {
 	fail := func(err error) error {
 		l.latch(err)
 		return err
 	}
-	// Everything below the checkpoint LSN is now redundant. Seal the
-	// active segment (the quiesced write path cannot hold staged frames —
-	// every append was acked before the gate closed — but drain
-	// defensively), drop old files, start fresh.
-	if len(l.wbuf) > 0 {
-		if _, err := l.f.Write(l.wbuf); err != nil {
+	// Everything below the checkpoint LSN is now redundant: seal the
+	// active segment, drop old files, start fresh.
+	start := time.Now()
+	if buf := l.drain(); len(buf) > 0 {
+		if _, err := l.f.Write(buf); err != nil {
 			return fail(fmt.Errorf("wal: checkpoint drain: %w", err))
 		}
-		l.wbuf = nil
 	}
 	if err := l.f.Sync(); err != nil {
 		return fail(fmt.Errorf("wal: checkpoint seal: %w", err))
 	}
+	sealed := time.Since(start)
 	if err := l.f.Close(); err != nil {
 		return fail(fmt.Errorf("wal: checkpoint close: %w", err))
 	}
@@ -214,16 +219,8 @@ func (l *Log) cutover(keep string, lsn uint64) error {
 	l.ckptLSN = lsn
 	l.statSegName, l.statSegBytes = segName, 0
 	l.written = lsn
-	if lsn > l.durable {
-		l.durable = lsn
-		for _, ch := range l.watchers {
-			select {
-			case ch <- struct{}{}:
-			default:
-			}
-		}
-	}
 	l.mu.Unlock()
+	l.finishFlush(lsn, sealed, nil)
 	return nil
 }
 

@@ -5,19 +5,25 @@
 // reconstructed as a formal schedule and replayed through the Theorem-34
 // serial-correctness checker (internal/checker).
 //
-// The protocol is strict write-ahead logging at the top level of the
-// transaction tree: a top-level commit appends its redo record and waits
-// for an fsync to cover it *before* the lock manager releases its locks.
-// Under Moss locking that ordering has a crucial consequence: any later
-// transaction that conflicts with the committer can only be granted its
-// lock after the release, hence after the append — so for every object,
-// log order agrees with the runtime conflict order. The log is therefore
-// a serial history, and replaying its prefix after a crash yields a state
-// the checker can certify (Theorem 34 across a crash).
+// The protocol is write-ahead logging at the top level of the
+// transaction tree, split at two points. A top-level commit *stages* its
+// redo record — LSN reserved, frame in the write buffer — before the lock
+// manager releases its locks (Stage), and is *acknowledged* only once an
+// fsync covers that LSN (Ticket.Wait). Under Moss locking the first half
+// has a crucial consequence: any later transaction that conflicts with
+// the committer can only be granted its lock after the release, hence
+// after the stage — so for every object, log order agrees with the
+// runtime conflict order. The second half rests on the log being one
+// LSN-ordered prefix with a prefix-closed durable watermark: a
+// transaction that read a released version staged a later LSN, so it is
+// durable, and acknowledged, no earlier than its predecessor, and a
+// crash keeps both or neither. The log is therefore a serial history,
+// and replaying its prefix after a crash yields a state the checker can
+// certify (Theorem 34 across a crash). No lock is held across a device
+// latency.
 //
-// The commit path is pipelined: correctness needs fsync-before-lock-
-// release, not a serial append path, so the log splits three concerns
-// that each serialize only against themselves:
+// The commit path is pipelined — the log splits three concerns that each
+// serialize only against themselves:
 //
 //   - LSN reservation is a short critical section under the state mutex;
 //     record encoding happens outside every lock.
@@ -33,10 +39,15 @@
 //
 // Group commit falls out of the split: every appender parks a per-LSN
 // waiter after its write, and one fsync retires all waiters below the
-// watermark it covers, so concurrent commits share the flush. Checkpoints snapshot the
-// committed-to-root object states behind a writer lock that drains
-// in-flight appends, so a checkpoint is exactly equivalent to the redo of
-// every record below its LSN.
+// watermark it covers, so concurrent commits share the flush — writers of
+// one hot object included, since the next one is granted as soon as the
+// previous one has staged. Staging is bounded: a frame waits while the
+// write buffer holds more than a quarter segment of unflushed bytes, so a
+// stalled device stalls its stagers instead of growing the heap.
+// Checkpoints snapshot the committed-to-root object states behind a
+// writer lock that excludes staging, so a checkpoint is exactly
+// equivalent to the redo of every record below its LSN; it seals those
+// records itself and retires their tickets.
 package wal
 
 import (
@@ -86,11 +97,14 @@ type Log struct {
 	clk clock.Clock
 
 	segLimit int64
+	// wbufMax bounds the staged-but-unflushed bytes: writeFrame waits
+	// while wbuf holds more (a quarter of segLimit).
+	wbufMax int
 
-	// gate orders appends against checkpoints: every append holds a read
-	// lock from its write through its apply callback; Checkpoint takes
-	// the write lock, so when it runs every appended record has been
-	// applied and no commit is mid-flight.
+	// gate orders staging against checkpoints: every stage holds a read
+	// lock from its write through its apply callback — microseconds, never
+	// an fsync; Checkpoint takes the write lock, so when it runs every
+	// staged record has been applied and no commit is between the two.
 	gate sync.RWMutex
 
 	// wmu is the write path: it serializes frame staging and rotations.
@@ -101,6 +115,7 @@ type Log struct {
 	// batch fsync — only rotation's seal fsync runs under it.
 	wmu      sync.Mutex
 	wcond    *sync.Cond // broadcast when writeSeq advances
+	wroom    *sync.Cond // signalled when wbuf is swapped out (one waiter: the head of the ticket line)
 	writeSeq uint64     // LSN whose frame may be staged next
 	wbuf     []byte     // frames staged but not yet written to the segment
 	f        File       // active segment
@@ -176,6 +191,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		met:      obs.Or(opts.Metrics),
 		clk:      clock.Or(opts.Clock),
 		segLimit: opts.SegmentBytes,
+		wbufMax:  int(opts.SegmentBytes / 4),
 		writeSeq: rec.NextLSN,
 		nextLSN:  rec.NextLSN,
 		written:  rec.NextLSN,
@@ -186,6 +202,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		done:     make(chan struct{}),
 	}
 	l.wcond = sync.NewCond(&l.wmu)
+	l.wroom = sync.NewCond(&l.wmu)
 	// Continue the last surviving segment, or start a fresh one.
 	name := rec.tailSegment
 	flag := os.O_WRONLY | os.O_APPEND
@@ -222,31 +239,6 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 func (l *Log) Append(r Record) (uint64, error) {
 	l.gate.RLock()
 	defer l.gate.RUnlock()
-	return l.appendDurable(r)
-}
-
-// AppendApply writes one record, waits until it is durable, then runs
-// apply — all while holding the checkpoint gate, so a concurrent
-// Checkpoint can never observe a state whose last commit is not yet in
-// the log (or vice versa). apply's error is returned as-is.
-//
-// The gate is shared (appenders hold read locks): once a shared fsync
-// retires a batch, every committer's apply runs on its own goroutine —
-// disjoint commits release their locks and record their events in
-// parallel, nothing downstream of the flush re-serializes them.
-func (l *Log) AppendApply(r Record, apply func() error) error {
-	l.gate.RLock()
-	defer l.gate.RUnlock()
-	if _, err := l.appendDurable(r); err != nil {
-		return err
-	}
-	if apply != nil {
-		return apply()
-	}
-	return nil
-}
-
-func (l *Log) appendDurable(r Record) (uint64, error) {
 	ch, lsn, err := l.enqueue(r, false)
 	if err != nil {
 		return 0, err
@@ -255,6 +247,54 @@ func (l *Log) appendDurable(r Record) (uint64, error) {
 		return 0, err
 	}
 	return lsn, nil
+}
+
+// Ticket is a staged record's claim on the fsync that will cover it.
+type Ticket struct{ ch chan error }
+
+// Wait parks until the ticket's record is durable — covered by a batch
+// fsync, a rotation seal or a checkpoint — and returns nil, or returns
+// the fault that poisoned the log first: the record may or may not have
+// reached the disk, and only recovery can say.
+func (t Ticket) Wait() error { return <-t.ch }
+
+// Stage reserves the next LSN for r, stages its frame and runs apply
+// with that LSN — all while holding the checkpoint gate, so a concurrent
+// Checkpoint can never observe a state whose last commit is not yet in
+// the log (or vice versa) — and returns without waiting for the device. A
+// stage error means r was not logged and apply did not run; apply's own
+// error is returned as-is. The record is durable no later than any record
+// staged after it: a caller that does not Wait is covered by the next one
+// that does, and by Sync, Checkpoint and Close.
+//
+// The gate is shared (stagers hold read locks), so disjoint commits stage,
+// release their locks and record their events in parallel.
+func (l *Log) Stage(r Record, apply func(lsn uint64) error) (Ticket, error) {
+	l.gate.RLock()
+	defer l.gate.RUnlock()
+	ch, lsn, err := l.enqueue(r, false)
+	if err != nil {
+		return Ticket{}, err
+	}
+	if apply != nil {
+		if err := apply(lsn); err != nil {
+			return Ticket{}, err
+		}
+	}
+	return Ticket{ch}, nil
+}
+
+// AppendApply is Stage followed by Wait: r is durable on return.
+func (l *Log) AppendApply(r Record, apply func() error) error {
+	var staged func(uint64) error
+	if apply != nil {
+		staged = func(uint64) error { return apply() }
+	}
+	t, err := l.Stage(r, staged)
+	if err != nil {
+		return err
+	}
+	return t.Wait()
 }
 
 // AppendBatch writes a contiguous run of already-numbered records (a
@@ -344,13 +384,21 @@ const maxPooledFrame = 64 << 10
 // write itself is deferred: frames accumulate in wbuf and the sync path
 // drains the staged batch with a single write immediately before each
 // fsync, so a batch of n commits costs one write syscall plus one fsync
-// no matter how large n is, and nothing here ever blocks on the file.
-// On success the caller's waiter is parked and retired — or failed, if
-// the batch write or its fsync fails — by the covering flush.
+// no matter how large n is. The one thing that blocks here is the byte
+// budget: while wbuf holds more than wbufMax the frame waits (on wroom;
+// it is the head of the ticket line, so it waits alone) for a flush to
+// swap the buffer out (every staged frame has kicked the syncer,
+// so one is coming), which bounds wbuf at the budget plus one frame
+// however long an fsync stalls. On success the caller's waiter is parked
+// and retired — or failed, if the batch write or its fsync fails — by the
+// covering flush.
 func (l *Log) writeFrame(lsn uint64, frame []byte, ch chan error) error {
 	l.wmu.Lock()
 	for l.writeSeq != lsn {
 		l.wcond.Wait()
+	}
+	for len(l.wbuf) > l.wbufMax {
+		l.wroom.Wait()
 	}
 	// The sequence must advance even on failure, or every later ticket
 	// would wait forever; they fail fast on the latched error instead.
@@ -386,6 +434,15 @@ func (l *Log) writeFrame(lsn uint64, frame []byte, ch chan error) error {
 	return nil
 }
 
+// drain swaps the staged batch out of wbuf and wakes the stager held at
+// the byte budget. Called with wmu held.
+func (l *Log) drain() []byte {
+	buf := l.wbuf
+	l.wbuf = nil
+	l.wroom.Signal()
+	return buf
+}
+
 // latch records the first fatal error; the log is read-only from here on.
 func (l *Log) latch(err error) {
 	l.mu.Lock()
@@ -403,8 +460,7 @@ func (l *Log) latch(err error) {
 func (l *Log) rotate() error {
 	l.smu.Lock()
 	defer l.smu.Unlock()
-	buf := l.wbuf
-	l.wbuf = nil
+	buf := l.drain()
 	l.mu.Lock()
 	target := l.written
 	l.mu.Unlock()
@@ -480,8 +536,7 @@ func (l *Log) flushOnce() bool {
 	l.gatherBatch()
 	l.wmu.Lock()
 	l.smu.Lock()
-	buf := l.wbuf
-	l.wbuf = nil
+	buf := l.drain()
 	f := l.f
 	l.mu.Lock()
 	target := l.written
@@ -600,8 +655,7 @@ func (l *Log) finishFlush(target uint64, d time.Duration, err error) {
 func (l *Log) syncNow() error {
 	l.wmu.Lock()
 	l.smu.Lock()
-	buf := l.wbuf
-	l.wbuf = nil
+	buf := l.drain()
 	f := l.f
 	l.mu.Lock()
 	target := l.written

@@ -32,6 +32,15 @@ var ErrAborted = errors.New("nestedtx: transaction aborted")
 // body may carry on, or return the error to abort.
 var ErrUnknownObject = lockmgr.ErrUnknownObject
 
+// ErrNotDurable is wrapped, beside the storage fault, by the error of a
+// top-level [Tx.Commit] on a durable manager whose record was staged but
+// never covered by an fsync. The transaction is neither acknowledged nor
+// aborted: its locks were released at the stage and its effects stand in
+// memory, invisible to [Manager.State] and to snapshots (the metrics count
+// it with the aborts: it was not acknowledged). The log is failed from
+// then on; whether the commit survived is for recovery to say.
+var ErrNotDurable = errors.New("nestedtx: commit released but not durable")
+
 // ErrDone is returned by operations on a transaction whose body has
 // already returned, and by reads through a closed [Snapshot].
 var ErrDone = snap.ErrDone
@@ -95,21 +104,23 @@ type Manager struct {
 	mode core.Mode
 	met  *obs.Metrics
 	// wal, when non-nil, makes the manager durable: every top-level
-	// commit appends its redo record and waits for the fsync before its
-	// locks are released (see OpenDurable).
+	// commit stages its redo record before its locks are released and is
+	// acknowledged once an fsync covers it (see commitTop, OpenDurable).
 	wal *wal.Log
 
 	// snap is the committed-version store, the manager's whole read
 	// side: every top-level commit publishes its new root versions there
 	// (inside commitTop, before the locks are released); State reads its
 	// head and BeginSnapshot readers pin a sequence number, neither ever
-	// touching the lock manager. In recording mode it also keeps the
-	// publication and read-only-transaction logs Verify checks.
+	// touching the lock manager nor seeing a commit that is not yet
+	// durable. In recording mode it also keeps the publication and
+	// read-only-transaction logs Verify checks.
 	snap *snap.Store
 
-	// mu guards st. It is taken to register an object and, in recording
-	// mode only, to define an access; Run and a non-recording Do never
-	// touch it.
+	// mu guards st, and on a durable manager makes a registration's
+	// check, log record and adoption one step. It is taken to register an
+	// object and, in recording mode only, to define an access; Run and a
+	// non-recording Do never touch it.
 	mu sync.Mutex
 	st *event.SystemType
 
@@ -156,32 +167,43 @@ func NewManager(opts ...Option) *Manager {
 // Register declares a shared object. It must be called before any
 // transaction touches the object. On a durable manager the registration
 // is itself logged (so recovery is self-contained), which restricts
-// initial states to the library's serialisable types.
+// initial states to the library's serialisable types; the record is
+// staged, not awaited — it is durable no later than the next commit that
+// returns, or the next SyncWAL, Checkpoint or CloseWAL.
 func (m *Manager) Register(name string, initial State) error {
-	if m.wal != nil {
-		if m.lm.Registered(name) {
-			return fmt.Errorf("nestedtx: object %q already registered", name)
-		}
-		rec := wal.Record{Register: &wal.RegisterRecord{Name: name, Initial: initial}}
-		return m.wal.AppendApply(rec, func() error {
-			return m.adopt(name, initial)
-		})
+	if m.wal == nil {
+		return m.adopt(name, initial)
 	}
-	return m.adopt(name, initial)
+	// Under mu, so of two registrations of one name the second is refused
+	// before it is logged: recovery keeps the first Register record, and
+	// that must be the one whose state the manager serves.
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.lm.Registered(name) {
+		return fmt.Errorf("nestedtx: object %q already registered", name)
+	}
+	rec := wal.Record{Register: &wal.RegisterRecord{Name: name, Initial: initial}}
+	_, err := m.wal.Stage(rec, func(uint64) error { return m.adoptLocked(name, initial) })
+	return err
 }
 
 // adopt installs an object into the lock manager, the system type and the
 // committed-version store without logging (shared by Register and
-// OpenDurable's recovery path). The lock manager goes first: it is the one
-// that refuses a duplicate, and a refused registration must leave the
-// first one's initial state where Verify replays from it.
+// OpenDurable's recovery path).
 func (m *Manager) adopt(name string, initial State) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.adoptLocked(name, initial)
+}
+
+// adoptLocked is adopt with mu held. The lock manager goes first: it is
+// the one that refuses a duplicate, and a refused registration must leave
+// the first one's initial state where Verify replays from it.
+func (m *Manager) adoptLocked(name string, initial State) error {
 	if err := m.lm.Register(name, initial); err != nil {
 		return err
 	}
-	m.mu.Lock()
 	m.st.DefineObject(name, initial)
-	m.mu.Unlock()
 	m.snap.Base(name, initial)
 	return nil
 }
@@ -195,7 +217,8 @@ func (m *Manager) MustRegister(name string, initial State) {
 
 // State returns the committed-to-root state of an object: the head of
 // its committed version chain, reflecting exactly the top-level
-// transactions whose commits have been published. The answer is
+// transactions whose commits have been published — and, on a durable
+// manager, are durable. The answer is
 // always some committed prefix of the history — never a live writer's
 // tentative version, and never a write that later aborts. Transactions
 // may commit concurrently with the call; a commit in flight lands
@@ -245,37 +268,75 @@ func (m *Manager) RunRetry(attempts int, fn func(*Tx) error) error {
 }
 
 // commitTop runs the top-level commit sequence. On a durable manager the
-// redo record is appended and fsynced *before* the lock manager releases
-// the transaction's locks: strict locking then guarantees that any
-// conflicting successor is granted (and so logged) after us, making WAL
-// order agree with the per-object conflict order — the property
-// recovery's Theorem-34 check relies on. A failed append is returned for
-// the caller to abort the transaction instead: no acknowledged commit is
-// ever absent from the log.
+// redo record is staged in the log — its LSN reserved — *before* the lock
+// manager releases the transaction's locks: strict locking then
+// guarantees that any conflicting successor is granted (and so logged)
+// after us, making WAL order agree with the per-object conflict order —
+// the property recovery's Theorem-34 check relies on. The locks do not
+// wait for the device; the acknowledgement does. commitTop returns nil
+// only once an fsync covers the record, and until then the store's
+// horizon hides the new versions from State and from snapshots. A
+// transaction granted one of the released locks meanwhile sees them, and
+// that is not an acknowledgement: it stages a later LSN (read-only ones
+// log a record too), so it is durable, and returns, no earlier than us.
+//
+// A record that cannot be staged is returned for the caller to abort the
+// transaction. A fault after the stage is a [ErrNotDurable] outcome: the
+// locks are gone and nothing can be rolled back, but the log is latched,
+// so every later commit — whatever it read — fails at its own stage,
+// before it releases or publishes anything, and the horizon never passes
+// this one. No acknowledged commit is ever absent from the log, and no
+// reader outside a lock ever saw one that is.
 func (m *Manager) commitTop(tx *Tx) error {
 	id, v := tx.id, tx.result()
-	apply := func() error {
-		m.rec.Record(event.Event{Kind: event.RequestCommit, T: id, Value: v})
-		m.met.Trace(event.RequestCommit.String(), string(id), "", 0)
-		// Publish the transaction's new root versions into the snapshot
-		// store before the lock manager releases its locks: strict
-		// locking then guarantees any conflicting successor publishes
-		// after us, so snapshot order = conflict order = WAL order.
-		if up := m.lm.TopVersions(id); len(up) > 0 {
-			m.snap.Publish(string(id), up)
-			m.met.SnapPublishes.Inc()
-		}
-		m.lm.Commit(id, v)
+	if m.wal == nil {
+		m.applyTop(id, v, 0)
 		return nil
 	}
-	if m.wal == nil {
-		return apply()
-	}
 	rec := wal.Record{Commit: &wal.CommitRecord{TID: string(id), Value: v, Effects: tx.takeEffects()}}
-	if err := m.wal.AppendApply(rec, apply); err != nil {
+	var seq uint64
+	ticket, err := m.wal.Stage(rec, func(lsn uint64) error {
+		seq = m.applyTop(id, v, lsn)
+		return nil
+	})
+	if err != nil {
 		return fmt.Errorf("nestedtx: durable commit of %s: %w", id, err)
 	}
+	if err := ticket.Wait(); err != nil {
+		return fmt.Errorf("nestedtx: durable commit of %s: %w: %w", id, ErrNotDurable, err)
+	}
+	if seq != 0 && m.snap.Settle(m.wal.DurableLSN()) < seq {
+		// A commit that does not conflict with this one published before
+		// it and logged after it, and is not durable yet. It was staged
+		// before this one published, so a sync now covers it, and the
+		// caller reads its own writes through State.
+		if m.wal.Sync() == nil {
+			m.snap.Settle(m.wal.DurableLSN())
+		}
+	}
 	return nil
+}
+
+// applyTop is the scheduler's half of a top-level commit: REQUEST_COMMIT,
+// then the transaction's new root versions go to the snapshot store
+// before the lock manager releases its locks — strict locking then
+// guarantees any conflicting successor publishes after us, so snapshot
+// order = conflict order = WAL order — then COMMIT. On a durable manager
+// lsn is the commit record's and the publication is staged; applyTop
+// returns its sequence number, zero when the transaction wrote nothing.
+func (m *Manager) applyTop(id tree.TID, v Value, lsn uint64) (seq uint64) {
+	m.rec.Record(event.Event{Kind: event.RequestCommit, T: id, Value: v})
+	m.met.Trace(event.RequestCommit.String(), string(id), "", 0)
+	if up := m.lm.TopVersions(id); len(up) > 0 {
+		if m.wal != nil {
+			seq = m.snap.Stage(string(id), up, lsn)
+		} else {
+			seq = m.snap.Publish(string(id), up)
+		}
+		m.met.SnapPublishes.Inc()
+	}
+	m.lm.Commit(id, v)
+	return seq
 }
 
 // Schedule returns a snapshot of the recorded formal schedule (nil without

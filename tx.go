@@ -285,8 +285,9 @@ func (tx *Tx) Begin() (*Tx, error) {
 // subtransactions spawned with [Tx.Go]. Commit refuses, leaving
 // everything open, while a subtransaction from [Tx.Begin] is still open.
 // A cancelled tx, one with an unawaited failed Go child, or one whose
-// durable append fails is aborted instead and the reason returned; a tx
-// already returned yields [ErrDone].
+// commit record cannot be logged is aborted instead and the reason
+// returned; a storage fault after the record was staged is the
+// [ErrNotDurable] outcome, neither; a tx already returned yields [ErrDone].
 func (tx *Tx) Commit() error { return tx.end(true) }
 
 // Abort returns tx aborted: every effect of it and its descendants is
@@ -354,21 +355,26 @@ func (tx *Tx) end(commit bool) error {
 	tx.mu.Unlock()
 
 	m, p := tx.mgr, tx.parent
+	released := false // committed in the lock manager, whatever err says
 	if commit && err == nil {
 		if p == nil {
-			err = m.commitTop(tx)
+			if err = m.commitTop(tx); err != nil {
+				released = errors.Is(err, ErrNotDurable)
+			}
 		} else {
 			tx.commitTo(p)
 		}
 	}
 	d := time.Since(epoch) - tx.start
 	kind := event.Commit
-	if !commit || err != nil {
+	if (!commit || err != nil) && !released {
 		kind = event.Abort
 		m.lm.Abort(tx.id)
 	}
 	if p == nil {
-		m.met.ObserveTx(d, kind == event.Commit)
+		// A released-but-not-durable commit was not acknowledged: the
+		// metrics, like the server's counters, file it under aborts.
+		m.met.ObserveTx(d, commit && err == nil)
 	}
 	m.met.Trace(kind.String(), string(tx.id), "", d)
 	if p != nil {
