@@ -120,7 +120,7 @@ func BenchmarkReplSteadyState(b *testing.B) {
 							TID: fmt.Sprintf("T0.%d", seq.Add(1)), Value: int64(1),
 							Effects: []wal.Effect{{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(1)}},
 						}}
-						if _, err := leader.lg.Append(rec); err != nil {
+						if err := leader.lg.AppendApply(rec, nil); err != nil {
 							b.Errorf("Append: %v", err)
 							return
 						}

@@ -44,7 +44,7 @@ func newLeaderLog(tb testing.TB, fs wal.FS, dir string, opts wal.Options) *leade
 
 func (l *leaderLog) register(name string, init adt.State) {
 	l.tb.Helper()
-	if _, err := l.lg.Append(wal.Record{Register: &wal.RegisterRecord{Name: name, Initial: init}}); err != nil {
+	if err := l.lg.AppendApply(wal.Record{Register: &wal.RegisterRecord{Name: name, Initial: init}}, nil); err != nil {
 		l.tb.Fatalf("append register %s: %v", name, err)
 	}
 	l.states[name] = init
@@ -58,7 +58,7 @@ func (l *leaderLog) commit(obj string, op adt.Op) {
 		TID: "T0." + string(rune('0'+l.n%10)), Value: int64(1),
 		Effects: []wal.Effect{{Obj: obj, Op: op, Val: v}},
 	}}
-	if _, err := l.lg.Append(rec); err != nil {
+	if err := l.lg.AppendApply(rec, nil); err != nil {
 		l.tb.Fatalf("append commit on %s: %v", obj, err)
 	}
 	l.states[obj] = next

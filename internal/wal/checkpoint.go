@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
-	"time"
 
 	"nestedtx/internal/adt"
 )
@@ -70,48 +69,13 @@ func unmarshalCheckpoint(payload []byte) (uint64, map[string]adt.State, error) {
 // already staged has been applied and nothing is between the two — the
 // captured states are exactly the redo of records [0, NextLSN). Commits
 // may still be parked on their tickets; the checkpoint makes every one of
-// them durable and retires it. capture should return the committed-to-
+// them durable and answers it. capture should return the committed-to-
 // root states (Manager.Checkpoint wires this to the lock manager's root
 // versions).
 func (l *Log) Checkpoint(capture func() map[string]adt.State) error {
-	l.gate.Lock()
-	defer l.gate.Unlock()
-	// The gate excludes stagers entirely, so the write path is quiescent
-	// once acquired; wmu/smu are still taken (in lock order) so the handle
-	// swap cannot race the syncer's fsync.
-	l.wmu.Lock()
-	defer l.wmu.Unlock()
-	l.smu.Lock()
-	defer l.smu.Unlock()
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: log closed")
-	}
-	if lerr := l.err; lerr != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: log failed: %w", lerr)
-	}
-	nextLSN := l.nextLSN
-	l.mu.Unlock()
-	// Encode before touching any file, so an unencodable state aborts
-	// the checkpoint without harming the log.
-	payload, err := marshalCheckpoint(nextLSN, capture())
-	if err != nil {
-		return err
-	}
-
-	name := checkpointName(nextLSN)
-	tmp := name + ".tmp"
-	if err := l.writeFileAtomic(tmp, name, appendFrame(nil, payload)); err != nil {
-		l.latch(err)
-		return err
-	}
-	if err := l.cutover(name, nextLSN); err != nil {
-		return err
-	}
-	l.met.ObserveCheckpoint(nextLSN)
-	return nil
+	return l.checkpoint(func(next uint64) (uint64, map[string]adt.State, error) {
+		return next, capture(), nil
+	})
 }
 
 // InstallSnapshot replaces the log's entire contents with a checkpoint
@@ -122,105 +86,94 @@ func (l *Log) Checkpoint(capture func() map[string]adt.State) error {
 // streaming from nextLSN. Installing a snapshot behind the log's current
 // position is refused (the log would have to forget durable records).
 func (l *Log) InstallSnapshot(nextLSN uint64, states map[string]adt.State) error {
+	return l.checkpoint(func(next uint64) (uint64, map[string]adt.State, error) {
+		if nextLSN < next {
+			return 0, nil, fmt.Errorf("wal: snapshot at %d behind log position %d", nextLSN, next)
+		}
+		return nextLSN, states, nil
+	})
+}
+
+// checkpoint writes a checkpoint and cuts the log over to it. at answers,
+// given the log's next LSN, at which LSN and with which states. The gate
+// excludes stagers entirely, so the write path is quiescent once it is
+// held; wmu and smu are still taken (in lock order) so the handle swap
+// cannot race the syncer's fsync.
+func (l *Log) checkpoint(at func(next uint64) (uint64, map[string]adt.State, error)) error {
 	l.gate.Lock()
 	defer l.gate.Unlock()
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
 	l.smu.Lock()
 	defer l.smu.Unlock()
-	l.mu.Lock()
 	if l.closed {
-		l.mu.Unlock()
 		return fmt.Errorf("wal: log closed")
 	}
-	if lerr := l.err; lerr != nil {
-		l.mu.Unlock()
-		return fmt.Errorf("wal: log failed: %w", lerr)
+	if err := l.failed(); err != nil {
+		return err
 	}
-	if nextLSN < l.nextLSN {
-		pos := l.nextLSN
-		l.mu.Unlock()
-		return fmt.Errorf("wal: snapshot at %d behind log position %d", nextLSN, pos)
-	}
-	l.mu.Unlock()
-	payload, err := marshalCheckpoint(nextLSN, states)
+	lsn, states, err := at(l.nextLSN)
 	if err != nil {
 		return err
 	}
-	name := checkpointName(nextLSN)
-	if err := l.writeFileAtomic(name+".tmp", name, appendFrame(nil, payload)); err != nil {
-		l.latch(err)
+	// Encode before touching any file, so an unencodable state aborts
+	// the checkpoint without harming the log.
+	payload, err := marshalCheckpoint(lsn, states)
+	if err != nil {
 		return err
+	}
+	name := checkpointName(lsn)
+	if err := l.writeFileAtomic(name+".tmp", name, appendFrame(nil, payload)); err != nil {
+		return l.latch(err)
 	}
 	l.mu.Lock()
-	l.nextLSN = nextLSN
+	l.nextLSN = lsn
 	l.mu.Unlock()
-	l.writeSeq = nextLSN // wmu held: the next write ticket continues here
-	if err := l.cutover(name, nextLSN); err != nil {
+	if err := l.cutover(name, lsn); err != nil {
 		return err
 	}
-	l.met.ObserveCheckpoint(nextLSN)
+	l.met.ObserveCheckpoint(lsn)
 	return nil
 }
 
-// cutover finishes a checkpoint (or snapshot install) whose file keep is
-// already durable: it seals and retires every other log file and opens a
+// cutover finishes a checkpoint whose file keep is already durable: it
+// seals the active segment, removes every other log file and opens a
 // fresh active segment at lsn. Called with gate, wmu and smu held: no
-// stager holds the gate, so nothing is mid-write, but records below lsn
+// stager holds the gate, so nothing is mid-stage, but records below lsn
 // may be staged in wbuf or written and unsynced with their tickets
-// parked. The seal makes them durable; a cutover that succeeds retires
-// those tickets, one that fails latches the fault the next flush fails
-// them with.
+// parked. The seal's fsync makes them durable and answers those tickets —
+// with the checkpoint already renamed into place, recovery finds them
+// whatever happens next; a later step that fails latches the log and
+// fails the checkpoint, not those commits.
 func (l *Log) cutover(keep string, lsn uint64) error {
-	fail := func(err error) error {
-		l.latch(err)
+	if err := l.seal(); err != nil {
 		return err
 	}
-	// Everything below the checkpoint LSN is now redundant: seal the
-	// active segment, drop old files, start fresh.
-	start := time.Now()
-	if buf := l.drain(); len(buf) > 0 {
-		if _, err := l.f.Write(buf); err != nil {
-			return fail(fmt.Errorf("wal: checkpoint drain: %w", err))
-		}
-	}
-	if err := l.f.Sync(); err != nil {
-		return fail(fmt.Errorf("wal: checkpoint seal: %w", err))
-	}
-	sealed := time.Since(start)
-	if err := l.f.Close(); err != nil {
-		return fail(fmt.Errorf("wal: checkpoint close: %w", err))
-	}
-	names, err := l.fs.ReadDir(l.dir)
+	// Everything below the checkpoint LSN is now redundant. Remove before
+	// opening: a checkpoint at the active segment's own first LSN
+	// re-creates a file of the same name.
+	segs, ckpts, rest, err := listDir(l.fs, l.dir)
 	if err != nil {
-		return fail(fmt.Errorf("wal: checkpoint readdir: %w", err))
+		return l.latch(err)
 	}
-	for _, n := range names {
-		if n == keep {
-			continue
-		}
-		if strings.HasPrefix(n, "wal-") || strings.HasPrefix(n, "ckpt-") {
+	for _, e := range append(segs, ckpts...) {
+		if e.name != keep {
 			// Best-effort: a leftover file is ignored by recovery anyway
 			// (its records are below the checkpoint LSN).
+			l.fs.Remove(filepath.Join(l.dir, e.name))
+		}
+	}
+	for _, n := range rest {
+		if strings.HasSuffix(n, corruptSuffix) {
 			l.fs.Remove(filepath.Join(l.dir, n))
 		}
 	}
-	segName := segmentName(lsn)
-	f, err := l.fs.OpenFile(filepath.Join(l.dir, segName), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
-	if err != nil {
-		return fail(fmt.Errorf("wal: checkpoint segment: %w", err))
+	if err := l.openSegment(lsn); err != nil {
+		return err
 	}
-	if err := l.fs.SyncDir(l.dir); err != nil {
-		f.Close()
-		return fail(fmt.Errorf("wal: checkpoint sync dir: %w", err))
-	}
-	l.f, l.segName, l.segBytes = f, segName, 0
 	l.mu.Lock()
 	l.ckptLSN = lsn
-	l.statSegName, l.statSegBytes = segName, 0
-	l.written = lsn
 	l.mu.Unlock()
-	l.finishFlush(lsn, sealed, nil)
 	return nil
 }
 

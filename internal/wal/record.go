@@ -231,6 +231,19 @@ func scanFrame(buf []byte) (payload []byte, frameLen int, err error) {
 	return payload, end, nil
 }
 
+// scanRecord parses the record framed at the start of buf and returns it
+// with its frame's length. A zero length with a nil error means buf is
+// empty (clean end); an error means no record starts here — a torn or
+// corrupt frame, or a payload that is not a record.
+func scanRecord(buf []byte) (Record, int, error) {
+	payload, n, err := scanFrame(buf)
+	if err != nil || payload == nil {
+		return Record{}, 0, err
+	}
+	r, err := unmarshalRecord(payload)
+	return r, n, err
+}
+
 // frameRoom is the space stageRecord leaves in front of a record body
 // for what sealFrame writes there: the frame header (length, space, eight
 // hex digits, newline) and `{"lsn":` with up to twenty digits.
@@ -283,11 +296,7 @@ func EncodeFrame(dst []byte, r Record) ([]byte, error) {
 func DecodeFrames(buf []byte) ([]Record, error) {
 	var out []Record
 	for len(buf) > 0 {
-		payload, n, err := scanFrame(buf)
-		if err != nil {
-			return nil, err
-		}
-		r, err := unmarshalRecord(payload)
+		r, n, err := scanRecord(buf)
 		if err != nil {
 			return nil, err
 		}

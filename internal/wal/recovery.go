@@ -87,42 +87,56 @@ func parseLSN(name, prefix, suffix string) (uint64, bool) {
 	return n, true
 }
 
+// dirEntry is a log file and the LSN its name carries.
+type dirEntry struct {
+	name string
+	lsn  uint64
+}
+
+// corruptSuffix marks a file recovery has set aside (see discard).
+const corruptSuffix = ".corrupt"
+
+// listDir reads a log directory: its segments in ascending LSN order, its
+// checkpoints newest first, and the names that are neither.
+func listDir(fs FS, dir string) (segs, ckpts []dirEntry, rest []string, err error) {
+	names, err := fs.ReadDir(dir)
+	if err != nil {
+		return nil, nil, nil, fmt.Errorf("wal: read dir %s: %w", dir, err)
+	}
+	for _, n := range names {
+		if lsn, ok := parseLSN(n, "wal-", ".seg"); ok {
+			segs = append(segs, dirEntry{n, lsn})
+		} else if lsn, ok := parseLSN(n, "ckpt-", ".ckpt"); ok {
+			ckpts = append(ckpts, dirEntry{n, lsn})
+		} else {
+			rest = append(rest, n)
+		}
+	}
+	sort.Slice(segs, func(i, j int) bool { return segs[i].lsn < segs[j].lsn })
+	sort.Slice(ckpts, func(i, j int) bool { return ckpts[i].lsn > ckpts[j].lsn })
+	return segs, ckpts, rest, nil
+}
+
 // scanDir performs the recovery scan. With mutate set (the Open path) it
 // physically truncates the torn tail and renames undecodable files to
 // *.corrupt so they are never scanned again; without it (Inspect) the
 // directory is left untouched.
 func scanDir(fs FS, dir string, mutate bool) (*Recovery, error) {
-	names, err := fs.ReadDir(dir)
+	segs, ckpts, rest, err := listDir(fs, dir)
 	if err != nil {
-		return nil, fmt.Errorf("wal: read dir %s: %w", dir, err)
+		return nil, err
 	}
-	var segLSNs []uint64
-	segByLSN := make(map[uint64]string)
-	var ckptLSNs []uint64
-	ckptByLSN := make(map[uint64]string)
 	rec := &Recovery{states: make(map[string]adt.State)}
-	for _, n := range names {
-		if lsn, ok := parseLSN(n, "wal-", ".seg"); ok {
-			segLSNs = append(segLSNs, lsn)
-			segByLSN[lsn] = n
-			continue
-		}
-		if lsn, ok := parseLSN(n, "ckpt-", ".ckpt"); ok {
-			ckptLSNs = append(ckptLSNs, lsn)
-			ckptByLSN[lsn] = n
-			continue
-		}
-		if strings.HasSuffix(n, ".tmp") && mutate {
+	for _, n := range rest {
+		if mutate && strings.HasSuffix(n, ".tmp") {
 			// A checkpoint that never reached its rename.
 			fs.Remove(filepath.Join(dir, n))
 		}
 	}
-	sort.Slice(segLSNs, func(i, j int) bool { return segLSNs[i] < segLSNs[j] })
-	sort.Slice(ckptLSNs, func(i, j int) bool { return ckptLSNs[i] > ckptLSNs[j] })
 
 	// Newest valid checkpoint wins; invalid ones are set aside.
-	for _, lsn := range ckptLSNs {
-		name := ckptByLSN[lsn]
+	for _, ck := range ckpts {
+		name := ck.name
 		buf, err := readWhole(fs, filepath.Join(dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("wal: read checkpoint %s: %w", name, err)
@@ -133,7 +147,7 @@ func scanDir(fs FS, dir string, mutate bool) (*Recovery, error) {
 			continue
 		}
 		next, states, cerr := unmarshalCheckpoint(payload)
-		if cerr != nil || next != lsn {
+		if cerr != nil || next != ck.lsn {
 			rec.discard(fs, dir, name, mutate)
 			continue
 		}
@@ -150,8 +164,8 @@ func scanDir(fs FS, dir string, mutate bool) (*Recovery, error) {
 	// durable prefix — it is truncated (mutate) and every later segment
 	// is set aside, never replayed.
 	corrupted := false
-	for _, lsn := range segLSNs {
-		name := segByLSN[lsn]
+	for _, seg := range segs {
+		name := seg.name
 		if corrupted {
 			rec.discard(fs, dir, name, mutate)
 			continue
@@ -164,15 +178,11 @@ func scanDir(fs FS, dir string, mutate bool) (*Recovery, error) {
 		info := SegmentInfo{Name: name, Size: int64(len(buf))}
 		offset := 0
 		for {
-			payload, frameLen, ferr := scanFrame(buf[offset:])
-			if ferr == nil && payload == nil {
+			r, frameLen, ferr := scanRecord(buf[offset:])
+			if ferr == nil && frameLen == 0 {
 				break // clean end of segment
 			}
-			var r Record
-			if ferr == nil {
-				r, ferr = unmarshalRecord(payload)
-			}
-			if ferr == nil && r.LSN >= rec.NextLSN && r.LSN != rec.NextLSN {
+			if ferr == nil && r.LSN > rec.NextLSN {
 				ferr = fmt.Errorf("wal: LSN gap: got %d, want %d", r.LSN, rec.NextLSN)
 			}
 			if ferr != nil {
@@ -213,7 +223,7 @@ func scanDir(fs FS, dir string, mutate bool) (*Recovery, error) {
 func (r *Recovery) discard(fs FS, dir, name string, mutate bool) {
 	r.Dropped = append(r.Dropped, name)
 	if mutate {
-		fs.Rename(filepath.Join(dir, name), filepath.Join(dir, name+".corrupt"))
+		fs.Rename(filepath.Join(dir, name), filepath.Join(dir, name+corruptSuffix))
 	}
 }
 

@@ -3,6 +3,8 @@ package wal
 import (
 	"errors"
 	"fmt"
+	"os"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,6 +19,12 @@ import (
 // stall holding. syncs counts every file fsync issued.
 func stalledLog(t *testing.T, opts Options) (lg *Log, mem *MemFS, ffs *FaultFS, release chan struct{}, syncs *atomic.Int64) {
 	t.Helper()
+	return stalledLogOn(t, opts, func(fs FS) FS { return fs })
+}
+
+// stalledLogOn is stalledLog with the log opened on wrap(the FaultFS).
+func stalledLogOn(t *testing.T, opts Options, wrap func(FS) FS) (lg *Log, mem *MemFS, ffs *FaultFS, release chan struct{}, syncs *atomic.Int64) {
+	t.Helper()
 	mem = NewMemFS()
 	ffs = NewFaultFS(mem)
 	var once sync.Once
@@ -28,7 +36,7 @@ func stalledLog(t *testing.T, opts Options) (lg *Log, mem *MemFS, ffs *FaultFS, 
 		once.Do(func() { close(entered) })
 		<-release
 	})
-	lg, _ = mustOpen(t, ffs, "d", opts)
+	lg, _ = mustOpen(t, wrap(ffs), "d", opts)
 	if _, err := lg.Stage(Record{Register: &RegisterRecord{Name: "ctr", Initial: adt.Counter{}}}, nil); err != nil {
 		t.Fatalf("stage register: %v", err)
 	}
@@ -43,6 +51,13 @@ func stalledLog(t *testing.T, opts Options) (lg *Log, mem *MemFS, ffs *FaultFS, 
 func bump(i int) Record {
 	return Record{Commit: &CommitRecord{TID: fmt.Sprintf("T0.%d", i), Value: int64(1),
 		Effects: []Effect{{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(i)}}}}
+}
+
+// regWrite is a commit whose logged value does not depend on what was
+// staged before it, for stagers that race.
+func regWrite(v int64) Record {
+	return Record{Commit: &CommitRecord{TID: "T0.1", Value: v,
+		Effects: []Effect{{Obj: "reg", Op: adt.RegWrite{V: v}, Val: v}}}}
 }
 
 func (l *Log) staged() int {
@@ -229,4 +244,284 @@ func (l *Log) wmuHeld() bool {
 		return false
 	}
 	return true
+}
+
+// TestTenThousandStagers: the way into the log is one critical section,
+// so n goroutines staging at once cost n sections, not n wake-ups each:
+// 10,000 of them, through rotations and the byte budget, finish in well
+// under the bound, and the log they leave is one contiguous LSN run. (No
+// Verify on that many records: the checker is superlinear.)
+func TestTenThousandStagers(t *testing.T) {
+	const n = 10000
+	mem := NewMemFS()
+	lg, _ := mustOpen(t, mem, "d", Options{SegmentBytes: 64 << 10})
+	if err := lg.AppendApply(Record{Register: &RegisterRecord{Name: "reg", Initial: adt.NewRegister(int64(0))}}, nil); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	start := time.Now()
+	errs := make(chan error, n)
+	for i := 0; i < n; i++ {
+		go func(v int64) {
+			tk, err := lg.Stage(regWrite(v), nil)
+			if err == nil {
+				err = tk.Wait()
+			}
+			errs <- err
+		}(int64(i))
+	}
+	for i := 0; i < n; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("stager: %v", err)
+		}
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Fatalf("%d stagers took %v, want under 5s", n, d)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	_, rec := mustOpen(t, mem, "d", Options{})
+	if len(rec.Records) != n+1 {
+		t.Fatalf("recovered %d records, want %d", len(rec.Records), n+1)
+	}
+	for i, r := range rec.Records {
+		if r.LSN != uint64(i) {
+			t.Fatalf("record %d has LSN %d", i, r.LSN)
+		}
+	}
+}
+
+// TestGateNotHeldAcrossTheDeviceWait: with the device stalled, AppendBatch
+// and AppendApply stage their records and then wait for the fsync without
+// the checkpoint gate — a checkpoint could take it.
+func TestGateNotHeldAcrossTheDeviceWait(t *testing.T) {
+	lg, _, _, release, _ := stalledLog(t, Options{})
+	batch := []Record{bump(1), bump(2)}
+	batch[0].LSN, batch[1].LSN = 1, 2
+	done := make(chan error, 2)
+	go func() { done <- lg.AppendBatch(batch) }()
+	waitFor(t, "the batch to stage", func() bool { return lg.Stats().NextLSN == 3 })
+	go func() { done <- lg.AppendApply(bump(3), nil) }()
+	waitFor(t, "the gate to be free with both parked on the stalled fsync", func() bool {
+		if lg.Stats().NextLSN != 4 || !lg.gate.TryLock() {
+			return false
+		}
+		lg.gate.Unlock()
+		return true
+	})
+	select {
+	case err := <-done:
+		t.Fatalf("an append returned %v under a stalled fsync", err)
+	default:
+	}
+	close(release)
+	for i := 0; i < 2; i++ {
+		if err := <-done; err != nil {
+			t.Fatalf("append after release: %v", err)
+		}
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// noSegmentFS refuses to create a segment while armed.
+type noSegmentFS struct {
+	FS
+	armed atomic.Bool
+}
+
+func (fs *noSegmentFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	if fs.armed.Load() && flag&os.O_CREATE != 0 && strings.HasSuffix(name, ".seg") {
+		return nil, ErrInjected
+	}
+	return fs.FS.OpenFile(name, flag, perm)
+}
+
+// TestFailedRotationConsumesNoLSN: a stager whose rotation cannot create
+// the next segment gets the error and the log latches, but the sequence
+// does not move — there is no record at that LSN, in memory or on disk.
+func TestFailedRotationConsumesNoLSN(t *testing.T) {
+	mem := NewMemFS()
+	fs := &noSegmentFS{FS: mem}
+	lg, _ := mustOpen(t, fs, "d", Options{SegmentBytes: 1 << 10})
+	h := newHarness(t, lg)
+	h.register("ctr", adt.Counter{})
+	first := lg.Stats().Segment
+	fs.armed.Store(true)
+	var staged uint64
+	for {
+		err := lg.AppendApply(bump(int(staged)+1), nil)
+		if err != nil {
+			if !errors.Is(err, ErrInjected) {
+				t.Fatalf("rotation past the fault: err = %v, want ErrInjected", err)
+			}
+			break
+		}
+		if staged++; lg.Stats().Segment != first {
+			t.Fatal("rotated with segment creation refused")
+		}
+	}
+	if got := lg.Stats().NextLSN; got != staged+1 {
+		t.Fatalf("NextLSN %d after a failed rotation, want %d: the stager took an LSN for a record that does not exist", got, staged+1)
+	}
+	if err := lg.AppendApply(bump(int(staged)+1), nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("append on the latched log: err = %v, want the latched ErrInjected", err)
+	}
+	if err := lg.Close(); !errors.Is(err, ErrInjected) {
+		t.Fatalf("Close: err = %v, want the latched ErrInjected", err)
+	}
+	_, rec := mustOpen(t, mem, "d", Options{})
+	if rec.NextLSN != staged+1 {
+		t.Fatalf("recovered NextLSN %d, want %d", rec.NextLSN, staged+1)
+	}
+	if err := rec.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+}
+
+// TestFailedCutoverStillAnswersItsTickets: a checkpoint answers the parked
+// tickets when its seal fsync succeeds — their records are durable then,
+// the checkpoint file being already in place — so a cutover that fails
+// afterwards fails the checkpoint and latches the log, but does not report
+// commits as lost that recovery will find.
+func TestFailedCutoverStillAnswersItsTickets(t *testing.T) {
+	var fs *noSegmentFS
+	lg, mem, _, release, _ := stalledLogOn(t, Options{}, func(inner FS) FS {
+		fs = &noSegmentFS{FS: inner}
+		return fs
+	})
+	const parked = 8
+	var tickets []Ticket
+	for i := 1; i <= parked; i++ {
+		tk, err := lg.Stage(bump(i), nil)
+		if err != nil {
+			t.Fatalf("stage %d: %v", i, err)
+		}
+		tickets = append(tickets, tk)
+	}
+	ckpt := make(chan error, 1)
+	go func() {
+		ckpt <- lg.Checkpoint(func() map[string]adt.State {
+			return map[string]adt.State{"ctr": adt.Counter{N: parked}}
+		})
+	}()
+	for !lg.wmuHeld() {
+		time.Sleep(time.Millisecond)
+	}
+	fs.armed.Store(true)
+	close(release)
+	if err := <-ckpt; !errors.Is(err, ErrInjected) {
+		t.Fatalf("Checkpoint: err = %v, want ErrInjected", err)
+	}
+	for i, tk := range tickets {
+		select {
+		case err := <-tk.ch:
+			if err != nil {
+				t.Fatalf("ticket %d: %v, but its record is durable", i, err)
+			}
+		default:
+			t.Fatalf("ticket %d still parked after the checkpoint returned", i)
+		}
+	}
+	if _, err := lg.Stage(bump(parked+1), nil); !errors.Is(err, ErrInjected) {
+		t.Fatalf("stage on the latched log: err = %v, want the latched ErrInjected", err)
+	}
+	lg.Close()
+	_, rec := mustOpen(t, mem, "d", Options{})
+	if err := rec.Verify(); err != nil {
+		t.Fatalf("Verify: %v", err)
+	}
+	if got := rec.States()["ctr"].(adt.Counter).N; got != parked || rec.NextLSN != parked+1 {
+		t.Fatalf("recovered ctr = %d at LSN %d, want %d at %d", got, rec.NextLSN, parked, parked+1)
+	}
+}
+
+// TestManyStagersAtTheByteBudget: the budget holds any number of stagers,
+// not one. Eight of them held behind a stalled fsync all wake with the
+// fault when it fails, and all go through, at contiguous LSNs, when it is
+// released.
+func TestManyStagersAtTheByteBudget(t *testing.T) {
+	const held = 8
+	setup := func(t *testing.T) (*Log, *MemFS, *FaultFS, chan struct{}, int, chan error) {
+		lg, mem, ffs, release, _ := stalledLog(t, Options{SegmentBytes: 16 << 10})
+		filled := 0
+		for lg.staged() <= lg.wbufMax {
+			filled++
+			if _, err := lg.Stage(bump(filled), nil); err != nil {
+				t.Fatalf("stage %d: %v", filled, err)
+			}
+		}
+		done := make(chan error, held)
+		for i := 0; i < held; i++ {
+			go func() {
+				tk, err := lg.Stage(Record{Commit: &CommitRecord{TID: "T0.0", Value: int64(0),
+					Effects: []Effect{{Obj: "ctr", Op: adt.CtrGet{}, Val: int64(filled)}}}}, nil)
+				if err == nil {
+					err = tk.Wait()
+				}
+				done <- err
+			}()
+		}
+		time.Sleep(30 * time.Millisecond)
+		if got := lg.Stats().NextLSN; got != uint64(filled)+1 {
+			t.Fatalf("NextLSN went from %d to %d with the buffer over budget", filled+1, got)
+		}
+		return lg, mem, ffs, release, filled, done
+	}
+
+	t.Run("fault", func(t *testing.T) {
+		lg, _, ffs, release, _, done := setup(t)
+		ffs.FailAfter(0)
+		close(release)
+		for i := 0; i < held; i++ {
+			select {
+			case err := <-done:
+				if !errors.Is(err, ErrInjected) {
+					t.Fatalf("held stager woke with %v, want the latched ErrInjected", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%d of %d held stagers never woke after the log latched", held-i, held)
+			}
+		}
+		if err := lg.Close(); !errors.Is(err, ErrInjected) {
+			t.Fatalf("Close: err = %v, want the latched ErrInjected", err)
+		}
+	})
+
+	t.Run("release", func(t *testing.T) {
+		lg, mem, _, release, filled, done := setup(t)
+		close(release)
+		for i := 0; i < held; i++ {
+			if err := <-done; err != nil {
+				t.Fatalf("held stager after release: %v", err)
+			}
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		_, rec := mustOpen(t, mem, "d", Options{})
+		if want := 1 + filled + held; len(rec.Records) != want {
+			t.Fatalf("recovered %d records, want %d", len(rec.Records), want)
+		}
+		for i, r := range rec.Records {
+			if r.LSN != uint64(i) {
+				t.Fatalf("record %d has LSN %d: drained out of order", i, r.LSN)
+			}
+		}
+		if err := rec.Verify(); err != nil {
+			t.Fatalf("Verify: %v", err)
+		}
+	})
 }

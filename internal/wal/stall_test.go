@@ -37,7 +37,7 @@ func TestStalledFsyncDoesNotBlockAppends(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := lg.Append(r); err != nil {
+			if err := lg.AppendApply(r, nil); err != nil {
 				t.Errorf("append: %v", err)
 				return
 			}
@@ -68,12 +68,12 @@ func TestStalledFsyncDoesNotBlockAppends(t *testing.T) {
 		if st.DurableLSN != 0 {
 			t.Fatalf("durable mark %d advanced past a stalled fsync", st.DurableLSN)
 		}
-		if st.WrittenLSN == extra+1 {
+		if st.NextLSN == extra+1 {
 			break
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("writes stuck behind the stalled fsync: written=%d, want %d",
-				st.WrittenLSN, extra+1)
+				st.NextLSN, extra+1)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -113,8 +113,8 @@ func TestPoisonedLogDrainFailsLoudly(t *testing.T) {
 	h.commit("ctr", adt.CtrAdd{Delta: 1})
 
 	ffs.FailAfter(0)
-	_, err := lg.Append(Record{Commit: &CommitRecord{TID: "T0.9", Value: int64(1),
-		Effects: []Effect{{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(2)}}}})
+	err := lg.AppendApply(Record{Commit: &CommitRecord{TID: "T0.9", Value: int64(1),
+		Effects: []Effect{{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(2)}}}}, nil)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("append past fault: err = %v, want ErrInjected", err)
 	}

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"sort"
 )
 
 // ErrTruncated is returned by Tailer.Next when the position it wants has
@@ -28,12 +27,12 @@ var ErrTruncated = errors.New("wal: tail position below the log's low-water mark
 // "mid-write, try again later", never as corruption — torn-tail
 // adjudication belongs to recovery, not to a tailer racing the writer.
 //
-// With the pipelined write path, frames land in the segment in batches
-// (the sync path drains the staged batch just before each fsync), so the
-// file may momentarily end short of the log's written mark and may hold
-// frames beyond its durable mark. Callers that must not read past what a
-// crash could lose — the replication shipper — gate on DurableLSN; the
-// tailer itself only promises LSN order and clean stops at the live end.
+// Frames land in the segment in batches (a flush writes the staged batch
+// just before its fsync), so the file may momentarily end short of the
+// log's next LSN and may hold frames beyond its durable mark. Callers that
+// must not read past what a crash could lose — the replication shipper —
+// gate on DurableLSN; the tailer itself only promises LSN order and clean
+// stops at the live end.
 //
 // A Tailer is not safe for concurrent use.
 type Tailer struct {
@@ -99,17 +98,11 @@ func (t *Tailer) Next(maxRecords, maxBytes int) ([]Record, error) {
 		}
 		clean := false
 		for !full() {
-			payload, n, ferr := scanFrame(buf[t.off:])
-			if ferr == nil && payload == nil {
-				clean = true // end of what this segment has
-				break
-			}
-			var r Record
-			if ferr == nil {
-				r, ferr = unmarshalRecord(payload)
-			}
-			if ferr != nil {
-				// A frame mid-write at the live tail: stop here, retry later.
+			r, n, ferr := scanRecord(buf[t.off:])
+			if ferr != nil || n == 0 {
+				// The end of what this segment has, or a frame mid-write at
+				// the live tail: stop here, retry later.
+				clean = ferr == nil
 				break
 			}
 			t.off += int64(n)
@@ -139,40 +132,27 @@ func (t *Tailer) Next(maxRecords, maxBytes int) ([]Record, error) {
 // covers the position yet (nothing to read); ErrTruncated reports that
 // the low-water mark has moved past it.
 func (t *Tailer) resolve() (bool, error) {
-	names, err := t.fs.ReadDir(t.dir)
+	segs, ckpts, _, err := listDir(t.fs, t.dir)
 	if err != nil {
-		return false, fmt.Errorf("wal: tail readdir: %w", err)
-	}
-	var segs []uint64
-	var ckptFloor uint64
-	haveCkpt := false
-	for _, n := range names {
-		if lsn, ok := parseLSN(n, "wal-", ".seg"); ok {
-			segs = append(segs, lsn)
-			continue
-		}
-		if lsn, ok := parseLSN(n, "ckpt-", ".ckpt"); ok && (!haveCkpt || lsn > ckptFloor) {
-			ckptFloor, haveCkpt = lsn, true
-		}
+		return false, err
 	}
 	if len(segs) == 0 {
-		if haveCkpt && ckptFloor > t.next {
+		if len(ckpts) > 0 && ckpts[0].lsn > t.next {
 			return false, ErrTruncated
 		}
 		return false, nil
 	}
-	sort.Slice(segs, func(i, j int) bool { return segs[i] < segs[j] })
-	if t.next < segs[0] {
+	if t.next < segs[0].lsn {
 		return false, ErrTruncated
 	}
 	pick := segs[0]
-	for _, lsn := range segs {
-		if lsn > t.next {
+	for _, seg := range segs {
+		if seg.lsn > t.next {
 			break
 		}
-		pick = lsn
+		pick = seg
 	}
-	t.seg, t.off = segmentName(pick), 0
+	t.seg, t.off = pick.name, 0
 	return true, nil
 }
 

@@ -7,7 +7,7 @@
 //
 // The protocol is write-ahead logging at the top level of the
 // transaction tree, split at two points. A top-level commit *stages* its
-// redo record — LSN reserved, frame in the write buffer — before the lock
+// redo record — LSN taken, frame in the write buffer — before the lock
 // manager releases its locks (Stage), and is *acknowledged* only once an
 // fsync covers that LSN (Ticket.Wait). Under Moss locking the first half
 // has a crucial consequence: any later transaction that conflicts with
@@ -22,32 +22,38 @@
 // certify (Theorem 34 across a crash). No lock is held across a device
 // latency.
 //
-// The commit path is pipelined — the log splits three concerns that each
-// serialize only against themselves:
+// The write path says each thing once. There is one critical section in:
+// a record's body is encoded outside every lock, and then, under the
+// write mutex alone, its stager waits at the byte budget, takes the next
+// LSN, seals the frame with it, rotates the segment if the frame does not
+// fit, and appends the frame to the write buffer — so LSN order is staging
+// order because both are the same section, and a stager waits only on the
+// budget, never on another stager's progress. And there is one flush out:
+// the syncer goroutine, Sync, Close, a rotation's seal and a checkpoint's
+// seal all run the same body — swap the staged batch out, note the next
+// LSN as the target, one write, one fsync, publish the durable watermark
+// and answer the tickets below it — and differ only in whether the write
+// mutex is released before the file I/O (the first three: stagers fill
+// the next batch while this one is at the device) or kept (the two seals,
+// which swap the segment handle afterwards). The watermark a flush
+// publishes is the next LSN when it was *issued*: frames staged mid-flush
+// wait for the next one. A write or fsync failure latches the log: every
+// parked and later ticket fails, nothing is staged after the hole, and
+// recovery adjudicates what is on disk.
 //
-//   - LSN reservation is a short critical section under the state mutex;
-//     record encoding happens outside every lock.
-//   - Frames are staged in LSN order under a dedicated write mutex (a
-//     ticket per reserved LSN) that is never held across a batch fsync —
-//     appenders keep staging while a flush is in flight, and a whole
-//     staged batch reaches the segment as one write syscall.
-//   - The sync path (the syncer goroutine, Sync, and rotation seals)
-//     drains the staged batch and issues one shared fsync for it. The
-//     durable watermark published after each completed flush is the
-//     highest LSN staged when that flush was *issued* — frames that land
-//     mid-flush wait for the next one.
-//
-// Group commit falls out of the split: every appender parks a per-LSN
-// waiter after its write, and one fsync retires all waiters below the
-// watermark it covers, so concurrent commits share the flush — writers of
-// one hot object included, since the next one is granted as soon as the
-// previous one has staged. Staging is bounded: a frame waits while the
-// write buffer holds more than a quarter segment of unflushed bytes, so a
-// stalled device stalls its stagers instead of growing the heap.
-// Checkpoints snapshot the committed-to-root object states behind a
-// writer lock that excludes staging, so a checkpoint is exactly
-// equivalent to the redo of every record below its LSN; it seals those
-// records itself and retires their tickets.
+// Group commit falls out: every stager parks a ticket, and one fsync
+// answers all tickets below the watermark it covers, so concurrent commits
+// share the flush — writers of one hot object included, since the next one
+// is granted as soon as the previous one has staged. Staging is bounded: a
+// stager waits while the write buffer holds more than a quarter segment of
+// unflushed bytes, so a stalled device stalls its stagers instead of
+// growing the heap. The checkpoint gate is held from a record's stage
+// through its apply callback — the budget wait included, that is the
+// back-pressure — and never while a ticket waits for its fsync, by any
+// entry point. Checkpoints snapshot the committed-to-root object states
+// behind the gate's writer lock, which excludes staging, so a checkpoint
+// is exactly equivalent to the redo of every record below its LSN; it
+// seals those records itself and answers their tickets.
 package wal
 
 import (
@@ -97,50 +103,48 @@ type Log struct {
 	clk clock.Clock
 
 	segLimit int64
-	// wbufMax bounds the staged-but-unflushed bytes: writeFrame waits
-	// while wbuf holds more (a quarter of segLimit).
+	// wbufMax bounds the staged-but-unflushed bytes: enqueue waits while
+	// wbuf holds more (a quarter of segLimit).
 	wbufMax int
 
 	// gate orders staging against checkpoints: every stage holds a read
-	// lock from its write through its apply callback — microseconds, never
-	// an fsync; Checkpoint takes the write lock, so when it runs every
-	// staged record has been applied and no commit is between the two.
+	// lock from its enqueue through its apply callback — never while its
+	// ticket waits for the fsync; a checkpoint takes the write lock, so when
+	// it runs every staged record has been applied and no commit is between
+	// the two.
 	gate sync.RWMutex
 
-	// wmu is the write path: it serializes frame staging and rotations.
-	// Appenders take it per frame, in LSN order (writeSeq is the ticket),
-	// stage their frame into wbuf and return — the segment write itself
-	// happens on the sync path, which drains the whole staged batch with
-	// one write immediately before each fsync. wmu is never held across a
-	// batch fsync — only rotation's seal fsync runs under it.
+	// wmu is the way in: one critical section per record takes the next
+	// LSN, seals the frame and appends it to wbuf (enqueue). The segment
+	// write happens on the way out (flush), which swaps the whole staged
+	// batch out under wmu and — except for a rotation's or a checkpoint's
+	// seal — releases it before the file I/O.
 	wmu      sync.Mutex
-	wcond    *sync.Cond // broadcast when writeSeq advances
-	wroom    *sync.Cond // signalled when wbuf is swapped out (one waiter: the head of the ticket line)
-	writeSeq uint64     // LSN whose frame may be staged next
+	wroom    *sync.Cond // broadcast when wbuf is swapped out: stagers held at the budget
 	wbuf     []byte     // frames staged but not yet written to the segment
 	f        File       // active segment
 	segName  string     // file name of the active segment
 	segBytes int64      // bytes staged+written to the active segment
+	closed   bool
 
-	// smu is the sync path: it serializes batch drains, fsyncs and
-	// file-handle swaps (rotation, checkpoint cutover) against each
-	// other. Appenders never take it, so frame staging proceeds while a
+	// smu is the way out: it serializes batch writes, fsyncs and
+	// file-handle swaps (rotation, checkpoint cutover) against each other.
+	// Stagers do not take it except to rotate, so staging proceeds while a
 	// flush is in flight. Lock order: gate → wmu → smu → mu.
 	smu sync.Mutex
 
-	// mu guards the logical state below. Critical sections are short:
-	// mu is never held across an encode, a write, or an fsync.
+	// mu guards the logical state below. Critical sections are short: mu
+	// is never held across an encode, a write, or an fsync. nextLSN is
+	// written with wmu and mu both held, so either one suffices to read it.
 	mu           sync.Mutex
-	nextLSN      uint64   // next LSN to reserve
-	written      uint64   // every LSN below this is staged or written in its segment
+	nextLSN      uint64   // LSN the next staged record gets
 	durable      uint64   // every LSN below this is covered by an fsync
 	ckptLSN      uint64   // next LSN after the newest checkpoint (redo low-water)
-	statSegName  string   // mirror of segName for lock-free-ish Stats
+	statSegName  string   // mirror of segName for Stats
 	statSegBytes int64    // mirror of segBytes for Stats
-	waiters      []waiter // parked appenders, ascending LSN
+	waiters      []waiter // parked tickets, ascending LSN
 	watchers     []chan struct{}
 	err          error // latched fatal error: log is read-only from here on
-	closed       bool
 
 	// lastSync is the duration of the most recent batch fsync, in
 	// nanoseconds, and lastBatch the number of waiters it retired: the
@@ -192,16 +196,13 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		clk:      clock.Or(opts.Clock),
 		segLimit: opts.SegmentBytes,
 		wbufMax:  int(opts.SegmentBytes / 4),
-		writeSeq: rec.NextLSN,
 		nextLSN:  rec.NextLSN,
-		written:  rec.NextLSN,
 		ckptLSN:  rec.CheckpointLSN,
 		durable:  rec.NextLSN, // the recovered prefix is on stable storage
 		kick:     make(chan struct{}, 1),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),
 	}
-	l.wcond = sync.NewCond(&l.wmu)
 	l.wroom = sync.NewCond(&l.wmu)
 	// Continue the last surviving segment, or start a fresh one.
 	name := rec.tailSegment
@@ -234,21 +235,6 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// Append writes one record, waits until it is durable, and returns its
-// LSN. The record's LSN field is assigned by the log.
-func (l *Log) Append(r Record) (uint64, error) {
-	l.gate.RLock()
-	defer l.gate.RUnlock()
-	ch, lsn, err := l.enqueue(r, false)
-	if err != nil {
-		return 0, err
-	}
-	if err := <-ch; err != nil {
-		return 0, err
-	}
-	return lsn, nil
-}
-
 // Ticket is a staged record's claim on the fsync that will cover it.
 type Ticket struct{ ch chan error }
 
@@ -258,16 +244,16 @@ type Ticket struct{ ch chan error }
 // reached the disk, and only recovery can say.
 func (t Ticket) Wait() error { return <-t.ch }
 
-// Stage reserves the next LSN for r, stages its frame and runs apply
-// with that LSN — all while holding the checkpoint gate, so a concurrent
-// Checkpoint can never observe a state whose last commit is not yet in
-// the log (or vice versa) — and returns without waiting for the device. A
-// stage error means r was not logged and apply did not run; apply's own
-// error is returned as-is. The record is durable no later than any record
-// staged after it: a caller that does not Wait is covered by the next one
-// that does, and by Sync, Checkpoint and Close.
+// Stage gives r the next LSN, stages its frame and runs apply with that
+// LSN — all while holding the checkpoint gate, so a concurrent Checkpoint
+// can never observe a state whose last commit is not yet in the log (or
+// vice versa) — and returns without waiting for the device. A stage error
+// means r was not logged and apply did not run; apply's own error is
+// returned as-is. The record is durable no later than any record staged
+// after it: a caller that does not Wait is covered by the next one that
+// does, and by Sync, Checkpoint and Close.
 //
-// The gate is shared (stagers hold read locks), so disjoint commits stage,
+// The gate is shared (stagers hold read locks), so disjoint commits
 // release their locks and record their events in parallel.
 func (l *Log) Stage(r Record, apply func(lsn uint64) error) (Ticket, error) {
 	l.gate.RLock()
@@ -297,42 +283,50 @@ func (l *Log) AppendApply(r Record, apply func() error) error {
 	return t.Wait()
 }
 
-// AppendBatch writes a contiguous run of already-numbered records (a
+// AppendBatch stages a contiguous run of already-numbered records (a
 // replication batch) and waits for one fsync to cover them all. Unlike
-// Append, the records keep the LSNs they carry — they continue the
+// Stage, the records keep the LSNs they carry — they continue the
 // leader's numbering — and a record whose LSN does not equal the log's
 // next LSN is refused, so a follower's log is always an exact LSN prefix
-// of its leader's. On an error partway, the already-enqueued prefix
+// of its leader's. On an error partway, the already-staged prefix
 // remains valid (it is contiguous); the caller resynchronises by asking
 // the leader to resume from Stats().NextLSN.
 func (l *Log) AppendBatch(recs []Record) error {
-	if len(recs) == 0 {
-		return nil
-	}
-	l.gate.RLock()
-	defer l.gate.RUnlock()
 	var last chan error
+	l.gate.RLock()
 	for i := range recs {
 		ch, _, err := l.enqueue(recs[i], true)
 		if err != nil {
+			l.gate.RUnlock()
 			return err
 		}
 		last = ch
 	}
-	// Per-LSN retirement means the last record's ack covers the whole
-	// contiguous run.
+	l.gate.RUnlock()
+	if last == nil {
+		return nil
+	}
+	// Tickets are answered in LSN order, so the last record's covers the
+	// whole run.
 	return <-last
 }
 
-// enqueue assigns the record its LSN (or, with strict set, verifies the
-// LSN it carries continues the sequence), writes its frame into the
-// active segment in LSN order and parks a waiter for a covering fsync.
+// enqueue is the one way into the log. The expensive work — encoding the
+// record's body — happens outside every lock, in a pooled buffer with room
+// in front for what needs the LSN (so an unencodable record fails without
+// touching the sequence). The rest is one critical section under wmu:
+// wait at the byte budget, take the next LSN (or, with strict set, check
+// that the one r carries is it), seal the frame with it — twenty digits
+// and a CRC32C written in place —, rotate if the frame does not fit,
+// append it to wbuf, and advance the sequence and park the ticket. LSN
+// order is staging order because both are this section; an enqueue that
+// fails, a failed rotation included, consumes no LSN.
 //
-// The expensive work — JSON encoding and CRC framing — happens outside
-// every lock: the record's body is encoded before the reservation (so an
-// unencodable record fails without leaving a hole in the sequence) and
-// sealed with the reserved LSN afterwards, all in one pooled buffer that
-// writeFrame copies into the staging buffer.
+// The one thing that blocks here is the budget: while wbuf holds more than
+// wbufMax the stager waits for a flush to swap the buffer out (every
+// staged frame has kicked the syncer, so one is coming). The check and
+// the append are one section, so wbuf never exceeds the budget plus one
+// frame however many stagers wait and however long an fsync stalls.
 func (l *Log) enqueue(r Record, strict bool) (chan error, uint64, error) {
 	bp := frameBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
@@ -346,29 +340,42 @@ func (l *Log) enqueue(r Record, strict bool) (chan error, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
+	ch := make(chan error, 1)
 
-	l.mu.Lock()
+	l.wmu.Lock()
+	defer l.wmu.Unlock()
+	for len(l.wbuf) > l.wbufMax {
+		l.wroom.Wait()
+	}
 	if l.closed {
-		l.mu.Unlock()
 		return nil, 0, fmt.Errorf("wal: log closed")
 	}
-	if lerr := l.err; lerr != nil {
-		l.mu.Unlock()
-		return nil, 0, fmt.Errorf("wal: log failed: %w", lerr)
-	}
-	if strict && r.LSN != l.nextLSN {
-		want := l.nextLSN
-		l.mu.Unlock()
-		return nil, 0, fmt.Errorf("wal: batch LSN gap: got %d, want %d", r.LSN, want)
+	// A batch before this one failed: never stage a frame after a hole.
+	if err := l.failed(); err != nil {
+		return nil, 0, err
 	}
 	lsn := l.nextLSN
-	l.nextLSN++
-	l.mu.Unlock()
-
+	if strict && r.LSN != lsn {
+		return nil, 0, fmt.Errorf("wal: batch LSN gap: got %d, want %d", r.LSN, lsn)
+	}
 	buf, start := sealFrame(buf, frameRoom, lsn)
-	ch := make(chan error, 1)
-	if err := l.writeFrame(lsn, buf[start:], ch); err != nil {
-		return nil, 0, err
+	frame := buf[start:]
+	if l.segBytes > 0 && l.segBytes+int64(len(frame)) > l.segLimit {
+		if err := l.rotate(); err != nil {
+			return nil, 0, err
+		}
+	}
+	l.wbuf = append(l.wbuf, frame...)
+	l.segBytes += int64(len(frame))
+	l.met.WalAppends.Inc()
+	l.mu.Lock()
+	l.nextLSN = lsn + 1
+	l.statSegBytes = l.segBytes
+	l.waiters = append(l.waiters, waiter{lsn: lsn, ch: ch})
+	l.mu.Unlock()
+	select {
+	case l.kick <- struct{}{}:
+	default:
 	}
 	return ch, lsn, nil
 }
@@ -379,126 +386,99 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledFrame = 64 << 10
 
-// writeFrame stages frame as record lsn of the log. Frames enter the
-// write path in LSN order — writeSeq is the ticket — but the segment
-// write itself is deferred: frames accumulate in wbuf and the sync path
-// drains the staged batch with a single write immediately before each
-// fsync, so a batch of n commits costs one write syscall plus one fsync
-// no matter how large n is. The one thing that blocks here is the byte
-// budget: while wbuf holds more than wbufMax the frame waits (on wroom;
-// it is the head of the ticket line, so it waits alone) for a flush to
-// swap the buffer out (every staged frame has kicked the syncer,
-// so one is coming), which bounds wbuf at the budget plus one frame
-// however long an fsync stalls. On success the caller's waiter is parked
-// and retired — or failed, if the batch write or its fsync fails — by the
-// covering flush.
-func (l *Log) writeFrame(lsn uint64, frame []byte, ch chan error) error {
-	l.wmu.Lock()
-	for l.writeSeq != lsn {
-		l.wcond.Wait()
-	}
-	for len(l.wbuf) > l.wbufMax {
-		l.wroom.Wait()
-	}
-	// The sequence must advance even on failure, or every later ticket
-	// would wait forever; they fail fast on the latched error instead.
-	defer func() {
-		l.writeSeq = lsn + 1
-		l.wcond.Broadcast()
-		l.wmu.Unlock()
-	}()
-	l.mu.Lock()
-	lerr := l.err
-	l.mu.Unlock()
-	if lerr != nil {
-		// A predecessor's batch failed: never stage a frame after a hole.
-		return fmt.Errorf("wal: log failed: %w", lerr)
-	}
-	if l.segBytes > 0 && l.segBytes+int64(len(frame)) > l.segLimit {
-		if err := l.rotate(); err != nil {
-			return err
-		}
-	}
-	l.wbuf = append(l.wbuf, frame...)
-	l.segBytes += int64(len(frame))
-	l.met.WalAppends.Inc()
-	l.mu.Lock()
-	l.written = lsn + 1
-	l.statSegBytes = l.segBytes
-	l.waiters = append(l.waiters, waiter{lsn: lsn, ch: ch})
-	l.mu.Unlock()
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-	return nil
-}
-
-// drain swaps the staged batch out of wbuf and wakes the stager held at
+// drain swaps the staged batch out of wbuf and wakes the stagers held at
 // the byte budget. Called with wmu held.
 func (l *Log) drain() []byte {
 	buf := l.wbuf
 	l.wbuf = nil
-	l.wroom.Signal()
+	l.wroom.Broadcast()
 	return buf
 }
 
-// latch records the first fatal error; the log is read-only from here on.
-func (l *Log) latch(err error) {
+// latch records the first fatal error — the log is read-only from here
+// on — and returns err.
+func (l *Log) latch(err error) error {
 	l.mu.Lock()
 	if l.err == nil {
 		l.err = err
 	}
 	l.mu.Unlock()
+	return err
 }
 
-// rotate seals the active segment (drain the staged frames, fsync —
-// which also publishes the durable mark and retires the covered
-// waiters — then close) and opens a fresh one named after the next LSN.
-// Called with wmu held; takes smu so the handle swap cannot race an
-// in-flight batch fsync.
-func (l *Log) rotate() error {
-	l.smu.Lock()
-	defer l.smu.Unlock()
-	buf := l.drain()
+// failed returns the latched fault, wrapped, or nil.
+func (l *Log) failed() error {
 	l.mu.Lock()
-	target := l.written
-	l.mu.Unlock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return fmt.Errorf("wal: log failed: %w", l.err)
+	}
+	return nil
+}
+
+// flush is the one way out of the write buffer: swap the staged batch
+// out, take the next LSN as the target, move the batch into the active
+// segment with a single write, fsync, and publish the outcome
+// (finishFlush) — so a batch of n commits costs one write syscall plus one
+// fsync no matter how large n is. Called with wmu and smu held; returns
+// with smu held. Its callers differ only in unlock, whether wmu is
+// released before the file I/O: the syncer, Sync and Close release it, so
+// stagers fill the next batch (and may even rotate, serialized behind smu)
+// while this one is at the device; a rotation under its stager and a
+// cutover under its checkpoint keep it. A write or fsync failure latches
+// the log, and a latched log fails every flush without touching the file:
+// the segment ends at the last batch before the hole, and recovery
+// adjudicates whatever is on disk.
+func (l *Log) flush(unlock bool) error {
+	buf := l.drain()
+	f, target := l.f, l.nextLSN
+	if unlock {
+		l.wmu.Unlock()
+	}
 	start := time.Now()
-	var err error
-	if len(buf) > 0 {
-		if _, werr := l.f.Write(buf); werr != nil {
-			err = fmt.Errorf("wal: rotate write: %w", werr)
+	err := l.failed()
+	if err == nil && len(buf) > 0 {
+		if _, werr := f.Write(buf); werr != nil {
+			// The segment may now hold a torn frame; recovery will cut it.
+			err = l.latch(fmt.Errorf("wal: write: %w", werr))
 		}
 	}
 	if err == nil {
-		if serr := l.f.Sync(); serr != nil {
-			err = fmt.Errorf("wal: rotate sync: %w", serr)
+		if serr := f.Sync(); serr != nil {
+			err = l.latch(fmt.Errorf("wal: fsync: %w", serr))
 		}
 	}
-	if err != nil {
-		l.latch(err)
-		l.finishFlush(target, time.Since(start), err)
+	d := time.Since(start)
+	if err == nil {
+		l.lastSync.Store(int64(d))
+	}
+	l.finishFlush(target, d, err)
+	return err
+}
+
+// seal flushes and closes the active segment. Called with wmu and smu
+// held; the caller opens the next segment.
+func (l *Log) seal() error {
+	if err := l.flush(false); err != nil {
 		return err
 	}
-	l.finishFlush(target, time.Since(start), nil)
 	if err := l.f.Close(); err != nil {
-		err = fmt.Errorf("wal: rotate close: %w", err)
-		l.latch(err)
-		return err
+		return l.latch(fmt.Errorf("wal: close segment: %w", err))
 	}
-	name := segmentName(l.writeSeq)
+	return nil
+}
+
+// openSegment makes the segment named after lsn — its first record — the
+// active one. Called with wmu and smu held, after seal.
+func (l *Log) openSegment(lsn uint64) error {
+	name := segmentName(lsn)
 	f, err := l.fs.OpenFile(filepath.Join(l.dir, name), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 	if err != nil {
-		err = fmt.Errorf("wal: rotate open: %w", err)
-		l.latch(err)
-		return err
+		return l.latch(fmt.Errorf("wal: open segment: %w", err))
 	}
 	if err := l.fs.SyncDir(l.dir); err != nil {
 		f.Close()
-		err = fmt.Errorf("wal: rotate sync dir: %w", err)
-		l.latch(err)
-		return err
+		return l.latch(fmt.Errorf("wal: sync dir: %w", err))
 	}
 	l.f, l.segName, l.segBytes = f, name, 0
 	l.mu.Lock()
@@ -507,8 +487,20 @@ func (l *Log) rotate() error {
 	return nil
 }
 
-// syncer is the goroutine that retires parked appenders: one fsync per
-// batch. Waiters that park while a flush is in flight form the next
+// rotate seals the active segment and opens a fresh one for the frame its
+// stager is about to append. Called with wmu held; takes smu so the
+// handle swap cannot race an in-flight batch fsync.
+func (l *Log) rotate() error {
+	l.smu.Lock()
+	defer l.smu.Unlock()
+	if err := l.seal(); err != nil {
+		return err
+	}
+	return l.openSegment(l.nextLSN)
+}
+
+// syncer is the goroutine that retires parked tickets: one fsync per
+// batch. Tickets that park while a flush is in flight form the next
 // batch and are retired without waiting for another kick.
 func (l *Log) syncer() {
 	defer close(l.done)
@@ -524,63 +516,24 @@ func (l *Log) syncer() {
 	}
 }
 
-// flushOnce retires one batch: it moves every frame staged at sample
-// time into the active segment with a single write, issues one shared
-// fsync, and retires the covered waiters. It reports whether any waiter
-// was parked (false means the log is drained and the syncer can block).
-// The write path is released before the file I/O starts — lock order is
-// wmu → smu, so the staged batch is swapped out under wmu and then
-// written+fsynced under smu alone: appenders stage the next batch (and
-// may even rotate, serialized behind smu) while this one flushes.
+// flushOnce retires one batch and reports whether there was one (false
+// means the log is drained and the syncer can block). Staged bytes count
+// even with no ticket parked: after a failed flush has answered every
+// ticket, one more drain is what wakes the stagers held at the budget.
 func (l *Log) flushOnce() bool {
 	l.gatherBatch()
 	l.wmu.Lock()
 	l.smu.Lock()
-	buf := l.drain()
-	f := l.f
+	defer l.smu.Unlock()
 	l.mu.Lock()
-	target := l.written
-	n := len(l.waiters)
-	lerr := l.err
+	parked := len(l.waiters)
 	l.mu.Unlock()
-	l.wmu.Unlock()
-	if n == 0 && len(buf) == 0 {
-		l.smu.Unlock()
+	if parked == 0 && len(l.wbuf) == 0 {
+		l.wmu.Unlock()
 		return false
 	}
-	start := time.Now()
-	err := l.writeAndSync(f, buf, lerr)
-	d := time.Since(start)
-	if err == nil {
-		l.lastSync.Store(int64(d))
-	}
-	l.finishFlush(target, d, err)
-	l.smu.Unlock()
+	l.flush(true)
 	return true
-}
-
-// writeAndSync writes a drained batch and fsyncs the segment, latching
-// any failure. Called with smu held. A latched prior error fails the
-// flush without touching the file: the segment ends at the last batch
-// before the hole, and recovery adjudicates whatever is on disk.
-func (l *Log) writeAndSync(f File, buf []byte, lerr error) error {
-	if lerr != nil {
-		return fmt.Errorf("wal: log failed: %w", lerr)
-	}
-	if len(buf) > 0 {
-		if _, err := f.Write(buf); err != nil {
-			// The segment may now hold a torn frame; recovery will cut it.
-			err = fmt.Errorf("wal: write: %w", err)
-			l.latch(err)
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		err = fmt.Errorf("wal: fsync: %w", err)
-		l.latch(err)
-		return err
-	}
-	return nil
 }
 
 // gatherBatch gives committers acked by the previous flush a moment to
@@ -612,10 +565,10 @@ func (l *Log) gatherBatch() {
 	}
 }
 
-// finishFlush publishes the outcome of one fsync issued when the written
-// mark was target: on success the durable watermark advances to target
-// (never past it — frames written mid-flush wait for the next one) and
-// the covered waiters are retired; on failure every parked waiter fails,
+// finishFlush publishes the outcome of one fsync issued when the next LSN
+// was target: on success the durable watermark advances to target (never
+// past it — frames staged mid-flush wait for the next one) and the
+// covered tickets are answered; on failure every parked ticket fails,
 // since the log is poisoned and no later fsync will cover them.
 func (l *Log) finishFlush(target uint64, d time.Duration, err error) {
 	l.mu.Lock()
@@ -650,85 +603,49 @@ func (l *Log) finishFlush(target uint64, d time.Duration, err error) {
 	}
 }
 
-// syncNow drains the staged frames and fsyncs the active segment
-// immediately and retires the covered waiters.
-func (l *Log) syncNow() error {
-	l.wmu.Lock()
-	l.smu.Lock()
-	buf := l.drain()
-	f := l.f
-	l.mu.Lock()
-	target := l.written
-	lerr := l.err
-	l.mu.Unlock()
-	l.wmu.Unlock()
-	start := time.Now()
-	err := l.writeAndSync(f, buf, lerr)
-	l.finishFlush(target, time.Since(start), err)
-	l.smu.Unlock()
-	return err
-}
-
-// Sync forces any buffered records to stable storage now. If the log has latched a fatal error — a
-// failed append poisoned it — Sync reports that error even when this
-// flush itself succeeds: state past the torn frame is gone, and a drain
-// that relied on it must fail loudly, not report a clean shutdown.
+// Sync forces every staged record to stable storage now. On a log that
+// has latched a fault it reports the fault: state past the torn frame is
+// gone, and a drain that relied on it must fail loudly, not report a
+// clean shutdown.
 func (l *Log) Sync() error {
-	l.mu.Lock()
+	l.wmu.Lock()
 	if l.closed {
-		l.mu.Unlock()
+		l.wmu.Unlock()
 		return fmt.Errorf("wal: log closed")
 	}
-	l.mu.Unlock()
-	err := l.syncNow()
-	l.mu.Lock()
-	if l.err != nil {
-		err = fmt.Errorf("wal: log failed: %w", l.err)
-	}
-	l.mu.Unlock()
-	return err
+	l.smu.Lock()
+	defer l.smu.Unlock()
+	return l.flush(true)
 }
 
 // Close flushes outstanding records, stops the syncer and closes the
 // active segment. The log is unusable afterwards. Like Sync, Close
-// reports a previously latched fatal error rather than a clean shutdown.
+// reports a latched fault rather than a clean shutdown.
 func (l *Log) Close() error {
-	l.mu.Lock()
+	// closed is set with wmu held, so no stager is between its check and
+	// its append: whatever was staged is in wbuf for the flush below.
+	l.wmu.Lock()
 	if l.closed {
-		l.mu.Unlock()
+		l.wmu.Unlock()
 		return nil
 	}
 	l.closed = true
-	reserved := l.nextLSN
-	l.mu.Unlock()
-	// Drain the write path: every LSN reserved before closed was set has
-	// passed through writeFrame once writeSeq reaches the mark.
-	l.wmu.Lock()
-	for l.writeSeq != reserved {
-		l.wcond.Wait()
-	}
 	l.wmu.Unlock()
 	close(l.stop)
 	<-l.done
-	err := l.syncNow()
+	l.wmu.Lock()
 	l.smu.Lock()
-	cerr := l.f.Close()
-	l.smu.Unlock()
-	if err == nil {
+	defer l.smu.Unlock()
+	err := l.flush(true)
+	if cerr := l.f.Close(); err == nil {
 		err = cerr
 	}
-	l.mu.Lock()
-	if l.err != nil {
-		err = fmt.Errorf("wal: log failed: %w", l.err)
-	}
-	l.mu.Unlock()
 	return err
 }
 
 // Stats reports the log's position.
 type Stats struct {
-	NextLSN       uint64 // LSN the next append will get
-	WrittenLSN    uint64 // every LSN below this has passed the write path (staged or written)
+	NextLSN       uint64 // LSN the next staged record gets: every LSN below it is in the write buffer or its segment
 	DurableLSN    uint64 // every LSN below this is covered by an fsync
 	CheckpointLSN uint64 // redo low-water mark (0 = no checkpoint)
 	Segment       string // active segment file name
@@ -742,7 +659,6 @@ func (l *Log) Stats() Stats {
 	defer l.mu.Unlock()
 	return Stats{
 		NextLSN:       l.nextLSN,
-		WrittenLSN:    l.written,
 		DurableLSN:    l.durable,
 		CheckpointLSN: l.ckptLSN,
 		Segment:       l.statSegName,

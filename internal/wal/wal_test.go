@@ -28,7 +28,7 @@ func newHarness(t *testing.T, lg *Log) *harness {
 
 func (h *harness) register(name string, init adt.State) {
 	h.t.Helper()
-	if _, err := h.lg.Append(Record{Register: &RegisterRecord{Name: name, Initial: init}}); err != nil {
+	if err := h.lg.AppendApply(Record{Register: &RegisterRecord{Name: name, Initial: init}}, nil); err != nil {
 		h.t.Fatalf("register %s: %v", name, err)
 	}
 	h.states[name] = init
@@ -45,7 +45,7 @@ func (h *harness) commit(obj string, op adt.Op) {
 		Value:   int64(1),
 		Effects: []Effect{{Obj: obj, Op: op, Val: v}},
 	}}
-	if _, err := h.lg.Append(rec); err != nil {
+	if err := h.lg.AppendApply(rec, nil); err != nil {
 		h.t.Fatalf("commit %d: %v", h.n, err)
 	}
 }
@@ -246,13 +246,13 @@ func TestAppendErrorFailsNotAcks(t *testing.T) {
 	h.commit("ctr", adt.CtrAdd{Delta: 1})
 
 	ffs.FailAfter(0)
-	_, err := lg.Append(Record{Commit: &CommitRecord{TID: "T0.9", Value: int64(1),
-		Effects: []Effect{{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(2)}}}})
+	err := lg.AppendApply(Record{Commit: &CommitRecord{TID: "T0.9", Value: int64(1),
+		Effects: []Effect{{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(2)}}}}, nil)
 	if !errors.Is(err, ErrInjected) {
 		t.Fatalf("append past fault: err = %v, want ErrInjected", err)
 	}
 	// The log is latched broken: later appends fail fast too.
-	if _, err := lg.Append(Record{Register: &RegisterRecord{Name: "x", Initial: adt.Counter{}}}); err == nil {
+	if err := lg.AppendApply(Record{Register: &RegisterRecord{Name: "x", Initial: adt.Counter{}}}, nil); err == nil {
 		t.Fatalf("append after latched failure succeeded")
 	}
 	lg.Close()
@@ -274,7 +274,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	fs.SetSyncDelay(2 * time.Millisecond)
 	met := &obs.Metrics{}
 	lg, _ := mustOpen(t, fs, "d", Options{Metrics: met})
-	if _, err := lg.Append(Record{Register: &RegisterRecord{Name: "reg", Initial: adt.NewRegister(int64(0))}}); err != nil {
+	if err := lg.AppendApply(Record{Register: &RegisterRecord{Name: "reg", Initial: adt.NewRegister(int64(0))}}, nil); err != nil {
 		t.Fatal(err)
 	}
 	const writers, per = 8, 20
@@ -290,7 +290,7 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 				v := int64(w*per + i)
 				rec := Record{Commit: &CommitRecord{TID: "T0.1", Value: v,
 					Effects: []Effect{{Obj: "reg", Op: adt.RegWrite{V: v}, Val: v}}}}
-				if _, err := lg.Append(rec); err != nil {
+				if err := lg.AppendApply(rec, nil); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
