@@ -37,6 +37,7 @@ bench:
 	$(GO) test -bench . -benchtime 1x ./...
 	$(GO) test -run XXX -bench ServerThroughput -benchtime 200x ./internal/server
 	$(GO) test -run XXX -bench ShardScaling -benchtime 1000x ./internal/lockmgr
+	$(GO) test -run XXX -bench AbortBesideHolders -benchtime 20000x ./internal/lockmgr
 	$(GO) test -run XXX -bench E17SnapshotScans -benchtime 5x .
 
 # Smoke-run every benchmark once (CI: catches bit-rot in bench code

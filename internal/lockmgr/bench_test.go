@@ -1,10 +1,11 @@
 // Benchmarks for the lock-manager hot paths: commit/abort cost as a
 // function of the registered-object universe (BenchmarkCommitFootprint)
-// and wakeup fan-out under contention (BenchmarkContendedWakeup).
+// and of the other lock holders (BenchmarkAbortBesideHolders), and wakeup
+// fan-out under contention (BenchmarkContendedWakeup).
 //
 // Run with:
 //
-//	go test -bench 'CommitFootprint|ContendedWakeup' -benchtime 100x ./internal/lockmgr
+//	go test -bench 'CommitFootprint|AbortBesideHolders|ContendedWakeup' -benchtime 100x ./internal/lockmgr
 //
 // Results are tracked across revisions in BENCH_lockmgr.json at the repo
 // root: commit/abort cost must stay flat as the universe grows 16→4096,
@@ -89,6 +90,40 @@ func BenchmarkCommitFootprint(b *testing.B) {
 					if _, err := m.Acquire(tx, tx.Child(k), x, adt.RegWrite{V: int64(i)}, nil); err != nil {
 						b.Fatal(err)
 					}
+				}
+				m.Abort(tx)
+			}
+		})
+	}
+}
+
+// BenchmarkAbortBesideHolders measures acquire + Abort of a one-lock
+// transaction while `holders` other top-level transactions each hold a
+// lock in the same shard. Abort walks its own tree's record, so what is
+// left of the bystanders is a bigger map to probe and a bigger heap to
+// mark (about 2× at 100,000); an Abort that scans every lock holder of
+// the shard for descendants of the aborted transaction grows with them
+// (EXPERIMENTS.md E25: 1.5 µs → 0.9 ms at 100,000).
+func BenchmarkAbortBesideHolders(b *testing.B) {
+	for _, holders := range []int{0, 1000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("holders=%d", holders), func(b *testing.B) {
+			m := NewSharded(nil, core.ReadWrite, nil, 1)
+			for _, x := range []string{"shared", "own"} {
+				if err := m.Register(x, adt.NewRegister(int64(0))); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < holders; i++ {
+				tx := tree.Root.Child(i)
+				if _, err := m.Acquire(tx, tx.Child(0), "shared", adt.RegRead{}, nil); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				tx := tree.Root.Child(holders + i)
+				if _, err := m.Acquire(tx, tx.Child(0), "own", adt.RegWrite{V: int64(i)}, nil); err != nil {
+					b.Fatal(err)
 				}
 				m.Abort(tx)
 			}

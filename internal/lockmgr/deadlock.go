@@ -13,29 +13,29 @@ import "nestedtx/internal/tree"
 // without an abort.
 //
 // The graph is never materialised: successors are enumerated on demand
-// from the per-object queues (via the waiting index), and the search
-// starts only from the transactions whose outgoing edges the triggering
-// event changed — a new cycle must pass through one of them. Detection
-// cost therefore scales with the reachable component of the change, not
-// with the total number of waiters in the system.
+// from the per-object queues (via each tree's list of waiters), and the
+// search starts only from the transactions whose outgoing edges the
+// triggering event changed — a new cycle must pass through one of them.
+// Detection cost therefore scales with the reachable component of the
+// change, not with the total number of waiters in the system.
 //
-// Under sharding the graph is partitioned too: a shard's waiting index
-// only knows the wait edges of its own queues. The walk therefore runs in
+// Under sharding the graph is partitioned too: a shard's records only
+// know the wait edges of its own queues. The walk therefore runs in
 // one of two modes. The local mode holds a single shard mutex and is
 // sound only while every transaction it visits has all its tree's
-// waiters in that shard — the striped waiter counts answer that in O(1)
+// waiters in that shard — the striped waiting bits answer that in O(1)
 // per node (treeConfined). The first unconfined node aborts the local
 // walk before any of its possibly-missing edges could be followed, and
 // the caller escalates: drop the shard mutex, take every shard mutex in
 // ascending id order (the global shard-lock order), and rerun the same
-// DFS over the union of all shards' indexes. Holding all shard mutexes
+// DFS over the union of all shards' records. Holding all shard mutexes
 // makes the snapshot consistent across shards, and serialises escalated
 // walks against each other and against every local walk, so each cycle
 // still elects exactly one victim: two local walks in different shards
 // can never see the same cycle (a cycle visible to a local walk has every
 // member tree confined to that shard).
 
-// graphView enumerates wait-for edges from either one shard's indexes
+// graphView enumerates wait-for edges from either one shard's records
 // (local, the shard's mutex held) or every shard's (escalated, all
 // mutexes held).
 type graphView struct {
@@ -43,30 +43,19 @@ type graphView struct {
 	local *shard // nil in escalated mode
 }
 
-func (g graphView) eachWaiter(t tree.TID, f func(*waiter)) {
+// eachWaiter calls f on every queued waiter of top's tree the view sees,
+// oldest first within a shard. Both kinds of edge come from here: they
+// never cross a top-level boundary, so one tree's list is all a node needs.
+func (g graphView) eachWaiter(top tree.TID, f func(*waiter)) {
+	shards := g.m.shards
 	if g.local != nil {
-		for _, w := range g.local.waiting[t] {
-			f(w)
-		}
-		return
+		shards = []*shard{g.local}
 	}
-	for _, sh := range g.m.shards {
-		for _, w := range sh.waiting[t] {
-			f(w)
-		}
-	}
-}
-
-func (g graphView) eachTopWaiting(top tree.TID, f func(tree.TID)) {
-	if g.local != nil {
-		for u := range g.local.topWaiting[top] {
-			f(u)
-		}
-		return
-	}
-	for _, sh := range g.m.shards {
-		for u := range sh.topWaiting[top] {
-			f(u)
+	for _, sh := range shards {
+		if r := sh.trees[top]; r != nil {
+			for _, w := range r.waiters {
+				f(w)
+			}
 		}
 	}
 }
@@ -75,7 +64,10 @@ func (g graphView) eachTopWaiting(top tree.TID, f func(tree.TID)) {
 func (g graphView) succ(t tree.TID, buf []tree.TID) []tree.TID {
 	// Lock edges: for each of t's waits, the holder chains that must
 	// commit before the wait can be granted.
-	g.eachWaiter(t, func(wt *waiter) {
+	g.eachWaiter(topOf(t), func(wt *waiter) {
+		if wt.tx != t {
+			return
+		}
 		ls := wt.ls
 		addChain := func(holder tree.TID) {
 			lca := tree.LCA(holder, wt.access)
@@ -99,11 +91,9 @@ func (g graphView) succ(t tree.TID, buf []tree.TID) []tree.TID {
 		}
 	})
 	// Structural edges: t is gated on every waiting proper descendant.
-	// Descendants share t's top-level ancestor, so only that tree's
-	// waiting transactions are scanned.
-	g.eachTopWaiting(topOf(t), func(u tree.TID) {
-		if t.IsProperAncestorOf(u) {
-			buf = append(buf, u)
+	g.eachWaiter(topOf(t), func(wt *waiter) {
+		if t.IsProperAncestorOf(wt.tx) {
+			buf = append(buf, wt.tx)
 		}
 	})
 	return buf
@@ -169,7 +159,10 @@ func (g graphView) detect(starts []tree.TID) (victim *waiter, escalate bool) {
 	// waiting, breaking level ties in favour of the latest sibling —
 	// path components compare numerically, so T0.10 outranks T0.9.
 	for _, t := range cycle {
-		g.eachWaiter(t, func(cand *waiter) {
+		g.eachWaiter(topOf(t), func(cand *waiter) {
+			if cand.tx != t {
+				return
+			}
 			if victim == nil || cand.tx.Level() > victim.tx.Level() ||
 				(cand.tx.Level() == victim.tx.Level() && tree.Compare(cand.tx, victim.tx) > 0) {
 				victim = cand
@@ -203,7 +196,7 @@ func (sh *shard) breakCyclesLocked(starts []tree.TID) (escalate bool) {
 
 // breakCyclesGlobal is the escalated walk: it takes every shard mutex in
 // ascending id order and runs detection over the union of all shards'
-// wait indexes. Callers must hold no shard mutex.
+// waiter lists. Callers must hold no shard mutex.
 func (m *Manager) breakCyclesGlobal(starts []tree.TID) {
 	m.escalations.Add(1)
 	for _, sh := range m.shards {

@@ -10,10 +10,14 @@
 // deadlock victim.
 //
 // Per-transaction cost tracks the transaction's footprint, not the size
-// of the registered universe: a held-locks index (TID → locked objects)
-// lets Commit and Abort visit only the objects the transaction actually
-// locked, and waiters queue on the object they are blocked on, so a
-// commit or abort wakes only the waiters whose lock tables it changed.
+// of the registered universe nor the number of other transactions: M(X)'s
+// state is per object, and everything keyed by transaction is derived from
+// it and kept once — per shard one record per top-level transaction (the
+// lock sets of the tree's transactions and its queued waiters), per stripe
+// the two sets of shards where such a record has either. Commit and Abort
+// walk their own tree's records, and waiters queue on the object they are
+// blocked on, so a commit or abort wakes only the waiters whose lock
+// tables it changed.
 //
 // An object's write-lockholders are totally ordered by ancestry (Lemma
 // 21) and the version map is defined exactly on them, so the two are kept
@@ -43,6 +47,7 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -86,35 +91,40 @@ type Manager struct {
 	escalations atomic.Uint64
 }
 
-// indexStripe holds the cross-shard per-tree indexes for a slice of the
-// top-level TID space. Two maps, both keyed by top-level transaction:
-//
-//   - held: the set of shard ids where the tree holds (or ever held, until
-//     it ends) at least one lock — the footprint Commit and Abort visit —
-//     as a bit set: one small allocation when the tree takes its first
-//     lock, none to extend or walk it. Entries are deleted when the
-//     top-level transaction commits or aborts; over-approximation in
-//     between is harmless (a visited shard with nothing to move is a
-//     no-op).
-//   - waits: per-shard count of the tree's queued waiters — the
-//     confinement test deadlock detection uses to decide whether a local
-//     walk is sound or must escalate.
+// indexStripe holds the cross-shard index for a slice of the top-level
+// TID space: one map, keyed by top-level transaction, of the shards where
+// the tree's record (shard.trees) has a lock set and of those where it has
+// a queued waiter. A bit is set when the record's list gains its first
+// member and cleared when the list empties, under that shard's mutex both
+// times, so the two sets are exact — no counts, nothing to reconcile — and
+// an entry exists exactly while some bit of it is set. held is the
+// footprint Commit and Abort visit; waiting is the confinement test
+// deadlock detection uses to decide whether a local walk is sound or must
+// escalate.
 //
 // Lock order: a stripe mutex is only ever taken while holding at most the
 // shard mutexes already held by the caller, and no shard mutex is ever
 // taken while holding a stripe mutex.
 type indexStripe struct {
 	mu    sync.Mutex
-	held  map[tree.TID]shardSet
-	waits map[tree.TID]map[int]int
+	trees map[tree.TID]treeShards
 }
+
+// treeShards is a stripe entry: the shards where the tree holds locks and
+// those where it has waiters queued.
+type treeShards [2]shardSet
+
+const held, waiting = 0, 1 // the two sets of a treeShards
 
 // shardSet is a bit set over shard ids, bit i%64 of word i/64 standing
 // for shard i; every set of a manager has the words its shard count needs.
 type shardSet []uint64
 
 func (s shardSet) add(i int)      { s[i/64] |= 1 << (i % 64) }
+func (s shardSet) remove(i int)   { s[i/64] &^= 1 << (i % 64) }
 func (s shardSet) has(i int) bool { return s[i/64]&(1<<(i%64)) != 0 }
+
+func (s shardSet) empty() bool { return !slices.ContainsFunc(s, func(w uint64) bool { return w != 0 }) }
 
 const numStripes = 64
 
@@ -159,17 +169,14 @@ func NewSharded(rec *event.Recorder, mode core.Mode, met *obs.Metrics, n int) *M
 	m.met.ShardQueued = make([]obs.Gauge, n)
 	for i := range m.shards {
 		m.shards[i] = &shard{
-			id:         i,
-			m:          m,
-			objects:    make(map[string]*lockState),
-			held:       make(map[tree.TID]lockSet),
-			waiting:    make(map[tree.TID][]*waiter),
-			topWaiting: make(map[tree.TID]map[tree.TID]struct{}),
+			id:      i,
+			m:       m,
+			objects: make(map[string]*lockState),
+			trees:   make(map[tree.TID]*treeRec),
 		}
 	}
 	for i := range m.stripes {
-		m.stripes[i].held = make(map[tree.TID]shardSet)
-		m.stripes[i].waits = make(map[tree.TID]map[int]int)
+		m.stripes[i].trees = make(map[tree.TID]treeShards)
 	}
 	return m
 }
@@ -190,106 +197,66 @@ func (m *Manager) stripeFor(top tree.TID) *indexStripe {
 // t must not be the root.
 func topOf(t tree.TID) tree.TID { return tree.Root.ChildToward(t) }
 
-// ---- cross-shard per-tree indexes ----
+// ---- cross-shard per-tree index ----
 
-// fpAdd records that t's tree holds at least one lock in shard sid.
-// The root's locks are not tracked (the root never commits or aborts).
-func (m *Manager) fpAdd(t tree.TID, sid int) {
-	if t == tree.Root {
-		return
-	}
-	top := topOf(t)
+// markShard sets or clears shard sid in one (held or waiting) set of top's
+// tree. The caller holds shard sid's mutex and calls once per transition
+// of the tree's record there between empty and non-empty, never per access.
+func (m *Manager) markShard(top tree.TID, sid, which int, on bool) {
 	st := m.stripeFor(top)
 	st.mu.Lock()
-	s := st.held[top]
-	if s == nil {
-		s = make(shardSet, (len(m.shards)+63)/64)
-		st.held[top] = s
+	defer st.mu.Unlock()
+	e, ok := st.trees[top]
+	if !ok {
+		// One allocation for both sets.
+		words := (len(m.shards) + 63) / 64
+		buf := make([]uint64, 2*words)
+		e = treeShards{buf[:words], buf[words:]}
+		st.trees[top] = e
 	}
-	s.add(sid)
-	st.mu.Unlock()
+	if on {
+		e[which].add(sid)
+		return
+	}
+	e[which].remove(sid)
+	if e[held].empty() && e[waiting].empty() {
+		delete(st.trees, top)
+	}
 }
 
 // eachFpShard calls f, under the shard's mutex, on every shard (ascending
-// id) where top's tree may hold locks.
+// id) where top's tree holds locks.
 func (m *Manager) eachFpShard(top tree.TID, f func(*shard)) {
-	visit := func(sh *shard) {
-		sh.mu.Lock()
-		f(sh)
-		sh.mu.Unlock()
-	}
-	if len(m.shards) == 1 {
-		visit(m.shards[0])
-		return
-	}
 	// The walk runs on a copy so the stripe mutex is never held together
 	// with a shard mutex taken after it; up to 256 shards the copy stays
 	// on the stack.
 	var buf [4]uint64
 	st := m.stripeFor(top)
 	st.mu.Lock()
-	words := append(buf[:0], st.held[top]...)
+	words := append(buf[:0], st.trees[top][held]...)
 	st.mu.Unlock()
 	for i, w := range words {
 		for ; w != 0; w &= w - 1 {
-			visit(m.shards[i*64+bits.TrailingZeros64(w)])
+			sh := m.shards[i*64+bits.TrailingZeros64(w)]
+			sh.mu.Lock()
+			f(sh)
+			sh.mu.Unlock()
 		}
 	}
-}
-
-// fpForget drops top's footprint entry; called when the top-level
-// transaction commits or aborts (all descendants have returned by then,
-// so no grant can race the deletion).
-func (m *Manager) fpForget(top tree.TID) {
-	st := m.stripeFor(top)
-	st.mu.Lock()
-	delete(st.held, top)
-	st.mu.Unlock()
-}
-
-// waitAdd counts one queued waiter of t's tree in shard sid.
-func (m *Manager) waitAdd(t tree.TID, sid int) {
-	top := topOf(t)
-	st := m.stripeFor(top)
-	st.mu.Lock()
-	s := st.waits[top]
-	if s == nil {
-		s = make(map[int]int)
-		st.waits[top] = s
-	}
-	s[sid]++
-	st.mu.Unlock()
-}
-
-// waitRemove undoes one waitAdd.
-func (m *Manager) waitRemove(t tree.TID, sid int) {
-	top := topOf(t)
-	st := m.stripeFor(top)
-	st.mu.Lock()
-	if s := st.waits[top]; s != nil {
-		if s[sid]--; s[sid] <= 0 {
-			delete(s, sid)
-			if len(s) == 0 {
-				delete(st.waits, top)
-			}
-		}
-	}
-	st.mu.Unlock()
 }
 
 // treeConfined reports whether every queued waiter of top's tree sits in
 // shard sid — the condition under which a deadlock walk that only sees
 // sid's wait edges is complete for that tree.
 func (m *Manager) treeConfined(top tree.TID, sid int) bool {
-	if len(m.shards) == 1 {
-		return true
-	}
 	st := m.stripeFor(top)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	s := st.waits[top]
-	for other := range s {
-		if other != sid {
+	for i, w := range st.trees[top][waiting] {
+		if i == sid/64 {
+			w &^= 1 << (sid % 64)
+		}
+		if w != 0 {
 			return false
 		}
 	}
@@ -350,7 +317,12 @@ func (m *Manager) Stats() Stats {
 func (m *Manager) TopVersions(top tree.TID) map[string]adt.State {
 	var out map[string]adt.State
 	m.eachFpShard(top, func(sh *shard) {
-		for ls := range sh.held[top] {
+		r := sh.trees[top]
+		i := r.find(top)
+		if i < 0 {
+			return
+		}
+		for ls := range r.held[i].set {
 			// top's entry, when it has one, sits directly on the root's.
 			// It is published when dirty, not merely write-locked: under
 			// exclusive locking pure readers hold write locks too, but
@@ -528,10 +500,10 @@ func (m *Manager) victimExit(waitStart time.Time, deadlock bool) {
 // Commit moves every lock held by t up to parent(t) (with its version, for
 // write locks), recording COMMIT(t) and the INFORM_COMMIT events, then
 // wakes the waiters queued on the objects whose lock tables changed. It
-// visits only the shards in t's tree's footprint index — cost is
-// proportional to the transaction's footprint, not the registered
-// universe. It must be called exactly once per committing transaction,
-// after all of t's children have returned.
+// visits only the shards where t's tree holds locks and there only t's
+// own set — cost is proportional to the transaction's footprint. It must
+// be called exactly once per committing transaction, after all of t's
+// children have returned.
 //
 // The shards are visited one at a time, so a concurrent observer can see
 // some of t's locks already inherited and others not yet — exactly the
@@ -543,10 +515,12 @@ func (m *Manager) Commit(t tree.TID, value event.Value) {
 	top := topOf(t)
 	m.rec.Record(event.Event{Kind: event.Commit, T: t})
 	m.eachFpShard(top, func(sh *shard) {
-		set := sh.held[t]
-		if set == nil {
+		r := sh.trees[top]
+		i := r.find(t)
+		if i < 0 {
 			return
 		}
+		set := r.held[i].set
 		for ls := range set {
 			// t holds a write lock, a read lock, or both on ls. A read lock
 			// passing to the root is dropped: the root conflicts with nobody.
@@ -561,70 +535,94 @@ func (m *Manager) Commit(t tree.TID, value event.Value) {
 			m.rec.Record(event.Event{Kind: event.InformCommitAt, T: t, Object: ls.name})
 			sh.wakeQueuedLocked(ls)
 		}
-		delete(sh.held, t)
-		if p == tree.Root {
+		// Every lock in the set is now p's: the root's are listed nowhere, a
+		// parent with no set here takes t's under its own name, and one that
+		// has a set gets the smaller of the two merged into the larger.
+		j := r.find(p)
+		switch {
+		case p == tree.Root:
 			sh.recycleSetLocked(set)
-		} else {
-			sh.indexInheritLocked(p, set)
+		case j < 0:
+			r.held[i].t = p
+			return
+		default:
+			mine := r.held[j].set
+			if len(mine) < len(set) {
+				mine, set = set, mine
+				r.held[j].set = mine
+			}
+			for ls := range set {
+				mine[ls] = struct{}{}
+			}
+			sh.recycleSetLocked(set)
+		}
+		if r.held = slices.Delete(r.held, i, i+1); len(r.held) == 0 {
+			sh.emptiedLocked(top, r, held)
 		}
 	})
-	if p == tree.Root {
-		m.fpForget(top)
-	}
 	m.rec.Record(event.Event{Kind: event.ReportCommit, T: t, Value: value})
 }
 
 // Abort discards every lock and version held by t or its descendants,
 // recording ABORT(t) and the INFORM_ABORT events, then wakes the waiters
 // queued on the objects whose lock tables changed. The affected objects
-// are found through the held-locks indexes of the shards in t's tree's
-// footprint, so cost is proportional to the aborted subtree's footprint.
+// are found in t's tree's records, in the shards where it holds locks, so
+// cost is proportional to the tree's footprint whoever else holds locks.
 func (m *Manager) Abort(t tree.TID) {
 	top := topOf(t)
 	m.rec.Record(event.Event{Kind: event.Abort, T: t})
 	m.eachFpShard(top, func(sh *shard) {
-		affected := sh.newSetLocked()
-		for u, objs := range sh.held {
-			if u.IsDescendantOf(t) {
-				for ls := range objs {
-					affected[ls] = struct{}{}
-				}
-				delete(sh.held, u)
-				sh.recycleSetLocked(objs)
-			}
+		r := sh.trees[top]
+		if r == nil {
+			return
 		}
-		for ls := range affected {
-			touched := ls.discardWrites(t)
-			for u := range ls.read {
-				if u.IsDescendantOf(t) {
-					ls.read.Remove(u)
-					touched = true
+		kept := r.held[:0]
+		for _, e := range r.held {
+			if !e.t.IsDescendantOf(t) {
+				kept = append(kept, e)
+				continue
+			}
+			// An object two transactions of the subtree hold is reached
+			// twice; the first visit releases every lock under t, so the
+			// second finds nothing and counts nothing.
+			for ls := range e.set {
+				touched := ls.discardWrites(t)
+				for u := range ls.read {
+					if u.IsDescendantOf(t) {
+						ls.read.Remove(u)
+						touched = true
+					}
+				}
+				if touched {
+					sh.stats.AbortReleases++
+					m.rec.Record(event.Event{Kind: event.InformAbortAt, T: t, Object: ls.name})
+					sh.wakeQueuedLocked(ls)
 				}
 			}
-			if touched {
-				sh.stats.AbortReleases++
-				m.rec.Record(event.Event{Kind: event.InformAbortAt, T: t, Object: ls.name})
-				sh.wakeQueuedLocked(ls)
-			}
+			sh.recycleSetLocked(e.set)
 		}
-		sh.recycleSetLocked(affected)
+		if len(kept) == len(r.held) {
+			return
+		}
+		clear(r.held[len(kept):])
+		if r.held = kept; len(kept) == 0 {
+			sh.emptiedLocked(top, r, held)
+		}
 	})
-	if t.Parent() == tree.Root {
-		m.fpForget(top)
-	}
 	m.rec.Record(event.Event{Kind: event.ReportAbort, T: t})
 }
 
 // CheckInvariants verifies Lemma 21 (each object's write-lockholders
 // strictly descend from the root at the base of its chain, and every
 // read-lockholder is ancestry-related to every write-lockholder), that
-// every write-lockholder has a version, that the held-locks index agrees
-// exactly with the lock tables (the root's locks alone are unindexed), and
-// that the shard partition is clean: every object lives in exactly the
-// shard its hash names, every held lock is covered by the cross-shard
-// footprint index, and the striped waiter counts match the queues
-// exactly. It locks every shard (ascending, the global order), so the
-// snapshot is consistent across shards. For tests and stress runs.
+// every write-lockholder has a version, that the per-tree records agree
+// exactly with the lock tables and the queues (see checkLocked), and that
+// the shard partition is clean: every object lives in the shard its hash
+// names, and a tree's held (waiting) bit for a shard is set exactly when
+// its record there has a lock set (a waiter). It locks every shard
+// (ascending, the global order) and every bit is flipped under its shard's
+// mutex, so shards and stripes are one consistent snapshot. For tests and
+// stress runs.
 func (m *Manager) CheckInvariants() error {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
@@ -634,89 +632,64 @@ func (m *Manager) CheckInvariants() error {
 			m.shards[i].mu.Unlock()
 		}
 	}()
-	// waits[top][shard] as the queues say; compared against the stripes.
-	seenWaits := make(map[tree.TID]map[int]int)
 	for _, sh := range m.shards {
-		if err := sh.checkLocked(seenWaits); err != nil {
+		if err := sh.checkLocked(); err != nil {
 			return err
 		}
-	}
-	// Every indexed lock must be covered by the footprint index, and the
-	// striped waiter counts must match the queues exactly. Stripe
-	// mutations happen only while holding some shard mutex — all held
-	// here — except fpForget, which runs strictly after the tree's last
-	// lock left every shard, so "footprint ⊇ held" still holds on any
-	// interleaving.
-	for _, sh := range m.shards {
-		for t := range sh.held {
-			top := topOf(t)
+		// Record to bits: what the record has, the stripe says.
+		for top, r := range sh.trees {
 			st := m.stripeFor(top)
 			st.mu.Lock()
-			fp := st.held[top]
-			ok := fp != nil && fp.has(sh.id)
+			e, ok := st.trees[top]
 			st.mu.Unlock()
 			if !ok {
-				return fmt.Errorf("lockmgr: %s holds locks in shard %d but footprint index misses it", t, sh.id)
+				return fmt.Errorf("lockmgr: tree %s has a record in shard %d but no stripe entry", top, sh.id)
+			}
+			if e[held].has(sh.id) != (len(r.held) > 0) {
+				return fmt.Errorf("lockmgr: tree %s holds locks for %d transactions in shard %d but its held bit is %v", top, len(r.held), sh.id, e[held].has(sh.id))
+			}
+			if e[waiting].has(sh.id) != (len(r.waiters) > 0) {
+				return fmt.Errorf("lockmgr: tree %s has %d waiters queued in shard %d but its waiting bit is %v", top, len(r.waiters), sh.id, e[waiting].has(sh.id))
 			}
 		}
 	}
-	striped := make(map[tree.TID]map[int]int)
+	// Bits to record: every set bit names a shard with a record (whose
+	// lists the pass above compared), and an entry has at least one.
 	words := (len(m.shards) + 63) / 64
 	for i := range m.stripes {
 		st := &m.stripes[i]
 		st.mu.Lock()
-		for top, fp := range st.held {
-			if err := checkFootprint(top, fp, words, len(m.shards)); err != nil {
+		for top, e := range st.trees {
+			if err := m.checkEntry(top, e, words); err != nil {
 				st.mu.Unlock()
 				return err
 			}
 		}
-		for top, s := range st.waits {
-			for sid, n := range s {
-				if striped[top] == nil {
-					striped[top] = make(map[int]int)
-				}
-				striped[top][sid] += n
-			}
-		}
 		st.mu.Unlock()
-	}
-	for top, s := range seenWaits {
-		for sid, n := range s {
-			if striped[top][sid] != n {
-				return fmt.Errorf("lockmgr: tree %s has %d waiters queued in shard %d but stripe counts %d", top, n, sid, striped[top][sid])
-			}
-		}
-	}
-	for top, s := range striped {
-		for sid, n := range s {
-			if seenWaits[top][sid] != n {
-				return fmt.Errorf("lockmgr: stripe counts %d waiters for tree %s in shard %d but %d are queued", n, top, sid, seenWaits[top][sid])
-			}
-		}
 	}
 	return nil
 }
 
-// checkFootprint verifies the shape of one footprint: exactly the words a
-// manager of this shard count uses, at least one shard named (an entry is
-// created by the grant that sets its first bit), none beyond the last.
-func checkFootprint(top tree.TID, fp shardSet, words, shards int) error {
-	if len(fp) != words {
-		return fmt.Errorf("lockmgr: footprint of %s has %d words, want %d", top, len(fp), words)
+// checkEntry verifies one stripe entry: exactly the words a manager of this
+// shard count uses, at least one shard named (an entry exists while a bit
+// of it is set), none beyond the last, and a record in every shard named.
+func (m *Manager) checkEntry(top tree.TID, e treeShards, words int) error {
+	if len(e[held]) != words || len(e[waiting]) != words {
+		return fmt.Errorf("lockmgr: stripe entry of %s has %d+%d words, want %d each", top, len(e[held]), len(e[waiting]), words)
 	}
-	named := 0
+	if e[held].empty() && e[waiting].empty() {
+		return fmt.Errorf("lockmgr: stripe entry of %s names no shard", top)
+	}
 	for sid := 0; sid < words*64; sid++ {
-		if !fp.has(sid) {
+		if !e[held].has(sid) && !e[waiting].has(sid) {
 			continue
 		}
-		if sid >= shards {
-			return fmt.Errorf("lockmgr: footprint of %s names shard %d of %d", top, sid, shards)
+		if sid >= len(m.shards) {
+			return fmt.Errorf("lockmgr: stripe entry of %s names shard %d of %d", top, sid, len(m.shards))
 		}
-		named++
-	}
-	if named == 0 {
-		return fmt.Errorf("lockmgr: footprint of %s names no shard", top)
+		if m.shards[sid].trees[top] == nil {
+			return fmt.Errorf("lockmgr: stripe entry of %s names shard %d, which has no record of it", top, sid)
+		}
 	}
 	return nil
 }

@@ -211,8 +211,8 @@ func (l *lockstep) check() error {
 
 // checkAtRest verifies what must hold once every transaction has ended:
 // the counters equal what the steps imply, nothing waited, and nothing per
-// transaction survives — the root is in no index, so the held-locks and
-// footprint indexes are empty.
+// transaction survives — the root is listed nowhere, so no record of
+// either kind, a shard's or a stripe's, is left.
 func (l *lockstep) checkAtRest() error {
 	st := l.m.Stats()
 	if st.Acquires != l.acquires || st.CommitMoves != l.commitMoves || st.AbortReleases != l.abortReleases {
@@ -223,13 +223,13 @@ func (l *lockstep) checkAtRest() error {
 		return fmt.Errorf("Waits = %d: M(X) enabled a response the manager blocked", st.Waits)
 	}
 	for _, sh := range l.m.shards {
-		if len(sh.held) != 0 {
-			return fmt.Errorf("shard %d: %d held-locks index entries after every transaction ended", sh.id, len(sh.held))
+		if n := len(sh.trees); n != 0 {
+			return fmt.Errorf("shard %d: %d tree records after every transaction ended", sh.id, n)
 		}
 	}
 	for i := range l.m.stripes {
-		if n := len(l.m.stripes[i].held); n != 0 {
-			return fmt.Errorf("stripe %d: %d footprint entries after every transaction ended", i, n)
+		if n := len(l.m.stripes[i].trees); n != 0 {
+			return fmt.Errorf("stripe %d: %d entries after every transaction ended", i, n)
 		}
 	}
 	return nil
@@ -237,8 +237,8 @@ func (l *lockstep) checkAtRest() error {
 
 // TestRandomSequenceAgainstModel runs a seeded single-threaded sequence of
 // grants, nested commits and subtree aborts — only grants M(X) enables, so
-// nothing ever waits — and after every step checks the invariants (index
-// sets adopted, merged and recycled; footprint bit sets) and that the lock
+// nothing ever waits — and after every step checks the invariants (lock
+// sets renamed, merged and recycled; records and held bits) and that the lock
 // tables refine M(X). At the end the counters equal what the sequence
 // implies and every per-transaction index is gone.
 func TestRandomSequenceAgainstModel(t *testing.T) {

@@ -3,6 +3,7 @@ package lockmgr
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 
 	"nestedtx/internal/adt"
@@ -22,31 +23,55 @@ type shard struct {
 
 	mu      sync.Mutex
 	objects map[string]*lockState
-	// held is the held-locks index: for every transaction other than the
-	// root holding at least one lock in this shard, the set of its objects
-	// the transaction holds a (read or write) lock on. Commit and Abort
-	// walk this index instead of the whole universe. The root never
-	// commits or aborts, so nothing would walk an entry for it: its write
-	// lock on every object is the base of the object's chain and is listed
-	// nowhere else. A set has one owner: a committing transaction's set
-	// passes to its parent (adopted whole or merged, see
-	// indexInheritLocked; recycled at a top-level commit), and emptied
-	// sets wait on freeSets for the next transaction, so a steady workload
+	// trees is the shard's one index keyed by transaction: for every
+	// top-level transaction whose tree holds a lock or has a waiter queued
+	// in this shard, the record of both. A record is in the map exactly
+	// while it is non-empty; emptied records and emptied lock sets wait on
+	// the free lists for the next transaction, so a steady workload
 	// allocates none.
-	held     map[tree.TID]lockSet
+	trees    map[tree.TID]*treeRec
+	freeRecs []*treeRec
 	freeSets []lockSet
-	// waiting indexes the queued waiters by their transaction, for
-	// demand-driven wait-for-graph exploration and victim selection.
-	waiting map[tree.TID][]*waiter
-	// topWaiting groups the waiting transactions by their top-level
-	// ancestor. Structural wait-for edges (ancestor → waiting descendant)
-	// never cross a top-level boundary, so successor enumeration scans
-	// only the waiting transactions of one tree.
-	topWaiting map[tree.TID]map[tree.TID]struct{}
-	stats      Stats
+	stats    Stats
 }
 
-// lockSet is a set of objects, the value type of the held-locks index.
+// treeRec is everything one transaction tree has in one shard.
+type treeRec struct {
+	// held lists the tree's transactions that hold at least one (read or
+	// write) lock here, each with the set of objects it holds one on —
+	// what Commit and Abort walk instead of the universe. At most
+	// depth-many transactions of a tree hold locks at once and the flat
+	// case has one, so the slice is searched linearly. The root never
+	// commits or aborts, so nothing would walk an entry for it: its write
+	// lock on every object is the base of the object's chain and is listed
+	// nowhere else. A set has one owner: a committing transaction's passes
+	// to its parent (renamed or merged, see Commit) and is recycled at a
+	// top-level commit or an abort.
+	held []txLocks
+	// waiters lists the tree's queued acquisitions, oldest first: the
+	// wait-for edges deadlock detection enumerates. A waiter is here
+	// exactly while it is on its object's queue.
+	waiters []*waiter
+}
+
+type txLocks struct {
+	t   tree.TID
+	set lockSet
+}
+
+// find returns the index of t's entry in r.held, or -1; r may be nil.
+func (r *treeRec) find(t tree.TID) int {
+	if r != nil {
+		for i := range r.held {
+			if r.held[i].t == t {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// lockSet is a set of objects: what one transaction holds locks on.
 type lockSet map[*lockState]struct{}
 
 // maxRecycledSet is the largest set kept for reuse. A map never shrinks
@@ -159,36 +184,47 @@ func (ls *lockState) discardWrites(t tree.TID) bool {
 	return false
 }
 
-// ---- held-locks index ----
+// ---- the per-tree records ----
+
+// recLocked returns top's record, filing an empty one (from the free list
+// when it has one) that the caller must fill at once. Caller holds sh.mu.
+func (sh *shard) recLocked(top tree.TID) *treeRec {
+	r := sh.trees[top]
+	if r == nil {
+		if n := len(sh.freeRecs); n > 0 {
+			r, sh.freeRecs = sh.freeRecs[n-1], sh.freeRecs[:n-1]
+		} else {
+			r = new(treeRec)
+		}
+		sh.trees[top] = r
+	}
+	return r
+}
+
+// emptiedLocked is called when one of the two lists of top's record r just
+// became empty: the tree stops holding (or waiting) in this shard, and a
+// record with nothing left is retired to the free list. Caller holds sh.mu.
+func (sh *shard) emptiedLocked(top tree.TID, r *treeRec, which int) {
+	sh.m.markShard(top, sh.id, which, false)
+	if len(r.held)+len(r.waiters) == 0 {
+		delete(sh.trees, top)
+		sh.freeRecs = append(sh.freeRecs, r)
+	}
+}
 
 // indexAddLocked records that t holds a lock on ls. Caller holds sh.mu.
 func (sh *shard) indexAddLocked(t tree.TID, ls *lockState) {
-	s := sh.held[t]
-	if s == nil {
-		s = sh.newSetLocked()
-		sh.held[t] = s
+	top := topOf(t)
+	r := sh.recLocked(top)
+	i := r.find(t)
+	if i < 0 {
+		if len(r.held) == 0 {
+			sh.m.markShard(top, sh.id, held, true)
+		}
+		i = len(r.held)
+		r.held = append(r.held, txLocks{t: t, set: sh.newSetLocked()})
 	}
-	s[ls] = struct{}{}
-}
-
-// indexInheritLocked passes set, the index entry a committing transaction
-// just gave up, to its parent p — every lock in it is now p's. p adopts
-// the set when it has none in this shard; otherwise the smaller of the
-// two is merged into the larger and recycled. Caller holds sh.mu.
-func (sh *shard) indexInheritLocked(p tree.TID, set lockSet) {
-	mine := sh.held[p]
-	if mine == nil {
-		sh.held[p] = set
-		return
-	}
-	if len(mine) < len(set) {
-		mine, set = set, mine
-		sh.held[p] = mine
-	}
-	for ls := range set {
-		mine[ls] = struct{}{}
-	}
-	sh.recycleSetLocked(set)
+	r.held[i].set[ls] = struct{}{}
 }
 
 // newSetLocked returns an empty set, from the free list when it has one.
@@ -202,9 +238,9 @@ func (sh *shard) newSetLocked() lockSet {
 	return make(lockSet)
 }
 
-// recycleSetLocked empties a set no index entry refers to any more and
-// keeps it for newSetLocked. The free list never holds more sets than
-// were live in the shard at once. Caller holds sh.mu.
+// recycleSetLocked empties a set no record refers to any more and keeps it
+// for newSetLocked. The free list never holds more sets than were live in
+// the shard at once. Caller holds sh.mu.
 func (sh *shard) recycleSetLocked(s lockSet) {
 	if len(s) > maxRecycledSet {
 		return
@@ -215,8 +251,8 @@ func (sh *shard) recycleSetLocked(s lockSet) {
 
 // ---- wait queues ----
 
-// enqueueLocked appends w to its object's wait queue, the per-tx waiting
-// index, and the cross-shard waiter counts. Caller holds sh.mu.
+// enqueueLocked appends w to its object's wait queue and its tree's
+// waiter list. Caller holds sh.mu.
 func (sh *shard) enqueueLocked(w *waiter) {
 	ls := w.ls
 	ls.queue = append(ls.queue, w)
@@ -225,63 +261,52 @@ func (sh *shard) enqueueLocked(w *waiter) {
 	}
 	sh.m.met.QueuedWaiters.Add(1)
 	sh.m.met.AddShardQueued(sh.id, 1)
-	if len(sh.waiting[w.tx]) == 0 {
-		top := topOf(w.tx)
-		s := sh.topWaiting[top]
-		if s == nil {
-			s = make(map[tree.TID]struct{})
-			sh.topWaiting[top] = s
-		}
-		s[w.tx] = struct{}{}
+	top := topOf(w.tx)
+	r := sh.recLocked(top)
+	if len(r.waiters) == 0 {
+		sh.m.markShard(top, sh.id, waiting, true)
 	}
-	sh.waiting[w.tx] = append(sh.waiting[w.tx], w)
-	sh.m.waitAdd(w.tx, sh.id)
+	r.waiters = append(r.waiters, w)
 	if d := uint64(len(ls.queue)); d > sh.stats.MaxQueueDepth {
 		sh.stats.MaxQueueDepth = d
 	}
 }
 
-// dequeueLocked removes w from its object's wait queue if still present,
-// and from the waiting index. Caller holds sh.mu.
-func (sh *shard) dequeueLocked(w *waiter) {
-	ls := w.ls
-	for i, q := range ls.queue {
-		if q == w {
-			ls.queue = append(ls.queue[:i], ls.queue[i+1:]...)
-			sh.m.met.QueuedWaiters.Add(-1)
-			sh.m.met.AddShardQueued(sh.id, -1)
-			if len(ls.queue) == 0 {
-				sh.m.met.ContendedObjects.Add(-1)
-			}
-			break
-		}
+// unlistLocked deletes w from its tree's waiter list if it is there and
+// reports whether it was. It is the only way out of the list — the waker,
+// the victim election and the cancel all come through here — so a waiter
+// that two of them reach leaves once. Caller holds sh.mu.
+func (sh *shard) unlistLocked(w *waiter) bool {
+	top := topOf(w.tx)
+	r := sh.trees[top]
+	if r == nil {
+		return false
 	}
-	sh.unindexWaiterLocked(w)
+	i := slices.Index(r.waiters, w)
+	if i < 0 {
+		return false
+	}
+	r.waiters = slices.Delete(r.waiters, i, i+1)
+	if len(r.waiters) == 0 {
+		sh.emptiedLocked(top, r, waiting)
+	}
+	return true
 }
 
-// unindexWaiterLocked drops w from the per-tx waiting index and the
-// cross-shard waiter counts. Caller holds sh.mu.
-func (sh *shard) unindexWaiterLocked(w *waiter) {
-	ws := sh.waiting[w.tx]
-	for i, q := range ws {
-		if q == w {
-			ws = append(ws[:i], ws[i+1:]...)
-			break
-		}
+// dequeueLocked takes w off the books — its tree's waiter list and its
+// object's queue — unless a waker already has. Caller holds sh.mu.
+func (sh *shard) dequeueLocked(w *waiter) {
+	if !sh.unlistLocked(w) {
+		return
 	}
-	if len(ws) == 0 {
-		delete(sh.waiting, w.tx)
-		top := topOf(w.tx)
-		if s := sh.topWaiting[top]; s != nil {
-			delete(s, w.tx)
-			if len(s) == 0 {
-				delete(sh.topWaiting, top)
-			}
-		}
-	} else {
-		sh.waiting[w.tx] = ws
+	ls := w.ls
+	i := slices.Index(ls.queue, w)
+	ls.queue = slices.Delete(ls.queue, i, i+1)
+	sh.m.met.QueuedWaiters.Add(-1)
+	sh.m.met.AddShardQueued(sh.id, -1)
+	if len(ls.queue) == 0 {
+		sh.m.met.ContendedObjects.Add(-1)
 	}
-	sh.m.waitRemove(w.tx, sh.id)
 }
 
 // wakeQueuedLocked wakes every waiter queued on ls — the targeted wakeup
@@ -291,7 +316,7 @@ func (sh *shard) wakeQueuedLocked(ls *lockState) {
 	for _, w := range ls.queue {
 		close(w.wake)
 		sh.stats.Wakeups++
-		sh.unindexWaiterLocked(w)
+		sh.unlistLocked(w)
 	}
 	if n := len(ls.queue); n > 0 {
 		sh.m.met.QueuedWaiters.Add(-int64(n))
@@ -317,7 +342,6 @@ func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, writ
 		ls.read.Add(tx)
 	}
 	sh.indexAddLocked(tx, ls)
-	sh.m.fpAdd(tx, sh.id)
 	sh.m.rec.RecordAll(
 		event.Event{Kind: event.RequestCommit, T: access, Value: v},
 		event.Event{Kind: event.Commit, T: access},
@@ -327,10 +351,21 @@ func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, writ
 	return v
 }
 
-// checkLocked runs the single-shard invariants and accumulates the shard's
-// queued-waiter counts per tree into seenWaits for the caller's
-// cross-shard reconciliation. Caller holds sh.mu.
-func (sh *shard) checkLocked(seenWaits map[tree.TID]map[int]int) error {
+// holdsLocked reports whether t's entry in its tree's record lists ls;
+// the root has neither. Caller holds sh.mu.
+func (sh *shard) holdsLocked(t tree.TID, ls *lockState) (ok bool) {
+	if t != tree.Root {
+		r := sh.trees[topOf(t)]
+		if i := r.find(t); i >= 0 {
+			_, ok = r.held[i].set[ls]
+		}
+	}
+	return ok
+}
+
+// checkLocked runs the single-shard invariants. Caller holds sh.mu.
+func (sh *shard) checkLocked() error {
+	queued := 0
 	for x, ls := range sh.objects {
 		if ShardOf(x, len(sh.m.shards)) != sh.id {
 			return fmt.Errorf("lockmgr: object %q stored in shard %d but hashes to %d", x, sh.id, ShardOf(x, len(sh.m.shards)))
@@ -352,39 +387,72 @@ func (sh *shard) checkLocked(seenWaits map[tree.TID]map[int]int) error {
 					return fmt.Errorf("lockmgr: %s: write holder %s unrelated to read holder %s", x, h.t, r)
 				}
 			}
-			// Every lockholder but the root must appear in the held-locks
-			// index.
-			if _, indexed := sh.held[h.t][ls]; i > 0 && !indexed {
-				return fmt.Errorf("lockmgr: %s: write holder %s missing from held-locks index", x, h.t)
+			// Every lockholder but the root must be listed by its tree.
+			if i > 0 && !sh.holdsLocked(h.t, ls) {
+				return fmt.Errorf("lockmgr: %s: write holder %s missing from its tree's record", x, h.t)
 			}
 		}
 		for r := range ls.read {
-			if _, ok := sh.held[r][ls]; !ok {
-				return fmt.Errorf("lockmgr: %s: read holder %s missing from held-locks index", x, r)
+			if !sh.holdsLocked(r, ls) {
+				return fmt.Errorf("lockmgr: %s: read holder %s missing from its tree's record", x, r)
 			}
+		}
+		queued += len(ls.queue)
+	}
+	// Every record is non-empty and of one tree; every entry is backed by
+	// locks; every set has one owner — no two entries share one, and a set
+	// on the free list is empty, listed once and owned by no entry; every
+	// listed waiter is queued, once, on an object of this shard.
+	// A record has one owner too: a tree, or the free list, once.
+	recOwner := make(map[*treeRec]tree.TID, len(sh.trees)+len(sh.freeRecs))
+	for _, r := range sh.freeRecs {
+		if _, dup := recOwner[r]; dup || len(r.held)+len(r.waiters) != 0 {
+			return fmt.Errorf("lockmgr: shard %d free list holds a record twice, or one that is not empty", sh.id)
+		}
+		recOwner[r] = ""
+	}
+	owner := make(map[uintptr]tree.TID, len(sh.trees))
+	listed := make(map[*waiter]struct{}, queued)
+	for top, r := range sh.trees {
+		if top.Parent() != tree.Root {
+			return fmt.Errorf("lockmgr: shard %d keys a record by %s, not a top-level transaction", sh.id, top)
+		}
+		if u, shared := recOwner[r]; shared {
+			return fmt.Errorf("lockmgr: shard %d: tree %s shares its record with %q (empty: the free list)", sh.id, top, u)
+		}
+		recOwner[r] = top
+		if len(r.held)+len(r.waiters) == 0 {
+			return fmt.Errorf("lockmgr: shard %d keeps an empty record for tree %s", sh.id, top)
+		}
+		for i, e := range r.held {
+			if !top.IsAncestorOf(e.t) || r.find(e.t) != i {
+				return fmt.Errorf("lockmgr: record of tree %s lists %s, a stranger or a duplicate", top, e.t)
+			}
+			if len(e.set) == 0 {
+				return fmt.Errorf("lockmgr: empty lock set for %s", e.t)
+			}
+			id := reflect.ValueOf(e.set).Pointer()
+			if u, shared := owner[id]; shared {
+				return fmt.Errorf("lockmgr: %s and %s share one lock set", e.t, u)
+			}
+			owner[id] = e.t
+			for ls := range e.set {
+				if !ls.read.Has(e.t) && !ls.holdsWrite(e.t) {
+					return fmt.Errorf("lockmgr: record of tree %s lists %s on %s without a lock", top, e.t, ls.name)
+				}
+			}
+		}
+		for _, w := range r.waiters {
+			if _, dup := listed[w]; dup || !top.IsAncestorOf(w.tx) || w.sh != sh || !slices.Contains(w.ls.queue, w) {
+				return fmt.Errorf("lockmgr: tree %s lists a waiter of %s on %s that is listed twice, a stranger, or not queued in shard %d", top, w.tx, w.ls.name, sh.id)
+			}
+			listed[w] = struct{}{}
 		}
 	}
-	// Every index entry must be backed by a lock, and every set has one
-	// owner: no two entries share a set, and a set on the free list is
-	// empty, listed once and owned by no entry.
-	owner := make(map[uintptr]tree.TID, len(sh.held))
-	for t, objs := range sh.held {
-		if t == tree.Root {
-			return fmt.Errorf("lockmgr: shard %d indexes the root's locks", sh.id)
-		}
-		if len(objs) == 0 {
-			return fmt.Errorf("lockmgr: empty held-locks index entry for %s", t)
-		}
-		id := reflect.ValueOf(objs).Pointer()
-		if u, shared := owner[id]; shared {
-			return fmt.Errorf("lockmgr: held-locks index entries of %s and %s share one set", t, u)
-		}
-		owner[id] = t
-		for ls := range objs {
-			if !ls.read.Has(t) && !ls.holdsWrite(t) {
-				return fmt.Errorf("lockmgr: held-locks index lists %s on %s without a lock", t, ls.name)
-			}
-		}
+	// Distinct listed waiters, each on a queue, as many as are queued: the
+	// lists and the queues hold the same waiters.
+	if queued != len(listed) {
+		return fmt.Errorf("lockmgr: shard %d has %d queued waiters but its trees list %d", sh.id, queued, len(listed))
 	}
 	for _, s := range sh.freeSets {
 		if len(s) != 0 {
@@ -395,55 +463,6 @@ func (sh *shard) checkLocked(seenWaits map[tree.TID]map[int]int) error {
 			return fmt.Errorf("lockmgr: shard %d free list holds a set already owned by %q (empty: the list itself)", sh.id, u)
 		}
 		owner[id] = ""
-	}
-	// Queue bookkeeping: the waiting index lists exactly the queued
-	// waiters.
-	queued := 0
-	for _, ls := range sh.objects {
-		queued += len(ls.queue)
-		for _, w := range ls.queue {
-			if w.sh != sh {
-				return fmt.Errorf("lockmgr: waiter of %s on %s carries wrong shard", w.tx, ls.name)
-			}
-			found := false
-			for _, q := range sh.waiting[w.tx] {
-				if q == w {
-					found = true
-					break
-				}
-			}
-			if !found {
-				return fmt.Errorf("lockmgr: waiter of %s on %s missing from waiting index", w.tx, ls.name)
-			}
-		}
-	}
-	indexed := 0
-	for t, ws := range sh.waiting {
-		if len(ws) == 0 {
-			return fmt.Errorf("lockmgr: empty waiting-index entry for %s", t)
-		}
-		indexed += len(ws)
-		if _, ok := sh.topWaiting[topOf(t)][t]; !ok {
-			return fmt.Errorf("lockmgr: waiting transaction %s missing from top-level grouping", t)
-		}
-		top := topOf(t)
-		if seenWaits[top] == nil {
-			seenWaits[top] = make(map[int]int)
-		}
-		seenWaits[top][sh.id] += len(ws)
-	}
-	if queued != indexed {
-		return fmt.Errorf("lockmgr: %d queued waiters but %d indexed", queued, indexed)
-	}
-	for top, s := range sh.topWaiting {
-		if len(s) == 0 {
-			return fmt.Errorf("lockmgr: empty top-level grouping for %s", top)
-		}
-		for t := range s {
-			if len(sh.waiting[t]) == 0 {
-				return fmt.Errorf("lockmgr: top-level grouping lists %s with no waiters", t)
-			}
-		}
 	}
 	return nil
 }

@@ -106,12 +106,23 @@ type version struct {
 	st  adt.State
 }
 
+// pinCount is the number of live pins at one sequence number.
+type pinCount struct {
+	seq uint64
+	n   int
+}
+
 // Store is the committed-version store. It is safe for concurrent use.
 type Store struct {
 	mu   sync.RWMutex
 	seq  uint64 // sequence number of the latest publication
 	objs map[string][]version
-	pins map[uint64]int // live pin refcounts by pinned seq
+	// pins counts the live pins by ascending seq. A new pin takes the
+	// horizon, which never decreases, so it lands on the tail or behind it;
+	// a count a release brings to zero stays until it is the head, so the
+	// head is the oldest live pin and nothing ever scans the queue.
+	pins   []pinCount
+	pinned int // live pins: the sum of the counts
 	// unsettled holds the publications staged and not yet settled, by
 	// ascending seq: as many as there are durable commits between their
 	// stage and their fsync.
@@ -130,7 +141,6 @@ type Store struct {
 func New(record bool) *Store {
 	return &Store{
 		objs: make(map[string][]version),
-		pins: make(map[uint64]int),
 		rec:  record,
 	}
 }
@@ -231,29 +241,21 @@ func (s *Store) publishLocked(top string, updates map[string]adt.State, lsn uint
 }
 
 // minPinLocked returns the lowest sequence number a reader can still
-// ask for: the lowest live pin, or the horizon when that is lower (or no
-// pins are live). Caller holds s.mu.
+// ask for: the oldest live pin — it took a horizon, and the horizon never
+// decreases — or the horizon when no pin is live. Caller holds s.mu.
 func (s *Store) minPinLocked() uint64 {
-	min := s.horizonLocked()
-	for p := range s.pins {
-		if p < min {
-			min = p
-		}
+	if len(s.pins) > 0 {
+		return s.pins[0].seq
 	}
-	return min
+	return s.horizonLocked()
 }
 
 // trim drops versions no pin can reach: everything strictly below the
 // latest version at or below floor (which stays, as the floor pin's
 // view of the object).
 func trim(chain []version, floor uint64) []version {
-	keep := 0
-	for i, v := range chain {
-		if v.seq <= floor {
-			keep = i
-		}
-	}
-	if keep == 0 {
+	keep := sort.Search(len(chain), func(i int) bool { return chain[i].seq > floor }) - 1
+	if keep <= 0 {
 		return chain
 	}
 	return append(chain[:0], chain[keep:]...)
@@ -297,9 +299,20 @@ type Pin struct {
 func (s *Store) Acquire() *Pin {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return &Pin{s: s, seq: s.pinLocked()}
+}
+
+// pinLocked counts one more pin at the horizon and returns it. Caller
+// holds s.mu.
+func (s *Store) pinLocked() uint64 {
 	seq := s.horizonLocked()
-	s.pins[seq]++
-	return &Pin{s: s, seq: seq}
+	if n := len(s.pins); n > 0 && s.pins[n-1].seq == seq {
+		s.pins[n-1].n++
+	} else {
+		s.pins = append(s.pins, pinCount{seq, 1})
+	}
+	s.pinned++
+	return seq
 }
 
 // Seq returns the pinned sequence number.
@@ -324,8 +337,14 @@ func (p *Pin) Release() {
 	p.once.Do(func() {
 		p.s.mu.Lock()
 		defer p.s.mu.Unlock()
-		if p.s.pins[p.seq]--; p.s.pins[p.seq] <= 0 {
-			delete(p.s.pins, p.seq)
+		s := p.s
+		i := sort.Search(len(s.pins), func(i int) bool { return s.pins[i].seq >= p.seq })
+		s.pins[i].n--
+		if s.pinned--; s.pinned == 0 {
+			s.pins = s.pins[:0] // keeps its array: a steady reader allocates none
+		}
+		for len(s.pins) > 0 && s.pins[0].n == 0 {
+			s.pins = s.pins[1:] // the dead prefix goes when the queue next grows
 		}
 	})
 }
@@ -334,11 +353,7 @@ func (p *Pin) Release() {
 func (s *Store) Pinned() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	n := 0
-	for _, c := range s.pins {
-		n += c
-	}
-	return n
+	return s.pinned
 }
 
 // Versions returns the total number of retained versions across all
@@ -398,9 +413,8 @@ type Tx struct {
 // Close it.
 func (s *Store) Begin(met *obs.Metrics) *Tx {
 	s.mu.Lock()
-	n, seq := s.txs, s.horizonLocked()
+	n, seq := s.txs, s.pinLocked()
 	s.txs++
-	s.pins[seq]++
 	var rec *TxEntry
 	if s.rec {
 		s.tick++

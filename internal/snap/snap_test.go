@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 
 	"nestedtx/internal/adt"
 )
@@ -208,5 +209,111 @@ func TestConcurrentPublishRead(t *testing.T) {
 	writers.Wait()
 	if got := s.Pinned(); got != 0 {
 		t.Fatalf("%d pins leaked", got)
+	}
+}
+
+// pinnedStore returns a store of one object beside n live pins at n
+// distinct sequence numbers, pin i at seq i reading version i.
+func pinnedStore(n int) (*Store, []*Pin) {
+	s := New(false)
+	s.Base("x", ctr(0))
+	pins := make([]*Pin, n)
+	for i := range pins {
+		pins[i] = s.Acquire()
+		s.Publish("T", map[string]adt.State{"x": ctr(int64(i + 1))})
+	}
+	return s, pins
+}
+
+// TestPublishBesideTwentyThousandPins: a publication finds the oldest pin
+// at the head of a queue and its cut in a chain by binary search, so what
+// it costs does not depend on how many readers are live. The bound is a
+// scan's cost with room to spare: ranging over 20,000 pins and walking
+// their 20,000 versions on every commit takes 10,000 publishes 2.3 s
+// (E25); without the scans they take 4 ms, -race 20 ms.
+func TestPublishBesideTwentyThousandPins(t *testing.T) {
+	const pins, publishes, bound = 20_000, 10_000, time.Second
+	s, live := pinnedStore(pins)
+	up := map[string]adt.State{"x": ctr(-1)}
+	start := time.Now()
+	for i := 0; i < publishes; i++ {
+		s.Publish("T", up)
+	}
+	d := time.Since(start)
+	t.Logf("%d publishes beside %d pins: %v", publishes, pins, d)
+	if d > bound {
+		t.Fatalf("took %v, bound %v", d, bound)
+	}
+	if got := s.Versions(); got != pins+publishes+1 {
+		t.Fatalf("%d versions retained under a seq-0 pin, want all %d", got, pins+publishes+1)
+	}
+	// Every reader still has its own view; released newest first, oldest
+	// first or from the middle, the rest keep theirs and history goes.
+	for i, p := range live {
+		if st, err := p.Read("x"); err != nil || st != ctr(int64(i)) {
+			t.Fatalf("pin %d reads %v, %v; want %v", i, st, err, ctr(int64(i)))
+		}
+		if i%3 != 0 {
+			p.Release()
+		}
+	}
+	if got := s.Pinned(); got != (pins+2)/3 {
+		t.Fatalf("%d pins live, want %d", got, (pins+2)/3)
+	}
+	for i := 0; i < pins; i += 3 {
+		if st, _ := live[i].Read("x"); st != ctr(int64(i)) {
+			t.Fatalf("pin %d reads %v after its neighbours left, want %v", i, st, ctr(int64(i)))
+		}
+		live[i].Release()
+	}
+	s.Publish("T", up)
+	if p, v := s.Pinned(), s.Versions(); p != 0 || v > 2 {
+		t.Fatalf("at rest %d pins and %d versions, want 0 and at most 2", p, v)
+	}
+}
+
+// TestTrimFollowsTheOldestLivePin releases pins out of order between
+// publications: history is cut at the oldest pin still live, whether the
+// pins below it left before or after the ones above.
+func TestTrimFollowsTheOldestLivePin(t *testing.T) {
+	s, live := pinnedStore(8) // seqs 0..7, the store at 8: 9 versions
+	up := map[string]adt.State{"x": ctr(-1)}
+	for _, step := range []struct{ release, versions int }{
+		{3, 10}, // a middle pin: seq 0 still holds everything
+		{0, 10}, // the head: cut at seq 1, one in, one out
+		{2, 11}, // another below the new head's successor: no cut
+		{1, 9},  // the head again: 2 and 3 are gone too, cut at seq 4
+		{7, 10}, // the tail
+	} {
+		live[step.release].Release()
+		s.Publish("T", up)
+		if got := s.Versions(); got != step.versions {
+			t.Fatalf("after releasing pin %d: %d versions, want %d", step.release, got, step.versions)
+		}
+	}
+	for _, i := range []int{4, 5, 6} {
+		if st, _ := live[i].Read("x"); st != ctr(int64(i)) {
+			t.Fatalf("pin %d reads %v, want %v", i, st, ctr(int64(i)))
+		}
+		live[i].Release()
+	}
+	// A steady reader costs the queue nothing once it has its array.
+	if n := testing.AllocsPerRun(100, func() { s.Acquire().Release() }); n > 1 {
+		t.Fatalf("pin+release allocates %.1f, want the Pin alone", n)
+	}
+}
+
+// BenchmarkPublishBesidePins measures one publication beside live pins at
+// distinct sequence numbers (EXPERIMENTS.md E25).
+func BenchmarkPublishBesidePins(b *testing.B) {
+	for _, pins := range []int{0, 1000, 10_000, 100_000} {
+		b.Run(fmt.Sprintf("pins=%d", pins), func(b *testing.B) {
+			s, _ := pinnedStore(pins)
+			up := map[string]adt.State{"x": ctr(-1)}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.Publish("T", up)
+			}
+		})
 	}
 }
