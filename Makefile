@@ -38,6 +38,7 @@ bench:
 	$(GO) test -run XXX -bench ServerThroughput -benchtime 200x ./internal/server
 	$(GO) test -run XXX -bench ShardScaling -benchtime 1000x ./internal/lockmgr
 	$(GO) test -run XXX -bench AbortBesideHolders -benchtime 20000x ./internal/lockmgr
+	$(GO) test -run XXX -bench RegisterUniverse -benchtime 20x .
 	$(GO) test -run XXX -bench E17SnapshotScans -benchtime 5x .
 
 # Smoke-run every benchmark once (CI: catches bit-rot in bench code
@@ -49,16 +50,18 @@ bench-short:
 # properties + byte-identical-log determinism) under the race detector,
 # the checked-in seed corpus through txdst, and two cross-process
 # determinism checks (two txdst invocations of the same seed must emit
-# identical event logs), one per durable crash scenario.
+# identical event logs), one per durable crash scenario, written to a
+# fresh temporary directory that is removed afterwards.
 sim: vet
 	$(GO) test -race ./internal/dst/...
 	$(GO) run -race ./cmd/txdst -corpus internal/dst/corpus.txt
-	$(GO) run ./cmd/txdst -scenario crash-bitrot-checkpoint -seed 1 -log > /tmp/dst-log-a.txt
-	$(GO) run ./cmd/txdst -scenario crash-bitrot-checkpoint -seed 1 -log > /tmp/dst-log-b.txt
-	cmp /tmp/dst-log-a.txt /tmp/dst-log-b.txt
-	$(GO) run ./cmd/txdst -scenario crash-recovery -seed 1 -log > /tmp/dst-log-a.txt
-	$(GO) run ./cmd/txdst -scenario crash-recovery -seed 1 -log > /tmp/dst-log-b.txt
-	cmp /tmp/dst-log-a.txt /tmp/dst-log-b.txt
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	for s in crash-bitrot-checkpoint crash-recovery; do \
+		echo "txdst -scenario $$s -seed 1 -log, twice"; \
+		$(GO) run ./cmd/txdst -scenario $$s -seed 1 -log > "$$d/a.txt"; \
+		$(GO) run ./cmd/txdst -scenario $$s -seed 1 -log > "$$d/b.txt"; \
+		cmp "$$d/a.txt" "$$d/b.txt"; \
+	done
 
 # Regenerate the seed corpus: two passing seeds per scenario, at the
 # scale the -race corpus replay can afford. Full-size cells run via

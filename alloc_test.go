@@ -38,12 +38,16 @@ func nestedWorkload(m *Manager) func(*Tx) error {
 	return func(tx *Tx) error { return node(tx, 0) }
 }
 
-// TestAccessPathAllocationBudget: on a non-recording manager an access
-// costs what the protocol needs — names, versions, lock-table entries —
-// and nothing is spent on bookkeeping only Verify reads. The budgets sit
-// a quarter to a half above what the code allocates today (97 and 8) and
-// far below what it did when every access entered the system type and
-// every ancestor was a new string (434 and 28).
+// TestAccessPathAllocationBudget: on a non-recording manager a
+// transaction allocates what it names — its Tx and its own name — and
+// little else: an access is never named, a cancel channel is made only
+// for a wait, children are linked in place, and the publication map is
+// reused. The code allocates 31 and 3 here (15 Tx and 15 subtransaction
+// names plus the tree's cross-shard index entry; a Tx, its name and that
+// entry); the budgets of 60 and 8 leave room for version boxing, and sit
+// far below the 90 and 8 of a manager that named every access and made a
+// channel per transaction, and the 434 and 28 of one that entered every
+// access in the system type.
 func TestAccessPathAllocationBudget(t *testing.T) {
 	run := func(m *Manager, body func(*Tx) error) func() {
 		return func() {
@@ -53,8 +57,10 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 		}
 	}
 	nested := NewManager()
-	if n := testing.AllocsPerRun(200, run(nested, nestedWorkload(nested))); n > 120 {
-		t.Errorf("15-node, 30-access transaction: %.0f allocations, budget 120", n)
+	n := testing.AllocsPerRun(200, run(nested, nestedWorkload(nested)))
+	t.Logf("15-node, 30-access transaction: %.1f allocations", n)
+	if n > 60 {
+		t.Errorf("15-node, 30-access transaction: %.0f allocations, budget 60", n)
 	}
 	flat := NewManager()
 	flat.MustRegister("a", Counter{})
@@ -66,8 +72,10 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 		_, err := tx.Do("b", CtrAdd{Delta: 1})
 		return err
 	}
-	if n := testing.AllocsPerRun(200, run(flat, body)); n > 12 {
-		t.Errorf("flat 2-access transaction: %.0f allocations, budget 12", n)
+	n = testing.AllocsPerRun(200, run(flat, body))
+	t.Logf("flat 2-access transaction: %.1f allocations", n)
+	if n > 8 {
+		t.Errorf("flat 2-access transaction: %.0f allocations, budget 8", n)
 	}
 	// Bytes follow the allocator's size classes: a Tx one word over 160 B
 	// is a 192-byte object, and embed_nested allocates 15 per transaction.
@@ -120,9 +128,12 @@ func TestNonRecordingSoakKeepsNothingPerAccess(t *testing.T) {
 }
 
 // TestRegisteredObjectFootprint pins what a registered object costs while
-// nothing touches it: its name, its lock state (one chain with the root's
-// version, one empty read table) and its entries in the system type and
-// the committed-version store.
+// nothing touches it: its name, its lock state (the chain's first two
+// slots inline, the root's version in the first; one empty read table)
+// and its entry in the committed-version store. A non-recording manager
+// keeps no system type, so nothing is spent on what only Verify reads.
+// The code allocates 334 B and 3.02 mallocs per object here, against 400 B
+// and 4.03 with a separate chain array and a system-type entry.
 func TestRegisteredObjectFootprint(t *testing.T) {
 	const objects = 10_000
 	names := make([]string, objects)
@@ -141,8 +152,8 @@ func TestRegisteredObjectFootprint(t *testing.T) {
 	bytes := float64(after.HeapAlloc-before.HeapAlloc) / objects
 	mallocs := float64(after.Mallocs-before.Mallocs) / objects
 	t.Logf("%.0f B of heap and %.2f mallocs per registered object", bytes, mallocs)
-	if bytes > 512 || mallocs > 5 {
-		t.Errorf("a registered object costs %.0f B and %.2f mallocs, budget 512 B and 5", bytes, mallocs)
+	if bytes > 360 || mallocs > 3.2 {
+		t.Errorf("a registered object costs %.0f B and %.2f mallocs, budget 360 B and 3.2", bytes, mallocs)
 	}
 	runtime.KeepAlive(m)
 }

@@ -332,6 +332,26 @@ func BenchmarkE9EngineComparison(b *testing.B) {
 	}
 }
 
+// BenchmarkRegisterUniverse: registering the 65,536 counters bench/'s
+// embed_nested and net_small workloads start from, into a fresh manager
+// per iteration — the work their setup_s times, without the network.
+func BenchmarkRegisterUniverse(b *testing.B) {
+	names := make([]string, 1<<16)
+	for i := range names {
+		names[i] = fmt.Sprintf("obj%d", i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m := nestedtx.NewManager()
+		for _, x := range names {
+			if err := m.Register(x, nestedtx.Counter{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+}
+
 // BenchmarkDurableHotObject: b.N increments of one counter on a durable
 // manager, shared among 1, 2 and 8 writers, on the device bench/ models
 // (memory plus a 1 ms fsync). Every writer conflicts with every other,

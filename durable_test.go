@@ -305,6 +305,59 @@ func TestPoisonedWALDrainFailsLoudly(t *testing.T) {
 	}
 }
 
+// TestRecordingSystemTypeListsEveryObject: only a recording manager keeps
+// a system type, and it lists every object the manager serves — adopted
+// by OpenDurable's recovery or registered after — each with the state it
+// starts from, so Verify replays every object from where the run began.
+func TestRecordingSystemTypeListsEveryObject(t *testing.T) {
+	mem := wal.NewMemFS()
+	m, _, err := OpenDurable("d", DurableOptions{FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.MustRegister("a", adt.Counter{})
+	m.MustRegister("b", adt.Counter{N: 7})
+	if err := m.Run(func(tx *Tx) error { _, err := tx.Do("a", adt.CtrAdd{Delta: 1}); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if objs := m.SystemType().Objects(); len(objs) != 0 {
+		t.Errorf("a manager that records nothing lists objects %v", objs)
+	}
+	if err := m.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, _, err := OpenDurable("d", DurableOptions{FS: mem}, WithRecording())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.CloseWAL()
+	r.MustRegister("c", adt.Counter{N: 3})
+	want := map[string]adt.State{"a": adt.Counter{N: 1}, "b": adt.Counter{N: 7}, "c": adt.Counter{N: 3}}
+	st := r.SystemType()
+	if objs := st.Objects(); len(objs) != len(want) {
+		t.Errorf("recording manager lists objects %v, want %d", objs, len(want))
+	}
+	for x, init := range want {
+		if got, ok := st.ObjectInitial(x); !ok || got != init {
+			t.Errorf("system type has %s starting at %v (listed: %v), want %v", x, got, ok, init)
+		}
+	}
+	if err := r.Run(func(tx *Tx) error {
+		for x := range want {
+			if _, err := tx.Do(x, adt.CtrAdd{Delta: 1}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Verify(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOpenDurableRejectsBadOptions pins the boundary validation: a
 // data directory that cannot take writes must fail OpenDurable loudly
 // at startup, never surface later as a commit-time I/O error.

@@ -187,11 +187,10 @@ func TestFinishedChildrenAreUnlinked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if len(tx.children) != 0 || len(tx.handles) != 0 {
-		t.Errorf("after 100k returned subtransactions: %d children, %d handles still linked", len(tx.children), len(tx.handles))
+	if tx.children != nil || len(tx.handles) != 0 {
+		t.Errorf("after 100k returned subtransactions: child %v, %d handles still linked", tx.children, len(tx.handles))
 	}
-	// 99,000 dead children at 160 B apiece (plus their cancel channels)
-	// would be some 25 MB.
+	// 99,000 dead children at 160 B apiece would be some 16 MB.
 	if last > first+1<<20 {
 		t.Errorf("live heap grew from %d B after 1k Subs to %d B after 100k", first, last)
 	}

@@ -6,7 +6,9 @@ import "nestedtx/internal/tree"
 // H is really waiting for every transaction from H up to (but excluding)
 // lca(H, access) to commit — only then has the lock been inherited high
 // enough to become an ancestor's — so a lock edge goes from the waiting
-// transaction to each member of that chain. And a transaction cannot
+// transaction to each member of that chain. The access is a fresh child
+// of the waiting transaction T, so lca(H, access) = lca(H, T), and the
+// chain is computed from T (see Manager.Acquire). And a transaction cannot
 // commit before its descendants return, so a structural edge goes from
 // every proper ancestor of a waiting transaction down to it. Cycles in
 // this combined graph are exactly the executions that cannot progress
@@ -65,29 +67,8 @@ func (g graphView) succ(t tree.TID, buf []tree.TID) []tree.TID {
 	// Lock edges: for each of t's waits, the holder chains that must
 	// commit before the wait can be granted.
 	g.eachWaiter(topOf(t), func(wt *waiter) {
-		if wt.tx != t {
-			return
-		}
-		ls := wt.ls
-		addChain := func(holder tree.TID) {
-			lca := tree.LCA(holder, wt.access)
-			for u := holder; u != lca && u != tree.Root; u = u.Parent() {
-				if u != t {
-					buf = append(buf, u)
-				}
-			}
-		}
-		for _, h := range ls.chain {
-			if !h.t.IsAncestorOf(wt.access) {
-				addChain(h.t)
-			}
-		}
-		if wt.write {
-			for u := range ls.read {
-				if !u.IsAncestorOf(wt.access) {
-					addChain(u)
-				}
-			}
+		if wt.tx == t {
+			buf = wt.ls.waitsFor(t, wt.write, buf)
 		}
 	})
 	// Structural edges: t is gated on every waiting proper descendant.
@@ -96,6 +77,32 @@ func (g graphView) succ(t tree.TID, buf []tree.TID) []tree.TID {
 			buf = append(buf, wt.tx)
 		}
 	})
+	return buf
+}
+
+// waitsFor appends to buf the transactions a (write, when write is set)
+// request of t on ls waits for: for every conflicting holder that is not
+// an ancestor of t, the holder and its ancestors below lca(holder, t). It
+// is empty exactly when ls does not block t.
+func (ls *lockState) waitsFor(t tree.TID, write bool, buf []tree.TID) []tree.TID {
+	addChain := func(holder tree.TID) {
+		lca := tree.LCA(holder, t)
+		for u := holder; u != lca; u = u.Parent() {
+			buf = append(buf, u)
+		}
+	}
+	for _, h := range ls.chain {
+		if !h.t.IsAncestorOf(t) {
+			addChain(h.t)
+		}
+	}
+	if write {
+		for u := range ls.read {
+			if !u.IsAncestorOf(t) {
+				addChain(u)
+			}
+		}
+	}
 	return buf
 }
 

@@ -276,11 +276,10 @@ func (m *Manager) Register(x string, init adt.State) error {
 	if _, dup := sh.objects[x]; dup {
 		return fmt.Errorf("lockmgr: object %q already registered", x)
 	}
-	// Room for the root and one top-level writer: the flat case never
-	// grows the chain.
-	chain := make([]writeHolder, 1, 2)
-	chain[0] = writeHolder{t: tree.Root, st: init}
-	sh.objects[x] = &lockState{name: x, chain: chain, read: tree.NewSet()}
+	ls := &lockState{name: x, read: tree.NewSet()}
+	ls.base[0] = writeHolder{t: tree.Root, st: init}
+	ls.chain = ls.base[:1:2]
+	sh.objects[x] = ls
 	return nil
 }
 
@@ -307,15 +306,17 @@ func (m *Manager) Stats() Stats {
 	return out
 }
 
-// TopVersions returns the new root versions a committing top-level
-// transaction is about to install: for every object top holds a write
-// lock on, the version top holds. The runtime calls it inside the
-// top-level commit sequence — after every descendant has committed into
-// top, before Commit(top) releases the locks — to publish the commit
-// into the snapshot store. Aborted descendants' versions were already
-// discarded, so the result contains only effects that commit to root.
-func (m *Manager) TopVersions(top tree.TID) map[string]adt.State {
-	var out map[string]adt.State
+// TopVersions adds to out, and returns, the new root versions a
+// committing top-level transaction is about to install: for every object
+// top holds a write lock on, the version top holds. out may be nil; it is
+// made when there is a first version to add, so a transaction that wrote
+// nothing gets nil. The runtime calls it inside the top-level commit
+// sequence — after every descendant has committed into top, before
+// Commit(top) releases the locks — to publish the commit into the
+// snapshot store, handing it the same emptied map commit after commit.
+// Aborted descendants' versions were already discarded, so the result
+// contains only effects that commit to root.
+func (m *Manager) TopVersions(top tree.TID, out map[string]adt.State) map[string]adt.State {
 	m.eachFpShard(top, func(sh *shard) {
 		r := sh.trees[top]
 		i := r.find(top)
@@ -372,22 +373,30 @@ func (m *Manager) isWrite(op adt.Op) bool {
 	return m.mode == core.Exclusive || !op.ReadOnly()
 }
 
-// Acquire runs access `access` (a child of live transaction tx) applying
-// op to object x, blocking until the Moss locking rule admits it. On
-// success it returns the operation's value; the lock ends up held by tx
-// (the access is granted its lock, commits, and the lock passes to its
-// parent — the corresponding five formal events are recorded atomically).
+// Acquire runs an access of live transaction tx applying op to object x,
+// blocking until the Moss locking rule admits it. On success it returns
+// the operation's value; the lock ends up held by tx (the access is
+// granted its lock, commits, and the lock passes to its parent — the
+// corresponding five formal events are recorded atomically).
 //
-// cancel, when closed, unblocks the wait with ErrCancelled (used when the
+// access is the access's name, a fresh child of tx, and only the recorder
+// reads it; a manager that records nothing may be passed "". Admission
+// and wait-for edges are decided on tx: a fresh access holds no lock and
+// has no descendants, so a holder is its ancestor exactly when the holder
+// is tx's, and its least common ancestor with any holder is tx's.
+//
+// cancel may be nil. Its Done is called only once the access blocks, and
+// that channel closing unblocks the wait with ErrCancelled (used when the
 // enclosing transaction is aborted externally). ErrDeadlock is returned
 // when the wait was chosen as a deadlock victim, even when the victim
 // choice races an external cancel — the deadlock outcome wins, so retry
 // loops keyed on ErrDeadlock observe it.
-func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel <-chan struct{}) (adt.Value, error) {
+func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel interface{ Done() <-chan struct{} }) (adt.Value, error) {
 	sh := m.shardFor(x)
 	write := m.isWrite(op)
 	waited := false
-	var waitStart time.Time // set when the acquisition first blocks
+	var waitStart time.Time  // set when the acquisition first blocks
+	var done <-chan struct{} // cancel's channel, asked for at the first wait
 	sh.mu.Lock()
 	for {
 		ls, ok := sh.objects[x]
@@ -395,7 +404,7 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel <-cha
 			sh.mu.Unlock()
 			return nil, fmt.Errorf("lockmgr: %w: %q", ErrUnknownObject, x)
 		}
-		if !ls.blocked(access, write) {
+		if !ls.blocked(tx, write) {
 			v := sh.grantLocked(ls, tx, access, op, write)
 			sh.stats.Acquires++
 			if waited {
@@ -434,7 +443,7 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel <-cha
 			waitStart = time.Now()
 			m.met.Trace(obs.KindLockWait, string(tx), x, 0)
 		}
-		w := &waiter{tx: tx, access: access, ls: ls, sh: sh, write: write, wake: make(chan struct{})}
+		w := &waiter{tx: tx, ls: ls, sh: sh, write: write, wake: make(chan struct{})}
 		sh.enqueueLocked(w)
 		// Every edge this wait adds either sources from tx (lock edges) or
 		// targets tx (structural edges from its ancestors), so any cycle
@@ -456,6 +465,9 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel <-cha
 		}
 		sh.mu.Unlock()
 		waited = true
+		if done == nil && cancel != nil {
+			done = cancel.Done()
+		}
 		select {
 		case <-w.wake:
 			sh.mu.Lock()
@@ -465,7 +477,7 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel <-cha
 				return nil, ErrDeadlock
 			}
 			// The waker dequeued w; loop and rescan.
-		case <-cancel:
+		case <-done:
 			sh.mu.Lock()
 			if w.victim {
 				// Deadlock victim chosen concurrently with the cancel: the

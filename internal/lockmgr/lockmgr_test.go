@@ -14,6 +14,11 @@ import (
 	"nestedtx/internal/tree"
 )
 
+// closer is a bare channel as Acquire's cancel: closing it cancels.
+type closer chan struct{}
+
+func (c closer) Done() <-chan struct{} { return c }
+
 func newMgr(t testing.TB) *Manager {
 	t.Helper()
 	m := New(nil, core.ReadWrite, nil)
@@ -133,7 +138,7 @@ func TestCancelUnblocks(t *testing.T) {
 	if _, err := m.Acquire("T0.0", "T0.0.0", "X", adt.RegWrite{V: int64(1)}, nil); err != nil {
 		t.Fatal(err)
 	}
-	cancel := make(chan struct{})
+	cancel := make(closer)
 	errCh := make(chan error, 1)
 	go func() {
 		_, err := m.Acquire("T0.1", "T0.1.0", "X", adt.RegWrite{V: int64(2)}, cancel)
@@ -371,7 +376,7 @@ func TestCancelVictimRace(t *testing.T) {
 			t.Fatal(err)
 		}
 		// T0.5 blocks writing X (conflicts with T0.2's read lock).
-		cancel := make(chan struct{})
+		cancel := make(closer)
 		errCh := make(chan error, 1)
 		go func() {
 			_, err := m.Acquire("T0.5", "T0.5.1", "X", adt.RegWrite{V: int64(2)}, cancel)
@@ -622,8 +627,8 @@ func TestWokenAndCancelledWaiterLeavesOnce(t *testing.T) {
 				}
 				mustAcquire("T0.2", a)
 				mustAcquire("T0.3", b)
-				cancel := make(chan struct{})
-				wait := func(tx tree.TID, x string, cancel <-chan struct{}) <-chan error {
+				cancel := make(closer)
+				wait := func(tx tree.TID, x string, cancel closer) <-chan error {
 					done := make(chan error, 1)
 					go func() {
 						_, err := m.Acquire(tx, tx.Child(0), x, adt.RegWrite{V: int64(2)}, cancel)

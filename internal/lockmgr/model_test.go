@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nestedtx/internal/adt"
@@ -54,7 +55,10 @@ func newLockstep(tb testing.TB, mode core.Mode, shards int, objects ...string) *
 
 // access runs access (a fresh child of tx) applying op to x on both sides
 // when M(X) enables its response, and reports whether it did. The manager
-// must agree on admission, so nothing ever waits, and on the value.
+// must agree on admission, so nothing ever waits, and on the value. M(X)
+// decides on the access, the manager on tx; whether or not it is enabled,
+// the access and tx must be blocked by the same holders and wait for the
+// same transactions.
 func (l *lockstep) access(tx, access tree.TID, x string, op adt.Op) (bool, error) {
 	if err := l.st.DefineAccess(access, x, op); err != nil {
 		return false, err
@@ -66,8 +70,16 @@ func (l *lockstep) access(tx, access tree.TID, x string, op adt.Op) (bool, error
 	enabled := mx.RespondEnabled(access) == nil
 	sh := l.m.shardFor(x)
 	sh.mu.Lock()
-	blocked := sh.objects[x].blocked(access, l.m.isWrite(op))
+	ls, write := sh.objects[x], l.m.isWrite(op)
+	blocked := ls.blocked(tx, write)
+	byAccess, byTx := ls.waitsFor(access, write, nil), ls.waitsFor(tx, write, nil)
+	accessBlocked := ls.blocked(access, write)
 	sh.mu.Unlock()
+	slices.Sort(byAccess)
+	slices.Sort(byTx)
+	if accessBlocked != blocked || (len(byTx) > 0) != blocked || !slices.Equal(byAccess, byTx) {
+		return false, fmt.Errorf("%s on %s: the access is blocked=%v waiting for %v, %s blocked=%v waiting for %v", access, x, accessBlocked, byAccess, tx, blocked, byTx)
+	}
 	if blocked == enabled {
 		return false, fmt.Errorf("%s on %s: M(X) enabled=%v but the lock tables say blocked=%v", access, x, enabled, blocked)
 	}
@@ -165,7 +177,7 @@ func (l *lockstep) check() error {
 		}
 	}
 	for top, want := range publish {
-		if got := l.m.TopVersions(top); !reflect.DeepEqual(got, want) {
+		if got := l.m.TopVersions(top, nil); !reflect.DeepEqual(got, want) {
 			return fmt.Errorf("TopVersions(%s) = %v, M(X) and the steps say %v", top, got, want)
 		}
 	}

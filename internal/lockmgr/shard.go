@@ -94,6 +94,10 @@ type lockState struct {
 	chain []writeHolder
 	read  tree.Set
 	queue []*waiter
+	// base is the chain's first array: room for the root and one
+	// top-level writer in the lock state's own allocation, so registering
+	// an object makes no chain and the flat case never grows one.
+	base [2]writeHolder
 }
 
 // writeHolder is one write-lockholder and the version it holds.
@@ -109,8 +113,7 @@ type writeHolder struct {
 }
 
 type waiter struct {
-	tx     tree.TID // the live transaction performing the access
-	access tree.TID
+	tx     tree.TID   // the live transaction performing the access
 	ls     *lockState // the object the waiter is queued on
 	sh     *shard     // the shard ls lives in
 	write  bool       // whether the access needs a write lock

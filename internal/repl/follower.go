@@ -43,8 +43,13 @@ type Follower struct {
 	met  *obs.Metrics
 	clk  clock.Clock // reconnect-backoff time source (wal.Options.Clock)
 
-	mu            sync.Mutex
-	snap          *snap.Store // the replicated committed states; swapped by installSnapshot
+	mu   sync.Mutex
+	snap *snap.Store // the replicated committed states; swapped by installSnapshot
+	// applied is the LSN after the last record snap reflects, moved with
+	// snap under mu: Status reports it, so a reader that sees an LSN there
+	// finds its effects in State. The log's own NextLSN runs ahead of it
+	// while a batch waits for its fsync and is replayed.
+	applied       uint64
 	leader        string
 	leaderDurable uint64
 	progress      time.Time // last time the local log advanced
@@ -71,6 +76,7 @@ func OpenFollower(dir string, opts wal.Options) (*Follower, error) {
 		met:      opts.Metrics,
 		clk:      clock.Or(opts.Clock),
 		snap:     newStore(rec.States()),
+		applied:  lg.Stats().NextLSN,
 		progress: time.Now(),
 		stop:     make(chan struct{}),
 	}, nil
@@ -251,6 +257,7 @@ func (f *Follower) applyBatch(r *wire.Repl) error {
 				f.met.SnapPublishes.Inc()
 			}
 		}
+		f.applied = rec.LSN + 1
 	}
 	f.progress = time.Now()
 	f.met.ObserveReplApply(len(recs))
@@ -280,6 +287,7 @@ func (f *Follower) installSnapshot(r *wire.Repl) error {
 	sn := newStore(states)
 	f.mu.Lock()
 	f.snap = sn
+	f.applied = r.NextLSN
 	f.progress = time.Now()
 	f.mu.Unlock()
 	f.publishLag()
@@ -321,12 +329,11 @@ func (f *Follower) publishLag() {
 }
 
 func (f *Follower) publishLagLocked() {
-	applied := f.log.Stats().NextLSN
-	if f.leaderDurable <= applied {
+	if f.leaderDurable <= f.applied {
 		f.met.SetReplLag(0, 0)
 		return
 	}
-	f.met.SetReplLag(f.leaderDurable-applied, time.Since(f.progress))
+	f.met.SetReplLag(f.leaderDurable-f.applied, time.Since(f.progress))
 }
 
 // newStore returns a store whose every chain starts at states.
@@ -356,22 +363,24 @@ func (f *Follower) State(name string) (adt.State, error) {
 	return f.Store().Head(name)
 }
 
-// Status reports the follower-side replication view.
+// Status reports the follower-side replication view. NextLSN is the
+// replay position — every record below it is reflected in State — and the
+// lag is counted from it; DurableLSN and CheckpointLSN are the local log's.
 func (f *Follower) Status() *wire.ReplStatus {
 	st := f.log.Stats()
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	out := &wire.ReplStatus{
 		Role:             "follower",
-		NextLSN:          st.NextLSN,
+		NextLSN:          f.applied,
 		DurableLSN:       st.DurableLSN,
 		CheckpointLSN:    st.CheckpointLSN,
 		Leader:           f.leader,
 		LeaderDurableLSN: f.leaderDurable,
 		Connected:        f.connected,
 	}
-	if f.leaderDurable > st.NextLSN {
-		out.LagRecords = f.leaderDurable - st.NextLSN
+	if f.leaderDurable > f.applied {
+		out.LagRecords = f.leaderDurable - f.applied
 		out.LagSeconds = time.Since(f.progress).Seconds()
 	}
 	return out

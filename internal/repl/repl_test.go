@@ -185,6 +185,53 @@ func TestShipAndCatchUp(t *testing.T) {
 	}
 }
 
+// TestStatusWaitsForTheStore holds the follower's first fsync, so a batch
+// sits between its append — the log's NextLSN has moved past it — and its
+// replay into the store. Status must not report what State cannot show
+// yet: its NextLSN stays where the store is until the fsync is let go.
+func TestStatusWaitsForTheStore(t *testing.T) {
+	fs := wal.NewMemFS()
+	leader := newLeaderLog(t, fs, "leader", wal.Options{})
+	defer leader.lg.Close()
+	leader.register("ctr", adt.Counter{})
+	for i := 0; i < 5; i++ {
+		leader.commit("ctr", adt.CtrAdd{Delta: 1})
+	}
+	addr, stop := serveShipper(t, NewShipper(leader.lg, &obs.Metrics{}))
+	defer stop()
+
+	device := wal.NewFaultFS(fs)
+	f, err := OpenFollower("follower", wal.Options{FS: device})
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	defer f.Close()
+	held, release := make(chan struct{}), make(chan struct{})
+	var hold, let sync.Once
+	device.SetSyncHook(func() { hold.Do(func() { close(held); <-release }) })
+	defer let.Do(func() { close(release) }) // before Close, whose flush syncs
+	go f.Run(addr)
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the follower never synced a batch")
+	}
+	if staged := f.log.Stats().NextLSN; staged == 0 {
+		t.Fatal("the fsync is held but the log's NextLSN has not moved")
+	}
+	if st := f.Status(); st.NextLSN != 0 {
+		t.Fatalf("Status reports NextLSN %d while the store has replayed nothing", st.NextLSN)
+	}
+	if st, err := f.State("ctr"); err == nil {
+		t.Fatalf("State(ctr) = %v before its register record was replayed", st)
+	}
+	let.Do(func() { close(release) })
+	waitFor(t, "catch-up", func() bool {
+		return f.Status().NextLSN == leader.lg.DurableLSN()
+	})
+	wantStates(t, f, leader.states)
+}
+
 func TestSnapshotCatchUp(t *testing.T) {
 	fs := wal.NewMemFS()
 	leader := newLeaderLog(t, fs, "leader", wal.Options{})

@@ -404,9 +404,10 @@ func TestFollowerRestartMidCatchUp(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatalf("close mid-catch-up: %v", err)
 	}
-	// Read the position only now: a batch applied between an earlier read
-	// and Close is durable, and recovery rightly finds it.
-	mid := f.Status().NextLSN
+	// Read the position only now, and the log's: a batch staged before
+	// Close is flushed by it, and recovery rightly finds it, whether or
+	// not the store had replayed it (Status's NextLSN counts only that).
+	mid := f.Status().DurableLSN
 	leaderStats, _ := mgr.WalStats()
 	if mid >= leaderStats.DurableLSN {
 		t.Fatalf("stall never bit: follower reached %d of %d before restart", mid, leaderStats.DurableLSN)

@@ -425,7 +425,8 @@ type session struct {
 	inFlight   atomic.Bool  // a request is being handled right now
 
 	// The request deadline: one timer, armed around each access, that
-	// cancels the tree whose access is parked (see arm and expired).
+	// cancels the tree whose access is parked (see arm and expired). The
+	// session's teardown hook cancels the same tree.
 	watchdog *time.Timer
 	parked   atomic.Pointer[nestedtx.Tx]
 	fired    chan struct{}
@@ -450,6 +451,14 @@ func (s *Server) serveConn(conn net.Conn) {
 	ss := &session{srv: s, conn: conn, ctx: ctx, cancel: cancel, fired: make(chan struct{}, 1),
 		txs: make(map[uint64]*txHandle), ros: make(map[uint64]*snap.Tx)}
 	ss.lastActive.Store(time.Now().UnixNano())
+	// Teardown (reaper, Shutdown, connection loss) unblocks the one access
+	// the session goroutine can be parked in; that goroutine then aborts
+	// every tree on its way out. arm closes the race with this hook.
+	context.AfterFunc(ctx, func() {
+		if tree := ss.parked.Load(); tree != nil {
+			tree.Cancel()
+		}
+	})
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -533,22 +542,15 @@ type txHandle struct {
 	tx     *nestedtx.Tx
 	child  *txHandle // non-nil while a SUB is open under this handle
 
-	// Top-level handles only. detach drops the tree's hook on the session
-	// context; dead marks a tree the session aborted as a whole (request
-	// timeout), whose handles are now stale.
-	detach func() bool
-	dead   bool
+	// Top-level handles only: dead marks a tree the session aborted as a
+	// whole (request timeout), whose handles are now stale.
+	dead bool
 }
 
 func (ss *session) newHandle(parent *txHandle, tx *nestedtx.Tx) wire.Response {
 	ss.nextTx++
 	h := &txHandle{id: ss.nextTx, parent: parent, tx: tx}
-	if parent == nil {
-		// Session teardown (reaper, Shutdown, connection loss) unblocks an
-		// access parked anywhere in the tree; the session goroutine then
-		// aborts the tree on its way out.
-		h.detach = context.AfterFunc(ss.ctx, tx.Cancel)
-	} else {
+	if parent != nil {
 		parent.child = h
 	}
 	ss.txs[h.id] = h
@@ -571,7 +573,6 @@ func (ss *session) returned(h *txHandle, committed bool) {
 		h.parent.child = nil
 		return
 	}
-	h.detach()
 	ss.srv.count(func(c *Counters) {
 		if committed {
 			c.Commits++
@@ -594,9 +595,15 @@ func (ss *session) abortTree(root *txHandle) {
 }
 
 // arm starts the request deadline of an access about to run in tree:
-// the watchdog, one timer per session, cancels tree if it fires.
+// the watchdog, one timer per session, cancels tree if it fires. tree is
+// also what the teardown hook cancels: a hook that ran before the store
+// saw an older tree, or none, but it ran after the session's context was
+// done, so the check after the store sees that and cancels tree here.
 func (ss *session) arm(tree *nestedtx.Tx) {
 	ss.parked.Store(tree)
+	if ss.ctx.Err() != nil {
+		tree.Cancel()
+	}
 	if ss.watchdog != nil {
 		ss.watchdog.Reset(ss.srv.cfg.RequestTimeout)
 		return

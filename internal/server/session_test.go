@@ -196,3 +196,77 @@ func TestReaperUnblocksParkedAccess(t *testing.T) {
 		t.Errorf("counter = %v, want 10 (holder's +1 rolled back)", st)
 	}
 }
+
+// TestShutdownRacesParkedAccess: one teardown hook per session cancels the
+// tree the session's access is parked in, and arm re-checks the session's
+// context after naming that tree, so a Shutdown that lands anywhere around
+// an access — before its request is read, between arm and the wait, or
+// while it is parked behind another's lock — still unblocks it. The lock
+// is held by another session in even rounds, whose own teardown frees it,
+// and in odd rounds by a transaction of the process, which nothing but the
+// hook gets the access past. Every round drains well inside its deadline
+// with the sessions gone, no waiter left queued, the lock tables clean and
+// nothing committed.
+func TestShutdownRacesParkedAccess(t *testing.T) {
+	for r := 0; r < 1000; r++ {
+		mgr := nestedtx.NewManager()
+		mgr.MustRegister("c", nestedtx.Counter{})
+		srv := server.New(mgr, server.Config{RequestTimeout: time.Minute})
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("listen: %v", err)
+		}
+		go srv.Serve(ln)
+		var local *nestedtx.Tx
+		if r%2 == 1 {
+			local = mgr.Begin()
+			if _, err := local.Do("c", nestedtx.CtrAdd{Delta: 1}); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			htx, err := dial(t, ln.Addr().String()).Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := htx.Write("c", nestedtx.CtrAdd{Delta: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waiter := dial(t, ln.Addr().String())
+		wtx, err := waiter.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		parked := make(chan struct{})
+		go func() {
+			defer close(parked)
+			wtx.Write("c", nestedtx.CtrAdd{Delta: 10}) // fails or, once the holder is torn down, is granted; its tree is aborted either way
+		}()
+		for i := 0; i < r%64; i++ {
+			runtime.Gosched()
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		err = srv.Shutdown(ctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: drain: %v", r, err)
+		}
+		<-parked
+		waiter.Close()
+		if local != nil {
+			local.Abort()
+		}
+		if c := srv.Counters(); c.ActiveSessions != 0 {
+			t.Fatalf("round %d: %d sessions left after the drain", r, c.ActiveSessions)
+		}
+		if n := mgr.Metrics().QueuedWaiters.Load(); n != 0 {
+			t.Fatalf("round %d: %d accesses still queued", r, n)
+		}
+		if err := mgr.CheckInvariants(); err != nil {
+			t.Fatalf("round %d: %v", r, err)
+		}
+		if st, _ := mgr.State("c"); st.(nestedtx.Counter).N != 0 {
+			t.Fatalf("round %d: counter = %v, want 0", r, st)
+		}
+	}
+}

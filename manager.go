@@ -62,9 +62,10 @@ type options struct {
 // WithRecording makes the manager record the formal event schedule of the
 // run, enabling [Manager.Verify] and [Manager.WriteSchedule]. Recording
 // costs one slice append per formal operation and one system-type entry
-// per access (see [Manager.SystemType]), both kept for the life of the
-// manager. Without it the manager keeps nothing per access: what an
-// access allocated is garbage once its top-level transaction ends.
+// per object and per access (see [Manager.SystemType]), all kept for the
+// life of the manager, and a name built for every access. Without it the
+// manager keeps nothing per access, and names none: what a transaction
+// allocated is garbage once its top-level transaction ends.
 func WithRecording() Option { return func(o *options) { o.record = true } }
 
 // WithExclusiveLocking treats every access as a write access. Per the
@@ -117,14 +118,19 @@ type Manager struct {
 	// read-only-transaction logs Verify checks.
 	snap *snap.Store
 
-	// mu guards st, and on a durable manager makes a registration's
-	// check, log record and adoption one step. It is taken to register an
-	// object and, in recording mode only, to define an access; Run and a
-	// non-recording Do never touch it.
+	// mu guards st — kept by a recording manager only — and on a durable
+	// manager makes a registration's check, log record and adoption one
+	// step. It is taken to register an object and, in recording mode only,
+	// to define an access; Run and a non-recording Do never touch it.
 	mu sync.Mutex
 	st *event.SystemType
 
 	nextTop atomic.Int64
+
+	// updates recycles the maps applyTop gathers a commit's root versions
+	// in: the store copies what it keeps, so a map is free again once the
+	// publication returns.
+	updates sync.Pool
 
 	// clk is the time source for retry backoffs (WithClock; the wall
 	// clock by default).
@@ -198,12 +204,16 @@ func (m *Manager) adopt(name string, initial State) error {
 
 // adoptLocked is adopt with mu held. The lock manager goes first: it is
 // the one that refuses a duplicate, and a refused registration must leave
-// the first one's initial state where Verify replays from it.
+// the first one's initial state where Verify replays from it. Only a
+// recording manager enters the object in the system type: Verify and
+// defineAccess, both recording-only, are its readers.
 func (m *Manager) adoptLocked(name string, initial State) error {
 	if err := m.lm.Register(name, initial); err != nil {
 		return err
 	}
-	m.st.DefineObject(name, initial)
+	if m.rec != nil {
+		m.st.DefineObject(name, initial)
+	}
 	m.snap.Base(name, initial)
 	return nil
 }
@@ -327,7 +337,8 @@ func (m *Manager) commitTop(tx *Tx) error {
 func (m *Manager) applyTop(id tree.TID, v Value, lsn uint64) (seq uint64) {
 	m.rec.Record(event.Event{Kind: event.RequestCommit, T: id, Value: v})
 	m.met.Trace(event.RequestCommit.String(), string(id), "", 0)
-	if up := m.lm.TopVersions(id); len(up) > 0 {
+	up, _ := m.updates.Get().(map[string]State)
+	if up = m.lm.TopVersions(id, up); len(up) > 0 {
 		if m.wal != nil {
 			seq = m.snap.Stage(string(id), up, lsn)
 		} else {
@@ -335,18 +346,27 @@ func (m *Manager) applyTop(id tree.TID, v Value, lsn uint64) (seq uint64) {
 		}
 		m.met.SnapPublishes.Inc()
 	}
+	// A map never shrinks and clear costs its capacity, so one a large
+	// commit grew is left to the collector.
+	if up != nil && len(up) <= maxReusedUpdates {
+		clear(up)
+		m.updates.Put(up)
+	}
 	m.lm.Commit(id, v)
 	return seq
 }
+
+// maxReusedUpdates is the largest publication map applyTop keeps.
+const maxReusedUpdates = 64
 
 // Schedule returns a snapshot of the recorded formal schedule (nil without
 // [WithRecording]).
 func (m *Manager) Schedule() event.Schedule { return m.rec.Snapshot() }
 
-// SystemType returns the system type of the run so far: the registered
-// objects and, with [WithRecording], every access performed (what Verify
-// needs to read the schedule). A non-recording manager defines no
-// accesses.
+// SystemType returns the system type of the run so far, what Verify
+// needs to read the schedule: with [WithRecording], every registered
+// object and every access performed. A non-recording manager keeps
+// neither, and returns an empty system type.
 func (m *Manager) SystemType() *event.SystemType {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -3,8 +3,10 @@ package nestedtx
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestRunCommit(t *testing.T) {
@@ -238,6 +240,54 @@ func TestDeadlockDetectedAndVictimized(t *testing.T) {
 	}
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestDeadlockVictimNamesItsAccess: a deadlock victim's error names the
+// refused access exactly as a recording manager names it, although a
+// manager that records nothing never builds access names otherwise.
+func TestDeadlockVictimNamesItsAccess(t *testing.T) {
+	msgs := map[string]string{}
+	for name, opts := range map[string][]Option{"plain": nil, "recording": {WithRecording()}} {
+		m := NewManager(append(opts, WithLockShards(1))...)
+		m.MustRegister("x", Counter{})
+		m.MustRegister("y", Counter{})
+		// T0.0 writes x (T0.0.0), T0.1 writes y (T0.1.0), and T0.0's
+		// access to y (T0.0.1) waits.
+		older, newer := m.Begin(), m.Begin()
+		if _, err := older.Do("x", CtrAdd{Delta: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := newer.Do("y", CtrAdd{Delta: 1}); err != nil {
+			t.Fatal(err)
+		}
+		blocked := make(chan error, 1)
+		go func() { _, err := older.Do("y", CtrAdd{Delta: 1}); blocked <- err }()
+		for m.Metrics().QueuedWaiters.Load() == 0 {
+			time.Sleep(10 * time.Microsecond)
+		}
+		// T0.1.1 closes the cycle; newer is the latest sibling among the
+		// waiters, so its own access is refused.
+		_, err := newer.Do("x", CtrAdd{Delta: 1})
+		if !errors.Is(err, ErrDeadlock) {
+			t.Fatalf("%s: closing access = %v, want ErrDeadlock", name, err)
+		}
+		msgs[name] = err.Error()
+		newer.Abort()
+		if err := <-blocked; err != nil {
+			t.Fatal(err)
+		}
+		if err := older.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if opts != nil {
+			if err := m.Verify(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if want := "nestedtx: access T0.1.1 on x: "; !strings.HasPrefix(msgs["plain"], want) || msgs["plain"] != msgs["recording"] {
+		t.Fatalf("victim errors: plain %q, recording %q; want both %q…", msgs["plain"], msgs["recording"], want)
 	}
 }
 

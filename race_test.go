@@ -8,6 +8,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"nestedtx/internal/lockmgr"
 )
 
 // TestRegisterRacesTransactionsAndStats is a -race stress test: Register
@@ -432,5 +434,166 @@ func TestRunRetryCtxRetriesDeadlockVictims(t *testing.T) {
 	}
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCancelReachesEveryWait cancels a transaction at each point of an
+// access's wait: before the access blocks, while it is queued (through the
+// parent's cascade), racing the commit that wakes it, and racing the
+// deadlock detector electing it. A transaction's cancel channel is made
+// only when one of its accesses blocks, so every point must still find it:
+// each case ends in ErrAborted or ErrDeadlock, never in a hang, and leaves
+// the lock tables clean. A transaction that never waits makes no channel.
+func TestCancelReachesEveryWait(t *testing.T) {
+	write := CtrAdd{Delta: 1}
+	setup := func() *Manager {
+		m := NewManager(WithLockShards(1))
+		m.MustRegister("a", Counter{})
+		m.MustRegister("b", Counter{})
+		return m
+	}
+	hold := func(m *Manager, obj string) *Tx {
+		tx := m.Begin()
+		if _, err := tx.Do(obj, write); err != nil {
+			t.Fatal(err)
+		}
+		return tx
+	}
+	do := func(tx *Tx, obj string) <-chan error {
+		ch := make(chan error, 1)
+		go func() { _, err := tx.Do(obj, write); ch <- err }()
+		return ch
+	}
+	await := func(what string, ch <-chan error) error {
+		select {
+		case err := <-ch:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s: the access never returned", what)
+			return nil
+		}
+	}
+	queued := func(m *Manager, what string) {
+		for deadline := time.Now().Add(10 * time.Second); m.Metrics().QueuedWaiters.Load() == 0; {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: the access never queued", what)
+			}
+			time.Sleep(10 * time.Microsecond)
+		}
+	}
+	commit := func(what string, tx *Tx, want error) {
+		if err := tx.Commit(); !errors.Is(err, want) {
+			t.Fatalf("%s: commit of %s = %v, want %v", what, tx.ID(), err, want)
+		}
+	}
+	atRest := func(m *Manager, what string) {
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if n := m.Metrics().QueuedWaiters.Load(); n != 0 {
+			t.Fatalf("%s: %d accesses still queued", what, n)
+		}
+	}
+	var victims, cancels int
+	for r := 0; r < 500; r++ {
+		// Before it blocks: the transaction is cancelled between taking the
+		// access's index and the lock manager asking for its channel — the
+		// window Do's own check cannot close — so it gets a closed one.
+		what := fmt.Sprintf("round %d, before blocking", r)
+		m := setup()
+		h := hold(m, "a")
+		w := m.Begin()
+		w.Cancel()
+		acquired := make(chan error, 1)
+		go func() { _, err := m.lm.Acquire(w.id, "", "a", write, (*txDone)(w)); acquired <- err }()
+		if err := await(what, acquired); !errors.Is(err, lockmgr.ErrCancelled) {
+			t.Fatalf("%s: Acquire = %v, want ErrCancelled", what, err)
+		}
+		if _, err := w.Do("a", write); !errors.Is(err, ErrAborted) {
+			t.Fatalf("%s: Do = %v, want ErrAborted", what, err)
+		}
+		commit(what, w, ErrAborted)
+
+		// While it is queued: cancelling the parent reaches the channel its
+		// subtransaction's access made when it blocked.
+		what = fmt.Sprintf("round %d, while queued", r)
+		w = m.Begin()
+		sub, err := w.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		ch := do(sub, "a")
+		queued(m, what)
+		w.Cancel()
+		if err := await(what, ch); !errors.Is(err, ErrAborted) {
+			t.Fatalf("%s: Do = %v, want ErrAborted", what, err)
+		}
+		w.Abort()
+		atRest(m, what)
+
+		// Racing the wake: the holder's commit wakes the access as the
+		// cancel lands. Granted or not, the transaction is doomed.
+		what = fmt.Sprintf("round %d, racing the wake", r)
+		w = m.Begin()
+		ch = do(w, "a")
+		queued(m, what)
+		committed := make(chan error, 1)
+		go func() { committed <- h.Commit() }()
+		w.Cancel()
+		if err := <-committed; err != nil {
+			t.Fatalf("%s: the holder's commit = %v", what, err)
+		}
+		if err := await(what, ch); err != nil && !errors.Is(err, ErrAborted) {
+			t.Fatalf("%s: Do = %v, want nil or ErrAborted", what, err)
+		}
+		commit(what, w, ErrAborted)
+		atRest(m, what)
+
+		// Racing a victim election: newer waits on b, older's access on a
+		// closes the cycle and elects newer — the deepest waiter, latest
+		// sibling — as newer's cancel lands.
+		what = fmt.Sprintf("round %d, racing a victim election", r)
+		m = setup()
+		older, newer := m.Begin(), m.Begin()
+		for _, p := range []struct {
+			tx  *Tx
+			obj string
+		}{{newer, "a"}, {older, "b"}} {
+			if _, err := p.tx.Do(p.obj, write); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ch = do(newer, "b")
+		queued(m, what)
+		chOlder := do(older, "a")
+		newer.Cancel()
+		switch err := await(what, ch); {
+		case errors.Is(err, ErrDeadlock):
+			victims++
+		case errors.Is(err, ErrAborted):
+			cancels++
+		default:
+			t.Fatalf("%s: Do = %v, want ErrDeadlock or ErrAborted", what, err)
+		}
+		newer.Abort()
+		if err := await(what, chOlder); err != nil {
+			t.Fatalf("%s: the survivor's access = %v", what, err)
+		}
+		commit(what, older, nil)
+		atRest(m, what)
+	}
+	t.Logf("victim election against the cancel: the victim outcome %d times, the cancel %d", victims, cancels)
+
+	// A transaction that never waits makes no channel: its Tx, its name and
+	// its tree's entry in the lock manager's cross-shard index are all it
+	// allocates.
+	m := setup()
+	read := func(tx *Tx) error { _, err := tx.Do("a", CtrGet{}); return err }
+	if n := testing.AllocsPerRun(200, func() {
+		if err := m.Run(read); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 3 {
+		t.Errorf("a transaction with one access that never waits: %.1f allocations, want 3", n)
 	}
 }

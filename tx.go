@@ -28,16 +28,23 @@ type Tx struct {
 
 	// cancel closes when the transaction is aborted from outside (Cancel,
 	// or an ancestor aborting); blocked accesses unblock with ErrAborted.
+	// Only a blocked access asks for it (see txDone), so it is made then,
+	// under mu, and a transaction that never waits has none.
 	cancel chan struct{}
 	// start is the creation time as an offset from epoch: 8 bytes where a
 	// time.Time is 24, which keeps Tx inside its 160-byte size class.
 	start time.Duration
 
-	mu        sync.Mutex
-	handles   []*Handle // Go children whose outcome end still has to see
-	children  []*Tx     // open child transactions (for cascading cancel)
-	value     Value     // optional user result, set by Return
-	committed int64     // committed children count (default commit value)
+	mu      sync.Mutex
+	handles []*Handle // Go children whose outcome end still has to see
+	// children is the newest open child transaction; each open child's
+	// older and newer link it to its open siblings, under the parent's mu.
+	// Cancel cascades along the list oldest first, end aborts it newest
+	// first, and a child that returns unlinks itself in place.
+	children     *Tx
+	older, newer *Tx
+	value        Value // optional user result, set by Return
+	committed    int64 // committed children count (default commit value)
 	// effects accumulates the transaction's surviving accesses (its own
 	// plus those inherited from committed children, in commit order) for
 	// the WAL redo record. Only maintained on durable managers; an
@@ -75,18 +82,45 @@ func (tx *Tx) result() Value {
 	return tx.committed
 }
 
-// newChild mints the next child name, refusing when tx can no longer
-// start one. The caller holds tx.mu.
-func (tx *Tx) newChild() (tree.TID, error) {
+// newChild takes the next child index, refusing when tx can no longer
+// start a child. Accesses and subtransactions share the numbering, so
+// every name is the one a recording manager would mint, whether or not
+// the child's name is ever built. The caller holds tx.mu.
+func (tx *Tx) newChild() (int, error) {
 	if tx.done {
-		return "", ErrDone
+		return 0, ErrDone
 	}
 	if tx.aborted {
-		return "", ErrAborted
+		return 0, ErrAborted
 	}
-	c := tx.id.Child(int(tx.nextChild))
+	k := int(tx.nextChild)
 	tx.nextChild++
-	return c, nil
+	return k, nil
+}
+
+// closedDone is what txDone hands an access of a transaction already
+// cancelled: one closed channel for all of them.
+var closedDone = func() chan struct{} {
+	c := make(chan struct{})
+	close(c)
+	return c
+}()
+
+// txDone is a Tx as the lock manager's cancel. The lock manager asks for
+// the channel only when an access blocks, and it is made then.
+type txDone Tx
+
+func (d *txDone) Done() <-chan struct{} {
+	tx := (*Tx)(d)
+	tx.mu.Lock()
+	defer tx.mu.Unlock()
+	if tx.aborted {
+		return closedDone
+	}
+	if tx.cancel == nil {
+		tx.cancel = make(chan struct{})
+	}
+	return tx.cancel
 }
 
 // Do performs op on the named object as an access subtransaction, taking a
@@ -96,13 +130,17 @@ func (tx *Tx) newChild() (tree.TID, error) {
 // wrapping [ErrUnknownObject] and leaves tx usable.
 func (tx *Tx) Do(obj string, op Op) (Value, error) {
 	tx.mu.Lock()
-	a, err := tx.newChild()
+	k, err := tx.newChild()
 	tx.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	m := tx.mgr
+	// The access is named for the recorder and for an error that prints
+	// it; the lock manager decides on tx (see lockmgr.Manager.Acquire).
+	var a tree.TID
 	if m.rec != nil {
+		a = tx.id.Child(k)
 		if err := m.defineAccess(a, obj, op); err != nil {
 			return nil, fmt.Errorf("nestedtx: access %s on %s: %w", a, obj, err)
 		}
@@ -112,7 +150,7 @@ func (tx *Tx) Do(obj string, op Op) (Value, error) {
 		)
 	}
 	start := time.Now()
-	v, err := m.lm.Acquire(tx.id, a, obj, op, tx.cancel)
+	v, err := m.lm.Acquire(tx.id, a, obj, op, (*txDone)(tx))
 	m.met.OpLatency.Observe(time.Since(start))
 	if err != nil {
 		// The access never responded; the scheduler aborts it.
@@ -121,7 +159,7 @@ func (tx *Tx) Do(obj string, op Op) (Value, error) {
 			event.Event{Kind: event.ReportAbort, T: a},
 		)
 		if errors.Is(err, ErrDeadlock) || errors.Is(err, ErrUnknownObject) {
-			return nil, fmt.Errorf("nestedtx: access %s on %s: %w", a, obj, err)
+			return nil, fmt.Errorf("nestedtx: access %s on %s: %w", tx.id.Child(k), obj, err)
 		}
 		return nil, ErrAborted
 	}
@@ -261,7 +299,7 @@ func (m *Manager) begin(parent *Tx, id tree.TID) *Tx {
 		event.Event{Kind: event.Create, T: id},
 	)
 	m.met.Trace(event.Create.String(), string(id), "", 0)
-	return &Tx{mgr: m, parent: parent, id: id, cancel: make(chan struct{}), start: time.Since(epoch)}
+	return &Tx{mgr: m, parent: parent, id: id, start: time.Since(epoch)}
 }
 
 // Begin creates a subtransaction of tx and returns it open; the caller
@@ -270,13 +308,40 @@ func (m *Manager) begin(parent *Tx, id tree.TID) *Tx {
 func (tx *Tx) Begin() (*Tx, error) {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	id, err := tx.newChild()
+	k, err := tx.newChild()
 	if err != nil {
 		return nil, err
 	}
-	c := tx.mgr.begin(tx, id)
-	tx.children = append(tx.children, c)
+	c := tx.mgr.begin(tx, tx.id.Child(k))
+	if c.older = tx.children; c.older != nil {
+		c.older.newer = c
+	}
+	tx.children = c
 	return c, nil
+}
+
+// unlinkChild takes returned child c off tx's list of open children. The
+// caller holds tx.mu.
+func (tx *Tx) unlinkChild(c *Tx) {
+	if c.newer != nil {
+		c.newer.older = c.older
+	} else {
+		tx.children = c.older
+	}
+	if c.older != nil {
+		c.older.newer = c.newer
+	}
+	c.older, c.newer = nil, nil
+}
+
+// oldestChild returns tx's oldest open child, nil when it has none. The
+// caller holds tx.mu.
+func (tx *Tx) oldestChild() *Tx {
+	c := tx.children
+	for c != nil && c.older != nil {
+		c = c.older
+	}
+	return c
 }
 
 // Commit returns tx committed: a subtransaction's locks, versions and
@@ -306,10 +371,12 @@ func (tx *Tx) Cancel() {
 		return
 	}
 	tx.aborted = true
-	close(tx.cancel)
+	if tx.cancel != nil {
+		close(tx.cancel)
+	}
 	// Parent before child is the one lock order, so the cascade may hold
 	// tx.mu across it; a child returning meanwhile waits to unlink.
-	for _, c := range tx.children {
+	for c := tx.oldestChild(); c != nil; c = c.newer {
 		c.Cancel()
 	}
 }
@@ -344,8 +411,8 @@ func (tx *Tx) end(commit bool) error {
 	case tx.done:
 		tx.mu.Unlock()
 		return ErrDone
-	case commit && len(tx.children) > 0:
-		open := tx.children[0].id
+	case commit && tx.children != nil:
+		open := tx.oldestChild().id
 		tx.mu.Unlock()
 		return fmt.Errorf("nestedtx: commit of %s with subtransaction %s still open", tx.id, open)
 	case commit && err == nil && tx.aborted:
@@ -379,7 +446,7 @@ func (tx *Tx) end(commit bool) error {
 	m.met.Trace(kind.String(), string(tx.id), "", d)
 	if p != nil {
 		p.mu.Lock()
-		p.children = unlink(p.children, tx)
+		p.unlinkChild(tx)
 		if kind == event.Commit {
 			p.committed++
 		}
@@ -406,13 +473,11 @@ func (tx *Tx) settle(commit bool) (err error) {
 	}
 	for !commit {
 		tx.mu.Lock()
-		n := len(tx.children)
-		if n == 0 {
-			tx.mu.Unlock()
+		c := tx.children
+		tx.mu.Unlock()
+		if c == nil {
 			break
 		}
-		c := tx.children[n-1]
-		tx.mu.Unlock()
 		c.Abort()
 	}
 	return err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -59,7 +60,8 @@ func TestUseAfterDone(t *testing.T) {
 // TestUnknownObject: an access naming an unregistered object fails with
 // ErrUnknownObject — not ErrAborted, which would tell a server to answer
 // "aborted" for what is the caller's mistake — and leaves the transaction
-// usable, recording or not.
+// usable, recording or not. The error names the access by the name a
+// recording manager gives it, whether or not the manager records.
 func TestUnknownObject(t *testing.T) {
 	for name, opts := range map[string][]Option{"plain": nil, "recording": {WithRecording()}} {
 		t.Run(name, func(t *testing.T) {
@@ -72,6 +74,9 @@ func TestUnknownObject(t *testing.T) {
 				}
 				if errors.Is(err, ErrAborted) || errors.Is(err, ErrDeadlock) {
 					t.Errorf("access to unregistered object reads as an abort: %v", err)
+				}
+				if err == nil || !strings.Contains(err.Error(), "access T0.0.0 on ghost") {
+					t.Errorf("access to unregistered object: %v, want it named T0.0.0", err)
 				}
 				_, err = tx.Do("real", CtrAdd{Delta: 1})
 				return err
