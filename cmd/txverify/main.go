@@ -24,7 +24,6 @@ import (
 	"nestedtx/internal/core"
 	"nestedtx/internal/event"
 	"nestedtx/internal/system"
-	"nestedtx/internal/tree"
 )
 
 func main() {
@@ -82,13 +81,13 @@ func main() {
 				fmt.Fprintf(os.Stderr, "run %d (seed %d): object %s: %v\n", i, s, x, err)
 			}
 		}
-		n, err := checkAllCount(sched, st)
-		txChecked += n
-		if err != nil {
+		if err := checker.CheckAll(sched, st); err != nil {
 			failures++
 			fmt.Fprintf(os.Stderr, "run %d (seed %d): %v\nschedule:\n%s\n", i, s, err, sched)
 			continue
 		}
+		n := len(checker.Targets(sched, st))
+		txChecked += n
 		checked++
 		events += len(sched)
 		if *verbose {
@@ -107,34 +106,6 @@ func main() {
 	if failures > 0 {
 		os.Exit(1)
 	}
-}
-
-// checkAllCount is checker.CheckAll but also counts how many transactions
-// were individually verified.
-func checkAllCount(sched event.Schedule, st *event.SystemType) (int, error) {
-	seen := map[tree.TID]struct{}{tree.Root: {}}
-	ts := []tree.TID{tree.Root}
-	for _, e := range sched {
-		u, ok := event.TransactionOf(e)
-		if !ok || st.IsAccess(u) {
-			continue
-		}
-		if _, dup := seen[u]; !dup {
-			seen[u] = struct{}{}
-			ts = append(ts, u)
-		}
-	}
-	n := 0
-	for _, u := range ts {
-		if sched.IsOrphan(u) {
-			continue
-		}
-		if _, err := checker.Check(sched, st, u); err != nil {
-			return n, err
-		}
-		n++
-	}
-	return n, nil
 }
 
 // runExhaustive enumerates every schedule of a minimal writer/reader

@@ -12,8 +12,8 @@
 //	txwal tail   [-json] [-follow] [-from-lsn N] dir
 //	                                             stream records in LSN order
 //
-// verify reconstructs the recovered history as a formal schedule and runs
-// the full checker pipeline — well-formedness, replay on the M(X)
+// verify reconstructs the recovered history as a formal schedule and
+// certifies it (checker.Certify) — well-formedness, replay on the M(X)
 // automata with value verification, and serial correctness per
 // Theorem 34 — answering "would this directory recover, and would the
 // result be correct?" before a restart bets on it.
@@ -37,6 +37,8 @@ import (
 	"time"
 
 	"nestedtx/internal/adt"
+	"nestedtx/internal/checker"
+	"nestedtx/internal/core"
 	"nestedtx/internal/wal"
 )
 
@@ -270,7 +272,10 @@ func printRecord(r wal.Record, jsonOut bool) {
 }
 
 func verify(rec *wal.Recovery, jsonOut bool) {
-	err := rec.Verify()
+	sched, st, err := rec.Schedule()
+	if err == nil {
+		err = checker.Certify(sched, st, core.ReadWrite, rec.States())
+	}
 	if jsonOut {
 		out := struct {
 			OK      bool   `json:"ok"`

@@ -3,6 +3,8 @@ package nestedtx
 import (
 	"fmt"
 
+	"nestedtx/internal/checker"
+	"nestedtx/internal/core"
 	"nestedtx/internal/wal"
 )
 
@@ -12,9 +14,19 @@ import (
 type DurableOptions = wal.Options
 
 // Recovery describes what OpenDurable found on disk; see wal.Recovery.
-// Its Verify method machine-checks the recovered history against the
-// Theorem-34 serial-correctness checker.
-type Recovery = wal.Recovery
+type Recovery struct{ *wal.Recovery }
+
+// Verify machine-checks the recovered history with checker.Certify: the
+// schedule the log renders must replay on every touched M(X) and end in
+// the redo states the manager serves. Being serial, it is its own
+// Theorem-34 witness, so the check is linear in the log.
+func (r *Recovery) Verify() error {
+	sched, st, err := r.Schedule()
+	if err == nil {
+		err = checker.Certify(sched, st, core.ReadWrite, r.States())
+	}
+	return err
+}
 
 // WalStats reports a durable manager's log position; see wal.Stats.
 type WalStats = wal.Stats
@@ -51,7 +63,7 @@ func OpenDurable(dir string, dopts DurableOptions, opts ...Option) (*Manager, *R
 		}
 	}
 	m.wal = lg
-	return m, rec, nil
+	return m, &Recovery{rec}, nil
 }
 
 // Durable reports whether the manager write-ahead logs its commits.

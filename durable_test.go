@@ -449,7 +449,7 @@ func TestGoldenLogFromParentCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := insp.Verify(); err != nil {
+	if err := (&Recovery{insp}).Verify(); err != nil {
 		t.Fatalf("mixed log does not verify: %v", err)
 	}
 	if len(insp.Records) != 14+1+3 || insp.TornBytes != 0 {

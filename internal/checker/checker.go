@@ -31,7 +31,10 @@ package checker
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 
+	"nestedtx/internal/adt"
+	"nestedtx/internal/core"
 	"nestedtx/internal/event"
 	"nestedtx/internal/serial"
 	"nestedtx/internal/tree"
@@ -99,9 +102,21 @@ func verify(alpha, beta, vis event.Schedule, st *event.SystemType, t tree.TID) e
 	return nil
 }
 
-// CheckAll runs Check for the root and every non-orphan non-access
-// transaction with events in alpha, returning the first failure.
+// CheckAll runs Check for every transaction of Targets, returning the
+// first failure.
 func CheckAll(alpha event.Schedule, st *event.SystemType) error {
+	for _, u := range Targets(alpha, st) {
+		if _, err := Check(alpha, st, u); err != nil {
+			return fmt.Errorf("checker: at %s: %w", u, err)
+		}
+	}
+	return nil
+}
+
+// Targets lists the transactions Theorem 34 speaks for in alpha: the
+// root and every non-orphan non-access transaction with events, in order
+// of first appearance.
+func Targets(alpha event.Schedule, st *event.SystemType) []tree.TID {
 	seen := map[tree.TID]struct{}{tree.Root: {}}
 	ts := []tree.TID{tree.Root}
 	for _, e := range alpha {
@@ -109,20 +124,51 @@ func CheckAll(alpha event.Schedule, st *event.SystemType) error {
 		if !ok || st.IsAccess(u) {
 			continue
 		}
-		if _, dup := seen[u]; !dup {
-			seen[u] = struct{}{}
+		if _, dup := seen[u]; dup {
+			continue
+		}
+		seen[u] = struct{}{}
+		if !alpha.IsOrphan(u) {
 			ts = append(ts, u)
 		}
 	}
-	for _, u := range ts {
-		if alpha.IsOrphan(u) {
-			continue
+	return ts
+}
+
+// Certify machine-checks a recorded or recovered history: alpha must be
+// well-formed, replay on the formal M(X) of every touched object (which
+// re-validates each returned value), and be serially correct for every
+// non-orphan transaction (Theorem 34). With want non-nil, each object of
+// want must end in want[x]: replayed if touched, initial in st if not.
+// When alpha∖INFORM validates as a serial schedule it is its own witness
+// (α|T = β|T for every T), checked once in O(events) — a recovered log
+// always is; otherwise CheckAll builds a witness per transaction.
+func Certify(alpha event.Schedule, st *event.SystemType, mode core.Mode, want map[string]adt.State) error {
+	groups, names, err := event.WFConcurrentAtObjects(alpha, st)
+	if err != nil {
+		return fmt.Errorf("checker: schedule not well-formed: %w", err)
+	}
+	for _, x := range names {
+		lo, err := core.Replay(st, x, mode, groups[x])
+		if err != nil {
+			return fmt.Errorf("checker: schedule rejected at M(%s): %w", x, err)
 		}
-		if _, err := Check(alpha, st, u); err != nil {
-			return fmt.Errorf("checker: at %s: %w", u, err)
+		if got := lo.CurrentState(); want != nil && !reflect.DeepEqual(got, want[x]) {
+			return fmt.Errorf("checker: %s: replayed state %v != wanted %v", x, got, want[x])
 		}
 	}
-	return nil
+	for x, w := range want {
+		if init, _ := st.ObjectInitial(x); groups[x] == nil && !reflect.DeepEqual(init, w) {
+			return fmt.Errorf("checker: %s: untouched, initial state %v != wanted %v", x, init, w)
+		}
+	}
+	beta := alpha.Filter(func(e event.Event) bool {
+		return e.Kind != event.InformCommitAt && e.Kind != event.InformAbortAt
+	})
+	if serial.Validate(beta, st) == nil {
+		return nil
+	}
+	return CheckAll(alpha, st)
 }
 
 // constructor holds the per-check analysis shared across retry attempts.

@@ -11,6 +11,8 @@ import (
 	"nestedtx"
 	"nestedtx/client"
 	"nestedtx/internal/adt"
+	"nestedtx/internal/checker"
+	"nestedtx/internal/core"
 	"nestedtx/internal/faultnet"
 	"nestedtx/internal/repl"
 	"nestedtx/internal/server"
@@ -196,7 +198,11 @@ func runNet(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	if err != nil {
 		return fmt.Errorf("dst: inspect promoted log: %w", err)
 	}
-	if err := rec.Verify(); err != nil {
+	sched, sys, err := rec.Schedule()
+	if err == nil {
+		err = checker.Certify(sched, sys, core.ReadWrite, rec.States())
+	}
+	if err != nil {
 		return fmt.Errorf("dst: promoted history rejected: %w", err)
 	}
 	return nil

@@ -231,16 +231,23 @@ func WFSerial(s Schedule, st *SystemType) error {
 // well-formed: its projection at every transaction and R/W Locking object
 // is well-formed (§5.3).
 func WFConcurrent(s Schedule, st *SystemType) error {
+	_, _, err := WFConcurrentAtObjects(s, st)
+	return err
+}
+
+// WFConcurrentAtObjects is WFConcurrent returning what it checked:
+// groups[x] = s.AtLockObject(st, x) for every touched x in names, sorted.
+func WFConcurrentAtObjects(s Schedule, st *SystemType) (groups map[string]Schedule, names []string, err error) {
 	if err := wfTransactions(s, st); err != nil {
-		return err
+		return nil, nil, err
 	}
-	groups, names := groupAtObjects(s, st, true)
+	groups, names = groupAtObjects(s, st, true)
 	for _, x := range names {
 		if err := WFLockObject(groups[x], st, x); err != nil {
-			return err
+			return nil, nil, err
 		}
 	}
-	return nil
+	return groups, names, nil
 }
 
 // wfTransactions checks WFTransaction for every non-access transaction
@@ -267,31 +274,25 @@ func wfTransactions(s Schedule, st *SystemType) error {
 
 // groupAtObjects groups s by object in one pass: with lock false each
 // group equals s.AtObject(st, x), with lock true s.AtLockObject(st, x).
-// names lists every touched object (including objects touched only by
-// INFORM events, whose basic projection is empty), sorted.
+// names lists the objects with a non-empty group, sorted (an object
+// touched only by INFORM events has an empty basic projection).
 func groupAtObjects(s Schedule, st *SystemType, lock bool) (map[string]Schedule, []string) {
 	groups := make(map[string]Schedule)
-	seen := make(map[string]struct{})
-	var names []string
-	note := func(x string) {
-		if _, dup := seen[x]; !dup {
-			seen[x] = struct{}{}
-			names = append(names, x)
-		}
-	}
 	for _, e := range s {
 		switch e.Kind {
 		case Create, RequestCommit:
 			if a, ok := st.accesses[e.T]; ok {
-				note(a.Object)
 				groups[a.Object] = append(groups[a.Object], e)
 			}
 		case InformCommitAt, InformAbortAt:
-			note(e.Object)
 			if lock {
 				groups[e.Object] = append(groups[e.Object], e)
 			}
 		}
+	}
+	names := make([]string, 0, len(groups))
+	for x := range groups {
+		names = append(names, x)
 	}
 	sort.Strings(names)
 	return groups, names

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"nestedtx/internal/adt"
+	"nestedtx/internal/checker"
+	"nestedtx/internal/core"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/snap"
 	"nestedtx/internal/wal"
@@ -180,8 +182,12 @@ func TestShipAndCatchUp(t *testing.T) {
 	if err != nil {
 		t.Fatalf("inspect follower: %v", err)
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("follower history fails Verify: %v", err)
+	sched, st, err := rec.Schedule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := checker.Certify(sched, st, core.ReadWrite, rec.States()); err != nil {
+		t.Fatalf("follower history does not certify: %v", err)
 	}
 }
 

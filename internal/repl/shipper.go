@@ -2,11 +2,12 @@
 // leans on: because a committing top-level transaction appends (and
 // fsyncs) its redo record BEFORE releasing its locks, log order agrees
 // with the per-object conflict order — the WAL is not merely a redo aid
-// but a serial history of the system (the same fact wal.Recovery.Verify
-// exploits). Shipping that history, byte-checked, to a follower and
-// replaying it there therefore reproduces the leader's committed states
-// exactly, and a promoted follower can re-certify the whole inherited
-// history against the Theorem-34 checker before accepting writes.
+// but a serial history of the system (the same fact
+// nestedtx.Recovery.Verify exploits). Shipping that history, byte-checked,
+// to a follower and replaying it there therefore reproduces the leader's
+// committed states exactly, and a promoted follower can re-certify the
+// whole inherited history against the Theorem-34 checker before
+// accepting writes.
 //
 // The leader side is the Shipper: one Serve call per follower
 // connection, tailing the live log with wal.Tailer, shipping only

@@ -123,16 +123,8 @@ func TestDrainDurability(t *testing.T) {
 		}()
 	}
 
-	// Let load build, then drain mid-flight: after a set number of
-	// acknowledged commits rather than a set time, because recovery's
-	// Verify below is superlinear in the records — 700 of them took 26 s
-	// and 1,700 took 5 minutes, from 50 ms of load on the same machine.
-	for deadline := time.Now().Add(10 * time.Second); acked.Load() < 200; {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d commits acknowledged in 10 s of load", acked.Load())
-		}
-		time.Sleep(time.Millisecond)
-	}
+	// Let load build, then drain mid-flight.
+	time.Sleep(50 * time.Millisecond)
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(ctx); err != nil {

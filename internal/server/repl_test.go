@@ -232,7 +232,7 @@ func TestPromoteEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Inspect promoted log: %v", err)
 	}
-	if err := rec.Verify(); err != nil {
+	if err := (&nestedtx.Recovery{Recovery: rec}).Verify(); err != nil {
 		t.Fatalf("promoted history fails Verify: %v", err)
 	}
 }
@@ -349,7 +349,7 @@ func TestControlledFailoverUnderChaos(t *testing.T) {
 	if !reflect.DeepEqual(rec.States()["ctr"], leaderStates["ctr"]) {
 		t.Fatalf("promoted states %v != dead leader's %v", rec.States()["ctr"], leaderStates["ctr"])
 	}
-	if err := rec.Verify(); err != nil {
+	if err := (&nestedtx.Recovery{Recovery: rec}).Verify(); err != nil {
 		t.Fatalf("inherited history fails Theorem-34 verification: %v", err)
 	}
 

@@ -28,8 +28,8 @@ func TestColdBootEmptyDir(t *testing.T) {
 	if rec2.NextLSN != 2 || !reflect.DeepEqual(rec2.States(), h.states) {
 		t.Fatalf("reopen after empty-dir boot: NextLSN %d states %v", rec2.NextLSN, rec2.States())
 	}
-	if err := rec2.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec2); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }
 
@@ -62,8 +62,8 @@ func TestColdBootCheckpointWithZeroSegments(t *testing.T) {
 	if !reflect.DeepEqual(rec.States(), h.states) {
 		t.Fatalf("checkpoint-only states = %v, want %v", rec.States(), h.states)
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 	// The log is usable: a fresh segment was created at the checkpoint LSN.
 	h2 := &harness{t: t, lg: lg2, states: rec.States()}
@@ -113,8 +113,8 @@ func TestColdBootNewestSegmentCorrupt(t *testing.T) {
 	if rec.NextLSN != newestLSN {
 		t.Fatalf("recovery past a .corrupt segment: NextLSN %d, want %d", rec.NextLSN, newestLSN)
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify of surviving prefix: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify surviving prefix: %v", err)
 	}
 	for _, n := range rec.Dropped {
 		if strings.HasSuffix(n, ".corrupt") {

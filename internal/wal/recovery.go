@@ -5,24 +5,19 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"reflect"
 	"sort"
 	"strconv"
 	"strings"
 
 	"nestedtx/internal/adt"
-	"nestedtx/internal/checker"
-	"nestedtx/internal/core"
 	"nestedtx/internal/event"
 	"nestedtx/internal/tree"
 )
 
 // Recovery is the result of scanning a log directory: the newest valid
 // checkpoint, every intact record past it, and the object states their
-// redo produces. Verify goes further than redo: it reconstructs the
-// recovered history as a formal schedule and replays it through the
-// serial-correctness checker, certifying that Theorem 34 holds for the
-// state the recovered Manager will serve.
+// redo produces. Schedule renders the recovered history as the formal
+// schedule checker.Certify certifies against States.
 type Recovery struct {
 	// CheckpointLSN is the redo low-water mark: the first LSN redone.
 	// Zero means no checkpoint was found and redo starts from empty.
@@ -310,11 +305,10 @@ func Redo(rec Record, head func(obj string) (adt.State, bool)) (map[string]adt.S
 // Schedule reconstructs the recovered history as a formal concurrent
 // schedule over a fresh system type. Each recovered commit becomes one
 // top-level transaction under T0 (numbered in LSN order) whose accesses
-// are its logged effects, emitted in exactly the event pattern the live
-// runtime records: because the WAL append happens before the committer's
-// locks are released, log order agrees with the per-object conflict
-// order, and this serial rendering is a faithful account of what the
-// pre-crash system did.
+// are its logged effects, in the event pattern the live runtime records.
+// A commit is staged before its locks are released, so log order agrees
+// with every per-object conflict order and this serial rendering is a
+// faithful account of what the pre-crash system did.
 func (r *Recovery) Schedule() (event.Schedule, *event.SystemType, error) {
 	st := event.NewSystemType()
 	for x, s := range r.Checkpoint {
@@ -366,34 +360,4 @@ func (r *Recovery) Schedule() (event.Schedule, *event.SystemType, error) {
 		sched = append(sched, event.Event{Kind: event.ReportCommit, T: t, Value: c.Value})
 	}
 	return sched, st, nil
-}
-
-// Verify machine-checks the recovered history: the reconstructed
-// schedule must be well-formed, replayable by every R/W Locking object
-// automaton (which re-validates every logged value against the data
-// type), accepted by the Theorem-34 serial-correctness checker, and the
-// automata's final states must equal the redo states the recovered
-// Manager will serve. This is the property "Theorem 34 holds across a
-// crash".
-func (r *Recovery) Verify() error {
-	sched, st, err := r.Schedule()
-	if err != nil {
-		return err
-	}
-	if err := event.WFConcurrent(sched, st); err != nil {
-		return fmt.Errorf("wal: recovered schedule not well-formed: %w", err)
-	}
-	for _, x := range st.Objects() {
-		lo, err := core.Replay(st, x, core.ReadWrite, sched.AtLockObject(st, x))
-		if err != nil {
-			return fmt.Errorf("wal: recovered schedule rejected at M(%s): %w", x, err)
-		}
-		if got := lo.CurrentState(); !reflect.DeepEqual(got, r.states[x]) {
-			return fmt.Errorf("wal: %s: replay state %v != redo state %v", x, got, r.states[x])
-		}
-	}
-	if err := checker.CheckAll(sched, st); err != nil {
-		return fmt.Errorf("wal: recovered schedule fails serial correctness: %w", err)
-	}
-	return nil
 }

@@ -144,8 +144,8 @@ func TestStagingBlocksAtTheByteBudget(t *testing.T) {
 			t.Fatalf("record %d has LSN %d: drained out of order", i, r.LSN)
 		}
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }
 
@@ -229,8 +229,8 @@ func TestCheckpointRetiresParkedTickets(t *testing.T) {
 		t.Fatalf("%d fsyncs after the checkpoint, want only Close's", got-after)
 	}
 	_, rec := mustOpen(t, mem, "d", Options{})
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 	if got := rec.States()["ctr"].(adt.Counter).N; got != parked {
 		t.Fatalf("recovered ctr = %d, want %d", got, parked)
@@ -249,8 +249,8 @@ func (l *Log) wmuHeld() bool {
 // TestTenThousandStagers: the way into the log is one critical section,
 // so n goroutines staging at once cost n sections, not n wake-ups each:
 // 10,000 of them, through rotations and the byte budget, finish in well
-// under the bound, and the log they leave is one contiguous LSN run. (No
-// Verify on that many records: the checker is superlinear.)
+// under the bound, and the log they leave is one contiguous LSN run that
+// certifies.
 func TestTenThousandStagers(t *testing.T) {
 	const n = 10000
 	mem := NewMemFS()
@@ -288,6 +288,9 @@ func TestTenThousandStagers(t *testing.T) {
 		if r.LSN != uint64(i) {
 			t.Fatalf("record %d has LSN %d", i, r.LSN)
 		}
+	}
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }
 
@@ -386,8 +389,8 @@ func TestFailedRotationConsumesNoLSN(t *testing.T) {
 	if rec.NextLSN != staged+1 {
 		t.Fatalf("recovered NextLSN %d, want %d", rec.NextLSN, staged+1)
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }
 
@@ -440,8 +443,8 @@ func TestFailedCutoverStillAnswersItsTickets(t *testing.T) {
 	}
 	lg.Close()
 	_, rec := mustOpen(t, mem, "d", Options{})
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 	if got := rec.States()["ctr"].(adt.Counter).N; got != parked || rec.NextLSN != parked+1 {
 		t.Fatalf("recovered ctr = %d at LSN %d, want %d at %d", got, rec.NextLSN, parked, parked+1)
@@ -520,8 +523,8 @@ func TestManyStagersAtTheByteBudget(t *testing.T) {
 				t.Fatalf("record %d has LSN %d: drained out of order", i, r.LSN)
 			}
 		}
-		if err := rec.Verify(); err != nil {
-			t.Fatalf("Verify: %v", err)
+		if err := certify(rec); err != nil {
+			t.Fatalf("certify: %v", err)
 		}
 	})
 }

@@ -93,8 +93,8 @@ func TestStalledFsyncDoesNotBlockAppends(t *testing.T) {
 	if len(rec.Records) != extra+1 {
 		t.Fatalf("recovered %d records, want %d", len(rec.Records), extra+1)
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }
 

@@ -88,8 +88,8 @@ func TestAppendRecoverRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rec2.States(), h.states) {
 		t.Fatalf("states = %v, want %v", rec2.States(), h.states)
 	}
-	if err := rec2.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec2); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }
 
@@ -119,8 +119,8 @@ func TestTornTailTruncated(t *testing.T) {
 	if rec.TornBytes == 0 {
 		t.Fatalf("TornBytes = 0, want > 0")
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 	// The truncation is physical: a third scan sees a clean log.
 	lg2.Close()
@@ -160,8 +160,8 @@ func TestBadCRCTruncatesAndDropsLaterSegments(t *testing.T) {
 	}
 	// The surviving prefix still verifies, and its redo matches a counter
 	// incremented once per surviving commit.
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 	commits := 0
 	for _, r := range rec.Records {
@@ -210,8 +210,8 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	if got := rec.States()["ctr"].(adt.Counter).N; got != 11 {
 		t.Fatalf("ctr = %d, want 11", got)
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }
 
@@ -262,8 +262,8 @@ func TestAppendErrorFailsNotAcks(t *testing.T) {
 	if got := rec.States()["ctr"].(adt.Counter).N; got != 1 {
 		t.Fatalf("ctr = %d, want 1 (unacked append must not replay)", got)
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }
 
@@ -312,8 +312,8 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	// Concurrent blind writes commute on the automaton only in log
 	// order; recovery must accept whatever order the log serialised.
 	_, rec := mustOpen(t, fs, "d", Options{})
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }
 
@@ -342,7 +342,7 @@ func TestInspectIsReadOnly(t *testing.T) {
 	if before != after {
 		t.Fatalf("Inspect mutated the segment: %d -> %d bytes", before, after)
 	}
-	if err := rec.Verify(); err != nil {
-		t.Fatalf("Verify: %v", err)
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
 	}
 }

@@ -56,6 +56,20 @@ func TestSnapIsTheReadSidesLeaf(t *testing.T) {
 	}
 }
 
+// TestLogDoesNotImportTheProof: the write-ahead log renders what it
+// recovered as a schedule and stops there; certifying it is the
+// checker's job, done by the log's readers (the root package, txwal,
+// dst). The log links neither the checker nor the formal automata it
+// runs on.
+func TestLogDoesNotImportTheProof(t *testing.T) {
+	for _, dep := range importsOf(t, "nestedtx/internal/wal") {
+		switch dep {
+		case "nestedtx/internal/checker", "nestedtx/internal/core", "nestedtx/internal/serial":
+			t.Errorf("internal/wal imports %s", dep)
+		}
+	}
+}
+
 // importsOf lists pkg's direct imports, sorted.
 func importsOf(t *testing.T, pkg string) []string {
 	t.Helper()

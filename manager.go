@@ -386,9 +386,10 @@ func (m *Manager) SystemType() *event.SystemType {
 // see [checker.CheckSnapshots]). It requires [WithRecording] and should
 // be called when no transactions are in flight.
 //
-// Verification cost grows with history size (roughly transactions ×
-// events): it is meant for tests and bounded validation runs, not for
-// continuously running production histories.
+// A recovered or otherwise serial history certifies in O(events) (see
+// [checker.Certify]); a live concurrent one still pays per transaction
+// (roughly transactions × events), so it is meant for tests and bounded
+// validation runs, not for continuously running production histories.
 func (m *Manager) Verify() error {
 	if m.rec == nil {
 		return fmt.Errorf("nestedtx: Verify requires WithRecording")
@@ -397,20 +398,7 @@ func (m *Manager) Verify() error {
 	m.mu.Lock()
 	st := m.st
 	m.mu.Unlock()
-	if err := event.WFConcurrent(sched, st); err != nil {
-		return fmt.Errorf("nestedtx: recorded schedule ill-formed: %w", err)
-	}
-	// Replay only objects the schedule touched: M(X) with no events is
-	// trivially correct, and scanning the whole schedule once per
-	// registered object would make Verify quadratic in the universe
-	// size (a simulation registers 2^20 bank accounts and touches a few
-	// thousand).
-	for _, x := range sched.TouchedObjects(st) {
-		if _, err := core.Replay(st, x, m.mode, sched.AtLockObject(st, x)); err != nil {
-			return fmt.Errorf("nestedtx: recorded schedule does not replay on formal M(%s): %w", x, err)
-		}
-	}
-	if err := checker.CheckAll(sched, st); err != nil {
+	if err := checker.Certify(sched, st, m.mode, nil); err != nil {
 		return fmt.Errorf("nestedtx: %w", err)
 	}
 	if err := checker.CheckSnapshots(sched, st, m.snap.Log(), m.snap.TxLog()); err != nil {
