@@ -48,19 +48,29 @@ bench-short:
 
 # Deterministic whole-system simulation: the dst unit tests (generator
 # properties + byte-identical-log determinism) under the race detector,
-# the checked-in seed corpus through txdst, and two cross-process
+# the checked-in seed corpus through txdst, two cross-process
 # determinism checks (two txdst invocations of the same seed must emit
-# identical event logs), one per durable crash scenario, written to a
-# fresh temporary directory that is removed afterwards.
+# identical event logs), one per durable crash scenario, and seeds 1–50
+# of both crash scenarios at scale 0.25, stopping at the first red seed
+# with its reproduction line. txdst and the logs go to a fresh temporary
+# directory that is removed afterwards.
 sim: vet
 	$(GO) test -race ./internal/dst/...
 	$(GO) run -race ./cmd/txdst -corpus internal/dst/corpus.txt
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	$(GO) build -o "$$d/txdst" ./cmd/txdst; \
 	for s in crash-bitrot-checkpoint crash-recovery; do \
 		echo "txdst -scenario $$s -seed 1 -log, twice"; \
-		$(GO) run ./cmd/txdst -scenario $$s -seed 1 -log > "$$d/a.txt"; \
-		$(GO) run ./cmd/txdst -scenario $$s -seed 1 -log > "$$d/b.txt"; \
+		"$$d/txdst" -scenario $$s -seed 1 -log > "$$d/a.txt"; \
+		"$$d/txdst" -scenario $$s -seed 1 -log > "$$d/b.txt"; \
 		cmp "$$d/a.txt" "$$d/b.txt"; \
+	done; \
+	for s in crash-recovery crash-bitrot-checkpoint; do \
+		echo "txdst -scenario $$s -seed 1..50 -scale 0.25"; \
+		for n in $$(seq 1 50); do \
+			"$$d/txdst" -scenario $$s -seed $$n -scale 0.25 > /dev/null || \
+				{ echo "reproduce: txdst -scenario $$s -seed $$n -scale 0.25"; exit 1; }; \
+		done; \
 	done
 
 # Regenerate the seed corpus: two passing seeds per scenario, at the

@@ -25,6 +25,16 @@
 // Recovery.Verify), so any interleaving the locking discipline should
 // have prevented fails the run regardless of which seed produced it.
 //
+// # What a crash is
+//
+// A crash scenario kills the device at a planned byte of the WAL's
+// write stream. The device keeps exactly the bytes before it, the cut
+// write included up to that byte; the process sees every later write,
+// sync, open, rename and remove fail. So a commit is acknowledged only
+// if an fsync covered it before the crash, and every run checks that
+// recovery finds each acknowledged commit and each value a snapshot
+// scan read (bit rot excepted, since it may cut durable records).
+//
 // Every failing run prints a one-line reproduction:
 //
 //	txdst -scenario crash-bitrot-checkpoint -seed 17
@@ -136,11 +146,7 @@ func (s *Sim) Run() *Result {
 		env.logf("fault t=%s %s", ev.At, ev.Kind)
 	}
 	if scn.Crash {
-		mode := "torn"
-		if faults.FailClosed {
-			mode = "fail-closed"
-		}
-		env.logf("fault crash after=%dB mode=%s", faults.CrashAfter, mode)
+		env.logf("fault crash after=%dB", faults.CrashAfter)
 	}
 	if scn.BitRot {
 		env.logf("fault bitrot seg-draw=%d off-draw=%d", faults.RotSeg, faults.RotOff)
@@ -231,9 +237,10 @@ func runMem(env *simEnv, plan *Plan, res *Result) error {
 }
 
 // runDurable is the crash environment: a durable manager over a
-// FaultFS that dies at a planned byte of the write stream, optional
-// bit rot on the survivors, recovery, Recovery.Verify, prefix checks,
-// and a recorded post-recovery phase with snapshot scans.
+// FaultFS that dies at a planned byte of the write stream (the device
+// keeps the prefix, the process sees every later operation fail),
+// optional bit rot on the survivors, recovery, Recovery.Verify, prefix
+// checks, and a recorded post-recovery phase with snapshot scans.
 func runDurable(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	scn := env.scn
 	mem := wal.NewMemFS()
@@ -253,18 +260,19 @@ func runDurable(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 		return fmt.Errorf("dst: register: %w", err)
 	}
 	// Arm the crash only after registration is on the device (Register
-	// stages, SyncWAL flushes) so the recovered universe is always
-	// complete and the budget counts from the first workload byte; it
-	// still lands crashes before, inside and after checkpoint writes.
+	// stages, SyncWAL flushes) and folded into a checkpoint, so the
+	// budget counts from the first workload byte and the recovered
+	// universe is always complete: bit rot targets segments only, so it
+	// can cut workload history but never a registration. The crash still
+	// lands before, inside and after the workload's checkpoint writes.
 	if err := m.SyncWAL(); err != nil {
 		return fmt.Errorf("dst: sync registrations: %w", err)
 	}
+	if err := m.Checkpoint(); err != nil {
+		return fmt.Errorf("dst: checkpoint registrations: %w", err)
+	}
 	if scn.Crash {
-		if faults.FailClosed {
-			ffs.FailAfter(faults.CrashAfter)
-		} else {
-			ffs.CrashAfter(faults.CrashAfter)
-		}
+		ffs.CrashAfter(faults.CrashAfter)
 	}
 
 	wait := driveFaults(env, faults, faultActions{

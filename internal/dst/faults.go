@@ -42,11 +42,12 @@ type faultEvent struct {
 type faultPlan struct {
 	Events []faultEvent
 
-	// Crash: kill-at-byte budget for FaultFS, armed after registration.
-	// Byte budgets are inherently deterministic — they trigger on the
-	// write stream, not on time.
+	// Crash: kill-at-byte budget for FaultFS, armed after registration
+	// and a first checkpoint. The device keeps the byte prefix, and the
+	// process sees every later write and sync fail, so it acknowledges
+	// nothing past the crash byte. Byte budgets are inherently
+	// deterministic — they trigger on the write stream, not on time.
 	CrashAfter int64
-	FailClosed bool // every few seeds: fail loudly instead of torn writes
 
 	// WAL shape, drawn so crashes land at interesting segment offsets.
 	SegmentBytes int64
@@ -92,7 +93,7 @@ func planFaults(scn *Scenario, rng *rand.Rand) *faultPlan {
 	sortEvents(p.Events)
 	if scn.Crash {
 		p.CrashAfter = rng.Int63n(16_000) + 500
-		p.FailClosed = rng.Intn(5) == 0
+		rng.Intn(5) // a removed crash mode's draw, kept so the bit-rot draws do not shift
 	}
 	if scn.BitRot {
 		p.RotSeg = rng.Int63()

@@ -49,7 +49,7 @@ type Scenario struct {
 	Net          bool  // leader + replica + faultnet proxy + client pool
 
 	// Fault plane.
-	Crash       bool // arm FaultFS kill-at-byte during the workload
+	Crash       bool // kill the device at a planned byte: it keeps the prefix, later operations fail
 	BitRot      bool // flip one byte of a surviving segment before recovery
 	Checkpoints int  // checkpoint fault events at drawn virtual times
 	Partitions  int  // partition/heal cycles on the replication link (Net)

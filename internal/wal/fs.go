@@ -13,15 +13,16 @@ import (
 )
 
 // File is the slice of *os.File the log needs. The indirection exists so
-// crash tests can substitute torn-write and error-injecting files: the
-// recovery property suite kills a run at an arbitrary byte of the stream
-// and proves the recovered prefix still satisfies Theorem 34.
+// crash tests can substitute files that die at a chosen byte: the disk
+// keeps the byte prefix written before it, the process sees every later
+// operation fail, and the recovery property suite proves the recovered
+// prefix still satisfies Theorem 34.
 type File interface {
 	io.Reader
 	io.Writer
 	io.Closer
-	// Sync flushes the file to stable storage (fsync). Append only
-	// acknowledges a commit after Sync has covered its record.
+	// Sync flushes the file to stable storage (fsync). A Ticket only
+	// acknowledges a record after Sync has covered it.
 	Sync() error
 	// Truncate cuts the file to size bytes — used by recovery to remove a
 	// torn tail so it is never scanned again.
@@ -109,9 +110,9 @@ func (OSFS) Size(name string) (int64, error) {
 // MemFS is an in-memory file system with real-file semantics (append,
 // truncate, rename, remove). It models kill -9 exactly: a killed process
 // loses nothing already written (the page cache survives a process
-// death), so combined with [FaultFS] — which models the bytes that never
-// made it out of the dying process — it gives deterministic, seedable
-// crash points without disk I/O.
+// death), so combined with [FaultFS] it gives deterministic, seedable
+// crash points without disk I/O: the disk keeps a byte prefix, and the
+// process sees every later operation fail.
 type MemFS struct {
 	mu    sync.Mutex
 	files map[string][]byte
@@ -251,47 +252,37 @@ func (m *MemFS) Corrupt(name string, offset int64) error {
 
 // ---- fault injection ----
 
-// FaultFS wraps an FS with a crash point: after Budget bytes have been
-// written through it, every later write is silently dropped (the torn
-// half of the final write included) while still reporting success — the
-// exact shape of a process killed mid-stream: it believed its writes
-// happened, but only a byte prefix reached stable storage. Metadata
-// operations (create, rename, remove) past the crash point are dropped
-// the same way. With FailClosed set, exhausted operations instead return
-// ErrInjected, exercising the error path: a commit whose WAL append
-// fails must abort, not ack.
+// FaultFS wraps an FS with a crash point: the device accepts a budget of
+// bytes, the write that crosses it lands its prefix, and from then on
+// every write, sync, open, rename, remove, truncate and directory sync
+// returns ErrInjected. The inner FS keeps exactly the byte prefix a
+// process killed mid-stream leaves behind, and the process itself is
+// told of every failure, so nothing past the crash byte is acknowledged:
+// a commit whose stage fails aborts, and one whose fsync fails reports
+// ErrNotDurable instead of success.
 type FaultFS struct {
 	inner FS
 
-	mu         sync.Mutex
-	budget     int64 // remaining writable bytes; < 0 means unlimited
-	failClosed bool
-	syncHook   func()        // runs at the start of every file Sync
-	syncDelay  time.Duration // added to every file Sync, after the underlying sync
-	clk        clock.Clock   // time source for syncDelay; nil = wall clock
+	mu        sync.Mutex
+	budget    int64         // remaining writable bytes; < 0 means unlimited
+	syncHook  func()        // runs at the start of every file Sync
+	syncDelay time.Duration // added to every file Sync, after the underlying sync
+	clk       clock.Clock   // time source for syncDelay; nil = wall clock
 }
 
-// ErrInjected is returned by FaultFS operations past the crash point in
-// FailClosed mode.
+// ErrInjected is returned by every FaultFS operation past the crash
+// point.
 var ErrInjected = fmt.Errorf("wal: injected fault")
 
 // NewFaultFS wraps inner with an unlimited budget (no fault until
-// CrashAfter or FailAfter is called).
+// CrashAfter is called).
 func NewFaultFS(inner FS) *FaultFS { return &FaultFS{inner: inner, budget: -1} }
 
-// CrashAfter arms torn-write mode: after n more bytes, writes and
-// metadata ops silently vanish.
+// CrashAfter arms the crash point: the device accepts n more bytes, then
+// fails every later operation. A negative n heals the device.
 func (fs *FaultFS) CrashAfter(n int64) {
 	fs.mu.Lock()
-	fs.budget, fs.failClosed = n, false
-	fs.mu.Unlock()
-}
-
-// FailAfter arms error mode: after n more bytes, writes and syncs return
-// ErrInjected.
-func (fs *FaultFS) FailAfter(n int64) {
-	fs.mu.Lock()
-	fs.budget, fs.failClosed = n, true
+	fs.budget = n
 	fs.mu.Unlock()
 }
 
@@ -327,26 +318,23 @@ func (fs *FaultFS) SetClock(c clock.Clock) {
 }
 
 // consume takes up to n bytes of budget, returning how many may really
-// be written and whether the rest should error (vs vanish).
-func (fs *FaultFS) consume(n int64) (allowed int64, failClosed bool) {
+// be written.
+func (fs *FaultFS) consume(n int64) int64 {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
 	if fs.budget < 0 {
-		return n, false
+		return n
 	}
-	allowed = fs.budget
-	if allowed > n {
-		allowed = n
-	}
+	allowed := min(fs.budget, n)
 	fs.budget -= allowed
-	return allowed, fs.failClosed
+	return allowed
 }
 
-// alive reports whether metadata ops may still proceed.
-func (fs *FaultFS) alive() (bool, bool) {
+// alive reports whether the crash point is still ahead.
+func (fs *FaultFS) alive() bool {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
-	return fs.budget != 0, fs.failClosed
+	return fs.budget != 0
 }
 
 type faultFile struct {
@@ -355,15 +343,8 @@ type faultFile struct {
 }
 
 func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
-	if ok, failClosed := fs.alive(); !ok {
-		if failClosed {
-			return nil, ErrInjected
-		}
-		// The process died before creating this file; hand back a sink so
-		// the oblivious writer can keep "succeeding".
-		if flag&os.O_CREATE != 0 {
-			return devNull{}, nil
-		}
+	if !fs.alive() {
+		return nil, ErrInjected
 	}
 	f, err := fs.inner.OpenFile(name, flag, perm)
 	if err != nil {
@@ -373,13 +354,13 @@ func (fs *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, erro
 }
 
 func (f *faultFile) Write(p []byte) (int, error) {
-	allowed, failClosed := f.fs.consume(int64(len(p)))
+	allowed := f.fs.consume(int64(len(p)))
 	if allowed > 0 {
 		if _, err := f.f.Write(p[:allowed]); err != nil {
 			return 0, err
 		}
 	}
-	if allowed < int64(len(p)) && failClosed {
+	if allowed < int64(len(p)) {
 		return int(allowed), ErrInjected
 	}
 	return len(p), nil
@@ -396,7 +377,7 @@ func (f *faultFile) Sync() error {
 	if hook != nil {
 		hook()
 	}
-	if ok, failClosed := f.fs.alive(); !ok && failClosed {
+	if !f.fs.alive() {
 		return ErrInjected
 	}
 	err := f.f.Sync()
@@ -409,11 +390,8 @@ func (f *faultFile) Sync() error {
 func (f *faultFile) Close() error { return f.f.Close() }
 
 func (f *faultFile) Truncate(size int64) error {
-	if ok, failClosed := f.fs.alive(); !ok {
-		if failClosed {
-			return ErrInjected
-		}
-		return nil
+	if !f.fs.alive() {
+		return ErrInjected
 	}
 	return f.f.Truncate(size)
 }
@@ -421,21 +399,15 @@ func (f *faultFile) Truncate(size int64) error {
 func (fs *FaultFS) ReadDir(dir string) ([]string, error) { return fs.inner.ReadDir(dir) }
 
 func (fs *FaultFS) Remove(name string) error {
-	if ok, failClosed := fs.alive(); !ok {
-		if failClosed {
-			return ErrInjected
-		}
-		return nil
+	if !fs.alive() {
+		return ErrInjected
 	}
 	return fs.inner.Remove(name)
 }
 
 func (fs *FaultFS) Rename(oldname, newname string) error {
-	if ok, failClosed := fs.alive(); !ok {
-		if failClosed {
-			return ErrInjected
-		}
-		return nil
+	if !fs.alive() {
+		return ErrInjected
 	}
 	return fs.inner.Rename(oldname, newname)
 }
@@ -443,23 +415,10 @@ func (fs *FaultFS) Rename(oldname, newname string) error {
 func (fs *FaultFS) MkdirAll(dir string) error { return fs.inner.MkdirAll(dir) }
 
 func (fs *FaultFS) SyncDir(dir string) error {
-	if ok, failClosed := fs.alive(); !ok {
-		if failClosed {
-			return ErrInjected
-		}
-		return nil
+	if !fs.alive() {
+		return ErrInjected
 	}
 	return fs.inner.SyncDir(dir)
 }
 
 func (fs *FaultFS) Size(name string) (int64, error) { return fs.inner.Size(name) }
-
-// devNull swallows writes from a process that is already past its crash
-// point but does not know it.
-type devNull struct{}
-
-func (devNull) Write(p []byte) (int, error) { return len(p), nil }
-func (devNull) Read(p []byte) (int, error)  { return 0, io.EOF }
-func (devNull) Sync() error                 { return nil }
-func (devNull) Close() error                { return nil }
-func (devNull) Truncate(int64) error        { return nil }

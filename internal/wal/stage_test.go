@@ -155,7 +155,7 @@ func TestStagingBlocksAtTheByteBudget(t *testing.T) {
 func TestLatchedErrorWakesBlockedStagers(t *testing.T) {
 	lg, _, ffs, release, _ := stalledLog(t, Options{SegmentBytes: 16 << 10})
 	_, tickets, done := stageUntilBlocked(t, lg, 160)
-	ffs.FailAfter(0)
+	ffs.CrashAfter(0)
 	close(release)
 	select {
 	case err := <-done:
@@ -486,7 +486,7 @@ func TestManyStagersAtTheByteBudget(t *testing.T) {
 
 	t.Run("fault", func(t *testing.T) {
 		lg, _, ffs, release, _, done := setup(t)
-		ffs.FailAfter(0)
+		ffs.CrashAfter(0)
 		close(release)
 		for i := 0; i < held; i++ {
 			select {

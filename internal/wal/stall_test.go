@@ -112,7 +112,7 @@ func TestPoisonedLogDrainFailsLoudly(t *testing.T) {
 	h.register("ctr", adt.Counter{})
 	h.commit("ctr", adt.CtrAdd{Delta: 1})
 
-	ffs.FailAfter(0)
+	ffs.CrashAfter(0)
 	err := lg.AppendApply(Record{Commit: &CommitRecord{TID: "T0.9", Value: int64(1),
 		Effects: []Effect{{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(2)}}}}, nil)
 	if !errors.Is(err, ErrInjected) {
