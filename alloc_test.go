@@ -8,6 +8,8 @@ import (
 	"sync"
 	"testing"
 	"unsafe"
+
+	"nestedtx/internal/wal"
 )
 
 // nestedWorkload registers 32 counters and returns a transaction body
@@ -41,13 +43,12 @@ func nestedWorkload(m *Manager) func(*Tx) error {
 // TestAccessPathAllocationBudget: on a non-recording manager a
 // transaction allocates what it names — its Tx and its own name — and
 // little else: an access is never named, a cancel channel is made only
-// for a wait, children are linked in place, and the publication map is
-// reused. The code allocates 31 and 3 here (15 Tx and 15 subtransaction
-// names plus the tree's cross-shard index entry; a Tx, its name and that
-// entry); the budgets of 60 and 8 leave room for version boxing, and sit
-// far below the 90 and 8 of a manager that named every access and made a
-// channel per transaction, and the 434 and 28 of one that entered every
-// access in the system type.
+// for a wait, children are linked in place, and the publication map and
+// the tree's cross-shard index entry are reused. The code allocates 30
+// and 2 here (15 Tx and 15 names; a Tx and its name); the budgets of 60
+// and 8 leave room for version boxing, and sit far below the 90 and 8 of
+// a manager that named every access and made a channel per transaction,
+// and the 434 and 28 of one that entered every access in the system type.
 func TestAccessPathAllocationBudget(t *testing.T) {
 	run := func(m *Manager, body func(*Tx) error) func() {
 		return func() {
@@ -77,10 +78,48 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 	if n > 8 {
 		t.Errorf("flat 2-access transaction: %.0f allocations, budget 8", n)
 	}
-	// Bytes follow the allocator's size classes: a Tx one word over 160 B
-	// is a 192-byte object, and embed_nested allocates 15 per transaction.
-	if n := unsafe.Sizeof(Tx{}); n > 160 {
-		t.Errorf("Tx is %d bytes, over the 160-byte size class", n)
+	// Bytes follow the allocator's size classes: a Tx one word over 144 B
+	// is a 160-byte object, and embed_nested allocates 15 per transaction.
+	if n := unsafe.Sizeof(Tx{}); n > 144 {
+		t.Errorf("Tx is %d bytes, over the 144-byte size class", n)
+	}
+}
+
+// TestDurableCommitAllocationBudget: a durable commit allocates what
+// outlives it and little more. A transfer of two subtransactions on a
+// durable manager costs its three Tx, their names and the boxed states
+// and results of its two accesses: 9 allocations here. The WAL ticket is
+// answered by the durable mark, and the effect lists, the write buffer
+// and the cross-shard index entry are reused; with each made afresh the
+// same transfer cost 19.
+func TestDurableCommitAllocationBudget(t *testing.T) {
+	m, _, err := OpenDurable("d", DurableOptions{FS: wal.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.CloseWAL()
+	m.MustRegister("a", Account{Balance: 1 << 40})
+	m.MustRegister("b", Account{})
+	transfer := func(tx *Tx) error {
+		if err := tx.Sub(func(sub *Tx) error {
+			_, err := sub.Do("a", AcctWithdraw{Amount: 1})
+			return err
+		}); err != nil {
+			return err
+		}
+		return tx.Sub(func(sub *Tx) error {
+			_, err := sub.Do("b", AcctDeposit{Amount: 1})
+			return err
+		})
+	}
+	n := testing.AllocsPerRun(500, func() {
+		if err := m.Run(transfer); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("durable two-Sub transfer: %.1f allocations", n)
+	if n > 13 {
+		t.Errorf("durable two-Sub transfer: %.1f allocations, budget 13", n)
 	}
 }
 

@@ -464,3 +464,104 @@ func TestGoldenLogFromParentCommit(t *testing.T) {
 		t.Fatalf("mixed log: %d records, %d torn bytes", len(insp.Records), insp.TornBytes)
 	}
 }
+
+// TestReusedEffectListsCarryNothingStale: effect lists are pooled, so a
+// list that came back with an aborted subtransaction's effects, or one
+// handed out while another transaction still appended to it, would put
+// effects in a commit record that never happened there. Concurrent
+// transfers — withdraw and deposit as concurrent children, beside a
+// voluntarily aborted child that deposits through a grandchild — run on a
+// durable manager; the money is conserved live, and the manager recovery
+// builds from the log certifies and holds exactly the live states.
+func TestReusedEffectListsCarryNothingStale(t *testing.T) {
+	const accounts, workers, each = 6, 4, 60
+	mem := wal.NewMemFS()
+	m, _, err := OpenDurable("d", DurableOptions{FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, accounts)
+	for i := range names {
+		names[i] = fmt.Sprintf("acct%d", i)
+		m.MustRegister(names[i], Account{Balance: 1000})
+	}
+	errVoluntary := errors.New("voluntary abort")
+	do := func(obj string, op Op) func(*Tx) error {
+		return func(tx *Tx) error {
+			_, err := tx.Do(obj, op)
+			return err
+		}
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < each; n++ {
+				i := rng.Intn(accounts)
+				a, b := names[i], names[(i+1+rng.Intn(accounts-1))%accounts]
+				amt, abort := int64(1+rng.Intn(5)), rng.Intn(2) == 0
+				err := m.RunRetry(50, func(tx *Tx) error {
+					withdraw := tx.Go(do(a, AcctWithdraw{Amount: amt}))
+					deposit := tx.Go(do(b, AcctDeposit{Amount: amt}))
+					if err := withdraw.Wait(); err != nil {
+						return err
+					}
+					if err := deposit.Wait(); err != nil {
+						return err
+					}
+					if !abort {
+						return nil
+					}
+					err := tx.Sub(func(sub *Tx) error {
+						if err := do(b, AcctDeposit{Amount: 1000})(sub); err != nil {
+							return err
+						}
+						if err := sub.Sub(do(a, AcctDeposit{Amount: 1000})); err != nil {
+							return err
+						}
+						return errVoluntary
+					})
+					if errors.Is(err, errVoluntary) {
+						return nil
+					}
+					return err
+				})
+				if err != nil && !errors.Is(err, ErrDeadlock) {
+					t.Errorf("transfer: %v", err)
+				}
+			}
+		}(int64(w) + 1)
+	}
+	wg.Wait()
+	live := make(map[string]State, accounts)
+	var total int64
+	for _, x := range names {
+		st, err := m.State(x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[x] = st
+		total += st.(Account).Balance
+	}
+	if total != accounts*1000 {
+		t.Fatalf("balances sum to %d live, want %d", total, accounts*1000)
+	}
+	if err := m.CloseWAL(); err != nil {
+		t.Fatal(err)
+	}
+	m2, rec, err := OpenDurable("d", DurableOptions{FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.CloseWAL()
+	if err := rec.Verify(); err != nil {
+		t.Fatalf("recovered history: %v", err)
+	}
+	for _, x := range names {
+		if st, err := m2.State(x); err != nil || st != live[x] {
+			t.Errorf("recovered %s = %v, %v; live %v", x, st, err, live[x])
+		}
+	}
+}

@@ -108,6 +108,7 @@ type Manager struct {
 type indexStripe struct {
 	mu    sync.Mutex
 	trees map[tree.TID]treeShards
+	free  []shardSet // words of deleted entries, all zero, for the next ones
 }
 
 // treeShards is a stripe entry: the shards where the tree holds locks and
@@ -206,11 +207,16 @@ func (m *Manager) markShard(top tree.TID, sid, which int, on bool) {
 	st := m.stripeFor(top)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	words := (len(m.shards) + 63) / 64
 	e, ok := st.trees[top]
 	if !ok {
-		// One allocation for both sets.
-		words := (len(m.shards) + 63) / 64
-		buf := make([]uint64, 2*words)
+		// One allocation for both sets, or none.
+		var buf shardSet
+		if n := len(st.free); n > 0 {
+			buf, st.free = st.free[n-1], st.free[:n-1]
+		} else {
+			buf = make(shardSet, 2*words)
+		}
 		e = treeShards{buf[:words], buf[words:]}
 		st.trees[top] = e
 	}
@@ -221,6 +227,7 @@ func (m *Manager) markShard(top tree.TID, sid, which int, on bool) {
 	e[which].remove(sid)
 	if e[held].empty() && e[waiting].empty() {
 		delete(st.trees, top)
+		st.free = append(st.free, e[held][:2*words])
 	}
 }
 

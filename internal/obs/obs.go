@@ -379,14 +379,15 @@ type Metrics struct {
 	FsyncLatency Histogram
 
 	WalAppends Counter // records appended to the WAL
-	WalFsyncs  Counter // fsyncs issued by the WAL syncer
+	WalFsyncs  Counter // successful WAL flushes, one fsync each
 	// WalCheckpoints counts completed checkpoints; WalCheckpointLSN is
 	// the next LSN after the newest checkpoint (the redo low-water mark),
 	// also set, without a count, when boot recovers one.
 	WalCheckpoints   Counter
 	WalCheckpointLSN Gauge
 	// WalMaxBatch is the largest number of records retired by a single
-	// fsync — the group-commit batching high-water mark. At quiescence
+	// fsync — the group-commit batching high-water mark. At quiescence,
+	// unless the log latched (its last staged records are never retired),
 	//   WalAppends == Σ batch sizes over WalFsyncs
 	// so fsyncs/commit == WalFsyncs / WalAppends.
 	WalMaxBatch Gauge
@@ -468,12 +469,13 @@ func (m *Metrics) AddShardQueued(shard int, delta int64) {
 	}
 }
 
-// ObserveFsync records one WAL fsync retiring batch records.
+// ObserveFsync records one successful WAL flush retiring batch records; a
+// failed one retires nothing and is not observed.
 func (m *Metrics) ObserveFsync(d time.Duration, batch int) {
 	m.FsyncLatency.Observe(d)
 	m.WalFsyncs.Inc()
-	// Only the single syncer goroutine observes fsyncs, so a plain
-	// read-compare-write keeps the high-water mark exact.
+	// The log's flushes — syncer, Sync, Close and both seals — hold one
+	// mutex, so a plain read-compare-write keeps the high-water mark exact.
 	if int64(batch) > m.WalMaxBatch.Load() {
 		m.WalMaxBatch.Set(int64(batch))
 	}

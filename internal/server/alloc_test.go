@@ -12,9 +12,9 @@ import (
 
 // TestNetworkedTransactionAllocationBudget is net_small in one process:
 // BEGIN, READ, WRITE, COMMIT over loopback, client and server both
-// counted. The code allocates 19 times today, about half of them in the
-// embedded transaction underneath; the budget sits a half above that.
-// With the reflective codec the same exchange cost 146.
+// counted. The code allocates 9 times here, the transaction's Tx and name
+// among them; a finished handle is reused, and with one made per BEGIN
+// the exchange cost 11. With the reflective codec it cost 146.
 func TestNetworkedTransactionAllocationBudget(t *testing.T) {
 	mgr := nestedtx.NewManager()
 	mgr.MustRegister("ctr-a", nestedtx.Counter{})
@@ -33,8 +33,9 @@ func TestNetworkedTransactionAllocationBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 30 {
-		t.Errorf("BEGIN; READ; WRITE; COMMIT over loopback: %.0f allocations, budget 30", allocs)
+	t.Logf("BEGIN; READ; WRITE; COMMIT over loopback: %.1f allocations", allocs)
+	if allocs > 10 {
+		t.Errorf("BEGIN; READ; WRITE; COMMIT over loopback: %.1f allocations, budget 10", allocs)
 	}
 }
 

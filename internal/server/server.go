@@ -432,6 +432,9 @@ type session struct {
 	fired    chan struct{}
 
 	txs map[uint64]*txHandle
+	// free holds up to maxFreeHandles finished handles for newHandle. A
+	// dead tree's handles are stale, not finished, and never get here.
+	free []*txHandle
 	// ros are the open read-only transactions. One never touches the
 	// lock manager, which is why its verbs bypass the locking gate, and
 	// it holds its own store, so it outlives a promotion or a replica's
@@ -547,9 +550,18 @@ type txHandle struct {
 	dead bool
 }
 
+// maxFreeHandles is more than a client's usual tree of open handles.
+const maxFreeHandles = 16
+
 func (ss *session) newHandle(parent *txHandle, tx *nestedtx.Tx) wire.Response {
 	ss.nextTx++
-	h := &txHandle{id: ss.nextTx, parent: parent, tx: tx}
+	var h *txHandle
+	if n := len(ss.free); n > 0 {
+		h, ss.free = ss.free[n-1], ss.free[:n-1]
+	} else {
+		h = new(txHandle)
+	}
+	*h = txHandle{id: ss.nextTx, parent: parent, tx: tx}
 	if parent != nil {
 		parent.child = h
 	}
@@ -888,9 +900,13 @@ func (ss *session) handleFinish(req *wire.Request) wire.Response {
 	} else {
 		err = h.tx.Commit()
 	}
-	// The handle is finished either way: forget it.
+	// The handle is finished either way: forget it, and keep it for reuse.
 	delete(ss.txs, h.id)
 	ss.returned(h, req.Type == wire.TCommit && err == nil)
+	if len(ss.free) < maxFreeHandles {
+		*h = txHandle{}
+		ss.free = append(ss.free, h)
+	}
 	return ss.mapErr(err)
 }
 

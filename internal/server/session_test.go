@@ -36,8 +36,8 @@ func dialRaw(t *testing.T, addr string) *rawSession {
 	return &rawSession{t: t, conn: conn, br: bufio.NewReader(conn), bw: bufio.NewWriter(conn)}
 }
 
-// ok sends req and returns the response, which must be a success.
-func (r *rawSession) ok(req *wire.Request) *wire.Response {
+// do sends req and returns the response, success or not.
+func (r *rawSession) do(req *wire.Request) *wire.Response {
 	r.t.Helper()
 	r.seq++
 	req.Seq = r.seq
@@ -48,6 +48,13 @@ func (r *rawSession) ok(req *wire.Request) *wire.Response {
 	if err != nil {
 		r.t.Fatalf("read %s response: %v", req.Type, err)
 	}
+	return resp
+}
+
+// ok sends req and returns the response, which must be a success.
+func (r *rawSession) ok(req *wire.Request) *wire.Response {
+	r.t.Helper()
+	resp := r.do(req)
 	if !resp.OK {
 		r.t.Fatalf("%s: %s: %s", req.Type, resp.Code, resp.Err)
 	}
@@ -269,4 +276,59 @@ func TestShutdownRacesParkedAccess(t *testing.T) {
 			t.Fatalf("round %d: counter = %v, want 0", r, st)
 		}
 	}
+}
+
+// TestStaleHandleIsNeverReused: finished handles are reused, a dead
+// tree's never are. A tree three deep times out, its root is touched
+// (and dropped), and a second tree commits twice on the same session,
+// drawing on the handles the first commit finished. The dead tree's stale
+// child still answers aborted, never as a handle of the live tree, and
+// the live tree's work lands exactly once per commit.
+func TestStaleHandleIsNeverReused(t *testing.T) {
+	mgr := nestedtx.NewManager(nestedtx.WithRecording())
+	mgr.MustRegister("c", nestedtx.Counter{})
+	mgr.MustRegister("d", nestedtx.Counter{})
+	srv, addr := start(t, mgr, server.Config{RequestTimeout: 100 * time.Millisecond})
+	holder := mgr.Begin()
+	if _, err := holder.Do("c", nestedtx.CtrAdd{Delta: 1}); err != nil {
+		t.Fatal(err)
+	}
+	add, err := wire.EncodeOp(nestedtx.CtrAdd{Delta: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := dialRaw(t, addr)
+	root := r.ok(&wire.Request{Type: wire.TBegin}).Tx
+	child := r.ok(&wire.Request{Type: wire.TSub, Tx: root}).Tx
+	leaf := r.ok(&wire.Request{Type: wire.TSub, Tx: child}).Tx
+	if resp := r.do(&wire.Request{Type: wire.TWrite, Tx: leaf, Obj: "c", Op: add}); resp.Code != wire.CodeTimeout {
+		t.Fatalf("write behind the holder: %+v, want %s", resp, wire.CodeTimeout)
+	}
+	holder.Abort()
+	if resp := r.do(&wire.Request{Type: wire.TCommit, Tx: root}); resp.Code != wire.CodeAborted {
+		t.Fatalf("commit of the dead root: %+v, want %s", resp, wire.CodeAborted)
+	}
+	for i := 0; i < 2; i++ {
+		top := r.ok(&wire.Request{Type: wire.TBegin}).Tx
+		sub := r.ok(&wire.Request{Type: wire.TSub, Tx: top}).Tx
+		r.ok(&wire.Request{Type: wire.TWrite, Tx: sub, Obj: "d", Op: add})
+		r.ok(&wire.Request{Type: wire.TCommit, Tx: sub})
+		r.ok(&wire.Request{Type: wire.TCommit, Tx: top})
+	}
+	if resp := r.do(&wire.Request{Type: wire.TCommit, Tx: child}); resp.Code != wire.CodeAborted {
+		t.Fatalf("commit of the dead tree's stale child: %+v, want %s", resp, wire.CodeAborted)
+	}
+	if resp := r.do(&wire.Request{Type: wire.TWrite, Tx: leaf, Obj: "d", Op: add}); resp.Code != wire.CodeAborted {
+		t.Fatalf("write on the dead tree's stale leaf: %+v, want %s", resp, wire.CodeAborted)
+	}
+	for obj, want := range map[string]int64{"c": 0, "d": 2} {
+		st, err := mgr.State(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.(nestedtx.Counter).N; got != want {
+			t.Errorf("%s = %d, want %d", obj, got, want)
+		}
+	}
+	drainAndVerify(t, srv)
 }

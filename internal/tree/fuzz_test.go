@@ -251,3 +251,13 @@ func TestNameAlgebraDoesNotAllocate(t *testing.T) {
 	}
 	_, _, _ = sinkTID, sinkBool, sinkInt
 }
+
+// TestChildIsOneAllocation: minting a name allocates the name and nothing
+// else, however many digits its index has.
+func TestChildIsOneAllocation(t *testing.T) {
+	var sink TID
+	if n := testing.AllocsPerRun(100, func() { sink = Root.Child(123456) }); n != 1 {
+		t.Errorf("Child(123456): %v allocations per call, want 1", n)
+	}
+	_ = sink
+}

@@ -36,9 +36,10 @@ const Root TID = "T0"
 // sep separates path components within a TID.
 const sep = "."
 
-// Child returns the name of the i'th child of t.
+// Child returns the name of the i'th child of t, in one allocation.
 func (t TID) Child(i int) TID {
-	return TID(string(t) + sep + strconv.Itoa(i))
+	var d [20]byte
+	return TID(string(t) + sep + string(strconv.AppendInt(d[:0], int64(i), 10)))
 }
 
 // IsRoot reports whether t is the root transaction T0.

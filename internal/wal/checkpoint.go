@@ -126,9 +126,6 @@ func (l *Log) checkpoint(at func(next uint64) (uint64, map[string]adt.State, err
 	if err := l.writeFileAtomic(name+".tmp", name, appendFrame(nil, payload)); err != nil {
 		return l.latch(err)
 	}
-	l.mu.Lock()
-	l.nextLSN = lsn
-	l.mu.Unlock()
 	if err := l.cutover(name, lsn); err != nil {
 		return err
 	}
@@ -149,6 +146,11 @@ func (l *Log) cutover(keep string, lsn uint64) error {
 	if err := l.seal(); err != nil {
 		return err
 	}
+	// An installed snapshot can start past the log's end; it covers the gap.
+	l.mu.Lock()
+	l.nextLSN = lsn
+	l.mu.Unlock()
+	l.advance(lsn)
 	// Everything below the checkpoint LSN is now redundant. Remove before
 	// opening: a checkpoint at the active segment's own first LSN
 	// re-creates a file of the same name.

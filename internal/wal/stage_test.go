@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"nestedtx/internal/adt"
+	"nestedtx/internal/obs"
 )
 
 // stalledLog opens a log over a FaultFS whose first fsync parks in its
@@ -208,13 +209,10 @@ func TestCheckpointRetiresParkedTickets(t *testing.T) {
 	}
 	after := syncs.Load()
 	for i, tk := range tickets {
-		select {
-		case err := <-tk.ch:
-			if err != nil {
-				t.Fatalf("ticket %d: %v", i, err)
-			}
-		default:
+		if ok, err := answered(tk); !ok {
 			t.Fatalf("ticket %d still parked after the checkpoint returned", i)
+		} else if err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
 		}
 	}
 	if st := lg.Stats(); st.DurableLSN != parked+1 || st.CheckpointLSN != parked+1 {
@@ -235,6 +233,18 @@ func TestCheckpointRetiresParkedTickets(t *testing.T) {
 	if got := rec.States()["ctr"].(adt.Counter).N; got != parked {
 		t.Fatalf("recovered ctr = %d, want %d", got, parked)
 	}
+}
+
+// answered reports, without parking, whether the ticket has its answer
+// yet, and the answer Wait would return.
+func answered(tk Ticket) (bool, error) {
+	l := tk.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.durable > tk.lsn {
+		return true, nil
+	}
+	return l.err != nil, l.err
 }
 
 // wmuHeld reports whether some goroutine holds the write path.
@@ -429,13 +439,10 @@ func TestFailedCutoverStillAnswersItsTickets(t *testing.T) {
 		t.Fatalf("Checkpoint: err = %v, want ErrInjected", err)
 	}
 	for i, tk := range tickets {
-		select {
-		case err := <-tk.ch:
-			if err != nil {
-				t.Fatalf("ticket %d: %v, but its record is durable", i, err)
-			}
-		default:
+		if ok, err := answered(tk); !ok {
 			t.Fatalf("ticket %d still parked after the checkpoint returned", i)
+		} else if err != nil {
+			t.Fatalf("ticket %d: %v, but its record is durable", i, err)
 		}
 	}
 	if _, err := lg.Stage(bump(parked+1), nil); !errors.Is(err, ErrInjected) {
@@ -527,4 +534,126 @@ func TestManyStagersAtTheByteBudget(t *testing.T) {
 			t.Fatalf("certify: %v", err)
 		}
 	})
+}
+
+// TestFailedFlushIsNotAnFsync: a flush that fails retires nothing, so it
+// moves none of the fsync metrics — a batch of nine records whose fsync
+// dies with the device leaves the fsync count, the batch high-water mark
+// and the fsync latency histogram where they were.
+func TestFailedFlushIsNotAnFsync(t *testing.T) {
+	met := new(obs.Metrics)
+	lg, _, ffs, release, _ := stalledLog(t, Options{Metrics: met})
+	ffs.CrashAfter(0)
+	var tickets []Ticket
+	for i := 1; i <= 8; i++ {
+		tk, err := lg.Stage(bump(i), nil)
+		if err != nil {
+			t.Fatalf("stage %d: %v", i, err)
+		}
+		tickets = append(tickets, tk)
+	}
+	close(release)
+	for i, tk := range tickets {
+		if err := tk.Wait(); !errors.Is(err, ErrInjected) {
+			t.Fatalf("ticket %d: err = %v, want ErrInjected", i, err)
+		}
+	}
+	if f, b, n := met.WalFsyncs.Load(), met.WalMaxBatch.Load(), met.FsyncLatency.Count(); f != 0 || b != 0 || n != 0 {
+		t.Fatalf("after a failed flush: wal_fsyncs %d, wal_max_batch %d, fsync_latency.count %d, want all 0", f, b, n)
+	}
+	lg.Close()
+}
+
+// TestTicketsAnsweredByTheDurableMark: 64 stagers, with Sync and
+// Checkpoint interleaved and a crash armed partway, through rotations.
+// Every ticket's answer is the durable mark's: nil if and only if its LSN
+// is below the final mark, the latched fault otherwise, and the same
+// answer when asked twice. Every acknowledged record is recovered, and
+// the recovered log certifies.
+func TestTicketsAnsweredByTheDurableMark(t *testing.T) {
+	const stagers, each = 64, 16
+	mem := NewMemFS()
+	ffs := NewFaultFS(mem)
+	lg, _ := mustOpen(t, ffs, "d", Options{SegmentBytes: 4 << 10})
+	if err := lg.AppendApply(Record{Register: &RegisterRecord{Name: "reg", Initial: adt.NewRegister(int64(0))}}, nil); err != nil {
+		t.Fatalf("register: %v", err)
+	}
+	// last is the register's redo state: the value of the highest LSN
+	// applied. A checkpoint captures it with staging excluded.
+	var mu sync.Mutex
+	var last struct{ lsn, v uint64 }
+	capture := func() map[string]adt.State {
+		mu.Lock()
+		defer mu.Unlock()
+		return map[string]adt.State{"reg": adt.NewRegister(int64(last.v))}
+	}
+	type staged struct {
+		tk Ticket
+		v  int64
+	}
+	var armed sync.Once
+	var stagedN atomic.Int64
+	out := make(chan []staged, stagers)
+	for s := 0; s < stagers; s++ {
+		go func(s int) {
+			var mine []staged
+			defer func() { out <- mine }()
+			for i := 0; i < each; i++ {
+				v := int64(s*each + i + 1)
+				tk, err := lg.Stage(regWrite(v), func(lsn uint64) error {
+					mu.Lock()
+					if lsn > last.lsn {
+						last.lsn, last.v = lsn, uint64(v)
+					}
+					mu.Unlock()
+					return nil
+				})
+				if err != nil {
+					return // the log latched
+				}
+				mine = append(mine, staged{tk, v})
+				switch n := stagedN.Add(1); {
+				case n == stagers*each/2:
+					armed.Do(func() { ffs.CrashAfter(2 << 10) })
+				case n%97 == 0:
+					lg.Sync()
+				case n%151 == 0:
+					lg.Checkpoint(capture)
+				}
+			}
+		}(s)
+	}
+	var all []staged
+	for s := 0; s < stagers; s++ {
+		all = append(all, <-out...)
+	}
+	lg.Close()
+	durable := lg.DurableLSN()
+	if durable >= uint64(len(all))+1 {
+		t.Fatalf("durable mark %d covers all %d records: the crash never latched the log", durable, len(all)+1)
+	}
+	var latched error
+	for _, s := range all {
+		first, second := s.tk.Wait(), s.tk.Wait()
+		if first != second {
+			t.Fatalf("LSN %d answered %v, then %v", s.tk.lsn, first, second)
+		}
+		switch {
+		case s.tk.lsn < durable && first != nil:
+			t.Fatalf("LSN %d below the durable mark %d answered %v", s.tk.lsn, durable, first)
+		case s.tk.lsn >= durable && !errors.Is(first, ErrInjected):
+			t.Fatalf("LSN %d at or past the durable mark %d answered %v, want the latched fault", s.tk.lsn, durable, first)
+		case s.tk.lsn >= durable && latched != nil && first != latched:
+			t.Fatalf("LSN %d answered %v, another %v: one latched fault answers all", s.tk.lsn, first, latched)
+		case s.tk.lsn >= durable:
+			latched = first
+		}
+	}
+	_, rec := mustOpen(t, mem, "d", Options{})
+	if rec.NextLSN < durable {
+		t.Fatalf("recovered up to LSN %d, but %d was acknowledged durable", rec.NextLSN, durable)
+	}
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
+	}
 }

@@ -30,9 +30,9 @@
 // order because both are the same section, and a stager waits only on the
 // budget, never on another stager's progress. And there is one flush out:
 // the syncer goroutine, Sync, Close, a rotation's seal and a checkpoint's
-// seal all run the same body — swap the staged batch out, note the next
-// LSN as the target, one write, one fsync, publish the durable watermark
-// and answer the tickets below it — and differ only in whether the write
+// seal all run the same body — swap the staged batch out for the previous
+// one's buffer, note the next LSN as the target, one write, one fsync,
+// advance the durable watermark — and differ only in whether the write
 // mutex is released before the file I/O (the first three: stagers fill
 // the next batch while this one is at the device) or kept (the two seals,
 // which swap the segment handle afterwards). The watermark a flush
@@ -41,19 +41,23 @@
 // parked and later ticket fails, nothing is staged after the hole, and
 // recovery adjudicates what is on disk.
 //
-// Group commit falls out: every stager parks a ticket, and one fsync
-// answers all tickets below the watermark it covers, so concurrent commits
-// share the flush — writers of one hot object included, since the next one
-// is granted as soon as the previous one has staged. Staging is bounded: a
-// stager waits while the write buffer holds more than a quarter segment of
-// unflushed bytes, so a stalled device stalls its stagers instead of
-// growing the heap. The checkpoint gate is held from a record's stage
-// through its apply callback — the budget wait included, that is the
-// back-pressure — and never while a ticket waits for its fsync, by any
-// entry point. Checkpoints snapshot the committed-to-root object states
-// behind the gate's writer lock, which excludes staging, so a checkpoint
-// is exactly equivalent to the redo of every record below its LSN; it
-// seals those records itself and answers their tickets.
+// A ticket is answered by the durable mark, not by a message of its own:
+// it is its record's LSN, and Wait returns once the mark passes it — or
+// returns the latched fault if the log latches first. The mark is
+// prefix-closed, so that is the whole answer, and asking twice gets the
+// same one. Group commit falls out: one fsync moves the mark past every
+// record it covers, so concurrent commits share the flush — writers of
+// one hot object included, since the next one is granted as soon as the
+// previous one has staged. Staging is bounded: a stager waits while the
+// write buffer holds more than a quarter segment of unflushed bytes, so a
+// stalled device stalls its stagers instead of growing the heap. The
+// checkpoint gate is held from a record's stage through its apply
+// callback — the budget wait included, that is the back-pressure — and
+// never while a ticket waits for its fsync, by any entry point.
+// Checkpoints snapshot the committed-to-root object states behind the
+// gate's writer lock, which excludes staging, so a checkpoint is exactly
+// equivalent to the redo of every record below its LSN; it seals those
+// records itself and answers their tickets.
 package wal
 
 import (
@@ -87,12 +91,6 @@ type Options struct {
 }
 
 const defaultSegmentBytes = 4 << 20
-
-// waiter is one parked appender: ch receives the fsync verdict for lsn.
-type waiter struct {
-	lsn uint64
-	ch  chan error
-}
 
 // Log is an open write-ahead log. All methods are safe for concurrent
 // use.
@@ -131,23 +129,24 @@ type Log struct {
 	// file-handle swaps (rotation, checkpoint cutover) against each other.
 	// Stagers do not take it except to rotate, so staging proceeds while a
 	// flush is in flight. Lock order: gate → wmu → smu → mu.
-	smu sync.Mutex
+	smu   sync.Mutex
+	spare []byte // the last written batch's buffer, the next wbuf (see drain)
 
 	// mu guards the logical state below. Critical sections are short: mu
 	// is never held across an encode, a write, or an fsync. nextLSN is
 	// written with wmu and mu both held, so either one suffices to read it.
 	mu           sync.Mutex
-	nextLSN      uint64   // LSN the next staged record gets
-	durable      uint64   // every LSN below this is covered by an fsync
-	ckptLSN      uint64   // next LSN after the newest checkpoint (redo low-water)
-	statSegName  string   // mirror of segName for Stats
-	statSegBytes int64    // mirror of segBytes for Stats
-	waiters      []waiter // parked tickets, ascending LSN
+	landed       *sync.Cond // broadcast when durable advances or the log latches: parked tickets
+	nextLSN      uint64     // LSN the next staged record gets
+	durable      uint64     // every LSN below this is covered by an fsync
+	ckptLSN      uint64     // next LSN after the newest checkpoint (redo low-water)
+	statSegName  string     // mirror of segName for Stats
+	statSegBytes int64      // mirror of segBytes for Stats
 	watchers     []chan struct{}
 	err          error // latched fatal error: log is read-only from here on
 
 	// lastSync is the duration of the most recent batch fsync, in
-	// nanoseconds, and lastBatch the number of waiters it retired: the
+	// nanoseconds, and lastBatch the number of records it retired: the
 	// adaptive gather (see gatherBatch) budgets by the former and exits
 	// early on the latter.
 	lastSync  atomic.Int64
@@ -204,6 +203,7 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		done:     make(chan struct{}),
 	}
 	l.wroom = sync.NewCond(&l.wmu)
+	l.landed = sync.NewCond(&l.mu)
 	// Continue the last surviving segment, or start a fresh one.
 	name := rec.tailSegment
 	flag := os.O_WRONLY | os.O_APPEND
@@ -235,14 +235,29 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 	return l, rec, nil
 }
 
-// Ticket is a staged record's claim on the fsync that will cover it.
-type Ticket struct{ ch chan error }
+// Ticket is a staged record's claim on the durable mark: its LSN. Wait
+// may be called any number of times, and gives the same answer each.
+type Ticket struct {
+	log *Log
+	lsn uint64
+}
 
 // Wait parks until the ticket's record is durable — covered by a batch
 // fsync, a rotation seal or a checkpoint — and returns nil, or returns
-// the fault that poisoned the log first: the record may or may not have
+// the fault that latched the log first: the record may or may not have
 // reached the disk, and only recovery can say.
-func (t Ticket) Wait() error { return <-t.ch }
+func (t Ticket) Wait() error {
+	l := t.log
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for l.durable <= t.lsn {
+		if l.err != nil {
+			return l.err
+		}
+		l.landed.Wait()
+	}
+	return nil
+}
 
 // Stage gives r the next LSN, stages its frame and runs apply with that
 // LSN — all while holding the checkpoint gate, so a concurrent Checkpoint
@@ -258,7 +273,7 @@ func (t Ticket) Wait() error { return <-t.ch }
 func (l *Log) Stage(r Record, apply func(lsn uint64) error) (Ticket, error) {
 	l.gate.RLock()
 	defer l.gate.RUnlock()
-	ch, lsn, err := l.enqueue(r, false)
+	lsn, err := l.enqueue(r, false)
 	if err != nil {
 		return Ticket{}, err
 	}
@@ -267,7 +282,7 @@ func (l *Log) Stage(r Record, apply func(lsn uint64) error) (Ticket, error) {
 			return Ticket{}, err
 		}
 	}
-	return Ticket{ch}, nil
+	return Ticket{l, lsn}, nil
 }
 
 // AppendApply is Stage followed by Wait: r is durable on return.
@@ -292,23 +307,23 @@ func (l *Log) AppendApply(r Record, apply func() error) error {
 // remains valid (it is contiguous); the caller resynchronises by asking
 // the leader to resume from Stats().NextLSN.
 func (l *Log) AppendBatch(recs []Record) error {
-	var last chan error
+	if len(recs) == 0 {
+		return nil
+	}
+	var last Ticket
 	l.gate.RLock()
 	for i := range recs {
-		ch, _, err := l.enqueue(recs[i], true)
+		lsn, err := l.enqueue(recs[i], true)
 		if err != nil {
 			l.gate.RUnlock()
 			return err
 		}
-		last = ch
+		last = Ticket{l, lsn}
 	}
 	l.gate.RUnlock()
-	if last == nil {
-		return nil
-	}
-	// Tickets are answered in LSN order, so the last record's covers the
-	// whole run.
-	return <-last
+	// The durable mark is prefix-closed, so the last record's ticket
+	// covers the whole run.
+	return last.Wait()
 }
 
 // enqueue is the one way into the log. The expensive work — encoding the
@@ -318,7 +333,7 @@ func (l *Log) AppendBatch(recs []Record) error {
 // wait at the byte budget, take the next LSN (or, with strict set, check
 // that the one r carries is it), seal the frame with it — twenty digits
 // and a CRC32C written in place —, rotate if the frame does not fit,
-// append it to wbuf, and advance the sequence and park the ticket. LSN
+// append it to wbuf, and advance the sequence. LSN
 // order is staging order because both are this section; an enqueue that
 // fails, a failed rotation included, consumes no LSN.
 //
@@ -327,7 +342,7 @@ func (l *Log) AppendBatch(recs []Record) error {
 // staged frame has kicked the syncer, so one is coming). The check and
 // the append are one section, so wbuf never exceeds the budget plus one
 // frame however many stagers wait and however long an fsync stalls.
-func (l *Log) enqueue(r Record, strict bool) (chan error, uint64, error) {
+func (l *Log) enqueue(r Record, strict bool) (uint64, error) {
 	bp := frameBufs.Get().(*[]byte)
 	buf := (*bp)[:0]
 	defer func() {
@@ -338,9 +353,8 @@ func (l *Log) enqueue(r Record, strict bool) (chan error, uint64, error) {
 	}()
 	buf, err := stageRecord(buf, r)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	ch := make(chan error, 1)
 
 	l.wmu.Lock()
 	defer l.wmu.Unlock()
@@ -348,21 +362,21 @@ func (l *Log) enqueue(r Record, strict bool) (chan error, uint64, error) {
 		l.wroom.Wait()
 	}
 	if l.closed {
-		return nil, 0, fmt.Errorf("wal: log closed")
+		return 0, fmt.Errorf("wal: log closed")
 	}
 	// A batch before this one failed: never stage a frame after a hole.
 	if err := l.failed(); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
 	lsn := l.nextLSN
 	if strict && r.LSN != lsn {
-		return nil, 0, fmt.Errorf("wal: batch LSN gap: got %d, want %d", r.LSN, lsn)
+		return 0, fmt.Errorf("wal: batch LSN gap: got %d, want %d", r.LSN, lsn)
 	}
 	buf, start := sealFrame(buf, frameRoom, lsn)
 	frame := buf[start:]
 	if l.segBytes > 0 && l.segBytes+int64(len(frame)) > l.segLimit {
 		if err := l.rotate(); err != nil {
-			return nil, 0, err
+			return 0, err
 		}
 	}
 	l.wbuf = append(l.wbuf, frame...)
@@ -371,13 +385,12 @@ func (l *Log) enqueue(r Record, strict bool) (chan error, uint64, error) {
 	l.mu.Lock()
 	l.nextLSN = lsn + 1
 	l.statSegBytes = l.segBytes
-	l.waiters = append(l.waiters, waiter{lsn: lsn, ch: ch})
 	l.mu.Unlock()
 	select {
 	case l.kick <- struct{}{}:
 	default:
 	}
-	return ch, lsn, nil
+	return lsn, nil
 }
 
 // frameBufs recycles enqueue's encode buffers; one that a large record
@@ -386,11 +399,12 @@ var frameBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledFrame = 64 << 10
 
-// drain swaps the staged batch out of wbuf and wakes the stagers held at
-// the byte budget. Called with wmu held.
+// drain swaps the staged batch out of wbuf, for the previous batch's
+// buffer, and wakes the stagers held at the byte budget. Called with wmu
+// and smu held.
 func (l *Log) drain() []byte {
 	buf := l.wbuf
-	l.wbuf = nil
+	l.wbuf, l.spare = l.spare[:0], nil
 	l.wroom.Broadcast()
 	return buf
 }
@@ -401,6 +415,7 @@ func (l *Log) latch(err error) error {
 	l.mu.Lock()
 	if l.err == nil {
 		l.err = err
+		l.landed.Broadcast()
 	}
 	l.mu.Unlock()
 	return err
@@ -419,7 +434,7 @@ func (l *Log) failed() error {
 // flush is the one way out of the write buffer: swap the staged batch
 // out, take the next LSN as the target, move the batch into the active
 // segment with a single write, fsync, and publish the outcome
-// (finishFlush) — so a batch of n commits costs one write syscall plus one
+// (advance) — so a batch of n commits costs one write syscall plus one
 // fsync no matter how large n is. Called with wmu and smu held; returns
 // with smu held. Its callers differ only in unlock, whether wmu is
 // released before the file I/O: the syncer, Sync and Close release it, so
@@ -448,11 +463,20 @@ func (l *Log) flush(unlock bool) error {
 			err = l.latch(fmt.Errorf("wal: fsync: %w", serr))
 		}
 	}
-	d := time.Since(start)
-	if err == nil {
-		l.lastSync.Store(int64(d))
+	// The file has its copy: the buffer is the next wbuf, unless a burst
+	// grew it past what a batch at the byte budget needs.
+	if cap(buf) <= 2*l.wbufMax {
+		l.spare = buf
 	}
-	l.finishFlush(target, d, err)
+	// A failed flush retires nothing: latch answered the tickets.
+	if err == nil {
+		d := time.Since(start)
+		l.lastSync.Store(int64(d))
+		if n := l.advance(target); n > 0 {
+			l.lastBatch.Store(int64(n))
+			l.met.ObserveFsync(d, int(n))
+		}
+	}
 	return err
 }
 
@@ -499,9 +523,9 @@ func (l *Log) rotate() error {
 	return l.openSegment(l.nextLSN)
 }
 
-// syncer is the goroutine that retires parked tickets: one fsync per
-// batch. Tickets that park while a flush is in flight form the next
-// batch and are retired without waiting for another kick.
+// syncer is the goroutine that moves the durable mark: one fsync per
+// batch. Records staged while a flush is in flight form the next batch
+// and are retired without waiting for another kick.
 func (l *Log) syncer() {
 	defer close(l.done)
 	for {
@@ -517,18 +541,16 @@ func (l *Log) syncer() {
 }
 
 // flushOnce retires one batch and reports whether there was one (false
-// means the log is drained and the syncer can block). Staged bytes count
-// even with no ticket parked: after a failed flush has answered every
-// ticket, one more drain is what wakes the stagers held at the budget.
+// means the log is drained and the syncer can block). With wmu and smu
+// held no flush is in flight, so every record the mark has not passed is
+// in wbuf; on a latched log one more drain wakes the stagers held at the
+// budget.
 func (l *Log) flushOnce() bool {
 	l.gatherBatch()
 	l.wmu.Lock()
 	l.smu.Lock()
 	defer l.smu.Unlock()
-	l.mu.Lock()
-	parked := len(l.waiters)
-	l.mu.Unlock()
-	if parked == 0 && len(l.wbuf) == 0 {
+	if len(l.wbuf) == 0 {
 		l.wmu.Unlock()
 		return false
 	}
@@ -543,8 +565,8 @@ func (l *Log) flushOnce() bool {
 // misses the batch pays a full extra flush — buys a slightly longer
 // gather, while fast storage pays nearly nothing. Under steady load the
 // loop exits well before the deadline: as soon as the batch is as large
-// as the previous one (the acked committers are all back) or the waiter
-// count stops growing.
+// as the previous one (the acked committers are all back) or the count of
+// records the durable mark has not passed stops growing.
 func (l *Log) gatherBatch() {
 	budget := time.Duration(l.lastSync.Load()) / 8
 	if budget > 200*time.Microsecond {
@@ -552,55 +574,37 @@ func (l *Log) gatherBatch() {
 	}
 	deadline := l.clk.Now().Add(budget)
 	full := l.lastBatch.Load()
-	prev := -1
+	prev := int64(-1)
 	for {
 		runtime.Gosched()
 		l.mu.Lock()
-		n := len(l.waiters)
+		n := int64(l.nextLSN - l.durable)
 		l.mu.Unlock()
-		if int64(n) >= full || n == prev || budget <= 0 || l.clk.Now().After(deadline) {
+		if n >= full || n == prev || budget <= 0 || l.clk.Now().After(deadline) {
 			return
 		}
 		prev = n
 	}
 }
 
-// finishFlush publishes the outcome of one fsync issued when the next LSN
-// was target: on success the durable watermark advances to target (never
-// past it — frames staged mid-flush wait for the next one) and the
-// covered tickets are answered; on failure every parked ticket fails,
-// since the log is poisoned and no later fsync will cover them.
-func (l *Log) finishFlush(target uint64, d time.Duration, err error) {
+// advance moves the durable watermark up to target (a flush's: the next
+// LSN when it was issued, so frames staged mid-flush wait for the next),
+// answering every ticket below it, and returns how many LSNs it passed.
+func (l *Log) advance(target uint64) uint64 {
 	l.mu.Lock()
-	var batch []waiter
-	if err != nil {
-		batch, l.waiters = l.waiters, nil
-	} else {
-		if target > l.durable {
-			l.durable = target
-			for _, ch := range l.watchers {
-				select {
-				case ch <- struct{}{}:
-				default: // already pending; the watcher will see the new mark
-				}
+	defer l.mu.Unlock()
+	n := target - l.durable
+	if n > 0 {
+		l.durable = target
+		l.landed.Broadcast()
+		for _, ch := range l.watchers {
+			select {
+			case ch <- struct{}{}:
+			default: // already pending; the watcher will see the new mark
 			}
 		}
-		i := 0
-		for i < len(l.waiters) && l.waiters[i].lsn < l.durable {
-			i++
-		}
-		batch, l.waiters = l.waiters[:i:i], l.waiters[i:]
 	}
-	l.mu.Unlock()
-	if len(batch) > 0 {
-		if err == nil {
-			l.lastBatch.Store(int64(len(batch)))
-		}
-		l.met.ObserveFsync(d, len(batch))
-	}
-	for _, w := range batch {
-		w.ch <- err
-	}
+	return n
 }
 
 // Sync forces every staged record to stable storage now. On a log that

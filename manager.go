@@ -303,12 +303,17 @@ func (m *Manager) commitTop(tx *Tx) error {
 		m.applyTop(id, v, 0)
 		return nil
 	}
-	rec := wal.Record{Commit: &wal.CommitRecord{TID: string(id), Value: v, Effects: tx.takeEffects()}}
+	rec := wal.Record{Commit: &wal.CommitRecord{TID: string(id), Value: v}}
+	effects := tx.takeEffects()
+	if effects != nil {
+		rec.Commit.Effects = *effects
+	}
 	var seq uint64
 	ticket, err := m.wal.Stage(rec, func(lsn uint64) error {
 		seq = m.applyTop(id, v, lsn)
 		return nil
 	})
+	putEffects(effects) // the log encoded what it keeps
 	if err != nil {
 		return fmt.Errorf("nestedtx: durable commit of %s: %w", id, err)
 	}
@@ -348,7 +353,7 @@ func (m *Manager) applyTop(id tree.TID, v Value, lsn uint64) (seq uint64) {
 	}
 	// A map never shrinks and clear costs its capacity, so one a large
 	// commit grew is left to the collector.
-	if up != nil && len(up) <= maxReusedUpdates {
+	if up != nil && len(up) <= maxReused {
 		clear(up)
 		m.updates.Put(up)
 	}
@@ -356,8 +361,21 @@ func (m *Manager) applyTop(id tree.TID, v Value, lsn uint64) (seq uint64) {
 	return seq
 }
 
-// maxReusedUpdates is the largest publication map applyTop keeps.
-const maxReusedUpdates = 64
+// maxReused is the largest publication map or effect list kept for reuse.
+const maxReused = 64
+
+// effectLists recycles durable transactions' effect lists (Tx.effects).
+var effectLists = sync.Pool{New: func() any { return new([]wal.Effect) }}
+
+// putEffects returns effect list e, emptied, to the pool, unless there is
+// none or a large transaction grew it.
+func putEffects(e *[]wal.Effect) {
+	if e != nil && cap(*e) <= maxReused {
+		clear(*e)
+		*e = (*e)[:0]
+		effectLists.Put(e)
+	}
+}
 
 // Schedule returns a snapshot of the recorded formal schedule (nil without
 // [WithRecording]).

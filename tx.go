@@ -47,9 +47,9 @@ type Tx struct {
 	committed    int64 // committed children count (default commit value)
 	// effects accumulates the transaction's surviving accesses (its own
 	// plus those inherited from committed children, in commit order) for
-	// the WAL redo record. Only maintained on durable managers; an
-	// aborted subtree's effects are simply dropped with the subtree.
-	effects   []wal.Effect
+	// the WAL redo record, on durable managers only: a pooled list taken at
+	// the first effect, which passes to the parent or back to the pool.
+	effects   *[]wal.Effect
 	nextChild int32
 	done      bool // returned: committed or aborted
 	aborted   bool // cancelled; all that is left is to abort
@@ -166,7 +166,10 @@ func (tx *Tx) Do(obj string, op Op) (Value, error) {
 	tx.mu.Lock()
 	tx.committed++
 	if m.wal != nil {
-		tx.effects = append(tx.effects, wal.Effect{Obj: obj, Op: op, Val: v})
+		if tx.effects == nil {
+			tx.effects = effectLists.Get().(*[]wal.Effect)
+		}
+		*tx.effects = append(*tx.effects, wal.Effect{Obj: obj, Op: op, Val: v})
 	}
 	tx.mu.Unlock()
 	return v, nil
@@ -437,6 +440,7 @@ func (tx *Tx) end(commit bool) error {
 	if (!commit || err != nil) && !released {
 		kind = event.Abort
 		m.lm.Abort(tx.id)
+		putEffects(tx.takeEffects())
 	}
 	if p == nil {
 		// A released-but-not-durable commit was not acknowledged: the
@@ -493,17 +497,23 @@ func (tx *Tx) commitTo(p *Tx) {
 		// granted and appended after us, so merging first is what keeps
 		// the parent's effect order aligned with the per-object grant
 		// order (the WAL's serial-correctness argument rests on this).
+		e := tx.takeEffects()
 		p.mu.Lock()
-		p.effects = append(p.effects, tx.effects...)
+		if p.effects == nil {
+			p.effects, e = e, nil
+		} else if e != nil {
+			*p.effects = append(*p.effects, *e...)
+		}
 		p.mu.Unlock()
+		putEffects(e)
 	}
 	m.rec.Record(event.Event{Kind: event.RequestCommit, T: tx.id, Value: v})
 	m.lm.Commit(tx.id, v)
 }
 
-// takeEffects transfers ownership of the accumulated effect list to the
-// caller (the top-level durable commit).
-func (tx *Tx) takeEffects() []wal.Effect {
+// takeEffects transfers ownership of the accumulated effect list, nil
+// when there is none, to the caller.
+func (tx *Tx) takeEffects() *[]wal.Effect {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	e := tx.effects
