@@ -13,11 +13,12 @@
 // Connections fail closed: any transport fault (client-side deadline,
 // partial read, connection reset) or protocol desynchronisation poisons
 // the Client — every later call fails fast with [ErrConnLost] rather
-// than reading a stale frame. [Pool] layers reconnection on top:
-// poisoned connections are replaced with jittered-backoff redials, and
-// [Pool.RunRetry] treats ErrConnLost as retryable (a lost connection's
-// open transaction is aborted server-side, so the body can safely run
-// again on a fresh connection).
+// than reading a stale frame. [Pool] layers reconnection and failover on
+// top: poisoned connections are replaced with jittered-backoff redials
+// to whichever endpoint leads, and [Pool.RunRetry] treats ErrConnLost
+// (and, with replicas, [ErrReadOnly]) as retryable — a lost
+// connection's open transaction is aborted server-side and a refused one
+// never began, so the body can safely run again on a fresh connection.
 package client
 
 import (
@@ -68,8 +69,8 @@ var ErrMalformed = errors.New("client: malformed server response")
 
 // ErrReadOnly is wrapped by rejections from a read replica: the server
 // is a replication follower and takes no transactions. Writes (and
-// locked reads) must go to the leader — [ReplicaPool] reroutes them and
-// uses this sentinel to trigger failover probing.
+// locked reads) must go to the leader — a [Pool] that knows a second
+// endpoint takes this sentinel as its cue to probe for one.
 var ErrReadOnly = errors.New("client: server is a read-only replica")
 
 // Option configures Dial.
@@ -86,6 +87,7 @@ func withRTT(h *obs.Histogram) Option { return func(c *Client) { c.rtt = h } }
 
 // Client is one session with a transaction server.
 type Client struct {
+	addr    string // the endpoint dialled; a Pool keeps only the leader's
 	timeout time.Duration
 	rtt     *obs.Histogram // per-call round-trip latencies
 
@@ -100,7 +102,7 @@ type Client struct {
 
 // Dial connects to a transaction server at addr.
 func Dial(addr string, opts ...Option) (*Client, error) {
-	c := &Client{timeout: 30 * time.Second}
+	c := &Client{addr: addr, timeout: 30 * time.Second}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -439,14 +441,15 @@ func (c *Client) RunRetry(attempts int, fn func(*Tx) error) error {
 func isDeadlock(err error) bool { return errors.Is(err, nestedtx.ErrDeadlock) }
 
 // retry runs try until it succeeds, fails with an error retryable does
-// not accept, or attempts (at least one) are used up. Between attempts
-// it sleeps a jittered, exponentially growing interval, so competing
-// victims restart out of phase (the same policy as the local runtime's
-// retry helpers); nothing is slept after the last.
+// not accept, or attempts (at least one) are used up; retryable is asked
+// only when another attempt remains. Between attempts it sleeps a
+// jittered, exponentially growing interval, so competing victims restart
+// out of phase (the same policy as the local runtime's retry helpers);
+// nothing is slept after the last.
 func retry(attempts int, retryable func(error) bool, try func() error) error {
 	for i := 0; ; i++ {
 		err := try()
-		if err == nil || !retryable(err) || i+1 >= attempts {
+		if err == nil || i+1 >= attempts || !retryable(err) {
 			return err
 		}
 		time.Sleep(clock.Backoff(i, 50*time.Microsecond))

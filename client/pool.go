@@ -6,81 +6,124 @@ import (
 	"sync"
 	"time"
 
+	"nestedtx"
 	"nestedtx/internal/clock"
 	"nestedtx/internal/obs"
+	"nestedtx/internal/wire"
 )
 
 // ErrPoolClosed is returned by Pool operations after Close.
 var ErrPoolClosed = errors.New("client: pool closed")
 
-// Pool maintains up to size healthy connections to one server and hands
-// them out as sessions. Poisoned connections (see [ErrConnLost]) are
-// discarded on return and replaced on demand by redialling with
-// jittered exponential backoff, so the pool rides out connection cuts,
-// server restarts and transient partitions.
+// Pool maintains up to size healthy connections to the leader of a
+// deployment and hands them out as sessions. It knows the deployment's
+// endpoints, the leader first ([NewReplicaPool]); [NewPool] is the
+// one-endpoint case.
 //
-// [Pool.Run] borrows a connection for one transaction; [Pool.RunRetry]
-// additionally retries deadlock victims *and* lost connections — the
-// latter is safe because a lost connection's open transaction is
-// aborted server-side (session teardown or the idle reaper), so its
-// effects never commit and the body can run again.
+//   - Poisoned connections (see [ErrConnLost]) are discarded on return
+//     and replaced on demand by redialling the leader with jittered
+//     exponential backoff, so the pool rides out connection cuts, server
+//     restarts and transient partitions.
+//   - [Pool.Failover] asks every endpoint for its role and repoints the
+//     pool at whichever one leads now (e.g. a follower an operator
+//     promoted after the leader crashed): idle connections to the old
+//     leader close at once, borrowed ones when they are returned, and the
+//     next redial reaches the new leader. Capacity, counters and the RTT
+//     histogram stay with the pool.
+//   - [Pool.State] prefers the other endpoints, round-robin, so read load
+//     leaves the leader's sessions free for transactions, and falls back
+//     to the leader. A replica answers with replicated committed-to-root
+//     state, which may trail the leader by the replication lag.
+//
+// [Pool.Run], [Pool.RunReadOnly] and [Pool.RunRetry] are the [Client]'s
+// runners on a borrowed connection. RunRetry re-runs deadlock victims,
+// transactions whose connection was lost (including "could not redial")
+// and, when the pool knows a second endpoint, read_only refusals; after
+// the last two it probes for the leader before the next attempt. Each is
+// safe to re-run: a transaction whose session was lost is aborted
+// server-side (session teardown or the idle reaper), and one a replica
+// refused never began, so its effects never commit.
+//
+// A Pool is safe for concurrent use.
 type Pool struct {
-	addr   string
+	addrs  []string // every known endpoint, the initial leader first
 	opts   []Option
 	tokens chan struct{} // capacity tickets: one per potential connection
 	stop   chan struct{}
-	rtt    *obs.Histogram // round-trip latencies across every connection dialled
+	rtt    *obs.Histogram // round-trip latencies across every leader connection dialled
 
-	mu     sync.Mutex
-	idle   []*Client
-	closed bool
+	// probeMu serialises Failover's probing, so mu is only ever held for
+	// field access, never across I/O. Lock order: probeMu before mu.
+	probeMu sync.Mutex
+
+	mu       sync.Mutex
+	leader   string
+	idle     []*Client          // connections to leader only
+	replicas map[string]*Client // one connection per endpoint State has read from
+	next     int                // round-robin cursor over the non-leader endpoints
+	closed   bool
 
 	redials   uint64 // successful replacement dials after the initial fill
 	discarded uint64 // poisoned connections dropped
+	failovers uint64 // leader changes
+	probes    uint64 // completed Failover probe rounds, for coalescing
+	lastProbe error  // outcome of the last round (nil = leader reachable)
 }
 
 // poolDialAttempts bounds one Get's redial loop; with jittered backoff
 // doubling from ~5ms the worst case waits well under a second.
 const poolDialAttempts = 6
 
-// NewPool dials and health-checks size connections to addr (opts apply
-// to every dial, now and on reconnect). Dial failures during the
-// initial fill are not fatal as long as at least one connection comes
-// up — the missing ones are redialled on demand — but a pool that
-// cannot reach the server at all fails fast.
+// NewPool is [NewReplicaPool] for a deployment of one server, addr.
 func NewPool(addr string, size int, opts ...Option) (*Pool, error) {
+	return NewReplicaPool(addr, nil, size, opts...)
+}
+
+// NewReplicaPool dials and health-checks size connections to leader and
+// remembers replicas for State reads and failover probing (replica
+// connections are dialled lazily). opts apply to every dial, now and on
+// reconnect. Dial failures during the initial fill are not fatal as long
+// as at least one connection comes up — the missing ones are redialled
+// on demand — but a pool that cannot reach the leader at all fails fast.
+func NewReplicaPool(leader string, replicas []string, size int, opts ...Option) (*Pool, error) {
 	if size < 1 {
 		size = 1
 	}
 	p := &Pool{
-		addr:   addr,
-		opts:   opts,
-		tokens: make(chan struct{}, size),
-		stop:   make(chan struct{}),
-		rtt:    new(obs.Histogram),
+		addrs:    append([]string{leader}, replicas...),
+		opts:     opts,
+		tokens:   make(chan struct{}, size),
+		stop:     make(chan struct{}),
+		rtt:      new(obs.Histogram),
+		leader:   leader,
+		replicas: make(map[string]*Client),
 	}
 	for i := 0; i < size; i++ {
 		p.tokens <- struct{}{}
 	}
-	ok := 0
 	for i := 0; i < size; i++ {
-		c, err := p.dialOne()
-		if err != nil {
-			continue
+		if c, err := p.dialLeader(); err == nil {
+			p.idle = append(p.idle, c)
 		}
-		p.idle = append(p.idle, c)
-		ok++
 	}
-	if ok == 0 {
-		return nil, fmt.Errorf("client: pool: no connection to %s could be established", addr)
+	if len(p.idle) == 0 {
+		return nil, fmt.Errorf("client: pool: no connection to %s could be established", leader)
 	}
 	return p, nil
 }
 
-// dialOne dials and health-checks a single connection. Every connection
-// shares the pool's RTT histogram.
-func (p *Pool) dialOne() (*Client, error) {
-	c, err := Dial(p.addr, append(append([]Option(nil), p.opts...), withRTT(p.rtt))...)
+// Leader returns the address transactions currently go to.
+func (p *Pool) Leader() string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.leader
+}
+
+// dialLeader dials and health-checks a connection to the current leader.
+// Leader connections share the pool's RTT histogram; replica
+// connections record none.
+func (p *Pool) dialLeader() (*Client, error) {
+	c, err := Dial(p.Leader(), append(p.opts[:len(p.opts):len(p.opts)], withRTT(p.rtt))...)
 	if err != nil {
 		return nil, err
 	}
@@ -91,11 +134,11 @@ func (p *Pool) dialOne() (*Client, error) {
 	return c, nil
 }
 
-// Get borrows a healthy connection, blocking while all size connections
-// are in use. If no idle connection is healthy it redials with jittered
-// backoff; if the server stays unreachable for the whole backoff
-// schedule, the error wraps [ErrConnLost] so retry loops treat "cannot
-// connect" the same as "connection died".
+// Get borrows a healthy connection to the leader, blocking while all
+// size connections are in use. If no idle connection is healthy it
+// redials with jittered backoff; if the leader stays unreachable for the
+// whole backoff schedule, the error wraps [ErrConnLost] so retry loops
+// treat "cannot connect" the same as "connection died".
 //
 // Get never returns a live connection after [Pool.Close] has returned:
 // every hand-out path re-checks the closed flag under the pool lock —
@@ -140,7 +183,7 @@ func (p *Pool) Get() (*Client, error) {
 			return nil, ErrPoolClosed
 		default:
 		}
-		c, err := p.dialOne()
+		c, err := p.dialLeader()
 		if err == nil {
 			p.mu.Lock()
 			if p.closed {
@@ -159,11 +202,12 @@ func (p *Pool) Get() (*Client, error) {
 		p.backoff(attempt)
 	}
 	p.putToken()
-	return nil, fmt.Errorf("%w: pool redial to %s failed: %v", ErrConnLost, p.addr, lastErr)
+	return nil, fmt.Errorf("%w: pool redial to %s failed: %v", ErrConnLost, p.Leader(), lastErr)
 }
 
-// Put returns a borrowed connection. Poisoned connections are closed
-// and dropped — the next Get redials their replacement.
+// Put returns a borrowed connection. Poisoned connections, and
+// connections to a node that no longer leads, are closed and dropped —
+// the next Get redials their replacement.
 func (p *Pool) Put(c *Client) {
 	if c != nil {
 		if c.Lost() {
@@ -171,12 +215,12 @@ func (p *Pool) Put(c *Client) {
 			c.Close()
 		} else {
 			p.mu.Lock()
-			closed := p.closed
-			if !closed {
+			keep := !p.closed && c.addr == p.leader
+			if keep {
 				p.idle = append(p.idle, c)
 			}
 			p.mu.Unlock()
-			if closed {
+			if !keep {
 				c.Close()
 			}
 		}
@@ -209,8 +253,9 @@ func (p *Pool) backoff(attempt int) {
 	}
 }
 
-// Close tears the pool down: idle connections close now, borrowed ones
-// close when returned, and pending/future Gets fail with ErrPoolClosed.
+// Close tears the pool down: idle and replica connections close now,
+// borrowed ones close when returned, and pending/future Gets fail with
+// ErrPoolClosed.
 func (p *Pool) Close() error {
 	p.mu.Lock()
 	if p.closed {
@@ -219,7 +264,10 @@ func (p *Pool) Close() error {
 	}
 	p.closed = true
 	idle := p.idle
-	p.idle = nil
+	for _, c := range p.replicas {
+		idle = append(idle, c)
+	}
+	p.idle, p.replicas = nil, nil
 	p.mu.Unlock()
 	close(p.stop)
 	for _, c := range idle {
@@ -236,8 +284,9 @@ type PoolStats struct {
 	Idle      int    // healthy connections waiting in the pool
 	Redials   uint64 // replacement dials that succeeded (beyond the initial fill)
 	Discarded uint64 // poisoned connections dropped
+	Failovers uint64 // leader changes Failover made
 
-	Calls              uint64 // completed request round-trips
+	Calls              uint64 // completed request round-trips to the leader
 	P50, P90, P99, Max time.Duration
 }
 
@@ -247,30 +296,253 @@ func (p *Pool) Stats() PoolStats {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return PoolStats{
-		Idle: len(p.idle), Redials: p.redials, Discarded: p.discarded,
+		Idle: len(p.idle), Redials: p.redials, Discarded: p.discarded, Failovers: p.failovers,
 		Calls: s.Count, P50: s.Quantile(50), P90: s.Quantile(90),
 		P99: s.Quantile(99), Max: s.Max,
 	}
 }
 
-// Run borrows a connection and executes fn as one top-level transaction
-// on it (see [Client.Run]), returning the connection afterwards.
-func (p *Pool) Run(fn func(*Tx) error) error {
+// borrow runs fn on a borrowed connection and returns the connection.
+// If fn does not return — it panicked, or called runtime.Goexit — the
+// connection is closed instead, so the server aborts the transaction or
+// releases the snapshot fn left open; back on the idle list they would
+// stay held by a session the idle reaper never sees idle.
+func (p *Pool) borrow(fn func(*Client) error) error {
 	c, err := p.Get()
 	if err != nil {
 		return err
 	}
-	defer p.Put(c)
-	return c.Run(fn)
+	returned := false
+	defer func() {
+		if !returned {
+			c.Close()
+		}
+		p.Put(c)
+	}()
+	err = fn(c)
+	returned = true
+	return err
+}
+
+// Run borrows a connection and executes fn as one top-level transaction
+// on the leader (see [Client.Run]).
+func (p *Pool) Run(fn func(*Tx) error) error {
+	return p.borrow(func(c *Client) error { return c.Run(fn) })
+}
+
+// RunReadOnly borrows a connection and executes fn as one read-only
+// snapshot transaction on the leader (see [Client.RunReadOnly]).
+func (p *Pool) RunReadOnly(fn func(*Snapshot) error) error {
+	return p.borrow(func(c *Client) error { return c.RunReadOnly(fn) })
 }
 
 // RunRetry is Run, retrying up to attempts times with jittered backoff
-// while the failure is retryable: a deadlock victimhood
-// (nestedtx.ErrDeadlock) or a lost connection ([ErrConnLost] — including
-// "could not redial"). Both leave the server without the transaction's
-// effects, so re-running fn is safe. attempts values below 1 are
-// clamped to 1.
+// while the failure is in the retry set the [Pool] doc names. attempts
+// values below 1 are clamped to 1.
 func (p *Pool) RunRetry(attempts int, fn func(*Tx) error) error {
-	return retry(attempts, func(err error) bool { return isDeadlock(err) || errors.Is(err, ErrConnLost) },
-		func() error { return p.Run(fn) })
+	return retry(attempts, p.retryable, func() error { return p.Run(fn) })
+}
+
+// retryable is RunRetry's retry set. A lost connection or a read_only
+// refusal on a pool that knows a second endpoint first probes for the
+// leader, so the next attempt goes wherever it is now.
+func (p *Pool) retryable(err error) bool {
+	switch {
+	case isDeadlock(err):
+		return true
+	case len(p.addrs) == 1:
+		return errors.Is(err, ErrConnLost)
+	case errors.Is(err, ErrConnLost), errors.Is(err, ErrReadOnly):
+		_ = p.Failover() // a probe that finds no leader leaves the next attempt to report it
+		return true
+	}
+	return false
+}
+
+// State reads an object's committed-to-root state (see [Client.State]),
+// preferring the pool's other endpoints and falling back to the leader.
+// A replica's answer may trail the leader by the replication lag.
+func (p *Pool) State(obj string) (nestedtx.State, error) {
+	var lastErr error
+	for _, addr := range p.readOrder() {
+		c, err := p.replicaConn(addr)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		st, err := c.State(obj)
+		if err == nil {
+			return st, nil
+		}
+		lastErr = err
+		if !errors.Is(err, ErrConnLost) {
+			// The replica answered (e.g. object unknown there because it
+			// is still catching up): the leader settles it below.
+			break
+		}
+	}
+	// No replica could answer: the leader always can.
+	var st nestedtx.State
+	err := p.borrow(func(c *Client) (err error) {
+		st, err = c.State(obj)
+		return err
+	})
+	if err != nil && lastErr != nil {
+		return nil, fmt.Errorf("replica reads failed (%v); leader: %w", lastErr, err)
+	}
+	return st, err
+}
+
+// readOrder returns the replica addresses to try, rotated round-robin,
+// with the current leader excluded (it is the fallback, not a target).
+func (p *Pool) readOrder() []string {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var reps []string
+	for _, a := range p.addrs {
+		if a != p.leader {
+			reps = append(reps, a)
+		}
+	}
+	if len(reps) > 1 {
+		k := p.next % len(reps)
+		p.next++
+		reps = append(reps[k:], reps[:k]...)
+	}
+	return reps
+}
+
+// replicaConn returns a healthy cached connection to addr, dialling if
+// needed.
+func (p *Pool) replicaConn(addr string) (*Client, error) {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return nil, ErrPoolClosed
+	}
+	c := p.replicas[addr]
+	p.mu.Unlock()
+	if c != nil && !c.Lost() {
+		return c, nil
+	}
+	fresh, err := Dial(addr, p.opts...)
+	if err != nil {
+		return nil, err
+	}
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		fresh.Close()
+		return nil, ErrPoolClosed
+	}
+	if old := p.replicas[addr]; old != nil {
+		old.Close()
+	}
+	p.replicas[addr] = fresh
+	p.mu.Unlock()
+	return fresh, nil
+}
+
+// Failover probes every known endpoint for the current leader and, on a
+// change, repoints the pool at it. Concurrent callers coalesce: whoever
+// holds probeMu probes, callers that were queued behind a completed
+// probe inherit its result without re-probing. The state mutex is never
+// held across the network dials, so Leader, State and Run proceed while
+// a probe is stuck on a dead endpoint. Returns nil if a leader (new or
+// unchanged) is reachable.
+func (p *Pool) Failover() error {
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return ErrPoolClosed
+	}
+	probesBefore := p.probes
+	p.mu.Unlock()
+
+	p.probeMu.Lock()
+	defer p.probeMu.Unlock()
+
+	p.mu.Lock()
+	if p.closed {
+		p.mu.Unlock()
+		return ErrPoolClosed
+	}
+	if p.probes != probesBefore {
+		// A probe round completed while this caller was queued behind
+		// probeMu: inherit its outcome instead of re-probing — an
+		// immediate rerun would see the same cluster.
+		err := p.lastProbe
+		p.mu.Unlock()
+		return err
+	}
+	p.mu.Unlock()
+
+	leader, outcome := p.probe()
+
+	p.mu.Lock()
+	p.probes++
+	p.lastProbe = outcome
+	if p.closed {
+		p.mu.Unlock()
+		return ErrPoolClosed
+	}
+	var stale []*Client
+	if outcome == nil && leader != p.leader {
+		p.leader = leader
+		p.failovers++
+		stale, p.idle = p.idle, nil
+	}
+	p.mu.Unlock()
+	for _, c := range stale {
+		c.Close()
+	}
+	return outcome
+}
+
+// probe asks the endpoints, in order, for their replication role and
+// returns the first that answers as leader.
+func (p *Pool) probe() (string, error) {
+	var firstErr error
+	for _, addr := range p.addrs {
+		role, err := probeRole(addr, p.opts)
+		if err == nil && role == "leader" {
+			return addr, nil
+		}
+		if firstErr == nil {
+			firstErr = err
+		}
+	}
+	if firstErr == nil {
+		firstErr = fmt.Errorf("no endpoint in %v answers as leader", p.addrs)
+	}
+	return "", fmt.Errorf("client: failover: %w", firstErr)
+}
+
+// probeRole asks one endpoint for its replication role. A server
+// without replication configured answers REPL_STATUS with
+// wire.CodeNotConfigured — that, and only that, marks a standalone
+// writable server; any other server-side error (bad_request, too_large,
+// internal, …) says nothing about the role and is reported as a probe
+// failure.
+func probeRole(addr string, opts []Option) (string, error) {
+	c, err := Dial(addr, opts...)
+	if err != nil {
+		return "", err
+	}
+	defer c.Close()
+	rs, err := c.ReplStatus()
+	if err != nil {
+		var e *Error
+		if errors.As(err, &e) && e.Code == wire.CodeNotConfigured {
+			// Replication not configured: a standalone writable server.
+			return "leader", nil
+		}
+		return "", err
+	}
+	if rs.Role == "follower" && !rs.Connected {
+		// A follower that has lost its leader is still a follower — only
+		// an explicit promotion changes its role.
+		return "follower", nil
+	}
+	return rs.Role, nil
 }

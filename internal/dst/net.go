@@ -23,13 +23,15 @@ import (
 // TCP, a follower streaming the leader's WAL through a faultnet proxy,
 // a client pool driving the planned workload, partitions on the
 // replication link at planned virtual times, then leader death,
-// bit rot (when planned), verified promotion and a post-promotion
-// phase against the new leader.
+// bit rot (when planned), verified promotion, the pool's failover to
+// the promoted node and a post-promotion phase against it.
 //
-// Injected latency, the WAL's batch-gather deadline and every retry
-// backoff run on the virtual clock; the server's watchdog request timers stay on
-// the wall clock (a watchdog firing because simulated time jumped
-// would inject timeouts the plan never asked for).
+// Injected latency, the WAL's batch-gather deadline and the follower's
+// reconnect backoff run on the virtual clock. The server's watchdog
+// request timers stay on the wall clock (a watchdog firing because
+// simulated time jumped would inject timeouts the plan never asked
+// for), and so do the client's retry backoff (RunRetry's sleep between
+// attempts) and the pool's redial backoff.
 func runNet(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	scn := env.scn
 	mem := wal.NewMemFS()
@@ -94,16 +96,18 @@ func runNet(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 		Heal:       proxy.Heal,
 	})
 
-	pool, err := client.NewPool(leaderAddr, scn.Workers, client.WithTimeout(20*time.Second))
+	// One pool for both phases: it fails over to the follower once the
+	// follower is promoted.
+	pool, err := client.NewReplicaPool(leaderAddr, []string{followerAddr}, scn.Workers, client.WithTimeout(20*time.Second))
 	if err != nil {
 		return fmt.Errorf("dst: pool: %w", err)
 	}
+	defer pool.Close()
 	st, werr := runNetSpecs(env, pool, plan.Specs)
 	res.Stats = st
 	wait()
 	proxy.Heal() // the driver always ran the full schedule; make sure we end healed
 	if werr != nil {
-		pool.Close()
 		return werr
 	}
 
@@ -112,26 +116,21 @@ func runNet(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 		ws, ok := mgr.WalStats()
 		return ok && f.Status().NextLSN == ws.DurableLSN
 	}); err != nil {
-		pool.Close()
 		return fmt.Errorf("dst: follower never caught up: %w", err)
 	}
 	leaderCtr, err := counterState(mgr.State("ctr"))
 	if err != nil {
-		pool.Close()
 		return err
 	}
 	if leaderCtr < st.Writes {
-		pool.Close()
 		return fmt.Errorf("dst: leader lost commits: ctr %d < %d acknowledged", leaderCtr, st.Writes)
 	}
 	if err := waitFor(15*time.Second, func() bool {
 		fs, err := f.State("ctr")
 		return err == nil && fs.(adt.Counter).N == leaderCtr
 	}); err != nil {
-		pool.Close()
 		return fmt.Errorf("dst: follower state never converged to ctr=%d: %w", leaderCtr, err)
 	}
-	pool.Close()
 
 	// Leader dies (its durable log is the artifact it leaves behind).
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -157,6 +156,9 @@ func runNet(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	}
 	promoted, err := fc.State("ctr")
 	fc.Close()
+	if ferr := pool.Failover(); ferr != nil || pool.Leader() != followerAddr {
+		return fmt.Errorf("dst: pool failover: leader %s, want %s: %v", pool.Leader(), followerAddr, ferr)
+	}
 	switch {
 	case err != nil && scn.BitRot:
 		// Rot can truncate arbitrarily far back, even past ctr's
@@ -171,12 +173,7 @@ func runNet(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	default:
 		// Post-promotion phase: the planned post specs run against the
 		// new leader.
-		pool2, err := client.NewPool(followerAddr, scn.Workers, client.WithTimeout(20*time.Second))
-		if err != nil {
-			return fmt.Errorf("dst: post-promotion pool: %w", err)
-		}
-		post, perr := runNetSpecs(env, pool2, plan.Post)
-		pool2.Close()
+		post, perr := runNetSpecs(env, pool, plan.Post)
 		res.Post = post
 		if perr != nil {
 			return perr
@@ -247,12 +244,7 @@ func runNetSpec(env *simEnv, pool *client.Pool, spec TxSpec, st *execStats) {
 	rng := newSpecRNG(spec.Seed)
 	scn := env.scn
 	if spec.Kind == KScan {
-		c, err := pool.Get()
-		if err != nil {
-			atomic.AddInt64(&st.Aborted, 1)
-			return
-		}
-		err = c.RunReadOnly(func(s *client.Snapshot) error {
+		err := pool.RunReadOnly(func(s *client.Snapshot) error {
 			if _, err := s.Read("ctr", adt.CtrGet{}); err != nil {
 				return err
 			}
@@ -263,7 +255,6 @@ func runNetSpec(env *simEnv, pool *client.Pool, spec TxSpec, st *execStats) {
 			}
 			return nil
 		})
-		pool.Put(c)
 		if err != nil {
 			atomic.AddInt64(&st.Aborted, 1)
 			return

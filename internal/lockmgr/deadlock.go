@@ -1,6 +1,10 @@
 package lockmgr
 
-import "nestedtx/internal/tree"
+import (
+	"strings"
+
+	"nestedtx/internal/tree"
+)
 
 // The wait-for graph needs two kinds of edges. A waiter blocked by holder
 // H is really waiting for every transaction from H up to (but excluding)
@@ -107,12 +111,12 @@ func (ls *lockState) waitsFor(t tree.TID, write bool, buf []tree.TID) []tree.TID
 }
 
 // detect looks for a wait-for cycle reachable from the start transactions
-// and returns the chosen victim's waiter, or nil. In local mode it
-// additionally returns escalate=true (and no victim) the moment it
-// reaches a transaction whose tree has waiters outside the local shard —
-// the local view might be missing edges of that node, so only the
-// all-shard walk can decide.
-func (g graphView) detect(starts []tree.TID) (victim *waiter, escalate bool) {
+// and returns the chosen victim's waiter and the cycle, or nil. In local
+// mode it additionally returns escalate=true (and no victim) the moment
+// it reaches a transaction whose tree has waiters outside the local
+// shard — the local view might be missing edges of that node, so only
+// the all-shard walk can decide.
+func (g graphView) detect(starts []tree.TID) (victim *waiter, cycle []tree.TID, escalate bool) {
 	visited := map[tree.TID]bool{}
 	onPath := map[tree.TID]bool{}
 	var path []tree.TID
@@ -150,17 +154,13 @@ func (g graphView) detect(starts []tree.TID) (victim *waiter, escalate bool) {
 		path = path[:len(path)-1]
 		return nil
 	}
-	var cycle []tree.TID
 	for _, s := range starts {
 		if cycle = dfs(s); cycle != nil || escalated {
 			break
 		}
 	}
-	if escalated {
-		return nil, true
-	}
-	if cycle == nil {
-		return nil, false
+	if escalated || cycle == nil {
+		return nil, nil, escalated
 	}
 	// Victim: the deepest transaction in the cycle that is actually
 	// waiting, breaking level ties in favour of the latest sibling —
@@ -176,8 +176,37 @@ func (g graphView) detect(starts []tree.TID) (victim *waiter, escalate bool) {
 			}
 		})
 	}
-	return victim, false
+	return victim, cycle, false
 }
+
+// elect makes w the victim of cycle: it leaves its queue and wakes to
+// its deadlock error. Caller holds w.sh.mu.
+func (w *waiter) elect(cycle []tree.TID) {
+	w.victim = &deadlockError{cycle}
+	close(w.wake)
+	w.sh.dequeueLocked(w)
+	w.sh.stats.Deadlocks++
+}
+
+// deadlockError is a victim's error: it wraps ErrDeadlock and names the
+// cycle. The cycle is spelled out only when the error is printed, so
+// electing a victim costs one allocation and a waiter one pointer.
+type deadlockError struct{ cycle []tree.TID }
+
+func (e *deadlockError) Error() string {
+	var b strings.Builder
+	b.WriteString(ErrDeadlock.Error())
+	b.WriteString(": cycle ")
+	for i, t := range e.cycle {
+		if i > 0 {
+			b.WriteString(" → ")
+		}
+		b.WriteString(string(t))
+	}
+	return b.String()
+}
+
+func (e *deadlockError) Unwrap() error { return ErrDeadlock }
 
 // breakCyclesLocked finds wait-for cycles reachable from the given start
 // transactions within this shard and aborts one victim per cycle found.
@@ -187,17 +216,14 @@ func (g graphView) detect(starts []tree.TID) (victim *waiter, escalate bool) {
 func (sh *shard) breakCyclesLocked(starts []tree.TID) (escalate bool) {
 	g := graphView{m: sh.m, local: sh}
 	for {
-		victim, esc := g.detect(starts)
+		victim, cycle, esc := g.detect(starts)
 		if esc {
 			return true
 		}
 		if victim == nil {
 			return false
 		}
-		victim.victim = true
-		close(victim.wake)
-		sh.dequeueLocked(victim)
-		sh.stats.Deadlocks++
+		victim.elect(cycle)
 	}
 }
 
@@ -211,14 +237,11 @@ func (m *Manager) breakCyclesGlobal(starts []tree.TID) {
 	}
 	g := graphView{m: m}
 	for {
-		victim, _ := g.detect(starts)
+		victim, cycle, _ := g.detect(starts)
 		if victim == nil {
 			break
 		}
-		victim.victim = true
-		close(victim.wake)
-		victim.sh.dequeueLocked(victim)
-		victim.sh.stats.Deadlocks++
+		victim.elect(cycle)
 	}
 	for i := len(m.shards) - 1; i >= 0; i-- {
 		m.shards[i].mu.Unlock()

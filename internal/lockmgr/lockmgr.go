@@ -59,9 +59,11 @@ import (
 	"nestedtx/internal/tree"
 )
 
-// ErrDeadlock is returned by Acquire when the caller was chosen as the
-// victim of a deadlock cycle. The enclosing transaction should abort (the
-// nestedtx runtime does this automatically and may retry).
+// ErrDeadlock is wrapped by the error Acquire returns when the caller was
+// chosen as the victim of a deadlock cycle; the error names the cycle,
+// each member waiting for the next and the last for the first. The
+// enclosing transaction should abort (the nestedtx runtime does this
+// automatically and may retry).
 var ErrDeadlock = errors.New("lockmgr: deadlock victim")
 
 // ErrCancelled is returned by Acquire when the caller's cancel channel
@@ -464,11 +466,11 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel inter
 			m.breakCyclesGlobal([]tree.TID{tx})
 			sh.mu.Lock()
 		}
-		if w.victim {
+		if w.victim != nil {
 			// The detector already dequeued w.
 			m.victimExit(waitStart, true)
 			sh.mu.Unlock()
-			return nil, ErrDeadlock
+			return nil, w.victim
 		}
 		sh.mu.Unlock()
 		waited = true
@@ -478,21 +480,21 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel inter
 		select {
 		case <-w.wake:
 			sh.mu.Lock()
-			if w.victim {
+			if w.victim != nil {
 				m.victimExit(waitStart, true)
 				sh.mu.Unlock()
-				return nil, ErrDeadlock
+				return nil, w.victim
 			}
 			// The waker dequeued w; loop and rescan.
 		case <-done:
 			sh.mu.Lock()
-			if w.victim {
+			if w.victim != nil {
 				// Deadlock victim chosen concurrently with the cancel: the
 				// victim outcome is already counted in stats.Deadlocks and
 				// must be reported so the caller's retry logic sees it.
 				m.victimExit(waitStart, true)
 				sh.mu.Unlock()
-				return nil, ErrDeadlock
+				return nil, w.victim
 			}
 			sh.dequeueLocked(w)
 			m.victimExit(waitStart, false)

@@ -118,7 +118,7 @@ type waiter struct {
 	sh     *shard     // the shard ls lives in
 	write  bool       // whether the access needs a write lock
 	wake   chan struct{}
-	victim bool
+	victim *deadlockError // the cycle w was elected victim of; nil until then
 }
 
 // top returns the least write-lockholder's entry; its version is what

@@ -220,6 +220,51 @@ func TestPoolReconnectsThroughCuts(t *testing.T) {
 	checkQuiescent(t, srv)
 }
 
+// TestPanickingPooledBodyReleasesItsLocks: a pooled body that panics
+// while its transaction holds x must not leave that transaction open on
+// a connection the pool hands out again. The panic propagates, and the
+// next RunRetry on x commits at once instead of waiting out the server's
+// request timeout behind the abandoned transaction.
+func TestPanickingPooledBodyReleasesItsLocks(t *testing.T) {
+	mgr := nestedtx.NewManager(nestedtx.WithRecording())
+	mgr.MustRegister("x", nestedtx.Counter{})
+	srv, addr := start(t, mgr, server.Config{})
+	pool, err := client.NewPool(addr, 1, client.WithTimeout(20*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer pool.Close()
+	add := func(tx *client.Tx) error {
+		_, err := tx.Write("x", nestedtx.CtrAdd{Delta: 1})
+		return err
+	}
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("the body's panic did not propagate")
+			}
+		}()
+		pool.Run(func(tx *client.Tx) error {
+			if err := add(tx); err != nil {
+				return err
+			}
+			panic("body fails holding x")
+		})
+	}()
+	begun := time.Now()
+	if err := pool.RunRetry(4, add); err != nil {
+		t.Fatalf("RunRetry after a panicking body: %v", err)
+	}
+	if d := time.Since(begun); d > time.Second {
+		t.Fatalf("RunRetry on x took %v: the panicked transaction kept its lock", d)
+	}
+	if st, _ := mgr.State("x"); st.(nestedtx.Counter).N != 1 {
+		t.Fatalf("x = %v, want 1 (the panicked write aborted)", st)
+	}
+	checkQuiescent(t, srv)
+}
+
 // TestFaultInjectionWorkload is the acceptance end-to-end: a pooled
 // workload runs through a latency/jitter proxy while a chaos goroutine
 // cuts every live connection repeatedly and imposes a full

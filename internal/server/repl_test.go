@@ -461,7 +461,7 @@ func TestFollowerRestartMidCatchUp(t *testing.T) {
 }
 
 // TestReplicaPoolRoutingAndFailover drives the client-side view:
-// ReadState prefers the replica, and after the leader dies and the
+// State prefers the replica, and after the leader dies and the
 // replica is promoted, writes chase the new leader automatically.
 func TestReplicaPoolRoutingAndFailover(t *testing.T) {
 	fs := wal.NewMemFS()
@@ -487,15 +487,15 @@ func TestReplicaPoolRoutingAndFailover(t *testing.T) {
 	waitUntil(t, "replica catch-up", func() bool { return caughtUpState(f, mgr, "ctr", 10) })
 
 	before := fsrv.Counters().Requests
-	st, err := rp.ReadState("ctr")
+	st, err := rp.State("ctr")
 	if err != nil {
-		t.Fatalf("ReadState: %v", err)
+		t.Fatalf("State: %v", err)
 	}
 	if st.(nestedtx.Counter).N != 10 {
-		t.Fatalf("ReadState = %v, want 10", st)
+		t.Fatalf("State = %v, want 10", st)
 	}
 	if fsrv.Counters().Requests == before {
-		t.Fatal("ReadState did not touch the replica")
+		t.Fatal("State did not touch the replica")
 	}
 
 	// Leader dies; operator promotes the replica; the pool's next write
@@ -517,12 +517,12 @@ func TestReplicaPoolRoutingAndFailover(t *testing.T) {
 	if rp.Leader() != followerAddr {
 		t.Fatalf("pool leader = %s, want the promoted %s", rp.Leader(), followerAddr)
 	}
-	if rp.Failovers() != 1 {
-		t.Fatalf("failovers = %d, want 1", rp.Failovers())
+	if rp.Stats().Failovers != 1 {
+		t.Fatalf("failovers = %d, want 1", rp.Stats().Failovers)
 	}
-	st, err = rp.ReadState("ctr")
+	st, err = rp.State("ctr")
 	if err != nil {
-		t.Fatalf("ReadState after failover: %v", err)
+		t.Fatalf("State after failover: %v", err)
 	}
 	if st.(nestedtx.Counter).N != 15 {
 		t.Fatalf("state after failover = %v, want 15", st)

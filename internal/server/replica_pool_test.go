@@ -13,14 +13,11 @@ import (
 	"nestedtx/internal/wal"
 )
 
-// TestReplicaPoolRunVsFailoverRace hammers Run/ReadState/Leader against
-// a concurrent leader switch. It is the -race regression test for the
-// pool-swap data race: ReplicaPool.Run and ReadState used to read
-// rp.pool without holding rp.mu while Failover swapped and closed it
-// under the lock — a torn read the race detector flags, and a
-// use-after-Close window that surfaced as spurious ErrPoolClosed. With
-// the snapshot-under-mu fix, every goroutine works on a coherent *Pool
-// and the run survives a mid-flight failover.
+// TestReplicaPoolRunVsFailoverRace hammers RunRetry/State/Leader against
+// a concurrent leader switch under -race. Failover repoints the pool's
+// leader under its mutex while transactions borrow, return and redial
+// connections: no race-detector report, no spurious ErrPoolClosed, and
+// the run survives a mid-flight failover.
 func TestReplicaPoolRunVsFailoverRace(t *testing.T) {
 	fs := wal.NewMemFS()
 	mgr, leaderSrv, leaderAddr := startLeader(t, fs, "leader")
@@ -78,9 +75,9 @@ func TestReplicaPoolRunVsFailoverRace(t *testing.T) {
 					return
 				default:
 				}
-				rp.ReadState("ctr")
+				rp.State("ctr")
 				rp.Leader()
-				rp.Failovers()
+				rp.Stats()
 				rp.Failover() // exercise probe coalescing under load
 			}
 		}()
@@ -119,7 +116,7 @@ func TestReplicaPoolRunVsFailoverRace(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	if got := rp.Failovers(); got != 1 {
+	if got := rp.Stats().Failovers; got != 1 {
 		t.Fatalf("failovers = %d, want exactly 1 (probe rounds must coalesce)", got)
 	}
 	if rp.Leader() != followerAddr {
@@ -133,9 +130,9 @@ func TestReplicaPoolRunVsFailoverRace(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("write after hammer: %v", err)
 	}
-	st, err := rp.ReadState("ctr")
+	st, err := rp.State("ctr")
 	if err != nil {
-		t.Fatalf("ReadState after hammer: %v", err)
+		t.Fatalf("State after hammer: %v", err)
 	}
 	// Every acknowledged write the follower had a chance to receive is in
 	// the final state. (The state may exceed the bound: a commit whose ack
@@ -188,9 +185,9 @@ func blackhole(t *testing.T) (addr string, accepted <-chan struct{}) {
 // TestReplicaPoolReadsProceedDuringProbe is the regression test for
 // Failover holding the state mutex across its network probes: with a
 // probe stuck on a blackholed endpoint (dial OK, no response until the
-// 3s I/O timeout), Leader() and a replica ReadState must answer in
+// 3s I/O timeout), Leader() and a replica State read must answer in
 // microseconds, not after the probe gives up. Before the fix both
-// blocked on rp.mu for the full endpoints×timeout window.
+// blocked on the pool's mutex for the full endpoints×timeout window.
 func TestReplicaPoolReadsProceedDuringProbe(t *testing.T) {
 	fs := wal.NewMemFS()
 	mgr, leaderSrv, leaderAddr := startLeader(t, fs, "leader")
@@ -211,7 +208,7 @@ func TestReplicaPoolReadsProceedDuringProbe(t *testing.T) {
 	}); err != nil {
 		t.Fatalf("seed write: %v", err)
 	}
-	// Wait for catch-up via the follower handle directly — ReadState
+	// Wait for catch-up via the follower handle directly — State
 	// would advance the round-robin cursor onto the blackhole.
 	waitUntil(t, "replica catch-up", func() bool { return caughtUpState(f, mgr, "ctr", 7) })
 
@@ -240,12 +237,12 @@ func TestReplicaPoolReadsProceedDuringProbe(t *testing.T) {
 	if got := rp.Leader(); got != leaderAddr {
 		t.Fatalf("Leader() = %s, want still %s mid-probe", got, leaderAddr)
 	}
-	st, err := rp.ReadState("ctr")
+	st, err := rp.State("ctr")
 	if err != nil {
-		t.Fatalf("ReadState during probe: %v", err)
+		t.Fatalf("State during probe: %v", err)
 	}
 	if st.(nestedtx.Counter).N != 7 {
-		t.Fatalf("ReadState during probe = %v, want 7", st)
+		t.Fatalf("State during probe = %v, want 7", st)
 	}
 	if d := time.Since(start); d > 1500*time.Millisecond {
 		t.Fatalf("reads took %v while a probe was in flight; they must not wait for it", d)

@@ -289,6 +289,12 @@ func TestDeadlockVictimNamesItsAccess(t *testing.T) {
 	if want := "nestedtx: access T0.1.1 on x: "; !strings.HasPrefix(msgs["plain"], want) || msgs["plain"] != msgs["recording"] {
 		t.Fatalf("victim errors: plain %q, recording %q; want both %q…", msgs["plain"], msgs["recording"], want)
 	}
+	// The error also names its witness: the 2-cycle of the two top-level
+	// transactions, each waiting for the other.
+	_, cycle, _ := strings.Cut(msgs["plain"], ": cycle ")
+	if cycle != "T0.0 → T0.1" && cycle != "T0.1 → T0.0" {
+		t.Fatalf("victim error %q names cycle %q, want T0.0 and T0.1", msgs["plain"], cycle)
+	}
 }
 
 func TestPanicAborts(t *testing.T) {
