@@ -99,7 +99,8 @@ fuzz-short:
 
 # End-to-end observability probe against the real binaries: starts a
 # traced txserver, drives load with txmetrics -exercise, and asserts the
-# METRICS histograms reconcile exactly with the STATS counters.
+# METRICS histograms reconcile exactly with the counters in the same
+# payload; a durable txserver must report itself a replication leader.
 metrics-smoke:
 	./scripts/metrics_smoke.sh
 

@@ -64,7 +64,7 @@ var ErrBusy = errors.New("client: server at connection limit")
 var ErrConnLost = errors.New("client: connection lost")
 
 // ErrMalformed is wrapped by protocol-shape violations that are not
-// transport faults — e.g. an OK STATS response missing its payload.
+// transport faults — e.g. an OK METRICS response missing its payload.
 var ErrMalformed = errors.New("client: malformed server response")
 
 // ErrReadOnly is wrapped by rejections from a read replica: the server
@@ -258,47 +258,23 @@ func (c *Client) State(obj string) (nestedtx.State, error) {
 	return adt.DecodeState(resp.State)
 }
 
-// Stats fetches the server's counters.
-func (c *Client) Stats() (wire.Stats, error) {
-	var resp wire.Response
-	if err := c.call(&wire.Request{Type: wire.TStats}, &resp); err != nil {
-		return wire.Stats{}, err
-	}
-	if resp.Stats == nil {
-		// A malformed (or older) server answered OK without the payload;
-		// fail typed rather than panicking on the nil dereference.
-		return wire.Stats{}, fmt.Errorf("%w: OK STATS response without stats payload", ErrMalformed)
-	}
-	return *resp.Stats, nil
-}
-
-// Metrics fetches the server's latency and contention metrics. With
-// dump, the response includes the server's recent event-trace ring
-// (empty unless the server enabled tracing).
+// Metrics fetches the server's status: its own and the lock manager's
+// counters, latency and contention metrics, and — on a node that
+// replicates — its replication role and positions (lag and leader address
+// on a follower, per-follower ack positions on a leader). With dump, the
+// response includes the server's recent event-trace ring (empty unless
+// the server enabled tracing).
 func (c *Client) Metrics(dump bool) (wire.Metrics, error) {
 	var resp wire.Response
 	if err := c.call(&wire.Request{Type: wire.TMetrics, Dump: dump}, &resp); err != nil {
 		return wire.Metrics{}, err
 	}
 	if resp.Metrics == nil {
+		// A malformed (or older) server answered OK without the payload;
+		// fail typed rather than panicking on the nil dereference.
 		return wire.Metrics{}, fmt.Errorf("%w: OK METRICS response without metrics payload", ErrMalformed)
 	}
 	return *resp.Metrics, nil
-}
-
-// ReplStatus fetches the server's replication role and positions: lag
-// and leader address on a follower, per-follower ack positions on a
-// leader. A server with no replication configured (volatile manager)
-// answers with an error.
-func (c *Client) ReplStatus() (*wire.ReplStatus, error) {
-	var resp wire.Response
-	if err := c.call(&wire.Request{Type: wire.TReplStatus}, &resp); err != nil {
-		return nil, err
-	}
-	if resp.ReplStatus == nil {
-		return nil, fmt.Errorf("%w: OK REPL_STATUS response without payload", ErrMalformed)
-	}
-	return resp.ReplStatus, nil
 }
 
 // Promote asks a follower server to promote itself to leader: it stops

@@ -119,8 +119,8 @@ func TestCallFaultsPoisonConnection(t *testing.T) {
 					t.Fatalf("post-fault call %d: got %v, want ErrConnLost", i, err)
 				}
 			}
-			if _, err := c.Stats(); !errors.Is(err, ErrConnLost) {
-				t.Fatalf("post-fault Stats: got %v, want ErrConnLost", err)
+			if _, err := c.Metrics(false); !errors.Is(err, ErrConnLost) {
+				t.Fatalf("post-fault Metrics: got %v, want ErrConnLost", err)
 			}
 		})
 	}
@@ -165,18 +165,18 @@ func TestClientDeadlinePoisons(t *testing.T) {
 	}
 }
 
-// TestStatsNilPayload: an OK STATS response with no stats payload must
-// return a typed error, not panic on a nil dereference.
-func TestStatsNilPayload(t *testing.T) {
+// TestMetricsNilPayload: an OK METRICS response with no metrics payload
+// must return a typed error, not panic on a nil dereference.
+func TestMetricsNilPayload(t *testing.T) {
 	addr := scriptedServer(t, []string{frame(`{"seq":1,"ok":true}`)})
 	c, err := Dial(addr, WithTimeout(2*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	_, err = c.Stats()
+	_, err = c.Metrics(false)
 	if !errors.Is(err, ErrMalformed) {
-		t.Fatalf("Stats without payload: got %v, want ErrMalformed", err)
+		t.Fatalf("Metrics without payload: got %v, want ErrMalformed", err)
 	}
 }
 

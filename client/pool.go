@@ -9,7 +9,6 @@ import (
 	"nestedtx"
 	"nestedtx/internal/clock"
 	"nestedtx/internal/obs"
-	"nestedtx/internal/wire"
 )
 
 // ErrPoolClosed is returned by Pool operations after Close.
@@ -518,31 +517,23 @@ func (p *Pool) probe() (string, error) {
 	return "", fmt.Errorf("client: failover: %w", firstErr)
 }
 
-// probeRole asks one endpoint for its replication role. A server
-// without replication configured answers REPL_STATUS with
-// wire.CodeNotConfigured — that, and only that, marks a standalone
-// writable server; any other server-side error (bad_request, too_large,
-// internal, …) says nothing about the role and is reported as a probe
-// failure.
+// probeRole asks one endpoint for its replication role. A METRICS
+// answer without a replication block comes from a standalone writable
+// server; any error says nothing about the role and is reported as a
+// probe failure. A follower that has lost its leader still answers as a
+// follower: only an explicit promotion changes its role.
 func probeRole(addr string, opts []Option) (string, error) {
 	c, err := Dial(addr, opts...)
 	if err != nil {
 		return "", err
 	}
 	defer c.Close()
-	rs, err := c.ReplStatus()
+	m, err := c.Metrics(false)
 	if err != nil {
-		var e *Error
-		if errors.As(err, &e) && e.Code == wire.CodeNotConfigured {
-			// Replication not configured: a standalone writable server.
-			return "leader", nil
-		}
 		return "", err
 	}
-	if rs.Role == "follower" && !rs.Connected {
-		// A follower that has lost its leader is still a follower — only
-		// an explicit promotion changes its role.
-		return "follower", nil
+	if m.ReplStatus == nil {
+		return "leader", nil
 	}
-	return rs.Role, nil
+	return m.ReplStatus.Role, nil
 }

@@ -8,13 +8,13 @@ import (
 	"nestedtx/internal/wire"
 )
 
-// TestProbeRoleErrorCodes pins down which REPL_STATUS outcomes probeRole
-// may read as "this endpoint can take writes". Only the dedicated
-// not-configured code means "standalone writable server"; any other
-// server-side error says nothing about the role and must fail the probe
-// — a server answering bad_request or too_large is not a leader, and
-// treating it as one would point the failover pool at a node that
-// cannot serve transactions.
+// TestProbeRoleErrorCodes pins down which METRICS answers probeRole may
+// read as "this endpoint can take writes". Only an OK answer without a
+// replication block means "standalone writable server"; every error code
+// says nothing about the role and must fail the probe — a server
+// answering bad_request or too_large is not a leader, and treating it as
+// one would point the failover pool at a node that cannot serve
+// transactions. That includes a server that still answers not_configured.
 func TestProbeRoleErrorCodes(t *testing.T) {
 	errResp := func(code string) string {
 		return frame(fmt.Sprintf(`{"seq":1,"ok":false,"code":%q,"err":"scripted"}`, code))
@@ -25,25 +25,36 @@ func TestProbeRoleErrorCodes(t *testing.T) {
 		wantRole string
 		wantErr  bool
 	}{
-		{"not_configured is standalone leader", errResp(wire.CodeNotConfigured), "leader", false},
+		{"not_configured is a probe failure", errResp("not_configured"), "", true},
 		{"bad_request is a probe failure", errResp(wire.CodeBadRequest), "", true},
 		{"too_large is a probe failure", errResp(wire.CodeTooLarge), "", true},
 		{"internal is a probe failure", errResp(wire.CodeInternal), "", true},
 		{"unknown_tx is a probe failure", errResp(wire.CodeUnknownTx), "", true},
 		{"shutdown is a probe failure", errResp(wire.CodeShutdown), "", true},
+		{"deadlock is a probe failure", errResp(wire.CodeDeadlock), "", true},
+		{"aborted is a probe failure", errResp(wire.CodeAborted), "", true},
+		{"timeout is a probe failure", errResp(wire.CodeTimeout), "", true},
+		{"busy is a probe failure", errResp(wire.CodeBusy), "", true},
+		{"read_only is a probe failure", errResp(wire.CodeReadOnly), "", true},
+		{"OK without payload is a probe failure", frame(`{"seq":1,"ok":true}`), "", true},
+		{
+			"no repl_status is standalone leader",
+			frame(`{"seq":1,"ok":true,"metrics":{"requests":1,"commits":0,"lock_acquires":0,"tx_commits":0}}`),
+			"leader", false,
+		},
 		{
 			"leader payload",
-			frame(`{"seq":1,"ok":true,"repl_status":{"role":"leader","next_lsn":1,"durable_lsn":1,"checkpoint_lsn":0}}`),
+			frame(`{"seq":1,"ok":true,"metrics":{"repl_status":{"role":"leader","next_lsn":1,"durable_lsn":1,"checkpoint_lsn":0}}}`),
 			"leader", false,
 		},
 		{
 			"connected follower",
-			frame(`{"seq":1,"ok":true,"repl_status":{"role":"follower","next_lsn":1,"durable_lsn":1,"checkpoint_lsn":0,"connected":true}}`),
+			frame(`{"seq":1,"ok":true,"metrics":{"repl_status":{"role":"follower","next_lsn":1,"durable_lsn":1,"checkpoint_lsn":0,"connected":true}}}`),
 			"follower", false,
 		},
 		{
 			"disconnected follower stays follower",
-			frame(`{"seq":1,"ok":true,"repl_status":{"role":"follower","next_lsn":1,"durable_lsn":1,"checkpoint_lsn":0}}`),
+			frame(`{"seq":1,"ok":true,"metrics":{"repl_status":{"role":"follower","next_lsn":1,"durable_lsn":1,"checkpoint_lsn":0}}}`),
 			"follower", false,
 		},
 	}

@@ -1,7 +1,7 @@
 // Command txmetrics is the operator's window into a running txserver:
-// it dials the server, issues the STATS and METRICS verbs, and prints
-// the result either as a human-readable summary or as one JSON object
-// (for scripts — the metrics-smoke CI check parses this output).
+// it dials the server, issues the METRICS verb, and prints the answer
+// either as a human-readable summary or as the JSON payload itself (for
+// scripts — the metrics-smoke CI check parses this output).
 //
 // Usage:
 //
@@ -30,7 +30,6 @@ import (
 	"nestedtx"
 	"nestedtx/client"
 	"nestedtx/internal/obs"
-	"nestedtx/internal/wire"
 )
 
 func main() {
@@ -38,7 +37,7 @@ func main() {
 	log.SetPrefix("txmetrics: ")
 	var (
 		addr     = flag.String("addr", "127.0.0.1:7654", "txserver address")
-		asJSON   = flag.Bool("json", false, "emit one JSON object {stats, metrics} instead of a summary")
+		asJSON   = flag.Bool("json", false, "emit the METRICS payload as JSON instead of a summary")
 		dump     = flag.Bool("dump", false, "include the server's trace ring in the METRICS response")
 		timeout  = flag.Duration("timeout", 5*time.Second, "per-call I/O timeout")
 		exercise = flag.Int("exercise", 0, "run this many small committed transactions against -obj before reading metrics")
@@ -62,27 +61,15 @@ func main() {
 		}
 	}
 
-	stats, err := c.Stats()
-	if err != nil {
-		log.Fatalf("STATS: %v", err)
-	}
 	met, err := c.Metrics(*dump)
 	if err != nil {
 		log.Fatalf("METRICS: %v", err)
 	}
-	// Replication is optional: a server without it answers REPL_STATUS
-	// with a wire error, which we simply leave out of the report.
-	replStatus, _ := c.ReplStatus()
 
 	if *asJSON {
-		out := struct {
-			Stats   wire.Stats       `json:"stats"`
-			Metrics wire.Metrics     `json:"metrics"`
-			Repl    *wire.ReplStatus `json:"repl,omitempty"`
-		}{stats, met, replStatus}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
+		if err := enc.Encode(met); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -90,12 +77,12 @@ func main() {
 
 	fmt.Printf("server %s\n", *addr)
 	fmt.Printf("  transactions   begun=%d committed=%d aborted=%d (metrics: commits=%d aborts=%d)\n",
-		stats.TxBegun, stats.Commits, stats.Aborts, met.TxCommits, met.TxAborts)
+		met.TxBegun, met.Commits, met.Aborts, met.TxCommits, met.TxAborts)
 	fmt.Printf("  sessions       active=%d total=%d reaped=%d rejected=%d requests=%d\n",
-		stats.ActiveSessions, stats.TotalSessions, stats.ReapedSessions,
-		stats.RejectedConns, stats.Requests)
+		met.ActiveSessions, met.TotalSessions, met.ReapedSessions,
+		met.RejectedConns, met.Requests)
 	fmt.Printf("  locks          acquires=%d waits=%d deadlocks=%d wakeups=%d\n",
-		stats.Acquires, stats.Waits, stats.Deadlocks, stats.Wakeups)
+		met.Acquires, met.Waits, met.Deadlocks, met.Wakeups)
 	fmt.Printf("  victims        total=%d deadlock=%d cancelled=%d\n",
 		met.Victims, met.VictimsDeadlock, met.VictimsCancelled)
 	fmt.Printf("  gauges         queued-waiters=%d contended-objects=%d\n",
@@ -110,7 +97,7 @@ func main() {
 			met.WalMaxBatch, met.WalCheckpoints, met.WalCheckpointLSN)
 		printHist("fsync latency", met.FsyncLatency)
 	}
-	if rs := replStatus; rs != nil {
+	if rs := met.ReplStatus; rs != nil {
 		switch rs.Role {
 		case "leader":
 			fmt.Printf("  repl           role=leader next-lsn=%d durable-lsn=%d followers=%d\n",

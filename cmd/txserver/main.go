@@ -22,8 +22,10 @@
 // protocol (REPL_HELLO catch-up negotiation, checksummed REPL_BATCH
 // frames, snapshot bootstrap when the leader has checkpointed past this
 // replica). The replica serves committed-to-root reads (STATE), reports
-// its lag (REPL_STATUS, METRICS), and refuses every transaction verb
-// with the read_only wire error. Sending the process SIGUSR1 — or the
+// its position and lag (the repl_status block of METRICS), and refuses
+// every transaction verb with the read_only wire error. Replication stops
+// for good, and is logged, if replay diverges from the leader's history
+// or the replica's own log fails. Sending the process SIGUSR1 — or the
 // PROMOTE wire verb — promotes it: replication stops, the inherited
 // directory is recovered and the whole history re-verified with the
 // full machine check (Theorem 34 across the failover), and only then
@@ -31,9 +33,10 @@
 // shippable to further replicas. A durable leader needs no flag to
 // serve replicas: any durable txserver accepts REPL_HELLO.
 //
-// Observability: metrics (latency histograms, outcome counters,
-// contention gauges) are always on and served to clients via the
-// METRICS wire verb. -trace N additionally keeps a ring of the last N
+// Observability: metrics (the server's and the lock manager's counters,
+// latency histograms, outcome counters, contention gauges, and the
+// replication position on a node that replicates) are always on and
+// served to clients via the METRICS wire verb. -trace N additionally keeps a ring of the last N
 // lifecycle/lock events, dumpable remotely (METRICS with dump) or by
 // sending the process SIGQUIT, which logs the ring without stopping the
 // server. -metrics-every D logs a one-line metrics summary every D;

@@ -11,8 +11,6 @@ import (
 	"nestedtx"
 	"nestedtx/client"
 	"nestedtx/internal/adt"
-	"nestedtx/internal/checker"
-	"nestedtx/internal/core"
 	"nestedtx/internal/faultnet"
 	"nestedtx/internal/repl"
 	"nestedtx/internal/server"
@@ -195,11 +193,7 @@ func runNet(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	if err != nil {
 		return fmt.Errorf("dst: inspect promoted log: %w", err)
 	}
-	sched, sys, err := rec.Schedule()
-	if err == nil {
-		err = checker.Certify(sched, sys, core.ReadWrite, rec.States())
-	}
-	if err != nil {
+	if err := (&nestedtx.Recovery{Recovery: rec}).Verify(); err != nil {
 		return fmt.Errorf("dst: promoted history rejected: %w", err)
 	}
 	return nil

@@ -77,7 +77,7 @@ var ErrUnknownObject = errors.New("object not registered")
 
 // Stats counts manager activity, aggregated across shards; read a
 // consistent copy via Manager.Stats. The fields are declared once, with
-// the keys STATS publishes them under, in internal/obs.
+// the keys METRICS publishes them under, in internal/obs.
 type Stats = obs.LockStats
 
 // Manager owns the lock tables and versions of every registered object

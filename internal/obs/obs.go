@@ -19,9 +19,11 @@
 //
 // Every number the server publishes is declared here once: the live
 // registry ([Metrics]), its point-in-time copy ([Snapshot]) and the
-// STATS blocks ([LockStats], [ServerCounters]) carry the JSON keys the
-// STATS and METRICS verbs answer with, so internal/wire embeds these
-// structs and both ends of a connection decode into the same types.
+// counter blocks ([LockStats], [ServerCounters]) carry the JSON keys the
+// METRICS verb answers with, so internal/wire embeds these structs in
+// one payload and both ends of a connection decode into the same types.
+// The three blocks share one JSON object, so no key may be declared in
+// two of them.
 package obs
 
 import (
@@ -530,8 +532,8 @@ func (m *Metrics) SnapBegin() {
 // ---- what the server publishes ----
 
 // Snapshot is a point-in-time copy of a Metrics set (histograms as
-// HistSnapshots, counters and gauges as plain numbers) and, with the
-// trace ring beside it, the METRICS payload. The blocks after the
+// HistSnapshots, counters and gauges as plain numbers): the registry
+// block of the METRICS payload. The blocks after the
 // contention gauges are all-zero, and so absent from the JSON, on a
 // server without durability, replication or snapshot transactions.
 type Snapshot struct {
@@ -622,7 +624,7 @@ func (m *Metrics) Snapshot() Snapshot {
 }
 
 // LockStats counts lock-manager activity, aggregated across shards: the
-// lock block of the STATS payload. The lock manager keeps them as plain
+// lock block of the METRICS payload. The lock manager keeps them as plain
 // per-shard counters under each shard's mutex, not in a Metrics; read a
 // consistent copy via its Stats method.
 type LockStats struct {
@@ -641,7 +643,7 @@ type LockStats struct {
 }
 
 // ServerCounters are the server's own counters: the server block of the
-// STATS payload.
+// METRICS payload.
 //
 // A snapshot is mutually consistent: the server updates and copies all
 // fields under one lock, never field-by-field from independent atomics.

@@ -23,7 +23,9 @@ import (
 // continue rather than serve states the leader never had.
 var ErrDiverged = errors.New("repl: follower diverged from leader history")
 
-var errStopped = errors.New("repl: follower stopped")
+// errOwnLog wraps a failure of the follower's own log: once it has
+// latched, no stream can append to it again.
+var errOwnLog = errors.New("repl: follower's own log failed")
 
 // replReadTimeout bounds how long a follower waits for the next frame;
 // the leader heartbeats every second, so a silent link is dead.
@@ -54,7 +56,6 @@ type Follower struct {
 	leaderDurable uint64
 	progress      time.Time // last time the local log advanced
 	connected     bool
-	lastErr       error
 
 	stopOnce sync.Once
 	stop     chan struct{}
@@ -84,9 +85,9 @@ func OpenFollower(dir string, opts wal.Options) (*Follower, error) {
 
 // Run streams from the leader until Stop (or Close) is called,
 // reconnecting with backoff across leader restarts and partitions. It
-// returns nil on Stop and ErrDiverged (wrapped) if replay ever
-// contradicts the local states — the one condition reconnecting cannot
-// fix.
+// returns nil on Stop, ErrDiverged (wrapped) if replay ever contradicts
+// the local states, and the local log's error (wrapped) if the follower's
+// own log fails — the two conditions reconnecting cannot fix.
 func (f *Follower) Run(leader string) error {
 	f.mu.Lock()
 	f.leader = leader
@@ -100,11 +101,13 @@ func (f *Follower) Run(leader string) error {
 		}
 		start := time.Now()
 		err := f.stream(leader)
-		f.setDisconnected(err)
-		if errors.Is(err, errStopped) {
-			return nil
+		f.setDisconnected()
+		select {
+		case <-f.stop:
+			return nil // Close may have failed the log under the stream
+		default:
 		}
-		if errors.Is(err, ErrDiverged) {
+		if errors.Is(err, ErrDiverged) || errors.Is(err, errOwnLog) {
 			return err
 		}
 		if time.Since(start) > 5*time.Second {
@@ -172,11 +175,6 @@ func (f *Follower) stream(leader string) error {
 		conn.SetReadDeadline(time.Now().Add(replReadTimeout))
 		resp, err := wire.ReadResponse(br)
 		if err != nil {
-			select {
-			case <-f.stop:
-				return errStopped
-			default:
-			}
 			return err
 		}
 		if resp.Repl == nil {
@@ -230,7 +228,7 @@ func (f *Follower) applyBatch(r *wire.Repl) error {
 		return fmt.Errorf("repl: batch gap: got LSN %d, want %d", recs[0].LSN, next)
 	}
 	if err := f.log.AppendBatch(recs); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errOwnLog, err)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -279,7 +277,7 @@ func (f *Follower) installSnapshot(r *wire.Repl) error {
 		states[x] = st
 	}
 	if err := f.log.InstallSnapshot(r.NextLSN, states); err != nil {
-		return err
+		return fmt.Errorf("%w: %w", errOwnLog, err)
 	}
 	// The old version chains describe a history this checkpoint replaces;
 	// swap in a fresh store. Pins already taken keep reading the old
@@ -297,7 +295,6 @@ func (f *Follower) installSnapshot(r *wire.Repl) error {
 func (f *Follower) noteConnected(leader string, leaderDurable uint64) {
 	f.mu.Lock()
 	f.connected = true
-	f.lastErr = nil
 	if leaderDurable > f.leaderDurable {
 		f.leaderDurable = leaderDurable
 	}
@@ -305,12 +302,9 @@ func (f *Follower) noteConnected(leader string, leaderDurable uint64) {
 	f.publishLag()
 }
 
-func (f *Follower) setDisconnected(err error) {
+func (f *Follower) setDisconnected() {
 	f.mu.Lock()
 	f.connected = false
-	if err != nil && !errors.Is(err, errStopped) {
-		f.lastErr = err
-	}
 	f.mu.Unlock()
 }
 
@@ -384,13 +378,6 @@ func (f *Follower) Status() *wire.ReplStatus {
 		out.LagSeconds = time.Since(f.progress).Seconds()
 	}
 	return out
-}
-
-// Err returns the last stream error (nil while healthy or stopped).
-func (f *Follower) Err() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.lastErr
 }
 
 // Dir returns the data directory, for promotion.

@@ -353,6 +353,42 @@ func TestHelloRefusesAheadFollower(t *testing.T) {
 	}
 }
 
+// TestFollowerStopsWhenItsOwnLogFails: a crash under the follower's own
+// directory latches its log. Reconnecting cannot heal that — every
+// reconnect would only make the leader re-tail its segments — so Run
+// ends with the log's error instead of redialling forever.
+func TestFollowerStopsWhenItsOwnLogFails(t *testing.T) {
+	fs := wal.NewMemFS()
+	leader := newLeaderLog(t, fs, "leader", wal.Options{})
+	defer leader.lg.Close()
+	leader.register("ctr", adt.Counter{})
+	addr, stop := serveShipper(t, NewShipper(leader.lg, &obs.Metrics{}))
+	defer stop()
+
+	device := wal.NewFaultFS(fs)
+	f, err := OpenFollower("follower", wal.Options{FS: device})
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	defer f.Close()
+	done := make(chan error, 1)
+	go func() { done <- f.Run(addr) }()
+	waitFor(t, "catch-up", func() bool {
+		return f.Status().NextLSN == leader.lg.DurableLSN()
+	})
+
+	device.CrashAfter(0)
+	leader.commit("ctr", adt.CtrAdd{Delta: 1})
+	select {
+	case err := <-done:
+		if !errors.Is(err, wal.ErrInjected) {
+			t.Fatalf("Run = %v, want the log's %v", err, wal.ErrInjected)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run still streaming 5 s after the follower's own log failed")
+	}
+}
+
 // batchOf frames recs, numbered from first, as one shipped batch.
 func batchOf(t *testing.T, first uint64, recs ...wal.Record) *wire.Repl {
 	t.Helper()

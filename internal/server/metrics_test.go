@@ -14,8 +14,8 @@ import (
 )
 
 // TestMetricsEndToEnd drives a contended workload over the wire and
-// then reconciles the METRICS payload against the STATS counters at
-// quiescence. The invariants are exact, not bounds: every observation
+// then reconciles, within one METRICS payload, the registry's histograms
+// against the server's and the lock manager's counters at quiescence. The invariants are exact, not bounds: every observation
 // lands in exactly one histogram bucket, so the histogram counts must
 // agree with the independent counters to the unit.
 func TestMetricsEndToEnd(t *testing.T) {
@@ -65,10 +65,6 @@ func TestMetricsEndToEnd(t *testing.T) {
 	}
 
 	c := dial(t, addr)
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
 	m, err := c.Metrics(false)
 	if err != nil {
 		t.Fatal(err)
@@ -76,40 +72,40 @@ func TestMetricsEndToEnd(t *testing.T) {
 
 	// Outcome counters line up 1:1 with the server's (every BEGIN runs
 	// exactly one top-level transaction; none were cancelled mid-begin).
-	if m.TxCommits != stats.Commits || m.TxAborts != stats.Aborts {
-		t.Errorf("outcome mismatch: metrics %d/%d, stats %d/%d",
-			m.TxCommits, m.TxAborts, stats.Commits, stats.Aborts)
+	if m.TxCommits != m.Commits || m.TxAborts != m.Aborts {
+		t.Errorf("outcome mismatch: registry %d/%d, server counters %d/%d",
+			m.TxCommits, m.TxAborts, m.Commits, m.Aborts)
 	}
 	if want := uint64(workers * txPer); m.TxCommits != want {
 		t.Errorf("tx_commits = %d, want %d", m.TxCommits, want)
 	}
 	// Every finished top-level transaction was timed exactly once.
-	if m.TxLatency.Count != stats.Commits+stats.Aborts {
+	if m.TxLatency.Count != m.Commits+m.Aborts {
 		t.Errorf("tx_latency count %d != commits %d + aborts %d",
-			m.TxLatency.Count, stats.Commits, stats.Aborts)
+			m.TxLatency.Count, m.Commits, m.Aborts)
 	}
 	// Every blocked acquisition landed in the lock-wait histogram exactly
 	// once: granted (Waits), deadlock victim, or cancelled.
-	if m.LockWait.Count != stats.Waits+m.VictimsDeadlock+m.VictimsCancelled {
+	if m.LockWait.Count != m.Waits+m.VictimsDeadlock+m.VictimsCancelled {
 		t.Errorf("lock_wait count %d != waits %d + victims %d+%d",
-			m.LockWait.Count, stats.Waits, m.VictimsDeadlock, m.VictimsCancelled)
+			m.LockWait.Count, m.Waits, m.VictimsDeadlock, m.VictimsCancelled)
 	}
 	// The victim breakdown reconciles with the lock manager's own count.
-	if m.VictimsDeadlock != stats.Deadlocks {
-		t.Errorf("victims_deadlock %d != lock_deadlocks %d", m.VictimsDeadlock, stats.Deadlocks)
+	if m.VictimsDeadlock != m.Deadlocks {
+		t.Errorf("victims_deadlock %d != lock_deadlocks %d", m.VictimsDeadlock, m.Deadlocks)
 	}
 	if m.Victims != m.VictimsDeadlock+m.VictimsCancelled {
 		t.Errorf("victims %d != %d + %d", m.Victims, m.VictimsDeadlock, m.VictimsCancelled)
 	}
 	// Every access acquisition was timed exactly once, whatever its fate.
-	if m.OpLatency.Count != stats.Acquires+m.VictimsDeadlock+m.VictimsCancelled {
+	if m.OpLatency.Count != m.Acquires+m.VictimsDeadlock+m.VictimsCancelled {
 		t.Errorf("op_latency count %d != acquires %d + victims %d+%d",
-			m.OpLatency.Count, stats.Acquires, m.VictimsDeadlock, m.VictimsCancelled)
+			m.OpLatency.Count, m.Acquires, m.VictimsDeadlock, m.VictimsCancelled)
 	}
 	// The opposite-order workload must actually have contended.
-	if stats.Waits == 0 || m.VictimsDeadlock == 0 {
+	if m.Waits == 0 || m.VictimsDeadlock == 0 {
 		t.Errorf("workload did not contend: waits %d, deadlock victims %d",
-			stats.Waits, m.VictimsDeadlock)
+			m.Waits, m.VictimsDeadlock)
 	}
 	// Quantiles are monotone and clamped to the max.
 	for name, h := range map[string]obs.HistSnapshot{

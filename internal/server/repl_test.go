@@ -129,18 +129,20 @@ func TestReplicaServesReadsRejectsWrites(t *testing.T) {
 	}
 
 	// Status both sides.
-	rs, err := fc.ReplStatus()
+	rm, err := fc.Metrics(false)
 	if err != nil {
-		t.Fatalf("replica ReplStatus: %v", err)
+		t.Fatalf("replica Metrics: %v", err)
 	}
+	rs := rm.ReplStatus
 	if rs.Role != "follower" || !rs.Connected || rs.LagRecords != 0 {
 		t.Fatalf("replica status = %+v, want connected follower at lag 0", rs)
 	}
 	lc := dial(t, leaderAddr)
-	ls, err := lc.ReplStatus()
+	lsm, err := lc.Metrics(false)
 	if err != nil {
-		t.Fatalf("leader ReplStatus: %v", err)
+		t.Fatalf("leader Metrics: %v", err)
 	}
+	ls := lsm.ReplStatus
 	if ls.Role != "leader" || len(ls.Followers) != 1 || ls.Followers[0].AckLSN != ls.DurableLSN {
 		t.Fatalf("leader status = %+v, want one fully-acked follower", ls)
 	}
@@ -198,10 +200,11 @@ func TestPromoteEndToEnd(t *testing.T) {
 	if err := fc.Promote(); err == nil {
 		t.Fatal("second PROMOTE succeeded on a leader")
 	}
-	rs, err := fc.ReplStatus()
+	rm, err := fc.Metrics(false)
 	if err != nil {
-		t.Fatalf("ReplStatus after promote: %v", err)
+		t.Fatalf("Metrics after promote: %v", err)
 	}
+	rs := rm.ReplStatus
 	if rs.Role != "leader" {
 		t.Fatalf("promoted role = %q, want leader", rs.Role)
 	}

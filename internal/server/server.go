@@ -67,7 +67,7 @@ type Config struct {
 const defaultRequestTimeout = 10 * time.Second
 
 // Counters are the server's own counters, exposed (with the lock
-// manager's) via STATS; see [obs.ServerCounters] for the fields and the
+// manager's) via METRICS; see [obs.ServerCounters] for the fields and the
 // one-lock consistency contract a [Server.Counters] snapshot keeps.
 type Counters = obs.ServerCounters
 
@@ -182,10 +182,24 @@ func (s *Server) refuseLocking() (refusal wire.Response, refused bool) {
 	return fail(wire.CodeReadOnly, "server: promotion in progress; retry"), true
 }
 
-func (s *Server) shipperRef() *repl.Shipper {
+// status is what METRICS reports of the node, from one read of mgrMu so
+// a promotion cannot land between the blocks: readSide's registry, the
+// live manager's lock counters, and the follower's or the shipper's
+// replication position (nil without replication).
+func (s *Server) status() (met *obs.Metrics, locks obs.LockStats, rs *wire.ReplStatus) {
 	s.mgrMu.Lock()
-	defer s.mgrMu.Unlock()
-	return s.shipper
+	mgr, f, sh := s.mgr, s.follower, s.shipper
+	s.mgrMu.Unlock()
+	switch {
+	case mgr != nil:
+		met, locks = mgr.Metrics(), mgr.Stats()
+		if sh != nil {
+			rs = sh.Status()
+		}
+	case f != nil:
+		met, rs = f.Metrics(), f.Status()
+	}
+	return met, locks, rs
 }
 
 // Promote turns a follower server into a leader: streaming stops, the
@@ -644,18 +658,16 @@ var verbs = map[string]struct {
 	locking bool
 	run     func(*session, *wire.Request) wire.Response
 }{
-	wire.TPing:       {false, func(*session, *wire.Request) wire.Response { return wire.Response{OK: true} }},
-	wire.TStats:      {false, (*session).handleStats},
-	wire.TMetrics:    {false, (*session).handleMetrics},
-	wire.TState:      {false, (*session).handleState},
-	wire.TReplStatus: {false, (*session).handleReplStatus},
-	wire.TPromote:    {false, (*session).handlePromote},
-	wire.TBegin:      {true, (*session).handleBegin},
-	wire.TSub:        {true, (*session).handleSub},
-	wire.TRead:       {true, (*session).handleOp},
-	wire.TWrite:      {true, (*session).handleOp},
-	wire.TCommit:     {true, (*session).handleFinish},
-	wire.TAbort:      {true, (*session).handleFinish},
+	wire.TPing:    {false, func(*session, *wire.Request) wire.Response { return wire.Response{OK: true} }},
+	wire.TMetrics: {false, (*session).handleMetrics},
+	wire.TState:   {false, (*session).handleState},
+	wire.TPromote: {false, (*session).handlePromote},
+	wire.TBegin:   {true, (*session).handleBegin},
+	wire.TSub:     {true, (*session).handleSub},
+	wire.TRead:    {true, (*session).handleOp},
+	wire.TWrite:   {true, (*session).handleOp},
+	wire.TCommit:  {true, (*session).handleFinish},
+	wire.TAbort:   {true, (*session).handleFinish},
 }
 
 func (ss *session) handle(req *wire.Request) wire.Response {
@@ -684,10 +696,12 @@ func fail(code, msg string) wire.Response {
 // serveRepl hands a REPL_HELLO connection to the shipper. Only a
 // durable leader ships; a follower or volatile server refuses.
 func (ss *session) serveRepl(req *wire.Request, br *bufio.Reader, bw *bufio.Writer) {
-	sh := ss.srv.shipperRef()
+	ss.srv.mgrMu.Lock()
+	sh, f := ss.srv.shipper, ss.srv.follower
+	ss.srv.mgrMu.Unlock()
 	if sh == nil {
 		msg := "server: replication requires a durable leader"
-		if ss.srv.Follower() != nil {
+		if f != nil {
 			msg = "server: cannot replicate from a follower"
 		}
 		wire.WriteFrameMax(bw, &wire.Response{Seq: req.Seq, OK: false,
@@ -697,29 +711,11 @@ func (ss *session) serveRepl(req *wire.Request, br *bufio.Reader, bw *bufio.Writ
 	sh.Serve(ss.ctx.Done(), ss.conn.RemoteAddr().String(), req, br, bw)
 }
 
-func (ss *session) handleReplStatus(*wire.Request) wire.Response {
-	if f := ss.srv.Follower(); f != nil {
-		return wire.Response{OK: true, ReplStatus: f.Status()}
-	}
-	if sh := ss.srv.shipperRef(); sh != nil {
-		return wire.Response{OK: true, ReplStatus: sh.Status()}
-	}
-	return fail(wire.CodeNotConfigured, "server: replication not configured (volatile manager)")
-}
-
 func (ss *session) handlePromote(*wire.Request) wire.Response {
 	if _, err := ss.srv.Promote(); err != nil {
 		return fail(wire.CodeBadRequest, err.Error())
 	}
 	return wire.Response{OK: true}
-}
-
-func (ss *session) handleStats(*wire.Request) wire.Response {
-	st := &wire.Stats{ServerCounters: ss.srv.Counters()}
-	if m := ss.srv.Manager(); m != nil {
-		st.LockStats = m.Stats()
-	}
-	return wire.Response{OK: true, Stats: st}
 }
 
 // maxTraceEntries caps a METRICS dump so the response frame stays under
@@ -728,11 +724,13 @@ func (ss *session) handleStats(*wire.Request) wire.Response {
 const maxTraceEntries = 4096
 
 func (ss *session) handleMetrics(req *wire.Request) wire.Response {
-	_, met := ss.srv.readSide()
+	counters := ss.srv.Counters()
+	met, locks, rs := ss.srv.status()
 	if met == nil {
 		return errNoReadSide()
 	}
-	m := &wire.Metrics{Snapshot: met.Snapshot()}
+	m := &wire.Metrics{ServerCounters: counters, LockStats: locks,
+		Snapshot: met.Snapshot(), ReplStatus: rs}
 	if req.Dump {
 		m.Trace = met.Tracer.Dump()
 	}

@@ -120,9 +120,9 @@ func TestRemoteNestedTransaction(t *testing.T) {
 	if st.(nestedtx.Account).Balance != 70 {
 		t.Fatalf("committed balance = %+v, want 70", st)
 	}
-	stats, err := c.Stats()
+	stats, err := c.Metrics(false)
 	if err != nil {
-		t.Fatalf("stats: %v", err)
+		t.Fatalf("metrics: %v", err)
 	}
 	if stats.Commits != 1 || stats.ActiveSessions != 1 || stats.Requests == 0 {
 		t.Fatalf("implausible stats: %+v", stats)

@@ -137,16 +137,12 @@ func TestRemoteReadOnlySnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatalf("stats: %v", err)
-	}
-	if stats.SnapshotTxs != 2 {
-		t.Fatalf("stats.SnapshotTxs = %d, want 2", stats.SnapshotTxs)
-	}
 	met, err := c.Metrics(false)
 	if err != nil {
 		t.Fatalf("metrics: %v", err)
+	}
+	if met.SnapshotTxs != 2 {
+		t.Fatalf("SnapshotTxs = %d, want 2", met.SnapshotTxs)
 	}
 	if met.SnapTxs != 2 || met.SnapReads != 4 || met.SnapPinned != 0 || met.SnapPublishes != 3 {
 		t.Fatalf("snapshot metrics: txs=%d reads=%d pinned=%d publishes=%d, want 2/4/0/3",
@@ -273,16 +269,12 @@ func TestFollowerServesSnapshotTransactions(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	stats, err := c.Stats()
-	if err != nil {
-		t.Fatalf("follower stats: %v", err)
-	}
-	if stats.SnapshotTxs != 1 {
-		t.Fatalf("follower stats.SnapshotTxs = %d, want 1", stats.SnapshotTxs)
-	}
 	met, err := c.Metrics(false)
 	if err != nil {
 		t.Fatalf("follower metrics: %v", err)
+	}
+	if met.SnapshotTxs != 1 {
+		t.Fatalf("follower SnapshotTxs = %d, want 1", met.SnapshotTxs)
 	}
 	if met.SnapTxs != 1 || met.SnapReads != 2 || met.SnapPinned != 0 || met.SnapPublishes != 5 {
 		t.Fatalf("follower snapshot metrics: txs=%d reads=%d pinned=%d publishes=%d, want 1/2/0/5",

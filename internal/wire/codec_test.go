@@ -27,7 +27,7 @@ func exactCase(data []byte) bool {
 		return true
 	}
 	names := []string{"seq", "type", "tx", "obj", "op", "dump", "lsn", "read_only",
-		"ok", "code", "err", "txid", "snap", "value", "state", "stats", "metrics", "repl", "repl_status"}
+		"ok", "code", "err", "txid", "snap", "value", "state", "metrics", "repl"}
 	var walk func(v any) bool
 	walk = func(v any) bool {
 		switch x := v.(type) {
@@ -95,9 +95,9 @@ func FuzzWireCodecMatchesEncodingJSON(f *testing.F) {
 		`{"unknown":{"a":[1,2,{"b":"}"}]},"seq":9}`, ` { "seq" : 1 , "type" : "PING" } `, `{"seq":1}{"seq":2}`, `{"seq":"1"}`,
 		`{"seq":1,"ok":true,"tx":3,"txid":"T0.1","snap":7,"value":{"t":"i","v":5},"state":{"t":"ctr","v":5}}`,
 		`{"seq":1,"ok":false,"code":"deadlock","err":"victim"}`, `{"code":"busy","err":"full"}`, `{"ok":null,"code":5}`,
-		`{"seq":1,"ok":true,"stats":{"requests":12,"commits":3},"stats":{"aborts":1}}`, `{"ok":true,"stats":null,"metrics":{"tx_commits":4}}`,
+		`{"seq":1,"ok":true,"metrics":{"requests":12,"commits":3},"metrics":{"aborts":1}}`, `{"ok":true,"metrics":null,"metrics":{"tx_commits":4}}`,
 		`{"ok":true,"repl":{"kind":"batch","first_lsn":4,"count":1,"frames":"aGk=","states":{"a":{"t":"ctr","v":1}}}}`,
-		`{"ok":true,"repl_status":{"role":"leader","followers":[{"remote":"r","ack_lsn":3}]}}`, `{"ok":true,"stats":5}`, `{"ok":true,"repl":[]}`,
+		`{"ok":true,"metrics":{"lock_waits":2,"repl_status":{"role":"leader","followers":[{"remote":"r","ack_lsn":3}]}}}`, `{"ok":true,"metrics":5}`, `{"ok":true,"repl":[]}`,
 	} {
 		f.Add([]byte(seed), uint64(7), "T0.1")
 	}
@@ -110,9 +110,9 @@ func FuzzWireCodecMatchesEncodingJSON(f *testing.F) {
 			sameEncode(t, &Request{Seq: n, Type: s, Tx: n >> 3, Obj: s, Op: raw, Dump: n%2 == 0, Lsn: n >> 5, ReadOnly: n%3 == 0}, appendRequest)
 			sameEncode(t, &Request{Type: TRead, Op: raw}, appendRequest)
 			sameEncode(t, &Response{Seq: n, OK: n%2 == 0, Code: s, Err: s, Tx: n >> 3, TxID: s, Snap: n >> 5, Value: raw, State: raw}, appendResponse)
-			sameEncode(t, &Response{OK: true, Value: raw, Stats: &Stats{ServerCounters: obs.ServerCounters{Requests: n}}, Metrics: &Metrics{Snapshot: obs.Snapshot{TxCommits: n, ReplLag: 0.5}}}, appendResponse)
-			sameEncode(t, &Response{State: raw, ReplStatus: &ReplStatus{Role: s, Followers: []ReplFollower{{Remote: s, AckLSN: n}}},
-				Repl: &Repl{Kind: ReplBatch, FirstLSN: n, Frames: data, States: map[string]json.RawMessage{s: op}}}, appendResponse)
+			sameEncode(t, &Response{OK: true, Value: raw, Metrics: &Metrics{ServerCounters: obs.ServerCounters{Requests: n}, Snapshot: obs.Snapshot{TxCommits: n, ReplLag: 0.5},
+				ReplStatus: &ReplStatus{Role: s, Followers: []ReplFollower{{Remote: s, AckLSN: n}}}}}, appendResponse)
+			sameEncode(t, &Response{State: raw, Repl: &Repl{Kind: ReplBatch, FirstLSN: n, Frames: data, States: map[string]json.RawMessage{s: op}}}, appendResponse)
 		}
 	})
 }

@@ -20,8 +20,8 @@
 //
 // Request and Response frames are written and read by a hand-written
 // codec on internal/jscan, byte-compatible with encoding/json except that
-// keys are case-sensitive; only the cold nested payloads (stats, metrics,
-// repl, repl_status) are delegated to encoding/json. A frame that fits
+// keys are case-sensitive; only the cold nested payloads (metrics, repl)
+// are delegated to encoding/json. A frame that fits
 // the bufio.Reader is decoded where it lies: Op, Value and State of a
 // decoded frame alias the reader's buffer and are valid until the next
 // read from it.
@@ -62,18 +62,16 @@ const (
 	TCommit  = "COMMIT"  // Tx: commit the handle
 	TAbort   = "ABORT"   // Tx: abort the handle
 	TState   = "STATE"   // Obj: committed-to-root state snapshot
-	TStats   = "STATS"   // server + lock-manager counters
-	TMetrics = "METRICS" // latency quantiles, victim breakdown, gauges; Dump adds the trace ring
+	TMetrics = "METRICS" // every counter, histogram and gauge, the replication position; Dump adds the trace ring
 	TPing    = "PING"    // liveness / round-trip probe
 
 	// Replication verbs (internal/repl). REPL_HELLO switches the
 	// connection out of request/response into a push stream: the leader
 	// answers with a hello [Repl] payload, then pushes snapshot/batch
 	// frames while reading REPL_ACK requests (which get no responses).
-	TReplHello  = "REPL_HELLO"  // Lsn: follower's resume point (its log's NextLSN)
-	TReplAck    = "REPL_ACK"    // Lsn: follower's durable position (streaming mode only)
-	TReplStatus = "REPL_STATUS" // replication positions and lag, role-dependent
-	TPromote    = "PROMOTE"     // follower only: stop following, recover, verify, accept writes
+	TReplHello = "REPL_HELLO" // Lsn: follower's resume point (its log's NextLSN)
+	TReplAck   = "REPL_ACK"   // Lsn: follower's durable position (streaming mode only)
+	TPromote   = "PROMOTE"    // follower only: stop following, recover, verify, accept writes
 )
 
 // Response error codes (Response.Code when OK is false).
@@ -88,12 +86,6 @@ const (
 	CodeTooLarge   = "too_large"   // the response would exceed MaxResponseSize; session stays usable
 	CodeInternal   = "internal"    // server-side failure
 	CodeReadOnly   = "read_only"   // this server is a replication follower; writes go to its leader
-	// CodeNotConfigured answers a request for a subsystem this server
-	// does not run (e.g. REPL_STATUS on a volatile, non-replicating
-	// manager). Distinct from CodeBadRequest so clients probing for a
-	// capability can tell "well-formed but absent here" from "you sent
-	// garbage".
-	CodeNotConfigured = "not_configured"
 )
 
 // Request is one client→server frame.
@@ -115,19 +107,17 @@ type Request struct {
 
 // Response is one server→client frame.
 type Response struct {
-	Seq        uint64          `json:"seq"`
-	OK         bool            `json:"ok"`
-	Code       string          `json:"code,omitempty"`
-	Err        string          `json:"err,omitempty"`
-	Tx         uint64          `json:"tx,omitempty"`          // new handle (BEGIN/SUB)
-	TxID       string          `json:"txid,omitempty"`        // paper-tree name, e.g. "T0.3.1" (BEGIN/SUB); "S<n>" for snapshots
-	Snap       uint64          `json:"snap,omitempty"`        // pinned commit seqno (read-only BEGIN)
-	Value      json.RawMessage `json:"value,omitempty"`       // adt-encoded access result (READ/WRITE)
-	State      json.RawMessage `json:"state,omitempty"`       // adt-encoded object state (STATE)
-	Stats      *Stats          `json:"stats,omitempty"`       // STATS
-	Metrics    *Metrics        `json:"metrics,omitempty"`     // METRICS
-	Repl       *Repl           `json:"repl,omitempty"`        // REPL_HELLO reply and pushed stream frames
-	ReplStatus *ReplStatus     `json:"repl_status,omitempty"` // REPL_STATUS
+	Seq     uint64          `json:"seq"`
+	OK      bool            `json:"ok"`
+	Code    string          `json:"code,omitempty"`
+	Err     string          `json:"err,omitempty"`
+	Tx      uint64          `json:"tx,omitempty"`      // new handle (BEGIN/SUB)
+	TxID    string          `json:"txid,omitempty"`    // paper-tree name, e.g. "T0.3.1" (BEGIN/SUB); "S<n>" for snapshots
+	Snap    uint64          `json:"snap,omitempty"`    // pinned commit seqno (read-only BEGIN)
+	Value   json.RawMessage `json:"value,omitempty"`   // adt-encoded access result (READ/WRITE)
+	State   json.RawMessage `json:"state,omitempty"`   // adt-encoded object state (STATE)
+	Metrics *Metrics        `json:"metrics,omitempty"` // METRICS
+	Repl    *Repl           `json:"repl,omitempty"`    // REPL_HELLO reply and pushed stream frames
 }
 
 // Repl stream-frame kinds (Repl.Kind).
@@ -164,10 +154,10 @@ type ReplFollower struct {
 	LagSeconds float64 `json:"lag_seconds"` // time since the follower last made progress (0 when caught up)
 }
 
-// ReplStatus is the REPL_STATUS payload. Role decides which half is
-// meaningful: a leader reports its log marks and per-follower lag, a
-// follower reports its own applied position against the leader's durable
-// mark.
+// ReplStatus is the replication block of the METRICS payload. Role
+// decides which half is meaningful: a leader reports its log marks and
+// per-follower lag, a follower reports its own applied position against
+// the leader's durable mark.
 type ReplStatus struct {
 	Role          string `json:"role"` // "leader" | "follower"
 	NextLSN       uint64 `json:"next_lsn"`
@@ -183,25 +173,23 @@ type ReplStatus struct {
 	Connected        bool    `json:"connected,omitempty"` // follower: stream currently up
 }
 
-// Stats is the STATS payload: the server's own counters plus the
-// underlying lock manager's, each declared (keys and all) in internal/obs.
+// Metrics is the METRICS payload, the one status answer a node gives:
+// the server's own counters, the lock manager's, the registry snapshot
+// (latency distributions, transaction outcomes, the victim breakdown by
+// cause, contention gauges), the replication position (absent on a node
+// without replication) and, when the request set Dump, the most recent
+// trace entries (oldest first, capped so the frame stays under
+// MaxResponseSize). The embedded blocks are declared, keys and all, in
+// internal/obs; their JSON names are disjoint, so they share one object.
 //
-// Consistency contract: the server block is one atomic snapshot (see
-// [obs.ServerCounters]); the lock block is a separate snapshot taken
-// immediately after, internally consistent but possibly slightly ahead
-// of the server block.
-type Stats struct {
+// Consistency contract: each block is its own snapshot, taken in the
+// order above and each internally consistent (see [obs.ServerCounters]);
+// a later block may be slightly ahead of an earlier one.
+type Metrics struct {
 	obs.ServerCounters
 	obs.LockStats
-}
-
-// Metrics is the METRICS payload: the registry snapshot — latency
-// distributions, transaction outcomes, the victim breakdown by cause,
-// contention gauges — and, when the request set Dump, the most recent
-// trace entries (oldest first, capped so the frame stays under
-// MaxResponseSize).
-type Metrics struct {
 	obs.Snapshot
+	ReplStatus   *ReplStatus      `json:"repl_status,omitempty"`
 	TraceDropped uint64           `json:"trace_dropped,omitempty"` // ring overwrites since start
 	Trace        []obs.TraceEntry `json:"trace,omitempty"`
 }
@@ -275,18 +263,16 @@ func appendResponse(dst []byte, r *Response) ([]byte, error) {
 	e.uint(`,"snap":`, r.Snap)
 	e.raw(`,"value":`, r.Value)
 	e.raw(`,"state":`, r.State)
-	cold(&e, `,"stats":`, r.Stats)
 	cold(&e, `,"metrics":`, r.Metrics)
 	cold(&e, `,"repl":`, r.Repl)
-	cold(&e, `,"repl_status":`, r.ReplStatus)
 	return append(e.buf, '}'), e.err
 }
 
 // vocabulary is every request type and response code: decoding one of
 // them yields the constant, not a fresh string.
-var vocabulary = [...]string{TBegin, TSub, TRead, TWrite, TCommit, TAbort, TState, TStats, TMetrics, TPing,
-	TReplHello, TReplAck, TReplStatus, TPromote, CodeDeadlock, CodeAborted, CodeTimeout, CodeBusy, CodeShutdown,
-	CodeUnknownTx, CodeBadRequest, CodeTooLarge, CodeInternal, CodeReadOnly, CodeNotConfigured}
+var vocabulary = [...]string{TBegin, TSub, TRead, TWrite, TCommit, TAbort, TState, TMetrics, TPing,
+	TReplHello, TReplAck, TPromote, CodeDeadlock, CodeAborted, CodeTimeout, CodeBusy, CodeShutdown,
+	CodeUnknownTx, CodeBadRequest, CodeTooLarge, CodeInternal, CodeReadOnly}
 
 // word reads a string that is usually one of vocabulary.
 func word(s *jscan.Scanner, dst *string) error {
@@ -370,14 +356,10 @@ func decodeResponse(data []byte, r *Response) error {
 			return s.Raw((*[]byte)(&r.Value))
 		case "state":
 			return s.Raw((*[]byte)(&r.State))
-		case "stats":
-			return decodeCold(&s, &r.Stats)
 		case "metrics":
 			return decodeCold(&s, &r.Metrics)
 		case "repl":
 			return decodeCold(&s, &r.Repl)
-		case "repl_status":
-			return decodeCold(&s, &r.ReplStatus)
 		}
 		return s.Skip()
 	})

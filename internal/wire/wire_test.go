@@ -54,7 +54,8 @@ func TestResponseRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp := &Response{Seq: 9, OK: true, Tx: 3, TxID: "T0.1.2", Value: val, State: st,
-		Stats: &Stats{obs.ServerCounters{Requests: 12}, obs.LockStats{Deadlocks: 1}}}
+		Metrics: &Metrics{ServerCounters: obs.ServerCounters{Requests: 12}, LockStats: obs.LockStats{Deadlocks: 1},
+			Snapshot: obs.Snapshot{TxCommits: 5}, ReplStatus: &ReplStatus{Role: "leader"}}}
 	var buf bytes.Buffer
 	if err := WriteFrame(bufio.NewWriter(&buf), resp); err != nil {
 		t.Fatal(err)
@@ -63,7 +64,8 @@ func TestResponseRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.OK || got.Seq != 9 || got.TxID != "T0.1.2" || got.Stats.Requests != 12 {
+	if !got.OK || got.Seq != 9 || got.TxID != "T0.1.2" || got.Metrics.Requests != 12 ||
+		got.Metrics.Deadlocks != 1 || got.Metrics.TxCommits != 5 || got.Metrics.ReplStatus.Role != "leader" {
 		t.Fatalf("round trip mangled response: %+v", got)
 	}
 	v, err := adt.DecodeValue(got.Value)

@@ -105,9 +105,9 @@ func TestJscanIsTheCodecsLeaf(t *testing.T) {
 }
 
 // TestPublishedNumbersAreDeclaredInObs: internal/obs declares every
-// number STATS and METRICS publish, so it sits under everything that
-// counts or carries them and imports nothing of ours; internal/wire
-// carries its structs and the adt codec's payloads and nothing else; and
+// number METRICS publishes, so it sits under everything that counts or
+// carries them and imports nothing of ours; internal/wire carries its
+// structs and the adt codec's payloads and nothing else; and
 // the client reaches the lock manager's and the server's counter blocks
 // through those structs, never by importing the packages that fill them.
 func TestPublishedNumbersAreDeclaredInObs(t *testing.T) {
