@@ -51,7 +51,7 @@ bench-short:
 # the checked-in seed corpus through txdst, two cross-process
 # determinism checks (two txdst invocations of the same seed must emit
 # identical event logs), one per durable crash scenario, and seeds 1–50
-# of both crash scenarios at scale 0.25, stopping at the first red seed
+# of the three crash scenarios at scale 0.25, stopping at the first red seed
 # with its reproduction line. txdst and the logs go to a fresh temporary
 # directory that is removed afterwards.
 sim: vet
@@ -59,13 +59,13 @@ sim: vet
 	$(GO) run -race ./cmd/txdst -corpus internal/dst/corpus.txt
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
 	$(GO) build -o "$$d/txdst" ./cmd/txdst; \
-	for s in crash-bitrot-checkpoint crash-recovery; do \
+	for s in crash-bitrot-checkpoint crash-recovery crash-in-checkpoint; do \
 		echo "txdst -scenario $$s -seed 1 -log, twice"; \
 		"$$d/txdst" -scenario $$s -seed 1 -log > "$$d/a.txt"; \
 		"$$d/txdst" -scenario $$s -seed 1 -log > "$$d/b.txt"; \
 		cmp "$$d/a.txt" "$$d/b.txt"; \
 	done; \
-	for s in crash-recovery crash-bitrot-checkpoint; do \
+	for s in crash-recovery crash-bitrot-checkpoint crash-in-checkpoint; do \
 		echo "txdst -scenario $$s -seed 1..50 -scale 0.25"; \
 		for n in $$(seq 1 50); do \
 			"$$d/txdst" -scenario $$s -seed $$n -scale 0.25 > /dev/null || \
@@ -95,6 +95,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzAdtCodecMatchesEncodingJSON -fuzztime 10s ./internal/adt
 	$(GO) test -run XXX -fuzz FuzzWireCodecMatchesEncodingJSON -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzRecordEncodeMatchesEncodingJSON -fuzztime 10s ./internal/wal
+	$(GO) test -run XXX -fuzz FuzzCheckpointEncodeMatchesEncodingJSON -fuzztime 10s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzLockTablesRefineMX -fuzztime 10s -fuzzminimizetime 100x ./internal/lockmgr
 
 # End-to-end observability probe against the real binaries: starts a

@@ -63,22 +63,36 @@ func OpenDurable(dir string, dopts DurableOptions, opts ...Option) (*Manager, *R
 		}
 	}
 	m.wal = lg
+	lg.AutoCheckpoint(m.capture)
 	return m, &Recovery{rec}, nil
 }
 
 // Durable reports whether the manager write-ahead logs its commits.
 func (m *Manager) Durable() bool { return m.wal != nil }
 
-// Checkpoint snapshots the committed-to-root state of every object into
-// the log and truncates the segments below it. It waits for commits
-// between their stage and their lock release (microseconds), makes every
-// staged record durable, and new commits block for the (short) duration
-// of the snapshot.
+// Checkpoint writes the committed-to-root state of every object into
+// the log and removes the segments wholly below it. Commits are held off
+// only while it notes the log's next LSN and holds the committed-version
+// store there — it waits for commits between their stage and their lock
+// release (microseconds) and costs the same at any object count. It then
+// waits until every record below that LSN is durable, and writes the
+// held states with commits flowing. A durable manager also checkpoints
+// by itself once enough log has accumulated (see wal.Log.AutoCheckpoint);
+// a checkpoint that fails leaves the log as it was.
 func (m *Manager) Checkpoint() error {
 	if m.wal == nil {
 		return fmt.Errorf("nestedtx: Checkpoint requires a durable manager (OpenDurable)")
 	}
-	return m.wal.Checkpoint(m.lm.RootStates)
+	return m.wal.Checkpoint(m.capture)
+}
+
+// capture is the manager's checkpoint capture, called with staging
+// excluded: every record below next has published — commits in applyTop,
+// registrations in adoptLocked — and none at or above it has, so a hold
+// on the store's latest publication reads exactly the redo of [0, next).
+func (m *Manager) capture(next uint64) wal.Cut {
+	h := m.snap.Hold()
+	return wal.Cut{LSN: next, States: h.States, Release: h.Release}
 }
 
 // SyncWAL forces any buffered log records to stable storage now. A no-op

@@ -145,7 +145,9 @@ func (s *Sim) Run() *Result {
 	for _, ev := range faults.Events {
 		env.logf("fault t=%s %s", ev.At, ev.Kind)
 	}
-	if scn.Crash {
+	if scn.CrashInCheckpoint {
+		env.logf("fault crash after=%dB from=checkpoint", faults.CrashAfter)
+	} else if scn.Crash {
 		env.logf("fault crash after=%dB", faults.CrashAfter)
 	}
 	if scn.BitRot {
@@ -271,12 +273,18 @@ func runDurable(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	if err := m.Checkpoint(); err != nil {
 		return fmt.Errorf("dst: checkpoint registrations: %w", err)
 	}
-	if scn.Crash {
+	if scn.Crash && !scn.CrashInCheckpoint {
 		ffs.CrashAfter(faults.CrashAfter)
 	}
 
+	checkpoints := 0
 	wait := driveFaults(env, faults, faultActions{
-		Checkpoint: func() { _ = m.Checkpoint() },
+		Checkpoint: func() {
+			if checkpoints++; scn.CrashInCheckpoint && checkpoints == scn.Checkpoints {
+				ffs.CrashAfter(faults.CrashAfter)
+			}
+			_ = m.Checkpoint()
+		},
 	})
 	st, err := runSpecs(env, m, plan.Specs)
 	res.Stats = st

@@ -43,7 +43,8 @@ type faultPlan struct {
 	Events []faultEvent
 
 	// Crash: kill-at-byte budget for FaultFS, armed after registration
-	// and a first checkpoint. The device keeps the byte prefix, and the
+	// and a first checkpoint (or, with CrashInCheckpoint, as the last
+	// planned checkpoint starts). The device keeps the byte prefix, and the
 	// process sees every later write and sync fail, so it acknowledges
 	// nothing past the crash byte. Byte budgets are inherently
 	// deterministic — they trigger on the write stream, not on time.
@@ -94,6 +95,11 @@ func planFaults(scn *Scenario, rng *rand.Rand) *faultPlan {
 	if scn.Crash {
 		p.CrashAfter = rng.Int63n(16_000) + 500
 		rng.Intn(5) // a removed crash mode's draw, kept so the bit-rot draws do not shift
+		if scn.CrashInCheckpoint {
+			// A counter's checkpoint entry is about 40 bytes; the extra
+			// eighth lets some crashes pass the write and land later.
+			p.CrashAfter = rng.Int63n(int64(scn.Objects) * 45)
+		}
 	}
 	if scn.BitRot {
 		p.RotSeg = rng.Int63()

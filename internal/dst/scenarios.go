@@ -49,12 +49,17 @@ type Scenario struct {
 	Net          bool  // leader + replica + faultnet proxy + client pool
 
 	// Fault plane.
-	Crash       bool // kill the device at a planned byte: it keeps the prefix, later operations fail
-	BitRot      bool // flip one byte of a surviving segment before recovery
-	Checkpoints int  // checkpoint fault events at drawn virtual times
-	Partitions  int  // partition/heal cycles on the replication link (Net)
-	NetLatency  time.Duration
-	NetJitter   time.Duration
+	Crash bool // kill the device at a planned byte: it keeps the prefix, later operations fail
+	// CrashInCheckpoint arms the crash as the last checkpoint event
+	// starts, with a budget drawn across the checkpoint file's size, so it
+	// lands inside the checkpoint's temporary write, rename or segment
+	// removal (or in a commit's flush beside it).
+	CrashInCheckpoint bool
+	BitRot            bool // flip one byte of a surviving segment before recovery
+	Checkpoints       int  // checkpoint fault events at drawn virtual times
+	Partitions        int  // partition/heal cycles on the replication link (Net)
+	NetLatency        time.Duration
+	NetJitter         time.Duration
 
 	// Post-phase: transactions run after recovery (Crash) or after
 	// promotion (Net) — includes snapshot scans across the crash.
@@ -100,6 +105,9 @@ func (s Scenario) validate() error {
 	}
 	if s.Crash && !s.Durable {
 		return fmt.Errorf("dst: scenario %s: Crash needs Durable", s.Name)
+	}
+	if s.CrashInCheckpoint && (!s.Crash || s.Checkpoints == 0) {
+		return fmt.Errorf("dst: scenario %s: CrashInCheckpoint needs Crash and a checkpoint", s.Name)
 	}
 	return nil
 }
@@ -185,6 +193,15 @@ var matrix = []Scenario{
 		MaxDepth: 4, Fanout: 2, Ops: 3, ReadPct: 50, AbortPct: 5,
 		ZipfS:   1.2,
 		Durable: true, Crash: true, BitRot: true, Checkpoints: 3, PostTxs: 60,
+	},
+	{
+		Name:    "crash-in-checkpoint",
+		Doc:     "kill-at-byte armed as a checkpoint of 512 counters starts, commits flowing; every acknowledged commit recovers",
+		Objects: 512, Txs: 200, Workers: 4, Retries: 4,
+		Mix:      Mix{Zipf: 60, Nest: 20, Scan: 20},
+		MaxDepth: 4, Fanout: 2, Ops: 3, ReadPct: 50, AbortPct: 5,
+		ZipfS:   1.2,
+		Durable: true, Crash: true, CrashInCheckpoint: true, Checkpoints: 2, PostTxs: 60,
 	},
 	{
 		Name:    "failover-chaos",

@@ -361,10 +361,10 @@ func (m *Manager) Registered(x string) bool {
 
 // RootStates returns the committed-to-root state of every registered
 // object — the root's version, excluding every version still held by a
-// live transaction. This is the durable snapshot a checkpoint persists:
-// with the WAL's commit gate held no top-level commit is in flight, so
-// the shard-by-shard walk reads one consistent cut that equals the redo
-// of all logged records.
+// live transaction. Checkpoints read the committed-version store, not
+// this; it stays as the reference the tests hold the store's read side
+// to. With no top-level commit in flight the shard-by-shard walk reads
+// one consistent cut.
 func (m *Manager) RootStates() map[string]adt.State {
 	out := make(map[string]adt.State)
 	for _, sh := range m.shards {

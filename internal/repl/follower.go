@@ -70,7 +70,7 @@ func OpenFollower(dir string, opts wal.Options) (*Follower, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Follower{
+	f := &Follower{
 		dir:      dir,
 		opts:     opts,
 		log:      lg,
@@ -80,7 +80,20 @@ func OpenFollower(dir string, opts wal.Options) (*Follower, error) {
 		applied:  lg.Stats().NextLSN,
 		progress: time.Now(),
 		stop:     make(chan struct{}),
-	}, nil
+	}
+	lg.AutoCheckpoint(f.capture)
+	return f, nil
+}
+
+// capture is the follower's checkpoint capture: the same log code a
+// leader's manager drives, cut at the replay position. Under mu the store
+// reflects exactly the records below applied, so a hold on it reads their
+// redo. The log may run ahead of applied; its records stay for the redo.
+func (f *Follower) capture(uint64) wal.Cut {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	h := f.snap.Hold()
+	return wal.Cut{LSN: f.applied, States: h.States, Release: h.Release}
 }
 
 // Run streams from the leader until Stop (or Close) is called,

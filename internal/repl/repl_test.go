@@ -4,8 +4,10 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"maps"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -64,6 +66,17 @@ func (l *leaderLog) commit(obj string, op adt.Op) {
 		l.tb.Fatalf("append commit on %s: %v", obj, err)
 	}
 	l.states[obj] = next
+}
+
+// capture is a checkpoint capture of the shadow states.
+func (l *leaderLog) capture(next uint64) wal.Cut {
+	return wal.Cut{LSN: next, States: func(yield func(string, adt.State) bool) {
+		for _, x := range slices.Sorted(maps.Keys(l.states)) {
+			if !yield(x, l.states[x]) {
+				return
+			}
+		}
+	}}
 }
 
 // serveShipper runs a minimal leader accept loop: each connection's
@@ -240,7 +253,7 @@ func TestStatusWaitsForTheStore(t *testing.T) {
 
 func TestSnapshotCatchUp(t *testing.T) {
 	fs := wal.NewMemFS()
-	leader := newLeaderLog(t, fs, "leader", wal.Options{})
+	leader := newLeaderLog(t, fs, "leader", wal.Options{SegmentBytes: 1 << 10})
 	defer leader.lg.Close()
 	leader.register("ctr", adt.Counter{})
 	leader.register("reg", adt.NewRegister(int64(0)))
@@ -248,9 +261,10 @@ func TestSnapshotCatchUp(t *testing.T) {
 		leader.commit("ctr", adt.CtrAdd{Delta: 1})
 		leader.commit("reg", adt.RegWrite{V: int64(i)})
 	}
-	// Checkpoint truncates the log: LSN 0 is below the low-water mark,
-	// so a fresh follower can only catch up via snapshot.
-	if err := leader.lg.Checkpoint(func() map[string]adt.State { return leader.states }); err != nil {
+	// Checkpoint truncates the log: the segment holding LSN 0 is wholly
+	// below the low-water mark, so a fresh follower can only catch up via
+	// snapshot.
+	if err := leader.lg.Checkpoint(leader.capture); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	leader.commit("ctr", adt.CtrAdd{Delta: 100})

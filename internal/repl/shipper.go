@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"nestedtx/internal/adt"
 	"nestedtx/internal/obs"
 	"nestedtx/internal/wal"
 	"nestedtx/internal/wire"
@@ -241,36 +240,29 @@ func (sh *Shipper) sendHeartbeat(bw *bufio.Writer) error {
 }
 
 // sendSnapshot ships the newest on-disk checkpoint and returns its LSN
-// (the position tailing resumes from). It needs no coordination with
-// the writer: Inspect reads the directory the same way recovery would.
+// (the position tailing resumes from). It reads that one file and ships
+// each state in the encoding it was written in, and needs no
+// coordination with the writer.
 func (sh *Shipper) sendSnapshot(bw *bufio.Writer) (uint64, error) {
-	rec, err := wal.Inspect(sh.log.Dir(), sh.log.FS())
-	if err != nil {
-		return 0, err
-	}
-	if rec.CheckpointLSN == 0 {
-		// A truncated tail position with no checkpoint on disk cannot
-		// happen (truncation is what checkpoints do); treat defensively.
-		return 0, fmt.Errorf("repl: tail truncated but no checkpoint on disk")
-	}
-	states := make(map[string]json.RawMessage, len(rec.Checkpoint))
-	for x, st := range rec.Checkpoint {
-		raw, err := adt.EncodeState(st)
-		if err != nil {
-			return 0, fmt.Errorf("repl: snapshot state %q: %w", x, err)
-		}
+	states := make(map[string]json.RawMessage)
+	lsn, err := wal.ReadCheckpoint(sh.log.Dir(), sh.log.FS(), func(x string, raw []byte) {
 		states[x] = raw
+	})
+	if err != nil {
+		// A truncated tail position with no checkpoint on disk cannot
+		// happen (truncation is what checkpoints do).
+		return 0, fmt.Errorf("repl: tail truncated: %w", err)
 	}
 	if err := wire.WriteFrameMax(bw, &wire.Response{OK: true, Repl: &wire.Repl{
 		Kind:       wire.ReplSnapshot,
-		NextLSN:    rec.CheckpointLSN,
+		NextLSN:    lsn,
 		DurableLSN: sh.log.DurableLSN(),
 		SentUnixNS: time.Now().UnixNano(),
 		States:     states,
 	}}, wire.MaxResponseSize); err != nil {
 		return 0, err
 	}
-	return rec.CheckpointLSN, nil
+	return lsn, nil
 }
 
 func (sh *Shipper) noteAck(f *followerConn, lsn uint64) {

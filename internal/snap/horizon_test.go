@@ -1,6 +1,8 @@
 package snap
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"nestedtx/internal/adt"
@@ -94,6 +96,42 @@ func TestBaseUnderAnUnsettledPublication(t *testing.T) {
 	s.Settle(2)
 	if got := headN(t, s, "late"); got != 8 {
 		t.Fatalf("Head(late) = %d after a settled update, want 8", got)
+	}
+}
+
+// TestHoldReadsAboveTheHorizon: a checkpoint's hold is taken at the
+// latest publication, settled or not, and reads exactly the objects
+// registered by then, in name order, at that sequence number — however
+// many publications settle and trim after it. Released, it lets the
+// trim pass.
+func TestHoldReadsAboveTheHorizon(t *testing.T) {
+	s := New(false)
+	s.Base("y", ctr(0))
+	s.Base("x", ctr(0))
+	s.Stage("T1", map[string]adt.State{"x": ctr(1)}, 0)
+	h := s.Hold()
+	defer h.Release()
+	s.Base("late", ctr(7))
+	for i := uint64(2); i <= 4; i++ {
+		s.Stage("T", map[string]adt.State{"x": ctr(int64(i)), "y": ctr(int64(i))}, i-1)
+	}
+	s.Settle(4)
+	if got := headN(t, s, "x"); got != 4 {
+		t.Fatalf("Head(x) = %d with every publication settled, want 4", got)
+	}
+	var got []string
+	for x, st := range h.States {
+		got = append(got, fmt.Sprintf("%s=%d", x, st.(adt.Counter).N))
+	}
+	if want := "x=1 y=0"; strings.Join(got, " ") != want {
+		t.Fatalf("hold above the horizon read %v, want %s", got, want)
+	}
+	held := s.Versions()
+	h.Release()
+	s.Stage("T5", map[string]adt.State{"x": ctr(5)}, 4)
+	s.Settle(5)
+	if n := s.Versions(); n >= held {
+		t.Fatalf("%d versions retained after the release, %d before it: the trim did not pass the hold", n, held)
 	}
 }
 

@@ -4,9 +4,9 @@
 // states the object has passed through, each tagged with the monotone
 // sequence number of the top-level commit that installed it. A plain
 // committed read (Head), a read-only transaction (Begin) and a replica
-// read all answer from the same chains under the same mutex; the lock
-// manager's root versions exist for the locking argument and for the
-// checkpoint writer, not for observers.
+// read all answer from the same chains under the same mutex, and so does
+// a checkpoint (Hold); the lock manager's root versions exist for the
+// locking argument, not for observers.
 //
 // The store is fed from inside the runtime's top-level commit sequence,
 // *before* the lock manager releases the committing transaction's locks.
@@ -46,6 +46,7 @@ package snap
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -123,6 +124,9 @@ type Store struct {
 	// head is the oldest live pin and nothing ever scans the queue.
 	pins   []pinCount
 	pinned int // live pins: the sum of the counts
+	// names lists the objects in the order Base installed them. It only
+	// grows, so a prefix of it is a stable snapshot of the universe.
+	names []string
 	// unsettled holds the publications staged and not yet settled, by
 	// ascending seq: as many as there are durable commits between their
 	// stage and their fsync.
@@ -132,6 +136,11 @@ type Store struct {
 	tick      uint64 // settle and pin events so far (recording only)
 	log       []PubEntry
 	done      []TxEntry // finished read-only transactions (recording only)
+
+	// sorted is names[:len(sorted)] in ascending order, kept between
+	// checkpoints so one that follows no registration sorts nothing.
+	sortMu sync.Mutex
+	sorted []string
 }
 
 // New returns an empty store. With record set, every publication and
@@ -155,6 +164,7 @@ func (s *Store) Base(x string, st adt.State) {
 		panic("snap: object " + x + " re-based")
 	}
 	s.objs[x] = []version{{seq: s.horizonLocked(), st: st}}
+	s.names = append(s.names, x)
 }
 
 // Publish atomically installs the new committed states of one top-level
@@ -323,13 +333,20 @@ func (p *Pin) Seq() uint64 { return p.seq }
 func (p *Pin) Read(x string) (adt.State, error) {
 	p.s.mu.RLock()
 	defer p.s.mu.RUnlock()
-	chain := p.s.objs[x]
-	// Latest version with seq ≤ p.seq.
-	i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > p.seq }) - 1
-	if i < 0 {
+	st, ok := stateAt(p.s.objs[x], p.seq)
+	if !ok {
 		return nil, fmt.Errorf("snap: object %q has no version at snapshot %d", x, p.seq)
 	}
-	return chain[i].st, nil
+	return st, nil
+}
+
+// stateAt returns the latest version of chain at or below seq.
+func stateAt(chain []version, seq uint64) (adt.State, bool) {
+	i := sort.Search(len(chain), func(i int) bool { return chain[i].seq > seq }) - 1
+	if i < 0 {
+		return nil, false
+	}
+	return chain[i].st, true
 }
 
 // Release drops the pin. Idempotent.
@@ -355,6 +372,59 @@ func (s *Store) Pinned() int {
 	defer s.mu.RUnlock()
 	return s.pinned
 }
+
+// Hold is a checkpoint's claim on the store: the latest publication,
+// settled or not, and the objects registered by then. A durable manager
+// takes it with its log's staging excluded, when every record below the
+// log's next LSN has published and none above it has, so the states it
+// reads are exactly the redo of that prefix — the cut a checkpoint at
+// that LSN must write. Taking it is O(1); reading it is not, and runs
+// with commits flowing.
+type Hold struct {
+	// floor pins the horizon, at or below seq, so trimming keeps every
+	// version the hold reads without a pin out of ascending order.
+	floor *Pin
+	seq   uint64
+	names []string // the objects registered at the hold, in registration order
+}
+
+// Hold holds the store at its latest publication until Release.
+func (s *Store) Hold() *Hold {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return &Hold{
+		floor: &Pin{s: s, seq: s.pinLocked()},
+		seq:   s.seq,
+		names: s.names[:len(s.names):len(s.names)],
+	}
+}
+
+// States yields every object registered at the hold with its state
+// there, in ascending name order. Each read takes the store's read lock
+// alone, so publications interleave with the iteration.
+func (h *Hold) States(yield func(string, adt.State) bool) {
+	s := h.floor.s
+	s.sortMu.Lock()
+	defer s.sortMu.Unlock()
+	if len(s.sorted) != len(h.names) {
+		if len(s.sorted) > len(h.names) {
+			s.sorted = s.sorted[:0]
+		}
+		s.sorted = append(s.sorted, h.names[len(s.sorted):]...)
+		slices.Sort(s.sorted)
+	}
+	for _, x := range s.sorted {
+		s.mu.RLock()
+		st, _ := stateAt(s.objs[x], h.seq)
+		s.mu.RUnlock()
+		if !yield(x, st) {
+			return
+		}
+	}
+}
+
+// Release lets trimming pass the hold. Idempotent.
+func (h *Hold) Release() { h.floor.Release() }
 
 // Versions returns the total number of retained versions across all
 // objects — what chain trimming is bounding. For tests and stats.

@@ -41,18 +41,24 @@ func TestColdBootCheckpointWithZeroSegments(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		h.commit("ctr", adt.CtrAdd{Delta: 1})
 	}
-	if err := lg.Checkpoint(func() map[string]adt.State { return h.states }); err != nil {
+	if err := lg.Checkpoint(h.capture); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	ckpt := lg.Stats().CheckpointLSN
 	if err := lg.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	// Remove the empty post-checkpoint segment: the dir now holds only
-	// the checkpoint file, as after a crash between the checkpoint's
-	// rename and its segment creation reaching the directory.
-	if err := fs.Remove("cold/" + segmentName(ckpt)); err != nil {
-		t.Fatalf("remove segment: %v", err)
+	// Remove every segment — all their records are below the checkpoint:
+	// the dir now holds only the checkpoint file, as after a crash between
+	// an installed snapshot's rename and its segment creation reaching the
+	// directory.
+	names, _ := fs.ReadDir("cold")
+	for _, n := range names {
+		if strings.HasSuffix(n, ".seg") {
+			if err := fs.Remove("cold/" + n); err != nil {
+				t.Fatalf("remove segment: %v", err)
+			}
+		}
 	}
 
 	lg2, rec := mustOpen(t, fs, "cold", Options{})

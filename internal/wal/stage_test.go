@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -177,9 +178,9 @@ func TestLatchedErrorWakesBlockedStagers(t *testing.T) {
 }
 
 // TestCheckpointRetiresParkedTickets: a checkpoint taken while commits
-// are parked on their tickets covers their records, so it retires them
-// itself — they are answered by the time it returns, not by a later
-// empty fsync — and the log it leaves verifies.
+// are parked on their tickets covers their records, so it waits for them
+// to be durable — they are answered by the time it returns — without
+// forcing an fsync of its own on the log, and the log it leaves verifies.
 func TestCheckpointRetiresParkedTickets(t *testing.T) {
 	lg, mem, _, release, syncs := stalledLog(t, Options{})
 	const parked = 8
@@ -191,18 +192,15 @@ func TestCheckpointRetiresParkedTickets(t *testing.T) {
 		}
 		tickets = append(tickets, tk)
 	}
-	// The checkpoint queues behind the stalled flush holding the write
-	// path, so it — not the syncer — is next at the device once the stall
-	// lifts.
+	// The checkpoint captures behind the stalled flush and waits for the
+	// syncer to make its records durable once the stall lifts.
 	ckpt := make(chan error, 1)
 	go func() {
-		ckpt <- lg.Checkpoint(func() map[string]adt.State {
+		ckpt <- lg.Checkpoint(mapCapture(func() map[string]adt.State {
 			return map[string]adt.State{"ctr": adt.Counter{N: parked}}
-		})
+		}))
 	}()
-	for !lg.wmuHeld() {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the checkpoint to start", lg.checkpointing)
 	close(release)
 	if err := <-ckpt; err != nil {
 		t.Fatalf("Checkpoint: %v", err)
@@ -247,10 +245,10 @@ func answered(tk Ticket) (bool, error) {
 	return l.err != nil, l.err
 }
 
-// wmuHeld reports whether some goroutine holds the write path.
-func (l *Log) wmuHeld() bool {
-	if l.wmu.TryLock() {
-		l.wmu.Unlock()
+// checkpointing reports whether a checkpoint is in progress.
+func (l *Log) checkpointing() bool {
+	if l.ckmu.TryLock() {
+		l.ckmu.Unlock()
 		return false
 	}
 	return true
@@ -404,11 +402,93 @@ func TestFailedRotationConsumesNoLSN(t *testing.T) {
 	}
 }
 
-// TestFailedCutoverStillAnswersItsTickets: a checkpoint answers the parked
-// tickets when its seal fsync succeeds — their records are durable then,
-// the checkpoint file being already in place — so a cutover that fails
-// afterwards fails the checkpoint and latches the log, but does not report
-// commits as lost that recovery will find.
+// failTmpFS fails every write to a checkpoint's temporary file while
+// armed; segments are written as usual.
+type failTmpFS struct {
+	FS
+	armed atomic.Bool
+}
+
+func (fs *failTmpFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := fs.FS.OpenFile(name, flag, perm)
+	if err == nil && fs.armed.Load() && strings.HasPrefix(filepath.Base(name), "ckpt-") && strings.HasSuffix(name, ".tmp") {
+		return failingWrites{f}, nil
+	}
+	return f, err
+}
+
+type failingWrites struct{ File }
+
+func (failingWrites) Write([]byte) (int, error) { return 0, ErrInjected }
+
+// TestFailedCheckpointLeavesTheLogUnlatched: a checkpoint whose file
+// write fails — here while commits are parked on a stalled fsync — returns
+// the error, removes its temporary file and leaves the log as it was: the
+// parked tickets are answered by the durable mark, later commits commit,
+// the next checkpoint succeeds, and the log recovers and certifies.
+func TestFailedCheckpointLeavesTheLogUnlatched(t *testing.T) {
+	var fs *failTmpFS
+	lg, mem, _, release, _ := stalledLogOn(t, Options{}, func(inner FS) FS {
+		fs = &failTmpFS{FS: inner}
+		return fs
+	})
+	const parked = 8
+	var tickets []Ticket
+	for i := 1; i <= parked; i++ {
+		tk, err := lg.Stage(bump(i), nil)
+		if err != nil {
+			t.Fatalf("stage %d: %v", i, err)
+		}
+		tickets = append(tickets, tk)
+	}
+	states := map[string]adt.State{"ctr": adt.Counter{N: parked}}
+	fs.armed.Store(true)
+	ckpt := make(chan error, 1)
+	go func() { ckpt <- lg.Checkpoint(mapCapture(func() map[string]adt.State { return states })) }()
+	waitFor(t, "the checkpoint to start", lg.checkpointing)
+	close(release)
+	if err := <-ckpt; !errors.Is(err, ErrInjected) {
+		t.Fatalf("Checkpoint: err = %v, want ErrInjected", err)
+	}
+	for i, tk := range tickets {
+		if err := tk.Wait(); err != nil {
+			t.Fatalf("ticket %d: %v", i, err)
+		}
+	}
+	names, _ := mem.ReadDir("d")
+	for _, n := range names {
+		if strings.HasSuffix(n, ".tmp") {
+			t.Fatalf("failed checkpoint left %s behind", n)
+		}
+	}
+	if st := lg.Stats(); st.CheckpointLSN != 0 {
+		t.Fatalf("failed checkpoint moved the low-water mark to %d", st.CheckpointLSN)
+	}
+	if err := lg.AppendApply(bump(parked+1), nil); err != nil {
+		t.Fatalf("commit after the failed checkpoint: %v", err)
+	}
+	states["ctr"] = adt.Counter{N: parked + 1}
+	fs.armed.Store(false)
+	if err := lg.Checkpoint(mapCapture(func() map[string]adt.State { return states })); err != nil {
+		t.Fatalf("retried checkpoint: %v", err)
+	}
+	if err := lg.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	_, rec := mustOpen(t, mem, "d", Options{})
+	if err := certify(rec); err != nil {
+		t.Fatalf("certify: %v", err)
+	}
+	if got := rec.States()["ctr"].(adt.Counter).N; got != parked+1 || rec.CheckpointLSN != parked+2 {
+		t.Fatalf("recovered ctr = %d from checkpoint %d, want %d from %d", got, rec.CheckpointLSN, parked+1, parked+2)
+	}
+}
+
+// TestFailedCutoverStillAnswersItsTickets: an installed snapshot answers
+// the parked tickets when its seal fsync succeeds — their records are
+// durable then, the checkpoint file being already in place — so a cutover
+// that fails afterwards fails the install and latches the log, but does
+// not report commits as lost that recovery will find.
 func TestFailedCutoverStillAnswersItsTickets(t *testing.T) {
 	var fs *noSegmentFS
 	lg, mem, _, release, _ := stalledLogOn(t, Options{}, func(inner FS) FS {
@@ -424,23 +504,19 @@ func TestFailedCutoverStillAnswersItsTickets(t *testing.T) {
 		}
 		tickets = append(tickets, tk)
 	}
-	ckpt := make(chan error, 1)
+	install := make(chan error, 1)
 	go func() {
-		ckpt <- lg.Checkpoint(func() map[string]adt.State {
-			return map[string]adt.State{"ctr": adt.Counter{N: parked}}
-		})
+		install <- lg.InstallSnapshot(parked+1, map[string]adt.State{"ctr": adt.Counter{N: parked}})
 	}()
-	for !lg.wmuHeld() {
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the install to start", lg.checkpointing)
 	fs.armed.Store(true)
 	close(release)
-	if err := <-ckpt; !errors.Is(err, ErrInjected) {
-		t.Fatalf("Checkpoint: err = %v, want ErrInjected", err)
+	if err := <-install; !errors.Is(err, ErrInjected) {
+		t.Fatalf("InstallSnapshot: err = %v, want ErrInjected", err)
 	}
 	for i, tk := range tickets {
 		if ok, err := answered(tk); !ok {
-			t.Fatalf("ticket %d still parked after the checkpoint returned", i)
+			t.Fatalf("ticket %d still parked after the install returned", i)
 		} else if err != nil {
 			t.Fatalf("ticket %d: %v, but its record is durable", i, err)
 		}
@@ -582,11 +658,11 @@ func TestTicketsAnsweredByTheDurableMark(t *testing.T) {
 	// applied. A checkpoint captures it with staging excluded.
 	var mu sync.Mutex
 	var last struct{ lsn, v uint64 }
-	capture := func() map[string]adt.State {
+	capture := mapCapture(func() map[string]adt.State {
 		mu.Lock()
 		defer mu.Unlock()
 		return map[string]adt.State{"reg": adt.NewRegister(int64(last.v))}
-	}
+	})
 	type staged struct {
 		tk Ticket
 		v  int64

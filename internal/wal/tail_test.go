@@ -101,20 +101,21 @@ func TestTailerStartsMidSegment(t *testing.T) {
 
 func TestTailerTruncatedByCheckpoint(t *testing.T) {
 	fs := NewMemFS()
-	lg, _ := mustOpen(t, fs, "d", Options{})
+	lg, _ := mustOpen(t, fs, "d", Options{SegmentBytes: 512})
 	defer lg.Close()
 	h := newHarness(t, lg)
 	h.register("ctr", adt.Counter{})
 	for i := 0; i < 9; i++ {
 		h.commit("ctr", adt.CtrAdd{Delta: 1})
 	}
-	// A caught-up tailer rides through the truncation: its position equals
-	// the checkpoint LSN, so re-resolving lands on the fresh segment.
+	// A caught-up tailer rides through the truncation: it is in the active
+	// segment, which a checkpoint never removes — only the segments wholly
+	// below its LSN go.
 	tail := NewTailer("d", fs, 0)
 	if recs := mustNext(t, tail, 0, 0); len(recs) != 10 {
 		t.Fatalf("pre-checkpoint tail read %d records, want 10", len(recs))
 	}
-	if err := lg.Checkpoint(func() map[string]adt.State { return h.states }); err != nil {
+	if err := lg.Checkpoint(h.capture); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	if recs := mustNext(t, tail, 0, 0); len(recs) != 0 {
@@ -128,7 +129,7 @@ func TestTailerTruncatedByCheckpoint(t *testing.T) {
 	// From the checkpoint LSN onward, tailing resumes.
 	resumed := NewTailer("d", fs, lg.Stats().CheckpointLSN)
 	if recs := mustNext(t, resumed, 0, 0); len(recs) != 0 {
-		t.Fatalf("resumed tail read %d records from empty post-checkpoint segment", len(recs))
+		t.Fatalf("resumed tail read %d records from the checkpoint LSN on", len(recs))
 	}
 	h.commit("ctr", adt.CtrAdd{Delta: 1})
 	recs := mustNext(t, resumed, 0, 0)
@@ -199,7 +200,7 @@ func TestInstallSnapshot(t *testing.T) {
 	for i := 0; i < 7; i++ {
 		h.commit("ctr", adt.CtrAdd{Delta: 1})
 	}
-	if err := leader.Checkpoint(func() map[string]adt.State { return h.states }); err != nil {
+	if err := leader.Checkpoint(h.capture); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
 	ckpt := leader.Stats().CheckpointLSN
