@@ -173,13 +173,17 @@ func unmarshalRecord(data []byte) (Record, error) {
 // The CRC (Castagnoli) covers the payload bytes only. Anything that does
 // not parse — short header, short payload, checksum mismatch, bad JSON,
 // non-contiguous LSN — marks the torn point: recovery truncates there
-// and never replays a byte past it.
+// and never replays a byte past it. The one exception is a bad frame
+// below the checkpoint, whose record redo does not need: recovery skips
+// it to the checkpoint's own record (see scanDir).
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // maxRecordSize bounds a single record frame; a header claiming more is
-// corruption, not a big record.
-const maxRecordSize = 64 << 20
+// corruption, not a big record. A checkpoint file is one frame bounded
+// only by the file's size (see readCheckpointFile). It is a variable only
+// so tests can lower it.
+var maxRecordSize = 64 << 20
 
 // appendFrame appends the framed encoding of payload to dst.
 func appendFrame(dst, payload []byte) []byte {
@@ -197,6 +201,12 @@ func appendFrame(dst, payload []byte) []byte {
 // empty (clean end). Any malformation returns an error; the caller
 // treats the frame start as the torn point.
 func scanFrame(buf []byte) (payload []byte, frameLen int, err error) {
+	return scanFrameMax(buf, maxRecordSize)
+}
+
+// scanFrameMax is scanFrame for a frame whose payload may be up to limit
+// bytes.
+func scanFrameMax(buf []byte, limit int) (payload []byte, frameLen int, err error) {
 	if len(buf) == 0 {
 		return nil, 0, nil
 	}
@@ -210,7 +220,7 @@ func scanFrame(buf []byte) (payload []byte, frameLen int, err error) {
 		return nil, 0, fmt.Errorf("wal: malformed frame header %q", header)
 	}
 	size, err := strconv.ParseInt(string(header[:sp]), 10, 64)
-	if err != nil || size < 0 || size > maxRecordSize {
+	if err != nil || size < 0 || size > int64(limit) {
 		return nil, 0, fmt.Errorf("wal: bad frame length %q", header[:sp])
 	}
 	sum, err := strconv.ParseUint(string(header[sp+1:]), 16, 32)
@@ -244,9 +254,10 @@ func scanRecord(buf []byte) (Record, int, error) {
 	return r, n, err
 }
 
-// frameRoom is the space stageRecord leaves in front of a record body
-// for what sealFrame writes there: the frame header (length, space, eight
-// hex digits, newline) and `{"lsn":` with up to twenty digits.
+// frameRoom is the space left in front of a payload for what sealFrame
+// writes there — `{"lsn":` with up to twenty digits, then the frame header
+// (a length of at most eight digits, a space, eight hex digits, a newline)
+// — and more than the header of any checkpoint needs.
 const frameRoom = 48
 
 // stageRecord appends frameRoom spare bytes and then r's body to dst.
@@ -255,22 +266,32 @@ func stageRecord(dst []byte, r Record) ([]byte, error) {
 }
 
 // sealFrame completes the record whose body stageRecord put at buf[at:]:
-// it writes the LSN and then the frame header backwards into the room in
-// front of the body and appends the terminator. The frame is out[start:].
+// it writes the LSN in front of the body and then seals the frame. The
+// frame is out[start:].
 func sealFrame(buf []byte, at int, lsn uint64) (out []byte, start int) {
-	before := func(i int, n uint64, base int) int {
-		var digits [20]byte
-		d := strconv.AppendUint(digits[:0], n, base)
-		return i - copy(buf[i-len(d):], d)
-	}
-	i := before(at, lsn, 10)
+	i := putBefore(buf, at, lsn, 10)
 	i -= copy(buf[i-7:], `{"lsn":`)
-	payload := buf[i:]
-	buf[i-1] = '\n'
-	i = before(i-1, uint64(crc32.Checksum(payload, castagnoli)), 16)
+	return sealHeader(buf, i)
+}
+
+// sealHeader frames the payload buf[at:]: it writes the frame header
+// backwards into the room in front of it and appends the terminator. The
+// frame is out[start:].
+func sealHeader(buf []byte, at int) (out []byte, start int) {
+	payload := buf[at:]
+	buf[at-1] = '\n'
+	i := putBefore(buf, at-1, uint64(crc32.Checksum(payload, castagnoli)), 16)
 	buf[i-1] = ' '
-	i = before(i-1, uint64(len(payload)), 10)
+	i = putBefore(buf, i-1, uint64(len(payload)), 10)
 	return append(buf, '\n'), i
+}
+
+// putBefore writes n in base so that it ends just before buf[i], and
+// returns where it starts.
+func putBefore(buf []byte, i int, n uint64, base int) int {
+	var digits [20]byte
+	d := strconv.AppendUint(digits[:0], n, base)
+	return i - copy(buf[i-len(d):], d)
 }
 
 // ---- replication framing ----
