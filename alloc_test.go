@@ -12,6 +12,12 @@ import (
 	"nestedtx/internal/wal"
 )
 
+// raceSlack is what the race detector adds to an allocation budget: it
+// makes sync.Pool drop a quarter of what is put back, at random, so a
+// pooled publication map, effect list or write buffer is now and then
+// made afresh. It is set in race_on_test.go.
+var raceSlack float64
+
 // nestedWorkload registers 32 counters and returns a transaction body
 // shaped like the benchmark's embed_nested: a 15-node binary tree of
 // subtransactions, a write and a read of two different counters in every
@@ -41,14 +47,15 @@ func nestedWorkload(m *Manager) func(*Tx) error {
 }
 
 // TestAccessPathAllocationBudget: on a non-recording manager a
-// transaction allocates what it names — its Tx and its own name — and
-// little else: an access is never named, a cancel channel is made only
+// transaction allocates what it names, its Tx with its name inside, and
+// nothing else: an access is never named, a cancel channel is made only
 // for a wait, children are linked in place, and the publication map and
-// the tree's cross-shard index entry are reused. The code allocates 30
-// and 2 here (15 Tx and 15 names; a Tx and its name); the budgets of 60
-// and 8 leave room for version boxing, and sit far below the 90 and 8 of
-// a manager that named every access and made a channel per transaction,
-// and the 434 and 28 of one that entered every access in the system type.
+// the tree's cross-shard index entry are reused. The code allocates 15
+// and 1 here (15 Tx; one Tx); the budgets of 20 and 2 leave room for
+// version boxing, and sit below the 30 and 2 of a manager that allocated
+// each name apart from its Tx, the 90 and 8 of one that named every
+// access and made a channel per transaction, and the 434 and 28 of one
+// that entered every access in the system type.
 func TestAccessPathAllocationBudget(t *testing.T) {
 	run := func(m *Manager, body func(*Tx) error) func() {
 		return func() {
@@ -60,8 +67,8 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 	nested := NewManager()
 	n := testing.AllocsPerRun(200, run(nested, nestedWorkload(nested)))
 	t.Logf("15-node, 30-access transaction: %.1f allocations", n)
-	if n > 60 {
-		t.Errorf("15-node, 30-access transaction: %.0f allocations, budget 60", n)
+	if n > 20+raceSlack {
+		t.Errorf("15-node, 30-access transaction: %.0f allocations, budget 20 + %.0f", n, raceSlack)
 	}
 	flat := NewManager()
 	flat.MustRegister("a", Counter{})
@@ -75,11 +82,13 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 	}
 	n = testing.AllocsPerRun(200, run(flat, body))
 	t.Logf("flat 2-access transaction: %.1f allocations", n)
-	if n > 8 {
-		t.Errorf("flat 2-access transaction: %.0f allocations, budget 8", n)
+	if n > 2+raceSlack {
+		t.Errorf("flat 2-access transaction: %.0f allocations, budget 2 + %.0f", n, raceSlack)
 	}
 	// Bytes follow the allocator's size classes: a Tx one word over 144 B
 	// is a 160-byte object, and embed_nested allocates 15 per transaction.
+	// The name array is inside those 144 B; a name longer than its 16
+	// bytes costs one more allocation.
 	if n := unsafe.Sizeof(Tx{}); n > 144 {
 		t.Errorf("Tx is %d bytes, over the 144-byte size class", n)
 	}
@@ -87,11 +96,12 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 
 // TestDurableCommitAllocationBudget: a durable commit allocates what
 // outlives it and little more. A transfer of two subtransactions on a
-// durable manager costs its three Tx, their names and the boxed states
-// and results of its two accesses: 9 allocations here. The WAL ticket is
-// answered by the durable mark, and the effect lists, the write buffer
-// and the cross-shard index entry are reused; with each made afresh the
-// same transfer cost 19.
+// durable manager costs its three Tx, each with its name inside, and the
+// boxed states and results of its two accesses: 6 allocations here, 9
+// with each name allocated apart. The WAL ticket is answered by the
+// durable mark, and the effect lists, the write buffer and the
+// cross-shard index entry are reused; with each made afresh the same
+// transfer cost 19.
 func TestDurableCommitAllocationBudget(t *testing.T) {
 	m, _, err := OpenDurable("d", DurableOptions{FS: wal.NewMemFS()})
 	if err != nil {
@@ -118,8 +128,8 @@ func TestDurableCommitAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("durable two-Sub transfer: %.1f allocations", n)
-	if n > 13 {
-		t.Errorf("durable two-Sub transfer: %.1f allocations, budget 13", n)
+	if n > 8+raceSlack {
+		t.Errorf("durable two-Sub transfer: %.1f allocations, budget 8 + %.0f", n, raceSlack)
 	}
 }
 

@@ -187,8 +187,8 @@ func TestFinishedChildrenAreUnlinked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tx.children != nil || len(tx.handles) != 0 {
-		t.Errorf("after 100k returned subtransactions: child %v, %d handles still linked", tx.children, len(tx.handles))
+	if tx.children != nil || tx.handles != nil {
+		t.Errorf("after 100k returned subtransactions: child %v, handle %v still linked", tx.children, tx.handles)
 	}
 	// 99,000 dead children at 160 B apiece would be some 16 MB.
 	if last > first+1<<20 {

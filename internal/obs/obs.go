@@ -30,6 +30,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/bits"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -299,11 +300,14 @@ func NewTracer(capacity int) *Tracer {
 	return &Tracer{buf: make([]TraceEntry, capacity)}
 }
 
-// Trace appends one entry, evicting the oldest when full. Nil-safe.
+// Trace appends one entry, evicting the oldest when full. Nil-safe. The
+// entry keeps a copy of t, not t: a transaction's name lives inside the
+// transaction, and the ring must not keep that alive.
 func (tr *Tracer) Trace(kind, t, object string, dur time.Duration) {
 	if tr == nil {
 		return
 	}
+	t = strings.Clone(t)
 	now := time.Now().UnixNano()
 	tr.mu.Lock()
 	tr.seq++

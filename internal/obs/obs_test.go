@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestHistogramBuckets(t *testing.T) {
@@ -116,6 +117,19 @@ func TestTracerRingWrapAround(t *testing.T) {
 		if want := fmt.Sprintf("T0.%d", 6+i); e.T != want {
 			t.Errorf("entry %d T = %q, want %q", i, e.T, want)
 		}
+	}
+}
+
+// TestTracerKeepsACopyOfTheName: a transaction's name is a string over
+// memory of its Tx, and the ring copies it rather than keep the Tx alive.
+// Here the traced name's bytes change after Trace; the entry does not.
+func TestTracerKeepsACopyOfTheName(t *testing.T) {
+	tr := NewTracer(2)
+	b := []byte("T0.5")
+	tr.Trace("CREATE", unsafe.String(unsafe.SliceData(b), len(b)), "", 0)
+	b[3] = '6'
+	if got := tr.Dump()[0].T; got != "T0.5" {
+		t.Errorf("traced name reads %q after its source changed, want T0.5", got)
 	}
 }
 

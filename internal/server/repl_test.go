@@ -620,3 +620,68 @@ func TestReadsServedDuringPromotion(t *testing.T) {
 		t.Fatalf("STATE after promotion = %v, %v; want 8", st, err)
 	}
 }
+
+// TestPromotingALatchedFollowerIsRefused: a crash under a follower's own
+// directory latches its log and ends Follower.Run with the fault. A
+// promotion of that follower is refused, every time, with an error
+// wrapping the fault: closing the replica's log returns it, and recovery
+// could not read the dead device anyway. The node stays a read replica,
+// and METRICS still reports it as one.
+func TestPromotingALatchedFollowerIsRefused(t *testing.T) {
+	fs := wal.NewMemFS()
+	mgr, _, leaderAddr := startLeader(t, fs, "leader")
+	mgr.MustRegister("ctr", nestedtx.Counter{})
+	device := wal.NewFaultFS(fs)
+	f, err := repl.OpenFollower("follower", wal.Options{FS: device})
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	fsrv, followerAddr := start(t, nil, server.Config{Follower: f})
+	ran := make(chan error, 1)
+	go func() { ran <- f.Run(leaderAddr) }()
+	commit := func() error {
+		return mgr.Run(func(tx *nestedtx.Tx) error {
+			_, err := tx.Write("ctr", nestedtx.CtrAdd{Delta: 1})
+			return err
+		})
+	}
+	for i := 0; i < 3; i++ {
+		if err := commit(); err != nil {
+			t.Fatalf("leader commit: %v", err)
+		}
+	}
+	waitUntil(t, "follower caught up", func() bool { return caughtUpState(f, mgr, "ctr", 3) })
+
+	device.CrashAfter(0)
+	var runErr error
+	for runErr == nil {
+		if err := commit(); err != nil {
+			t.Fatalf("leader commit: %v", err)
+		}
+		select {
+		case runErr = <-ran:
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	if !errors.Is(runErr, wal.ErrInjected) {
+		t.Fatalf("Follower.Run = %v, want the fault %v", runErr, wal.ErrInjected)
+	}
+	for i := 1; i <= 2; i++ {
+		_, err := fsrv.Promote()
+		if !errors.Is(err, wal.ErrInjected) {
+			t.Fatalf("Promote #%d = %v, want a refusal wrapping %v", i, err, wal.ErrInjected)
+		}
+		t.Logf("Promote #%d: %v", i, err)
+	}
+	c := dial(t, followerAddr)
+	met, err := c.Metrics(false)
+	if err != nil {
+		t.Fatalf("METRICS after the refused promotions: %v", err)
+	}
+	if met.ReplStatus == nil || met.ReplStatus.Role != "follower" {
+		t.Fatalf("METRICS repl_status = %+v, want role follower", met.ReplStatus)
+	}
+	if _, err := c.Begin(); !errors.Is(err, client.ErrReadOnly) {
+		t.Errorf("BEGIN on the refused follower: err = %v, want ErrReadOnly", err)
+	}
+}

@@ -261,3 +261,27 @@ func TestChildIsOneAllocation(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestAppendChildIsChild: AppendChild writes exactly the bytes of Child
+// after whatever dst holds, and into dst's own array when it has room.
+func TestAppendChildIsChild(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	for n := 0; n < 1000; n++ {
+		p := Root
+		for d := r.Intn(5); d > 0; d-- {
+			p = p.Child(r.Intn(1000))
+		}
+		i := r.Intn(1 << 30)
+		if n%10 == 0 {
+			i = 1e12 + i
+		}
+		got := AppendChild([]byte("x"), p, i)
+		if want := "x" + string(p.Child(i)); string(got) != want {
+			t.Fatalf("AppendChild(%q, %d) = %q, want %q", p, i, got, want)
+		}
+	}
+	var buf [16]byte
+	if n := testing.AllocsPerRun(100, func() { _ = AppendChild(buf[:0], "T0.12", 345) }); n != 0 {
+		t.Errorf("AppendChild into room: %v allocations per call, want 0", n)
+	}
+}

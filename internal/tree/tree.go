@@ -42,6 +42,15 @@ func (t TID) Child(i int) TID {
 	return TID(string(t) + sep + string(strconv.AppendInt(d[:0], int64(i), 10)))
 }
 
+// AppendChild appends the name of the i'th child of t to dst and returns
+// the extended slice: the bytes of t.Child(i), built in the caller's
+// memory.
+func AppendChild(dst []byte, t TID, i int) []byte {
+	dst = append(dst, t...)
+	dst = append(dst, sep...)
+	return strconv.AppendInt(dst, int64(i), 10)
+}
+
 // IsRoot reports whether t is the root transaction T0.
 func (t TID) IsRoot() bool { return t == Root }
 

@@ -1,8 +1,11 @@
 package nestedtx_test
 
 import (
+	"go/parser"
+	"go/token"
 	"os/exec"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -126,6 +129,38 @@ func TestPublishedNumbersAreDeclaredInObs(t *testing.T) {
 	for _, dep := range inModule("nestedtx/client") {
 		if dep == "nestedtx/internal/server" || dep == "nestedtx/internal/lockmgr" {
 			t.Errorf("client imports %s", dep)
+		}
+	}
+}
+
+// TestUnsafeIsConfined: one function aliases memory, Manager.begin, which
+// makes a transaction's name a string over bytes inside its Tx. No other
+// package of the module imports unsafe outside its tests, and within the
+// root package only tx.go does.
+func TestUnsafeIsConfined(t *testing.T) {
+	out, err := exec.Command("go", "list", "-f", `{{.ImportPath}} {{join .Imports " "}}`, "nestedtx/...").Output()
+	if err != nil {
+		t.Fatalf("go list nestedtx/...: %v", err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		f := strings.Fields(line)
+		if f[0] != "nestedtx" && slices.Contains(f[1:], "unsafe") {
+			t.Errorf("%s imports unsafe", f[0])
+		}
+	}
+	out, err = exec.Command("go", "list", "-f", `{{join .GoFiles " "}}`, "nestedtx").Output()
+	if err != nil {
+		t.Fatalf("go list nestedtx: %v", err)
+	}
+	for _, name := range strings.Fields(string(out)) {
+		file, err := parser.ParseFile(token.NewFileSet(), name, nil, parser.ImportsOnly)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, imp := range file.Imports {
+			if path, _ := strconv.Unquote(imp.Path.Value); path == "unsafe" && name != "tx.go" {
+				t.Errorf("%s imports unsafe", name)
+			}
 		}
 	}
 }

@@ -260,7 +260,7 @@ func (m *Manager) Metrics() *obs.Metrics { return m.met }
 // T0) and returns it open: the paper's interface, one operation at a
 // time. The caller owes it exactly one [Tx.Commit] or [Tx.Abort].
 func (m *Manager) Begin() *Tx {
-	return m.begin(nil, tree.Root.Child(int(m.nextTop.Add(1)-1)))
+	return m.begin(nil, tree.Root, int(m.nextTop.Add(1)-1))
 }
 
 // Run executes fn as a top-level transaction: Begin, the body, and

@@ -3,10 +3,10 @@ package nestedtx
 import (
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"nestedtx/internal/clock"
 	"nestedtx/internal/event"
@@ -23,8 +23,8 @@ import (
 // gets its own Tx.
 type Tx struct {
 	mgr    *Manager
-	parent *Tx // nil for a top-level transaction
-	id     tree.TID
+	parent *Tx      // nil for a top-level transaction
+	id     tree.TID // in name when it fits (see Manager.begin)
 
 	// cancel closes when the transaction is aborted from outside (Cancel,
 	// or an ancestor aborting); blocked accesses unblock with ErrAborted.
@@ -32,11 +32,14 @@ type Tx struct {
 	// under mu, and a transaction that never waits has none.
 	cancel chan struct{}
 	// start is the creation time as an offset from epoch: 8 bytes where a
-	// time.Time is 24, which keeps Tx inside its 160-byte size class.
+	// time.Time is 24, which keeps Tx inside its 144-byte size class.
 	start time.Duration
 
-	mu      sync.Mutex
-	handles []*Handle // Go children whose outcome end still has to see
+	mu sync.Mutex
+	// handles is the newest Go child whose outcome end still has to see,
+	// linked to older ones through Handle.older; a committed child
+	// unlinks itself, so what stays is what failed.
+	handles *Handle
 	// children is the newest open child transaction; each open child's
 	// older and newer link it to its open siblings, under the parent's mu.
 	// Cancel cascades along the list oldest first, end aborts it newest
@@ -53,6 +56,7 @@ type Tx struct {
 	nextChild int32
 	done      bool // returned: committed or aborted
 	aborted   bool // cancelled; all that is left is to abort
+	name      [16]byte
 }
 
 // epoch anchors every Tx.start on the monotonic clock.
@@ -239,6 +243,7 @@ type Handle struct {
 	done     chan struct{}
 	err      error
 	observed atomic.Bool
+	older    *Handle // next on the parent's list, under its mu
 }
 
 // Wait blocks until the subtransaction returns and reports whether it
@@ -269,40 +274,45 @@ func (tx *Tx) Go(fn func(*Tx) error) *Handle {
 	}
 	h.id = c.id
 	tx.mu.Lock()
-	tx.handles = append(tx.handles, h)
+	h.older, tx.handles = tx.handles, h
 	tx.mu.Unlock()
 	go func() {
 		defer close(h.done)
 		if h.err = c.run(fn); h.err == nil {
-			// A committed child owes its parent's finish nothing.
+			// A committed child owes its parent's finish nothing. The
+			// scan starts at the newest, the usual one out.
 			tx.mu.Lock()
-			tx.handles = unlink(tx.handles, h)
+			p := &tx.handles
+			for *p != h {
+				p = &(*p).older
+			}
+			*p = h.older
 			tx.mu.Unlock()
 		}
 	}()
 	return h
 }
 
-// unlink removes x from s, scanning from the tail: the last one in is
-// the usual one out.
-func unlink[T comparable](s []T, x T) []T {
-	for i := len(s) - 1; i >= 0; i-- {
-		if s[i] == x {
-			return slices.Delete(s, i, i+1)
-		}
-	}
-	return s
-}
-
-// begin creates transaction id under parent (nil for top level):
-// REQUEST_CREATE and CREATE.
-func (m *Manager) begin(parent *Tx, id tree.TID) *Tx {
+// begin creates transaction pid.k under parent (nil for top level):
+// REQUEST_CREATE and CREATE. The Tx and its name are one allocation: the
+// name is appended into tx.name, and only a name longer than that spills
+// to an array of its own, as pid.Child(k) would allocate it.
+//
+// tx.id aliases those bytes, which is safe because they never change
+// under it: they are written here, once, before tx.id exists; a Tx is
+// never reused; and vet's copylocks check (Tx holds a sync.Mutex)
+// forbids copying one. Every copy of the name points into the Tx, so the
+// collector keeps the Tx alive for as long as any copy is reachable.
+func (m *Manager) begin(parent *Tx, pid tree.TID, k int) *Tx {
+	tx := &Tx{mgr: m, parent: parent, start: time.Since(epoch)}
+	b := tree.AppendChild(tx.name[:0], pid, k)
+	tx.id = tree.TID(unsafe.String(unsafe.SliceData(b), len(b)))
 	m.rec.RecordAll(
-		event.Event{Kind: event.RequestCreate, T: id},
-		event.Event{Kind: event.Create, T: id},
+		event.Event{Kind: event.RequestCreate, T: tx.id},
+		event.Event{Kind: event.Create, T: tx.id},
 	)
-	m.met.Trace(event.Create.String(), string(id), "", 0)
-	return &Tx{mgr: m, parent: parent, id: id, start: time.Since(epoch)}
+	m.met.Trace(event.Create.String(), string(tx.id), "", 0)
+	return tx
 }
 
 // Begin creates a subtransaction of tx and returns it open; the caller
@@ -315,7 +325,7 @@ func (tx *Tx) Begin() (*Tx, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := tx.mgr.begin(tx, tx.id.Child(k))
+	c := tx.mgr.begin(tx, tx.id, k)
 	if c.older = tx.children; c.older != nil {
 		c.older.newer = c
 	}
@@ -466,15 +476,19 @@ func (tx *Tx) settle(commit bool) (err error) {
 	if !commit {
 		tx.Cancel() // unblock descendants waiting on locks
 	}
+	// The walk goes newest to oldest, so the failure reported is the
+	// oldest. A child unlinked meanwhile keeps its older link, so the
+	// walk misses none of the list.
 	tx.mu.Lock()
-	handles := slices.Clone(tx.handles)
-	tx.mu.Unlock()
-	for _, h := range handles {
+	for h := tx.handles; h != nil; h = h.older {
+		tx.mu.Unlock()
 		<-h.done
-		if err == nil && h.err != nil && !h.observed.Load() {
+		if h.err != nil && !h.observed.Load() {
 			err = fmt.Errorf("nestedtx: unawaited subtransaction %s failed: %w", h.id, h.err)
 		}
+		tx.mu.Lock()
 	}
+	tx.mu.Unlock()
 	for !commit {
 		tx.mu.Lock()
 		c := tx.children
