@@ -184,6 +184,7 @@ func (f *Follower) stream(leader string) error {
 	}
 	f.noteConnected(leader, resp.Repl.DurableLSN)
 
+	var in *wire.Repl // a snapshot whose pieces are still arriving
 	for {
 		conn.SetReadDeadline(time.Now().Add(replReadTimeout))
 		resp, err := wire.ReadResponse(br)
@@ -193,13 +194,15 @@ func (f *Follower) stream(leader string) error {
 		if resp.Repl == nil {
 			continue
 		}
-		switch resp.Repl.Kind {
-		case wire.ReplSnapshot:
-			err = f.installSnapshot(resp.Repl)
-		case wire.ReplBatch:
+		switch kind := resp.Repl.Kind; {
+		case kind == wire.ReplSnapshot:
+			in, err = f.installSnapshot(in, resp.Repl)
+		case in != nil:
+			err = fmt.Errorf("repl: %s frame inside the snapshot at %d", kind, in.NextLSN)
+		case kind == wire.ReplBatch:
 			err = f.applyBatch(resp.Repl)
 		default:
-			err = fmt.Errorf("repl: unknown stream frame kind %q", resp.Repl.Kind)
+			err = fmt.Errorf("repl: unknown stream frame kind %q", kind)
 		}
 		if err != nil {
 			return err
@@ -276,21 +279,28 @@ func (f *Follower) applyBatch(r *wire.Repl) error {
 	return nil
 }
 
-// installSnapshot replaces the local log and store with the leader's
-// checkpoint — the catch-up path for a follower below the leader's
-// low-water mark.
-func (f *Follower) installSnapshot(r *wire.Repl) error {
+// installSnapshot adds a piece of the leader's checkpoint file to in, the
+// snapshot so far, and returns it; once the file is whole it replaces the
+// local log and store with it and returns nil — the catch-up path for a
+// follower below the leader's low-water mark. A piece that does not
+// continue in, or a file that is not a checkpoint, fails the stream only.
+func (f *Follower) installSnapshot(in, r *wire.Repl) (*wire.Repl, error) {
 	f.noteLeaderDurable(r.DurableLSN)
-	states := make(map[string]adt.State, len(r.States))
-	for x, raw := range r.States {
-		st, err := adt.DecodeState(raw)
-		if err != nil {
-			return fmt.Errorf("repl: snapshot state %q: %w", x, err)
-		}
-		states[x] = st
+	if in == nil {
+		in = &wire.Repl{NextLSN: r.NextLSN, Count: r.Count}
 	}
-	if err := f.log.InstallSnapshot(r.NextLSN, states); err != nil {
-		return fmt.Errorf("%w: %w", errOwnLog, err)
+	if r.NextLSN != in.NextLSN || r.Count != in.Count || len(r.Frames) > in.Count-len(in.Frames) {
+		return nil, fmt.Errorf("repl: snapshot piece does not continue the %d B file at %d", in.Count, in.NextLSN)
+	}
+	if in.Frames = append(in.Frames, r.Frames...); len(in.Frames) < in.Count {
+		return in, nil
+	}
+	states, err := f.log.InstallSnapshot(in.Frames)
+	if errors.Is(err, wal.ErrBadSnapshot) {
+		return nil, fmt.Errorf("repl: snapshot at %d: %w", in.NextLSN, err)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", errOwnLog, err)
 	}
 	// The old version chains describe a history this checkpoint replaces;
 	// swap in a fresh store. Pins already taken keep reading the old
@@ -298,11 +308,11 @@ func (f *Follower) installSnapshot(r *wire.Repl) error {
 	sn := newStore(states)
 	f.mu.Lock()
 	f.snap = sn
-	f.applied = r.NextLSN
+	f.applied = f.log.Stats().NextLSN // the file's LSN: only this goroutine stages
 	f.progress = time.Now()
 	f.mu.Unlock()
 	f.publishLag()
-	return nil
+	return nil, nil
 }
 
 func (f *Follower) noteConnected(leader string, leaderDurable uint64) {

@@ -2,10 +2,14 @@ package repl
 
 import (
 	"bufio"
-	"encoding/json"
+	"bytes"
 	"errors"
+	"fmt"
+	"io"
 	"maps"
 	"net"
+	"os"
+	"path/filepath"
 	"reflect"
 	"slices"
 	"strings"
@@ -488,6 +492,31 @@ func TestDivergenceIsFatal(t *testing.T) {
 	}
 }
 
+// checkpointFile returns the checkpoint file a log writes of states at lsn.
+func checkpointFile(t *testing.T, lsn uint64, states map[string]adt.State) []byte {
+	t.Helper()
+	fs := wal.NewMemFS()
+	src := newLeaderLog(t, fs, "src", wal.Options{})
+	defer src.lg.Close()
+	for src.lg.Stats().NextLSN < lsn {
+		src.register("pad", adt.Counter{})
+	}
+	src.states = states
+	if err := src.lg.Checkpoint(src.capture); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	_, file, err := wal.ReadCheckpoint("src", fs)
+	if err != nil {
+		t.Fatalf("ReadCheckpoint: %v", err)
+	}
+	return file
+}
+
+// snapshotPiece is a snapshot frame carrying all of file, a checkpoint at lsn.
+func snapshotPiece(lsn uint64, file []byte) *wire.Repl {
+	return &wire.Repl{Kind: wire.ReplSnapshot, NextLSN: lsn, Count: len(file), Frames: file}
+}
+
 // TestInstallSnapshotSwapsStore: a checkpoint install replaces the store;
 // a read-only transaction opened before keeps its pre-checkpoint prefix,
 // State and new transactions see the checkpoint, and a closed one fails
@@ -501,13 +530,8 @@ func TestInstallSnapshotSwapsStore(t *testing.T) {
 	}
 	old := f.Store().Begin(f.Metrics())
 
-	raw, err := adt.EncodeState(adt.Counter{N: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.installSnapshot(&wire.Repl{Kind: wire.ReplSnapshot, NextLSN: 50,
-		States: map[string]json.RawMessage{"ctr": raw}}); err != nil {
-		t.Fatalf("installSnapshot: %v", err)
+	if in, err := f.installSnapshot(nil, snapshotPiece(50, checkpointFile(t, 50, map[string]adt.State{"ctr": adt.Counter{N: 100}}))); err != nil || in != nil {
+		t.Fatalf("installSnapshot = %v, %v; want it installed", in, err)
 	}
 	if v, err := old.Read("ctr", adt.CtrGet{}); err != nil || v != int64(3) {
 		t.Fatalf("pre-install transaction read %v, %v; want its own prefix's 3", v, err)
@@ -526,5 +550,162 @@ func TestInstallSnapshotSwapsStore(t *testing.T) {
 	}
 	if n := f.Metrics().SnapPinned.Load(); n != 1 {
 		t.Fatalf("pinned gauge = %d, want only the open transaction", n)
+	}
+}
+
+// TestBadSnapshotRedials: a snapshot the stream got wrong — a flipped
+// byte, a file that is not one whole checkpoint frame, pieces that overrun
+// the length or change the LSN or length the first one gave — is refused
+// as the stream's fault, not the log's: the follower would redial, its
+// log neither latched nor touched, and a good snapshot installs after.
+func TestBadSnapshotRedials(t *testing.T) {
+	file := checkpointFile(t, 50, map[string]adt.State{"ctr": adt.Counter{N: 100}})
+	half := len(file) / 2
+	flipped := bytes.Clone(file)
+	flipped[half] ^= 1
+	piece := func(lsn uint64, count int, b []byte) *wire.Repl {
+		return &wire.Repl{Kind: wire.ReplSnapshot, NextLSN: lsn, Count: count, Frames: b}
+	}
+	for name, pieces := range map[string][]*wire.Repl{
+		"a flipped byte":   {piece(50, len(file), flipped[:half]), piece(50, len(file), flipped[half:])},
+		"two frames":       {piece(50, 2*len(file), file), piece(50, 2*len(file), file)},
+		"a torn file":      {snapshotPiece(50, file[:len(file)-1])},
+		"an overrun":       {piece(50, half, file)},
+		"a changed LSN":    {piece(50, len(file), file[:half]), piece(51, len(file), file[half:])},
+		"a changed length": {piece(50, len(file), file[:half]), piece(50, len(file)+1, file[half:])},
+		"an empty file":    {piece(50, 0, nil)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := wal.NewMemFS()
+			f, err := OpenFollower("follower", wal.Options{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := f.applyBatch(batchOf(t, 0, wal.Record{Register: &wal.RegisterRecord{Name: "ctr", Initial: adt.Counter{}}})); err != nil {
+				t.Fatal(err)
+			}
+			stats, dir := f.log.Stats(), dirBytes(t, fs, "follower")
+			var in *wire.Repl
+			for _, p := range pieces {
+				if in, err = f.installSnapshot(in, p); err != nil {
+					break
+				}
+			}
+			if err == nil || errors.Is(err, errOwnLog) {
+				t.Fatalf("installSnapshot = %v, want a stream error, not the log's", err)
+			}
+			if got := f.log.Stats(); got != stats {
+				t.Fatalf("log moved to %+v from %+v", got, stats)
+			}
+			if got := dirBytes(t, fs, "follower"); !reflect.DeepEqual(got, dir) {
+				t.Fatalf("directory changed: %v, was %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(dir)))
+			}
+			if in, err := f.installSnapshot(nil, snapshotPiece(50, file)); err != nil || in != nil {
+				t.Fatalf("good snapshot after the bad one: %v, %v", in, err)
+			}
+			if st, err := f.State("ctr"); err != nil || st.(adt.Counter).N != 100 {
+				t.Fatalf("State after install = %v, %v; want the checkpoint's 100", st, err)
+			}
+		})
+	}
+}
+
+// dirBytes reads every file in dir.
+func dirBytes(t *testing.T, fs wal.FS, dir string) map[string]string {
+	t.Helper()
+	names, err := fs.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]string)
+	for _, n := range names {
+		fl, err := fs.OpenFile(filepath.Join(dir, n), os.O_RDONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := io.ReadAll(fl)
+		fl.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[n] = string(b)
+	}
+	return out
+}
+
+// TestBatchInsideASnapshotRedials: a batch between the pieces of a
+// snapshot ends the stream as the stream's fault, and the pieces received
+// go with the connection: the log is as it was.
+func TestBatchInsideASnapshotRedials(t *testing.T) {
+	file := checkpointFile(t, 50, map[string]adt.State{"ctr": adt.Counter{N: 100}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		br, bw := bufio.NewReader(c), bufio.NewWriter(c)
+		if _, err := wire.ReadRequest(br); err != nil {
+			return
+		}
+		piece := snapshotPiece(50, file)
+		piece.Frames = file[:10]
+		for _, r := range []*wire.Repl{{Kind: wire.ReplHello}, piece, {Kind: wire.ReplBatch}} {
+			if wire.WriteFrameMax(bw, &wire.Response{OK: true, Repl: r}, wire.MaxResponseSize) != nil {
+				return
+			}
+		}
+		io.Copy(io.Discard, br) // the acks, until the follower hangs up
+	}()
+	f := replayFollower(t)
+	stats := f.log.Stats()
+	if err := f.stream(ln.Addr().String()); err == nil || errors.Is(err, errOwnLog) || !strings.Contains(err.Error(), "inside the snapshot") {
+		t.Fatalf("stream = %v, want the batch inside the snapshot refused", err)
+	}
+	if got := f.log.Stats(); got != stats {
+		t.Fatalf("log moved to %+v from %+v", got, stats)
+	}
+}
+
+// TestSnapshotLargerThanAResponseCatchesUp: a checkpoint larger than one
+// response frame may carry still bootstraps a fresh follower, which ends
+// up holding the leader's checkpoint file byte for byte.
+func TestSnapshotLargerThanAResponseCatchesUp(t *testing.T) {
+	fs := wal.NewMemFS()
+	leader := newLeaderLog(t, fs, "leader", wal.Options{SegmentBytes: 1 << 20})
+	defer leader.lg.Close()
+	big := strings.Repeat("x", 100<<10)
+	for i := 0; i*len(big) <= wire.MaxResponseSize; i++ {
+		leader.register(fmt.Sprintf("r%03d", i), adt.NewRegister(big))
+	}
+	if err := leader.lg.Checkpoint(leader.capture); err != nil {
+		t.Fatalf("Checkpoint: %v", err)
+	}
+	leader.register("ctr", adt.Counter{})
+	lsn, file, err := wal.ReadCheckpoint("leader", fs)
+	if err != nil || len(file) <= wire.MaxResponseSize {
+		t.Fatalf("leader checkpoint of %d B, %v; want more than %d B", len(file), err, wire.MaxResponseSize)
+	}
+	addr, stop := serveShipper(t, NewShipper(leader.lg, nil))
+	defer stop()
+	f, err := OpenFollower("follower", wal.Options{FS: fs})
+	if err != nil {
+		t.Fatalf("OpenFollower: %v", err)
+	}
+	defer f.Close()
+	go f.Run(addr)
+	waitFor(t, "snapshot catch-up", func() bool {
+		return f.Status().NextLSN == leader.lg.DurableLSN()
+	})
+	wantStates(t, f, leader.states)
+	got, installed, err := wal.ReadCheckpoint("follower", fs)
+	if err != nil || got != lsn || !bytes.Equal(installed, file) {
+		t.Fatalf("follower checkpoint at %d of %d B (%v) is not the leader's %d B at %d", got, len(installed), err, len(file), lsn)
 	}
 }

@@ -27,7 +27,6 @@ package repl
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -40,9 +39,9 @@ import (
 )
 
 const (
-	// maxBatchRecords and maxBatchBytes bound one REPL_BATCH frame. The
-	// byte bound is on encoded record frames; with JSON/base64 overhead
-	// the wire frame stays well under wire.MaxResponseSize.
+	// maxBatchRecords and maxBatchBytes bound one REPL_BATCH frame, the
+	// byte bound one snapshot piece too; with JSON/base64 overhead the
+	// wire frame stays well under wire.MaxResponseSize.
 	maxBatchRecords = 512
 	maxBatchBytes   = 256 << 10
 
@@ -216,7 +215,6 @@ func (sh *Shipper) sendBatch(bw *bufio.Writer, f *followerConn, recs []wal.Recor
 		FirstLSN:   recs[0].LSN,
 		Count:      len(recs),
 		DurableLSN: sh.log.DurableLSN(),
-		SentUnixNS: now.UnixNano(),
 		Frames:     frames,
 	}}, wire.MaxResponseSize); err != nil {
 		return err
@@ -235,32 +233,29 @@ func (sh *Shipper) sendHeartbeat(bw *bufio.Writer) error {
 	return wire.WriteFrameMax(bw, &wire.Response{OK: true, Repl: &wire.Repl{
 		Kind:       wire.ReplBatch,
 		DurableLSN: sh.log.DurableLSN(),
-		SentUnixNS: time.Now().UnixNano(),
 	}}, wire.MaxResponseSize)
 }
 
-// sendSnapshot ships the newest on-disk checkpoint and returns its LSN
-// (the position tailing resumes from). It reads that one file and ships
-// each state in the encoding it was written in, and needs no
-// coordination with the writer.
+// sendSnapshot ships the newest on-disk checkpoint file as written, in
+// pieces of at most maxBatchBytes, and returns its LSN (the position
+// tailing resumes from). It needs no coordination with the writer.
 func (sh *Shipper) sendSnapshot(bw *bufio.Writer) (uint64, error) {
-	states := make(map[string]json.RawMessage)
-	lsn, err := wal.ReadCheckpoint(sh.log.Dir(), sh.log.FS(), func(x string, raw []byte) {
-		states[x] = raw
-	})
+	lsn, file, err := wal.ReadCheckpoint(sh.log.Dir(), sh.log.FS())
 	if err != nil {
 		// A truncated tail position with no checkpoint on disk cannot
 		// happen (truncation is what checkpoints do).
 		return 0, fmt.Errorf("repl: tail truncated: %w", err)
 	}
-	if err := wire.WriteFrameMax(bw, &wire.Response{OK: true, Repl: &wire.Repl{
-		Kind:       wire.ReplSnapshot,
-		NextLSN:    lsn,
-		DurableLSN: sh.log.DurableLSN(),
-		SentUnixNS: time.Now().UnixNano(),
-		States:     states,
-	}}, wire.MaxResponseSize); err != nil {
-		return 0, err
+	for at := 0; at < len(file); at += maxBatchBytes {
+		if err := wire.WriteFrameMax(bw, &wire.Response{OK: true, Repl: &wire.Repl{
+			Kind:       wire.ReplSnapshot,
+			NextLSN:    lsn,
+			Count:      len(file),
+			DurableLSN: sh.log.DurableLSN(),
+			Frames:     file[at:min(at+maxBatchBytes, len(file))],
+		}}, wire.MaxResponseSize); err != nil {
+			return 0, err
+		}
 	}
 	return lsn, nil
 }

@@ -1,12 +1,11 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
 	"iter"
-	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"strconv"
 	"strings"
 
@@ -55,7 +54,7 @@ type Capture func(next uint64) Cut
 func (l *Log) Checkpoint(capture Capture) error {
 	l.ckmu.Lock()
 	defer l.ckmu.Unlock()
-	cut, sealed, err := l.capture(capture)
+	cut, err := l.capture(capture)
 	if err != nil {
 		return err
 	}
@@ -82,36 +81,38 @@ func (l *Log) Checkpoint(capture Capture) error {
 	}
 	l.removeBelow(cut.LSN)
 	l.mu.Lock()
-	l.ckptLSN, l.ckptBytes, l.ckptSealed = cut.LSN, int64(len(frame)), sealed
+	l.ckptLSN, l.ckptBytes = cut.LSN, int64(len(frame))
+	// A cut covers the segments whose successor starts at or below it. One
+	// that trails the log (a follower's) leaves those above it to the redo.
+	for len(l.sealedSegs) > 0 && l.sealedSegs[0].end <= cut.LSN {
+		l.uncovered, l.sealedSegs = l.uncovered-l.sealedSegs[0].size, l.sealedSegs[1:]
+	}
 	l.mu.Unlock()
 	l.met.ObserveCheckpoint(cut.LSN)
 	return nil
 }
 
-// capture runs capture with staging excluded, and returns the sealed
-// volume the cut accounts for.
-func (l *Log) capture(capture Capture) (Cut, int64, error) {
+// capture runs capture with staging excluded.
+func (l *Log) capture(capture Capture) (Cut, error) {
 	l.gate.Lock()
 	defer l.gate.Unlock()
 	l.wmu.Lock()
 	next, closed := l.nextLSN, l.closed
 	l.wmu.Unlock()
 	if closed {
-		return Cut{}, 0, fmt.Errorf("wal: log closed")
+		return Cut{}, fmt.Errorf("wal: log closed")
 	}
 	if err := l.failed(); err != nil {
-		return Cut{}, 0, err
+		return Cut{}, err
 	}
 	cut := capture(next)
 	if cut.LSN > next {
 		if cut.Release != nil {
 			cut.Release()
 		}
-		return Cut{}, 0, fmt.Errorf("wal: checkpoint at %d past the log's end %d", cut.LSN, next)
+		return Cut{}, fmt.Errorf("wal: checkpoint at %d past the log's end %d", cut.LSN, next)
 	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return cut, l.sealedBytes, nil
+	return cut, nil
 }
 
 // AutoCheckpoint makes the log checkpoint itself with capture once the
@@ -131,16 +132,24 @@ func (l *Log) AutoCheckpoint(capture Capture) {
 // dueLocked reports whether the sealed volume calls for a checkpoint.
 // Caller holds mu.
 func (l *Log) dueLocked() bool {
-	return l.auto != nil && l.sealedBytes-l.ckptSealed > max(4*l.segLimit, l.ckptBytes)
+	return l.auto != nil && l.uncovered > max(4*l.segLimit, l.ckptBytes)
 }
 
-// sealed accounts a segment of n bytes sealed by rotation and starts a
-// checkpoint if one is due and none is running. Called with wmu held, so
-// never after Close has set closed.
-func (l *Log) sealed(n int64) {
+// sealedSeg is a sealed segment: its size and where its successor starts.
+type sealedSeg struct {
+	end  uint64
+	size int64
+}
+
+// sealed accounts a segment of n bytes, sealed by rotation or found by
+// recovery, whose successor starts at end; it then starts a checkpoint if
+// one is due and none is running. Called with wmu held, so never after
+// Close has set closed.
+func (l *Log) sealed(n int64, end uint64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.sealedBytes += n
+	l.uncovered += n
+	l.sealedSegs = append(l.sealedSegs, sealedSeg{end, n})
 	if !l.autoRunning && l.dueLocked() {
 		l.autoRunning = true
 		go l.autoCheckpoint(l.auto)
@@ -187,16 +196,24 @@ func (l *Log) removeBelow(lsn uint64) {
 	}
 }
 
-// InstallSnapshot replaces the log's entire contents with a checkpoint
-// at nextLSN holding states — the follower bootstrap path when its
-// position has fallen below the leader's low-water mark: the records the
-// follower is missing were truncated by the leader's checkpoints, so the
-// follower adopts the leader's checkpoint wholesale and resumes
-// streaming from nextLSN. Installing a snapshot behind the log's current
-// position is refused (the log would have to forget durable records).
-// Unlike Checkpoint it holds the write path throughout: it moves the
-// log's position, so nothing may stage until the new segment is open.
-func (l *Log) InstallSnapshot(nextLSN uint64, states map[string]adt.State) error {
+// ErrBadSnapshot is wrapped by the errors of a snapshot InstallSnapshot
+// refuses without touching the log.
+var ErrBadSnapshot = errors.New("wal: bad snapshot")
+
+// InstallSnapshot replaces the log's entire contents with file, another
+// log's checkpoint file, and returns its states — the follower bootstrap
+// path when its position has fallen below the leader's low-water mark:
+// the follower adopts the leader's checkpoint wholesale and resumes
+// streaming from its LSN. A file that is not one whole checkpoint frame,
+// or one behind the log's position (the log would have to forget durable
+// records), is refused with ErrBadSnapshot before any file is touched.
+// Unlike Checkpoint it holds the write path throughout: it moves the log's
+// position, so nothing may stage until the new segment is open.
+func (l *Log) InstallSnapshot(file []byte) (map[string]adt.State, error) {
+	lsn, states, err := unmarshalCheckpoint(wholeFrame(file))
+	if err != nil {
+		return nil, fmt.Errorf("%w: %w", ErrBadSnapshot, err)
+	}
 	l.ckmu.Lock()
 	defer l.ckmu.Unlock()
 	l.gate.Lock()
@@ -206,43 +223,26 @@ func (l *Log) InstallSnapshot(nextLSN uint64, states map[string]adt.State) error
 	l.smu.Lock()
 	defer l.smu.Unlock()
 	if l.closed {
-		return fmt.Errorf("wal: log closed")
+		return nil, fmt.Errorf("wal: log closed")
 	}
 	if err := l.failed(); err != nil {
-		return err
+		return nil, err
 	}
-	if nextLSN < l.nextLSN {
-		return fmt.Errorf("wal: snapshot at %d behind log position %d", nextLSN, l.nextLSN)
+	if lsn < l.nextLSN {
+		return nil, fmt.Errorf("%w: at %d, behind log position %d", ErrBadSnapshot, lsn, l.nextLSN)
 	}
-	// Encode before touching any file, so an unencodable state aborts
-	// the install without harming the log.
-	frame, err := encodeCheckpoint(nil, nextLSN, sorted(states))
-	if err != nil {
-		return err
+	name := checkpointName(lsn)
+	if err := l.writeFileAtomic(name, file); err != nil {
+		return nil, l.latch(err)
 	}
-	name := checkpointName(nextLSN)
-	if err := l.writeFileAtomic(name, frame); err != nil {
-		return l.latch(err)
-	}
-	if err := l.cutover(name, nextLSN); err != nil {
-		return err
+	if err := l.cutover(name, lsn); err != nil {
+		return nil, err
 	}
 	l.mu.Lock()
-	l.ckptBytes, l.ckptSealed = int64(len(frame)), l.sealedBytes
+	l.ckptBytes, l.uncovered, l.sealedSegs = int64(len(file)), 0, nil
 	l.mu.Unlock()
-	l.met.ObserveCheckpoint(nextLSN)
-	return nil
-}
-
-// sorted yields states in ascending name order.
-func sorted(states map[string]adt.State) iter.Seq2[string, adt.State] {
-	return func(yield func(string, adt.State) bool) {
-		for _, x := range slices.Sorted(maps.Keys(states)) {
-			if !yield(x, states[x]) {
-				return
-			}
-		}
-	}
+	l.met.ObserveCheckpoint(lsn)
+	return states, nil
 }
 
 // cutover finishes an installed snapshot whose file keep is already
@@ -409,58 +409,56 @@ func unmarshalCheckpoint(payload []byte) (uint64, map[string]adt.State, error) {
 	return lsn, states, nil
 }
 
-// ReadCheckpoint reads the newest valid checkpoint in dir and hands each
-// object's name and state, still in its adt encoding, to each. It returns
-// the checkpoint's LSN, and an error if dir holds no valid checkpoint. It
-// needs no coordination with a live writer: a checkpoint removed under it
-// by a newer one sends it back to the directory.
-func ReadCheckpoint(dir string, fs FS, each func(name string, raw []byte)) (uint64, error) {
-	if fs == nil {
-		fs = OSFS{}
-	}
+// ReadCheckpoint returns the newest valid checkpoint file in dir, whole,
+// and its LSN, or an error if dir holds none. It needs no coordination
+// with a live writer: a checkpoint removed under it by a newer one sends
+// it back to the directory.
+func ReadCheckpoint(dir string, fs FS) (uint64, []byte, error) {
 	for attempt := 0; attempt < 8; attempt++ {
 		_, ckpts, _, err := listDir(fs, dir)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		vanished := false
 		for _, ck := range ckpts {
-			payload, err := readCheckpointFile(fs, dir, ck)
+			file, payload, err := readCheckpointFile(fs, dir, ck)
 			if os.IsNotExist(err) {
 				vanished = true
 				break
 			}
-			if err != nil || payload == nil {
-				continue
+			if err == nil && payload != nil {
+				return ck.lsn, file, nil
 			}
-			// Valid: scan it again, handing out what the first pass checked.
-			scanCheckpoint(payload, func(x string, raw []byte) error { each(x, raw); return nil })
-			return ck.lsn, nil
 		}
 		if !vanished {
 			break
 		}
 	}
-	return 0, fmt.Errorf("wal: no valid checkpoint in %s", dir)
+	return 0, nil, fmt.Errorf("wal: no valid checkpoint in %s", dir)
 }
 
-// readCheckpointFile returns the payload of checkpoint ck, or nil if the
-// file is not one whole frame holding a well-formed checkpoint at the LSN
-// its name carries. A read error is returned as-is. The frame may be as
-// long as the file: a checkpoint holds every object, so no record-sized
-// bound applies to it.
-func readCheckpointFile(fs FS, dir string, ck dirEntry) ([]byte, error) {
-	buf, err := readWhole(fs, filepath.Join(dir, ck.name))
-	if err != nil {
-		return nil, err
+// readCheckpointFile returns checkpoint ck's file and its payload, or a
+// nil payload if the file is not one whole frame holding a well-formed
+// checkpoint at the LSN its name carries. A read error is returned as-is.
+func readCheckpointFile(fs FS, dir string, ck dirEntry) (file, payload []byte, err error) {
+	if file, err = readWhole(fs, filepath.Join(dir, ck.name)); err != nil {
+		return nil, nil, err
 	}
-	payload, frameLen, ferr := scanFrameMax(buf, len(buf))
-	if ferr != nil || payload == nil || frameLen != len(buf) {
-		return nil, nil
+	payload = wholeFrame(file)
+	if next, err := scanCheckpoint(payload, func(string, []byte) error { return nil }); err != nil || next != ck.lsn {
+		return file, nil, nil
 	}
-	next, err := scanCheckpoint(payload, func(string, []byte) error { return nil })
-	if err != nil || next != ck.lsn {
-		return nil, nil
+	return file, payload, nil
+}
+
+// wholeFrame returns the payload of file if it is exactly one intact
+// frame, and nil, which decodes as no checkpoint, otherwise. The frame may
+// be as long as the file: a checkpoint holds every object, so no
+// record-sized bound applies to it.
+func wholeFrame(file []byte) []byte {
+	payload, n, err := scanFrameMax(file, len(file))
+	if err != nil || n != len(file) {
+		return nil
 	}
-	return payload, nil
+	return payload
 }

@@ -2,7 +2,10 @@ package wal
 
 import (
 	"bytes"
+	"iter"
+	"maps"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nestedtx/internal/adt"
@@ -59,4 +62,15 @@ func FuzzCheckpointEncodeMatchesEncodingJSON(f *testing.F) {
 			}
 		}
 	})
+}
+
+// sorted yields states in ascending name order.
+func sorted(states map[string]adt.State) iter.Seq2[string, adt.State] {
+	return func(yield func(string, adt.State) bool) {
+		for _, x := range slices.Sorted(maps.Keys(states)) {
+			if !yield(x, states[x]) {
+				return
+			}
+		}
+	}
 }

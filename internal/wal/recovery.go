@@ -132,15 +132,12 @@ func scanDir(fs FS, dir string, mutate bool) (*Recovery, error) {
 
 	// Newest valid checkpoint wins; invalid ones are set aside.
 	for _, ck := range ckpts {
-		payload, err := readCheckpointFile(fs, dir, ck)
+		_, payload, err := readCheckpointFile(fs, dir, ck)
 		if err != nil {
 			return nil, fmt.Errorf("wal: read checkpoint %s: %w", ck.name, err)
 		}
-		var states map[string]adt.State
-		if payload != nil {
-			_, states, err = unmarshalCheckpoint(payload)
-		}
-		if payload == nil || err != nil {
+		_, states, err := unmarshalCheckpoint(payload)
+		if err != nil {
 			rec.discard(fs, dir, ck.name, mutate)
 			continue
 		}

@@ -506,7 +506,8 @@ func TestFailedCutoverStillAnswersItsTickets(t *testing.T) {
 	}
 	install := make(chan error, 1)
 	go func() {
-		install <- lg.InstallSnapshot(parked+1, map[string]adt.State{"ctr": adt.Counter{N: parked}})
+		_, err := lg.InstallSnapshot(snapshotFile(t, parked+1, map[string]adt.State{"ctr": adt.Counter{N: parked}}))
+		install <- err
 	}()
 	waitFor(t, "the install to start", lg.checkpointing)
 	fs.armed.Store(true)

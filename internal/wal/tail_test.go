@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"reflect"
 	"testing"
@@ -192,6 +193,20 @@ func TestAppendBatchMirrorsLeader(t *testing.T) {
 	}
 }
 
+// snapshotFile returns the checkpoint file of states at lsn.
+func snapshotFile(t *testing.T, lsn uint64, states map[string]adt.State) []byte {
+	t.Helper()
+	file, err := encodeCheckpoint(nil, lsn, sorted(states))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return file
+}
+
+// TestInstallSnapshot: a follower installs the leader's checkpoint file
+// as written — its own checkpoint is byte for byte the leader's — and
+// resumes at its LSN. A file that is not one whole checkpoint frame, or
+// one behind the log, is refused before any file is touched.
 func TestInstallSnapshot(t *testing.T) {
 	fs := NewMemFS()
 	leader, _ := mustOpen(t, fs, "leader", Options{})
@@ -203,17 +218,46 @@ func TestInstallSnapshot(t *testing.T) {
 	if err := leader.Checkpoint(h.capture); err != nil {
 		t.Fatalf("Checkpoint: %v", err)
 	}
-	ckpt := leader.Stats().CheckpointLSN
+	ckpt, file, err := ReadCheckpoint("leader", fs)
+	if err != nil || ckpt != leader.Stats().CheckpointLSN {
+		t.Fatalf("ReadCheckpoint = %d, %v; want the leader's checkpoint at %d", ckpt, err, leader.Stats().CheckpointLSN)
+	}
 
 	follower, _ := mustOpen(t, fs, "follower", Options{})
-	if err := follower.InstallSnapshot(ckpt, h.states); err != nil {
+	fh := newHarness(t, follower)
+	fh.register("other", adt.Counter{})
+	before := follower.Stats()
+	for name, bad := range map[string][]byte{
+		"a flipped byte": append(append([]byte{}, file[:len(file)-3]...), file[len(file)-3]^1, file[len(file)-2], file[len(file)-1]),
+		"a torn frame":   file[:len(file)-1],
+		"a second frame": append(append([]byte{}, file...), file...),
+		"not a checkpoint": func() []byte {
+			b, _ := EncodeFrame(nil, Record{LSN: ckpt, Register: &RegisterRecord{Name: "x", Initial: adt.Counter{}}})
+			return b
+		}(),
+	} {
+		if _, err := follower.InstallSnapshot(bad); err == nil {
+			t.Fatalf("InstallSnapshot accepted %s", name)
+		}
+	}
+	if got := follower.Stats(); got != before {
+		t.Fatalf("refused installs moved the log: %+v, was %+v", got, before)
+	}
+	states, err := follower.InstallSnapshot(file)
+	if err != nil {
 		t.Fatalf("InstallSnapshot: %v", err)
+	}
+	if !reflect.DeepEqual(states, h.states) {
+		t.Fatalf("installed states %v, want %v", states, h.states)
 	}
 	if got := follower.Stats(); got.NextLSN != ckpt || got.CheckpointLSN != ckpt || got.DurableLSN != ckpt {
 		t.Fatalf("post-install stats = %+v, want all marks at %d", got, ckpt)
 	}
+	if _, got, err := ReadCheckpoint("follower", fs); err != nil || !bytes.Equal(got, file) {
+		t.Fatalf("follower's checkpoint (%v) differs from the leader's", err)
+	}
 	// Going backwards is refused.
-	if err := follower.InstallSnapshot(ckpt-1, h.states); err == nil {
+	if _, err := follower.InstallSnapshot(snapshotFile(t, ckpt-1, h.states)); err == nil {
 		t.Fatal("InstallSnapshot accepted a position behind the log")
 	}
 	// Streaming resumes at the snapshot LSN.

@@ -144,17 +144,17 @@ type Log struct {
 	// is never held across an encode, a write, or an fsync. nextLSN is
 	// written with wmu and mu both held, so either one suffices to read it.
 	mu           sync.Mutex
-	landed       *sync.Cond // broadcast when durable advances or the log latches: parked tickets
-	nextLSN      uint64     // LSN the next staged record gets
-	durable      uint64     // every LSN below this is covered by an fsync
-	ckptLSN      uint64     // next LSN after the newest checkpoint (redo low-water)
-	ckptBytes    int64      // size of the newest checkpoint file
-	sealedBytes  int64      // bytes of the segments rotation sealed since Open
-	ckptSealed   int64      // sealedBytes at the newest checkpoint's capture
-	auto         Capture    // the capture of the checkpoints the log takes by itself
-	autoRunning  bool       // an automatic checkpoint's goroutine is running
-	statSegName  string     // mirror of segName for Stats
-	statSegBytes int64      // mirror of segBytes for Stats
+	landed       *sync.Cond  // broadcast when durable advances or the log latches: parked tickets
+	nextLSN      uint64      // LSN the next staged record gets
+	durable      uint64      // every LSN below this is covered by an fsync
+	ckptLSN      uint64      // next LSN after the newest checkpoint (redo low-water)
+	ckptBytes    int64       // size of the newest checkpoint file
+	uncovered    int64       // bytes of the sealed segments no checkpoint covers
+	sealedSegs   []sealedSeg // those segments, in LSN order
+	auto         Capture     // the capture of the checkpoints the log takes by itself
+	autoRunning  bool        // an automatic checkpoint's goroutine is running
+	statSegName  string      // mirror of segName for Stats
+	statSegBytes int64       // mirror of segBytes for Stats
 	watchers     []chan struct{}
 	err          error // latched fatal error: log is read-only from here on
 
@@ -221,10 +221,9 @@ func Open(dir string, opts Options) (*Log, *Recovery, error) {
 		l.ckptBytes, _ = fs.Size(filepath.Join(dir, checkpointName(rec.CheckpointLSN)))
 	}
 	// The redo a restart just paid counts toward the next checkpoint.
-	for _, seg := range rec.segments {
-		if seg.Name != rec.tailSegment {
-			l.sealedBytes += seg.Size
-		}
+	for i := 1; i < len(rec.segments); i++ { // all but the tail segment
+		end, _ := parseLSN(rec.segments[i].Name, "wal-", ".seg")
+		l.sealed(rec.segments[i-1].Size, end)
 	}
 	// Continue the last surviving segment, or start a fresh one.
 	name := rec.tailSegment
@@ -542,7 +541,7 @@ func (l *Log) rotate() error {
 	if err := l.seal(); err != nil {
 		return err
 	}
-	l.sealed(l.segBytes)
+	l.sealed(l.segBytes, l.nextLSN)
 	return l.openSegment(l.nextLSN)
 }
 

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -264,9 +265,68 @@ func TestCheckpointLargerThanARecordRecovers(t *testing.T) {
 	if !reflect.DeepEqual(rec.States(), h.states) {
 		t.Fatalf("states = %v, want %v", rec.States(), h.states)
 	}
-	n := 0
-	if got, err := ReadCheckpoint("d", fs, func(string, []byte) { n++ }); err != nil || got != lsn || n != 64 {
-		t.Fatalf("ReadCheckpoint = %d with %d objects, %v; want %d with 64", got, n, err, lsn)
+	onDisk, err := readWhole(fs, filepath.Join("d", checkpointName(lsn)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, file, err := ReadCheckpoint("d", fs); err != nil || got != lsn || !bytes.Equal(file, onDisk) {
+		t.Fatalf("ReadCheckpoint = %d with %d B, %v; want %d with the %d B file", got, len(file), err, lsn, len(onDisk))
+	}
+}
+
+// TestTrailingCutLeavesItsSegmentsCounted: a cut may trail the log by
+// whole segments, as a follower's does: it cuts at its replay position,
+// up to a replicated batch behind its log. The sealed segments above the
+// cut stay for the redo, so they still count toward the next checkpoint:
+// the next rotation starts one, and a restart redoes no more than the
+// policy's volume plus the active segment.
+func TestTrailingCutLeavesItsSegmentsCounted(t *testing.T) {
+	const seg = 512
+	fs := NewMemFS()
+	lg, _ := mustOpen(t, fs, "d", Options{SegmentBytes: seg})
+	// One counter, registered at LSN 0 and bumped once per record after.
+	at := func(lsn uint64) Cut {
+		return Cut{LSN: lsn, States: sorted(map[string]adt.State{"ctr": adt.Counter{N: int64(lsn) - 1}})}
+	}
+	h := newHarness(t, lg)
+	h.register("ctr", adt.Counter{})
+	h.commit("ctr", adt.CtrAdd{Delta: 1})
+	trail := lg.Stats().NextLSN
+	// rotate commits until the log has moved to a new segment n times.
+	rotate := func(n int) {
+		for i := 0; i < n; i++ {
+			for active := lg.Stats().Segment; lg.Stats().Segment == active; {
+				h.commit("ctr", adt.CtrAdd{Delta: 1})
+			}
+		}
+	}
+	rotate(8)
+	if err := lg.Checkpoint(func(uint64) Cut { return at(trail) }); err != nil {
+		t.Fatalf("trailing checkpoint: %v", err)
+	}
+	lg.AutoCheckpoint(at)
+	rotate(1)
+	lg.mu.Lock()
+	started := lg.autoRunning || lg.ckptLSN > trail
+	lg.mu.Unlock()
+	if !started {
+		t.Fatalf("no checkpoint started with 8 sealed segments above the trailing cut at %d still to redo", trail)
+	}
+	waitFor(t, "the checkpoint at the log's end", func() bool { return lg.Stats().CheckpointLSN > trail })
+	if err := lg.Close(); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := Inspect("d", fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, _ := fs.Size(filepath.Join("d", checkpointName(rec.CheckpointLSN)))
+	var redo int64
+	for _, s := range rec.Segments() {
+		redo += s.Size
+	}
+	if bound := max(4*seg, ckpt) + seg; redo > bound {
+		t.Fatalf("restart redoes %d B of log, bound %d B", redo, bound)
 	}
 }
 

@@ -132,18 +132,15 @@ const (
 // the wire in the WAL's own CRC32C framing (Frames holds concatenated
 // frames, base64-coded by JSON), so the follower re-verifies every
 // checksum before appending — a bit flipped in transit is caught exactly
-// like a bit flipped on disk.
+// like a bit flipped on disk. A snapshot is the leader's checkpoint file,
+// itself one such frame, sent in pieces.
 type Repl struct {
 	Kind       string `json:"kind"`
 	NextLSN    uint64 `json:"next_lsn,omitempty"`    // hello: resume point; snapshot: checkpoint LSN
 	DurableLSN uint64 `json:"durable_lsn,omitempty"` // leader's durable mark at send time
 	FirstLSN   uint64 `json:"first_lsn,omitempty"`   // batch: LSN of the first record in Frames
-	Count      int    `json:"count,omitempty"`       // batch: records in Frames (0 = heartbeat)
-	SentUnixNS int64  `json:"sent_unix_ns,omitempty"`
-	Frames     []byte `json:"frames,omitempty"` // batch: concatenated CRC-framed records
-	// States is the snapshot payload: every object's committed state in
-	// the adt codec encoding, as of NextLSN.
-	States map[string]json.RawMessage `json:"states,omitempty"`
+	Count      int    `json:"count,omitempty"`       // batch: records in Frames (0 = heartbeat); snapshot: bytes in the file
+	Frames     []byte `json:"frames,omitempty"`      // batch: concatenated CRC-framed records; snapshot: a piece of the file
 }
 
 // ReplFollower is one follower's position as the leader sees it.

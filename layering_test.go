@@ -87,8 +87,9 @@ func importsOf(t *testing.T, pkg string) []string {
 // three codecs and on nothing — standard library only, and not
 // encoding/json, which it exists to replace on the hot frames. The adt
 // codec has no reflective path left at all, and the layers above the
-// wire (client, server) never marshal a Request or Response themselves:
-// they do not import encoding/json.
+// wire (client, server) never marshal a Request or Response themselves,
+// nor does replication, which ships the log's own frames: they do not
+// import encoding/json.
 func TestJscanIsTheCodecsLeaf(t *testing.T) {
 	for _, dep := range importsOf(t, "nestedtx/internal/jscan") {
 		if dep == "encoding/json" || dep == "reflect" || strings.Contains(dep, ".") || strings.HasPrefix(dep, "nestedtx") {
@@ -100,7 +101,7 @@ func TestJscanIsTheCodecsLeaf(t *testing.T) {
 			t.Errorf("%s does not import internal/jscan", codec)
 		}
 	}
-	for _, pkg := range []string{"nestedtx/internal/adt", "nestedtx/client", "nestedtx/internal/server"} {
+	for _, pkg := range []string{"nestedtx/internal/adt", "nestedtx/client", "nestedtx/internal/server", "nestedtx/internal/repl"} {
 		if slices.Contains(importsOf(t, pkg), "encoding/json") {
 			t.Errorf("%s imports encoding/json", pkg)
 		}
