@@ -98,6 +98,36 @@ type Client struct {
 	seq  uint64
 	lost error    // non-nil once the connection is poisoned; the cause
 	op   [64]byte // where access encodes its op; a larger one gets its own buffer
+	// txid is where keepTxID copies a BEGIN or SUB reply's txid out of
+	// br's buffer; open hands it to the new handle before releasing mu.
+	txid     txName
+	keepTxID func([]byte) (string, bool) // c.keep, bound once: binding it per call would allocate
+}
+
+// txName is a transaction's server-assigned name, kept in line when it
+// fits: a handle and its name are one allocation.
+type txName struct {
+	b    [24]byte
+	n    uint8
+	long string // the name when it does not fit b
+}
+
+// String builds the name's string.
+func (n *txName) String() string {
+	if n.long != "" {
+		return n.long
+	}
+	return string(n.b[:n.n])
+}
+
+// keep is the TxIDHook of open's replies: it copies a txid that fits
+// into c.txid, and leaves a longer one to the decoder's copy.
+func (c *Client) keep(b []byte) (string, bool) {
+	if len(b) > len(c.txid.b) {
+		return "", false
+	}
+	c.txid.n = uint8(copy(c.txid.b[:], b))
+	return "", true
 }
 
 // Dial connects to a transaction server at addr.
@@ -109,6 +139,7 @@ func Dial(addr string, opts ...Option) (*Client, error) {
 	if c.rtt == nil {
 		c.rtt = new(obs.Histogram)
 	}
+	c.keepTxID = c.keep
 	dialTimeout := c.timeout
 	if dialTimeout <= 0 {
 		dialTimeout = time.Minute
@@ -165,6 +196,19 @@ func (c *Client) call(req *wire.Request, resp *wire.Response) error {
 	// that wants one decodes it before releasing c.mu (access, State).
 	resp.Value, resp.State = nil, nil
 	return err
+}
+
+// open is the round trip of BEGIN and SUB: the reply's txid is copied
+// from the read buffer (see keep) and returned with it, under c.mu.
+func (c *Client) open(req *wire.Request) (wire.Response, txName, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.txid.n = 0 // a reply without a txid leaves the name empty
+	resp := wire.Response{TxIDHook: c.keepTxID}
+	err := c.roundTrip(req, &resp)
+	name := c.txid
+	name.long = resp.TxID
+	return resp, name, err
 }
 
 // access is the round trip of READ and WRITE: op is encoded into the
@@ -311,21 +355,22 @@ func (c *Client) CallStats() CallStats {
 type Tx struct {
 	c    *Client
 	id   uint64
-	txid string
+	name txName
 }
 
 // ID returns the transaction's name in the paper's tree notation, as
-// assigned by the server (e.g. "T0.3.1").
-func (t *Tx) ID() string { return t.txid }
+// assigned by the server (e.g. "T0.3.1"). The handle keeps the name's
+// bytes, so each call builds a new string.
+func (t *Tx) ID() string { return t.name.String() }
 
 // Begin opens a top-level transaction. Callers must resolve it with
 // [Tx.Commit] or [Tx.Abort]; prefer [Client.Run], which does.
 func (c *Client) Begin() (*Tx, error) {
-	var resp wire.Response
-	if err := c.call(&wire.Request{Type: wire.TBegin}, &resp); err != nil {
+	resp, name, err := c.open(&wire.Request{Type: wire.TBegin})
+	if err != nil {
 		return nil, err
 	}
-	return &Tx{c: c, id: resp.Tx, txid: resp.TxID}, nil
+	return &Tx{c: c, id: resp.Tx, name: name}, nil
 }
 
 // Do performs op on the named object as an access subtransaction of t,
@@ -371,11 +416,11 @@ func (t *Tx) Abort() error {
 // nil return commits the child (its locks and versions pass to t), an
 // error aborts only the child's effects.
 func (t *Tx) Sub(fn func(*Tx) error) error {
-	var resp wire.Response
-	if err := t.c.call(&wire.Request{Type: wire.TSub, Tx: t.id}, &resp); err != nil {
+	resp, name, err := t.c.open(&wire.Request{Type: wire.TSub, Tx: t.id})
+	if err != nil {
 		return err
 	}
-	child := &Tx{c: t.c, id: resp.Tx, txid: resp.TxID}
+	child := &Tx{c: t.c, id: resp.Tx, name: name}
 	if err := fn(child); err != nil {
 		if aerr := child.Abort(); aerr != nil && !errors.Is(err, nestedtx.ErrAborted) {
 			return errors.Join(err, aerr)

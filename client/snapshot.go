@@ -17,14 +17,15 @@ import (
 type Snapshot struct {
 	c    *Client
 	id   uint64
-	txid string
+	name txName
 	seq  uint64
 }
 
 // ID returns the snapshot transaction's server-assigned identifier
 // (e.g. "S3"); the namespace is disjoint from the transaction tree's
-// TIDs.
-func (s *Snapshot) ID() string { return s.txid }
+// TIDs. The handle keeps the name's bytes, so each call builds a new
+// string.
+func (s *Snapshot) ID() string { return s.name.String() }
 
 // Seq returns the pinned commit sequence number: the snapshot observes
 // exactly the first Seq published top-level commits.
@@ -34,11 +35,11 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 // server's current commit sequence number. Callers must resolve it with
 // [Snapshot.Close]; prefer [Client.RunReadOnly], which does.
 func (c *Client) BeginReadOnly() (*Snapshot, error) {
-	var resp wire.Response
-	if err := c.call(&wire.Request{Type: wire.TBegin, ReadOnly: true}, &resp); err != nil {
+	resp, name, err := c.open(&wire.Request{Type: wire.TBegin, ReadOnly: true})
+	if err != nil {
 		return nil, err
 	}
-	return &Snapshot{c: c, id: resp.Tx, txid: resp.TxID, seq: resp.Snap}, nil
+	return &Snapshot{c: c, id: resp.Tx, name: name, seq: resp.Snap}, nil
 }
 
 // Read applies a read-only operation to obj's state as of the pinned

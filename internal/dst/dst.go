@@ -45,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"nestedtx"
@@ -87,6 +88,10 @@ type simEnv struct {
 	clk *clock.Virtual
 	rng *rand.Rand // master; used only to derive plane seeds
 	log bytes.Buffer
+
+	// acked closes at the run's first acknowledged commit (countOutcome).
+	acked   chan struct{}
+	ackOnce sync.Once
 }
 
 func (e *simEnv) logf(format string, args ...any) {
@@ -113,6 +118,8 @@ func (s *Sim) Run() *Result {
 		scn: &scn,
 		clk: clock.NewVirtual(time.Time{}),
 		rng: rand.New(rand.NewSource(s.Seed)),
+
+		acked: make(chan struct{}),
 	}
 	defer env.clk.Stop()
 	grain := s.Grain
@@ -278,9 +285,19 @@ func runDurable(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	}
 
 	checkpoints := 0
+	drained := make(chan struct{})
 	wait := driveFaults(env, faults, faultActions{
 		Checkpoint: func() {
 			if checkpoints++; scn.CrashInCheckpoint && checkpoints == scn.Checkpoints {
+				// The checkpoint fires on the virtual clock, which a loaded
+				// machine can run ahead of the workload: armed before the
+				// first commit, the crash lands in the checkpoint's write
+				// and the run acknowledges nothing. So it waits for one (or
+				// for the workload to end without one).
+				select {
+				case <-env.acked:
+				case <-drained:
+				}
 				ffs.CrashAfter(faults.CrashAfter)
 			}
 			_ = m.Checkpoint()
@@ -288,6 +305,7 @@ func runDurable(env *simEnv, plan *Plan, faults *faultPlan, res *Result) error {
 	})
 	st, err := runSpecs(env, m, plan.Specs)
 	res.Stats = st
+	close(drained)
 	wait()
 	if err != nil {
 		return err

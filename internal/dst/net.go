@@ -276,7 +276,7 @@ func runNetSpec(env *simEnv, pool *client.Pool, spec TxSpec, st *execStats) {
 		}
 		return nil
 	})
-	countOutcome(st, err, true)
+	env.countOutcome(st, err, true)
 }
 
 // waitFor polls cond on the wall clock — the verification drain is not

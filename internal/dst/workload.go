@@ -279,7 +279,7 @@ func runSpec(env *simEnv, m *nestedtx.Manager, spec TxSpec, st *execStats) error
 		err := m.RunRetry(scn.Retries, func(tx *nestedtx.Tx) error {
 			return execBank(tx, spec)
 		})
-		countOutcome(st, err, false)
+		env.countOutcome(st, err, false)
 		return nil
 	default:
 		err := m.RunRetry(scn.Retries, func(tx *nestedtx.Tx) error {
@@ -295,17 +295,18 @@ func runSpec(env *simEnv, m *nestedtx.Manager, spec TxSpec, st *execStats) error
 		})
 		// Writes counts transactions that bumped txctr — the acked set
 		// the crash-recovery prefix check compares against.
-		countOutcome(st, err, scn.Crash)
+		env.countOutcome(st, err, scn.Crash)
 		return nil
 	}
 }
 
-func countOutcome(st *execStats, err error, writes bool) {
+func (e *simEnv) countOutcome(st *execStats, err error, writes bool) {
 	if err != nil {
 		atomic.AddInt64(&st.Aborted, 1)
 		return
 	}
 	atomic.AddInt64(&st.Committed, 1)
+	e.ackOnce.Do(func() { close(e.acked) })
 	if writes {
 		atomic.AddInt64(&st.Writes, 1)
 	}

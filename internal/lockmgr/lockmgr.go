@@ -131,8 +131,9 @@ func (s shardSet) empty() bool { return !slices.ContainsFunc(s, func(w uint64) b
 
 const numStripes = 64
 
-// fnv32 is FNV-1a, inlined to keep the shard lookup allocation-free.
-func fnv32(s string) uint32 {
+// fnv32 is FNV-1a, inlined to keep the shard lookup allocation-free. It
+// hashes a name's bytes where they lie, as a string or in a buffer.
+func fnv32[S string | []byte](s S) uint32 {
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
 		h ^= uint32(s[i])
@@ -290,6 +291,21 @@ func (m *Manager) Register(x string, init adt.State) error {
 	ls.chain = ls.base[:1:2]
 	sh.objects[x] = ls
 	return nil
+}
+
+// ObjectName returns the name object b was registered under, and false
+// when nobody registered it. The bytes are hashed and looked up where
+// they lie, so a caller holding a name in a buffer gets the registered
+// string without allocating a copy.
+func (m *Manager) ObjectName(b []byte) (string, bool) {
+	sh := m.shards[fnv32(b)%uint32(len(m.shards))]
+	sh.mu.Lock()
+	ls := sh.objects[string(b)]
+	sh.mu.Unlock()
+	if ls == nil {
+		return "", false
+	}
+	return ls.name, true
 }
 
 // Stats returns a copy of the counters, aggregated across shards.

@@ -8,14 +8,22 @@ import (
 	"nestedtx"
 	"nestedtx/client"
 	"nestedtx/internal/server"
+	"nestedtx/internal/wal"
 )
+
+// raceSlack is what the race detector adds to a budget here: the durable
+// path's pooled effect lists and write buffers are now and then made
+// afresh (see race_on_test.go, and the root package's).
+var raceSlack float64
 
 // TestNetworkedTransactionAllocationBudget is net_small in one process:
 // BEGIN, READ, WRITE, COMMIT over loopback, client and server both
-// counted. The code allocates 8 times here, the transaction's Tx — its
-// name inside it — among them; with the name allocated apart it cost 9, a
-// finished handle is reused, and with one made per BEGIN the exchange
-// cost 11. With the reflective codec it cost 146.
+// counted. The code allocates 5 times here: the server's Tx (its name
+// inside it), the client's Tx (the txid inside it), and the read's boxed
+// value among them. With each access's object name and the client's
+// txid copied out of the frame it cost 8, with the server's transaction
+// name allocated apart 9, and with a handle made per BEGIN 11. With the
+// reflective codec it cost 146.
 func TestNetworkedTransactionAllocationBudget(t *testing.T) {
 	mgr := nestedtx.NewManager()
 	mgr.MustRegister("ctr-a", nestedtx.Counter{})
@@ -35,8 +43,84 @@ func TestNetworkedTransactionAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("BEGIN; READ; WRITE; COMMIT over loopback: %.1f allocations", allocs)
-	if allocs > 9 {
-		t.Errorf("BEGIN; READ; WRITE; COMMIT over loopback: %.1f allocations, budget 9", allocs)
+	if allocs > 5+raceSlack {
+		t.Errorf("BEGIN; READ; WRITE; COMMIT over loopback: %.1f allocations, budget 5 + %.0f", allocs, raceSlack)
+	}
+}
+
+// TestNetworkedSnapshotScanAllocationBudget: a read-only BEGIN, 16 READs
+// and a COMMIT over loopback. The READs name their objects by the
+// registered strings and their small results need no box, so they cost
+// nothing: the scan's allocations are the server's snapshot transaction
+// and its name, and the client's handle, its txid inside it. Copying
+// each object name out of its frame added 16, and the txid one more.
+func TestNetworkedSnapshotScanAllocationBudget(t *testing.T) {
+	mgr := nestedtx.NewManager()
+	names := make([]string, 16)
+	for i := range names {
+		names[i] = fmt.Sprintf("ctr-%02d", i)
+		mgr.MustRegister(names[i], nestedtx.Counter{N: 7})
+	}
+	_, addr := start(t, mgr, server.Config{})
+	c := dial(t, addr)
+	scan := func(s *client.Snapshot) error {
+		for _, x := range names {
+			if _, err := s.Read(x, nestedtx.CtrGet{}); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if err := c.RunReadOnly(scan); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("read-only BEGIN; 16 READs; COMMIT over loopback: %.1f allocations", allocs)
+	if allocs > 3+raceSlack {
+		t.Errorf("read-only BEGIN; 16 READs; COMMIT over loopback: %.1f allocations, budget 3 + %.0f", allocs, raceSlack)
+	}
+}
+
+// TestNetworkedTransferAllocationBudget is net_durable_bank's transaction
+// in one process: BEGIN; SUB; WRITE; COMMIT; SUB; WRITE; COMMIT; COMMIT
+// over loopback into a durable manager: 11 allocations, the local durable
+// transfer's (TestDurableCommitAllocationBudget in the root package) and
+// the client's three handles among them. Copying the two object names
+// and the three txids out of their frames made it 16.
+func TestNetworkedTransferAllocationBudget(t *testing.T) {
+	mgr, _, err := nestedtx.OpenDurable("d", nestedtx.DurableOptions{FS: wal.NewMemFS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { mgr.CloseWAL() }) // after the server's drain
+	mgr.MustRegister("acct-a", nestedtx.Account{Balance: 1 << 40})
+	mgr.MustRegister("acct-b", nestedtx.Account{})
+	if err := mgr.SyncWAL(); err != nil {
+		t.Fatal(err)
+	}
+	_, addr := start(t, mgr, server.Config{})
+	c := dial(t, addr)
+	transfer := func(tx *client.Tx) error {
+		if err := tx.Sub(func(sub *client.Tx) error {
+			_, err := sub.Write("acct-a", nestedtx.AcctWithdraw{Amount: 1})
+			return err
+		}); err != nil {
+			return err
+		}
+		return tx.Sub(func(sub *client.Tx) error {
+			_, err := sub.Write("acct-b", nestedtx.AcctDeposit{Amount: 1})
+			return err
+		})
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		if err := c.Run(transfer); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("durable two-SUB transfer over loopback: %.1f allocations", allocs)
+	if allocs > 11+raceSlack {
+		t.Errorf("durable two-SUB transfer over loopback: %.1f allocations, budget 11 + %.0f", allocs, raceSlack)
 	}
 }
 

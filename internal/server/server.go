@@ -512,11 +512,17 @@ func (s *Server) serveConn(conn net.Conn) {
 
 	// The two buffers and the two frame structs are the session's, reused
 	// for every frame. req.Op aliases br's buffer: the handler decodes it
-	// before the next frame is read.
+	// before the next frame is read. req.Obj is the string the manager
+	// registered, not a copy per request; a name nobody registered is
+	// copied, and fails as unknown where it is used. A session opened on
+	// a follower copies every name, a promotion notwithstanding.
 	br := newBufReader(conn)
 	bw := newBufWriter(conn)
 	var req wire.Request
 	var resp wire.Response
+	if mgr := s.Manager(); mgr != nil {
+		req.ObjHook = mgr.ObjectName
+	}
 	for {
 		if err := wire.ReadFrame(br, &req); err != nil {
 			return // EOF, reset, or reaped/drained under us

@@ -135,8 +135,9 @@ func hotFrames(t testing.TB) ([]*Request, []*Response) {
 // TestHotFrameAllocationBudget is the wire's share of the networked
 // path's budget: a hot frame written and read back costs at most two
 // allocations through the pointer-returning readers (the frame struct,
-// and a string or none), and at most one into a caller-owned struct, as
-// the server and client read. The reflective codec spent 9.9.
+// and a string or none), at most one into a caller-owned struct, and
+// none into structs whose hooks take the names, as the server and client
+// read. The reflective codec spent 9.9.
 func TestHotFrameAllocationBudget(t *testing.T) {
 	reqs, resps := hotFrames(t)
 	var pipe bytes.Buffer
@@ -168,7 +169,7 @@ func TestHotFrameAllocationBudget(t *testing.T) {
 	}
 	var req Request
 	var resp Response
-	perFrame = testing.AllocsPerRun(100, func() {
+	readInto := func() {
 		write()
 		for range reqs {
 			if err := ReadFrame(br, &req); err != nil {
@@ -178,12 +179,40 @@ func TestHotFrameAllocationBudget(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-	}) / frames
+	}
+	perFrame = testing.AllocsPerRun(100, readInto) / frames
 	if perFrame > 1 {
 		t.Errorf("ReadFrame into caller-owned structs: %.2f allocs per hot frame, budget 1", perFrame)
 	}
 	if resp.Seq != 4 || !resp.OK || req.Type != TCommit {
 		t.Fatalf("last frames read back as %+v, %+v", req, resp)
+	}
+
+	// A server resolves the object to its registered string; a client
+	// copies the txid where it keeps it.
+	registered, resolved := "ctr-00017", 0
+	req.ObjHook = func(b []byte) (string, bool) {
+		if string(b) != registered {
+			return "", false
+		}
+		resolved++
+		return registered, true
+	}
+	var txid [16]byte
+	var txidLen int
+	resp.TxIDHook = func(b []byte) (string, bool) {
+		txidLen = copy(txid[:], b)
+		return "", true
+	}
+	perFrame = testing.AllocsPerRun(100, readInto) / frames
+	if perFrame > 0 {
+		t.Errorf("ReadFrame into structs with name hooks: %.2f allocs per hot frame, budget 0", perFrame)
+	}
+	if req.ObjHook == nil || resp.TxIDHook == nil {
+		t.Fatal("decoding dropped a hook")
+	}
+	if resolved == 0 || string(txid[:txidLen]) != "T0.1234" {
+		t.Fatalf("hooks resolved %d objects and took txid %q, want some and T0.1234", resolved, txid[:txidLen])
 	}
 }
 

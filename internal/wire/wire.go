@@ -103,6 +103,12 @@ type Request struct {
 	// locks. Followers accept it too (their snapshot store is fed by
 	// the replication apply loop). WRITE and SUB on such a handle fail.
 	ReadOnly bool `json:"read_only,omitempty"`
+
+	// ObjHook, when non-nil, is handed Obj's bytes as a frame is decoded
+	// into this Request, in place of a copy: Obj is the string it returns
+	// with ok, and a copy of the bytes when it reports !ok. The bytes
+	// alias the frame. Decoding keeps the hook; encoding ignores it.
+	ObjHook func(b []byte) (string, bool) `json:"-"`
 }
 
 // Response is one server→client frame.
@@ -118,6 +124,10 @@ type Response struct {
 	State   json.RawMessage `json:"state,omitempty"`   // adt-encoded object state (STATE)
 	Metrics *Metrics        `json:"metrics,omitempty"` // METRICS
 	Repl    *Repl           `json:"repl,omitempty"`    // REPL_HELLO reply and pushed stream frames
+
+	// TxIDHook is ObjHook for TxID: a client that copies the bytes where
+	// it wants them returns ok, and TxID is then what it returned.
+	TxIDHook func(b []byte) (string, bool) `json:"-"`
 }
 
 // Repl stream-frame kinds (Repl.Kind).
@@ -287,6 +297,24 @@ func word(s *jscan.Scanner, dst *string) error {
 	return err
 }
 
+// hooked reads a string member through hook when there is one (see
+// Request.ObjHook), and as a plain string otherwise.
+func hooked(s *jscan.Scanner, dst *string, hook func([]byte) (string, bool)) error {
+	if hook == nil {
+		return s.String(dst)
+	}
+	var b []byte
+	err := s.Bytes(&b)
+	if b != nil {
+		name, ok := hook(b)
+		if !ok {
+			name = string(b)
+		}
+		*dst = name
+	}
+	return err
+}
+
 // decodeCold reads a nested payload through encoding/json, into the value
 // an earlier duplicate of the key left, as encoding/json would.
 func decodeCold[T any](s *jscan.Scanner, dst **T) error {
@@ -301,7 +329,7 @@ func decodeCold[T any](s *jscan.Scanner, dst **T) error {
 }
 
 func decodeRequest(data []byte, r *Request) error {
-	*r = Request{}
+	*r = Request{ObjHook: r.ObjHook}
 	s := jscan.New(data)
 	err := s.Object(func(key []byte) error {
 		switch string(key) {
@@ -312,7 +340,7 @@ func decodeRequest(data []byte, r *Request) error {
 		case "tx":
 			return s.Uint64(&r.Tx)
 		case "obj":
-			return s.String(&r.Obj)
+			return hooked(&s, &r.Obj, r.ObjHook)
 		case "op":
 			return s.Raw((*[]byte)(&r.Op))
 		case "dump":
@@ -331,7 +359,7 @@ func decodeRequest(data []byte, r *Request) error {
 }
 
 func decodeResponse(data []byte, r *Response) error {
-	*r = Response{}
+	*r = Response{TxIDHook: r.TxIDHook}
 	s := jscan.New(data)
 	err := s.Object(func(key []byte) error {
 		switch string(key) {
@@ -346,7 +374,7 @@ func decodeResponse(data []byte, r *Response) error {
 		case "tx":
 			return s.Uint64(&r.Tx)
 		case "txid":
-			return s.String(&r.TxID)
+			return hooked(&s, &r.TxID, r.TxIDHook)
 		case "snap":
 			return s.Uint64(&r.Snap)
 		case "value":

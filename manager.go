@@ -238,6 +238,12 @@ func (m *Manager) State(name string) (State, error) {
 	return m.snap.Head(name)
 }
 
+// ObjectName returns the name object b was registered under, and false
+// when nobody registered it, without allocating: a server decoding a
+// request names the object by the registered string, not by a copy of
+// the request's bytes.
+func (m *Manager) ObjectName(b []byte) (string, bool) { return m.lm.ObjectName(b) }
+
 // Store exposes the committed-version store State and BeginSnapshot read
 // from. The server answers its read verbs from it, the same way it
 // answers them from a replica's; ordinary callers never need it.
