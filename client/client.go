@@ -58,7 +58,7 @@ var ErrBusy = errors.New("client: server at connection limit")
 // is desynchronised) marks the connection permanently dead, and all
 // later calls fail fast with ErrConnLost instead of reading a stale
 // frame. A lost connection means the server will abort whatever
-// transaction was open on it (session teardown or the idle reaper), so
+// transaction was open on it (session teardown or the idle deadline), so
 // a workload that failed with ErrConnLost is safe to re-run on a fresh
 // connection — [Pool.RunRetry] does exactly that.
 var ErrConnLost = errors.New("client: connection lost")

@@ -40,7 +40,7 @@ var ErrPoolClosed = errors.New("client: pool closed")
 // and, when the pool knows a second endpoint, read_only refusals; after
 // the last two it probes for the leader before the next attempt. Each is
 // safe to re-run: a transaction whose session was lost is aborted
-// server-side (session teardown or the idle reaper), and one a replica
+// server-side (session teardown or the idle deadline), and one a replica
 // refused never began, so its effects never commit.
 //
 // A Pool is safe for concurrent use.
@@ -305,7 +305,7 @@ func (p *Pool) Stats() PoolStats {
 // If fn does not return — it panicked, or called runtime.Goexit — the
 // connection is closed instead, so the server aborts the transaction or
 // releases the snapshot fn left open; back on the idle list they would
-// stay held by a session the idle reaper never sees idle.
+// stay held by a session whose idle deadline each reuse moves on.
 func (p *Pool) borrow(fn func(*Client) error) error {
 	c, err := p.Get()
 	if err != nil {

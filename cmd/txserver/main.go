@@ -86,7 +86,7 @@ func main() {
 		addr        = flag.String("addr", ":7654", "listen address")
 		objects     = flag.String("objects", "counter=counter", "objects to register: comma-separated name=kind (counter, register, account, set, queue, table)")
 		maxConns    = flag.Int("max-conns", 1024, "max concurrent sessions (0 = unlimited)")
-		idleTimeout = flag.Duration("idle-timeout", 5*time.Minute, "abort sessions idle this long (0 = never)")
+		idleTimeout = flag.Duration("idle-timeout", 5*time.Minute, "tear down a session idle, or stuck writing a reply, this long (0 = never)")
 		reqTimeout  = flag.Duration("req-timeout", 10*time.Second, "per-request deadline; a blocked access past it aborts its transaction")
 		exclusive   = flag.Bool("exclusive", false, "exclusive-locking mode: treat every access as a write (the paper's [LM] baseline)")
 		record      = flag.Bool("record", false, "record the formal schedule and Verify it on drain (Theorem 34 check)")

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"net"
@@ -57,8 +58,9 @@ type Follower struct {
 	progress      time.Time // last time the local log advanced
 	connected     bool
 
-	stopOnce sync.Once
-	stop     chan struct{}
+	// ctx ends streaming: Stop cancels it.
+	ctx  context.Context
+	stop context.CancelFunc
 }
 
 // OpenFollower opens (or recovers) the data directory as a replica.
@@ -79,8 +81,8 @@ func OpenFollower(dir string, opts wal.Options) (*Follower, error) {
 		snap:     newStore(rec.States()),
 		applied:  lg.Stats().NextLSN,
 		progress: time.Now(),
-		stop:     make(chan struct{}),
 	}
+	f.ctx, f.stop = context.WithCancel(context.Background())
 	lg.AutoCheckpoint(f.capture)
 	return f, nil
 }
@@ -106,19 +108,12 @@ func (f *Follower) Run(leader string) error {
 	f.leader = leader
 	f.mu.Unlock()
 	attempt := 0
-	for {
-		select {
-		case <-f.stop:
-			return nil
-		default:
-		}
+	for f.ctx.Err() == nil {
 		start := time.Now()
 		err := f.stream(leader)
 		f.setDisconnected()
-		select {
-		case <-f.stop:
+		if f.ctx.Err() != nil {
 			return nil // Close may have failed the log under the stream
-		default:
 		}
 		if errors.Is(err, ErrDiverged) || errors.Is(err, errOwnLog) {
 			return err
@@ -128,11 +123,11 @@ func (f *Follower) Run(leader string) error {
 		}
 		attempt++
 		select {
-		case <-f.stop:
-			return nil
+		case <-f.ctx.Done():
 		case <-f.clk.After(backoff(attempt)):
 		}
 	}
+	return nil
 }
 
 func backoff(attempt int) time.Duration {
@@ -153,15 +148,7 @@ func (f *Follower) stream(leader string) error {
 	}
 	defer conn.Close()
 	// Unblock the read loop when Stop is called mid-stream.
-	streamDone := make(chan struct{})
-	defer close(streamDone)
-	go func() {
-		select {
-		case <-f.stop:
-			conn.Close()
-		case <-streamDone:
-		}
-	}()
+	defer context.AfterFunc(f.ctx, func() { conn.Close() })()
 
 	br := bufio.NewReaderSize(conn, 64<<10)
 	bw := bufio.NewWriterSize(conn, 64<<10)
@@ -231,17 +218,11 @@ func (f *Follower) applyBatch(r *wire.Repl) error {
 	if err != nil {
 		return fmt.Errorf("repl: batch at %d: %w", r.FirstLSN, err)
 	}
-	next := f.log.Stats().NextLSN
-	// Drop any prefix we already hold (a resend race around reconnect).
-	for len(recs) > 0 && recs[0].LSN < next {
-		recs = recs[1:]
-	}
-	if len(recs) == 0 {
-		f.publishLag()
-		return nil
-	}
-	if recs[0].LSN != next {
-		return fmt.Errorf("repl: batch gap: got LSN %d, want %d", recs[0].LSN, next)
+	// A stream starts at this log's NextLSN and ships contiguous batches
+	// (a snapshot moves both ends to its LSN), so a batch that does not
+	// start there, overlapping or leaving a gap, is the stream's fault.
+	if next := f.log.Stats().NextLSN; len(recs) == 0 || recs[0].LSN != next {
+		return fmt.Errorf("repl: batch at %d does not continue the log at %d", r.FirstLSN, next)
 	}
 	if err := f.log.AppendBatch(recs); err != nil {
 		return fmt.Errorf("%w: %w", errOwnLog, err)
@@ -422,9 +403,7 @@ func (f *Follower) Leader() string {
 
 // Stop ends streaming (Run returns) but leaves the log open and the
 // store serveable.
-func (f *Follower) Stop() {
-	f.stopOnce.Do(func() { close(f.stop) })
-}
+func (f *Follower) Stop() { f.stop() }
 
 // Close stops streaming and closes the local log. The store remains
 // readable; the data directory is ready for OpenDurable.

@@ -492,6 +492,55 @@ func TestDivergenceIsFatal(t *testing.T) {
 	}
 }
 
+// TestBatchOffTheLogRedials: a stream starts at the follower's NextLSN
+// and its batches are contiguous, so a batch that starts anywhere else —
+// overlapping a record the follower holds, or past a gap — is refused as
+// the stream's fault: the follower's status, its log and its directory
+// are as they were, and the batch that does continue the log applies.
+func TestBatchOffTheLogRedials(t *testing.T) {
+	add := func() wal.Record {
+		return commitOf(wal.Effect{Obj: "ctr", Op: adt.CtrAdd{Delta: 1}, Val: int64(1)})
+	}
+	reg := func() wal.Record {
+		return wal.Record{Register: &wal.RegisterRecord{Name: "ctr", Initial: adt.Counter{}}}
+	}
+	for name, batch := range map[string]func() *wire.Repl{
+		"an overlap": func() *wire.Repl { return batchOf(t, 0, reg(), add()) },
+		"a gap":      func() *wire.Repl { return batchOf(t, 2, add()) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			fs := wal.NewMemFS()
+			f, err := OpenFollower("follower", wal.Options{FS: fs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			if err := f.applyBatch(batchOf(t, 0, reg())); err != nil {
+				t.Fatal(err)
+			}
+			status, stats, dir := f.Status(), f.log.Stats(), dirBytes(t, fs, "follower")
+			if err := f.applyBatch(batch()); err == nil || errors.Is(err, errOwnLog) || errors.Is(err, ErrDiverged) {
+				t.Fatalf("applyBatch = %v, want a stream error", err)
+			}
+			if got := f.Status(); !reflect.DeepEqual(got, status) {
+				t.Fatalf("status moved to %+v from %+v", got, status)
+			}
+			if got := f.log.Stats(); got != stats {
+				t.Fatalf("log moved to %+v from %+v", got, stats)
+			}
+			if got := dirBytes(t, fs, "follower"); !reflect.DeepEqual(got, dir) {
+				t.Fatalf("directory changed: %v, was %v", slices.Sorted(maps.Keys(got)), slices.Sorted(maps.Keys(dir)))
+			}
+			if err := f.applyBatch(batchOf(t, 1, add())); err != nil {
+				t.Fatalf("batch continuing the log: %v", err)
+			}
+			if st, err := f.State("ctr"); err != nil || st.(adt.Counter).N != 1 {
+				t.Fatalf("State(ctr) = %v, %v; want 1", st, err)
+			}
+		})
+	}
+}
+
 // checkpointFile returns the checkpoint file a log writes of states at lsn.
 func checkpointFile(t *testing.T, lsn uint64, states map[string]adt.State) []byte {
 	t.Helper()

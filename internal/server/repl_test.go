@@ -165,6 +165,39 @@ func TestReplicaServesReadsRejectsWrites(t *testing.T) {
 	}
 }
 
+// TestReplicationStreamOutlivesIdleTimeout: a replication stream has no
+// idle deadline. A caught-up follower left quiet for many times the
+// leader's IdleTimeout keeps its one connection: the leader counts no
+// new session and reaps none.
+func TestReplicationStreamOutlivesIdleTimeout(t *testing.T) {
+	fs := wal.NewMemFS()
+	mgr, _, err := nestedtx.OpenDurable("leader", nestedtx.DurableOptions{FS: fs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, leaderAddr := start(t, mgr, server.Config{IdleTimeout: 100 * time.Millisecond})
+	mgr.MustRegister("ctr", nestedtx.Counter{})
+	_, f, _ := startFollower(t, fs, "follower", leaderAddr)
+	if err := mgr.Run(func(tx *nestedtx.Tx) error {
+		_, err := tx.Write("ctr", nestedtx.CtrAdd{Delta: 1})
+		return err
+	}); err != nil {
+		t.Fatal(err)
+	}
+	waitUntil(t, "follower catch-up", func() bool { return caughtUpState(f, mgr, "ctr", 1) })
+
+	before := srv.Counters()
+	time.Sleep(2500 * time.Millisecond)
+	after := srv.Counters()
+	if after.TotalSessions != before.TotalSessions || after.ReapedSessions != 0 {
+		t.Fatalf("quiet stream: sessions %d → %d, reaped %d; want no redial and none reaped",
+			before.TotalSessions, after.TotalSessions, after.ReapedSessions)
+	}
+	if !f.Status().Connected {
+		t.Fatal("follower disconnected from a quiet leader")
+	}
+}
+
 // TestPromoteEndToEnd: drain a follower to zero lag, promote it over
 // the wire, and commit on the new leader. The promotion re-verifies the
 // inherited history (Recovery.Verify — Theorem 34 across the handoff).

@@ -22,6 +22,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -43,9 +44,10 @@ type Config struct {
 	// with a busy frame (connection-limit backpressure). <= 0 means
 	// unlimited.
 	MaxConns int
-	// IdleTimeout is how long a session may sit with no request before
-	// the reaper aborts its transactions and closes it, reclaiming locks
-	// from abandoned clients. <= 0 disables reaping.
+	// IdleTimeout is how long a session may wait for its next request,
+	// or be stuck writing a reply, before it is torn down: its
+	// transactions abort and their locks go to live clients. A
+	// replication stream has no idle deadline. <= 0 means no limit.
 	IdleTimeout time.Duration
 	// RequestTimeout is the per-request deadline: a request (typically an
 	// access blocked on a lock) that cannot complete within it aborts its
@@ -79,13 +81,14 @@ type Server struct {
 	cmu sync.Mutex // guards cnt; see Counters' consistency contract
 	cnt Counters
 
-	mu       sync.Mutex
-	mgrMu    sync.Mutex // guards mgr/follower/promoting/shipper across Promote
-	ln       net.Listener
-	sessions map[*session]struct{}
-	closed   bool
-	reapStop chan struct{}
-	wg       sync.WaitGroup // live session goroutines
+	// ctx is the parent of every session's context; Shutdown cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
+
+	mu    sync.Mutex // guards ln
+	mgrMu sync.Mutex // guards mgr/follower/promoting/shipper across Promote
+	ln    net.Listener
+	wg    sync.WaitGroup // live session goroutines
 
 	// Exactly one of mgr and follower is live: a promotion keeps the
 	// follower (and so its store) in place, flagged promoting, until the
@@ -104,13 +107,8 @@ func New(mgr *nestedtx.Manager, cfg Config) *Server {
 	if cfg.RequestTimeout <= 0 {
 		cfg.RequestTimeout = defaultRequestTimeout
 	}
-	s := &Server{
-		mgr:      mgr,
-		cfg:      cfg,
-		follower: cfg.Follower,
-		sessions: make(map[*session]struct{}),
-		reapStop: make(chan struct{}),
-	}
+	s := &Server{mgr: mgr, cfg: cfg, follower: cfg.Follower}
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 	if mgr != nil && mgr.Durable() {
 		s.shipper = repl.NewShipper(mgr.WAL(), mgr.Metrics())
 	}
@@ -289,16 +287,13 @@ func (s *Server) ListenAndServe(addr string) error {
 // after a graceful Shutdown and the accept error otherwise.
 func (s *Server) Serve(ln net.Listener) error {
 	s.mu.Lock()
-	if s.closed {
+	if s.isClosed() {
 		s.mu.Unlock()
 		ln.Close()
 		return errors.New("server: already shut down")
 	}
 	s.ln = ln
 	s.mu.Unlock()
-	if s.cfg.IdleTimeout > 0 {
-		go s.reapLoop()
-	}
 	for {
 		conn, err := ln.Accept()
 		if err != nil {
@@ -343,28 +338,19 @@ func refuse(conn net.Conn) {
 }
 
 // Shutdown drains the server: the listener closes, every session's
-// in-flight transactions are aborted cleanly (so a recorded schedule
-// stays well-formed and verifiable), and all session goroutines are
-// awaited. It returns ctx.Err() if the drain outlives ctx.
+// context is cancelled, so its in-flight transactions are aborted cleanly
+// (a recorded schedule stays well-formed and verifiable), and all session
+// goroutines are awaited. It returns ctx.Err() if the drain outlives ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	closed, ln := s.isClosed(), s.ln
+	s.cancel()
+	s.mu.Unlock()
+	if closed {
 		return nil
 	}
-	s.closed = true
-	ln := s.ln
-	close(s.reapStop)
-	open := make([]*session, 0, len(s.sessions))
-	for ss := range s.sessions {
-		open = append(open, ss)
-	}
-	s.mu.Unlock()
 	if ln != nil {
 		ln.Close()
-	}
-	for _, ss := range open {
-		ss.close()
 	}
 	done := make(chan struct{})
 	go func() {
@@ -389,54 +375,15 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-func (s *Server) isClosed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.closed
-}
+func (s *Server) isClosed() bool { return s.ctx.Err() != nil }
 
-// reapLoop periodically aborts and closes sessions that have been idle —
-// no request in flight and none received — for IdleTimeout, so
-// abandoned clients cannot pin locks forever.
-func (s *Server) reapLoop() {
-	period := s.cfg.IdleTimeout / 4
-	if period < time.Millisecond {
-		period = time.Millisecond
-	}
-	tick := time.NewTicker(period)
-	defer tick.Stop()
-	for {
-		select {
-		case <-s.reapStop:
-			return
-		case <-tick.C:
-		}
-		cutoff := time.Now().Add(-s.cfg.IdleTimeout).UnixNano()
-		s.mu.Lock()
-		var stale []*session
-		for ss := range s.sessions {
-			if !ss.inFlight.Load() && ss.lastActive.Load() < cutoff {
-				stale = append(stale, ss)
-			}
-		}
-		s.mu.Unlock()
-		for _, ss := range stale {
-			s.count(func(c *Counters) { c.ReapedSessions++ })
-			ss.close()
-		}
-	}
-}
-
-// session is one connection's state. All fields below the atomics are
-// touched only by the session's own goroutine.
+// session is one connection's state. Only the session's own goroutine
+// touches it, but for parked and fired: the watchdog and the teardown
+// hook use those.
 type session struct {
-	srv    *Server
-	conn   net.Conn
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	lastActive atomic.Int64 // unix nanos of last request activity
-	inFlight   atomic.Bool  // a request is being handled right now
+	srv  *Server
+	conn net.Conn
+	ctx  context.Context
 
 	// The request deadline: one timer, armed around each access, that
 	// cancels the tree whose access is parked (see arm and expired). The
@@ -464,36 +411,26 @@ type session struct {
 
 func (s *Server) serveConn(conn net.Conn) {
 	defer s.wg.Done()
-	ctx, cancel := context.WithCancel(context.Background())
-	ss := &session{srv: s, conn: conn, ctx: ctx, cancel: cancel, fired: make(chan struct{}, 1),
+	ctx, cancel := context.WithCancel(s.ctx)
+	ss := &session{srv: s, conn: conn, ctx: ctx, fired: make(chan struct{}, 1),
 		txs: make(map[uint64]*txHandle), ros: make(map[uint64]*snap.Tx)}
-	ss.lastActive.Store(time.Now().UnixNano())
-	// Teardown (reaper, Shutdown, connection loss) unblocks the one access
-	// the session goroutine can be parked in; that goroutine then aborts
-	// every tree on its way out. arm closes the race with this hook.
+	// Teardown (Shutdown, or the session's own end) closes the connection,
+	// which ends a read or a reply write the session goroutine is blocked
+	// in, and unblocks the one access it can be parked in; that goroutine
+	// then aborts every tree on its way out. arm closes the race with this
+	// hook. A connection accepted after Shutdown is torn down at once.
 	context.AfterFunc(ctx, func() {
+		conn.Close()
 		if tree := ss.parked.Load(); tree != nil {
 			tree.Cancel()
 		}
 	})
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		cancel()
-		conn.Close()
-		s.count(func(c *Counters) { c.ActiveSessions-- }) // admit counted it
-		return
-	}
-	s.sessions[ss] = struct{}{}
-	s.mu.Unlock()
 	s.count(func(c *Counters) { c.TotalSessions++ })
 	defer func() {
 		// Abort whatever the client left open — each tree innermost
 		// first, the schedule a client unwinding by hand would have
-		// produced — so Shutdown → Verify sees quiescence, then
-		// deregister.
+		// produced — so Shutdown → Verify sees quiescence.
 		cancel()
-		conn.Close()
 		for _, h := range ss.txs {
 			if h.parent == nil && !h.dead {
 				ss.abortTree(h)
@@ -504,9 +441,6 @@ func (s *Server) serveConn(conn net.Conn) {
 		for _, ro := range ss.ros {
 			ro.Close()
 		}
-		s.mu.Lock()
-		delete(s.sessions, ss)
-		s.mu.Unlock()
 		s.count(func(c *Counters) { c.ActiveSessions-- })
 	}()
 
@@ -524,36 +458,41 @@ func (s *Server) serveConn(conn net.Conn) {
 		req.ObjHook = mgr.ObjectName
 	}
 	for {
+		if s.cfg.IdleTimeout > 0 {
+			conn.SetReadDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		}
 		if err := wire.ReadFrame(br, &req); err != nil {
-			return // EOF, reset, or reaped/drained under us
+			s.reaped(err)
+			return // EOF, reset, idle past the deadline, or drained under us
 		}
 		if req.Type == wire.TReplHello {
 			// The connection becomes a replication push stream: the shipper
-			// owns both directions until the follower disconnects. Marked
-			// permanently in flight so the idle reaper leaves it alone.
-			ss.inFlight.Store(true)
+			// owns both directions until the follower disconnects, with no
+			// idle deadline (the leader heartbeats, the follower bounds its
+			// own reads).
+			conn.SetDeadline(time.Time{})
 			ss.serveRepl(&req, br, bw)
 			return
 		}
-		ss.inFlight.Store(true)
-		ss.lastActive.Store(time.Now().UnixNano())
 		s.count(func(c *Counters) { c.Requests++ })
 		resp = ss.handle(&req)
 		resp.Seq = req.Seq
-		werr := wire.WriteFrameMax(bw, &resp, wire.MaxResponseSize)
-		ss.lastActive.Store(time.Now().UnixNano())
-		ss.inFlight.Store(false)
-		if werr != nil {
+		if s.cfg.IdleTimeout > 0 {
+			conn.SetWriteDeadline(time.Now().Add(s.cfg.IdleTimeout))
+		}
+		if err := wire.WriteFrameMax(bw, &resp, wire.MaxResponseSize); err != nil {
+			s.reaped(err)
 			return
 		}
 	}
 }
 
-// close aborts the session's transactions and tears down its connection;
-// the session goroutine finishes the cleanup.
-func (ss *session) close() {
-	ss.cancel()
-	ss.conn.Close()
+// reaped counts a session whose read of a request, or write of a reply,
+// outlived IdleTimeout: a client gone silent, or one that stopped reading.
+func (s *Server) reaped(err error) {
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		s.count(func(c *Counters) { c.ReapedSessions++ })
+	}
 }
 
 // ---- transaction handles ----

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -312,6 +313,50 @@ func TestIdleReaperAbortsAbandonedTransactions(t *testing.T) {
 		t.Fatal("reaper did not count the abandoned session")
 	}
 	drainAndVerify(t, srv)
+}
+
+// TestClientThatStopsReadingLosesItsLocks: a client that holds a lock and
+// then pipelines requests without reading a reply leaves its session
+// stuck writing one. The write outlives IdleTimeout, so the session is
+// torn down, its transaction aborts, and a second client's write on the
+// same object goes through long before its own request deadline. A
+// reaper that skipped sessions in the middle of a request never took
+// this one: the second write failed with ErrTimeout after 3 s.
+func TestClientThatStopsReadingLosesItsLocks(t *testing.T) {
+	mgr := nestedtx.NewManager(nestedtx.WithRecording())
+	mgr.MustRegister("c", nestedtx.Counter{})
+	mgr.MustRegister("big", nestedtx.NewRegister(strings.Repeat("x", 1<<20)))
+	srv, addr := start(t, mgr, server.Config{IdleTimeout: 200 * time.Millisecond, RequestTimeout: 3 * time.Second})
+
+	stuck := dialRaw(t, addr)
+	h := stuck.ok(&wire.Request{Type: wire.TBegin}).Tx
+	op, err := wire.EncodeOp(nestedtx.CtrAdd{Delta: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stuck.ok(&wire.Request{Type: wire.TWrite, Tx: h, Obj: "c", Op: op})
+	for i := 0; i < 200; i++ {
+		if err := wire.WriteFrame(stuck.bw, &wire.Request{Seq: uint64(100 + i), Type: wire.TState, Obj: "big"}); err != nil {
+			t.Fatalf("pipelined STATE %d: %v", i, err)
+		}
+	}
+
+	began := time.Now()
+	err = dial(t, addr).Run(func(tx *client.Tx) error {
+		_, err := tx.Write("c", nestedtx.CtrAdd{Delta: 1})
+		return err
+	})
+	if err != nil {
+		t.Fatalf("write behind a client that stopped reading, after %v: %v", time.Since(began), err)
+	}
+	t.Logf("write behind a client that stopped reading: %v", time.Since(began))
+	if srv.Counters().ReapedSessions == 0 {
+		t.Error("the stuck session was not counted as reaped")
+	}
+	drainAndVerify(t, srv)
+	if st, _ := mgr.State("c"); st.(nestedtx.Counter).N != 1 {
+		t.Errorf("counter = %v, want 1 (the stuck client's +5 rolled back)", st)
+	}
 }
 
 // TestConnectionLimitBackpressure checks that connections beyond
