@@ -85,9 +85,10 @@ fuzz:
 # Short fuzz smoke for CI: the wire framing/decode surface, the WAL
 # segment scanner, the hand-written JSON codecs against the
 # encoding/json implementations they replaced, and the lock tables
-# against the set-based M(X) they refine, ten seconds each. The last
-# one's runs are a whole script each, so minimising every input that
-# reaches new code is capped or it eats the ten seconds.
+# against the set-based M(X) they refine, and the Theorem-34 checker on
+# generated schedules, ten seconds each. The lock tables' runs are a
+# whole script each, so minimising every input that reaches new code is
+# capped or it eats the ten seconds.
 fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzReadFrame -fuzztime 10s ./internal/wire
 	$(GO) test -run XXX -fuzz FuzzSegmentScan -fuzztime 10s ./internal/wal
@@ -97,6 +98,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzRecordEncodeMatchesEncodingJSON -fuzztime 10s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzCheckpointEncodeMatchesEncodingJSON -fuzztime 10s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzLockTablesRefineMX -fuzztime 10s -fuzzminimizetime 100x ./internal/lockmgr
+	$(GO) test -run XXX -fuzz FuzzTheorem34 -fuzztime 10s ./internal/checker
 
 # End-to-end observability probe against the real binaries: starts a
 # traced txserver, drives load with txmetrics -exercise, and asserts the

@@ -13,9 +13,9 @@
 //	                                             stream records in LSN order
 //
 // verify reconstructs the recovered history as a formal schedule and
-// certifies it (checker.Certify) — well-formedness, replay on the M(X)
-// automata with value verification, and serial correctness per
-// Theorem 34 — answering "would this directory recover, and would the
+// certifies it with nestedtx.Recovery.Verify, the certifier boot and
+// promotion run — well-formedness, replay on the M(X) automata with value
+// verification, and serial correctness per Theorem 34 — answering "would this directory recover, and would the
 // result be correct?" before a restart bets on it.
 //
 // tail reads records the way a replication follower does: it starts at
@@ -36,9 +36,8 @@ import (
 	"strings"
 	"time"
 
+	"nestedtx"
 	"nestedtx/internal/adt"
-	"nestedtx/internal/checker"
-	"nestedtx/internal/core"
 	"nestedtx/internal/wal"
 )
 
@@ -272,10 +271,7 @@ func printRecord(r wal.Record, jsonOut bool) {
 }
 
 func verify(rec *wal.Recovery, jsonOut bool) {
-	sched, st, err := rec.Schedule()
-	if err == nil {
-		err = checker.Certify(sched, st, core.ReadWrite, rec.States())
-	}
+	err := (&nestedtx.Recovery{Recovery: rec}).Verify()
 	if jsonOut {
 		out := struct {
 			OK      bool   `json:"ok"`

@@ -8,11 +8,14 @@
 // visible(α,T). The checker constructs such a β and verifies it:
 //
 //  1. compute vis = visible(α,T);
-//  2. for every internal transaction P, order the visible children of P by
-//     a precedence graph — conflicting accesses at shared objects order
+//  2. for every internal transaction P, order the committed children of P
+//     by a precedence graph — conflicting accesses at shared objects order
 //     sibling subtrees, and a report of one child before the creation
 //     request of another orders their blocks — with ties broken by return
-//     order in α and the live child (the one containing T) last;
+//     order in α. A transaction visible to T keeps its whole projection
+//     (Lemma 9), so this order Γ is the same for every T and is computed
+//     once per schedule; the live child containing T, which still holds
+//     every lock its subtree took, follows it;
 //  3. emit β by a depth-first traversal: each child subtree becomes a
 //     contiguous block closed by its COMMIT, interleaved with P's own
 //     operations so that β|P = α|P;
@@ -22,15 +25,14 @@
 //
 // The lock rules of Moss' algorithm guarantee the precedence graph is
 // acyclic on schedules of R/W Locking systems; a cycle or a validation
-// failure means the input schedule is *not* serially correct by this
-// construction, and Check retries with randomized topological tie-breaks
-// before reporting failure. A successful Check is a machine-checked
-// witness of the theorem's conclusion for that schedule and transaction.
+// failure means the input schedule is *not* serially correct, and Check
+// reports it. A successful Check is a machine-checked witness of the
+// theorem's conclusion for that schedule and transaction; [BruteForce]
+// is the exhaustive reference it is tested against.
 package checker
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 
 	"nestedtx/internal/adt"
@@ -52,40 +54,12 @@ type Witness struct {
 	Serial event.Schedule
 }
 
-// retries is how many randomized tie-break attempts Check makes after the
-// deterministic order fails.
-const retries = 16
-
 // Check verifies that concurrent schedule alpha is serially correct for
 // non-orphan transaction t, returning a witness. It errors if t is an
 // orphan in alpha (the theorem excludes orphans) or if no write-equivalent
 // serial rearrangement is found.
 func Check(alpha event.Schedule, st *event.SystemType, t tree.TID) (*Witness, error) {
-	if alpha.IsOrphan(t) {
-		return nil, fmt.Errorf("checker: %s is an orphan; serial correctness is only guaranteed for non-orphans", t)
-	}
-	vis := alpha.Visible(t)
-	c := &constructor{alpha: alpha, st: st, target: t, vis: vis}
-	c.analyze()
-
-	var lastErr error
-	for attempt := 0; attempt <= retries; attempt++ {
-		var rng *rand.Rand
-		if attempt > 0 {
-			rng = rand.New(rand.NewSource(int64(attempt)))
-		}
-		beta, err := c.build(rng)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		if err := verify(alpha, beta, vis, st, t); err != nil {
-			lastErr = err
-			continue
-		}
-		return &Witness{T: t, Visible: vis, Serial: beta}, nil
-	}
-	return nil, fmt.Errorf("checker: no serial rearrangement found for %s: %w", t, lastErr)
+	return analyze(alpha, st).check(t)
 }
 
 // verify performs the end-to-end validation of a candidate β.
@@ -103,10 +77,12 @@ func verify(alpha, beta, vis event.Schedule, st *event.SystemType, t tree.TID) e
 }
 
 // CheckAll runs Check for every transaction of Targets, returning the
-// first failure.
+// first failure. The analysis of alpha, and each sibling order Γ, is
+// shared by every target.
 func CheckAll(alpha event.Schedule, st *event.SystemType) error {
+	c := analyze(alpha, st)
 	for _, u := range Targets(alpha, st) {
-		if _, err := Check(alpha, st, u); err != nil {
+		if _, err := c.check(u); err != nil {
 			return fmt.Errorf("checker: at %s: %w", u, err)
 		}
 	}
@@ -171,123 +147,120 @@ func Certify(alpha event.Schedule, st *event.SystemType, mode core.Mode, want ma
 	return CheckAll(alpha, st)
 }
 
-// constructor holds the per-check analysis shared across retry attempts.
+// constructor holds the analysis of one schedule, shared by every target.
 type constructor struct {
-	alpha  event.Schedule
-	st     *event.SystemType
-	target tree.TID
-	vis    event.Schedule
+	alpha event.Schedule
+	st    *event.SystemType
 
-	committed  map[tree.TID]bool // COMMIT(U) ∈ vis
-	abortedVis map[tree.TID]bool // ABORT(U) ∈ vis
-	returnPos  map[tree.TID]int  // position of COMMIT/ABORT in alpha
-	fibers     map[tree.TID]event.Schedule
-	// children[P] lists the children of P mentioned in vis, in first-
-	// appearance order.
+	committed map[tree.TID]bool // COMMIT(U) ∈ α
+	aborted   map[tree.TID]bool // ABORT(U) ∈ α
+	// fibers[U] is α|U: the operations of transaction automaton U
+	// (COMMIT/ABORT are scheduler-internal; the constructor places them
+	// itself, right after each child's block).
+	fibers map[tree.TID]event.Schedule
+	// children[P] lists the committed children of P in return order.
 	children map[tree.TID][]tree.TID
-	// perObject indexes the REQUEST_COMMIT access events of vis by
-	// object, in vis order — shared by every childOrder call.
-	perObject map[string][]event.Event
+	// reached[P][X] lists, in α order, the accesses to X that committed
+	// to P, each as the child of P it came through.
+	reached map[tree.TID]map[string][]reach
+	// gamma memoizes childOrder.
+	gamma map[tree.TID][]tree.TID
 }
 
-func (c *constructor) analyze() {
-	c.committed = make(map[tree.TID]bool)
-	c.abortedVis = make(map[tree.TID]bool)
-	c.returnPos = make(map[tree.TID]int)
-	c.fibers = make(map[tree.TID]event.Schedule)
-	c.children = make(map[tree.TID][]tree.TID)
-	c.perObject = make(map[string][]event.Event)
-	for _, e := range c.vis {
-		if e.Kind != event.RequestCommit {
-			continue
-		}
-		if a, ok := c.st.AccessInfo(e.T); ok {
-			c.perObject[a.Object] = append(c.perObject[a.Object], e)
-		}
+// reach is an access seen from an ancestor: the child it came through and
+// whether it reads.
+type reach struct {
+	child tree.TID
+	read  bool
+}
+
+// analyze builds the target-independent analysis of alpha.
+func analyze(alpha event.Schedule, st *event.SystemType) *constructor {
+	c := &constructor{
+		alpha:     alpha,
+		st:        st,
+		committed: make(map[tree.TID]bool),
+		aborted:   make(map[tree.TID]bool),
+		fibers:    make(map[tree.TID]event.Schedule),
+		children:  make(map[tree.TID][]tree.TID),
+		reached:   make(map[tree.TID]map[string][]reach),
+		gamma:     make(map[tree.TID][]tree.TID),
 	}
-	for i, e := range c.alpha {
-		if e.Kind == event.Commit || e.Kind == event.Abort {
-			if _, ok := c.returnPos[e.T]; !ok {
-				c.returnPos[e.T] = i
-			}
-		}
-	}
-	seenChild := make(map[tree.TID]bool)
-	noteChild := func(u tree.TID) {
-		// Register u and every ancestor link above it so that blocks exist
-		// for the whole path down from the root.
-		for _, a := range u.Ancestors() {
-			if a == tree.Root {
-				continue
-			}
-			if !seenChild[a] {
-				seenChild[a] = true
-				p := a.Parent()
-				c.children[p] = append(c.children[p], a)
-			}
-		}
-	}
-	for _, e := range c.vis {
+	for _, e := range alpha {
 		switch e.Kind {
 		case event.Commit:
-			c.committed[e.T] = true
-			noteChild(e.T)
-		case event.Abort:
-			c.abortedVis[e.T] = true
-			noteChild(e.T)
-		default:
-			if u, ok := event.TransactionOf(e); ok {
-				noteChild(u)
-				if e.Kind == event.RequestCreate {
-					noteChild(e.T)
-				}
+			if !c.committed[e.T] {
+				c.committed[e.T] = true
+				p := e.T.Parent()
+				c.children[p] = append(c.children[p], e.T)
 			}
-		}
-		// Fibers hold only the operations of the transaction *automata*
-		// (COMMIT/ABORT are scheduler-internal; the constructor places
-		// them itself, right after each child's block).
-		if e.Kind != event.Commit && e.Kind != event.Abort {
+		case event.Abort:
+			c.aborted[e.T] = true
+		default:
 			if u, ok := event.TransactionOf(e); ok {
 				c.fibers[u] = append(c.fibers[u], e)
 			}
 		}
 	}
+	// Walk each access's chain of COMMITs upward: the access reaches every
+	// ancestor its effects were passed to.
+	for _, e := range alpha {
+		a, ok := st.AccessInfo(e.T)
+		if e.Kind != event.RequestCommit || !ok {
+			continue
+		}
+		r := reach{read: st.IsReadAccess(e.T)}
+		for u := e.T; c.committed[u]; u = u.Parent() {
+			p := u.Parent()
+			if c.reached[p] == nil {
+				c.reached[p] = make(map[string][]reach)
+			}
+			r.child = u
+			c.reached[p][a.Object] = append(c.reached[p][a.Object], r)
+		}
+	}
+	return c
 }
 
-// hasBlock reports whether child u gets a contiguous subtree block in β:
-// committed children do, and so does the live child on the path to the
-// target.
-func (c *constructor) hasBlock(u tree.TID) bool {
-	if c.committed[u] {
-		return true
+// check constructs and verifies the witness for target t.
+func (c *constructor) check(t tree.TID) (*Witness, error) {
+	for _, a := range t.Ancestors() {
+		if c.aborted[a] {
+			return nil, fmt.Errorf("checker: %s is an orphan; serial correctness is only guaranteed for non-orphans", t)
+		}
 	}
-	return u.IsAncestorOf(c.target) && !c.abortedVis[u]
-}
-
-// build constructs a candidate serial schedule. rng, when non-nil,
-// randomizes topological tie-breaking.
-func (c *constructor) build(rng *rand.Rand) (event.Schedule, error) {
-	var out event.Schedule
-	if err := c.emit(tree.Root, &out, rng); err != nil {
-		return nil, err
+	vis := c.alpha.Visible(t)
+	beta := make(event.Schedule, 0, len(vis))
+	err := c.emit(tree.Root, t, &beta)
+	if err == nil {
+		err = verify(c.alpha, beta, vis, c.st, t)
 	}
-	return out, nil
+	if err != nil {
+		return nil, fmt.Errorf("checker: no serial rearrangement found for %s: %w", t, err)
+	}
+	return &Witness{T: t, Visible: vis, Serial: beta}, nil
 }
 
 // emit appends the block of transaction p (its CREATE through its
-// REQUEST_COMMIT, with child blocks inserted) to out.
-func (c *constructor) emit(p tree.TID, out *event.Schedule, rng *rand.Rand) error {
+// REQUEST_COMMIT, with child blocks inserted) to out. Its children with
+// blocks are Γ, then the live child on the path to target.
+func (c *constructor) emit(p, target tree.TID, out *event.Schedule) error {
 	fiber := c.fibers[p]
 	if c.st.IsAccess(p) {
 		*out = append(*out, fiber...)
 		return nil
 	}
-	order, err := c.childOrder(p, rng)
+	order, err := c.childOrder(p)
 	if err != nil {
 		return err
 	}
+	if p.IsProperAncestorOf(target) {
+		if u := p.ChildToward(target); !c.committed[u] && !c.aborted[u] {
+			order = append(order[:len(order):len(order)], u)
+		}
+	}
 	emitted := make(map[tree.TID]bool)
-	// emitUpTo emits blocks in Γ order until u's block (inclusive) is out.
+	// emitUpTo emits blocks in order until u's block (inclusive) is out.
 	// If u's block is already out there is nothing to do — emitting past it
 	// could create blocks whose REQUEST_CREATE has not been issued yet.
 	emitUpTo := func(u tree.TID) error {
@@ -299,7 +272,7 @@ func (c *constructor) emit(p tree.TID, out *event.Schedule, rng *rand.Rand) erro
 				continue
 			}
 			emitted[v] = true
-			if err := c.emit(v, out, rng); err != nil {
+			if err := c.emit(v, target, out); err != nil {
 				return err
 			}
 			if c.committed[v] {
@@ -315,16 +288,14 @@ func (c *constructor) emit(p tree.TID, out *event.Schedule, rng *rand.Rand) erro
 		return nil
 	}
 	for _, e := range fiber {
-		switch e.Kind {
-		case event.ReportCommit:
+		if e.Kind == event.ReportCommit {
 			if err := emitUpTo(e.T); err != nil {
 				return err
 			}
-		case event.ReportAbort:
-			// ABORT(e.T) was emitted right after REQUEST_CREATE(e.T).
 		}
 		*out = append(*out, e)
-		if e.Kind == event.RequestCreate && c.abortedVis[e.T] && !c.hasBlock(e.T) {
+		// An aborted child has no block: its ABORT follows its request.
+		if e.Kind == event.RequestCreate && c.aborted[e.T] && !c.committed[e.T] {
 			*out = append(*out, event.Event{Kind: event.Abort, T: e.T})
 		}
 	}
@@ -336,16 +307,16 @@ func (c *constructor) emit(p tree.TID, out *event.Schedule, rng *rand.Rand) erro
 	return emitUpTo("")
 }
 
-// childOrder computes Γ: the visible children of p with blocks, ordered by
-// the precedence graph with deterministic (or randomized) tie-breaking.
-func (c *constructor) childOrder(p tree.TID, rng *rand.Rand) ([]tree.TID, error) {
-	var nodes []tree.TID
-	for _, u := range c.children[p] {
-		if c.hasBlock(u) {
-			nodes = append(nodes, u)
-		}
+// childOrder computes Γ: the committed children of p ordered by the
+// precedence graph, ties broken by return order. It is memoized: Γ does
+// not depend on the target.
+func (c *constructor) childOrder(p tree.TID) ([]tree.TID, error) {
+	if order, ok := c.gamma[p]; ok {
+		return order, nil
 	}
+	nodes := c.children[p]
 	if len(nodes) <= 1 {
+		c.gamma[p] = nodes
 		return nodes, nil
 	}
 	idx := make(map[tree.TID]int, len(nodes))
@@ -364,50 +335,25 @@ func (c *constructor) childOrder(p tree.TID, rng *rand.Rand) ([]tree.TID, error)
 		indeg[j]++
 	}
 
-	// (a) Conflict edges: REQUEST_COMMIT pairs at a shared object in
-	// different sibling subtrees, at least one a write, ordered as in vis.
+	// (a) Conflict edges: accesses that reached p at a shared object
+	// through different children, at least one a write, ordered as in α.
 	// Linear edge construction: chaining each access to the previous write
 	// and each write to the reads since then has the same transitive
 	// closure as the all-pairs constraint set (read-read pairs impose
-	// nothing), without the quadratic blowup on long schedules. The
-	// per-object access index is built once per Check (analyze), not per
-	// interior transaction.
-	perObject := c.perObject
-	govern := func(u tree.TID) (tree.TID, bool) {
-		if p.IsProperAncestorOf(u) {
-			return p.ChildToward(u), true
-		}
-		return "", false
-	}
-	type governed struct {
-		g    tree.TID
-		read bool
-	}
-	for _, seq := range perObject {
-		// Constraints only order accesses governed by children of p, so
-		// the segment construction runs on that subsequence (the all-pairs
-		// set never mentioned the others).
-		var gs []governed
-		for _, e := range seq {
-			if g, ok := govern(e.T); ok {
-				gs = append(gs, governed{g: g, read: c.st.IsReadAccess(e.T)})
-			}
-		}
+	// nothing), without the quadratic blowup on long schedules.
+	for _, seq := range c.reached[p] {
 		lastWrite := -1
 		var reads []int
-		for j, ge := range gs {
-			if ge.read {
-				if lastWrite >= 0 {
-					addEdge(gs[lastWrite].g, ge.g)
-				}
+		for j, r := range seq {
+			if lastWrite >= 0 {
+				addEdge(seq[lastWrite].child, r.child)
+			}
+			if r.read {
 				reads = append(reads, j)
 				continue
 			}
-			if lastWrite >= 0 {
-				addEdge(gs[lastWrite].g, ge.g)
-			}
-			for _, r := range reads {
-				addEdge(gs[r].g, ge.g)
+			for _, k := range reads {
+				addEdge(seq[k].child, r.child)
 			}
 			lastWrite = j
 			reads = reads[:0]
@@ -440,35 +386,16 @@ func (c *constructor) childOrder(p tree.TID, rng *rand.Rand) ([]tree.TID, error)
 		}
 	}
 
-	// Tie-break priority: return position in α (live child last), or
-	// random on retry.
-	prio := make([]int64, len(nodes))
-	for i, u := range nodes {
-		if pos, ok := c.returnPos[u]; ok && c.committed[u] {
-			prio[i] = int64(pos)
-		} else {
-			prio[i] = int64(len(c.alpha)) + 1 // live: after everything
-		}
-		if rng != nil {
-			prio[i] = rng.Int63n(int64(len(nodes)) * 16)
-			if !c.committed[u] {
-				prio[i] += int64(len(nodes)) * 16 // live child still last
-			}
-		}
-	}
-
-	// Kahn's algorithm with a priority queue (linear scan; sibling counts
-	// are small).
-	var order []tree.TID
+	// Kahn's algorithm; nodes are in return order, so taking the first
+	// ready node breaks ties by return position in α.
+	order := make([]tree.TID, 0, len(nodes))
 	done := make([]bool, len(nodes))
 	for len(order) < len(nodes) {
 		best := -1
 		for i := range nodes {
-			if done[i] || indeg[i] > 0 {
-				continue
-			}
-			if best < 0 || prio[i] < prio[best] {
+			if !done[i] && indeg[i] == 0 {
 				best = i
+				break
 			}
 		}
 		if best < 0 {
@@ -480,5 +407,6 @@ func (c *constructor) childOrder(p tree.TID, rng *rand.Rand) ([]tree.TID, error)
 			indeg[j]--
 		}
 	}
+	c.gamma[p] = order
 	return order, nil
 }

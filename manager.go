@@ -411,8 +411,9 @@ func (m *Manager) SystemType() *event.SystemType {
 // be called when no transactions are in flight.
 //
 // A recovered or otherwise serial history certifies in O(events) (see
-// [checker.Certify]); a live concurrent one still pays per transaction
-// (roughly transactions × events), so it is meant for tests and bounded
+// [checker.Certify]). A live concurrent one orders each sibling set once,
+// but still emits and validates a witness per transaction (roughly
+// transactions × events), so it is meant for tests and bounded
 // validation runs, not for continuously running production histories.
 func (m *Manager) Verify() error {
 	if m.rec == nil {

@@ -19,44 +19,9 @@ func TestSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak test skipped in -short mode")
 	}
-	m := NewManager(WithRecording())
-	m.MustRegister("reg", NewRegister(int64(0)))
-	m.MustRegister("ctr", Counter{})
-	m.MustRegister("acct", Account{Balance: 1000})
-	m.MustRegister("set", NewIntSet())
-	m.MustRegister("tbl", NewTable(nil))
-	m.MustRegister("q", NewQueue())
-
 	// Bound by transaction count, not wall time: Verify replays the whole
 	// recorded history per transaction, so the history must stay test-sized.
-	deadline := time.Now().Add(30 * time.Second)
-	var wg sync.WaitGroup
-	var committed, gaveUp int64
-	var mu sync.Mutex
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(seed))
-			for n := 0; n < 25 && time.Now().Before(deadline); n++ {
-				err := m.RunRetry(40, func(tx *Tx) error {
-					return soakBody(tx, rng.Int63(), 2)
-				})
-				mu.Lock()
-				if err == nil {
-					committed++
-				} else if errors.Is(err, ErrDeadlock) {
-					gaveUp++
-				} else if !errors.Is(err, errSoakAbort) {
-					mu.Unlock()
-					t.Errorf("unexpected error: %v", err)
-					return
-				}
-				mu.Unlock()
-			}
-		}(int64(w) + 1)
-	}
-	wg.Wait()
+	m, committed, gaveUp := recordSoak(t, 25, time.Now().Add(30*time.Second))
 	if committed == 0 {
 		t.Fatal("soak committed nothing")
 	}
@@ -67,6 +32,65 @@ func TestSoak(t *testing.T) {
 		t.Fatalf("soak run failed verification (%d committed, %d gave up): %v", committed, gaveUp, err)
 	}
 	t.Logf("soak: %d committed, %d gave up, %d events verified", committed, gaveUp, m.rec.Len())
+}
+
+// BenchmarkVerifySoak times Manager.Verify on a recorded TestSoak-shaped
+// history of txs top-level transactions.
+func BenchmarkVerifySoak(b *testing.B) {
+	for _, txs := range []int{100, 200, 400} {
+		b.Run(fmt.Sprintf("txs=%d", txs), func(b *testing.B) {
+			m, _, _ := recordSoak(b, txs/4, time.Now().Add(time.Hour))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := m.Verify(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(m.rec.Len()), "events/op")
+		})
+	}
+}
+
+// recordSoak runs the soak workload on a recording manager: 4 workers,
+// each running up to perWorker top-level transactions of soakBody at
+// depth 2 until deadline. It returns the manager and how many
+// transactions committed and gave up on deadlock.
+func recordSoak(tb testing.TB, perWorker int, deadline time.Time) (m *Manager, committed, gaveUp int64) {
+	m = NewManager(WithRecording())
+	m.MustRegister("reg", NewRegister(int64(0)))
+	m.MustRegister("ctr", Counter{})
+	m.MustRegister("acct", Account{Balance: 1000})
+	m.MustRegister("set", NewIntSet())
+	m.MustRegister("tbl", NewTable(nil))
+	m.MustRegister("q", NewQueue())
+
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for n := 0; n < perWorker && time.Now().Before(deadline); n++ {
+				err := m.RunRetry(40, func(tx *Tx) error {
+					return soakBody(tx, rng.Int63(), 2)
+				})
+				mu.Lock()
+				if err == nil {
+					committed++
+				} else if errors.Is(err, ErrDeadlock) {
+					gaveUp++
+				} else if !errors.Is(err, errSoakAbort) {
+					mu.Unlock()
+					tb.Errorf("unexpected error: %v", err)
+					return
+				}
+				mu.Unlock()
+			}
+		}(int64(w) + 1)
+	}
+	wg.Wait()
+	return m, committed, gaveUp
 }
 
 var errSoakAbort = errors.New("soak: voluntary abort")
