@@ -49,13 +49,15 @@ func nestedWorkload(m *Manager) func(*Tx) error {
 // TestAccessPathAllocationBudget: on a non-recording manager a
 // transaction allocates what it names, its Tx with its name inside, and
 // nothing else: an access is never named, a cancel channel is made only
-// for a wait, children are linked in place, and the publication map and
-// the tree's cross-shard index entry are reused. The code allocates 15
-// and 1 here (15 Tx; one Tx); the budgets of 20 and 2 leave room for
-// version boxing, and sit below the 30 and 2 of a manager that allocated
-// each name apart from its Tx, the 90 and 8 of one that named every
-// access and made a channel per transaction, and the 434 and 28 of one
-// that entered every access in the system type.
+// for a wait, children are linked in place and made two to an
+// allocation, and the publication map and the tree's cross-shard index
+// entry are reused. The code allocates 8 and 1 here (the top-level Tx and
+// seven pairs of children; one Tx); the flat budget of 2 leaves room for
+// version boxing. Both sit below the 15 and 1 of a manager that made each
+// child apart, the 30 and 2 of one that allocated each name apart from
+// its Tx, the 90 and 8 of one that named every access and made a channel
+// per transaction, and the 434 and 28 of one that entered every access
+// in the system type.
 func TestAccessPathAllocationBudget(t *testing.T) {
 	run := func(m *Manager, body func(*Tx) error) func() {
 		return func() {
@@ -67,8 +69,8 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 	nested := NewManager()
 	n := testing.AllocsPerRun(200, run(nested, nestedWorkload(nested)))
 	t.Logf("15-node, 30-access transaction: %.1f allocations", n)
-	if n > 20+raceSlack {
-		t.Errorf("15-node, 30-access transaction: %.0f allocations, budget 20 + %.0f", n, raceSlack)
+	if n > 8+raceSlack {
+		t.Errorf("15-node, 30-access transaction: %.0f allocations, budget 8 + %.0f", n, raceSlack)
 	}
 	flat := NewManager()
 	flat.MustRegister("a", Counter{})
@@ -86,7 +88,8 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 		t.Errorf("flat 2-access transaction: %.0f allocations, budget 2 + %.0f", n, raceSlack)
 	}
 	// Bytes follow the allocator's size classes: a Tx one word over 144 B
-	// is a 160-byte object, and embed_nested allocates 15 per transaction.
+	// is a 160-byte object (a pair 320 B), and embed_nested allocates 15
+	// per transaction.
 	// The name array is inside those 144 B; a name longer than its 16
 	// bytes costs one more allocation.
 	if n := unsafe.Sizeof(Tx{}); n > 144 {
@@ -96,9 +99,10 @@ func TestAccessPathAllocationBudget(t *testing.T) {
 
 // TestDurableCommitAllocationBudget: a durable commit allocates what
 // outlives it and little more. A transfer of two subtransactions on a
-// durable manager costs its three Tx, each with its name inside, and the
-// boxed states and results of its two accesses: 6 allocations here, 9
-// with each name allocated apart. The WAL ticket is answered by the
+// durable manager costs its top-level Tx and one pair of Tx for the two
+// children, each with its name inside, and the boxed states and results
+// of its two accesses: 5 allocations here, 6 with each child made apart,
+// 9 with each name allocated apart. The WAL ticket is answered by the
 // durable mark, and the effect lists, the write buffer and the
 // cross-shard index entry are reused; with each made afresh the same
 // transfer cost 19.
@@ -128,8 +132,53 @@ func TestDurableCommitAllocationBudget(t *testing.T) {
 		}
 	})
 	t.Logf("durable two-Sub transfer: %.1f allocations", n)
-	if n > 8+raceSlack {
-		t.Errorf("durable two-Sub transfer: %.1f allocations, budget 8 + %.0f", n, raceSlack)
+	if n > 5+raceSlack {
+		t.Errorf("durable two-Sub transfer: %.1f allocations, budget 5 + %.0f", n, raceSlack)
+	}
+}
+
+// TestOddChildCountCostsHalfAPair: children are made two to an
+// allocation, so a pair of siblings costs one 288-byte object where two
+// 144-byte Tx cost the same bytes, but a parent with an odd number of
+// children leaves the second half of its last pair unused: its first
+// child costs 288 bytes, its second nothing. With each child made apart
+// every child cost 144.
+func TestOddChildCountCostsHalfAPair(t *testing.T) {
+	m := NewManager()
+	bytesFor := func(subs int) float64 {
+		child := func(*Tx) error { return nil }
+		body := func(tx *Tx) error {
+			for range subs {
+				if err := tx.Sub(child); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+		run := func() {
+			if err := m.Run(body); err != nil {
+				t.Fatal(err)
+			}
+		}
+		const runs = 2000
+		run()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			run()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	var b [4]float64
+	for subs := range b {
+		b[subs] = bytesFor(subs)
+	}
+	t.Logf("bytes per transaction with 0-3 Subs: %.1f %.1f %.1f %.1f", b[0], b[1], b[2], b[3])
+	for subs, want := range []float64{288, 0, 288} {
+		if d := b[subs+1] - b[subs]; d < want-16 || d > want+16 {
+			t.Errorf("Sub %d costs %.1f bytes, want %.0f", subs+1, d, want)
+		}
 	}
 }
 

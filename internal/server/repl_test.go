@@ -128,7 +128,18 @@ func TestReplicaServesReadsRejectsWrites(t *testing.T) {
 		t.Fatalf("BEGIN on replica: err = %v, want ErrReadOnly", err)
 	}
 
-	// Status both sides.
+	// Status both sides. The follower acks a batch after applying it, so
+	// the leader may learn of the last ack after the follower's states
+	// show it: wait until the leader's status does.
+	lc := dial(t, leaderAddr)
+	waitUntil(t, "the leader to see the follower's last ack", func() bool {
+		m, err := lc.Metrics(false)
+		if err != nil {
+			t.Fatalf("leader Metrics: %v", err)
+		}
+		ls := m.ReplStatus
+		return ls != nil && len(ls.Followers) == 1 && ls.Followers[0].AckLSN == ls.DurableLSN
+	})
 	rm, err := fc.Metrics(false)
 	if err != nil {
 		t.Fatalf("replica Metrics: %v", err)
@@ -137,7 +148,6 @@ func TestReplicaServesReadsRejectsWrites(t *testing.T) {
 	if rs.Role != "follower" || !rs.Connected || rs.LagRecords != 0 {
 		t.Fatalf("replica status = %+v, want connected follower at lag 0", rs)
 	}
-	lc := dial(t, leaderAddr)
 	lsm, err := lc.Metrics(false)
 	if err != nil {
 		t.Fatalf("leader Metrics: %v", err)

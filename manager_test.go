@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"nestedtx/internal/event"
 )
 
 func TestRunCommit(t *testing.T) {
@@ -365,21 +367,58 @@ func TestRetryAfterDeadlock(t *testing.T) {
 	}
 }
 
+// TestReturnValue: the value a body sets with Return is
+// the one its commit reports — to the parent for a subtransaction, to
+// the committed state for a top-level one — and a body that never calls
+// Return, or last calls it with nil, reports its number of committed
+// children.
 func TestReturnValue(t *testing.T) {
-	m := NewManager()
+	m := NewManager(WithRecording())
 	m.MustRegister("r", NewRegister(int64(5)))
 	err := m.Run(func(tx *Tx) error {
-		return tx.Sub(func(tx *Tx) error {
-			v, err := tx.Read("r", RegRead{})
+		if err := tx.Sub(func(sub *Tx) error {
+			v, err := sub.Read("r", RegRead{})
 			if err != nil {
 				return err
 			}
-			tx.Return(v)
+			sub.Return(v)
 			return nil
-		})
+		}); err != nil {
+			return err
+		}
+		if err := tx.Sub(func(sub *Tx) error {
+			_, err := sub.Read("r", RegRead{})
+			return err
+		}); err != nil {
+			return err
+		}
+		if err := tx.Sub(func(sub *Tx) error {
+			_, err := sub.Read("r", RegRead{})
+			sub.Return("cleared")
+			sub.Return(nil)
+			return err
+		}); err != nil {
+			return err
+		}
+		tx.Return("first")
+		tx.Return("top")
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	want := map[string]Value{"T0.0": "top", "T0.0.0": int64(5), "T0.0.1": int64(1), "T0.0.2": int64(1)}
+	for _, e := range m.Schedule() {
+		if e.Kind != event.RequestCommit || len(e.T) > len("T0.0.0") {
+			continue
+		}
+		if e.Value != want[string(e.T)] {
+			t.Errorf("REQUEST_COMMIT(%s, %v), want value %v", e.T, e.Value, want[string(e.T)])
+		}
+		delete(want, string(e.T))
+	}
+	if len(want) != 0 {
+		t.Errorf("no REQUEST_COMMIT for %v", want)
 	}
 }
 

@@ -56,7 +56,10 @@ func growNamed(r *rand.Rand, tx *Tx, want tree.TID, depth int, note func(id stri
 // every name below the top level spills past the Tx's own array — survive
 // two collections and a second 10,000 transactions reusing the freed
 // memory, each still equal to the name tree.TID.Child builds and all
-// distinct.
+// distinct. Children are made two to an allocation, so a held name also
+// keeps its pair-mate's memory: names held from both halves of a pair,
+// and from a first half whose second was never used, outlive their
+// parent and every other sibling just the same.
 func TestNamesOutliveTheirTx(t *testing.T) {
 	type held struct {
 		id   string
@@ -84,6 +87,43 @@ func TestNamesOutliveTheirTx(t *testing.T) {
 	}
 	var names []held
 	run(1, 10_000, func(id string, want tree.TID) { names = append(names, held{id, want}) })
+	// pairs notes, of 500 transactions with six children each, only
+	// children 1 and 2 — one pair, made after an access took index 0 —
+	// and child 5, the first of a pair whose second is never used; the
+	// rest become garbage. Its managers start their top-level counters
+	// past run's, so that no name repeats.
+	pairs := func(m *Manager) {
+		for i := 0; i < 500; i++ {
+			want := tree.Root.Child(int(m.nextTop.Load()))
+			err := m.Run(func(tx *Tx) error {
+				if _, err := tx.Do("c", CtrAdd{Delta: 1}); err != nil {
+					return err
+				}
+				for k := 1; k <= 5; k++ {
+					note := func(c *Tx) error {
+						if k != 3 && k != 4 {
+							names = append(names, held{c.ID(), want.Child(k)})
+						}
+						return nil
+					}
+					if err := tx.Sub(note); err != nil {
+						return err
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	short, long := NewManager(), NewManager()
+	short.nextTop.Store(1e6)
+	long.nextTop.Store(2e12)
+	for _, m := range []*Manager{short, long} {
+		m.MustRegister("c", Counter{})
+		pairs(m)
+	}
 	spilled := 0
 	for _, h := range names {
 		if len(h.id) > 16 {

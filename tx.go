@@ -46,8 +46,12 @@ type Tx struct {
 	// first, and a child that returns unlinks itself in place.
 	children     *Tx
 	older, newer *Tx
-	value        Value // optional user result, set by Return
-	committed    int64 // committed children count (default commit value)
+	// spare is the unused second half of the pair of Tx the last child
+	// was made in (see Manager.begin); the next child takes it, and end
+	// drops it.
+	spare     *Tx
+	value     *Value // optional user result, set by Return
+	committed int64  // committed children count (default commit value)
 	// effects accumulates the transaction's surviving accesses (its own
 	// plus those inherited from committed children, in commit order) for
 	// the WAL redo record, on durable managers only: a pooled list taken at
@@ -70,10 +74,15 @@ func (tx *Tx) ID() string { return string(tx.id) }
 func (tx *Tx) Depth() int { return tx.id.Level() }
 
 // Return sets the transaction's commit value, reported to its parent. If
-// never called, the value is the number of committed children.
+// never called, or last called with nil, the value is the number of
+// committed children.
 func (tx *Tx) Return(v Value) {
+	var box *Value
+	if v != nil {
+		box = &v
+	}
 	tx.mu.Lock()
-	tx.value = v
+	tx.value = box
 	tx.mu.Unlock()
 }
 
@@ -81,7 +90,7 @@ func (tx *Tx) result() Value {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
 	if tx.value != nil {
-		return tx.value
+		return *tx.value
 	}
 	return tx.committed
 }
@@ -294,17 +303,37 @@ func (tx *Tx) Go(fn func(*Tx) error) *Handle {
 }
 
 // begin creates transaction pid.k under parent (nil for top level):
-// REQUEST_CREATE and CREATE. The Tx and its name are one allocation: the
-// name is appended into tx.name, and only a name longer than that spills
-// to an array of its own, as pid.Child(k) would allocate it.
+// REQUEST_CREATE and CREATE. The caller holds parent.mu. A parent makes
+// its children two at a time: the first of a pair allocates both Tx and
+// leaves the second in parent.spare for the next child, so two siblings
+// are one 288-byte allocation where they were two of 144 bytes. Whether
+// a spare is held decides the slot, not the child index: accesses take
+// indices too. The Tx and its name are one allocation: the name is
+// appended into tx.name, and only a name longer than that spills to an
+// array of its own, as pid.Child(k) would allocate it.
 //
 // tx.id aliases those bytes, which is safe because they never change
 // under it: they are written here, once, before tx.id exists; a Tx is
-// never reused; and vet's copylocks check (Tx holds a sync.Mutex)
-// forbids copying one. Every copy of the name points into the Tx, so the
-// collector keeps the Tx alive for as long as any copy is reachable.
+// never reused (a spare is handed out once); and vet's copylocks check
+// (Tx holds a sync.Mutex) forbids copying one. Every copy of the
+// name points into the Tx, so the collector keeps the Tx — and with it
+// its pair-mate, 288 bytes in all — alive for as long as any copy is
+// reachable. A returned Tx holds no other pair: its children and
+// siblings are unlinked and end drops its spare. A parent with an odd
+// number of children leaves its last spare unused: one child costs 288
+// bytes where it cost 144.
 func (m *Manager) begin(parent *Tx, pid tree.TID, k int) *Tx {
-	tx := &Tx{mgr: m, parent: parent, start: time.Since(epoch)}
+	var tx *Tx
+	switch {
+	case parent == nil:
+		tx = new(Tx)
+	case parent.spare != nil:
+		tx, parent.spare = parent.spare, nil
+	default:
+		pair := new([2]Tx)
+		tx, parent.spare = &pair[0], &pair[1]
+	}
+	tx.mgr, tx.parent, tx.start = m, parent, time.Since(epoch)
 	b := tree.AppendChild(tx.name[:0], pid, k)
 	tx.id = tree.TID(unsafe.String(unsafe.SliceData(b), len(b)))
 	m.rec.RecordAll(
@@ -432,6 +461,7 @@ func (tx *Tx) end(commit bool) error {
 		err = ErrAborted
 	}
 	tx.done = true
+	tx.spare = nil // newChild refuses from here on
 	tx.mu.Unlock()
 
 	m, p := tx.mgr, tx.parent

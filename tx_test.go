@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestTxIDsAndDepth(t *testing.T) {
@@ -365,5 +366,221 @@ func TestQueueProducerConsumer(t *testing.T) {
 	}
 	if err := m.Verify(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestChildSlotIgnoresIndexParity: a parent makes its children two to an
+// allocation, and accesses share the children's numbering, so which half
+// of a pair a child takes must not follow its index. After 0, 1 and 3
+// accesses, a child made by Sub, Begin or Go, then an access and children
+// of the other two kinds, each gets the name Child builds, runs and
+// commits to the parent; the recorded schedule verifies.
+func TestChildSlotIgnoresIndexParity(t *testing.T) {
+	kinds := []string{"Sub", "Begin", "Go"}
+	// start makes a child of tx by kind and runs body in it.
+	start := func(kind string, tx *Tx, body func(*Tx) error) error {
+		switch kind {
+		case "Sub":
+			return tx.Sub(body)
+		case "Go":
+			return tx.Go(body).Wait()
+		}
+		c, err := tx.Begin()
+		if err != nil {
+			return err
+		}
+		if err := body(c); err != nil {
+			c.Abort()
+			return err
+		}
+		return c.Commit()
+	}
+	for _, dos := range []int{0, 1, 3} {
+		for i, first := range kinds {
+			t.Run(fmt.Sprintf("%s_after_%d_Do", first, dos), func(t *testing.T) {
+				m := NewManager(WithRecording())
+				m.MustRegister("c", Counter{})
+				order := []string{first, kinds[(i+1)%3], kinds[(i+2)%3]}
+				err := m.Run(func(tx *Tx) error {
+					k := 0
+					do := func() error {
+						k++
+						_, err := tx.Do("c", CtrAdd{Delta: 1})
+						return err
+					}
+					for j := 0; j < dos; j++ {
+						if err := do(); err != nil {
+							return err
+						}
+					}
+					for j, kind := range order {
+						if j == 1 {
+							if err := do(); err != nil {
+								return err
+							}
+						}
+						want := tx.ID() + fmt.Sprintf(".%d", k)
+						k++
+						err := start(kind, tx, func(c *Tx) error {
+							if c.ID() != want {
+								return fmt.Errorf("%s child named %s, want %s", kind, c.ID(), want)
+							}
+							_, err := c.Do("c", CtrAdd{Delta: 10})
+							return err
+						})
+						if err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if s, _ := m.State("c"); s != (Counter{N: int64(dos + 1 + 30)}) {
+					t.Errorf("counter %v, want %d", s, dos+31)
+				}
+				if err := m.Verify(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// TestGoPairMatesRunConcurrently: the two Go children made in one pair
+// run at once, one aborting and one committing, and only the committed
+// one's effect survives. Then a Cancel of their parent cascades over open
+// children made in pairs — two from Begin, a grandchild, three Go
+// children queued behind a held lock — and the parent's Abort returns
+// every one of them. Run it under -race.
+func TestGoPairMatesRunConcurrently(t *testing.T) {
+	m := NewManager()
+	m.MustRegister("x", Counter{})
+	m.MustRegister("y", Counter{})
+	const rounds = 200
+	for r := 0; r < rounds; r++ {
+		err := m.Run(func(tx *Tx) error {
+			var ready sync.WaitGroup
+			ready.Add(2)
+			body := func(obj string, fail bool) func(*Tx) error {
+				return func(c *Tx) error {
+					ready.Done()
+					ready.Wait() // both pair-mates are running
+					if _, err := c.Do(obj, CtrAdd{Delta: 1}); err != nil {
+						return err
+					}
+					if fail {
+						return errors.New("aborts")
+					}
+					return nil
+				}
+			}
+			aborts, commits := tx.Go(body("x", true)), tx.Go(body("y", false))
+			if err := aborts.Wait(); err == nil {
+				return errors.New("the failing pair-mate committed")
+			}
+			return commits.Wait()
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if x, _ := m.State("x"); x != (Counter{}) {
+		t.Errorf("x = %v, want the aborted pair-mates' effects rolled back", x)
+	}
+	if y, _ := m.State("y"); y != (Counter{N: rounds}) {
+		t.Errorf("y = %v, want %d", y, rounds)
+	}
+
+	holder := m.Begin()
+	if _, err := holder.Do("x", CtrAdd{Delta: 1}); err != nil {
+		t.Fatal(err)
+	}
+	top := m.Begin()
+	c0, err := top.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c1, err := top.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := c1.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var hs []*Handle
+	for i := 0; i < 3; i++ {
+		hs = append(hs, top.Go(func(c *Tx) error {
+			_, err := c.Do("x", CtrGet{})
+			return err
+		}))
+	}
+	for deadline := time.Now().Add(10 * time.Second); m.Metrics().QueuedWaiters.Load() < 3; {
+		if time.Now().After(deadline) {
+			t.Fatal("the Go children never queued")
+		}
+		time.Sleep(10 * time.Microsecond)
+	}
+	top.Cancel()
+	for _, h := range hs {
+		if err := h.Wait(); !errors.Is(err, ErrAborted) {
+			t.Errorf("queued Go child %s: %v, want ErrAborted", h.ID(), err)
+		}
+	}
+	for _, c := range []*Tx{c0, c1, g} {
+		if _, err := c.Do("y", CtrAdd{Delta: 1}); !errors.Is(err, ErrAborted) {
+			t.Errorf("%s after the cascade: Do = %v, want ErrAborted", c.ID(), err)
+		}
+	}
+	top.Abort()
+	for _, c := range []*Tx{c0, c1, g} {
+		if err := c.Commit(); !errors.Is(err, ErrDone) {
+			t.Errorf("%s after its parent aborted: Commit = %v, want ErrDone", c.ID(), err)
+		}
+	}
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if y, _ := m.State("y"); y != (Counter{N: rounds}) {
+		t.Errorf("y = %v, want %d", y, rounds)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReturnedTxHoldsNoSpare: a parent with an odd number of children
+// holds the unused second half of their last pair until it returns, and
+// no longer: a name kept after its Tx returned keeps that Tx's own pair
+// and its ancestors, never a chain of pairs made below it.
+func TestReturnedTxHoldsNoSpare(t *testing.T) {
+	m := NewManager()
+	var kept []*Tx
+	err := m.Run(func(tx *Tx) error {
+		kept = append(kept, tx)
+		err := tx.Sub(func(sub *Tx) error {
+			kept = append(kept, sub)
+			return sub.Sub(func(leaf *Tx) error {
+				kept = append(kept, leaf)
+				return nil
+			})
+		})
+		if err != nil {
+			return err
+		}
+		if tx.spare == nil {
+			return errors.New("a parent of one child holds no spare")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tx := range kept {
+		if tx.spare != nil {
+			t.Errorf("%s returned holding a spare", tx.ID())
+		}
 	}
 }
