@@ -39,6 +39,7 @@ bench:
 	$(GO) test -run XXX -bench ShardScaling -benchtime 1000x ./internal/lockmgr
 	$(GO) test -run XXX -bench AbortBesideHolders -benchtime 20000x ./internal/lockmgr
 	$(GO) test -run XXX -bench RegisterUniverse -benchtime 20x .
+	$(GO) test -run XXX -bench HotCounterReads -benchtime 200000x .
 	$(GO) test -run XXX -bench E17SnapshotScans -benchtime 5x .
 
 # Smoke-run every benchmark once (CI: catches bit-rot in bench code

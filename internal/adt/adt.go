@@ -33,8 +33,11 @@ type State interface {
 // Op is a single operation of the data type: the function an access applies
 // to the instance.
 type Op interface {
-	// Apply computes (successor state, return value). For a ReadOnly op the
-	// successor must be the argument itself.
+	// Apply computes (successor state, return value) as a function of its
+	// argument alone. For a ReadOnly op the successor must be the argument
+	// itself; so a ReadOnly op of a zero-size type, applied again to a
+	// version nothing has changed since, may be answered with the value it
+	// returned before, without calling Apply.
 	Apply(s State) (State, Value)
 	// ReadOnly classifies the access: true for read accesses, false for
 	// write accesses (Moss' algorithm takes no semantic assumptions about

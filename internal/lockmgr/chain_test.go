@@ -235,7 +235,7 @@ func TestChainEdges(t *testing.T) {
 			if !reflect.DeepEqual(got, tc.chain) {
 				t.Errorf("chain = %+v, want %+v", got, tc.chain)
 			}
-			if !reflect.DeepEqual(ls.read, tree.NewSet(tc.read...)) {
+			if !sameMembers(ls.read, tree.NewSet(tc.read...)) {
 				t.Errorf("read-lockholders = %v, want %v", ls.read.Members(), tc.read)
 			}
 			if got := l.m.RootStates()["x0"]; got != tc.chain[0].st {

@@ -26,7 +26,11 @@
 // whose version is the object's current state, and who alone decides
 // whether a newcomer conflicts with a write lock — on top. A grant pushes
 // or overwrites the top, a commit renames the top to its parent or folds
-// it into the parent's entry, an abort truncates. The set-based M(X) of
+// it into the parent's entry, an abort truncates. A read leaves the top's
+// version as it found it and returns a function of it (§4.3), so the
+// value of the last zero-size read is kept beside the stack until a write
+// or an abort replaces the top, and a repeated read is answered from it
+// without applying the op again. The set-based M(X) of
 // internal/core stays the specification: the tests drive both through the
 // same steps and compare after each.
 //
@@ -286,7 +290,7 @@ func (m *Manager) Register(x string, init adt.State) error {
 	if _, dup := sh.objects[x]; dup {
 		return fmt.Errorf("lockmgr: object %q already registered", x)
 	}
-	ls := &lockState{name: x, read: tree.NewSet()}
+	ls := &lockState{name: x}
 	ls.base[0] = writeHolder{t: tree.Root, st: init}
 	ls.chain = ls.base[:1:2]
 	sh.objects[x] = ls
@@ -567,6 +571,7 @@ func (m *Manager) Commit(t tree.TID, value event.Value) {
 				if p != tree.Root {
 					ls.read.Add(p)
 				}
+				sh.releaseReadsLocked(ls)
 			}
 			sh.stats.CommitMoves++
 			m.rec.Record(event.Event{Kind: event.InformCommitAt, T: t, Object: ls.name})
@@ -630,6 +635,7 @@ func (m *Manager) Abort(t tree.TID) {
 						touched = true
 					}
 				}
+				sh.releaseReadsLocked(ls)
 				if touched {
 					sh.stats.AbortReleases++
 					m.rec.Record(event.Event{Kind: event.InformAbortAt, T: t, Object: ls.name})

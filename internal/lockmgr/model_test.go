@@ -208,7 +208,7 @@ func (l *lockstep) check() error {
 			}
 			wantRead := mx.ReadLockholders()
 			wantRead.Remove(tree.Root)
-			if !reflect.DeepEqual(ls.read, wantRead) {
+			if !sameMembers(ls.read, wantRead) {
 				return fmt.Errorf("%s: read-lockholders %v, M(X) says %v", x, ls.read.Members(), wantRead.Members())
 			}
 			return nil
@@ -219,6 +219,21 @@ func (l *lockstep) check() error {
 		}
 	}
 	return nil
+}
+
+// sameMembers reports whether a and b hold exactly the same transactions.
+// A nil set and an empty one are the same set: an object with no reader
+// keeps no read set.
+func sameMembers(a, b tree.Set) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for t := range a {
+		if !b.Has(t) {
+			return false
+		}
+	}
+	return true
 }
 
 // checkAtRest verifies what must hold once every transaction has ended:

@@ -32,7 +32,10 @@ type shard struct {
 	trees    map[tree.TID]*treeRec
 	freeRecs []*treeRec
 	freeSets []lockSet
-	stats    Stats
+	// freeReads are emptied read sets, kept for the next object that
+	// gains a first read-lockholder (see lockState.read).
+	freeReads []tree.Set
+	stats     Stats
 }
 
 // treeRec is everything one transaction tree has in one shard.
@@ -92,12 +95,40 @@ type lockState struct {
 	// proper descendant of the one below it, and the top is the least
 	// write-lockholder, whose version is the object's current state.
 	chain []writeHolder
+	// read is the set of read-lockholders other than the root, nil while
+	// there are none: the first read lock draws a set from the shard's free
+	// list, and the Commit or Abort that removes the last reader puts it
+	// back, so an object nobody reads holds no set.
 	read  tree.Set
 	queue []*waiter
+	// memo, when memo.op is set, is the value memo.op last returned from
+	// top().st. A read leaves the version as it found it and returns a
+	// function of it (§4.3), so an equal read takes memo.v without Apply.
+	// Only a non-read-only grant and a truncating discardWrites change
+	// top().st, and both clear it; a commit and an exclusive-mode read
+	// leave the top's state as it was.
+	memo readMemo
 	// base is the chain's first array: room for the root and one
 	// top-level writer in the lock state's own allocation, so registering
 	// an object makes no chain and the flat case never grows one.
 	base [2]writeHolder
+}
+
+// readMemo is one memoizable op and the value it returns from an
+// object's current version.
+type readMemo struct {
+	op adt.Op
+	v  adt.Value
+}
+
+// memoizable reports whether op's value may be kept in a readMemo: a
+// read-only op of a comparable type with no fields, such as CtrGet. So
+// comparing another op with a kept one never panics, and two equal ops
+// are the same operation; an op with fields (SetContains{1}) is applied
+// every time.
+func memoizable(op adt.Op) bool {
+	t := reflect.TypeOf(op)
+	return op.ReadOnly() && t.Size() == 0 && t.Comparable()
 }
 
 // writeHolder is one write-lockholder and the version it holds.
@@ -181,6 +212,7 @@ func (ls *lockState) discardWrites(t tree.TID) bool {
 		if ls.chain[i].t.IsDescendantOf(t) {
 			clear(ls.chain[i:])
 			ls.chain = ls.chain[:i]
+			ls.memo = readMemo{}
 			return true
 		}
 	}
@@ -250,6 +282,30 @@ func (sh *shard) recycleSetLocked(s lockSet) {
 	}
 	clear(s)
 	sh.freeSets = append(sh.freeSets, s)
+}
+
+// addReaderLocked gives t a read lock on ls, drawing ls's read set from
+// the free list when t is its first reader. Caller holds sh.mu.
+func (sh *shard) addReaderLocked(ls *lockState, t tree.TID) {
+	if ls.read == nil {
+		if n := len(sh.freeReads); n > 0 {
+			ls.read, sh.freeReads = sh.freeReads[n-1], sh.freeReads[:n-1]
+		} else {
+			ls.read = make(tree.Set)
+		}
+	}
+	ls.read.Add(t)
+}
+
+// releaseReadsLocked puts ls's read set back on the free list once its
+// last reader is gone. The set is empty there, and ranging over or
+// clearing an empty map costs nothing whatever it once held, so no size
+// bound applies. Caller holds sh.mu.
+func (sh *shard) releaseReadsLocked(ls *lockState) {
+	if ls.read != nil && len(ls.read) == 0 {
+		sh.freeReads = append(sh.freeReads, ls.read)
+		ls.read = nil
+	}
 }
 
 // ---- wait queues ----
@@ -330,19 +386,30 @@ func (sh *shard) wakeQueuedLocked(ls *lockState) {
 }
 
 // grantLocked applies op, grants the access its lock, and immediately
-// commits the access so the lock is inherited by tx. Caller holds sh.mu.
+// commits the access so the lock is inherited by tx. A read-only op equal
+// to the memo's takes the memo's value without being applied. Caller
+// holds sh.mu.
 func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, write bool) adt.Value {
 	top := ls.top()
-	next, v := op.Apply(top.st)
+	readOnly := op.ReadOnly()
+	next, v := top.st, ls.memo.v
+	if !readOnly || op != ls.memo.op {
+		next, v = op.Apply(top.st)
+		if !readOnly {
+			ls.memo = readMemo{}
+		} else if memoizable(op) {
+			ls.memo = readMemo{op: op, v: v}
+		}
+	}
 	if write {
 		if top.t != tx {
 			ls.chain = append(ls.chain, writeHolder{t: tx})
 			top = ls.top()
 		}
 		top.st = next
-		top.dirty = top.dirty || !op.ReadOnly()
+		top.dirty = top.dirty || !readOnly
 	} else {
-		ls.read.Add(tx)
+		sh.addReaderLocked(ls, tx)
 	}
 	sh.indexAddLocked(tx, ls)
 	sh.m.rec.RecordAll(
@@ -398,6 +465,18 @@ func (sh *shard) checkLocked() error {
 		for r := range ls.read {
 			if !sh.holdsLocked(r, ls) {
 				return fmt.Errorf("lockmgr: %s: read holder %s missing from its tree's record", x, r)
+			}
+		}
+		if ls.read != nil && len(ls.read) == 0 {
+			return fmt.Errorf("lockmgr: %s keeps an empty read set", x)
+		}
+		// The memo is what its op returns from the current version.
+		if op := ls.memo.op; op != nil {
+			if !memoizable(op) {
+				return fmt.Errorf("lockmgr: %s: memo keeps %s, not a read-only op of a comparable zero-size type", x, op)
+			}
+			if _, v := op.Apply(ls.top().st); !reflect.DeepEqual(v, ls.memo.v) {
+				return fmt.Errorf("lockmgr: %s: memo says %s returns %v, the current version %s says %v", x, op, ls.memo.v, ls.top().st, v)
 			}
 		}
 		queued += len(ls.queue)
@@ -466,6 +545,23 @@ func (sh *shard) checkLocked() error {
 			return fmt.Errorf("lockmgr: shard %d free list holds a set already owned by %q (empty: the list itself)", sh.id, u)
 		}
 		owner[id] = ""
+	}
+	// A read set on the free list is empty, listed once, and no object's.
+	reads := make(map[uintptr]string, len(sh.objects)+len(sh.freeReads))
+	for x, ls := range sh.objects {
+		if ls.read != nil {
+			reads[reflect.ValueOf(ls.read).Pointer()] = x
+		}
+	}
+	for _, s := range sh.freeReads {
+		if len(s) != 0 {
+			return fmt.Errorf("lockmgr: shard %d free list holds a read set of %d readers", sh.id, len(s))
+		}
+		id := reflect.ValueOf(s).Pointer()
+		if x, taken := reads[id]; taken {
+			return fmt.Errorf("lockmgr: shard %d free list holds a read set already taken by %q (empty: the list itself)", sh.id, x)
+		}
+		reads[id] = ""
 	}
 	return nil
 }

@@ -10,8 +10,12 @@ type Value = adt.Value
 // implement your own.
 type State = adt.State
 
-// Op is one operation of a data type. ReadOnly ops take read locks (and
-// must return the state unchanged); all others take write locks.
+// Op is one operation of a data type. Apply must be a function of the
+// state it is given. ReadOnly ops take read locks (and must return the
+// state unchanged); all others take write locks. A ReadOnly op of a
+// zero-size type, such as [CtrGet], repeated on a version nothing has
+// changed since, may be answered with the value it returned before,
+// without calling Apply.
 type Op = adt.Op
 
 // Register is a single mutable cell.
