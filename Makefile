@@ -38,7 +38,8 @@ bench:
 	$(GO) test -run XXX -bench ServerThroughput -benchtime 200x ./internal/server
 	$(GO) test -run XXX -bench ShardScaling -benchtime 1000x ./internal/lockmgr
 	$(GO) test -run XXX -bench AbortBesideHolders -benchtime 20000x ./internal/lockmgr
-	$(GO) test -run XXX -bench RegisterUniverse -benchtime 20x .
+	$(GO) test -run XXX -bench 'RegisterUniverse/(counters=65536|durable)' -benchtime 20x .
+	$(GO) test -run XXX -bench 'RegisterUniverse/counters=64$$' -benchtime 20000x .
 	$(GO) test -run XXX -bench HotCounterReads -benchtime 200000x .
 	$(GO) test -run XXX -bench E17SnapshotScans -benchtime 5x .
 

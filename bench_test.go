@@ -359,24 +359,55 @@ func BenchmarkE9EngineComparison(b *testing.B) {
 	}
 }
 
-// BenchmarkRegisterUniverse: registering the 65,536 counters bench/'s
-// embed_nested and net_small workloads start from, into a fresh manager
-// per iteration — the work their setup_s times, without the network.
+// BenchmarkRegisterUniverse: registering the objects bench/'s workloads
+// start from, into a fresh manager per iteration — the work their setup_s
+// times, without the network. counters=65536 is embed_nested's and
+// net_small's universe, counters=64 embed_hot_rw's, and
+// durable-accounts=4096 net_durable_bank's: a durable manager opened on
+// the device bench/ models (memory plus a 1 ms fsync), its log closed
+// outside the timer.
 func BenchmarkRegisterUniverse(b *testing.B) {
-	names := make([]string, 1<<16)
-	for i := range names {
-		names[i] = fmt.Sprintf("obj%d", i)
+	names := func(prefix string, n int) []string {
+		out := make([]string, n)
+		for i := range out {
+			out[i] = fmt.Sprintf("%s%d", prefix, i)
+		}
+		return out
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m := nestedtx.NewManager()
-		for _, x := range names {
-			if err := m.Register(x, nestedtx.Counter{}); err != nil {
+	register := func(b *testing.B, m *nestedtx.Manager, objs []string, initial nestedtx.State) {
+		for _, x := range objs {
+			if err := m.Register(x, initial); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
+	for _, n := range []int{1 << 16, 64} {
+		counters := names("obj", n)
+		b.Run(fmt.Sprintf("counters=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				register(b, nestedtx.NewManager(), counters, nestedtx.Counter{})
+			}
+		})
+	}
+	accounts := names("acct", 4096)
+	b.Run("durable-accounts=4096", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			device := wal.NewFaultFS(wal.NewMemFS())
+			device.SetSyncDelay(time.Millisecond)
+			m, _, err := nestedtx.OpenDurable("wal", nestedtx.DurableOptions{FS: device})
+			if err != nil {
+				b.Fatal(err)
+			}
+			register(b, m, accounts, nestedtx.Account{Balance: 1_000_000})
+			b.StopTimer()
+			if err := m.CloseWAL(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
+	})
 }
 
 // BenchmarkDurableHotObject: b.N increments of one counter on a durable

@@ -44,6 +44,41 @@ func TestRegisterDuplicate(t *testing.T) {
 	}
 }
 
+// TestEveryRegisteredObjectHasItsOwnLockState: Register cuts lock states
+// from a per-shard slab, so objects registered one after another sit side
+// by side. One shard and 100 objects span several chunks; a top-level
+// write of a distinct value to each must leave every object with its own
+// value and every invariant intact.
+func TestEveryRegisteredObjectHasItsOwnLockState(t *testing.T) {
+	const objects = 100
+	m := NewSharded(nil, core.ReadWrite, nil, 1)
+	name := func(i int) string { return fmt.Sprintf("x%03d", i) }
+	for i := 0; i < objects; i++ {
+		if err := m.Register(name(i), adt.Counter{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < objects; i++ {
+		top := tree.Root.Child(i)
+		if _, err := m.Acquire(top, top.Child(0), name(i), adt.CtrAdd{Delta: int64(i + 1)}, nil); err != nil {
+			t.Fatal(err)
+		}
+		m.Commit(top, nil)
+	}
+	states := m.RootStates()
+	if len(states) != objects {
+		t.Fatalf("%d objects registered, RootStates lists %d", objects, len(states))
+	}
+	for i := 0; i < objects; i++ {
+		if got := states[name(i)]; got != (adt.Counter{N: int64(i + 1)}) {
+			t.Errorf("%s = %v, want %d", name(i), got, i+1)
+		}
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestAcquireImmediate(t *testing.T) {
 	m := newMgr(t)
 	v, err := m.Acquire("T0.0", "T0.0.0", "X", adt.RegWrite{V: int64(5)}, nil)

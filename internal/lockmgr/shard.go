@@ -23,6 +23,11 @@ type shard struct {
 
 	mu      sync.Mutex
 	objects map[string]*lockState
+	// slab is the rest of the chunk Register cuts lock states from, one
+	// allocation per lockStateChunk objects. No object is ever
+	// unregistered, so a chunk lives as long as the shard and a lock
+	// state never moves.
+	slab []lockState
 	// trees is the shard's one index keyed by transaction: for every
 	// top-level transaction whose tree holds a lock or has a waiter queued
 	// in this shard, the record of both. A record is in the map exactly
@@ -83,9 +88,14 @@ type lockSet map[*lockState]struct{}
 // that would draw it from the free list afterwards.
 const maxRecycledSet = 64
 
+// lockStateChunk is the number of lock states one slab allocation holds.
+const lockStateChunk = 32
+
 // lockState is the M(X) state for one object: the write-lockholders with
 // their versions, the read-lockholders, and the queue of acquisitions
-// blocked on this object.
+// blocked on this object. It lives in its shard's slab, and its address
+// is its identity: lock sets and waiters point at it, and chain starts
+// in its own base array.
 type lockState struct {
 	name string
 	// chain is the write-lock table and the version map in one. Lemma 21

@@ -24,8 +24,53 @@ func TestMetricsEndToEnd(t *testing.T) {
 	mgr.MustRegister("b", nestedtx.Counter{})
 	_, addr := start(t, mgr, server.Config{})
 
+	// transfer is one transaction of worker w: odd and even workers write
+	// a and b in opposite orders, which forces waits and deadlock victims,
+	// so every histogram gets data. meet, when set, runs between the two
+	// writes of the first attempt.
+	transfer := func(c *client.Client, w int, meet func()) error {
+		first, second := "a", "b"
+		if w%2 == 1 {
+			first, second = "b", "a"
+		}
+		return c.RunRetry(50, func(tx *client.Tx) error {
+			if _, err := tx.Write(first, nestedtx.CtrAdd{Delta: 1}); err != nil {
+				return err
+			}
+			if meet != nil {
+				meet()
+				meet = nil
+			}
+			_, err := tx.Write(second, nestedtx.CtrAdd{Delta: 1})
+			return err
+		})
+	}
+
+	// The prelude: two clients each write their first object, meet, then
+	// write the other one. That is a deadlock however the run is
+	// scheduled, so the contention check below cannot come up empty. Both
+	// transactions retry to a commit.
+	const prelude = 2
+	var met, wg sync.WaitGroup
+	met.Add(prelude)
+	meet := func() { met.Done(); met.Wait() }
+	perrs := make([]error, prelude)
+	for w := range perrs {
+		c := dial(t, addr)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			perrs[w] = transfer(c, w, meet)
+		}()
+	}
+	wg.Wait()
+	for w, err := range perrs {
+		if err != nil {
+			t.Fatalf("prelude worker %d: %v", w, err)
+		}
+	}
+
 	const workers, txPer = 6, 25
-	var wg sync.WaitGroup
 	errc := make(chan error, workers)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -38,20 +83,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 			}
 			defer c.Close()
 			for j := 0; j < txPer; j++ {
-				// Opposite lock orders between odd and even workers force
-				// waits and deadlock victims, so every histogram gets data.
-				first, second := "a", "b"
-				if w%2 == 1 {
-					first, second = "b", "a"
-				}
-				err := c.RunRetry(50, func(tx *client.Tx) error {
-					if _, err := tx.Write(first, nestedtx.CtrAdd{Delta: 1}); err != nil {
-						return err
-					}
-					_, err := tx.Write(second, nestedtx.CtrAdd{Delta: 1})
-					return err
-				})
-				if err != nil {
+				if err := transfer(c, w, nil); err != nil {
 					errc <- fmt.Errorf("worker %d tx %d: %w", w, j, err)
 					return
 				}
@@ -76,7 +108,7 @@ func TestMetricsEndToEnd(t *testing.T) {
 		t.Errorf("outcome mismatch: registry %d/%d, server counters %d/%d",
 			m.TxCommits, m.TxAborts, m.Commits, m.Aborts)
 	}
-	if want := uint64(workers * txPer); m.TxCommits != want {
+	if want := uint64(prelude + workers*txPer); m.TxCommits != want {
 		t.Errorf("tx_commits = %d, want %d", m.TxCommits, want)
 	}
 	// Every finished top-level transaction was timed exactly once.

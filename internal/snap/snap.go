@@ -107,6 +107,10 @@ type version struct {
 	st  adt.State
 }
 
+// versionChunk is the number of first versions one slab allocation
+// holds.
+const versionChunk = 128
+
 // pinCount is the number of live pins at one sequence number.
 type pinCount struct {
 	seq uint64
@@ -118,6 +122,13 @@ type Store struct {
 	mu   sync.RWMutex
 	seq  uint64 // sequence number of the latest publication
 	objs map[string][]version
+	// slab is the rest of the chunk Base cuts first versions from, one
+	// allocation per versionChunk objects. Base hands out one-version
+	// chains of capacity one, so the first publication to an object
+	// copies its chain out and nothing writes into a chunk after Base.
+	// No object is ever removed, so a chunk lives as long as the store;
+	// it keeps each object's initial state reachable too.
+	slab []version
 	// pins counts the live pins by ascending seq. A new pin takes the
 	// horizon, which never decreases, so it lands on the tail or behind it;
 	// a count a release brings to zero stays until it is the head, so the
@@ -160,10 +171,18 @@ func New(record bool) *Store {
 func (s *Store) Base(x string, st adt.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.objs[x]; dup {
+	if len(s.slab) == 0 {
+		s.slab = make([]version, versionChunk)
+	}
+	s.slab[0] = version{seq: s.horizonLocked(), st: st}
+	chain := s.slab[:1:1]
+	s.slab = s.slab[1:]
+	// One probe: the insert itself tells a new name from a re-based one.
+	n := len(s.objs)
+	s.objs[x] = chain
+	if len(s.objs) == n {
 		panic("snap: object " + x + " re-based")
 	}
-	s.objs[x] = []version{{seq: s.horizonLocked(), st: st}}
 	s.names = append(s.names, x)
 }
 

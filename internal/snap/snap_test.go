@@ -49,6 +49,66 @@ func TestPublishAndRead(t *testing.T) {
 	p2.Release()
 }
 
+// TestFirstPublishLeavesItsNeighboursAlone: Base cuts first versions from
+// one slab, so the chains of objects based one after another are adjacent.
+// Publishing to the middle one, twice with a pin held in between, must
+// leave both neighbours' versions, and every pin's view, as they were.
+func TestFirstPublishLeavesItsNeighboursAlone(t *testing.T) {
+	s := New(false)
+	s.Base("a", ctr(0))
+	s.Base("b", ctr(10))
+	s.Base("c", ctr(20))
+	p0 := s.Acquire()
+	s.Publish("T1", map[string]adt.State{"b": ctr(11)})
+	p1 := s.Acquire()
+	s.Publish("T2", map[string]adt.State{"b": ctr(12)})
+	p2 := s.Acquire()
+	cases := []struct {
+		pin     *Pin
+		a, b, c int64
+	}{
+		{p0, 0, 10, 20},
+		{p1, 0, 11, 20},
+		{p2, 0, 12, 20},
+	}
+	for _, c := range cases {
+		for obj, want := range map[string]int64{"a": c.a, "b": c.b, "c": c.c} {
+			st, err := c.pin.Read(obj)
+			if err != nil {
+				t.Fatalf("pin %d read %s: %v", c.pin.Seq(), obj, err)
+			}
+			if got := st.(adt.Counter).N; got != want {
+				t.Errorf("pin %d read %s = %d, want %d", c.pin.Seq(), obj, got, want)
+			}
+		}
+	}
+	for obj, want := range map[string]int64{"a": 0, "b": 12, "c": 20} {
+		st, err := s.Head(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := st.(adt.Counter).N; got != want {
+			t.Errorf("Head(%s) = %d, want %d", obj, got, want)
+		}
+	}
+	p0.Release()
+	p1.Release()
+	p2.Release()
+}
+
+// TestBaseTwicePanics: a name is based once; a second Base of it is a
+// programming error, caught by the same map insert that installs it.
+func TestBaseTwicePanics(t *testing.T) {
+	s := New(false)
+	s.Base("x", ctr(0))
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a second Base of x did not panic")
+		}
+	}()
+	s.Base("x", ctr(1))
+}
+
 func TestPinIsolatedFromLaterPublishes(t *testing.T) {
 	s := New(false)
 	s.Base("x", ctr(0))
