@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"reflect"
 	"sync"
 	"time"
 
@@ -33,6 +34,7 @@ import (
 	"nestedtx/internal/adt"
 	"nestedtx/internal/clock"
 	"nestedtx/internal/obs"
+	"nestedtx/internal/slab"
 	"nestedtx/internal/wire"
 )
 
@@ -102,6 +104,9 @@ type Client struct {
 	// br's buffer; open hands it to the new handle before releasing mu.
 	txid     txName
 	keepTxID func([]byte) (string, bool) // c.keep, bound once: binding it per call would allocate
+	// handles is what openTx cuts every Tx from, one allocation per
+	// handleChunk handles.
+	handles slab.Slab[Tx]
 }
 
 // txName is a transaction's server-assigned name, kept in line when it
@@ -199,16 +204,29 @@ func (c *Client) call(req *wire.Request, resp *wire.Response) error {
 }
 
 // open is the round trip of BEGIN and SUB: the reply's txid is copied
-// from the read buffer (see keep) and returned with it, under c.mu.
+// from the read buffer (see keep) and returned with it. The caller holds
+// c.mu.
 func (c *Client) open(req *wire.Request) (wire.Response, txName, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.txid.n = 0 // a reply without a txid leaves the name empty
 	resp := wire.Response{TxIDHook: c.keepTxID}
 	err := c.roundTrip(req, &resp)
 	name := c.txid
 	name.long = resp.TxID
 	return resp, name, err
+}
+
+// openTx opens a transaction with req and returns its handle, cut from
+// c.handles under c.mu.
+func (c *Client) openTx(req *wire.Request) (*Tx, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	resp, name, err := c.open(req)
+	if err != nil {
+		return nil, err
+	}
+	t := c.handles.New(handleChunk)
+	t.c, t.id, t.name = c, resp.Tx, name
+	return t, nil
 }
 
 // access is the round trip of READ and WRITE: op is encoded into the
@@ -358,6 +376,11 @@ type Tx struct {
 	name txName
 }
 
+// handleChunk is the number of handles in one chunk of a Client's slab:
+// as many as fill the allocator's 2,048-byte size class. A kept handle
+// keeps its chunk, 2 KiB of one Client's handles, and nothing else.
+var handleChunk = slab.ChunkBytes / int(reflect.TypeFor[Tx]().Size())
+
 // ID returns the transaction's name in the paper's tree notation, as
 // assigned by the server (e.g. "T0.3.1"). The handle keeps the name's
 // bytes, so each call builds a new string.
@@ -366,11 +389,7 @@ func (t *Tx) ID() string { return t.name.String() }
 // Begin opens a top-level transaction. Callers must resolve it with
 // [Tx.Commit] or [Tx.Abort]; prefer [Client.Run], which does.
 func (c *Client) Begin() (*Tx, error) {
-	resp, name, err := c.open(&wire.Request{Type: wire.TBegin})
-	if err != nil {
-		return nil, err
-	}
-	return &Tx{c: c, id: resp.Tx, name: name}, nil
+	return c.openTx(&wire.Request{Type: wire.TBegin})
 }
 
 // Do performs op on the named object as an access subtransaction of t,
@@ -416,11 +435,10 @@ func (t *Tx) Abort() error {
 // nil return commits the child (its locks and versions pass to t), an
 // error aborts only the child's effects.
 func (t *Tx) Sub(fn func(*Tx) error) error {
-	resp, name, err := t.c.open(&wire.Request{Type: wire.TSub, Tx: t.id})
+	child, err := t.c.openTx(&wire.Request{Type: wire.TSub, Tx: t.id})
 	if err != nil {
 		return err
 	}
-	child := &Tx{c: t.c, id: resp.Tx, name: name}
 	if err := fn(child); err != nil {
 		if aerr := child.Abort(); aerr != nil && !errors.Is(err, nestedtx.ErrAborted) {
 			return errors.Join(err, aerr)

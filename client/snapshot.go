@@ -35,7 +35,9 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 // server's current commit sequence number. Callers must resolve it with
 // [Snapshot.Close]; prefer [Client.RunReadOnly], which does.
 func (c *Client) BeginReadOnly() (*Snapshot, error) {
+	c.mu.Lock()
 	resp, name, err := c.open(&wire.Request{Type: wire.TBegin, ReadOnly: true})
+	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}

@@ -290,11 +290,7 @@ func (m *Manager) Register(x string, init adt.State) error {
 	if _, dup := sh.objects[x]; dup {
 		return fmt.Errorf("lockmgr: object %q already registered", x)
 	}
-	if len(sh.slab) == 0 {
-		sh.slab = make([]lockState, lockStateChunk)
-	}
-	ls := &sh.slab[0]
-	sh.slab = sh.slab[1:]
+	ls := sh.slab.New(lockStateChunk)
 	ls.name = x
 	ls.base[0] = writeHolder{t: tree.Root, st: init}
 	ls.chain = ls.base[:1:2]

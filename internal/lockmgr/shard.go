@@ -8,6 +8,7 @@ import (
 
 	"nestedtx/internal/adt"
 	"nestedtx/internal/event"
+	"nestedtx/internal/slab"
 	"nestedtx/internal/tree"
 )
 
@@ -23,11 +24,10 @@ type shard struct {
 
 	mu      sync.Mutex
 	objects map[string]*lockState
-	// slab is the rest of the chunk Register cuts lock states from, one
-	// allocation per lockStateChunk objects. No object is ever
-	// unregistered, so a chunk lives as long as the shard and a lock
-	// state never moves.
-	slab []lockState
+	// slab is what Register cuts lock states from, one allocation per
+	// lockStateChunk objects. No object is ever unregistered, so a chunk
+	// lives as long as the shard and a lock state never moves.
+	slab slab.Slab[lockState]
 	// trees is the shard's one index keyed by transaction: for every
 	// top-level transaction whose tree holds a lock or has a waiter queued
 	// in this shard, the record of both. A record is in the map exactly

@@ -131,6 +131,12 @@ type Manager struct {
 	// in: the store copies what it keeps, so a map is free again once the
 	// publication returns.
 	updates sync.Pool
+	// txSlabs holds the slabs begin cuts every Tx from (see txChunk).
+	// The pool keeps begin lock-free, and a slab is mostly taken and put
+	// back on one P, so the Tx of one chunk are mostly made there. It is
+	// the manager's own: a chunk-mate's mgr would otherwise let a name
+	// kept from one manager keep another alive.
+	txSlabs sync.Pool
 
 	// clk is the time source for retry backoffs (WithClock; the wall
 	// clock by default).
@@ -304,7 +310,7 @@ func (m *Manager) RunRetry(attempts int, fn func(*Tx) error) error {
 // this one. No acknowledged commit is ever absent from the log, and no
 // reader outside a lock ever saw one that is.
 func (m *Manager) commitTop(tx *Tx) error {
-	id, v := tx.id, tx.result()
+	id, v := tx.id, tx.takeResult()
 	if m.wal == nil {
 		m.applyTop(id, v, 0)
 		return nil

@@ -56,10 +56,10 @@ func growNamed(r *rand.Rand, tx *Tx, want tree.TID, depth int, note func(id stri
 // every name below the top level spills past the Tx's own array — survive
 // two collections and a second 10,000 transactions reusing the freed
 // memory, each still equal to the name tree.TID.Child builds and all
-// distinct. Children are made two to an allocation, so a held name also
-// keeps its pair-mate's memory: names held from both halves of a pair,
-// and from a first half whose second was never used, outlive their
-// parent and every other sibling just the same.
+// distinct. Every Tx is a slot of a shared chunk, so a held name also
+// keeps its chunk-mates' memory: names held from some slots of a chunk
+// and not from its neighbours outlive their parent and every other
+// sibling just the same.
 func TestNamesOutliveTheirTx(t *testing.T) {
 	type held struct {
 		id   string
@@ -87,12 +87,12 @@ func TestNamesOutliveTheirTx(t *testing.T) {
 	}
 	var names []held
 	run(1, 10_000, func(id string, want tree.TID) { names = append(names, held{id, want}) })
-	// pairs notes, of 500 transactions with six children each, only
-	// children 1 and 2 — one pair, made after an access took index 0 —
-	// and child 5, the first of a pair whose second is never used; the
-	// rest become garbage. Its managers start their top-level counters
-	// past run's, so that no name repeats.
-	pairs := func(m *Manager) {
+	// some notes, of 500 transactions with five children each after an
+	// access took index 0, only children 1, 2 and 5; the rest, and every
+	// top-level Tx, become garbage beside them in their chunks. Its
+	// managers start their top-level counters past run's, so that no name
+	// repeats.
+	some := func(m *Manager) {
 		for i := 0; i < 500; i++ {
 			want := tree.Root.Child(int(m.nextTop.Load()))
 			err := m.Run(func(tx *Tx) error {
@@ -122,7 +122,7 @@ func TestNamesOutliveTheirTx(t *testing.T) {
 	long.nextTop.Store(2e12)
 	for _, m := range []*Manager{short, long} {
 		m.MustRegister("c", Counter{})
-		pairs(m)
+		some(m)
 	}
 	spilled := 0
 	for _, h := range names {

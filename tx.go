@@ -10,6 +10,7 @@ import (
 
 	"nestedtx/internal/clock"
 	"nestedtx/internal/event"
+	"nestedtx/internal/slab"
 	"nestedtx/internal/tree"
 	"nestedtx/internal/wal"
 )
@@ -32,7 +33,8 @@ type Tx struct {
 	// under mu, and a transaction that never waits has none.
 	cancel chan struct{}
 	// start is the creation time as an offset from epoch: 8 bytes where a
-	// time.Time is 24, which keeps Tx inside its 144-byte size class.
+	// time.Time is 24. Every field costs its bytes in each slot of a
+	// chunk (see txChunk).
 	start time.Duration
 
 	mu sync.Mutex
@@ -46,12 +48,8 @@ type Tx struct {
 	// first, and a child that returns unlinks itself in place.
 	children     *Tx
 	older, newer *Tx
-	// spare is the unused second half of the pair of Tx the last child
-	// was made in (see Manager.begin); the next child takes it, and end
-	// drops it.
-	spare     *Tx
-	value     *Value // optional user result, set by Return
-	committed int64  // committed children count (default commit value)
+	value        *Value // optional user result, set by Return
+	committed    int64  // committed children count (default commit value)
 	// effects accumulates the transaction's surviving accesses (its own
 	// plus those inherited from committed children, in commit order) for
 	// the WAL redo record, on durable managers only: a pooled list taken at
@@ -86,11 +84,15 @@ func (tx *Tx) Return(v Value) {
 	tx.mu.Unlock()
 }
 
-func (tx *Tx) result() Value {
+// takeResult returns tx's commit value for its parent (or the committed
+// state) and drops tx's hold on the boxed one: a returned Tx keeps
+// nothing its chunk-mates' names would pin.
+func (tx *Tx) takeResult() Value {
 	tx.mu.Lock()
 	defer tx.mu.Unlock()
-	if tx.value != nil {
-		return *tx.value
+	if box := tx.value; box != nil {
+		tx.value = nil
+		return *box
 	}
 	return tx.committed
 }
@@ -302,37 +304,33 @@ func (tx *Tx) Go(fn func(*Tx) error) *Handle {
 	return h
 }
 
+// txChunk is the number of Tx in one slab chunk: as many as fill the
+// allocator's 2,048-byte size class.
+const txChunk = slab.ChunkBytes / int(unsafe.Sizeof(Tx{}))
+
 // begin creates transaction pid.k under parent (nil for top level):
-// REQUEST_CREATE and CREATE. The caller holds parent.mu. A parent makes
-// its children two at a time: the first of a pair allocates both Tx and
-// leaves the second in parent.spare for the next child, so two siblings
-// are one 288-byte allocation where they were two of 144 bytes. Whether
-// a spare is held decides the slot, not the child index: accesses take
-// indices too. The Tx and its name are one allocation: the name is
-// appended into tx.name, and only a name longer than that spills to an
-// array of its own, as pid.Child(k) would allocate it.
+// REQUEST_CREATE and CREATE. The caller holds parent.mu. Every Tx, top
+// level or child, is a slot cut from a shared chunk of txChunk, one
+// allocation per chunk; its chunk-mates are whatever transactions of m
+// began next to it, related or not. The Tx and its name are one slot: the
+// name is appended into tx.name, and only a name longer than that spills
+// to an array of its own, as pid.Child(k) would allocate it.
 //
 // tx.id aliases those bytes, which is safe because they never change
-// under it: they are written here, once, before tx.id exists; a Tx is
-// never reused (a spare is handed out once); and vet's copylocks check
-// (Tx holds a sync.Mutex) forbids copying one. Every copy of the
-// name points into the Tx, so the collector keeps the Tx — and with it
-// its pair-mate, 288 bytes in all — alive for as long as any copy is
-// reachable. A returned Tx holds no other pair: its children and
-// siblings are unlinked and end drops its spare. A parent with an odd
-// number of children leaves its last spare unused: one child costs 288
-// bytes where it cost 144.
+// under it: they are written here, once, before tx.id exists; a slot is
+// never reused; and vet's copylocks check (Tx holds a sync.Mutex)
+// forbids copying one. Every copy of the name points into the chunk, so
+// the collector keeps the whole chunk alive for as long as any copy is
+// reachable. That is 2 KiB and little more: end leaves a returned Tx
+// pointing at no other Tx and holding no result; only the Handles of Go
+// children that failed unawaited stay, with their names.
 func (m *Manager) begin(parent *Tx, pid tree.TID, k int) *Tx {
-	var tx *Tx
-	switch {
-	case parent == nil:
-		tx = new(Tx)
-	case parent.spare != nil:
-		tx, parent.spare = parent.spare, nil
-	default:
-		pair := new([2]Tx)
-		tx, parent.spare = &pair[0], &pair[1]
+	s, _ := m.txSlabs.Get().(*slab.Slab[Tx])
+	if s == nil {
+		s = new(slab.Slab[Tx])
 	}
+	tx := s.New(txChunk)
+	m.txSlabs.Put(s)
 	tx.mgr, tx.parent, tx.start = m, parent, time.Since(epoch)
 	b := tree.AppendChild(tx.name[:0], pid, k)
 	tx.id = tree.TID(unsafe.String(unsafe.SliceData(b), len(b)))
@@ -460,11 +458,17 @@ func (tx *Tx) end(commit bool) error {
 	case commit && err == nil && tx.aborted:
 		err = ErrAborted
 	}
+	// newChild refuses from here on. A returned Tx points at no other
+	// Tx (see Manager.begin): the parent is read for the last time here,
+	// and a result is dropped unless the commit below takes it.
 	tx.done = true
-	tx.spare = nil // newChild refuses from here on
+	m, p := tx.mgr, tx.parent
+	tx.parent = nil
+	if !commit || err != nil {
+		tx.value = nil
+	}
 	tx.mu.Unlock()
 
-	m, p := tx.mgr, tx.parent
 	released := false // committed in the lock manager, whatever err says
 	if commit && err == nil {
 		if p == nil {
@@ -534,7 +538,7 @@ func (tx *Tx) settle(commit bool) (err error) {
 // commitTo returns child tx committed to its parent p.
 func (tx *Tx) commitTo(p *Tx) {
 	m := tx.mgr
-	v := tx.result()
+	v := tx.takeResult()
 	if m.wal != nil {
 		// Inherit the child's surviving effects *before* releasing its
 		// locks: once lm.Commit runs, a conflicting sibling access can be

@@ -4,10 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 func TestTxIDsAndDepth(t *testing.T) {
@@ -369,12 +372,13 @@ func TestQueueProducerConsumer(t *testing.T) {
 	}
 }
 
-// TestChildSlotIgnoresIndexParity: a parent makes its children two to an
-// allocation, and accesses share the children's numbering, so which half
-// of a pair a child takes must not follow its index. After 0, 1 and 3
-// accesses, a child made by Sub, Begin or Go, then an access and children
-// of the other two kinds, each gets the name Child builds, runs and
-// commits to the parent; the recorded schedule verifies.
+// TestChildSlotIgnoresIndexParity: a child is a slot of a chunk shared
+// with whatever began next to it, and accesses share the children's
+// numbering, so neither the slot nor the name may follow the index's
+// parity or the kind of child. After 0, 1 and 3 accesses, a child made by
+// Sub, Begin or Go, then an access and children of the other two kinds,
+// each gets the name Child builds, runs and commits to the parent; the
+// recorded schedule verifies.
 func TestChildSlotIgnoresIndexParity(t *testing.T) {
 	kinds := []string{"Sub", "Begin", "Go"}
 	// start makes a child of tx by kind and runs body in it.
@@ -448,25 +452,34 @@ func TestChildSlotIgnoresIndexParity(t *testing.T) {
 	}
 }
 
-// TestGoPairMatesRunConcurrently: the two Go children made in one pair
-// run at once, one aborting and one committing, and only the committed
-// one's effect survives. Then a Cancel of their parent cascades over open
-// children made in pairs — two from Begin, a grandchild, three Go
-// children queued behind a held lock — and the parent's Abort returns
-// every one of them. Run it under -race.
-func TestGoPairMatesRunConcurrently(t *testing.T) {
+// TestGoChunkMatesRunConcurrently: Go siblings made one after another
+// are slots of one chunk, and they run at once, half aborting and half
+// committing, and only the committed ones' effects survive. Then a Cancel
+// of their parent cascades over open children that share chunks — two
+// from Begin, a grandchild, three Go children queued behind a held lock —
+// and the parent's Abort returns every one of them. Run it under -race.
+func TestGoChunkMatesRunConcurrently(t *testing.T) {
 	m := NewManager()
 	m.MustRegister("x", Counter{})
 	m.MustRegister("y", Counter{})
-	const rounds = 200
+	const rounds, siblings = 200, 8
+	size := unsafe.Sizeof(Tx{})
+	adjacent := 0 // rounds in which two siblings took neighbouring slots
 	for r := 0; r < rounds; r++ {
+		var slots [siblings]uintptr
 		err := m.Run(func(tx *Tx) error {
 			var ready sync.WaitGroup
-			ready.Add(2)
-			body := func(obj string, fail bool) func(*Tx) error {
-				return func(c *Tx) error {
+			ready.Add(siblings)
+			var hs [siblings]*Handle
+			for i := range hs {
+				obj, fail := "y", i%2 == 0
+				if fail {
+					obj = "x"
+				}
+				hs[i] = tx.Go(func(c *Tx) error {
+					slots[i] = uintptr(unsafe.Pointer(c))
 					ready.Done()
-					ready.Wait() // both pair-mates are running
+					ready.Wait() // every sibling is running
 					if _, err := c.Do(obj, CtrAdd{Delta: 1}); err != nil {
 						return err
 					}
@@ -474,23 +487,33 @@ func TestGoPairMatesRunConcurrently(t *testing.T) {
 						return errors.New("aborts")
 					}
 					return nil
+				})
+			}
+			for i, h := range hs {
+				if err := h.Wait(); (err == nil) == (i%2 == 0) {
+					return fmt.Errorf("sibling %d: %v", i, err)
 				}
 			}
-			aborts, commits := tx.Go(body("x", true)), tx.Go(body("y", false))
-			if err := aborts.Wait(); err == nil {
-				return errors.New("the failing pair-mate committed")
-			}
-			return commits.Wait()
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
+		for i := 1; i < siblings; i++ {
+			if slots[i] == slots[i-1]+size {
+				adjacent++
+				break
+			}
+		}
+	}
+	if adjacent == 0 {
+		t.Errorf("in %d rounds no two Go siblings shared a chunk", rounds)
 	}
 	if x, _ := m.State("x"); x != (Counter{}) {
-		t.Errorf("x = %v, want the aborted pair-mates' effects rolled back", x)
+		t.Errorf("x = %v, want the aborted siblings' effects rolled back", x)
 	}
-	if y, _ := m.State("y"); y != (Counter{N: rounds}) {
-		t.Errorf("y = %v, want %d", y, rounds)
+	if y, _ := m.State("y"); y != (Counter{N: rounds * siblings / 2}) {
+		t.Errorf("y = %v, want %d", y, rounds*siblings/2)
 	}
 
 	holder := m.Begin()
@@ -543,44 +566,118 @@ func TestGoPairMatesRunConcurrently(t *testing.T) {
 	if err := holder.Commit(); err != nil {
 		t.Fatal(err)
 	}
-	if y, _ := m.State("y"); y != (Counter{N: rounds}) {
-		t.Errorf("y = %v, want %d", y, rounds)
+	if y, _ := m.State("y"); y != (Counter{N: rounds * siblings / 2}) {
+		t.Errorf("y = %v, want %d", y, rounds*siblings/2)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestReturnedTxHoldsNoSpare: a parent with an odd number of children
-// holds the unused second half of their last pair until it returns, and
-// no longer: a name kept after its Tx returned keeps that Tx's own pair
-// and its ancestors, never a chain of pairs made below it.
-func TestReturnedTxHoldsNoSpare(t *testing.T) {
+// TestRetainedNamePinsOneChunk: a name kept after its Tx returned keeps
+// that Tx's chunk, 2 KiB, and nothing else. Of a top-level transaction
+// with 1,000 children of 10 leaves each, only the last leaf's name is
+// kept. The value its parent's first sibling returned and the value its
+// sibling two before it, most likely a chunk-mate, returned are both
+// collected, and dropping the name frees at most one chunk. A Tx that
+// kept its parent after returning would keep the whole tree through the
+// chunks of its ancestors and their chunk-mates; one that kept its
+// result would keep its chunk-mates' values.
+func TestRetainedNamePinsOneChunk(t *testing.T) {
 	m := NewManager()
-	var kept []*Tx
+	var collected atomic.Int32
+	track := func(tx *Tx) {
+		v := new([1024]byte)
+		runtime.SetFinalizer(v, func(*[1024]byte) { collected.Add(1) })
+		tx.Return(v)
+	}
+	var kept string
 	err := m.Run(func(tx *Tx) error {
-		kept = append(kept, tx)
-		err := tx.Sub(func(sub *Tx) error {
-			kept = append(kept, sub)
-			return sub.Sub(func(leaf *Tx) error {
-				kept = append(kept, leaf)
+		for i := range 1000 {
+			err := tx.Sub(func(sub *Tx) error {
+				if i == 0 {
+					track(sub)
+				}
+				for j := range 10 {
+					err := sub.Sub(func(leaf *Tx) error {
+						switch {
+						case i == 999 && j == 7:
+							track(leaf)
+						case i == 999 && j == 9:
+							kept = leaf.ID()
+						}
+						return nil
+					})
+					if err != nil {
+						return err
+					}
+				}
 				return nil
 			})
-		})
-		if err != nil {
-			return err
-		}
-		if tx.spare == nil {
-			return errors.New("a parent of one child holds no spare")
+			if err != nil {
+				return err
+			}
 		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tx := range kept {
-		if tx.spare != nil {
-			t.Errorf("%s returned holding a spare", tx.ID())
+	for deadline := time.Now().Add(10 * time.Second); collected.Load() < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d of the 2 returned values collected while %s is kept", collected.Load(), kept)
 		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
 	}
+	// Two collections empty the pool of slabs, whose current chunk would
+	// otherwise stay reachable without the name.
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	with := heap()
+	if kept != "T0.0.999.9" {
+		t.Fatalf("kept %q", kept)
+	}
+	kept = ""
+	without := heap()
+	if with > without+2048 {
+		t.Errorf("the kept name held %d B, more than one 2,048-byte chunk", with-without)
+	}
+	t.Logf("the kept name held %d B", int64(with)-int64(without))
+	runtime.KeepAlive(m)
+}
+
+// TestRetainedNameKeepsNoOtherManager: a chunk's Tx all belong to one
+// manager, so a name kept from one manager's transaction never keeps
+// another manager alive through a chunk-mate's mgr. With one slab pool
+// for every manager the unused manager here is never collected.
+func TestRetainedNameKeepsNoOtherManager(t *testing.T) {
+	a := NewManager()
+	var kept string
+	if err := a.Run(func(tx *Tx) error { kept = tx.ID(); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	var collected atomic.Bool
+	func() {
+		b := NewManager()
+		runtime.SetFinalizer(b, func(*Manager) { collected.Store(true) })
+		for range 5 {
+			if err := b.Run(func(*Tx) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}()
+	for deadline := time.Now().Add(10 * time.Second); !collected.Load(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("a manager nobody uses stays reachable while %s of another is kept", kept)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	runtime.KeepAlive(kept)
 }
