@@ -86,9 +86,9 @@ fuzz:
 
 # Short fuzz smoke for CI: the wire framing/decode surface, the WAL
 # segment scanner, the hand-written JSON codecs against the
-# encoding/json implementations they replaced, and the lock tables
-# against the set-based M(X) they refine, and the Theorem-34 checker on
-# generated schedules, ten seconds each. The lock tables' runs are a
+# encoding/json implementations they replaced, the lock tables against
+# the set-based M(X) they refine, the object index against a Go map, and
+# the Theorem-34 checker on generated schedules, ten seconds each. The lock tables' runs are a
 # whole script each, so minimising every input that reaches new code is
 # capped or it eats the ten seconds.
 fuzz-short:
@@ -100,6 +100,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzRecordEncodeMatchesEncodingJSON -fuzztime 10s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzCheckpointEncodeMatchesEncodingJSON -fuzztime 10s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzLockTablesRefineMX -fuzztime 10s -fuzzminimizetime 100x ./internal/lockmgr
+	$(GO) test -run XXX -fuzz FuzzIndexMatchesMap -fuzztime 10s ./internal/slab
 	$(GO) test -run XXX -fuzz FuzzTheorem34 -fuzztime 10s ./internal/checker
 
 # End-to-end observability probe against the real binaries: starts a

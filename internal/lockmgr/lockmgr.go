@@ -177,10 +177,9 @@ func NewSharded(rec *event.Recorder, mode core.Mode, met *obs.Metrics, n int) *M
 	m.met.ShardQueued = make([]obs.Gauge, n)
 	for i := range m.shards {
 		m.shards[i] = &shard{
-			id:      i,
-			m:       m,
-			objects: make(map[string]*lockState),
-			trees:   make(map[tree.TID]*treeRec),
+			id:    i,
+			m:     m,
+			trees: make(map[tree.TID]*treeRec),
 		}
 	}
 	for i := range m.stripes {
@@ -287,14 +286,15 @@ func (m *Manager) Register(x string, init adt.State) error {
 	sh := m.shardFor(x)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, dup := sh.objects[x]; dup {
-		return fmt.Errorf("lockmgr: object %q already registered", x)
-	}
 	ls := sh.slab.New(lockStateChunk)
 	ls.name = x
+	if !sh.objects.Add(ls) {
+		// The slot stays cut; cleared, it keeps nothing reachable.
+		ls.name = ""
+		return fmt.Errorf("lockmgr: object %q already registered", x)
+	}
 	ls.base[0] = writeHolder{t: tree.Root, st: init}
 	ls.chain = ls.base[:1:2]
-	sh.objects[x] = ls
 	return nil
 }
 
@@ -305,7 +305,7 @@ func (m *Manager) Register(x string, init adt.State) error {
 func (m *Manager) ObjectName(b []byte) (string, bool) {
 	sh := m.shards[fnv32(b)%uint32(len(m.shards))]
 	sh.mu.Lock()
-	ls := sh.objects[string(b)]
+	ls := sh.objects.GetBytes(b)
 	sh.mu.Unlock()
 	if ls == nil {
 		return "", false
@@ -376,8 +376,7 @@ func (m *Manager) Registered(x string) bool {
 	sh := m.shardFor(x)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, ok := sh.objects[x]
-	return ok
+	return sh.objects.Get(x) != nil
 }
 
 // RootStates returns the committed-to-root state of every registered
@@ -390,8 +389,8 @@ func (m *Manager) RootStates() map[string]adt.State {
 	out := make(map[string]adt.State)
 	for _, sh := range m.shards {
 		sh.mu.Lock()
-		for x, ls := range sh.objects {
-			out[x] = ls.chain[0].st
+		for ls := range sh.objects.All() {
+			out[ls.name] = ls.chain[0].st
 		}
 		sh.mu.Unlock()
 	}
@@ -429,8 +428,8 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel inter
 	var done <-chan struct{} // cancel's channel, asked for at the first wait
 	sh.mu.Lock()
 	for {
-		ls, ok := sh.objects[x]
-		if !ok {
+		ls := sh.objects.Get(x)
+		if ls == nil {
 			sh.mu.Unlock()
 			return nil, fmt.Errorf("lockmgr: %w: %q", ErrUnknownObject, x)
 		}

@@ -22,8 +22,9 @@ type shard struct {
 	id int
 	m  *Manager
 
-	mu      sync.Mutex
-	objects map[string]*lockState
+	mu sync.Mutex
+	// objects finds the shard's lock states by name.
+	objects slab.Index[lockState, byName]
 	// slab is what Register cuts lock states from, one allocation per
 	// lockStateChunk objects. No object is ever unregistered, so a chunk
 	// lives as long as the shard and a lock state never moves.
@@ -123,6 +124,11 @@ type lockState struct {
 	// an object makes no chain and the flat case never grows one.
 	base [2]writeHolder
 }
+
+// byName reads a lock state's key in the shard's index.
+type byName struct{}
+
+func (byName) Key(ls *lockState) string { return ls.name }
 
 // readMemo is one memoizable op and the value it returns from an
 // object's current version.
@@ -446,7 +452,8 @@ func (sh *shard) holdsLocked(t tree.TID, ls *lockState) (ok bool) {
 // checkLocked runs the single-shard invariants. Caller holds sh.mu.
 func (sh *shard) checkLocked() error {
 	queued := 0
-	for x, ls := range sh.objects {
+	for ls := range sh.objects.All() {
+		x := ls.name
 		if ShardOf(x, len(sh.m.shards)) != sh.id {
 			return fmt.Errorf("lockmgr: object %q stored in shard %d but hashes to %d", x, sh.id, ShardOf(x, len(sh.m.shards)))
 		}
@@ -557,10 +564,10 @@ func (sh *shard) checkLocked() error {
 		owner[id] = ""
 	}
 	// A read set on the free list is empty, listed once, and no object's.
-	reads := make(map[uintptr]string, len(sh.objects)+len(sh.freeReads))
-	for x, ls := range sh.objects {
+	reads := make(map[uintptr]string, sh.objects.Len()+len(sh.freeReads))
+	for ls := range sh.objects.All() {
 		if ls.read != nil {
-			reads[reflect.ValueOf(ls.read).Pointer()] = x
+			reads[reflect.ValueOf(ls.read).Pointer()] = ls.name
 		}
 	}
 	for _, s := range sh.freeReads {

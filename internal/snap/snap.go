@@ -49,11 +49,13 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
 	"nestedtx/internal/adt"
 	"nestedtx/internal/obs"
+	"nestedtx/internal/slab"
 )
 
 // ErrDone is returned by operations on a transaction that has already
@@ -107,9 +109,26 @@ type version struct {
 	st  adt.State
 }
 
-// versionChunk is the number of first versions one slab allocation
-// holds.
-const versionChunk = 128
+// object is one registered object: its name and the chain of its
+// committed versions, oldest first. Base starts the chain in first, at
+// capacity one, so the first publication to the object copies it out and
+// nothing writes into first after Base.
+type object struct {
+	name  string
+	chain []version
+	first [1]version
+}
+
+// byName reads an object's key in the store's index.
+type byName struct{}
+
+func (byName) Key(o *object) string { return o.name }
+
+// objectChunk is the number of objects one allocation holds: 127 records
+// of 64 B and the 8-byte header Go puts before a pointerful object fill
+// the 8,192-byte size class, where 128 would spill into the 9,472-byte
+// one and waste 10 B per object.
+const objectChunk = 127
 
 // pinCount is the number of live pins at one sequence number.
 type pinCount struct {
@@ -121,23 +140,20 @@ type pinCount struct {
 type Store struct {
 	mu   sync.RWMutex
 	seq  uint64 // sequence number of the latest publication
-	objs map[string][]version
-	// slab is the rest of the chunk Base cuts first versions from, one
-	// allocation per versionChunk objects. Base hands out one-version
-	// chains of capacity one, so the first publication to an object
-	// copies its chain out and nothing writes into a chunk after Base.
-	// No object is ever removed, so a chunk lives as long as the store;
-	// it keeps each object's initial state reachable too.
-	slab []version
+	objs slab.Index[object, byName]
+	// chunks hold the objects in the order Base installed them, object i
+	// at chunks[i/objectChunk][i%objectChunk], and n counts them. No
+	// object is ever removed and a chunk, once listed, stays where it is,
+	// so the first n objects of a copy of chunks are a stable snapshot of
+	// the universe.
+	chunks []*[objectChunk]object
+	n      int
 	// pins counts the live pins by ascending seq. A new pin takes the
 	// horizon, which never decreases, so it lands on the tail or behind it;
 	// a count a release brings to zero stays until it is the head, so the
 	// head is the oldest live pin and nothing ever scans the queue.
 	pins   []pinCount
 	pinned int // live pins: the sum of the counts
-	// names lists the objects in the order Base installed them. It only
-	// grows, so a prefix of it is a stable snapshot of the universe.
-	names []string
 	// unsettled holds the publications staged and not yet settled, by
 	// ascending seq: as many as there are durable commits between their
 	// stage and their fsync.
@@ -148,10 +164,11 @@ type Store struct {
 	log       []PubEntry
 	done      []TxEntry // finished read-only transactions (recording only)
 
-	// sorted is names[:len(sorted)] in ascending order, kept between
-	// checkpoints so one that follows no registration sorts nothing.
+	// sorted is the first len(sorted) objects in ascending name order,
+	// kept between checkpoints so one that follows no registration sorts
+	// nothing.
 	sortMu sync.Mutex
-	sorted []string
+	sorted []*object
 }
 
 // New returns an empty store. With record set, every publication and
@@ -159,10 +176,7 @@ type Store struct {
 // via Log and TxLog — unbounded, like the event recorder, so meant for
 // verification runs, not production.
 func New(record bool) *Store {
-	return &Store{
-		objs: make(map[string][]version),
-		rec:  record,
-	}
+	return &Store{rec: record}
 }
 
 // Base registers object x with its initial committed state, visible to
@@ -171,25 +185,26 @@ func New(record bool) *Store {
 func (s *Store) Base(x string, st adt.State) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if len(s.slab) == 0 {
-		s.slab = make([]version, versionChunk)
+	if s.n == len(s.chunks)*objectChunk {
+		s.chunks = append(s.chunks, new([objectChunk]object))
 	}
-	s.slab[0] = version{seq: s.horizonLocked(), st: st}
-	chain := s.slab[:1:1]
-	s.slab = s.slab[1:]
+	o := &s.chunks[s.n/objectChunk][s.n%objectChunk]
+	o.name = x
 	// One probe: the insert itself tells a new name from a re-based one.
-	n := len(s.objs)
-	s.objs[x] = chain
-	if len(s.objs) == n {
+	if !s.objs.Add(o) {
+		o.name = ""
 		panic("snap: object " + x + " re-based")
 	}
-	s.names = append(s.names, x)
+	o.first[0] = version{seq: s.horizonLocked(), st: st}
+	o.chain = o.first[:]
+	s.n++
 }
 
 // Publish atomically installs the new committed states of one top-level
 // transaction and returns the sequence number it was assigned. All of
 // the transaction's versions become visible at once: a pin either sees
-// the whole transaction or none of it.
+// the whole transaction or none of it. Every object updates names must
+// have been based; naming another is a bug, and panics.
 func (s *Store) Publish(top string, updates map[string]adt.State) uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -253,8 +268,11 @@ func (s *Store) publishLocked(top string, updates map[string]adt.State, lsn uint
 	}
 	floor := s.minPinLocked()
 	for x, st := range updates {
-		chain := append(s.objs[x], version{seq: s.seq, st: st})
-		s.objs[x] = trim(chain, floor)
+		o := s.objs.Get(x)
+		if o == nil {
+			panic("snap: object " + x + " published but never based")
+		}
+		o.chain = trim(append(o.chain, version{seq: s.seq, st: st}), floor)
 	}
 	if s.rec {
 		cp := make(map[string]adt.State, len(updates))
@@ -303,10 +321,11 @@ func (s *Store) Seq() uint64 {
 func (s *Store) Head(x string) (adt.State, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	chain := s.objs[x]
-	if len(chain) == 0 {
+	o := s.objs.Get(x)
+	if o == nil {
 		return nil, fmt.Errorf("snap: object %q not registered", x)
 	}
+	chain := o.chain
 	// Base tags at the horizon and trim floors there, so the chain always
 	// holds a version at or below it.
 	i := len(chain) - 1
@@ -352,7 +371,11 @@ func (p *Pin) Seq() uint64 { return p.seq }
 func (p *Pin) Read(x string) (adt.State, error) {
 	p.s.mu.RLock()
 	defer p.s.mu.RUnlock()
-	st, ok := stateAt(p.s.objs[x], p.seq)
+	var chain []version
+	if o := p.s.objs.Get(x); o != nil {
+		chain = o.chain
+	}
+	st, ok := stateAt(chain, p.seq)
 	if !ok {
 		return nil, fmt.Errorf("snap: object %q has no version at snapshot %d", x, p.seq)
 	}
@@ -402,9 +425,10 @@ func (s *Store) Pinned() int {
 type Hold struct {
 	// floor pins the horizon, at or below seq, so trimming keeps every
 	// version the hold reads without a pin out of ascending order.
-	floor *Pin
-	seq   uint64
-	names []string // the objects registered at the hold, in registration order
+	floor  *Pin
+	seq    uint64
+	chunks []*[objectChunk]object // the store's chunks at the hold
+	n      int                    // the objects registered at the hold
 }
 
 // Hold holds the store at its latest publication until Release.
@@ -412,9 +436,10 @@ func (s *Store) Hold() *Hold {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &Hold{
-		floor: &Pin{s: s, seq: s.pinLocked()},
-		seq:   s.seq,
-		names: s.names[:len(s.names):len(s.names)],
+		floor:  &Pin{s: s, seq: s.pinLocked()},
+		seq:    s.seq,
+		chunks: s.chunks[:len(s.chunks):len(s.chunks)],
+		n:      s.n,
 	}
 }
 
@@ -425,18 +450,20 @@ func (h *Hold) States(yield func(string, adt.State) bool) {
 	s := h.floor.s
 	s.sortMu.Lock()
 	defer s.sortMu.Unlock()
-	if len(s.sorted) != len(h.names) {
-		if len(s.sorted) > len(h.names) {
+	if len(s.sorted) != h.n {
+		if len(s.sorted) > h.n {
 			s.sorted = s.sorted[:0]
 		}
-		s.sorted = append(s.sorted, h.names[len(s.sorted):]...)
-		slices.Sort(s.sorted)
+		for i := len(s.sorted); i < h.n; i++ {
+			s.sorted = append(s.sorted, &h.chunks[i/objectChunk][i%objectChunk])
+		}
+		slices.SortFunc(s.sorted, func(a, b *object) int { return strings.Compare(a.name, b.name) })
 	}
-	for _, x := range s.sorted {
+	for _, o := range s.sorted {
 		s.mu.RLock()
-		st, _ := stateAt(s.objs[x], h.seq)
+		st, _ := stateAt(o.chain, h.seq)
 		s.mu.RUnlock()
-		if !yield(x, st) {
+		if !yield(o.name, st) {
 			return
 		}
 	}
@@ -451,8 +478,8 @@ func (s *Store) Versions() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for _, chain := range s.objs {
-		n += len(chain)
+	for o := range s.objs.All() {
+		n += len(o.chain)
 	}
 	return n
 }

@@ -2,6 +2,9 @@ package snap
 
 import (
 	"fmt"
+	"reflect"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -49,8 +52,9 @@ func TestPublishAndRead(t *testing.T) {
 	p2.Release()
 }
 
-// TestFirstPublishLeavesItsNeighboursAlone: Base cuts first versions from
-// one slab, so the chains of objects based one after another are adjacent.
+// TestFirstPublishLeavesItsNeighboursAlone: Base cuts objects from one
+// chunk, each with its first version inside it, so the chains of objects
+// based one after another are adjacent.
 // Publishing to the middle one, twice with a pin held in between, must
 // leave both neighbours' versions, and every pin's view, as they were.
 func TestFirstPublishLeavesItsNeighboursAlone(t *testing.T) {
@@ -96,17 +100,111 @@ func TestFirstPublishLeavesItsNeighboursAlone(t *testing.T) {
 	p2.Release()
 }
 
+// TestObjectChunkFillsItsSizeClass: a chunk of objectChunk records and
+// the 8-byte header Go puts before a pointerful object of over 512 B fit
+// the 8,192-byte size class, and one record more would not.
+func TestObjectChunkFillsItsSizeClass(t *testing.T) {
+	size := int(reflect.TypeOf(object{}).Size())
+	if n := objectChunk*size + 8; n > 8192 {
+		t.Errorf("a chunk of %d %d-byte records is %d B with its header, past the 8,192-byte class", objectChunk, size, n)
+	}
+	if n := (objectChunk+1)*size + 8; n <= 8192 {
+		t.Errorf("a chunk of %d %d-byte records would still fit the 8,192-byte class", objectChunk+1, size)
+	}
+}
+
 // TestBaseTwicePanics: a name is based once; a second Base of it is a
-// programming error, caught by the same map insert that installs it.
+// programming error, caught by the same index insert that installs it.
+// The refused Base leaves the first version, the registration order and
+// the slot it was cut from as they were.
 func TestBaseTwicePanics(t *testing.T) {
 	s := New(false)
 	s.Base("x", ctr(0))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a second Base of x did not panic")
-		}
+	func() {
+		defer func() {
+			if r := recover(); r != "snap: object x re-based" {
+				t.Fatalf("a second Base of x panicked with %v", r)
+			}
+		}()
+		s.Base("x", ctr(1))
 	}()
-	s.Base("x", ctr(1))
+	s.Base("y", ctr(2))
+	h := s.Hold()
+	defer h.Release()
+	var got []string
+	for x, st := range h.States {
+		got = append(got, fmt.Sprintf("%s=%d", x, st.(adt.Counter).N))
+	}
+	if want := "x=0 y=2"; strings.Join(got, " ") != want {
+		t.Fatalf("after a refused re-base the store holds %v, want %s", got, want)
+	}
+}
+
+// TestPublishOfAnUnbasedObjectPanics: a publication names only objects
+// Base installed. One that names another would make a chain no hold
+// lists, which a checkpoint would drop, so Publish and Stage both refuse
+// it as the bug it is.
+func TestPublishOfAnUnbasedObjectPanics(t *testing.T) {
+	for name, publish := range map[string]func(*Store){
+		"Publish": func(s *Store) { s.Publish("T1", map[string]adt.State{"ghost": ctr(1)}) },
+		"Stage":   func(s *Store) { s.Stage("T1", map[string]adt.State{"ghost": ctr(1)}, 1) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			s := New(false)
+			s.Base("x", ctr(0))
+			defer func() {
+				if r := recover(); r != "snap: object ghost published but never based" {
+					t.Fatalf("%s of an unbased object panicked with %v", name, r)
+				}
+			}()
+			publish(s)
+		})
+	}
+}
+
+// TestHoldListsEveryObjectAcrossChunks: a hold reads exactly the objects
+// based before it, in name order, however many chunks they span and
+// however many are based after it; an older hold read after a newer one
+// still reads only its own.
+func TestHoldListsEveryObjectAcrossChunks(t *testing.T) {
+	s := New(false)
+	names := func(lo, hi int) []string {
+		var out []string
+		for i := lo; i < hi; i++ {
+			out = append(out, fmt.Sprintf("o%03d", (i*7)%1000))
+		}
+		return out
+	}
+	for _, x := range names(0, 200) {
+		s.Base(x, ctr(0))
+	}
+	older := s.Hold()
+	defer older.Release()
+	for _, x := range names(200, 3*objectChunk+1) {
+		s.Base(x, ctr(0))
+	}
+	newer := s.Hold()
+	defer newer.Release()
+	read := func(h *Hold) []string {
+		var out []string
+		for x := range h.States {
+			out = append(out, x)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		h    *Hold
+		want []string
+	}{
+		{newer, names(0, 3*objectChunk+1)},
+		{older, names(0, 200)},
+		{newer, names(0, 3*objectChunk+1)},
+	} {
+		slices.Sort(c.want)
+		if got := read(c.h); !slices.Equal(got, c.want) {
+			t.Fatalf("a hold of %d objects read %d: %v", len(c.want), len(got), got)
+		}
+	}
 }
 
 func TestPinIsolatedFromLaterPublishes(t *testing.T) {

@@ -115,11 +115,63 @@ func (OSFS) Size(name string) (int64, error) {
 // process sees every later operation fail.
 type MemFS struct {
 	mu    sync.Mutex
-	files map[string][]byte
+	files map[string]*memData
+}
+
+// memPage is the size of the pages a MemFS file is kept in. A file grows
+// by whole pages and never copies what it holds, so n bytes written cost
+// n rounded up to a page, however many writes brought them. At 64 KiB a
+// durable commit's few hundred bytes of log cost well under a hundredth
+// of an allocation; 4 KiB pages cost a durable bank transfer 0.1 more.
+const memPage = 64 << 10
+
+// memData is one file's contents: its first size bytes, across pages
+// that are all full but the last.
+type memData struct {
+	pages []*[memPage]byte
+	size  int64
+}
+
+func (d *memData) write(p []byte) {
+	for len(p) > 0 {
+		if d.size == int64(len(d.pages))*memPage {
+			d.pages = append(d.pages, new([memPage]byte))
+		}
+		n := copy(d.pages[d.size/memPage][d.size%memPage:], p)
+		p = p[n:]
+		d.size += int64(n)
+	}
+}
+
+// readAt copies the bytes at off into p and returns how many it copied.
+func (d *memData) readAt(p []byte, off int64) int {
+	n := 0
+	for n < len(p) && off < d.size {
+		page := d.pages[off/memPage][off%memPage:]
+		page = page[:min(int64(len(page)), d.size-off)]
+		c := copy(p[n:], page)
+		n += c
+		off += int64(c)
+	}
+	return n
+}
+
+// truncate cuts the file to size bytes, dropping the pages past them; a
+// size at or past the end changes nothing. The kept bytes of the last
+// page past size are overwritten by the next write before any read can
+// reach them.
+func (d *memData) truncate(size int64) {
+	if size >= d.size {
+		return
+	}
+	keep := (size + memPage - 1) / memPage
+	clear(d.pages[keep:])
+	d.pages = d.pages[:keep]
+	d.size = size
 }
 
 // NewMemFS returns an empty in-memory file system.
-func NewMemFS() *MemFS { return &MemFS{files: make(map[string][]byte)} }
+func NewMemFS() *MemFS { return &MemFS{files: make(map[string]*memData)} }
 
 type memFile struct {
 	fs   *MemFS
@@ -135,9 +187,9 @@ func (m *MemFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) 
 		if flag&os.O_CREATE == 0 {
 			return nil, &os.PathError{Op: "open", Path: name, Err: os.ErrNotExist}
 		}
-		m.files[name] = nil
+		m.files[name] = new(memData)
 	} else if flag&os.O_TRUNC != 0 {
-		m.files[name] = nil
+		m.files[name] = new(memData)
 	}
 	return &memFile{fs: m, name: name}, nil
 }
@@ -145,25 +197,25 @@ func (m *MemFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) 
 func (f *memFile) Write(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	buf, ok := f.fs.files[f.name]
+	d, ok := f.fs.files[f.name]
 	if !ok {
 		return 0, &os.PathError{Op: "write", Path: f.name, Err: os.ErrNotExist}
 	}
-	f.fs.files[f.name] = append(buf, p...)
+	d.write(p)
 	return len(p), nil
 }
 
 func (f *memFile) Read(p []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	buf, ok := f.fs.files[f.name]
+	d, ok := f.fs.files[f.name]
 	if !ok {
 		return 0, &os.PathError{Op: "read", Path: f.name, Err: os.ErrNotExist}
 	}
-	if f.pos >= int64(len(buf)) {
+	if f.pos >= d.size {
 		return 0, io.EOF
 	}
-	n := copy(p, buf[f.pos:])
+	n := d.readAt(p, f.pos)
 	f.pos += int64(n)
 	return n, nil
 }
@@ -174,13 +226,11 @@ func (f *memFile) Close() error { return nil }
 func (f *memFile) Truncate(size int64) error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
-	buf, ok := f.fs.files[f.name]
+	d, ok := f.fs.files[f.name]
 	if !ok {
 		return &os.PathError{Op: "truncate", Path: f.name, Err: os.ErrNotExist}
 	}
-	if size < int64(len(buf)) {
-		f.fs.files[f.name] = buf[:size:size]
-	}
+	d.truncate(size)
 	return nil
 }
 
@@ -213,11 +263,11 @@ func (m *MemFS) Remove(name string) error {
 func (m *MemFS) Rename(oldname, newname string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buf, ok := m.files[oldname]
+	d, ok := m.files[oldname]
 	if !ok {
 		return &os.PathError{Op: "rename", Path: oldname, Err: os.ErrNotExist}
 	}
-	m.files[newname] = buf
+	m.files[newname] = d
 	delete(m.files, oldname)
 	return nil
 }
@@ -228,25 +278,25 @@ func (m *MemFS) SyncDir(dir string) error  { return nil }
 func (m *MemFS) Size(name string) (int64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buf, ok := m.files[name]
+	d, ok := m.files[name]
 	if !ok {
 		return 0, &os.PathError{Op: "stat", Path: name, Err: os.ErrNotExist}
 	}
-	return int64(len(buf)), nil
+	return d.size, nil
 }
 
 // Corrupt flips one byte of name at offset, for bad-CRC recovery tests.
 func (m *MemFS) Corrupt(name string, offset int64) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	buf, ok := m.files[name]
+	d, ok := m.files[name]
 	if !ok {
 		return &os.PathError{Op: "corrupt", Path: name, Err: os.ErrNotExist}
 	}
-	if offset < 0 || offset >= int64(len(buf)) {
-		return fmt.Errorf("wal: corrupt %s: offset %d out of range %d", name, offset, len(buf))
+	if offset < 0 || offset >= d.size {
+		return fmt.Errorf("wal: corrupt %s: offset %d out of range %d", name, offset, d.size)
 	}
-	buf[offset] ^= 0xff
+	d.pages[offset/memPage][offset%memPage] ^= 0xff
 	return nil
 }
 

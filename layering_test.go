@@ -38,25 +38,46 @@ func TestRuntimeDoesNotImportTools(t *testing.T) {
 
 // TestSnapIsTheReadSidesLeaf: internal/snap is what every reader —
 // root package, server, replica, checker — is served from or checks, so
-// it may depend on nothing in this module but the data types and the
-// metrics registry; importing the checker, the lock manager or the root
-// package would close a cycle through one of them.
+// it may depend on nothing in this module but the data types, the
+// metrics registry and the slab and index it cuts and finds objects
+// with; importing the checker, the lock manager or the root package
+// would close a cycle through one of them. internal/slab is admitted
+// only as a leaf: it imports nothing of this module.
 func TestSnapIsTheReadSidesLeaf(t *testing.T) {
 	allowed := map[string]bool{
 		"nestedtx/internal/snap":  true,
 		"nestedtx/internal/adt":   true,
 		"nestedtx/internal/jscan": true,
 		"nestedtx/internal/obs":   true,
+		"nestedtx/internal/slab":  true,
 	}
-	out, err := exec.Command("go", "list", "-deps", "nestedtx/internal/snap").Output()
-	if err != nil {
-		t.Fatalf("go list -deps nestedtx/internal/snap: %v", err)
-	}
-	for _, dep := range strings.Fields(string(out)) {
-		if (dep == "nestedtx" || strings.HasPrefix(dep, "nestedtx/")) && !allowed[dep] {
+	for _, dep := range depsOf(t, "nestedtx/internal/snap") {
+		if !allowed[dep] {
 			t.Errorf("internal/snap depends on %s", dep)
 		}
 	}
+	for _, dep := range depsOf(t, "nestedtx/internal/slab") {
+		if dep != "nestedtx/internal/slab" {
+			t.Errorf("internal/slab depends on %s", dep)
+		}
+	}
+}
+
+// depsOf lists the packages of this module pkg depends on, itself
+// included.
+func depsOf(t *testing.T, pkg string) []string {
+	t.Helper()
+	out, err := exec.Command("go", "list", "-deps", pkg).Output()
+	if err != nil {
+		t.Fatalf("go list -deps %s: %v", pkg, err)
+	}
+	var deps []string
+	for _, dep := range strings.Fields(string(out)) {
+		if dep == "nestedtx" || strings.HasPrefix(dep, "nestedtx/") {
+			deps = append(deps, dep)
+		}
+	}
+	return deps
 }
 
 // TestLogDoesNotImportTheProof: the write-ahead log renders what it
