@@ -100,7 +100,7 @@ fuzz-short:
 	$(GO) test -run XXX -fuzz FuzzRecordEncodeMatchesEncodingJSON -fuzztime 10s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzCheckpointEncodeMatchesEncodingJSON -fuzztime 10s ./internal/wal
 	$(GO) test -run XXX -fuzz FuzzLockTablesRefineMX -fuzztime 10s -fuzzminimizetime 100x ./internal/lockmgr
-	$(GO) test -run XXX -fuzz FuzzIndexMatchesMap -fuzztime 10s ./internal/slab
+	$(GO) test -run XXX -fuzz FuzzIndexMatchesMap -fuzztime 10s ./internal/snap
 	$(GO) test -run XXX -fuzz FuzzTheorem34 -fuzztime 10s ./internal/checker
 
 # End-to-end observability probe against the real binaries: starts a

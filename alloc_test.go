@@ -308,26 +308,27 @@ func TestNonRecordingSoakKeepsNothingPerAccess(t *testing.T) {
 }
 
 // TestRegisteredObjectFootprint pins what a registered object costs while
-// nothing touches it: its name, its lock state (the chain's first two
-// slots inline, the root's version in the first, and the read memo; no
-// read set until someone reads it), the store's record of it (name,
-// chain, and the first version inline) and a 16-byte slot in each of the
-// two name indexes, at a load between three eighths and three quarters.
-// A non-recording manager keeps no system type, so nothing is spent on
-// what only Verify reads. Lock states and store records are cut from
-// chunks of 32 and 127, so the code allocates 290 B and 0.04 mallocs per
-// object here (budget: that plus 10 B), against 338 B and 0.06 with two
-// Go maps and a registration-order name slice, 336 B and 2.02 with one
-// lock state and one chain allocated per object, 352 B and 3.02 with an
-// empty read set made at registration, and 400 B and 4.03 with a separate
-// chain array and a system-type entry. The first row is a small manager
-// with 64 counters: 97 mallocs (budget 105), against 119 with Go maps and
-// 244 with per-object allocations. Both rows pin two lock shards, so
-// neither follows the core count: with 10,000 objects split over three
-// or six shards each lock-manager index would double once more and hold
-// its slots at a load of 0.41, not 0.61, 13 B more per object. The small
-// row runs first so that names stays dead by the per-object row's second
-// GC, which frees its 16 B per object from that row's count.
+// nothing touches it: one record of 248 B that is both its lock state
+// (the chain's first two slots inline, the root's version in the first,
+// and the read memo; no read set until someone reads it) and the store's
+// record of it (name, owner, chain, and the first version inline), an
+// 8-byte entry in the store's registration order, and one 16-byte slot
+// in the one name index, at a load between three eighths and three
+// quarters. A non-recording manager keeps no system type, so nothing is
+// spent on what only Verify reads. The records are cut from chunks of 33,
+// which fill the 8,192-byte size class, so the code allocates 264 B and
+// 0.03 mallocs per object here (budget: that plus 10 B), against 290 B
+// and 0.04 with a lock state and a store record apart, each filed in its
+// own index, 338 B and 0.06 with two Go maps and a registration-order
+// name slice, 336 B and 2.02 with one lock state and one chain allocated
+// per object, 352 B and 3.02 with an empty read set made at
+// registration, and 400 B and 4.03 with a separate chain array and a
+// system-type entry. The first row is a small manager with 64 counters:
+// 88 mallocs (budget 105), against 97 with two indexes, 119 with Go maps
+// and 244 with per-object allocations. Both rows pin two lock shards,
+// so the small row's per-shard allocations do not follow the core count.
+// The small row runs first so that names stays dead by the per-object row's
+// second GC, which frees its 16 B per object from that row's count.
 func TestRegisteredObjectFootprint(t *testing.T) {
 	const objects = 10_000
 	names := make([]string, objects)
@@ -357,8 +358,8 @@ func TestRegisteredObjectFootprint(t *testing.T) {
 	bytes := float64(after.HeapAlloc-before.HeapAlloc) / objects
 	mallocs := float64(after.Mallocs-before.Mallocs) / objects
 	t.Logf("%.0f B of heap and %.2f mallocs per registered object", bytes, mallocs)
-	if bytes > 300 || mallocs > 0.2 {
-		t.Errorf("a registered object costs %.0f B and %.2f mallocs, budget 300 B and 0.2", bytes, mallocs)
+	if bytes > 274 || mallocs > 0.2 {
+		t.Errorf("a registered object costs %.0f B and %.2f mallocs, budget 274 B and 0.2", bytes, mallocs)
 	}
 	runtime.KeepAlive(m)
 }

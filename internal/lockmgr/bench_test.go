@@ -31,7 +31,7 @@ func (m *Manager) queueDepth(x string) int {
 	sh := m.shardFor(x)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return len(sh.objects.Get(x).queue)
+	return len(m.lookup(x).queue)
 }
 
 // reportWakeups reports wakeup fan-out per measured iteration.

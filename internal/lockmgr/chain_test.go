@@ -229,7 +229,7 @@ func TestChainEdges(t *testing.T) {
 	for _, tc := range chainEdges {
 		t.Run(tc.name, func(t *testing.T) {
 			l := runScript(t, tc.mode, tc.steps)
-			ls := l.m.shardFor("x0").objects.Get("x0")
+			ls := l.m.lookup("x0")
 			got := append([]writeHolder(nil), ls.chain...)
 			got[0].dirty = false // the root publishes nothing: nobody reads its flag
 			if !reflect.DeepEqual(got, tc.chain) {

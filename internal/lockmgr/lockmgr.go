@@ -49,6 +49,7 @@ package lockmgr
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -60,6 +61,8 @@ import (
 	"nestedtx/internal/core"
 	"nestedtx/internal/event"
 	"nestedtx/internal/obs"
+	"nestedtx/internal/slab"
+	"nestedtx/internal/snap"
 	"nestedtx/internal/tree"
 )
 
@@ -86,11 +89,21 @@ type Stats = obs.LockStats
 
 // Manager owns the lock tables and versions of every registered object
 // and the wait queues of every blocked acquisition, partitioned into
-// shards by object name.
+// shards by object name. It finds an object's lock state through the
+// committed-version store's name index: each lock state embeds the
+// store's record of its object and is that record's owner, so
+// registering an object files its name once and a lookup touches one
+// index slot and one record.
 type Manager struct {
-	mode core.Mode
-	rec  *event.Recorder
-	met  *obs.Metrics
+	mode  core.Mode
+	rec   *event.Recorder
+	met   *obs.Metrics
+	store *snap.Store
+	// slab is what Register cuts lock states from, one allocation per
+	// lockStateChunk objects, inside the store's File and so under the
+	// store's mutex. No object is ever unregistered, so a chunk lives as
+	// long as the manager and a lock state never moves.
+	slab slab.Slab[lockState]
 
 	shards      []*shard
 	stripes     []indexStripe
@@ -162,8 +175,17 @@ func New(rec *event.Recorder, mode core.Mode, met *obs.Metrics) *Manager {
 }
 
 // NewSharded is New with an explicit shard count; n < 1 selects
-// runtime.GOMAXPROCS(0).
+// runtime.GOMAXPROCS(0). The manager files its objects in a
+// committed-version store of its own.
 func NewSharded(rec *event.Recorder, mode core.Mode, met *obs.Metrics, n int) *Manager {
+	return NewOver(snap.New(false), rec, mode, met, n)
+}
+
+// NewOver is NewSharded over store: Register files each object in store,
+// beside the initial committed version it bases there, and every lookup
+// of an object reads store's index. A store serves one lock manager, and
+// only the lock manager files objects in it.
+func NewOver(store *snap.Store, rec *event.Recorder, mode core.Mode, met *obs.Metrics, n int) *Manager {
 	if n < 1 {
 		n = runtime.GOMAXPROCS(0)
 	}
@@ -171,6 +193,7 @@ func NewSharded(rec *event.Recorder, mode core.Mode, met *obs.Metrics, n int) *M
 		mode:    mode,
 		rec:     rec,
 		met:     obs.Or(met),
+		store:   store,
 		shards:  make([]*shard, n),
 		stripes: make([]indexStripe, numStripes),
 	}
@@ -193,6 +216,17 @@ func (m *Manager) ShardCount() int { return len(m.shards) }
 
 func (m *Manager) shardFor(x string) *shard {
 	return m.shards[ShardOf(x, len(m.shards))]
+}
+
+// lookup returns object x's lock state, or nil when x is not registered.
+// It takes no lock: a lock state is complete before its record is filed
+// and never moves, and its fields are read under its shard's mutex.
+func (m *Manager) lookup(x string) *lockState {
+	if o := m.store.Lookup(x); o != nil {
+		ls, _ := o.Owner().(*lockState)
+		return ls
+	}
+	return nil
 }
 
 // stripeFor returns the index stripe for top-level transaction top.
@@ -280,37 +314,23 @@ func (m *Manager) treeConfined(top tree.TID, sid int) bool {
 
 // Register declares object x with initial state init; the root holds the
 // initial write lock, exactly as in M(X)'s initial state. That lock is the
-// base of x's chain and appears in no index: the root never commits or
-// aborts, so nothing would look it up.
+// base of x's chain and appears in no per-tree record: the root never
+// commits or aborts, so nothing would look it up. The lock state is
+// filed in the store as x's record, with init as x's first committed
+// version, so x is registered in both layers at once or, when the store
+// refuses the name, in neither.
 func (m *Manager) Register(x string, init adt.State) error {
-	sh := m.shardFor(x)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	ls := sh.slab.New(lockStateChunk)
-	ls.name = x
-	if !sh.objects.Add(ls) {
-		// The slot stays cut; cleared, it keeps nothing reachable.
-		ls.name = ""
+	filed := m.store.File(x, init, func() (*snap.Object, any) {
+		// Under the store's mutex, which is what guards m.slab.
+		ls := m.slab.New(lockStateChunk)
+		ls.base[0] = writeHolder{t: tree.Root, st: init}
+		ls.chain = ls.base[:1:2]
+		return &ls.Object, ls
+	})
+	if !filed {
 		return fmt.Errorf("lockmgr: object %q already registered", x)
 	}
-	ls.base[0] = writeHolder{t: tree.Root, st: init}
-	ls.chain = ls.base[:1:2]
 	return nil
-}
-
-// ObjectName returns the name object b was registered under, and false
-// when nobody registered it. The bytes are hashed and looked up where
-// they lie, so a caller holding a name in a buffer gets the registered
-// string without allocating a copy.
-func (m *Manager) ObjectName(b []byte) (string, bool) {
-	sh := m.shards[fnv32(b)%uint32(len(m.shards))]
-	sh.mu.Lock()
-	ls := sh.objects.GetBytes(b)
-	sh.mu.Unlock()
-	if ls == nil {
-		return "", false
-	}
-	return ls.name, true
 }
 
 // Stats returns a copy of the counters, aggregated across shards.
@@ -364,34 +384,41 @@ func (m *Manager) TopVersions(top tree.TID, out map[string]adt.State) map[string
 				if out == nil {
 					out = make(map[string]adt.State)
 				}
-				out[ls.name] = ls.chain[1].st
+				out[ls.Name()] = ls.chain[1].st
 			}
 		}
 	})
 	return out
 }
 
-// Registered reports whether object x has been registered.
-func (m *Manager) Registered(x string) bool {
-	sh := m.shardFor(x)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.objects.Get(x) != nil
+// Registered reports whether object x has been registered. It takes no
+// lock.
+func (m *Manager) Registered(x string) bool { return m.lookup(x) != nil }
+
+// objects yields the lock state of every object registered before the
+// call, in no particular order.
+func (m *Manager) objects() iter.Seq[*lockState] {
+	return func(yield func(*lockState) bool) {
+		for o := range m.store.Objects() {
+			if ls, ok := o.Owner().(*lockState); ok && !yield(ls) {
+				return
+			}
+		}
+	}
 }
 
 // RootStates returns the committed-to-root state of every registered
 // object — the root's version, excluding every version still held by a
 // live transaction. Checkpoints read the committed-version store, not
 // this; it stays as the reference the tests hold the store's read side
-// to. With no top-level commit in flight the shard-by-shard walk reads
+// to. With no top-level commit in flight the object-by-object walk reads
 // one consistent cut.
 func (m *Manager) RootStates() map[string]adt.State {
 	out := make(map[string]adt.State)
-	for _, sh := range m.shards {
+	for ls := range m.objects() {
+		sh := m.shardFor(ls.Name())
 		sh.mu.Lock()
-		for ls := range sh.objects.All() {
-			out[ls.name] = ls.chain[0].st
-		}
+		out[ls.Name()] = ls.chain[0].st
 		sh.mu.Unlock()
 	}
 	return out
@@ -421,6 +448,11 @@ func (m *Manager) isWrite(op adt.Op) bool {
 // choice races an external cancel — the deadlock outcome wins, so retry
 // loops keyed on ErrDeadlock observe it.
 func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel interface{ Done() <-chan struct{} }) (adt.Value, error) {
+	// A lock state never moves, so one lookup serves every wakeup.
+	ls := m.lookup(x)
+	if ls == nil {
+		return nil, fmt.Errorf("lockmgr: %w: %q", ErrUnknownObject, x)
+	}
 	sh := m.shardFor(x)
 	write := m.isWrite(op)
 	waited := false
@@ -428,11 +460,6 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel inter
 	var done <-chan struct{} // cancel's channel, asked for at the first wait
 	sh.mu.Lock()
 	for {
-		ls := sh.objects.Get(x)
-		if ls == nil {
-			sh.mu.Unlock()
-			return nil, fmt.Errorf("lockmgr: %w: %q", ErrUnknownObject, x)
-		}
 		if !ls.blocked(tx, write) {
 			v := sh.grantLocked(ls, tx, access, op, write)
 			sh.stats.Acquires++
@@ -574,7 +601,7 @@ func (m *Manager) Commit(t tree.TID, value event.Value) {
 				sh.releaseReadsLocked(ls)
 			}
 			sh.stats.CommitMoves++
-			m.rec.Record(event.Event{Kind: event.InformCommitAt, T: t, Object: ls.name})
+			m.rec.Record(event.Event{Kind: event.InformCommitAt, T: t, Object: ls.Name()})
 			sh.wakeQueuedLocked(ls)
 		}
 		// Every lock in the set is now p's: the root's are listed nowhere, a
@@ -638,7 +665,7 @@ func (m *Manager) Abort(t tree.TID) {
 				sh.releaseReadsLocked(ls)
 				if touched {
 					sh.stats.AbortReleases++
-					m.rec.Record(event.Event{Kind: event.InformAbortAt, T: t, Object: ls.name})
+					m.rec.Record(event.Event{Kind: event.InformAbortAt, T: t, Object: ls.Name()})
 					sh.wakeQueuedLocked(ls)
 				}
 			}
@@ -660,12 +687,12 @@ func (m *Manager) Abort(t tree.TID) {
 // read-lockholder is ancestry-related to every write-lockholder), that
 // every write-lockholder has a version, that the per-tree records agree
 // exactly with the lock tables and the queues (see checkLocked), and that
-// the shard partition is clean: every object lives in the shard its hash
-// names, and a tree's held (waiting) bit for a shard is set exactly when
-// its record there has a lock set (a waiter). It locks every shard
-// (ascending, the global order) and every bit is flipped under its shard's
-// mutex, so shards and stripes are one consistent snapshot. For tests and
-// stress runs.
+// the shard partition is clean: every waiter and every lock set of a
+// shard names only objects its hash places there, and a tree's held
+// (waiting) bit for a shard is set exactly when its record there has a
+// lock set (a waiter). It locks every shard (ascending, the global order)
+// and every bit is flipped under its shard's mutex, so shards and stripes
+// are one consistent snapshot. For tests and stress runs.
 func (m *Manager) CheckInvariants() error {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
@@ -675,8 +702,13 @@ func (m *Manager) CheckInvariants() error {
 			m.shards[i].mu.Unlock()
 		}
 	}()
+	objs := make([][]*lockState, len(m.shards))
+	for ls := range m.objects() {
+		i := ShardOf(ls.Name(), len(m.shards))
+		objs[i] = append(objs[i], ls)
+	}
 	for _, sh := range m.shards {
-		if err := sh.checkLocked(); err != nil {
+		if err := sh.checkLocked(objs[sh.id]); err != nil {
 			return err
 		}
 		// Record to bits: what the record has, the stripe says.

@@ -3,6 +3,7 @@ package lockmgr
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -76,6 +77,19 @@ func TestEveryRegisteredObjectHasItsOwnLockState(t *testing.T) {
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLockStateChunkFillsItsSizeClass: a chunk of lockStateChunk lock
+// states and the 8-byte header Go puts before a pointerful object of over
+// 512 B fit the 8,192-byte size class, and one lock state more would not.
+func TestLockStateChunkFillsItsSizeClass(t *testing.T) {
+	size := int(reflect.TypeOf(lockState{}).Size())
+	if n := lockStateChunk*size + 8; n > 8192 {
+		t.Errorf("a chunk of %d %d-byte lock states is %d B with its header, past the 8,192-byte class", lockStateChunk, size, n)
+	}
+	if n := (lockStateChunk+1)*size + 8; n <= 8192 {
+		t.Errorf("a chunk of %d %d-byte lock states would still fit the 8,192-byte class", lockStateChunk+1, size)
 	}
 }
 

@@ -44,7 +44,7 @@ func expect(t testing.TB, m *Manager, tx, access tree.TID, x string, op adt.Op, 
 	}
 }
 
-func lockStateOf(m *Manager, x string) *lockState { return m.shardFor(x).objects.Get(x) }
+func lockStateOf(m *Manager, x string) *lockState { return m.lookup(x) }
 
 // TestReadAfterWriteSeesTheNewValue: a write replaces the version a read
 // was memoized on, so the next read is applied to the new one.

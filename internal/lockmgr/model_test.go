@@ -70,7 +70,7 @@ func (l *lockstep) access(tx, access tree.TID, x string, op adt.Op) (bool, error
 	enabled := mx.RespondEnabled(access) == nil
 	sh := l.m.shardFor(x)
 	sh.mu.Lock()
-	ls, write := sh.objects.Get(x), l.m.isWrite(op)
+	ls, write := l.m.lookup(x), l.m.isWrite(op)
 	blocked := ls.blocked(tx, write)
 	byAccess, byTx := ls.waitsFor(access, write, nil), ls.waitsFor(tx, write, nil)
 	accessBlocked := ls.blocked(access, write)
@@ -188,7 +188,7 @@ func (l *lockstep) check() error {
 		}
 		sh := l.m.shardFor(x)
 		sh.mu.Lock()
-		ls := sh.objects.Get(x)
+		ls := l.m.lookup(x)
 		err := func() error {
 			want := mx.WriteLockholders()
 			if len(ls.chain) != want.Len() {

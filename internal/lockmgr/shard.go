@@ -8,7 +8,7 @@ import (
 
 	"nestedtx/internal/adt"
 	"nestedtx/internal/event"
-	"nestedtx/internal/slab"
+	"nestedtx/internal/snap"
 	"nestedtx/internal/tree"
 )
 
@@ -23,12 +23,6 @@ type shard struct {
 	m  *Manager
 
 	mu sync.Mutex
-	// objects finds the shard's lock states by name.
-	objects slab.Index[lockState, byName]
-	// slab is what Register cuts lock states from, one allocation per
-	// lockStateChunk objects. No object is ever unregistered, so a chunk
-	// lives as long as the shard and a lock state never moves.
-	slab slab.Slab[lockState]
 	// trees is the shard's one index keyed by transaction: for every
 	// top-level transaction whose tree holds a lock or has a waiter queued
 	// in this shard, the record of both. A record is in the map exactly
@@ -89,16 +83,22 @@ type lockSet map[*lockState]struct{}
 // that would draw it from the free list afterwards.
 const maxRecycledSet = 64
 
-// lockStateChunk is the number of lock states one slab allocation holds.
-const lockStateChunk = 32
+// lockStateChunk is the number of lock states one slab allocation holds:
+// 33 lock states of 248 B and the 8-byte header Go puts before a
+// pointerful object of over 512 B fill the 8,192-byte size class exactly.
+const lockStateChunk = 33
 
 // lockState is the M(X) state for one object: the write-lockholders with
 // their versions, the read-lockholders, and the queue of acquisitions
-// blocked on this object. It lives in its shard's slab, and its address
+// blocked on this object. It lives in its manager's slab, and its address
 // is its identity: lock sets and waiters point at it, and chain starts
 // in its own base array.
 type lockState struct {
-	name string
+	// Object is the store's record of the object — its name and its
+	// committed versions — of which this lock state is the owner: the
+	// store's index finds both in one allocation. The lock manager reads
+	// only its name; the store writes the rest under its own mutex.
+	snap.Object
 	// chain is the write-lock table and the version map in one. Lemma 21
 	// orders the write-lockholders totally by ancestry and §5.1 defines
 	// the version map exactly on them, so together they are a stack:
@@ -124,11 +124,6 @@ type lockState struct {
 	// an object makes no chain and the flat case never grows one.
 	base [2]writeHolder
 }
-
-// byName reads a lock state's key in the shard's index.
-type byName struct{}
-
-func (byName) Key(ls *lockState) string { return ls.name }
 
 // readMemo is one memoizable op and the value it returns from an
 // object's current version.
@@ -431,7 +426,7 @@ func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, writ
 	sh.m.rec.RecordAll(
 		event.Event{Kind: event.RequestCommit, T: access, Value: v},
 		event.Event{Kind: event.Commit, T: access},
-		event.Event{Kind: event.InformCommitAt, T: access, Object: ls.name},
+		event.Event{Kind: event.InformCommitAt, T: access, Object: ls.Name()},
 		event.Event{Kind: event.ReportCommit, T: access, Value: v},
 	)
 	return v
@@ -449,14 +444,12 @@ func (sh *shard) holdsLocked(t tree.TID, ls *lockState) (ok bool) {
 	return ok
 }
 
-// checkLocked runs the single-shard invariants. Caller holds sh.mu.
-func (sh *shard) checkLocked() error {
+// checkLocked runs the single-shard invariants over objs, the lock states
+// of the objects hashing to sh. Caller holds sh.mu.
+func (sh *shard) checkLocked(objs []*lockState) error {
 	queued := 0
-	for ls := range sh.objects.All() {
-		x := ls.name
-		if ShardOf(x, len(sh.m.shards)) != sh.id {
-			return fmt.Errorf("lockmgr: object %q stored in shard %d but hashes to %d", x, sh.id, ShardOf(x, len(sh.m.shards)))
-		}
+	for _, ls := range objs {
+		x := ls.Name()
 		// Lemma 21 on the write side: the root at the base, every holder
 		// a proper descendant of the one below, a version for each.
 		if len(ls.chain) == 0 || ls.chain[0].t != tree.Root {
@@ -536,14 +529,17 @@ func (sh *shard) checkLocked() error {
 			}
 			owner[id] = e.t
 			for ls := range e.set {
+				if i := ShardOf(ls.Name(), len(sh.m.shards)); i != sh.id {
+					return fmt.Errorf("lockmgr: shard %d lists %s's lock on %s, which hashes to shard %d", sh.id, e.t, ls.Name(), i)
+				}
 				if !ls.read.Has(e.t) && !ls.holdsWrite(e.t) {
-					return fmt.Errorf("lockmgr: record of tree %s lists %s on %s without a lock", top, e.t, ls.name)
+					return fmt.Errorf("lockmgr: record of tree %s lists %s on %s without a lock", top, e.t, ls.Name())
 				}
 			}
 		}
 		for _, w := range r.waiters {
-			if _, dup := listed[w]; dup || !top.IsAncestorOf(w.tx) || w.sh != sh || !slices.Contains(w.ls.queue, w) {
-				return fmt.Errorf("lockmgr: tree %s lists a waiter of %s on %s that is listed twice, a stranger, or not queued in shard %d", top, w.tx, w.ls.name, sh.id)
+			if _, dup := listed[w]; dup || !top.IsAncestorOf(w.tx) || w.sh != sh || ShardOf(w.ls.Name(), len(sh.m.shards)) != sh.id || !slices.Contains(w.ls.queue, w) {
+				return fmt.Errorf("lockmgr: tree %s lists a waiter of %s on %s that is listed twice, a stranger, or not queued in shard %d", top, w.tx, w.ls.Name(), sh.id)
 			}
 			listed[w] = struct{}{}
 		}
@@ -564,10 +560,10 @@ func (sh *shard) checkLocked() error {
 		owner[id] = ""
 	}
 	// A read set on the free list is empty, listed once, and no object's.
-	reads := make(map[uintptr]string, sh.objects.Len()+len(sh.freeReads))
-	for ls := range sh.objects.All() {
+	reads := make(map[uintptr]string, len(objs)+len(sh.freeReads))
+	for _, ls := range objs {
 		if ls.read != nil {
-			reads[reflect.ValueOf(ls.read).Pointer()] = ls.name
+			reads[reflect.ValueOf(ls.read).Pointer()] = ls.Name()
 		}
 	}
 	for _, s := range sh.freeReads {

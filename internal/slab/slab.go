@@ -1,7 +1,6 @@
 // Package slab cuts small values from shared chunks, so that values made
 // and dropped at a high rate cost one allocation per chunk instead of one
-// each, and finds values by name in an Index whose growth never hashes a
-// name twice. It imports nothing of this module.
+// each. It imports nothing of this module.
 package slab
 
 // ChunkBytes is the most a chunk may take and still fit the allocator's

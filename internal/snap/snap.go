@@ -46,6 +46,7 @@ package snap
 import (
 	"errors"
 	"fmt"
+	"iter"
 	"slices"
 	"sort"
 	"strconv"
@@ -109,26 +110,41 @@ type version struct {
 	st  adt.State
 }
 
-// object is one registered object: its name and the chain of its
-// committed versions, oldest first. Base starts the chain in first, at
-// capacity one, so the first publication to the object copies it out and
-// nothing writes into first after Base.
-type object struct {
-	name  string
+// Object is the store's record of one registered object: the chain of
+// its committed versions, oldest first, its name and its owner. Whoever
+// files an object makes its record, usually inside a larger one of its
+// own — the lock manager embeds an Object in each object's lock state,
+// so one lookup in the store's index finds both — and names that record
+// its owner, which Owner returns. Base makes records of its own, with no
+// owner. Filing starts the chain in first, at capacity one, so the first
+// publication to the object copies it out and nothing writes into first
+// after that. The name and the owner come last, so that a record which
+// embeds an Object first has them next to its own fields: a lookup
+// that goes on to the owner reads one run of memory.
+type Object struct {
 	chain []version
 	first [1]version
+	name  string
+	owner any
 }
 
-// byName reads an object's key in the store's index.
-type byName struct{}
+// Name returns the name the object was filed under.
+func (o *Object) Name() string { return o.name }
 
-func (byName) Key(o *object) string { return o.name }
+// Owner returns the owner the object was filed with: nil for one Base
+// filed.
+func (o *Object) Owner() any { return o.owner }
 
-// objectChunk is the number of objects one allocation holds: 127 records
-// of 64 B and the 8-byte header Go puts before a pointerful object fill
-// the 8,192-byte size class, where 128 would spill into the 9,472-byte
-// one and waste 10 B per object.
-const objectChunk = 127
+// objectChunk is the number of records one of Base's allocations holds:
+// 102 records of 80 B and the 8-byte header Go puts before a pointerful
+// object of over 512 B fit the 8,192-byte size class, and 103 would
+// spill into the 9,472-byte one.
+const objectChunk = 102
+
+// orderChunk is the number of objects one chunk of the registration
+// order lists: 1,023 pointers and the 8-byte header fill the 8,192-byte
+// size class.
+const orderChunk = 1023
 
 // pinCount is the number of live pins at one sequence number.
 type pinCount struct {
@@ -138,16 +154,19 @@ type pinCount struct {
 
 // Store is the committed-version store. It is safe for concurrent use.
 type Store struct {
-	mu   sync.RWMutex
-	seq  uint64 // sequence number of the latest publication
-	objs slab.Index[object, byName]
-	// chunks hold the objects in the order Base installed them, object i
-	// at chunks[i/objectChunk][i%objectChunk], and n counts them. No
-	// object is ever removed and a chunk, once listed, stays where it is,
-	// so the first n objects of a copy of chunks are a stable snapshot of
-	// the universe.
-	chunks []*[objectChunk]object
-	n      int
+	mu  sync.RWMutex
+	seq uint64 // sequence number of the latest publication
+	// objs finds every object by name, without the mutex (see index).
+	objs index
+	// order lists the objects in the order they were filed, object i at
+	// order[i/orderChunk][i%orderChunk], and n counts them. No object is
+	// ever removed and a chunk, once listed, stays where it is, so the
+	// first n objects of a copy of order are a stable snapshot of the
+	// universe.
+	order []*[orderChunk]*Object
+	n     int
+	// slab is what Base cuts its records from.
+	slab slab.Slab[Object]
 	// pins counts the live pins by ascending seq. A new pin takes the
 	// horizon, which never decreases, so it lands on the tail or behind it;
 	// a count a release brings to zero stays until it is the head, so the
@@ -168,7 +187,7 @@ type Store struct {
 	// kept between checkpoints so one that follows no registration sorts
 	// nothing.
 	sortMu sync.Mutex
-	sorted []*object
+	sorted []*Object
 }
 
 // New returns an empty store. With record set, every publication and
@@ -181,24 +200,56 @@ func New(record bool) *Store {
 
 // Base registers object x with its initial committed state, visible to
 // pins at or above the current horizon — a pin at a lower sequence
-// number correctly fails to read x.
+// number correctly fails to read x. It cuts x's record from the store's
+// own chunks, with no owner; basing a name twice is a bug, and panics.
 func (s *Store) Base(x string, st adt.State) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == len(s.chunks)*objectChunk {
-		s.chunks = append(s.chunks, new([objectChunk]object))
-	}
-	o := &s.chunks[s.n/objectChunk][s.n%objectChunk]
-	o.name = x
-	// One probe: the insert itself tells a new name from a re-based one.
-	if !s.objs.Add(o) {
-		o.name = ""
+	if !s.File(x, st, func() (*Object, any) { return s.slab.New(objectChunk), nil }) {
 		panic("snap: object " + x + " re-based")
 	}
+}
+
+// File is Base for a record the caller makes: unless x is registered
+// already, in which case it reports false and calls nothing, it calls
+// cut for a zero Object that will never move and for its owner, files
+// the object under x with st as its first version, and reports true.
+// From then on the object's Owner returns the owner, and a lookup of x
+// may find it at once, so cut must complete the owner before it
+// returns. cut runs with the store's mutex held, so no two cuts of one
+// store run at once and a caller may cut from an unsynchronised slab.
+func (s *Store) File(x string, st adt.State, cut func() (*Object, any)) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	// One probe: it finds x filed already, or the slot to file x in.
+	dup, h, i := s.objs.find(x)
+	if dup != nil {
+		return false
+	}
+	o, owner := cut()
+	o.name, o.owner = x, owner
 	o.first[0] = version{seq: s.horizonLocked(), st: st}
 	o.chain = o.first[:]
+	s.objs.file(o, h, i)
+	if s.n == len(s.order)*orderChunk {
+		s.order = append(s.order, new([orderChunk]*Object))
+	}
+	s.order[s.n/orderChunk][s.n%orderChunk] = o
 	s.n++
+	return true
 }
+
+// Lookup returns the record of object x, or nil when x is not
+// registered. It takes no lock, so it never waits for a publication.
+func (s *Store) Lookup(x string) *Object { return s.objs.get(x) }
+
+// LookupBytes is Lookup for a name held in a buffer: the bytes are hashed
+// and compared where they lie, so a caller holding a name in a buffer
+// reaches the registered string without allocating a copy.
+func (s *Store) LookupBytes(b []byte) *Object { return s.objs.getBytes(b) }
+
+// Objects yields the record of every object registered before the call
+// once, and perhaps of some registered during it, in no particular order.
+// It takes no lock.
+func (s *Store) Objects() iter.Seq[*Object] { return s.objs.all() }
 
 // Publish atomically installs the new committed states of one top-level
 // transaction and returns the sequence number it was assigned. All of
@@ -268,7 +319,7 @@ func (s *Store) publishLocked(top string, updates map[string]adt.State, lsn uint
 	}
 	floor := s.minPinLocked()
 	for x, st := range updates {
-		o := s.objs.Get(x)
+		o := s.objs.get(x)
 		if o == nil {
 			panic("snap: object " + x + " published but never based")
 		}
@@ -319,12 +370,12 @@ func (s *Store) Seq() uint64 {
 // Head returns object x's latest committed state: what a pin taken now
 // would read.
 func (s *Store) Head(x string) (adt.State, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	o := s.objs.Get(x)
+	o := s.objs.get(x)
 	if o == nil {
 		return nil, fmt.Errorf("snap: object %q not registered", x)
 	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	chain := o.chain
 	// Base tags at the horizon and trim floors there, so the chain always
 	// holds a version at or below it.
@@ -369,13 +420,13 @@ func (p *Pin) Seq() uint64 { return p.seq }
 // Read returns object x's latest committed state at or below the pinned
 // sequence number. It fails when x was not registered at the pin point.
 func (p *Pin) Read(x string) (adt.State, error) {
-	p.s.mu.RLock()
-	defer p.s.mu.RUnlock()
-	var chain []version
-	if o := p.s.objs.Get(x); o != nil {
-		chain = o.chain
+	var st adt.State
+	ok := false
+	if o := p.s.objs.get(x); o != nil {
+		p.s.mu.RLock()
+		st, ok = stateAt(o.chain, p.seq)
+		p.s.mu.RUnlock()
 	}
-	st, ok := stateAt(chain, p.seq)
 	if !ok {
 		return nil, fmt.Errorf("snap: object %q has no version at snapshot %d", x, p.seq)
 	}
@@ -425,10 +476,10 @@ func (s *Store) Pinned() int {
 type Hold struct {
 	// floor pins the horizon, at or below seq, so trimming keeps every
 	// version the hold reads without a pin out of ascending order.
-	floor  *Pin
-	seq    uint64
-	chunks []*[objectChunk]object // the store's chunks at the hold
-	n      int                    // the objects registered at the hold
+	floor *Pin
+	seq   uint64
+	order []*[orderChunk]*Object // the store's registration order at the hold
+	n     int                    // the objects registered at the hold
 }
 
 // Hold holds the store at its latest publication until Release.
@@ -436,10 +487,10 @@ func (s *Store) Hold() *Hold {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return &Hold{
-		floor:  &Pin{s: s, seq: s.pinLocked()},
-		seq:    s.seq,
-		chunks: s.chunks[:len(s.chunks):len(s.chunks)],
-		n:      s.n,
+		floor: &Pin{s: s, seq: s.pinLocked()},
+		seq:   s.seq,
+		order: s.order[:len(s.order):len(s.order)],
+		n:     s.n,
 	}
 }
 
@@ -455,9 +506,9 @@ func (h *Hold) States(yield func(string, adt.State) bool) {
 			s.sorted = s.sorted[:0]
 		}
 		for i := len(s.sorted); i < h.n; i++ {
-			s.sorted = append(s.sorted, &h.chunks[i/objectChunk][i%objectChunk])
+			s.sorted = append(s.sorted, h.order[i/orderChunk][i%orderChunk])
 		}
-		slices.SortFunc(s.sorted, func(a, b *object) int { return strings.Compare(a.name, b.name) })
+		slices.SortFunc(s.sorted, func(a, b *Object) int { return strings.Compare(a.name, b.name) })
 	}
 	for _, o := range s.sorted {
 		s.mu.RLock()
@@ -478,7 +529,7 @@ func (s *Store) Versions() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	n := 0
-	for o := range s.objs.All() {
+	for o := range s.objs.all() {
 		n += len(o.chain)
 	}
 	return n

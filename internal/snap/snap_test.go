@@ -104,7 +104,7 @@ func TestFirstPublishLeavesItsNeighboursAlone(t *testing.T) {
 // the 8-byte header Go puts before a pointerful object of over 512 B fit
 // the 8,192-byte size class, and one record more would not.
 func TestObjectChunkFillsItsSizeClass(t *testing.T) {
-	size := int(reflect.TypeOf(object{}).Size())
+	size := int(reflect.TypeOf(Object{}).Size())
 	if n := objectChunk*size + 8; n > 8192 {
 		t.Errorf("a chunk of %d %d-byte records is %d B with its header, past the 8,192-byte class", objectChunk, size, n)
 	}
@@ -163,15 +163,15 @@ func TestPublishOfAnUnbasedObjectPanics(t *testing.T) {
 }
 
 // TestHoldListsEveryObjectAcrossChunks: a hold reads exactly the objects
-// based before it, in name order, however many chunks they span and
-// however many are based after it; an older hold read after a newer one
-// still reads only its own.
+// based before it, in name order, however many chunks of the
+// registration order they span and however many are based after it; an
+// older hold read after a newer one still reads only its own.
 func TestHoldListsEveryObjectAcrossChunks(t *testing.T) {
 	s := New(false)
 	names := func(lo, hi int) []string {
 		var out []string
 		for i := lo; i < hi; i++ {
-			out = append(out, fmt.Sprintf("o%03d", (i*7)%1000))
+			out = append(out, fmt.Sprintf("o%04d", (i*7)%10000))
 		}
 		return out
 	}
@@ -180,7 +180,7 @@ func TestHoldListsEveryObjectAcrossChunks(t *testing.T) {
 	}
 	older := s.Hold()
 	defer older.Release()
-	for _, x := range names(200, 3*objectChunk+1) {
+	for _, x := range names(200, 3*orderChunk+1) {
 		s.Base(x, ctr(0))
 	}
 	newer := s.Hold()
@@ -196,9 +196,9 @@ func TestHoldListsEveryObjectAcrossChunks(t *testing.T) {
 		h    *Hold
 		want []string
 	}{
-		{newer, names(0, 3*objectChunk+1)},
+		{newer, names(0, 3*orderChunk+1)},
 		{older, names(0, 200)},
-		{newer, names(0, 3*objectChunk+1)},
+		{newer, names(0, 3*orderChunk+1)},
 	} {
 		slices.Sort(c.want)
 		if got := read(c.h); !slices.Equal(got, c.want) {

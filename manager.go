@@ -115,13 +115,16 @@ type Manager struct {
 	// head and BeginSnapshot readers pin a sequence number, neither ever
 	// touching the lock manager nor seeing a commit that is not yet
 	// durable. In recording mode it also keeps the publication and
-	// read-only-transaction logs Verify checks.
+	// read-only-transaction logs Verify checks. Its name index is the
+	// only one: the lock manager files every object there, inside the
+	// object's lock state, and finds its lock states through it.
 	snap *snap.Store
 
 	// mu guards st — kept by a recording manager only — and on a durable
 	// manager makes a registration's check, log record and adoption one
-	// step. It is taken to register an object and, in recording mode only,
-	// to define an access; Run and a non-recording Do never touch it.
+	// step. It is taken to register an object on a recording or durable
+	// manager and, in recording mode only, to define an access; Run and a
+	// non-recording Do never touch it.
 	mu sync.Mutex
 	st *event.SystemType
 
@@ -165,12 +168,13 @@ func NewManager(opts ...Option) *Manager {
 	if o.traceCap > 0 {
 		met.Tracer = obs.NewTracer(o.traceCap)
 	}
+	store := snap.New(o.record)
 	return &Manager{
-		lm:   lockmgr.NewSharded(rec, mode, met, o.shards),
+		lm:   lockmgr.NewOver(store, rec, mode, met, o.shards),
 		rec:  rec,
 		mode: mode,
 		met:  met,
-		snap: snap.New(o.record),
+		snap: store,
 		st:   event.NewSystemType(),
 		clk:  clock.Or(o.clk),
 	}
@@ -201,18 +205,25 @@ func (m *Manager) Register(name string, initial State) error {
 
 // adopt installs an object into the lock manager, the system type and the
 // committed-version store without logging (shared by Register and
-// OpenDurable's recovery path).
+// OpenDurable's recovery path). Without a system type to enter it in,
+// the lock manager's registration is the whole step, and it is atomic
+// by itself.
 func (m *Manager) adopt(name string, initial State) error {
+	if m.rec == nil {
+		return m.lm.Register(name, initial)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.adoptLocked(name, initial)
 }
 
-// adoptLocked is adopt with mu held. The lock manager goes first: it is
-// the one that refuses a duplicate, and a refused registration must leave
-// the first one's initial state where Verify replays from it. Only a
-// recording manager enters the object in the system type: Verify and
-// defineAccess, both recording-only, are its readers.
+// adoptLocked is adopt with mu held. The lock manager goes first: it
+// files the object in the committed-version store too, with its initial
+// state as the first committed version, and it is the one that refuses a
+// duplicate — a refused registration must leave the first one's initial
+// state where Verify replays from it. Only a recording manager enters the
+// object in the system type: Verify and defineAccess, both
+// recording-only, are its readers.
 func (m *Manager) adoptLocked(name string, initial State) error {
 	if err := m.lm.Register(name, initial); err != nil {
 		return err
@@ -220,7 +231,6 @@ func (m *Manager) adoptLocked(name string, initial State) error {
 	if m.rec != nil {
 		m.st.DefineObject(name, initial)
 	}
-	m.snap.Base(name, initial)
 	return nil
 }
 
@@ -248,7 +258,12 @@ func (m *Manager) State(name string) (State, error) {
 // when nobody registered it, without allocating: a server decoding a
 // request names the object by the registered string, not by a copy of
 // the request's bytes.
-func (m *Manager) ObjectName(b []byte) (string, bool) { return m.lm.ObjectName(b) }
+func (m *Manager) ObjectName(b []byte) (string, bool) {
+	if o := m.snap.LookupBytes(b); o != nil {
+		return o.Name(), true
+	}
+	return "", false
+}
 
 // Store exposes the committed-version store State and BeginSnapshot read
 // from. The server answers its read verbs from it, the same way it
