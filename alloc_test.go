@@ -308,16 +308,17 @@ func TestNonRecordingSoakKeepsNothingPerAccess(t *testing.T) {
 }
 
 // TestRegisteredObjectFootprint pins what a registered object costs while
-// nothing touches it: one record of 248 B that is both its lock state
-// (the chain's first two slots inline, the root's version in the first,
-// and the read memo; no read set until someone reads it) and the store's
-// record of it (name, owner, chain, and the first version inline), an
-// 8-byte entry in the store's registration order, and one 16-byte slot
-// in the one name index, at a load between three eighths and three
-// quarters. A non-recording manager keeps no system type, so nothing is
-// spent on what only Verify reads. The records are cut from chunks of 33,
-// which fill the 8,192-byte size class, so the code allocates 264 B and
-// 0.03 mallocs per object here (budget: that plus 10 B), against 290 B
+// nothing touches it: one record of 208 B that is both its lock state
+// (the chain's first slot inline, and the read memo; no read set until
+// someone reads it) and the store's record of it (name, owner, chain, and
+// the first version inline, which is also the root's version), an 8-byte
+// entry in the store's registration order, and one 16-byte slot in the
+// one name index, at a load between three eighths and three quarters. A
+// non-recording manager keeps no system type, so nothing is spent on what
+// only Verify reads. The records are cut from chunks of 39, which fill
+// the 8,192-byte size class, so the code allocates 225 B and 0.03 mallocs
+// per object here (budget: that plus 10 B), against 264 B with a second
+// copy of the root's version in the lock state's chain, 290 B
 // and 0.04 with a lock state and a store record apart, each filed in its
 // own index, 338 B and 0.06 with two Go maps and a registration-order
 // name slice, 336 B and 2.02 with one lock state and one chain allocated
@@ -358,8 +359,8 @@ func TestRegisteredObjectFootprint(t *testing.T) {
 	bytes := float64(after.HeapAlloc-before.HeapAlloc) / objects
 	mallocs := float64(after.Mallocs-before.Mallocs) / objects
 	t.Logf("%.0f B of heap and %.2f mallocs per registered object", bytes, mallocs)
-	if bytes > 274 || mallocs > 0.2 {
-		t.Errorf("a registered object costs %.0f B and %.2f mallocs, budget 274 B and 0.2", bytes, mallocs)
+	if bytes > 235 || mallocs > 0.2 {
+		t.Errorf("a registered object costs %.0f B and %.2f mallocs, budget 235 B and 0.2", bytes, mallocs)
 	}
 	runtime.KeepAlive(m)
 }

@@ -1,7 +1,6 @@
 package lockmgr
 
 import (
-	"reflect"
 	"slices"
 	"testing"
 
@@ -157,9 +156,11 @@ var chainEdges = []struct {
 	name  string
 	mode  core.Mode
 	steps []scriptStep
-	// x0's lock tables once the steps have run.
-	chain []writeHolder
-	read  []tree.TID
+	// x0's lock tables once the steps have run, and its latest version
+	// in the store (nil: the initial zero counter).
+	chain     []writeHolder
+	read      []tree.TID
+	committed adt.State
 }{{
 	name: "commit into a parent that already holds folds",
 	steps: []scriptStep{
@@ -167,7 +168,7 @@ var chainEdges = []struct {
 		{op: opWrite, tx: "T0.0.0"},
 		{op: opCommit, tx: "T0.0.0"},
 	},
-	chain: []writeHolder{{t: "T0", st: adt.Counter{}}, {t: "T0.0", st: adt.Counter{N: 2}, dirty: true}},
+	chain: []writeHolder{{t: "T0.0", st: adt.Counter{N: 2}, dirty: true}},
 }, {
 	name: "commit into a parent that does not hold renames",
 	steps: []scriptStep{
@@ -175,7 +176,7 @@ var chainEdges = []struct {
 		{op: opWrite, tx: "T0.0.1.0"},
 		{op: opCommit, tx: "T0.0.1.0"},
 	},
-	chain: []writeHolder{{t: "T0", st: adt.Counter{}}, {t: "T0.0", st: adt.Counter{N: 1}, dirty: true}, {t: "T0.0.1", st: adt.Counter{N: 2}, dirty: true}},
+	chain: []writeHolder{{t: "T0.0", st: adt.Counter{N: 1}, dirty: true}, {t: "T0.0.1", st: adt.Counter{N: 2}, dirty: true}},
 }, {
 	name: "abort of a subtree whose child wrote over its parent's version",
 	steps: []scriptStep{
@@ -186,15 +187,15 @@ var chainEdges = []struct {
 		{op: opRead, tx: "T0.0.0"},
 		{op: opAbort, tx: "T0.0.0"},
 	},
-	chain: []writeHolder{{t: "T0", st: adt.Counter{}}, {t: "T0.0", st: adt.Counter{N: 1}, dirty: true}},
+	chain: []writeHolder{{t: "T0.0", st: adt.Counter{N: 1}, dirty: true}},
 }, {
-	name: "top-level commit folds into the root",
+	name: "top-level commit leaves the version to the store",
 	steps: []scriptStep{
 		{op: opWrite, tx: "T0.1.0"},
 		{op: opCommit, tx: "T0.1.0"},
 		{op: opCommit, tx: "T0.1"},
 	},
-	chain: []writeHolder{{t: "T0", st: adt.Counter{N: 1}}},
+	committed: adt.Counter{N: 1},
 }, {
 	name: "a reader committing to top level leaves no read lock",
 	steps: []scriptStep{
@@ -203,8 +204,7 @@ var chainEdges = []struct {
 		{op: opCommit, tx: "T0.2.0"},
 		{op: opCommit, tx: "T0.2"},
 	},
-	chain: []writeHolder{{t: "T0", st: adt.Counter{}}},
-	read:  []tree.TID{"T0.1"},
+	read: []tree.TID{"T0.1"},
 }, {
 	name: "exclusive-mode reader never turns dirty",
 	mode: core.Exclusive,
@@ -213,7 +213,7 @@ var chainEdges = []struct {
 		{op: opCommit, tx: "T0.0.0"},
 		{op: opRead, tx: "T0.0"},
 	},
-	chain: []writeHolder{{t: "T0", st: adt.Counter{}}, {t: "T0.0", st: adt.Counter{}}},
+	chain: []writeHolder{{t: "T0.0", st: adt.Counter{}}},
 }, {
 	name: "exclusive-mode reader turns dirty when a writing child commits into it",
 	mode: core.Exclusive,
@@ -222,7 +222,7 @@ var chainEdges = []struct {
 		{op: opWrite, tx: "T0.0.1"},
 		{op: opCommit, tx: "T0.0.1"},
 	},
-	chain: []writeHolder{{t: "T0", st: adt.Counter{}}, {t: "T0.0", st: adt.Counter{N: 1}, dirty: true}},
+	chain: []writeHolder{{t: "T0.0", st: adt.Counter{N: 1}, dirty: true}},
 }}
 
 func TestChainEdges(t *testing.T) {
@@ -230,16 +230,18 @@ func TestChainEdges(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			l := runScript(t, tc.mode, tc.steps)
 			ls := l.m.lookup("x0")
-			got := append([]writeHolder(nil), ls.chain...)
-			got[0].dirty = false // the root publishes nothing: nobody reads its flag
-			if !reflect.DeepEqual(got, tc.chain) {
+			if got := ls.chain; !slices.Equal(got, tc.chain) {
 				t.Errorf("chain = %+v, want %+v", got, tc.chain)
 			}
 			if !sameMembers(ls.read, tree.NewSet(tc.read...)) {
 				t.Errorf("read-lockholders = %v, want %v", ls.read.Members(), tc.read)
 			}
-			if got := l.m.RootStates()["x0"]; got != tc.chain[0].st {
-				t.Errorf("RootStates()[x0] = %v, want %v", got, tc.chain[0].st)
+			want := tc.committed
+			if want == nil {
+				want = adt.Counter{}
+			}
+			if got := ls.Latest(); got != want {
+				t.Errorf("store's latest x0 = %v, want %v", got, want)
 			}
 			l.windDown(t)
 		})
@@ -260,4 +262,16 @@ func FuzzLockTablesRefineMX(f *testing.F) {
 		mode, steps := decodeScript(data)
 		runScript(t, mode, steps).windDown(t)
 	})
+}
+
+// TestRootHasNoEntry: the root's version is the store's, so a chain entry
+// naming the root is a second copy of committed state, and the invariant
+// check refuses it.
+func TestRootHasNoEntry(t *testing.T) {
+	m := newMgr(t)
+	ls := m.lookup("X")
+	ls.chain = append(ls.chain, writeHolder{t: tree.Root, st: ls.Latest()})
+	if err := m.CheckInvariants(); err == nil {
+		t.Fatal("CheckInvariants accepted a chain entry for the root")
+	}
 }

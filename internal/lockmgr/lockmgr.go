@@ -21,12 +21,13 @@
 //
 // An object's write-lockholders are totally ordered by ancestry (Lemma
 // 21) and the version map is defined exactly on them, so the two are kept
-// as one stack per object: the root with the committed state at the base,
-// each holder a proper descendant of the one below, the least holder —
-// whose version is the object's current state, and who alone decides
-// whether a newcomer conflicts with a write lock — on top. A grant pushes
-// or overwrites the top, a commit renames the top to its parent or folds
-// it into the parent's entry, an abort truncates. A read leaves the top's
+// as one stack per object: the root at the base, keeping no entry (its
+// version is the store's latest), each holder a proper descendant of the
+// one below, the least holder — whose version is the object's current
+// state, and who alone decides whether a newcomer conflicts with a write
+// lock — on top. A grant pushes or overwrites the top, a commit renames the
+// top to its parent or folds it into the parent's entry or, at top level,
+// drops it, an abort truncates. A read leaves the top's
 // version as it found it and returns a function of it (§4.3), so the
 // value of the last zero-size read is kept beside the stack until a write
 // or an abort replaces the top, and a repeated read is answered from it
@@ -49,7 +50,6 @@ package lockmgr
 import (
 	"errors"
 	"fmt"
-	"iter"
 	"math/bits"
 	"runtime"
 	"slices"
@@ -313,8 +313,8 @@ func (m *Manager) treeConfined(top tree.TID, sid int) bool {
 // ---- public API ----
 
 // Register declares object x with initial state init; the root holds the
-// initial write lock, exactly as in M(X)'s initial state. That lock is the
-// base of x's chain and appears in no per-tree record: the root never
+// initial write lock, exactly as in M(X)'s initial state. That lock has
+// no entry in x's chain and appears in no per-tree record: the root never
 // commits or aborts, so nothing would look it up. The lock state is
 // filed in the store as x's record, with init as x's first committed
 // version, so x is registered in both layers at once or, when the store
@@ -323,8 +323,7 @@ func (m *Manager) Register(x string, init adt.State) error {
 	filed := m.store.File(x, init, func() (*snap.Object, any) {
 		// Under the store's mutex, which is what guards m.slab.
 		ls := m.slab.New(lockStateChunk)
-		ls.base[0] = writeHolder{t: tree.Root, st: init}
-		ls.chain = ls.base[:1:2]
+		ls.chain = ls.base[:0]
 		return &ls.Object, ls
 	})
 	if !filed {
@@ -374,53 +373,20 @@ func (m *Manager) TopVersions(top tree.TID, out map[string]adt.State) map[string
 			return
 		}
 		for ls := range r.held[i].set {
-			// top's entry, when it has one, sits directly on the root's.
+			// top's entry, when it has one, is the chain's first.
 			// It is published when dirty, not merely write-locked: under
 			// exclusive locking pure readers hold write locks too, but
 			// their (unchanged) versions are not publications — the
 			// conflict order the checker rebuilds only contains actual
 			// mutations.
-			if len(ls.chain) > 1 && ls.chain[1].t == top && ls.chain[1].dirty {
+			if len(ls.chain) > 0 && ls.chain[0].t == top && ls.chain[0].dirty {
 				if out == nil {
 					out = make(map[string]adt.State)
 				}
-				out[ls.Name()] = ls.chain[1].st
+				out[ls.Name()] = ls.chain[0].st
 			}
 		}
 	})
-	return out
-}
-
-// Registered reports whether object x has been registered. It takes no
-// lock.
-func (m *Manager) Registered(x string) bool { return m.lookup(x) != nil }
-
-// objects yields the lock state of every object registered before the
-// call, in no particular order.
-func (m *Manager) objects() iter.Seq[*lockState] {
-	return func(yield func(*lockState) bool) {
-		for o := range m.store.Objects() {
-			if ls, ok := o.Owner().(*lockState); ok && !yield(ls) {
-				return
-			}
-		}
-	}
-}
-
-// RootStates returns the committed-to-root state of every registered
-// object — the root's version, excluding every version still held by a
-// live transaction. Checkpoints read the committed-version store, not
-// this; it stays as the reference the tests hold the store's read side
-// to. With no top-level commit in flight the object-by-object walk reads
-// one consistent cut.
-func (m *Manager) RootStates() map[string]adt.State {
-	out := make(map[string]adt.State)
-	for ls := range m.objects() {
-		sh := m.shardFor(ls.Name())
-		sh.mu.Lock()
-		out[ls.Name()] = ls.chain[0].st
-		sh.mu.Unlock()
-	}
 	return out
 }
 
@@ -573,6 +539,10 @@ func (m *Manager) victimExit(waitStart time.Time, deadlock bool) {
 // be called exactly once per committing transaction, after all of t's
 // children have returned.
 //
+// The root's version is the store's latest, so a top-level t's versions
+// are committed only if the caller publishes TopVersions(t) to the store
+// before Commit(t), which drops them; the next access reads the store's.
+//
 // The shards are visited one at a time, so a concurrent observer can see
 // some of t's locks already inherited and others not yet — exactly the
 // asynchronous propagation the paper's per-object INFORM_COMMIT_AT(t,X)
@@ -683,9 +653,10 @@ func (m *Manager) Abort(t tree.TID) {
 }
 
 // CheckInvariants verifies Lemma 21 (each object's write-lockholders
-// strictly descend from the root at the base of its chain, and every
-// read-lockholder is ancestry-related to every write-lockholder), that
-// every write-lockholder has a version, that the per-tree records agree
+// strictly descend from the root, which has no entry in the chain, and
+// every read-lockholder is ancestry-related to every write-lockholder),
+// that every write-lockholder has a version, that each memo is what its
+// op returns from the current version, that the per-tree records agree
 // exactly with the lock tables and the queues (see checkLocked), and that
 // the shard partition is clean: every waiter and every lock set of a
 // shard names only objects its hash places there, and a tree's held
@@ -703,9 +674,9 @@ func (m *Manager) CheckInvariants() error {
 		}
 	}()
 	objs := make([][]*lockState, len(m.shards))
-	for ls := range m.objects() {
-		i := ShardOf(ls.Name(), len(m.shards))
-		objs[i] = append(objs[i], ls)
+	for o := range m.store.Objects() {
+		i := ShardOf(o.Name(), len(m.shards))
+		objs[i] = append(objs[i], o.Owner().(*lockState))
 	}
 	for _, sh := range m.shards {
 		if err := sh.checkLocked(objs[sh.id]); err != nil {

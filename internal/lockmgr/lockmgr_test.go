@@ -32,15 +32,30 @@ func newMgr(t testing.TB) *Manager {
 	return m
 }
 
+// commitTop commits t as the runtime does a top-level transaction: what
+// t wrote goes to the store first, and only then does Commit drop t's
+// entries, for the store's latest version is the root's.
+func commitTop(m *Manager, t tree.TID) {
+	if t.Parent() == tree.Root {
+		if up := m.TopVersions(t, nil); len(up) > 0 {
+			m.store.Publish(string(t), up)
+		}
+	}
+	m.Commit(t, nil)
+}
+
+// committed returns x's committed state: its latest version in the store.
+func committed(m *Manager, x string) adt.State { return m.store.Lookup(x).Latest() }
+
 func TestRegisterDuplicate(t *testing.T) {
 	m := newMgr(t)
 	if err := m.Register("X", adt.NewRegister(int64(0))); err == nil {
 		t.Fatal("duplicate registration must fail")
 	}
-	if len(m.RootStates()) != 2 {
-		t.Fatal("objects")
+	if got := committed(m, "X"); got.(adt.Register).V != int64(0) {
+		t.Fatalf("a refused registration left X at %v", got)
 	}
-	if m.Registered("zzz") {
+	if m.lookup("zzz") != nil {
 		t.Fatal("unknown object must not be registered")
 	}
 }
@@ -64,14 +79,10 @@ func TestEveryRegisteredObjectHasItsOwnLockState(t *testing.T) {
 		if _, err := m.Acquire(top, top.Child(0), name(i), adt.CtrAdd{Delta: int64(i + 1)}, nil); err != nil {
 			t.Fatal(err)
 		}
-		m.Commit(top, nil)
-	}
-	states := m.RootStates()
-	if len(states) != objects {
-		t.Fatalf("%d objects registered, RootStates lists %d", objects, len(states))
+		commitTop(m, top)
 	}
 	for i := 0; i < objects; i++ {
-		if got := states[name(i)]; got != (adt.Counter{N: int64(i + 1)}) {
+		if got := committed(m, name(i)); got != (adt.Counter{N: int64(i + 1)}) {
 			t.Errorf("%s = %v, want %d", name(i), got, i+1)
 		}
 	}
@@ -111,7 +122,7 @@ func TestAcquireImmediate(t *testing.T) {
 		t.Fatalf("read-own-write %v", v)
 	}
 	// An unrelated transaction is NOT blocked after commit.
-	m.Commit("T0.0", int64(1))
+	commitTop(m, "T0.0")
 	v, err = m.Acquire("T0.1", "T0.1.0", "X", adt.RegRead{}, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -143,7 +154,7 @@ func TestBlockUntilCommit(t *testing.T) {
 		t.Fatalf("read should block while write lock held; got %v", v)
 	case <-time.After(30 * time.Millisecond):
 	}
-	m.Commit("T0.0", int64(0))
+	commitTop(m, "T0.0")
 	select {
 	case v := <-got:
 		if v != int64(1) {
@@ -177,7 +188,7 @@ func TestAbortRestoresAndWakes(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("reader did not wake after abort")
 	}
-	if m.RootStates()["X"].(adt.Register).V != int64(0) {
+	if committed(m, "X").(adt.Register).V != int64(0) {
 		t.Fatal("state must roll back")
 	}
 }

@@ -60,7 +60,7 @@ func TestReadAfterWriteSeesTheNewValue(t *testing.T) {
 	}
 	expect(t, m, "T0.0", "T0.0.2", "x", adt.CtrGet{}, int64(hot+1))
 	expect(t, m, "T0.0", "T0.0.3", "x", adt.CtrGet{}, int64(hot+1))
-	m.Commit("T0.0", nil)
+	commitTop(m, "T0.0")
 	expect(t, m, "T0.1", "T0.1.0", "x", adt.CtrGet{}, int64(hot+1))
 }
 
@@ -138,8 +138,8 @@ func TestExclusiveReaderKeepsTheMemo(t *testing.T) {
 	expect(t, m, "T0.0", "T0.0.0", "x", adt.CtrGet{}, int64(hot))
 	expect(t, m, "T0.0.1", "T0.0.1.0", "x", adt.CtrGet{}, int64(hot))
 	ls := lockStateOf(m, "x")
-	if len(ls.chain) != 3 || ls.memo.op == nil {
-		t.Fatalf("after two exclusive reads: chain of %d, memo %v; want 3 and a memo", len(ls.chain), ls.memo.op)
+	if len(ls.chain) != 2 || ls.memo.op == nil {
+		t.Fatalf("after two exclusive reads: chain of %d, memo %v; want 2 and a memo", len(ls.chain), ls.memo.op)
 	}
 	expect(t, m, "T0.0.1", "T0.0.1.1", "x", adt.CtrAdd{Delta: 2}, int64(hot+2))
 	expect(t, m, "T0.0.1", "T0.0.1.2", "x", adt.CtrGet{}, int64(hot+2))
@@ -253,7 +253,7 @@ func TestConcurrentReadsAndWritesKeepTheMemoTrue(t *testing.T) {
 					if err := m.CheckInvariants(); err != nil {
 						t.Error(err)
 					}
-					m.Commit(tx, nil)
+					commitTop(m, tx)
 					if g%2 == 0 {
 						mu.Lock()
 						commits++
@@ -270,10 +270,44 @@ func TestConcurrentReadsAndWritesKeepTheMemoTrue(t *testing.T) {
 	if commits == 0 {
 		t.Fatal("no writer committed")
 	}
-	if got := m.RootStates()["x"]; got != (adt.Counter{N: hot + int64(commits)}) {
+	if got := committed(m, "x"); got != (adt.Counter{N: hot + int64(commits)}) {
 		t.Fatalf("x = %v after %d committed writes from %d", got, commits, hot)
 	}
 	if x := lockStateOf(m, "x"); x.read != nil {
 		t.Fatalf("x keeps read set %v after every transaction ended", x.read.Members())
+	}
+}
+
+// TestUnpublishedTopLevelWriteIsGone: the root's version is the store's
+// latest, so a top-level transaction that commits without publishing what
+// it wrote leaves nothing of it behind — no entry in the chain, and no
+// memo of the read it made after its write. The next read is answered
+// from the store's version. One that published keeps its memo: the
+// store's latest is the version the memo was read from.
+func TestUnpublishedTopLevelWriteIsGone(t *testing.T) {
+	for _, mode := range []core.Mode{core.ReadWrite, core.Exclusive} {
+		t.Run(mode.String(), func(t *testing.T) {
+			m := memoMgr(t, mode)
+			ls := lockStateOf(m, "x")
+			expect(t, m, "T0.0", "T0.0.0", "x", adt.CtrAdd{Delta: 1}, int64(hot+1))
+			expect(t, m, "T0.0", "T0.0.1", "x", adt.CtrGet{}, int64(hot+1))
+			commitTop(m, "T0.0")
+			if len(ls.chain) != 0 || ls.memo.op == nil {
+				t.Fatalf("after a published commit: chain %+v, memo %v; want no chain and the memo", ls.chain, ls.memo.op)
+			}
+			expect(t, m, "T0.1", "T0.1.0", "x", adt.CtrAdd{Delta: 1}, int64(hot+2))
+			expect(t, m, "T0.1", "T0.1.1", "x", adt.CtrGet{}, int64(hot+2))
+			m.Commit("T0.1", nil) // nobody published T0.1's version
+			if len(ls.chain) != 0 || ls.memo.op != nil {
+				t.Fatalf("after an unpublished commit: chain %+v, memo %v; want neither", ls.chain, ls.memo.op)
+			}
+			if err := m.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			expect(t, m, "T0.2", "T0.2.0", "x", adt.CtrGet{}, int64(hot+1))
+			if got := committed(m, "x"); got != (adt.Counter{N: hot + 1}) {
+				t.Fatalf("store's latest x = %v, want %d", got, hot+1)
+			}
+		})
 	}
 }

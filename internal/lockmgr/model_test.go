@@ -109,9 +109,10 @@ func (l *lockstep) access(tx, access tree.TID, x string, op adt.Op) (bool, error
 }
 
 // commit passes tx's locks to its parent: one move per object tx holds a
-// lock on.
+// lock on. A top-level tx first publishes what it wrote to the store, as
+// the runtime does: the store's latest is the root's version.
 func (l *lockstep) commit(tx tree.TID) error {
-	l.m.Commit(tx, nil)
+	commitTop(l.m, tx)
 	for x, mx := range l.mx {
 		if mx.WriteLockholders().Has(tx) || mx.ReadLockholders().Has(tx) {
 			l.commitMoves++
@@ -148,10 +149,12 @@ func (l *lockstep) abort(tx tree.TID) error {
 }
 
 // check verifies the manager's own invariants and then the refinement:
-// the chain's holders are exactly M(X)'s write-lockholders, each holds the
-// version M(X) maps it to and is dirty exactly when it mutated, the read
-// table is M(X)'s minus the root (which conflicts with nobody), and a
-// top-level transaction would publish exactly the versions it mutated.
+// the chain's holders are exactly M(X)'s write-lockholders but the root,
+// each holds the version M(X) maps it to and is dirty exactly when it
+// mutated, the root's version is the store's latest — the lock manager
+// holds no committed state of its own — the read table is M(X)'s minus the
+// root (which conflicts with nobody), and a top-level transaction would
+// publish exactly the versions it mutated.
 func (l *lockstep) check() error {
 	if err := l.m.CheckInvariants(); err != nil {
 		return err
@@ -191,10 +194,17 @@ func (l *lockstep) check() error {
 		ls := l.m.lookup(x)
 		err := func() error {
 			want := mx.WriteLockholders()
-			if len(ls.chain) != want.Len() {
-				return fmt.Errorf("%s: chain %v, M(X) write-lockholders %v", x, ls.chain, want.Members())
+			if !want.Has(tree.Root) {
+				return fmt.Errorf("%s: M(X) write-lockholders %v leave out the root", x, want.Members())
 			}
-			for i, h := range ls.chain {
+			want.Remove(tree.Root)
+			if len(ls.chain) != want.Len() {
+				return fmt.Errorf("%s: chain %v, M(X) write-lockholders %v and the root", x, ls.chain, want.Members())
+			}
+			if v, _ := mx.Version(tree.Root); !reflect.DeepEqual(v, ls.Latest()) {
+				return fmt.Errorf("%s: the store's latest version is %v, M(X) maps the root to %v", x, ls.Latest(), v)
+			}
+			for _, h := range ls.chain {
 				v, ok := mx.Version(h.t)
 				if !ok {
 					return fmt.Errorf("%s: chain holds %s, M(X) write-lockholders are %v", x, h.t, want.Members())
@@ -202,7 +212,7 @@ func (l *lockstep) check() error {
 				if !reflect.DeepEqual(v, h.st) {
 					return fmt.Errorf("%s: %s holds version %v, M(X) maps it to %v", x, h.t, h.st, v)
 				}
-				if i > 0 && h.dirty != l.mutated[x].Has(h.t) {
+				if h.dirty != l.mutated[x].Has(h.t) {
 					return fmt.Errorf("%s: %s dirty=%v, the steps say %v", x, h.t, h.dirty, !h.dirty)
 				}
 			}

@@ -46,8 +46,8 @@ type treeRec struct {
 	// depth-many transactions of a tree hold locks at once and the flat
 	// case has one, so the slice is searched linearly. The root never
 	// commits or aborts, so nothing would walk an entry for it: its write
-	// lock on every object is the base of the object's chain and is listed
-	// nowhere else. A set has one owner: a committing transaction's passes
+	// lock on every object is listed nowhere, not even in the object's
+	// chain. A set has one owner: a committing transaction's passes
 	// to its parent (renamed or merged, see Commit) and is recycled at a
 	// top-level commit or an abort.
 	held []txLocks
@@ -84,9 +84,10 @@ type lockSet map[*lockState]struct{}
 const maxRecycledSet = 64
 
 // lockStateChunk is the number of lock states one slab allocation holds:
-// 33 lock states of 248 B and the 8-byte header Go puts before a
-// pointerful object of over 512 B fill the 8,192-byte size class exactly.
-const lockStateChunk = 33
+// 39 lock states of 208 B and the 8-byte header Go puts before a
+// pointerful object of over 512 B fit the 8,192-byte size class, and 40
+// would spill into the 9,472-byte one.
+const lockStateChunk = 39
 
 // lockState is the M(X) state for one object: the write-lockholders with
 // their versions, the read-lockholders, and the queue of acquisitions
@@ -97,14 +98,15 @@ type lockState struct {
 	// Object is the store's record of the object — its name and its
 	// committed versions — of which this lock state is the owner: the
 	// store's index finds both in one allocation. The lock manager reads
-	// only its name; the store writes the rest under its own mutex.
+	// its name and its latest version; the store writes it.
 	snap.Object
 	// chain is the write-lock table and the version map in one. Lemma 21
 	// orders the write-lockholders totally by ancestry and §5.1 defines
-	// the version map exactly on them, so together they are a stack:
-	// chain[0] is the root with the committed state, every entry is a
-	// proper descendant of the one below it, and the top is the least
-	// write-lockholder, whose version is the object's current state.
+	// the version map exactly on them, so together they are a stack: the
+	// root's version is the store's latest and has no entry, every entry
+	// is a proper descendant of the one below it (the first of the root),
+	// and the top is the least write-lockholder, whose version is the
+	// object's current state. Empty, only the root holds the write lock.
 	chain []writeHolder
 	// read is the set of read-lockholders other than the root, nil while
 	// there are none: the first read lock draws a set from the shard's free
@@ -113,16 +115,16 @@ type lockState struct {
 	read  tree.Set
 	queue []*waiter
 	// memo, when memo.op is set, is the value memo.op last returned from
-	// top().st. A read leaves the version as it found it and returns a
+	// current(). A read leaves the version as it found it and returns a
 	// function of it (§4.3), so an equal read takes memo.v without Apply.
-	// Only a non-read-only grant and a truncating discardWrites change
-	// top().st, and both clear it; a commit and an exclusive-mode read
-	// leave the top's state as it was.
+	// A non-read-only grant, a truncating discardWrites and a top-level
+	// commit of a mutated version nobody published clear it; a nested
+	// commit and an exclusive-mode read leave current() as it was.
 	memo readMemo
-	// base is the chain's first array: room for the root and one
-	// top-level writer in the lock state's own allocation, so registering
-	// an object makes no chain and the flat case never grows one.
-	base [2]writeHolder
+	// base is the chain's first array: room for one top-level writer in
+	// the lock state's own allocation, so registering an object makes no
+	// chain and the flat case never grows one.
+	base [1]writeHolder
 }
 
 // readMemo is one memoizable op and the value it returns from an
@@ -141,6 +143,9 @@ func memoizable(op adt.Op) bool {
 	t := reflect.TypeOf(op)
 	return op.ReadOnly() && t.Size() == 0 && t.Comparable()
 }
+
+// sameState reports whether a == b, and false where == could panic.
+func sameState(a, b adt.State) bool { return reflect.ValueOf(a).Comparable() && a == b }
 
 // writeHolder is one write-lockholder and the version it holds.
 type writeHolder struct {
@@ -163,16 +168,23 @@ type waiter struct {
 	victim *deadlockError // the cycle w was elected victim of; nil until then
 }
 
-// top returns the least write-lockholder's entry; its version is what
-// Moss calls the current state of the object.
-func (ls *lockState) top() *writeHolder { return &ls.chain[len(ls.chain)-1] }
+// current returns what Moss calls the current state of the object: the
+// least write-lockholder's version, the store's latest when that is the
+// root. Caller holds sh.mu, which orders the read after the publication
+// that a write-lockholder made before its Commit took sh.mu.
+func (ls *lockState) current() adt.State {
+	if n := len(ls.chain); n > 0 {
+		return ls.chain[n-1].st
+	}
+	return ls.Latest()
+}
 
 // blocked reports whether some holder of a conflicting lock is not an
 // ancestor of t. On the write side the top of the chain decides: every
 // other write-lockholder is an ancestor of the top, so all of them are
-// ancestors of t exactly when the top is.
+// ancestors of t exactly when the top is, and the root is everyone's.
 func (ls *lockState) blocked(t tree.TID, write bool) bool {
-	if !ls.top().t.IsAncestorOf(t) {
+	if n := len(ls.chain); n > 0 && !ls.chain[n-1].t.IsAncestorOf(t) {
 		return true
 	}
 	if write {
@@ -187,7 +199,7 @@ func (ls *lockState) blocked(t tree.TID, write bool) bool {
 
 // holdsWrite reports whether t is a write-lockholder other than the root.
 func (ls *lockState) holdsWrite(t tree.TID) bool {
-	for _, h := range ls.chain[1:] {
+	for _, h := range ls.chain {
 		if h.t == t {
 			return true
 		}
@@ -197,29 +209,34 @@ func (ls *lockState) holdsWrite(t tree.TID) bool {
 
 // inheritWrite passes t's write lock and version, if it holds them, to
 // its parent p. t's descendants have returned by the time t commits, so an
-// entry of t is the top of the chain; it folds into p's entry when that is
-// the one directly below (p's own version is superseded), and is renamed
-// to p otherwise.
+// entry of t is the top of the chain. It is dropped when p is the root,
+// whose version is the store's; it folds into p's entry when that is the
+// one directly below (p's own version is superseded), and is renamed to p
+// otherwise.
 func (ls *lockState) inheritWrite(t, p tree.TID) {
 	n := len(ls.chain) - 1
-	top := &ls.chain[n]
-	if top.t != t {
+	if n < 0 || ls.chain[n].t != t {
 		return
 	}
-	if below := &ls.chain[n-1]; below.t == p {
+	top := &ls.chain[n]
+	if n > 0 && ls.chain[n-1].t == p {
+		below := &ls.chain[n-1]
 		below.st, below.dirty = top.st, below.dirty || top.dirty
-		*top = writeHolder{}
-		ls.chain = ls.chain[:n]
-	} else {
+	} else if p != tree.Root {
 		top.t = p
+		return
+	} else if top.dirty && ls.memo.op != nil && !sameState(top.st, ls.Latest()) {
+		ls.memo = readMemo{} // the store's latest is t's version only if t published it
 	}
+	*top = writeHolder{}
+	ls.chain = ls.chain[:n]
 }
 
 // discardWrites drops the write locks and versions of t's descendants and
 // reports whether there were any. The descendants of t in a chain are a
 // suffix of it: whatever sits above a descendant of t descends from t too.
 func (ls *lockState) discardWrites(t tree.TID) bool {
-	for i := 1; i < len(ls.chain); i++ {
+	for i := range ls.chain {
 		if ls.chain[i].t.IsDescendantOf(t) {
 			clear(ls.chain[i:])
 			ls.chain = ls.chain[:i]
@@ -401,11 +418,11 @@ func (sh *shard) wakeQueuedLocked(ls *lockState) {
 // to the memo's takes the memo's value without being applied. Caller
 // holds sh.mu.
 func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, write bool) adt.Value {
-	top := ls.top()
+	cur := ls.current()
 	readOnly := op.ReadOnly()
-	next, v := top.st, ls.memo.v
+	next, v := cur, ls.memo.v
 	if !readOnly || op != ls.memo.op {
-		next, v = op.Apply(top.st)
+		next, v = op.Apply(cur)
 		if !readOnly {
 			ls.memo = readMemo{}
 		} else if memoizable(op) {
@@ -413,10 +430,12 @@ func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, writ
 		}
 	}
 	if write {
-		if top.t != tx {
+		n := len(ls.chain)
+		if n == 0 || ls.chain[n-1].t != tx {
 			ls.chain = append(ls.chain, writeHolder{t: tx})
-			top = ls.top()
+			n++
 		}
+		top := &ls.chain[n-1]
 		top.st = next
 		top.dirty = top.dirty || !readOnly
 	} else {
@@ -450,14 +469,13 @@ func (sh *shard) checkLocked(objs []*lockState) error {
 	queued := 0
 	for _, ls := range objs {
 		x := ls.Name()
-		// Lemma 21 on the write side: the root at the base, every holder
-		// a proper descendant of the one below, a version for each.
-		if len(ls.chain) == 0 || ls.chain[0].t != tree.Root {
-			return fmt.Errorf("lockmgr: %s: the root's write lock is not the base of the chain", x)
-		}
-		for i, h := range ls.chain {
-			if i > 0 && !ls.chain[i-1].t.IsProperAncestorOf(h.t) {
-				return fmt.Errorf("lockmgr: %s: write-lockholder %s above %s, not its proper descendant", x, h.t, ls.chain[i-1].t)
+		// Lemma 21 on the write side: every holder a proper descendant
+		// of the one below, the first of the root (which has no entry),
+		// a version for each.
+		below := tree.Root
+		for _, h := range ls.chain {
+			if !below.IsProperAncestorOf(h.t) {
+				return fmt.Errorf("lockmgr: %s: write-lockholder %s above %s, not its proper descendant", x, h.t, below)
 			}
 			if h.st == nil {
 				return fmt.Errorf("lockmgr: %s: write-lockholder %s has no version", x, h.t)
@@ -467,10 +485,11 @@ func (sh *shard) checkLocked(objs []*lockState) error {
 					return fmt.Errorf("lockmgr: %s: write holder %s unrelated to read holder %s", x, h.t, r)
 				}
 			}
-			// Every lockholder but the root must be listed by its tree.
-			if i > 0 && !sh.holdsLocked(h.t, ls) {
+			// Every lockholder must be listed by its tree.
+			if !sh.holdsLocked(h.t, ls) {
 				return fmt.Errorf("lockmgr: %s: write holder %s missing from its tree's record", x, h.t)
 			}
+			below = h.t
 		}
 		for r := range ls.read {
 			if !sh.holdsLocked(r, ls) {
@@ -485,8 +504,8 @@ func (sh *shard) checkLocked(objs []*lockState) error {
 			if !memoizable(op) {
 				return fmt.Errorf("lockmgr: %s: memo keeps %s, not a read-only op of a comparable zero-size type", x, op)
 			}
-			if _, v := op.Apply(ls.top().st); !reflect.DeepEqual(v, ls.memo.v) {
-				return fmt.Errorf("lockmgr: %s: memo says %s returns %v, the current version %s says %v", x, op, ls.memo.v, ls.top().st, v)
+			if _, v := op.Apply(ls.current()); !reflect.DeepEqual(v, ls.memo.v) {
+				return fmt.Errorf("lockmgr: %s: memo says %s returns %v, the current version %s says %v", x, op, ls.memo.v, ls.current(), v)
 			}
 		}
 		queued += len(ls.queue)

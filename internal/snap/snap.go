@@ -5,8 +5,8 @@
 // sequence number of the top-level commit that installed it. A plain
 // committed read (Head), a read-only transaction (Begin) and a replica
 // read all answer from the same chains under the same mutex, and so does
-// a checkpoint (Hold); the lock manager's root versions exist for the
-// locking argument, not for observers.
+// a checkpoint (Hold), and the lock manager reads the root's version of an
+// object as its latest here.
 //
 // The store is fed from inside the runtime's top-level commit sequence,
 // *before* the lock manager releases the committing transaction's locks.
@@ -134,6 +134,11 @@ func (o *Object) Name() string { return o.name }
 // Owner returns the owner the object was filed with: nil for one Base
 // filed.
 func (o *Object) Owner() any { return o.owner }
+
+// Latest returns the object's latest version, staged or settled. It takes
+// no lock: the caller orders the read after the object's last publication
+// and before its next (the lock manager does, by the object's write lock).
+func (o *Object) Latest() adt.State { return o.chain[len(o.chain)-1].st }
 
 // objectChunk is the number of records one of Base's allocations holds:
 // 102 records of 80 B and the 8-byte header Go puts before a pointerful

@@ -110,8 +110,9 @@ type Manager struct {
 	wal *wal.Log
 
 	// snap is the committed-version store, the manager's whole read
-	// side: every top-level commit publishes its new root versions there
-	// (inside commitTop, before the locks are released); State reads its
+	// side and its only committed state: every top-level commit publishes
+	// its new root versions there (inside commitTop, before the locks are
+	// released); State reads its
 	// head and BeginSnapshot readers pin a sequence number, neither ever
 	// touching the lock manager nor seeing a commit that is not yet
 	// durable. In recording mode it also keeps the publication and
@@ -195,7 +196,7 @@ func (m *Manager) Register(name string, initial State) error {
 	// that must be the one whose state the manager serves.
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.lm.Registered(name) {
+	if m.snap.Lookup(name) != nil {
 		return fmt.Errorf("nestedtx: object %q already registered", name)
 	}
 	rec := wal.Record{Register: &wal.RegisterRecord{Name: name, Initial: initial}}
@@ -361,11 +362,12 @@ func (m *Manager) commitTop(tx *Tx) error {
 
 // applyTop is the scheduler's half of a top-level commit: REQUEST_COMMIT,
 // then the transaction's new root versions go to the snapshot store
-// before the lock manager releases its locks — strict locking then
-// guarantees any conflicting successor publishes after us, so snapshot
-// order = conflict order = WAL order — then COMMIT. On a durable manager
-// lsn is the commit record's and the publication is staged; applyTop
-// returns its sequence number, zero when the transaction wrote nothing.
+// before the lock manager releases its locks and drops its own — strict
+// locking then guarantees any conflicting successor publishes after us,
+// so snapshot order = conflict order = WAL order — then COMMIT. On a
+// durable manager lsn is the commit record's and the publication is
+// staged; applyTop returns its sequence number, zero when the
+// transaction wrote nothing.
 func (m *Manager) applyTop(id tree.TID, v Value, lsn uint64) (seq uint64) {
 	m.rec.Record(event.Event{Kind: event.RequestCommit, T: id, Value: v})
 	m.met.Trace(event.RequestCommit.String(), string(id), "", 0)

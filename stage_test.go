@@ -260,8 +260,8 @@ func TestFailedTicketIsNeitherAbortedNorVisible(t *testing.T) {
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("lock tables after a not-durable commit: %v", err)
 	}
-	if got := m.lm.RootStates()["ctr"].(adt.Counter).N; got != 2 {
-		t.Fatalf("lock manager root = %d: the released commit was rolled back", got)
+	if got := m.snap.Lookup("ctr").Latest().(adt.Counter).N; got != 2 {
+		t.Fatalf("store's latest staged version = %d: the released commit was rolled back", got)
 	}
 
 	// The next commit reads 2 through its lock, and fails at the stage.
@@ -279,8 +279,8 @@ func TestFailedTicketIsNeitherAbortedNorVisible(t *testing.T) {
 	if read != 3 {
 		t.Fatalf("body saw %d through the lock, want 3", read)
 	}
-	if got := m.lm.RootStates()["ctr"].(adt.Counter).N; got != 2 {
-		t.Fatalf("lock manager root = %d after the abort, want 2", got)
+	if got := m.snap.Lookup("ctr").Latest().(adt.Counter).N; got != 2 {
+		t.Fatalf("store's latest staged version = %d after the abort, want 2", got)
 	}
 	if err := m.CheckInvariants(); err != nil {
 		t.Fatalf("lock tables after the abort: %v", err)
