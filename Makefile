@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmt-check test race bench bench-short sim sim-mine fuzz fuzz-short metrics-smoke loc perf-check perf-check-smoke clean
+.PHONY: all build vet fmt-check test race bench bench-short sim sim-mine fuzz fuzz-short metrics-smoke tools-smoke loc perf-check perf-check-smoke clean
 
 all: build test
 
@@ -109,6 +109,13 @@ fuzz-short:
 # payload; a durable txserver must report itself a replication leader.
 metrics-smoke:
 	./scripts/metrics_smoke.sh
+
+# The experiment, verifier and trace tools still run end to end: one
+# small txsim experiment, 24 random verified systems, one trace.
+tools-smoke:
+	$(GO) run ./cmd/txsim -exp e7
+	$(GO) run ./cmd/txverify -runs 24
+	$(GO) run ./cmd/txtrace -seed 1 >/dev/null
 
 # The number every simplicity PR quotes: non-test Go lines outside bench/.
 loc:

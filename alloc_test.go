@@ -337,7 +337,7 @@ func TestRegisteredObjectFootprint(t *testing.T) {
 		names[i] = fmt.Sprintf("c%05d", i)
 	}
 	small := testing.AllocsPerRun(20, func() {
-		m := NewManager(WithLockShards(2))
+		m := NewManager(withLockShards(2))
 		for _, x := range names[:64] {
 			m.MustRegister(x, Counter{})
 		}
@@ -347,7 +347,7 @@ func TestRegisteredObjectFootprint(t *testing.T) {
 		t.Errorf("a manager with 64 counters costs %.0f mallocs, budget 105", small)
 	}
 
-	m := NewManager(WithLockShards(2))
+	m := NewManager(withLockShards(2))
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)

@@ -31,7 +31,6 @@ func main() {
 	mine := flag.Int("mine", 0, "emit a corpus: N passing seeds per scenario, written to stdout")
 	scale := flag.Float64("scale", 1, "scale the scenario's universe and transaction count")
 	dumpLog := flag.Bool("log", false, "print the deterministic event log after the run")
-	grain := flag.Duration("grain", 0, "virtual-clock auto-advance poll interval (0 = default)")
 	flag.Parse()
 
 	switch {
@@ -40,11 +39,11 @@ func main() {
 			fmt.Printf("%-24s %s\n", s.Name, s.Doc)
 		}
 	case *corpus != "":
-		os.Exit(runCorpus(*corpus, *grain))
+		os.Exit(runCorpus(*corpus))
 	case *mine > 0:
-		os.Exit(runMine(*mine, *scale, *grain))
+		os.Exit(runMine(*mine, *scale))
 	case *scenario != "":
-		os.Exit(runOne(*scenario, *seed, *scale, *grain, *dumpLog))
+		os.Exit(runOne(*scenario, *seed, *scale, *dumpLog))
 	default:
 		fmt.Fprintln(os.Stderr, "txdst: need -scenario, -corpus, -mine or -list")
 		flag.Usage()
@@ -54,7 +53,7 @@ func main() {
 
 // runOne executes a single simulation and reports its verdict on one
 // line; failures carry the reproduction command.
-func runOne(name string, seed int64, scale float64, grain time.Duration, dumpLog bool) int {
+func runOne(name string, seed int64, scale float64, dumpLog bool) int {
 	scn, ok := dst.Lookup(name)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "txdst: unknown scenario %q (try -list)\n", name)
@@ -63,10 +62,8 @@ func runOne(name string, seed int64, scale float64, grain time.Duration, dumpLog
 	if scale != 1 {
 		scn = scn.Scale(scale)
 	}
-	sim := dst.New(scn, seed)
-	sim.Grain = grain
 	start := time.Now()
-	res := sim.Run()
+	res := dst.New(scn, seed).Run()
 	elapsed := time.Since(start).Round(time.Millisecond)
 	// With -log, stdout carries exactly the deterministic event log (so
 	// two invocations of the same seed can be compared with cmp); the
@@ -79,7 +76,7 @@ func runOne(name string, seed int64, scale float64, grain time.Duration, dumpLog
 	}
 	if !res.Pass() {
 		fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", name, res.Err)
-		fmt.Fprintf(os.Stderr, "reproduce: txdst -scenario %s -seed %d\n", name, seed)
+		fmt.Fprintf(os.Stderr, "reproduce: %s\n", repro(name, seed, scale))
 		return 1
 	}
 	fmt.Fprintf(status, "ok   %-24s seed=%-4d committed=%d aborted=%d scans=%d post=%d/%d (%s)\n",
@@ -91,7 +88,7 @@ func runOne(name string, seed int64, scale float64, grain time.Duration, dumpLog
 // runCorpus replays every seed in the corpus file. Lines are
 // "<scenario> <seed> [scale]"; '#' starts a comment. All cells run even
 // after a failure so one bad seed doesn't hide another.
-func runCorpus(path string, grain time.Duration) int {
+func runCorpus(path string) int {
 	f, err := os.Open(path)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "txdst:", err)
@@ -127,7 +124,7 @@ func runCorpus(path string, grain time.Duration) int {
 				return 2
 			}
 		}
-		if runOne(fields[0], seed, scale, grain, false) != 0 {
+		if runOne(fields[0], seed, scale, false) != 0 {
 			rc = 1
 		}
 	}
@@ -142,7 +139,7 @@ func runCorpus(path string, grain time.Duration) int {
 // scenario, one line each, written to stdout in corpus format. A
 // failing seed is a real finding — it is reported with its reproduction
 // line and mining exits nonzero.
-func runMine(n int, scale float64, grain time.Duration) int {
+func runMine(n int, scale float64) int {
 	fmt.Printf("# seed corpus mined by txdst -mine %d; lines are '<scenario> <seed> [scale]'\n", n)
 	for _, scn := range dst.Scenarios() {
 		cell := scn
@@ -151,12 +148,10 @@ func runMine(n int, scale float64, grain time.Duration) int {
 		}
 		found := 0
 		for seed := int64(1); found < n; seed++ {
-			sim := dst.New(cell, seed)
-			sim.Grain = grain
-			res := sim.Run()
+			res := dst.New(cell, seed).Run()
 			if !res.Pass() {
 				fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", scn.Name, res.Err)
-				fmt.Fprintf(os.Stderr, "reproduce: txdst -scenario %s -seed %d\n", scn.Name, seed)
+				fmt.Fprintf(os.Stderr, "reproduce: %s\n", repro(scn.Name, seed, scale))
 				return 1
 			}
 			if scale != 1 {
@@ -169,4 +164,13 @@ func runMine(n int, scale float64, grain time.Duration) int {
 		}
 	}
 	return 0
+}
+
+// repro is the command line that reruns one cell, scale included.
+func repro(name string, seed int64, scale float64) string {
+	line := fmt.Sprintf("txdst -scenario %s -seed %d", name, seed)
+	if scale != 1 {
+		line += fmt.Sprintf(" -scale %g", scale)
+	}
+	return line
 }

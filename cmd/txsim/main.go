@@ -1,14 +1,12 @@
 // Command txsim runs the quantitative experiments (E3–E7, E9) of
-// EXPERIMENTS.md against the nestedtx runtime and prints their tables —
-// or, with -json, one machine-readable JSON object per experiment row
-// (newline-delimited), for tracking the performance trajectory across
-// revisions. Every run ends with the lock-table invariant check; any
-// checker or invariant failure exits nonzero and prints the
-// reproducing invocation (experiment, seed and flags) on one line.
+// EXPERIMENTS.md against the nestedtx runtime and prints their tables.
+// Every run ends with the lock-table invariant check; any checker or
+// invariant failure exits nonzero and prints the reproducing invocation
+// (experiment and seed) on one line.
 //
 // Usage:
 //
-//	txsim [-exp e3|e4|e5|e7|e9|all] [-seed S] [-json] [-shards N] [-readonly-frac F]
+//	txsim [-exp e3|e4|e5|e7|e9|all] [-seed S]
 package main
 
 import (
@@ -22,32 +20,19 @@ import (
 func main() {
 	exp := flag.String("exp", "all", "experiment to run: e3, e4, e5, e7, e9 or all")
 	seed := flag.Int64("seed", 1, "workload seed")
-	asJSON := flag.Bool("json", false, "emit one JSON object per experiment row instead of tables")
-	shards := flag.Int("shards", 0, "lock-manager shard count (0 = GOMAXPROCS)")
-	roFrac := flag.Float64("readonly-frac", 0,
-		"fraction of transactions routed through read-only snapshot scans instead of locking")
 	flag.Parse()
-	sim.DefaultLockShards = *shards
-	sim.DefaultReadOnlyFraction = *roFrac
 
 	run := func(name string) bool { return *exp == "all" || *exp == name }
 
 	// fail reports a checker/invariant/runtime failure with a one-line
-	// reproduction (the experiment plus every flag that shapes it) and
-	// exits nonzero.
+	// reproduction and exits nonzero.
 	fail := func(name string, err error) {
 		fmt.Fprintln(os.Stderr, "txsim:", err)
-		fmt.Fprintf(os.Stderr, "reproduce: txsim -exp %s -seed %d -shards %d -readonly-frac %g\n",
-			name, *seed, *shards, *roFrac)
+		fmt.Fprintf(os.Stderr, "reproduce: txsim -exp %s -seed %d\n", name, *seed)
 		os.Exit(1)
 	}
 
-	// emit renders one experiment's points as a table or as JSON rows.
-	emit := func(name, title string, points []sim.SweepPoint) {
-		if *asJSON {
-			check(sim.WriteJSON(os.Stdout, name, points))
-			return
-		}
+	emit := func(title string, points []sim.SweepPoint) {
 		check(sim.WriteTable(os.Stdout, title, points))
 		fmt.Println()
 	}
@@ -57,40 +42,36 @@ func main() {
 		if err != nil {
 			fail("e3", err)
 		}
-		emit("e3", "E3: read-fraction sweep (R/W vs exclusive vs serial)", points)
+		emit("E3: read-fraction sweep (R/W vs exclusive vs serial)", points)
 	}
 	if run("e4") {
 		points, err := sim.DepthSweep(*seed, 4)
 		if err != nil {
 			fail("e4", err)
 		}
-		emit("e4", "E4: nesting-depth sweep (concurrent siblings vs serial)", points)
+		emit("E4: nesting-depth sweep (concurrent siblings vs serial)", points)
 	}
 	if run("e5") {
 		points, err := sim.AbortSweep(*seed, []float64{0, 0.1, 0.25, 0.5})
 		if err != nil {
 			fail("e5", err)
 		}
-		emit("e5", "E5: abort-rate sweep (recovery under load)", points)
+		emit("E5: abort-rate sweep (recovery under load)", points)
 	}
 	if run("e7") {
 		points, err := sim.InheritanceSweep(*seed, []int{0, 1, 2, 4, 6})
 		if err != nil {
 			fail("e7", err)
 		}
-		emit("e7", "E7: lock-inheritance chain depth (same work, deeper commits)", points)
+		emit("E7: lock-inheritance chain depth (same work, deeper commits)", points)
 	}
 	if run("e9") {
 		points, err := sim.EngineSweep(*seed, []float64{0, 0.25, 0.5, 0.75, 0.9, 1.0})
 		if err != nil {
 			fail("e9", err)
 		}
-		if *asJSON {
-			check(sim.WriteEngineJSON(os.Stdout, "e9", points))
-		} else {
-			check(sim.WriteEngineTable(os.Stdout, "E9: Moss R/W locking vs Reed-style MVTO (flat transactions)", points))
-			fmt.Println()
-		}
+		check(sim.WriteEngineTable(os.Stdout, "E9: Moss R/W locking vs Reed-style MVTO (flat transactions)", points))
+		fmt.Println()
 	}
 }
 

@@ -375,13 +375,26 @@ func DecodeState(data []byte) (State, error) {
 		})
 		return q, err
 	case "tbl":
-		tbl := Table{m: make(map[string]Value)}
-		err := s.Object(func(k []byte) error {
-			v, err := element()
-			tbl.m[string(k)] = v
+		// A duplicate key keeps only its last value, as in encoding/json,
+		// so the values are decoded once the object has been read.
+		raws := make(map[string][]byte)
+		if err := s.Object(func(k []byte) error {
+			var enc []byte
+			err := s.Raw(&enc)
+			raws[string(k)] = enc
 			return err
-		})
-		return tbl, err
+		}); err != nil {
+			return nil, err
+		}
+		tbl := Table{m: make(map[string]Value, len(raws))}
+		for k, enc := range raws {
+			v, err := DecodeValue(enc)
+			if err != nil {
+				return nil, err
+			}
+			tbl.m[k] = v
+		}
+		return tbl, nil
 	}
 	return nil, fmt.Errorf("adt: unknown state tag %q", tag)
 }

@@ -82,6 +82,7 @@ func FuzzAdtCodecMatchesEncodingJSON(f *testing.F) {
 		`{"t":"reg","v":{"t":"i","v":1}}`, `{"t":"ctr","v":5}`, `{"t":"acct","v":5}`, `{"t":"set","v":[3,1,null,3]}`, `{"t":"set","v":null}`,
 		`{"t":"queue","v":[{"t":"i","v":1},{"t":"nil"}]}`, `{"t":"queue","v":[null]}`, `{"t":"queue"}`,
 		`{"t":"tbl","v":{"a":{"t":"i","v":1},"a":{"t":"s","v":"last"},"b":{"t":"nil"}}}`, `{"t":"tbl","v":{}}`, `{"t":"tbl","v":[]}`,
+		`{"t":"tbl","v":{"a":{},"a":{"t":"nil"}}}`,
 	} {
 		f.Add([]byte(seed), int64(1), "k")
 	}

@@ -200,16 +200,17 @@ func (v *Virtual) advanceToLocked(target time.Time) int {
 	return len(due)
 }
 
+// autoAdvanceGrain is how often (in real time) AutoAdvance polls.
+const autoAdvanceGrain = 100 * time.Microsecond
+
 // AutoAdvance starts the simulation's time driver: a background loop
-// that polls every (real) grain and, when sleepers are parked, jumps
-// virtual time to the earliest deadline. The real grain only controls
-// how promptly virtual time advances — the virtual timestamps assigned
-// are the deadlines themselves, so they are independent of wall-clock
-// scheduling. Call Stop to end the loop and release all sleepers.
-func (v *Virtual) AutoAdvance(grain time.Duration) {
-	if grain <= 0 {
-		grain = 100 * time.Microsecond
-	}
+// that polls every autoAdvanceGrain of real time and, when sleepers are
+// parked, jumps virtual time to the earliest deadline. The real grain
+// only controls how promptly virtual time advances — the virtual
+// timestamps assigned are the deadlines themselves, so they are
+// independent of wall-clock scheduling. Call Stop to end the loop and
+// release all sleepers.
+func (v *Virtual) AutoAdvance() {
 	go func() {
 		for {
 			select {
@@ -217,7 +218,7 @@ func (v *Virtual) AutoAdvance(grain time.Duration) {
 				return
 			default:
 			}
-			time.Sleep(grain)
+			time.Sleep(autoAdvanceGrain)
 			v.AdvanceToNext()
 		}
 	}()

@@ -55,7 +55,7 @@ func TestVirtualDeadlineOrder(t *testing.T) {
 func TestVirtualSleepAutoAdvance(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	defer v.Stop()
-	v.AutoAdvance(50 * time.Microsecond)
+	v.AutoAdvance()
 	t0 := v.Now()
 	start := time.Now()
 	const d = 10 * time.Second // ten virtual seconds

@@ -59,10 +59,6 @@ import (
 type Sim struct {
 	Scenario Scenario
 	Seed     int64
-	// Grain is the real-time poll interval of the virtual clock's
-	// auto-advance loop; it controls only how fast simulated time moves,
-	// never which virtual timestamps are assigned. Zero means 100µs.
-	Grain time.Duration
 }
 
 // Result is the outcome of a run. Log is the deterministic event log
@@ -122,11 +118,7 @@ func (s *Sim) Run() *Result {
 		acked: make(chan struct{}),
 	}
 	defer env.clk.Stop()
-	grain := s.Grain
-	if grain <= 0 {
-		grain = 100 * time.Microsecond
-	}
-	env.clk.AutoAdvance(grain)
+	env.clk.AutoAdvance()
 
 	// Derive one RNG per decision plane from the master seed, so adding
 	// draws to one plane never perturbs another.

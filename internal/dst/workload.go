@@ -60,7 +60,6 @@ type TxSpec struct {
 // Generator plans transactions of one kind. Implementations must be
 // pure functions of (rng, scenario): same draws, same specs.
 type Generator interface {
-	Kind() SpecKind
 	Gen(rng *rand.Rand, scn *Scenario) TxSpec
 }
 
@@ -75,7 +74,6 @@ var Generators = map[SpecKind]Generator{
 
 type zipfGen struct{}
 
-func (zipfGen) Kind() SpecKind { return KZipf }
 func (zipfGen) Gen(rng *rand.Rand, scn *Scenario) TxSpec {
 	return TxSpec{
 		Kind:   KZipf,
@@ -88,7 +86,6 @@ func (zipfGen) Gen(rng *rand.Rand, scn *Scenario) TxSpec {
 
 type nestGen struct{}
 
-func (nestGen) Kind() SpecKind { return KNest }
 func (nestGen) Gen(rng *rand.Rand, scn *Scenario) TxSpec {
 	// Deep by construction: at least 3/4 of MaxDepth, up to MaxDepth.
 	lo := max(1, scn.MaxDepth*3/4)
@@ -103,7 +100,6 @@ func (nestGen) Gen(rng *rand.Rand, scn *Scenario) TxSpec {
 
 type treeGen struct{}
 
-func (treeGen) Kind() SpecKind { return KTree }
 func (treeGen) Gen(rng *rand.Rand, scn *Scenario) TxSpec {
 	return TxSpec{
 		Kind:   KTree,
@@ -116,14 +112,12 @@ func (treeGen) Gen(rng *rand.Rand, scn *Scenario) TxSpec {
 
 type scanGen struct{}
 
-func (scanGen) Kind() SpecKind { return KScan }
 func (scanGen) Gen(rng *rand.Rand, scn *Scenario) TxSpec {
 	return TxSpec{Kind: KScan, Seed: rng.Int63(), Ops: max(1, scn.Ops)}
 }
 
 type bankGen struct{}
 
-func (bankGen) Kind() SpecKind { return KBank }
 func (bankGen) Gen(rng *rand.Rand, scn *Scenario) TxSpec {
 	pick := accountPicker(rng, scn)
 	from := pick()

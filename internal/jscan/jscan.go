@@ -98,8 +98,11 @@ func (s *Scanner) key() ([]byte, error) {
 	if err == nil && s.peek() != ':' {
 		err = s.errf("want :")
 	}
+	if err != nil {
+		return nil, err // the cursor stays inside the document
+	}
 	s.pos++
-	return tok, err
+	return tok, nil
 }
 
 // Object calls field with each member name, unescaped, of the object at

@@ -28,7 +28,7 @@ func FuzzSyntaxMatchesEncodingJSON(f *testing.F) {
 		`"é 😀\ud83dx\udc00"`, "\"\xff\xc3\x28\xe2\x80\xa8<>&\"", `"\x"`, `"\u12"`, "\"a\nb\"",
 		`{}`, `[]`, `{"a":1,"a":[1,2,{"b":null}]}`, `[1,]`, `{,}`, `{"a"}`, `{"a":}`, `[1 2]`, `{"a":1 "b":2}`, `nullx`, `{} x`,
 		strings.Repeat("[", 10000) + strings.Repeat("]", 10000), strings.Repeat("[", 10001) + strings.Repeat("]", 10001),
-		" {\t\"k\" :\r\n [ 1 , \"<\\u003c>\" ] } ",
+		" {\t\"k\" :\r\n [ 1 , \"<\\u003c>\" ] } ", "{" + strings.Repeat(" ", 23),
 	} {
 		f.Add([]byte(seed))
 	}

@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"nestedtx/internal/adt"
 	"nestedtx/internal/mvto"
@@ -15,22 +12,11 @@ import (
 
 // MVTOResult summarises a run on the multi-version timestamp engine.
 type MVTOResult struct {
-	Workload  Workload
-	Duration  time.Duration
-	Committed int
-	Aborted   int // transactions that gave up after retries
-	Ops       int64
-	Stats     mvto.Stats
-	Manager   *mvto.Manager
-	Initial   map[string]adt.State
-}
-
-// Throughput returns committed transactions per second.
-func (r MVTOResult) Throughput() float64 {
-	if r.Duration <= 0 {
-		return 0
-	}
-	return float64(r.Committed) / r.Duration.Seconds()
+	Workload Workload
+	tally
+	Stats   mvto.Stats
+	Manager *mvto.Manager
+	Initial map[string]adt.State
 }
 
 // RunMVTO executes a *flat* workload (Depth must be 0; nesting is the
@@ -53,83 +39,20 @@ func RunMVTO(w Workload) (MVTOResult, error) {
 		}
 	}
 
-	var ops, committed, aborted int64
-	jobs := make(chan int64)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for c := 0; c < w.Concurrency; c++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(w.Seed ^ int64(worker)*0x9e3779b9))
-			for range jobs {
-				mode := opMix
-				if w.ReadTxFraction > 0 {
-					if rng.Float64() < w.ReadTxFraction {
-						mode = allReads
-					} else {
-						mode = allWrites
-					}
-				}
-				err := m.Run(w.Retries, func(tx *mvto.Tx) error {
-					return mvtoLeaf(tx, &w, rng, mode, &ops)
-				})
-				if err != nil {
-					atomic.AddInt64(&aborted, 1)
-				} else {
-					atomic.AddInt64(&committed, 1)
-				}
-			}
-		}(c)
-	}
-	for i := int64(0); i < int64(w.Transactions); i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	dur := time.Since(start)
+	t := drive(&w, func(rng *rand.Rand, ops *int64) error {
+		mode := classify(&w, rng)
+		return m.Run(w.Retries, func(tx *mvto.Tx) error {
+			return leaf(tx, &w, rng, mode, ops)
+		})
+	})
 
 	return MVTOResult{
-		Workload:  w,
-		Duration:  dur,
-		Committed: int(committed),
-		Aborted:   int(aborted),
-		Ops:       atomic.LoadInt64(&ops),
-		Stats:     m.Stats(),
-		Manager:   m,
-		Initial:   initial,
+		Workload: w,
+		tally:    t,
+		Stats:    m.Stats(),
+		Manager:  m,
+		Initial:  initial,
 	}, nil
-}
-
-func mvtoLeaf(tx *mvto.Tx, w *Workload, rng *rand.Rand, mode accessMode, ops *int64) error {
-	n := w.OpsPerLeaf
-	if mode == allWrites && w.WriterOps > 0 {
-		n = w.WriterOps
-	}
-	for i := 0; i < n; i++ {
-		obj := objName(pickObject(w, rng))
-		read := false
-		switch mode {
-		case allReads:
-			read = true
-		case allWrites:
-			read = false
-		default:
-			read = rng.Float64() < w.ReadFraction
-		}
-		var err error
-		if read {
-			_, err = tx.Read(obj, adt.CtrGet{})
-		} else {
-			_, err = tx.Write(obj, adt.CtrAdd{Delta: 1})
-		}
-		if err != nil {
-			return err
-		}
-		atomic.AddInt64(ops, 1)
-		w.think()
-	}
-	return nil
 }
 
 // EnginePoint is one row of the E9 engine comparison.

@@ -81,21 +81,7 @@ type Workload struct {
 	Retries int
 	// Seed drives the workload's randomness.
 	Seed int64
-	// LockShards sets the lock-manager shard count; 0 falls back to
-	// DefaultLockShards, then to the manager default (GOMAXPROCS).
-	LockShards int
 }
-
-// DefaultLockShards, when non-zero, applies to every workload whose
-// LockShards is unset — the txsim -shards flag sets it so one invocation
-// sweeps all experiments at a chosen shard count.
-var DefaultLockShards int
-
-// DefaultReadOnlyFraction, when non-zero, applies to every workload
-// whose ReadOnlyTxFraction is unset — the txsim -readonly-frac flag
-// sets it so one invocation reroutes that share of every experiment's
-// transactions through snapshot reads.
-var DefaultReadOnlyFraction float64
 
 // Validate fills defaults and rejects nonsense.
 func (w *Workload) Validate() error {
@@ -117,33 +103,36 @@ func (w *Workload) Validate() error {
 	if w.ReadFraction < 0 || w.ReadFraction > 1 {
 		return errors.New("sim: ReadFraction out of [0,1]")
 	}
-	if w.ReadOnlyTxFraction == 0 {
-		w.ReadOnlyTxFraction = DefaultReadOnlyFraction
-	}
 	if w.ReadOnlyTxFraction < 0 || w.ReadOnlyTxFraction > 1 {
 		return errors.New("sim: ReadOnlyTxFraction out of [0,1]")
 	}
 	return nil
 }
 
-// Result summarises a run.
-type Result struct {
-	Workload  Workload
+// tally is what a run's worker pool measures, whichever engine it
+// drives.
+type tally struct {
 	Duration  time.Duration
 	Committed int
 	Aborted   int // transactions that gave up (after retries)
-	Retried   int // deadlock retries performed
 	Ops       int64
-	Stats     nestedtx.Stats
-	Manager   *nestedtx.Manager // for verification / state inspection
 	// Latencies holds one end-to-end latency sample per submitted
 	// transaction (including deadlock retries).
 	Latencies []time.Duration
 }
 
+// Result summarises a run.
+type Result struct {
+	Workload Workload
+	tally
+	Retried int // deadlock retries performed
+	Stats   nestedtx.Stats
+	Manager *nestedtx.Manager // for verification / state inspection
+}
+
 // Percentile returns the p'th percentile latency (p in [0,100]) over the
 // collected samples, or 0 when none were collected.
-func (r Result) Percentile(p float64) time.Duration {
+func (r tally) Percentile(p float64) time.Duration {
 	if len(r.Latencies) == 0 {
 		return 0
 	}
@@ -161,7 +150,7 @@ func (r Result) Percentile(p float64) time.Duration {
 }
 
 // Throughput returns committed transactions per second.
-func (r Result) Throughput() float64 {
+func (r tally) Throughput() float64 {
 	if r.Duration <= 0 {
 		return 0
 	}
@@ -169,7 +158,7 @@ func (r Result) Throughput() float64 {
 }
 
 // OpsPerSec returns accesses per second.
-func (r Result) OpsPerSec() float64 {
+func (r tally) OpsPerSec() float64 {
 	if r.Duration <= 0 {
 		return 0
 	}
@@ -188,13 +177,6 @@ func Run(w Workload) (Result, error) {
 	if w.Exclusive {
 		opts = append(opts, nestedtx.WithExclusiveLocking())
 	}
-	shards := w.LockShards
-	if shards == 0 {
-		shards = DefaultLockShards
-	}
-	if shards > 0 {
-		opts = append(opts, nestedtx.WithLockShards(shards))
-	}
 	m := nestedtx.NewManager(opts...)
 	for i := 0; i < w.Objects; i++ {
 		if err := m.Register(objName(i), nestedtx.Counter{}); err != nil {
@@ -202,7 +184,34 @@ func Run(w Workload) (Result, error) {
 		}
 	}
 
-	var ops, committed, aborted, retried int64
+	var retried int64
+	t := drive(&w, func(rng *rand.Rand, ops *int64) error {
+		return runOne(m, &w, rng, ops, &retried)
+	})
+
+	// Every run ends with the lock-table invariant check: a workload that
+	// leaves residual locks or a corrupted table is a checker failure, not
+	// a measurement. (Full S9 history verification needs WithRecording and
+	// stays opt-in — see the test suite and the dst simulator.)
+	if err := m.CheckInvariants(); err != nil {
+		return Result{}, fmt.Errorf("sim: post-run lock-table invariants: %w", err)
+	}
+
+	return Result{
+		Workload: w,
+		tally:    t,
+		Retried:  int(retried),
+		Stats:    m.Stats(),
+		Manager:  m,
+	}, nil
+}
+
+// drive submits w.Transactions transactions from w.Concurrency workers,
+// each drawing from its own RNG seeded by w.Seed ^ worker*0x9e3779b9;
+// one runs a transaction and counts its accesses in ops. Both engines
+// run through it.
+func drive(w *Workload, one func(rng *rand.Rand, ops *int64) error) tally {
+	var ops, committed, aborted int64
 	var latMu sync.Mutex
 	latencies := make([]time.Duration, 0, w.Transactions)
 	jobs := make(chan int64)
@@ -215,7 +224,7 @@ func Run(w Workload) (Result, error) {
 			rng := rand.New(rand.NewSource(w.Seed ^ int64(worker)*0x9e3779b9))
 			for range jobs {
 				t0 := time.Now()
-				err := runOne(m, &w, rng, &ops, &retried)
+				err := one(rng, &ops)
 				lat := time.Since(t0)
 				latMu.Lock()
 				latencies = append(latencies, lat)
@@ -233,27 +242,13 @@ func Run(w Workload) (Result, error) {
 	}
 	close(jobs)
 	wg.Wait()
-	dur := time.Since(start)
-
-	// Every run ends with the lock-table invariant check: a workload that
-	// leaves residual locks or a corrupted table is a checker failure, not
-	// a measurement. (Full S9 history verification needs WithRecording and
-	// stays opt-in — see the test suite and the dst simulator.)
-	if err := m.CheckInvariants(); err != nil {
-		return Result{}, fmt.Errorf("sim: post-run lock-table invariants: %w", err)
-	}
-
-	return Result{
-		Workload:  w,
-		Duration:  dur,
+	return tally{
+		Duration:  time.Since(start),
 		Committed: int(committed),
 		Aborted:   int(aborted),
-		Retried:   int(retried),
 		Ops:       atomic.LoadInt64(&ops),
-		Stats:     m.Stats(),
-		Manager:   m,
 		Latencies: latencies,
-	}, nil
+	}
 }
 
 // runOne submits one top-level transaction through Manager.RunRetry, so
@@ -263,14 +258,7 @@ func runOne(m *nestedtx.Manager, w *Workload, rng *rand.Rand, ops, retried *int6
 	if w.ReadOnlyTxFraction > 0 && rng.Float64() < w.ReadOnlyTxFraction {
 		return snapshotScan(m, w, rng, ops)
 	}
-	mode := opMix
-	if w.ReadTxFraction > 0 {
-		if rng.Float64() < w.ReadTxFraction {
-			mode = allReads
-		} else {
-			mode = allWrites
-		}
-	}
+	mode := classify(w, rng)
 	calls := 0
 	err := m.RunRetry(w.Retries, func(tx *nestedtx.Tx) error {
 		calls++
@@ -304,6 +292,18 @@ const (
 	allReads                    // read-only transaction
 	allWrites                   // write-only transaction
 )
+
+// classify draws a top-level transaction's access mode: whole
+// transactions when ReadTxFraction is set, otherwise one coin per access.
+func classify(w *Workload, rng *rand.Rand) accessMode {
+	if w.ReadTxFraction <= 0 {
+		return opMix
+	}
+	if rng.Float64() < w.ReadTxFraction {
+		return allReads
+	}
+	return allWrites
+}
 
 // body is the recursive transaction shape: at depth>0 spawn Fanout
 // subtransactions; at depth 0 perform the leaf accesses.
@@ -356,22 +356,18 @@ var errVoluntaryAbort = errors.New("sim: voluntary abort")
 
 func isVoluntary(err error) bool { return errors.Is(err, errVoluntaryAbort) }
 
-func leaf(tx *nestedtx.Tx, w *Workload, rng *rand.Rand, mode accessMode, ops *int64) error {
+// leaf performs a leaf transaction's accesses on either engine's Tx.
+func leaf[T interface {
+	Read(obj string, op nestedtx.Op) (nestedtx.Value, error)
+	Write(obj string, op nestedtx.Op) (nestedtx.Value, error)
+}](tx T, w *Workload, rng *rand.Rand, mode accessMode, ops *int64) error {
 	n := w.OpsPerLeaf
 	if mode == allWrites && w.WriterOps > 0 {
 		n = w.WriterOps
 	}
 	for i := 0; i < n; i++ {
 		obj := objName(pickObject(w, rng))
-		read := false
-		switch mode {
-		case allReads:
-			read = true
-		case allWrites:
-			read = false
-		default:
-			read = rng.Float64() < w.ReadFraction
-		}
+		read := mode == allReads || mode == opMix && rng.Float64() < w.ReadFraction
 		var err error
 		if read {
 			_, err = tx.Read(obj, nestedtx.CtrGet{})

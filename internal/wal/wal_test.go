@@ -231,6 +231,64 @@ func TestCheckpointTruncatesSegments(t *testing.T) {
 	}
 }
 
+// TestCheckpointOnTheRealFileSystem: a checkpoint in a real directory,
+// through the default file system's Rename and SyncDir, leaves the same
+// files and recovers the same states and checkpoint LSN as the same
+// records checkpointed on a MemFS.
+func TestCheckpointOnTheRealFileSystem(t *testing.T) {
+	type outcome struct {
+		before, after []string
+		lsn           uint64
+		states        map[string]adt.State
+	}
+	run := func(fs FS, dir string) outcome {
+		var o outcome
+		list := func() []string {
+			var ls FS = OSFS{} // what nil opens
+			if fs != nil {
+				ls = fs
+			}
+			names, err := ls.ReadDir(dir)
+			if err != nil {
+				t.Fatalf("ReadDir: %v", err)
+			}
+			return names
+		}
+		lg, _ := mustOpen(t, fs, dir, Options{SegmentBytes: 256})
+		h := newHarness(t, lg)
+		h.register("ctr", adt.Counter{})
+		for i := 0; i < 20; i++ {
+			h.commit("ctr", adt.CtrAdd{Delta: 1})
+		}
+		o.before = list()
+		if err := lg.Checkpoint(h.capture); err != nil {
+			t.Fatalf("Checkpoint: %v", err)
+		}
+		if err := lg.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+		o.after = list()
+		lg2, rec := mustOpen(t, fs, dir, Options{SegmentBytes: 256})
+		defer lg2.Close()
+		o.lsn, o.states = rec.CheckpointLSN, rec.States()
+		if !reflect.DeepEqual(o.states, h.states) {
+			t.Fatalf("recovered %v, want %v", o.states, h.states)
+		}
+		return o
+	}
+	mem := run(NewMemFS(), "d")
+	osfs := run(nil, t.TempDir())
+	if len(mem.before) < 3 || len(mem.after) >= len(mem.before) {
+		t.Fatalf("MemFS files %v before the checkpoint, %v after: want sealed segments removed", mem.before, mem.after)
+	}
+	if mem.lsn != 21 {
+		t.Fatalf("MemFS CheckpointLSN = %d, want 21", mem.lsn)
+	}
+	if !reflect.DeepEqual(osfs, mem) {
+		t.Fatalf("real directory %+v, MemFS %+v", osfs, mem)
+	}
+}
+
 // TestCheckpointLargerThanARecordRecovers: a checkpoint file is one frame
 // bounded only by its own size, so a checkpoint larger than any record
 // may be — here with the record bound lowered to 1 KiB — recovers, and

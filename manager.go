@@ -55,7 +55,7 @@ type options struct {
 	record    bool
 	exclusive bool
 	traceCap  int
-	shards    int
+	shards    int // lock-manager shards; 0 means runtime.GOMAXPROCS(0)
 	clk       clock.Clock
 }
 
@@ -88,14 +88,6 @@ func WithTracing(capacity int) Option { return func(o *options) { o.traceCap = c
 // backoff schedule is a function of the seed, not of wall-clock
 // scheduling. nil selects the default.
 func WithClock(c clock.Clock) Option { return func(o *options) { o.clk = c } }
-
-// WithLockShards sets the number of independent lock-manager shards the
-// object universe is hash-partitioned into. n < 1 (the default) selects
-// runtime.GOMAXPROCS(0). More shards means less mutex contention between
-// transactions with disjoint footprints; a deadlock cycle spanning shards
-// is still detected (the walk escalates to an all-shard snapshot), it
-// just costs more than a shard-local one.
-func WithLockShards(n int) Option { return func(o *options) { o.shards = n } }
 
 // Manager owns a universe of named shared objects and runs top-level
 // transactions against them. A Manager is safe for concurrent use.
@@ -273,9 +265,6 @@ func (m *Manager) Store() *snap.Store { return m.snap }
 
 // Stats returns a copy of the lock-manager counters.
 func (m *Manager) Stats() Stats { return m.lm.Stats() }
-
-// LockShards returns the number of lock-manager shards in use.
-func (m *Manager) LockShards() int { return m.lm.ShardCount() }
 
 // Metrics returns the manager's live metrics registry: latency
 // histograms, outcome counters, contention gauges and (with

@@ -251,7 +251,7 @@ func TestDeadlockDetectedAndVictimized(t *testing.T) {
 func TestDeadlockVictimNamesItsAccess(t *testing.T) {
 	msgs := map[string]string{}
 	for name, opts := range map[string][]Option{"plain": nil, "recording": {WithRecording()}} {
-		m := NewManager(append(opts, WithLockShards(1))...)
+		m := NewManager(append(opts, withLockShards(1))...)
 		m.MustRegister("x", Counter{})
 		m.MustRegister("y", Counter{})
 		// T0.0 writes x (T0.0.0), T0.1 writes y (T0.1.0), and T0.0's

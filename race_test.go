@@ -447,7 +447,7 @@ func TestRunRetryCtxRetriesDeadlockVictims(t *testing.T) {
 func TestCancelReachesEveryWait(t *testing.T) {
 	write := CtrAdd{Delta: 1}
 	setup := func() *Manager {
-		m := NewManager(WithLockShards(1))
+		m := NewManager(withLockShards(1))
 		m.MustRegister("a", Counter{})
 		m.MustRegister("b", Counter{})
 		return m

@@ -9,6 +9,10 @@ import (
 	"nestedtx/internal/lockmgr"
 )
 
+// withLockShards pins the lock-manager shard count, so a test can place
+// objects on or across shard boundaries.
+func withLockShards(n int) Option { return func(o *options) { o.shards = n } }
+
 // objInShard returns n distinct object names that hash to the given
 // shard under a shards-way partition, so tests can place deadlock
 // cycles exactly on or across shard boundaries.
@@ -94,9 +98,9 @@ func checkAfterCycle(t *testing.T, m *Manager, victims int) {
 // without ever escalating to the all-shard walk.
 func TestShardDeadlockSameShard(t *testing.T) {
 	const shards = 4
-	m := NewManager(WithRecording(), WithLockShards(shards))
-	if got := m.LockShards(); got != shards {
-		t.Fatalf("LockShards = %d, want %d", got, shards)
+	m := NewManager(WithRecording(), withLockShards(shards))
+	if got := m.lm.ShardCount(); got != shards {
+		t.Fatalf("ShardCount = %d, want %d", got, shards)
 	}
 	objs := objInShard(t, 2, shards, 2)
 	for _, x := range objs {
@@ -115,7 +119,7 @@ func TestShardDeadlockSameShard(t *testing.T) {
 // still elect exactly one victim.
 func TestShardDeadlockTwoShards(t *testing.T) {
 	const shards = 4
-	m := NewManager(WithRecording(), WithLockShards(shards))
+	m := NewManager(WithRecording(), withLockShards(shards))
 	x := objInShard(t, 0, shards, 1)[0]
 	y := objInShard(t, 1, shards, 1)[0]
 	m.MustRegister(x, NewRegister(int64(0)))
@@ -134,7 +138,7 @@ func TestShardDeadlockTwoShards(t *testing.T) {
 // abort exactly one transaction and let the other two commit.
 func TestShardDeadlockThreeShards(t *testing.T) {
 	const shards = 4
-	m := NewManager(WithRecording(), WithLockShards(shards))
+	m := NewManager(WithRecording(), withLockShards(shards))
 	a := objInShard(t, 0, shards, 1)[0]
 	b := objInShard(t, 1, shards, 1)[0]
 	c := objInShard(t, 2, shards, 1)[0]
@@ -158,7 +162,7 @@ func TestShardDeadlockThreeShards(t *testing.T) {
 // in schedule length (cf. the unrecorded race stress test).
 func TestShardPartitionInvariants(t *testing.T) {
 	const shards = 8
-	m := NewManager(WithRecording(), WithLockShards(shards))
+	m := NewManager(WithRecording(), withLockShards(shards))
 	const objects = 32
 	for i := 0; i < objects; i++ {
 		m.MustRegister(fmt.Sprintf("o%d", i), NewRegister(int64(0)))
