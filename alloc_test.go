@@ -312,12 +312,13 @@ func TestNonRecordingSoakKeepsNothingPerAccess(t *testing.T) {
 // (the chain's first slot inline, and the read memo; no read set until
 // someone reads it) and the store's record of it (name, owner, chain, and
 // the first version inline, which is also the root's version), an 8-byte
-// entry in the store's registration order, and one 16-byte slot in the
-// one name index, at a load between three eighths and three quarters. A
-// non-recording manager keeps no system type, so nothing is spent on what
-// only Verify reads. The records are cut from chunks of 39, which fill
-// the 8,192-byte size class, so the code allocates 225 B and 0.03 mallocs
-// per object here (budget: that plus 10 B), against 264 B with a second
+// entry in the store's registration order (chunks of 127), and one 16-byte
+// slot in the one name index, at a load between three eighths and three
+// quarters. A non-recording manager keeps no system type, so nothing is
+// spent on what only Verify reads. The records are cut from chunks of 39,
+// which fill the 8,192-byte size class, so the code allocates 225 B and
+// 0.04 mallocs per object here (budget: that plus 10 B; 0.03 with
+// registration-order chunks of 1,023), against 264 B with a second
 // copy of the root's version in the lock state's chain, 290 B
 // and 0.04 with a lock state and a store record apart, each filed in its
 // own index, 338 B and 0.06 with two Go maps and a registration-order
@@ -325,9 +326,14 @@ func TestNonRecordingSoakKeepsNothingPerAccess(t *testing.T) {
 // per object, 352 B and 3.02 with an empty read set made at
 // registration, and 400 B and 4.03 with a separate chain array and a
 // system-type entry. The first row is a small manager with 64 counters:
-// 88 mallocs (budget 105), against 97 with two indexes, 119 with Go maps
-// and 244 with per-object allocations. Both rows pin two lock shards,
-// so the small row's per-shard allocations do not follow the core count.
+// 18 mallocs and 26,952 B (budget 24 and 28,000 B), against 88 and
+// 37,456 B with the lock manager's per-tree maps and a system type made
+// up front and an 8 KB registration-order chunk, 97 mallocs with two
+// indexes, 119 with Go maps and 244 with per-object allocations. No
+// transaction exists yet, so nothing is spent on one: the per-tree maps
+// are made by the first transaction that needs them. Both rows pin two
+// lock shards, so the small row's per-shard allocations do not follow the
+// core count.
 // The small row runs first so that names stays dead by the per-object row's
 // second GC, which frees its 16 B per object from that row's count.
 func TestRegisteredObjectFootprint(t *testing.T) {
@@ -336,15 +342,22 @@ func TestRegisteredObjectFootprint(t *testing.T) {
 	for i := range names {
 		names[i] = fmt.Sprintf("c%05d", i)
 	}
-	small := testing.AllocsPerRun(20, func() {
+	const runs = 20
+	smallManager := func() {
 		m := NewManager(withLockShards(2))
 		for _, x := range names[:64] {
 			m.MustRegister(x, Counter{})
 		}
-	})
-	t.Logf("%.0f mallocs for a manager with 64 counters", small)
-	if small > 105 {
-		t.Errorf("a manager with 64 counters costs %.0f mallocs, budget 105", small)
+	}
+	var start, end runtime.MemStats
+	runtime.ReadMemStats(&start)
+	small := testing.AllocsPerRun(runs, smallManager)
+	runtime.ReadMemStats(&end)
+	// AllocsPerRun makes one warm-up run beside the ones it counts.
+	smallBytes := (end.TotalAlloc - start.TotalAlloc) / (runs + 1)
+	t.Logf("%.0f mallocs and %d B for a manager with 64 counters", small, smallBytes)
+	if small > 24 || smallBytes > 28_000 {
+		t.Errorf("a manager with 64 counters costs %.0f mallocs and %d B, budget 24 and 28,000 B", small, smallBytes)
 	}
 
 	m := NewManager(withLockShards(2))

@@ -76,7 +76,7 @@ func runOne(name string, seed int64, scale float64, dumpLog bool) int {
 	}
 	if !res.Pass() {
 		fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", name, res.Err)
-		fmt.Fprintf(os.Stderr, "reproduce: %s\n", repro(name, seed, scale))
+		fmt.Fprintf(os.Stderr, "reproduce: %s\n", res.Repro)
 		return 1
 	}
 	fmt.Fprintf(status, "ok   %-24s seed=%-4d committed=%d aborted=%d scans=%d post=%d/%d (%s)\n",
@@ -151,7 +151,7 @@ func runMine(n int, scale float64) int {
 			res := dst.New(cell, seed).Run()
 			if !res.Pass() {
 				fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", scn.Name, res.Err)
-				fmt.Fprintf(os.Stderr, "reproduce: %s\n", repro(scn.Name, seed, scale))
+				fmt.Fprintf(os.Stderr, "reproduce: %s\n", res.Repro)
 				return 1
 			}
 			if scale != 1 {
@@ -164,13 +164,4 @@ func runMine(n int, scale float64) int {
 		}
 	}
 	return 0
-}
-
-// repro is the command line that reruns one cell, scale included.
-func repro(name string, seed int64, scale float64) string {
-	line := fmt.Sprintf("txdst -scenario %s -seed %d", name, seed)
-	if scale != 1 {
-		line += fmt.Sprintf(" -scale %g", scale)
-	}
-	return line
 }

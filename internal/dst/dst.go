@@ -104,6 +104,9 @@ func (s *Sim) Run() *Result {
 		Seed:     s.Seed,
 		Repro:    fmt.Sprintf("txdst -scenario %s -seed %d", s.Scenario.Name, s.Seed),
 	}
+	if f := s.Scenario.scale; f != 0 && f != 1 {
+		res.Repro += fmt.Sprintf(" -scale %g", f)
+	}
 	scn := s.Scenario
 	if err := scn.validate(); err != nil {
 		res.Err = err

@@ -48,12 +48,12 @@ func TestDeterministicEventLog(t *testing.T) {
 	}
 }
 
-// TestReproLine: every result carries the one-line reproduction, and a
-// failing run embeds it in the error text.
+// TestReproLine: every result carries the one-line reproduction, scale
+// included, and a failing run embeds it in the error text.
 func TestReproLine(t *testing.T) {
 	scn := small(t, "hotspot", 0.1)
 	res := New(scn, 3).Run()
-	want := fmt.Sprintf("txdst -scenario hotspot -seed %d", 3)
+	want := fmt.Sprintf("txdst -scenario hotspot -seed %d -scale 0.1", 3)
 	if res.Repro != want {
 		t.Fatalf("repro = %q, want %q", res.Repro, want)
 	}

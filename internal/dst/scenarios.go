@@ -64,11 +64,16 @@ type Scenario struct {
 	// Post-phase: transactions run after recovery (Crash) or after
 	// promotion (Net) — includes snapshot scans across the crash.
 	PostTxs int
+
+	// scale is the product of the factors Scale applied; 0 means none.
+	// A run's reproduction line carries it.
+	scale float64
 }
 
 // Scale returns a copy of the scenario with its object universe and
 // transaction count multiplied by f (at least 1 each) — used to run the
-// shape of a large scenario at test size.
+// shape of a large scenario at test size. The copy records f, times any
+// factor it was scaled by before.
 func (s Scenario) Scale(f float64) Scenario {
 	mul := func(n int) int {
 		if n <= 0 {
@@ -83,6 +88,10 @@ func (s Scenario) Scale(f float64) Scenario {
 	s.Accounts = mul(s.Accounts)
 	s.Txs = mul(s.Txs)
 	s.PostTxs = mul(s.PostTxs)
+	if s.scale == 0 {
+		s.scale = 1
+	}
+	s.scale *= f
 	return s
 }
 

@@ -116,10 +116,11 @@ type Manager struct {
 // a queued waiter. A bit is set when the record's list gains its first
 // member and cleared when the list empties, under that shard's mutex both
 // times, so the two sets are exact — no counts, nothing to reconcile — and
-// an entry exists exactly while some bit of it is set. held is the
-// footprint Commit and Abort visit; waiting is the confinement test
-// deadlock detection uses to decide whether a local walk is sound or must
-// escalate.
+// an entry exists exactly while some bit of it is set. The map is made by
+// the stripe's first entry, so a stripe no tree reaches costs only its
+// mutex. held is the footprint Commit and Abort visit; waiting is the
+// confinement test deadlock detection uses to decide whether a local walk
+// is sound or must escalate.
 //
 // Lock order: a stripe mutex is only ever taken while holding at most the
 // shard mutexes already held by the caller, and no shard mutex is ever
@@ -199,14 +200,7 @@ func NewOver(store *snap.Store, rec *event.Recorder, mode core.Mode, met *obs.Me
 	}
 	m.met.ShardQueued = make([]obs.Gauge, n)
 	for i := range m.shards {
-		m.shards[i] = &shard{
-			id:    i,
-			m:     m,
-			trees: make(map[tree.TID]*treeRec),
-		}
-	}
-	for i := range m.stripes {
-		m.stripes[i].trees = make(map[tree.TID]treeShards)
+		m.shards[i] = &shard{id: i, m: m}
 	}
 	return m
 }
@@ -258,6 +252,9 @@ func (m *Manager) markShard(top tree.TID, sid, which int, on bool) {
 			buf = make(shardSet, 2*words)
 		}
 		e = treeShards{buf[:words], buf[words:]}
+		if st.trees == nil {
+			st.trees = make(map[tree.TID]treeShards)
+		}
 		st.trees[top] = e
 	}
 	if on {

@@ -775,3 +775,83 @@ func TestAbortCostIsItsOwnTrees(t *testing.T) {
 		t.Fatalf("stats %+v, want %d abort releases and no waits", st, rounds)
 	}
 }
+
+// TestIndexMapsAreMadeOnFirstUse: a new manager, and one with objects
+// registered, has made no per-tree map; a stripe's map is made by the
+// first tree it indexes and a shard's by the first record filed in it,
+// and only those. A top-level transaction that commits across two shards
+// and one that aborts there leave the maps they made, empty, and the
+// invariants hold.
+func TestIndexMapsAreMadeOnFirstUse(t *testing.T) {
+	const shards = 4
+	m := NewSharded(nil, core.ReadWrite, nil, shards)
+	unmade := func(step string) {
+		t.Helper()
+		for _, sh := range m.shards {
+			if sh.trees != nil {
+				t.Errorf("%s: shard %d has made its trees map", step, sh.id)
+			}
+		}
+		for i := range m.stripes {
+			if m.stripes[i].trees != nil {
+				t.Errorf("%s: stripe %d has made its trees map", step, i)
+			}
+		}
+	}
+	unmade("after NewSharded")
+	// One object in shard 0 and one in shard 1.
+	var objs []string
+	for i := 0; len(objs) < 2; i++ {
+		if x := fmt.Sprintf("x%d", i); ShardOf(x, shards) == len(objs) {
+			objs = append(objs, x)
+		}
+	}
+	for _, x := range objs {
+		if err := m.Register(x, adt.NewRegister(int64(0))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	unmade("after Register")
+
+	committer, aborter := tree.Root.Child(0), tree.Root.Child(1)
+	for _, top := range []tree.TID{committer, aborter} {
+		for i, x := range objs {
+			if _, err := m.Acquire(top, top.Child(i), x, adt.RegWrite{V: int64(i + 1)}, nil); err != nil {
+				t.Fatal(err)
+			}
+			m.Commit(top.Child(i), nil)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("%s holding in both shards: %v", top, err)
+		}
+		if top == committer {
+			commitTop(m, top)
+		} else {
+			m.Abort(top)
+		}
+		if err := m.CheckInvariants(); err != nil {
+			t.Fatalf("after %s ended: %v", top, err)
+		}
+	}
+	for sid, sh := range m.shards {
+		if made := sh.trees != nil; made != (sid < len(objs)) {
+			t.Errorf("shard %d: trees map made = %v, want %v", sid, made, sid < len(objs))
+		} else if len(sh.trees) != 0 {
+			t.Errorf("shard %d still files %d trees", sid, len(sh.trees))
+		}
+	}
+	for i := range m.stripes {
+		st := &m.stripes[i]
+		touched := st == m.stripeFor(committer) || st == m.stripeFor(aborter)
+		if made := st.trees != nil; made != touched {
+			t.Errorf("stripe %d: trees map made = %v, want %v", i, made, touched)
+		} else if len(st.trees) != 0 {
+			t.Errorf("stripe %d still indexes %d trees", i, len(st.trees))
+		}
+	}
+	for i, x := range objs {
+		if got := committed(m, x).(adt.Register).V; got != int64(i+1) {
+			t.Errorf("%s = %v, want the committer's %d", x, got, i+1)
+		}
+	}
+}

@@ -28,7 +28,7 @@ type shard struct {
 	// in this shard, the record of both. A record is in the map exactly
 	// while it is non-empty; emptied records and emptied lock sets wait on
 	// the free lists for the next transaction, so a steady workload
-	// allocates none.
+	// allocates none. The map is made by the first record filed in it.
 	trees    map[tree.TID]*treeRec
 	freeRecs []*treeRec
 	freeSets []lockSet
@@ -258,6 +258,9 @@ func (sh *shard) recLocked(top tree.TID) *treeRec {
 			r, sh.freeRecs = sh.freeRecs[n-1], sh.freeRecs[:n-1]
 		} else {
 			r = new(treeRec)
+		}
+		if sh.trees == nil {
+			sh.trees = make(map[tree.TID]*treeRec)
 		}
 		sh.trees[top] = r
 	}

@@ -147,9 +147,10 @@ func (o *Object) Latest() adt.State { return o.chain[len(o.chain)-1].st }
 const objectChunk = 102
 
 // orderChunk is the number of objects one chunk of the registration
-// order lists: 1,023 pointers and the 8-byte header fill the 8,192-byte
-// size class.
-const orderChunk = 1023
+// order lists: 127 pointers and the 8-byte header Go puts before a
+// pointerful object of over 512 B fill the 1,024-byte size class, so a
+// small store lists its objects in 1 KB, not 8.
+const orderChunk = 127
 
 // pinCount is the number of live pins at one sequence number.
 type pinCount struct {

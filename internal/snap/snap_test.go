@@ -113,6 +113,19 @@ func TestObjectChunkFillsItsSizeClass(t *testing.T) {
 	}
 }
 
+// TestOrderChunkFillsItsSizeClass: a registration-order chunk of
+// orderChunk pointers is past 512 B, so Go puts its 8-byte header before
+// it, and the two fill the 1,024-byte size class exactly.
+func TestOrderChunkFillsItsSizeClass(t *testing.T) {
+	size := int(reflect.TypeOf([orderChunk]*Object{}).Size())
+	if size <= 512 {
+		t.Errorf("a chunk of %d pointers is %d B, not past 512 B", orderChunk, size)
+	}
+	if n := size + 8; n != 1024 {
+		t.Errorf("a chunk of %d pointers is %d B with its header, want the 1,024-byte class filled", orderChunk, n)
+	}
+}
+
 // TestBaseTwicePanics: a name is based once; a second Base of it is a
 // programming error, caught by the same index insert that installs it.
 // The refused Base leaves the first version, the registration order and

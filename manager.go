@@ -113,11 +113,11 @@ type Manager struct {
 	// object's lock state, and finds its lock states through it.
 	snap *snap.Store
 
-	// mu guards st — kept by a recording manager only — and on a durable
-	// manager makes a registration's check, log record and adoption one
-	// step. It is taken to register an object on a recording or durable
-	// manager and, in recording mode only, to define an access; Run and a
-	// non-recording Do never touch it.
+	// mu guards st — made and kept by a recording manager only, nil
+	// otherwise — and on a durable manager makes a registration's check,
+	// log record and adoption one step. It is taken to register an object
+	// on a recording or durable manager and, in recording mode only, to
+	// define an access; Run and a non-recording Do never touch it.
 	mu sync.Mutex
 	st *event.SystemType
 
@@ -162,15 +162,18 @@ func NewManager(opts ...Option) *Manager {
 		met.Tracer = obs.NewTracer(o.traceCap)
 	}
 	store := snap.New(o.record)
-	return &Manager{
+	m := &Manager{
 		lm:   lockmgr.NewOver(store, rec, mode, met, o.shards),
 		rec:  rec,
 		mode: mode,
 		met:  met,
 		snap: store,
-		st:   event.NewSystemType(),
 		clk:  clock.Or(o.clk),
 	}
+	if o.record {
+		m.st = event.NewSystemType()
+	}
+	return m
 }
 
 // Register declares a shared object. It must be called before any
@@ -402,8 +405,11 @@ func (m *Manager) Schedule() event.Schedule { return m.rec.Snapshot() }
 // SystemType returns the system type of the run so far, what Verify
 // needs to read the schedule: with [WithRecording], every registered
 // object and every access performed. A non-recording manager keeps
-// neither, and returns an empty system type.
+// neither, and returns a new, empty system type.
 func (m *Manager) SystemType() *event.SystemType {
+	if m.rec == nil {
+		return event.NewSystemType()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return m.st

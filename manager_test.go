@@ -67,6 +67,32 @@ func TestRefusedDuplicateRegisterLeavesSystemTypeAlone(t *testing.T) {
 	}
 }
 
+// TestNonRecordingManagerKeepsNoSystemType: only Verify and defineAccess,
+// both recording-only, read the system type, so a manager that records
+// nothing makes none, however much it runs. SystemType still answers
+// with an empty one that a caller may fill.
+func TestNonRecordingManagerKeepsNoSystemType(t *testing.T) {
+	m := NewManager()
+	m.MustRegister("x", Counter{})
+	if err := m.Run(func(tx *Tx) error { _, err := tx.Write("x", CtrAdd{Delta: 1}); return err }); err != nil {
+		t.Fatal(err)
+	}
+	if m.st != nil {
+		t.Fatal("a non-recording manager made a system type")
+	}
+	st := m.SystemType()
+	if objs, accs := st.Objects(), st.Accesses(); len(objs) != 0 || len(accs) != 0 {
+		t.Fatalf("a non-recording manager's system type lists objects %v and accesses %v", objs, accs)
+	}
+	st.DefineObject("x", Counter{})
+	if err := st.DefineAccess("T0.0.0", "x", CtrGet{}); err != nil {
+		t.Fatalf("the empty system type is not usable: %v", err)
+	}
+	if objs := m.SystemType().Objects(); len(objs) != 0 {
+		t.Fatalf("filling one answer of SystemType reached the next: %v", objs)
+	}
+}
+
 func TestRunAbortRollsBack(t *testing.T) {
 	m := NewManager(WithRecording())
 	m.MustRegister("r", NewRegister(int64(1)))
