@@ -76,7 +76,6 @@ func runOne(name string, seed int64, scale float64, dumpLog bool) int {
 	}
 	if !res.Pass() {
 		fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", name, res.Err)
-		fmt.Fprintf(os.Stderr, "reproduce: %s\n", res.Repro)
 		return 1
 	}
 	fmt.Fprintf(status, "ok   %-24s seed=%-4d committed=%d aborted=%d scans=%d post=%d/%d (%s)\n",
@@ -151,7 +150,6 @@ func runMine(n int, scale float64) int {
 			res := dst.New(cell, seed).Run()
 			if !res.Pass() {
 				fmt.Fprintf(os.Stderr, "FAIL %s: %v\n", scn.Name, res.Err)
-				fmt.Fprintf(os.Stderr, "reproduce: %s\n", res.Repro)
 				return 1
 			}
 			if scale != 1 {

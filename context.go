@@ -15,6 +15,9 @@ func (m *Manager) RunCtx(ctx context.Context, fn func(*Tx) error) error {
 		return err
 	}
 	tx := m.Begin()
+	// The stop function does not wait for a Cancel already started, so
+	// one may run after RunCtx has returned: it finds tx returned and does
+	// nothing, whichever transaction holds tx's state by then.
 	defer context.AfterFunc(ctx, tx.Cancel)()
 	err := tx.run(func(tx *Tx) error {
 		err := fn(tx)

@@ -99,3 +99,27 @@ func TestRunCtxBodyErrorJoined(t *testing.T) {
 		t.Fatalf("err = %v, want joined Canceled+boom", err)
 	}
 }
+
+// TestLateContextCancelMissesTheNextTransaction: RunCtx arms a Cancel of
+// its transaction for when ctx ends, and that Cancel may run after RunCtx
+// has returned, when the next transaction of the same goroutine may hold
+// the returned one's state. It finds its transaction returned and does
+// nothing: the next transaction commits, each of 10,000 times.
+func TestLateContextCancelMissesTheNextTransaction(t *testing.T) {
+	m := NewManager()
+	m.MustRegister("c", Counter{})
+	add := func(tx *Tx) error {
+		_, err := tx.Do("c", CtrAdd{Delta: 1})
+		return err
+	}
+	for i := range 10_000 {
+		ctx, cancel := context.WithCancel(context.Background())
+		_ = m.RunCtx(ctx, func(tx *Tx) error {
+			defer cancel() // as the body returns
+			return add(tx)
+		})
+		if err := m.Run(add); err != nil {
+			t.Fatalf("transaction %d, right after a cancelled RunCtx: %v", i, err)
+		}
+	}
+}

@@ -187,8 +187,8 @@ func TestFinishedChildrenAreUnlinked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if tx.children != nil || tx.handles != nil {
-		t.Errorf("after 100k returned subtransactions: child %v, handle %v still linked", tx.children, tx.handles)
+	if s := tx.state(); s.children != nil || s.handles != nil {
+		t.Errorf("after 100k returned subtransactions: child %v, handle %v still linked", s.children, s.handles)
 	}
 	// 99,000 dead children at 160 B apiece would be some 16 MB.
 	if last > first+1<<20 {

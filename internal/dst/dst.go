@@ -72,7 +72,7 @@ type Result struct {
 	Post     execStats // post-recovery / post-promotion phase
 	Err      error
 	Log      []byte
-	Repro    string // one-line reproduction command
+	Repro    string // one-line reproduction command, also the last line of Err
 }
 
 // Pass reports whether the run verified cleanly.
@@ -109,7 +109,7 @@ func (s *Sim) Run() *Result {
 	}
 	scn := s.Scenario
 	if err := scn.validate(); err != nil {
-		res.Err = err
+		res.Err = fmt.Errorf("%w\nreproduce: %s", err, res.Repro)
 		return res
 	}
 

@@ -3,6 +3,7 @@ package dst
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 )
 
@@ -49,7 +50,8 @@ func TestDeterministicEventLog(t *testing.T) {
 }
 
 // TestReproLine: every result carries the one-line reproduction, scale
-// included, and a failing run embeds it in the error text.
+// included, and a failing run embeds it in the error text once, which is
+// all txdst prints of it.
 func TestReproLine(t *testing.T) {
 	scn := small(t, "hotspot", 0.1)
 	res := New(scn, 3).Run()
@@ -62,8 +64,12 @@ func TestReproLine(t *testing.T) {
 	// path for execution failures shares the same wrapping.
 	bad := scn
 	bad.Mix = Mix{Zipf: 100, Bank: 100}
-	if r := New(bad, 3).Run(); r.Pass() {
+	r := New(bad, 3).Run()
+	if r.Pass() {
 		t.Fatal("invalid scenario passed")
+	}
+	if msg := r.Err.Error(); strings.Count(msg, "reproduce: ") != 1 || !strings.HasSuffix(msg, "\nreproduce: "+want) {
+		t.Errorf("invalid scenario's error %q, want one reproduce: line, its last", r.Err)
 	}
 }
 

@@ -17,9 +17,10 @@ import (
 // afresh (see race_on_test.go, and the root package's).
 var raceSlack float64
 
-// raceTxDrop is the share of the server's Tx slabs the race detector's
-// sync.Pool drops; each drop costs a new slab and a new chunk, so a
-// server Tx costs 2·raceTxDrop more allocations under -race. The client's
+// raceTxDrop is the share of the states of the server's top-level
+// transactions the race detector's sync.Pool drops; each drop costs a
+// new state and chunk, and a spare for each level below. The budgets
+// allow 2·raceTxDrop per server Tx, which covers that. The client's
 // handles come from a slab of its own and lose nothing.
 var raceTxDrop float64
 
@@ -27,9 +28,9 @@ var raceTxDrop float64
 // BEGIN, READ, WRITE, COMMIT over loopback, client and server both
 // counted. The code allocates 3 times here: the write's new state and
 // result boxed on the server and its result decoded on the client. The
-// server's Tx (its name inside it) is a fifteenth of a chunk and the
-// client's Tx (the txid inside it) a thirty-first of one, which the
-// per-run count rounds away. With each handle allocated apart it cost 5,
+// server's Tx (its name inside it) is a fifty-first of a chunk, its
+// state one the manager reuses, and the client's Tx (the txid inside it)
+// a thirty-first of a chunk, which the per-run count rounds away. With each handle allocated apart it cost 5,
 // with each access's object name and the client's txid copied out of the
 // frame 8, with the server's transaction name allocated apart 9, and
 // with a handle made per BEGIN 11. With the reflective codec it cost 146.
@@ -100,8 +101,8 @@ func TestNetworkedSnapshotScanAllocationBudget(t *testing.T) {
 // over loopback into a durable manager: 6 allocations, the local durable
 // transfer's boxes (TestDurableCommitAllocationBudget in the root
 // package) and the client's decoded results among them. The server's
-// three Tx are a fifth of a chunk and the client's three handles a tenth
-// of one. With each handle allocated apart it cost 11, and with the two
+// three Tx are three 51sts of a chunk, with no state of their own, and
+// the client's three handles a tenth of one. With each handle allocated apart it cost 11, and with the two
 // object names and the three txids copied out of their frames 16.
 func TestNetworkedTransferAllocationBudget(t *testing.T) {
 	mgr, _, err := nestedtx.OpenDurable("d", nestedtx.DurableOptions{FS: wal.NewMemFS()})

@@ -61,6 +61,101 @@ func TestUseAfterDone(t *testing.T) {
 	}
 }
 
+// TestStaleTxNeverReachesTheNextOwner: a Tx kept past its return finds
+// its state handed on — 1,000 transactions of the same manager ran since,
+// some of them on that state — and every call on it is refused with
+// ErrDone, its name unchanged. Calls on it from another goroutine, Cancel
+// among them, made while the state's new owners run, abort none of them
+// and apply nothing. Run it under -race.
+func TestStaleTxNeverReachesTheNextOwner(t *testing.T) {
+	m := NewManager()
+	m.MustRegister("c", Counter{})
+	var leaked *Tx
+	var st *txState
+	var id string
+	reused, runs := false, 0
+	body := func(tx *Tx) error {
+		if tx.state() == st {
+			reused = true
+		}
+		if _, err := tx.Do("c", CtrAdd{Delta: 1}); err != nil {
+			return err
+		}
+		return tx.Sub(func(sub *Tx) error {
+			_, err := sub.Do("c", CtrGet{})
+			return err
+		})
+	}
+	stale := func() {
+		if _, err := leaked.Do("c", CtrAdd{Delta: 1}); !errors.Is(err, ErrDone) {
+			t.Errorf("Do on a returned Tx: %v, want ErrDone", err)
+		}
+		if err := leaked.Sub(func(*Tx) error { return nil }); !errors.Is(err, ErrDone) {
+			t.Errorf("Sub on a returned Tx: %v, want ErrDone", err)
+		}
+		if err := leaked.Go(func(*Tx) error { return nil }).Wait(); !errors.Is(err, ErrDone) {
+			t.Errorf("Go on a returned Tx: %v, want ErrDone", err)
+		}
+		if c, err := leaked.Begin(); !errors.Is(err, ErrDone) {
+			t.Errorf("Begin on a returned Tx: %v, %v, want ErrDone", c, err)
+		}
+		if err := leaked.Commit(); !errors.Is(err, ErrDone) {
+			t.Errorf("Commit on a returned Tx: %v, want ErrDone", err)
+		}
+		leaked.Return(int64(-1))
+		leaked.Abort()
+		leaked.Cancel()
+		if leaked.ID() != id {
+			t.Errorf("a returned Tx's name changed from %s to %s", id, leaked.ID())
+		}
+	}
+	// Under -race sync.Pool drops a quarter of the states put back, and a
+	// dropped one is never reused: leak another until one is.
+	for try := 0; !reused; try++ {
+		if try == 20 {
+			t.Fatal("no transaction reused the state of any of 20 returned ones")
+		}
+		if err := m.Run(func(tx *Tx) error {
+			leaked, st = tx, tx.state()
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for range 1000 {
+			if err := m.Run(body); err != nil {
+				t.Fatal(err)
+			}
+			runs++
+		}
+	}
+	id = leaked.ID()
+	stale()
+
+	stop, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				stale()
+			}
+		}
+	}()
+	for i := range 1000 {
+		if err := m.Run(body); err != nil {
+			t.Errorf("transaction %d beside calls on a returned Tx: %v", i, err)
+		}
+		runs++
+	}
+	close(stop)
+	<-done
+	if c, _ := m.State("c"); c != (Counter{N: int64(runs)}) {
+		t.Errorf("c = %v, want %d", c, runs)
+	}
+}
+
 // TestUnknownObject: an access naming an unregistered object fails with
 // ErrUnknownObject — not ErrAborted, which would tell a server to answer
 // "aborted" for what is the caller's mistake — and leaves the transaction
