@@ -474,23 +474,11 @@ func (c *Client) Run(fn func(*Tx) error) error {
 // remote mirror of Manager.RunRetry. attempts values below 1 are
 // clamped to 1, so fn always runs at least once.
 func (c *Client) RunRetry(attempts int, fn func(*Tx) error) error {
-	return retry(attempts, isDeadlock, func() error { return c.Run(fn) })
+	return clock.Retry(clock.Real{}, attempts, retryBase, nil, isDeadlock, func() error { return c.Run(fn) })
 }
+
+// retryBase is the first backoff ceiling between RunRetry attempts, the
+// same schedule as the local runtime's: 50µs doubling to a 3.2ms cap.
+const retryBase = 50 * time.Microsecond
 
 func isDeadlock(err error) bool { return errors.Is(err, nestedtx.ErrDeadlock) }
-
-// retry runs try until it succeeds, fails with an error retryable does
-// not accept, or attempts (at least one) are used up; retryable is asked
-// only when another attempt remains. Between attempts it sleeps a
-// jittered, exponentially growing interval, so competing victims restart
-// out of phase (the same policy as the local runtime's retry helpers);
-// nothing is slept after the last.
-func retry(attempts int, retryable func(error) bool, try func() error) error {
-	for i := 0; ; i++ {
-		err := try()
-		if err == nil || i+1 >= attempts || !retryable(err) {
-			return err
-		}
-		time.Sleep(clock.Backoff(i, 50*time.Microsecond))
-	}
-}

@@ -69,8 +69,8 @@ type Pool struct {
 	lastProbe error  // outcome of the last round (nil = leader reachable)
 }
 
-// poolDialAttempts bounds one Get's redial loop; with jittered backoff
-// doubling from ~5ms the worst case waits well under a second.
+// poolDialAttempts bounds one Get's redials; the jittered waits between
+// them (5ms doubling) add up to at most 155ms.
 const poolDialAttempts = 6
 
 // NewPool is [NewReplicaPool] for a deployment of one server, addr.
@@ -174,34 +174,31 @@ func (p *Pool) Get() (*Client, error) {
 		c.Close()
 	}
 	// None idle (or all poisoned): replace with a fresh dial.
-	var lastErr error
-	for attempt := 0; attempt < poolDialAttempts; attempt++ {
+	var c *Client
+	err := clock.Retry(clock.Real{}, poolDialAttempts, 5*time.Millisecond, p.stop,
+		func(error) bool { return true },
+		func() (err error) { c, err = p.dialLeader(); return err })
+	if err != nil {
+		p.putToken()
 		select {
 		case <-p.stop:
-			p.putToken()
 			return nil, ErrPoolClosed
 		default:
 		}
-		c, err := p.dialLeader()
-		if err == nil {
-			p.mu.Lock()
-			if p.closed {
-				// Close won the race while we were dialling: a connection
-				// handed out now would never be torn down by Close.
-				p.mu.Unlock()
-				c.Close()
-				p.putToken()
-				return nil, ErrPoolClosed
-			}
-			p.redials++
-			p.mu.Unlock()
-			return c, nil
-		}
-		lastErr = err
-		p.backoff(attempt)
+		return nil, fmt.Errorf("%w: pool redial to %s failed: %v", ErrConnLost, p.Leader(), err)
 	}
-	p.putToken()
-	return nil, fmt.Errorf("%w: pool redial to %s failed: %v", ErrConnLost, p.Leader(), lastErr)
+	p.mu.Lock()
+	if p.closed {
+		// Close won the race while we were dialling: a connection handed
+		// out now would never be torn down by Close.
+		p.mu.Unlock()
+		c.Close()
+		p.putToken()
+		return nil, ErrPoolClosed
+	}
+	p.redials++
+	p.mu.Unlock()
+	return c, nil
 }
 
 // Put returns a borrowed connection. Poisoned connections, and
@@ -238,18 +235,6 @@ func (p *Pool) noteDiscard() {
 	p.mu.Lock()
 	p.discarded++
 	p.mu.Unlock()
-}
-
-// backoff sleeps a jittered, exponentially growing interval after the
-// attempt'th failed redial, interruptible by Close: 5ms doubling to a
-// 320ms cap.
-func (p *Pool) backoff(attempt int) {
-	t := time.NewTimer(clock.Backoff(attempt, 5*time.Millisecond))
-	defer t.Stop()
-	select {
-	case <-t.C:
-	case <-p.stop:
-	}
 }
 
 // Close tears the pool down: idle and replica connections close now,
@@ -339,7 +324,7 @@ func (p *Pool) RunReadOnly(fn func(*Snapshot) error) error {
 // while the failure is in the retry set the [Pool] doc names. attempts
 // values below 1 are clamped to 1.
 func (p *Pool) RunRetry(attempts int, fn func(*Tx) error) error {
-	return retry(attempts, p.retryable, func() error { return p.Run(fn) })
+	return clock.Retry(clock.Real{}, attempts, retryBase, nil, p.retryable, func() error { return p.Run(fn) })
 }
 
 // retryable is RunRetry's retry set. A lost connection or a read_only

@@ -3,6 +3,8 @@ package nestedtx
 import (
 	"context"
 	"errors"
+
+	"nestedtx/internal/clock"
 )
 
 // RunCtx is [Manager.Run] with context cancellation: if ctx is cancelled
@@ -41,19 +43,11 @@ func (m *Manager) RunCtx(ctx context.Context, fn func(*Tx) error) error {
 // clamped to 1: fn always executes at least once (unless ctx is already
 // cancelled on entry).
 func (m *Manager) RunRetryCtx(ctx context.Context, attempts int, fn func(*Tx) error) error {
-	for i := 0; ; i++ {
-		err := m.RunCtx(ctx, fn)
-		if !errors.Is(err, ErrDeadlock) || i+1 >= attempts {
-			return err
-		}
-		t := m.clk.NewTimer(backoffDur(i))
-		select {
-		case <-ctx.Done():
-			t.Stop()
-			return joinErrs(ctx.Err(), err)
-		case <-t.C():
-		}
+	err := clock.Retry(m.clk, attempts, retryBase, ctx.Done(), isDeadlock, func() error { return m.RunCtx(ctx, fn) })
+	if ctxErr := ctx.Err(); ctxErr != nil && err != nil && !errors.Is(err, ctxErr) {
+		err = joinErrs(ctxErr, err) // ctx ended a backoff, or ended after the last attempt
 	}
+	return err
 }
 
 // joinErrs merges a context error with the body's error, dropping the

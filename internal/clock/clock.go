@@ -1,13 +1,17 @@
-// Package clock is the runtime's time source: the [Clock] interface every
-// schedule-relevant sleep, timeout and backoff routes through, and [Real],
-// the wall clock production code gets by default.
+// Package clock is the runtime's time source and its one way to wait and
+// retry: the [Clock] interface (Now, Sleep and NewTimer) every
+// schedule-relevant sleep, timeout and backoff routes through; [Real],
+// the wall clock production code gets by default; [Backoff], the
+// jittered delay schedule; [Wait], the one interruptible wait; and
+// [Retry], the one retry loop every transaction runner and reconnect
+// loop uses.
 //
 // This package is on the runtime side of the layering line: stdlib only,
-// imported by the root nestedtx package, internal/wal, internal/repl and
-// internal/faultnet, and importing nothing of ours. The simulator's
-// event-queue implementation of the interface (Virtual) lives above the
-// line, in the simulator's own clock package under internal/dst, which
-// imports this package — never the reverse.
+// imported by the root nestedtx package, nestedtx/client, internal/wal,
+// internal/repl and internal/faultnet, and importing nothing of ours. The
+// simulator's event-queue implementation of the interface (Virtual)
+// lives above the line, in the simulator's own clock package under
+// internal/dst, which imports this package — never the reverse.
 package clock
 
 import (
@@ -19,11 +23,6 @@ import (
 type Clock interface {
 	// Now returns the current time on this clock.
 	Now() time.Time
-	// Since returns Now().Sub(t).
-	Since(t time.Time) time.Duration
-	// After returns a channel that delivers the clock's time once d has
-	// elapsed. d <= 0 fires immediately.
-	After(d time.Duration) <-chan time.Time
 	// Sleep blocks for d; d <= 0 returns immediately. On a virtual clock
 	// the block ends when virtual time reaches the deadline, regardless
 	// of wall time.
@@ -55,8 +54,7 @@ func Or(c Clock) Clock {
 // competing retriers restart out of phase. The delay — not the shift
 // count — is clamped, so out-of-range attempts (negative, or large
 // enough to overflow the shift) saturate at the cap instead of
-// panicking or going negative. How the delay is spent, and on which
-// clock, is the caller's business.
+// panicking or going negative.
 func Backoff(attempt int, base time.Duration) time.Duration {
 	delay := 64 * base // cap after 6 doublings
 	if attempt < 0 {
@@ -68,13 +66,44 @@ func Backoff(attempt int, base time.Duration) time.Duration {
 	return time.Duration(rand.Int63n(int64(delay)) + 1)
 }
 
+// Wait blocks on c for d, or until done is closed, and reports whether
+// it waited the whole d. A nil done never closes: Wait then calls
+// c.Sleep and makes no timer.
+func Wait(c Clock, d time.Duration, done <-chan struct{}) bool {
+	if done == nil {
+		c.Sleep(d)
+		return true
+	}
+	t := c.NewTimer(d)
+	select {
+	case <-t.C():
+		return true
+	case <-done:
+		t.Stop()
+		return false
+	}
+}
+
+// Retry runs try until it succeeds, fails with an error retryable does
+// not accept, or attempts are used up, and returns try's last error.
+// attempts below 1 are clamped to 1: try always runs at least once.
+// retryable is asked only when another attempt remains. Between attempts
+// Retry waits Backoff(i, base) on c through [Wait], never after the last
+// attempt; a close of done ends the wait and the loop.
+func Retry(c Clock, attempts int, base time.Duration, done <-chan struct{}, retryable func(error) bool, try func() error) error {
+	for i := 0; ; i++ {
+		err := try()
+		if err == nil || i+1 >= attempts || !retryable(err) || !Wait(c, Backoff(i, base), done) {
+			return err
+		}
+	}
+}
+
 // Real is the production clock: the wall clock, delegating to the time
 // package.
 type Real struct{}
 
-func (Real) Now() time.Time                         { return time.Now() }
-func (Real) Since(t time.Time) time.Duration        { return time.Since(t) }
-func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
+func (Real) Now() time.Time { return time.Now() }
 func (Real) Sleep(d time.Duration) {
 	if d > 0 {
 		time.Sleep(d)

@@ -82,16 +82,9 @@ func (v *Virtual) Now() time.Time {
 	return v.now
 }
 
-// Since returns the virtual time elapsed since t.
-func (v *Virtual) Since(t time.Time) time.Duration { return v.Now().Sub(t) }
-
-// After returns a channel delivering the virtual timestamp once virtual
-// time reaches now+d. d <= 0 fires immediately.
-func (v *Virtual) After(d time.Duration) <-chan time.Time {
-	_, ch := v.addWaiter(d)
-	return ch
-}
-
+// addWaiter parks a waiter on the heap for virtual time now+d and
+// returns it with the channel its firing is delivered on. d <= 0 (or a
+// stopped clock) fires at once.
 func (v *Virtual) addWaiter(d time.Duration) (*vwaiter, chan time.Time) {
 	ch := make(chan time.Time, 1)
 	v.mu.Lock()

@@ -12,9 +12,9 @@ import (
 func TestVirtualDeadlineOrder(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	t0 := v.Now()
-	c50 := v.After(50 * time.Millisecond)
-	c10 := v.After(10 * time.Millisecond)
-	c20 := v.After(20 * time.Millisecond)
+	c50 := v.NewTimer(50 * time.Millisecond).C()
+	c10 := v.NewTimer(10 * time.Millisecond).C()
+	c20 := v.NewTimer(20 * time.Millisecond).C()
 
 	if n := v.AdvanceToNext(); n != 1 {
 		t.Fatalf("first advance fired %d, want 1", n)
@@ -63,7 +63,7 @@ func TestVirtualSleepAutoAdvance(t *testing.T) {
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Fatalf("virtual sleep of %v took %v wall time", d, wall)
 	}
-	if got := v.Since(t0); got < d {
+	if got := v.Now().Sub(t0); got < d {
 		t.Fatalf("virtual time advanced %v, want >= %v", got, d)
 	}
 }
@@ -73,7 +73,7 @@ func TestVirtualSleepAutoAdvance(t *testing.T) {
 func TestVirtualTimerStop(t *testing.T) {
 	v := NewVirtual(time.Time{})
 	tm := v.NewTimer(10 * time.Millisecond)
-	keep := v.After(20 * time.Millisecond)
+	keep := v.NewTimer(20 * time.Millisecond).C()
 	if !tm.Stop() {
 		t.Fatal("Stop reported already fired")
 	}

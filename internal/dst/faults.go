@@ -141,7 +141,7 @@ func driveFaults(env *simEnv, plan *faultPlan, act faultActions) (wait func()) {
 		defer wg.Done()
 		start := env.clk.Now()
 		for _, ev := range plan.Events {
-			if d := ev.At - env.clk.Since(start); d > 0 {
+			if d := ev.At - env.clk.Now().Sub(start); d > 0 {
 				env.clk.Sleep(d)
 			}
 			switch ev.Kind {

@@ -291,10 +291,3 @@ func waitFor(limit time.Duration, cond func() bool) error {
 	}
 	return fmt.Errorf("timed out after %s", limit)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

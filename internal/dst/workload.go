@@ -459,10 +459,3 @@ func runScan(env *simEnv, m *nestedtx.Manager, spec TxSpec, rng *rand.Rand, st *
 // newSpecRNG derives the transaction-local random stream from a spec's
 // planned seed.
 func newSpecRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -293,22 +293,21 @@ func (tx *Tx) Abort() {
 }
 
 // Run executes fn as one transaction, committing on nil and aborting on
-// error; ErrTooLate aborts are retried with a fresh (later) timestamp up
-// to attempts times.
+// error; ErrTooLate aborts are retried at once with a fresh (later)
+// timestamp — there is no conflict to wait out — up to attempts times.
+// attempts below 1 are clamped to 1: fn always runs at least once.
 func (m *Manager) Run(attempts int, fn func(*Tx) error) error {
-	var err error
-	for i := 0; i < attempts; i++ {
+	for i := 1; ; i++ {
 		tx := m.Begin()
-		err = fn(tx)
+		err := fn(tx)
 		if err == nil {
 			return tx.Commit()
 		}
 		tx.Abort()
-		if !errors.Is(err, ErrTooLate) {
+		if !errors.Is(err, ErrTooLate) || i >= attempts {
 			return err
 		}
 	}
-	return err
 }
 
 // VerifySerializable independently checks the run: replaying every

@@ -219,6 +219,29 @@ func TestRunRetriesTooLate(t *testing.T) {
 	}
 }
 
+// TestRunClampsNonPositiveAttempts: a non-positive attempts runs fn once
+// and commits it, like every other runner; Run used to return nil
+// without running fn at all.
+func TestRunClampsNonPositiveAttempts(t *testing.T) {
+	for _, attempts := range []int{0, -1} {
+		m := newMgr(t)
+		runs := 0
+		if err := m.Run(attempts, func(tx *Tx) error {
+			runs++
+			_, err := tx.Write("Y", adt.CtrAdd{Delta: 1})
+			return err
+		}); err != nil {
+			t.Fatalf("attempts=%d: %v", attempts, err)
+		}
+		if runs != 1 {
+			t.Fatalf("attempts=%d: fn ran %d times, want 1", attempts, runs)
+		}
+		if s, _ := m.CurrentState("Y"); s.(adt.Counter).N != 1 {
+			t.Fatalf("attempts=%d: Y = %v, want 1 (the attempt must commit)", attempts, s)
+		}
+	}
+}
+
 func TestConcurrentStressSerializable(t *testing.T) {
 	m := New()
 	const objects = 4

@@ -44,7 +44,7 @@ type Follower struct {
 	opts wal.Options
 	log  *wal.Log
 	met  *obs.Metrics
-	clk  clock.Clock // reconnect-backoff time source (wal.Options.Clock)
+	clk  clock.Clock // link-health and reconnect-backoff time source (wal.Options.Clock)
 
 	mu   sync.Mutex
 	snap *snap.Store // the replicated committed states; swapped by installSnapshot
@@ -107,9 +107,9 @@ func (f *Follower) Run(leader string) error {
 	f.mu.Lock()
 	f.leader = leader
 	f.mu.Unlock()
-	attempt := 0
+	attempt := 0 // failed links since the last one that held up
 	for f.ctx.Err() == nil {
-		start := time.Now()
+		start := f.clk.Now()
 		err := f.stream(leader)
 		f.setDisconnected()
 		if f.ctx.Err() != nil {
@@ -118,24 +118,13 @@ func (f *Follower) Run(leader string) error {
 		if errors.Is(err, ErrDiverged) || errors.Is(err, errOwnLog) {
 			return err
 		}
-		if time.Since(start) > 5*time.Second {
+		if f.clk.Now().Sub(start) > 5*time.Second {
 			attempt = 0 // the link worked for a while; start backoff over
 		}
+		clock.Wait(f.clk, clock.Backoff(attempt, 50*time.Millisecond), f.ctx.Done())
 		attempt++
-		select {
-		case <-f.ctx.Done():
-		case <-f.clk.After(backoff(attempt)):
-		}
 	}
 	return nil
-}
-
-func backoff(attempt int) time.Duration {
-	d := 50 * time.Millisecond << uint(attempt-1)
-	if attempt > 6 || d > 2*time.Second {
-		return 2 * time.Second
-	}
-	return d
 }
 
 // stream runs one connection's worth of replication: dial, HELLO at the

@@ -21,8 +21,6 @@ type DriverConfig struct {
 	// AbortProb is the per-step probability that the scheduler chooses to
 	// abort some live transaction instead of a normal step.
 	AbortProb float64
-	// MaxSteps bounds the run (0 means a generous default).
-	MaxSteps int
 	// Mode selects read/write or exclusive lock classification for the
 	// concurrent run.
 	Mode core.Mode
@@ -36,7 +34,8 @@ type DriverConfig struct {
 	ContainOrphans bool
 }
 
-const defaultMaxSteps = 1 << 20
+// maxSteps bounds a run of either driver.
+const maxSteps = 1 << 20
 
 // RunConcurrent executes the R/W Locking system — scripted transactions,
 // M(X) objects, generic scheduler — resolving nondeterminism with the
@@ -122,11 +121,7 @@ func (d *concurrentDriver) run() (event.Schedule, error) {
 // or ok=false to end the run. Used by the seeded policy above and by the
 // exhaustive enumerator.
 func (d *concurrentDriver) runWith(pick func(cands, aborts []event.Event) (event.Event, bool)) (event.Schedule, error) {
-	max := d.cfg.MaxSteps
-	if max <= 0 {
-		max = defaultMaxSteps
-	}
-	for len(d.out) < max {
+	for len(d.out) < maxSteps {
 		cands := d.candidates()
 		aborts := d.abortCandidates()
 		e, ok := pick(cands, aborts)
@@ -137,7 +132,7 @@ func (d *concurrentDriver) runWith(pick func(cands, aborts []event.Event) (event
 			return d.out, fmt.Errorf("system: concurrent driver: %w", err)
 		}
 	}
-	return d.out, fmt.Errorf("system: concurrent driver: step budget %d exhausted", max)
+	return d.out, fmt.Errorf("system: concurrent driver: step budget %d exhausted", maxSteps)
 }
 
 // isOrphan reports whether some ancestor of t has been aborted.
@@ -412,7 +407,7 @@ func (sys *System) RunSerial(seed int64, abortProb float64) (event.Schedule, err
 		return ts
 	}
 
-	for steps := 0; steps < defaultMaxSteps; steps++ {
+	for steps := 0; steps < maxSteps; steps++ {
 		var cands []event.Event
 		// Transaction outputs.
 		for _, t := range sortedTxs() {

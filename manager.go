@@ -297,7 +297,7 @@ func (m *Manager) Run(fn func(*Tx) error) error { return m.Begin().run(fn) }
 // attempts to break victim livelock. attempts values below 1 are clamped
 // to 1: fn always executes at least once.
 func (m *Manager) RunRetry(attempts int, fn func(*Tx) error) error {
-	return m.retry(attempts, func() error { return m.Run(fn) })
+	return clock.Retry(m.clk, attempts, retryBase, nil, isDeadlock, func() error { return m.Run(fn) })
 }
 
 // commitTop runs the top-level commit sequence of transaction id, whose

@@ -287,28 +287,14 @@ func (tx *Tx) SubRetry(attempts int, fn func(*Tx) error) error {
 	}
 	m := s.mgr
 	s.mu.Unlock()
-	return m.retry(attempts, func() error { return tx.Sub(fn) })
+	return clock.Retry(m.clk, attempts, retryBase, nil, isDeadlock, func() error { return tx.Sub(fn) })
 }
 
-// retry runs try until it stops failing with ErrDeadlock or attempts are
-// used up, sleeping a jittered backoff in between. It tries at least
-// once: a non-positive attempts must not report success for a
-// transaction that never executed.
-func (m *Manager) retry(attempts int, try func() error) error {
-	for i := 0; ; i++ {
-		err := try()
-		if !errors.Is(err, ErrDeadlock) || i+1 >= attempts {
-			return err
-		}
-		m.clk.Sleep(backoffDur(i))
-	}
-}
+// retryBase is the first backoff ceiling between a deadlock victim's
+// attempts: the waits grow from 50µs to a 3.2ms cap.
+const retryBase = 50 * time.Microsecond
 
-// backoffDur returns the jittered backoff interval after the attempt'th
-// deadlock: uniform over (0, min(50µs·2^attempt, 3.2ms)].
-func backoffDur(attempt int) time.Duration {
-	return clock.Backoff(attempt, 50*time.Microsecond)
-}
+func isDeadlock(err error) bool { return errors.Is(err, ErrDeadlock) }
 
 // Handle is a concurrent subtransaction started by [Tx.Go].
 type Handle struct {
