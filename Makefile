@@ -41,6 +41,7 @@ bench:
 	$(GO) test -run XXX -bench 'RegisterUniverse/(counters=65536|durable)' -benchtime 20x .
 	$(GO) test -run XXX -bench 'RegisterUniverse/counters=64$$' -benchtime 20000x .
 	$(GO) test -run XXX -bench HotCounterReads -benchtime 200000x .
+	$(GO) test -run XXX -bench HotCounterWriteThenRead -benchtime 200000x .
 	$(GO) test -run XXX -bench 'NestedTree|GoTree' -benchtime 20000x .
 	$(GO) test -run XXX -bench LookupUniverse -benchtime 400000x .
 	$(GO) test -run XXX -bench E17SnapshotScans -benchtime 5x .

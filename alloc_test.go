@@ -259,6 +259,75 @@ func TestRepeatedReadAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestReadAfterWriteTakesTheWritesValue: an add returns the counter's new
+// total, which is what CtrGet reads from the state it leaves, so the lock
+// manager keeps the add's value as the read's and a read after the write
+// takes it without applying CtrGet. A transaction that adds to a counter
+// past 255 and reads it back then costs the add's two boxes, its new
+// state and its value, and no third for the read (3 when every write
+// cleared what the reads had kept). The manager first visits every
+// lock-manager stripe, as in TestRepeatedReadAllocatesNothing.
+func TestReadAfterWriteTakesTheWritesValue(t *testing.T) {
+	const N = 1 << 20
+	m := NewManager()
+	m.MustRegister("c", Counter{N: N})
+	addThenRead := func(tx *Tx) error {
+		w, err := tx.Do("c", CtrAdd{Delta: 1})
+		if err != nil {
+			return err
+		}
+		r, err := tx.Do("c", CtrGet{})
+		if err == nil && (r != w || w.(int64) <= N) {
+			err = fmt.Errorf("added to get %v, then read %v", w, r)
+		}
+		return err
+	}
+	run := func() {
+		if err := m.Run(addThenRead); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 1000 {
+		run()
+	}
+	n := testing.AllocsPerRun(200, run)
+	t.Logf("an add and a read of a counter past %d: %.1f allocations", N, n)
+	if slack := raceSlack + 2*raceTxDrop; n > 2+slack {
+		t.Errorf("an add and a read cost %.1f allocations, budget 2 + %.1f", n, slack)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEmptySnapshotAllocatesItsTxOnly: a read-only transaction keeps its
+// number, not its name, and formats "S<n>" only when asked (ID, an error,
+// a trace, a recording store's log), so one that reads nothing costs its
+// snap.Tx alone. The manager first runs past snapshot S100, whose names
+// no longer come from strconv's table; 3 when every pin made its name.
+func TestEmptySnapshotAllocatesItsTxOnly(t *testing.T) {
+	m := NewManager()
+	empty := func(*Snapshot) error { return nil }
+	run := func() {
+		if err := m.RunReadOnly(empty); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for range 200 {
+		run()
+	}
+	n := testing.AllocsPerRun(200, run)
+	t.Logf("an empty read-only transaction: %.1f allocations", n)
+	if n > 1 {
+		t.Errorf("an empty read-only transaction costs %.1f allocations, budget 1", n)
+	}
+	s := m.BeginSnapshot()
+	defer s.Close()
+	if id := s.ID(); id != "S401" {
+		t.Errorf("the 402nd snapshot is named %q, want S401", id)
+	}
+}
+
 // TestEverySubCostsOneSlot: every Tx is a slot of a shared chunk and
 // every child's state its parent's spare, so each Sub costs the bytes of
 // one Tx, txBytes, whatever the parent's child count. With the whole

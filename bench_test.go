@@ -284,6 +284,34 @@ func BenchmarkHotCounterReads(b *testing.B) {
 	}
 }
 
+// BenchmarkHotCounterWriteThenRead: transactions that each add 1 to one
+// of 64 counters past 255 and read it back. The add returns the new
+// total, which is what CtrGet reads, so the lock manager keeps it as the
+// read's value: allocs/op is the add's new state and its value, and no
+// box for the read.
+func BenchmarkHotCounterWriteThenRead(b *testing.B) {
+	m := nestedtx.NewManager()
+	names := make([]string, 64)
+	for i := range names {
+		names[i] = fmt.Sprintf("hot%02d", i)
+		m.MustRegister(names[i], nestedtx.Counter{N: 1 << 20})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		x := names[i%len(names)]
+		if err := m.Run(func(tx *nestedtx.Tx) error {
+			if _, err := tx.Do(x, nestedtx.CtrAdd{Delta: 1}); err != nil {
+				return err
+			}
+			_, err := tx.Do(x, nestedtx.CtrGet{})
+			return err
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkRecordingOverhead(b *testing.B) {
 	m := nestedtx.NewManager(nestedtx.WithRecording())
 	m.MustRegister("x", nestedtx.Counter{})

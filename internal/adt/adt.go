@@ -37,7 +37,10 @@ type Op interface {
 	// argument alone. For a ReadOnly op the successor must be the argument
 	// itself; so a ReadOnly op of a zero-size type, applied again to a
 	// version nothing has changed since, may be answered with the value it
-	// returned before, without calling Apply.
+	// returned before, without calling Apply. A write op may name such a
+	// read as its ReadBack: then the value the write returns is the value
+	// that read returns from the state the write leaves, and a read that
+	// follows the write may be answered with the write's value.
 	Apply(s State) (State, Value)
 	// ReadOnly classifies the access: true for read accesses, false for
 	// write accesses (Moss' algorithm takes no semantic assumptions about
@@ -45,6 +48,20 @@ type Op interface {
 	ReadOnly() bool
 	// String renders the operation for traces.
 	String() string
+}
+
+// ReadBacker is implemented by a write op whose return value is also a
+// read of the state it leaves: ReadBack returns that read, a ReadOnly op
+// of a zero-size type, so that for every state s
+//
+//	next, v := w.Apply(s)
+//	_, v2 := w.ReadBack().Apply(next)
+//
+// gives v == v2. CtrAdd returns the new total, which CtrGet reads back;
+// RegWrite returns the value it wrote, which RegRead reads back. An op
+// that returns anything else (the old value, a status) declares none.
+type ReadBacker interface {
+	ReadBack() Op
 }
 
 // --- Register ---------------------------------------------------------
@@ -71,6 +88,9 @@ func (w RegWrite) Apply(s State) (State, Value) { return Register{V: w.V}, w.V }
 func (RegWrite) ReadOnly() bool                 { return false }
 func (w RegWrite) String() string               { return fmt.Sprintf("write(%v)", w.V) }
 
+// ReadBack is RegRead: a write returns the value it wrote.
+func (RegWrite) ReadBack() Op { return RegRead{} }
+
 // --- Counter ----------------------------------------------------------
 
 // Counter is a monotonic-free integer counter.
@@ -94,6 +114,9 @@ func (a CtrAdd) Apply(s State) (State, Value) {
 }
 func (CtrAdd) ReadOnly() bool   { return false }
 func (a CtrAdd) String() string { return fmt.Sprintf("add(%d)", a.Delta) }
+
+// ReadBack is CtrGet: an add returns the new total.
+func (CtrAdd) ReadBack() Op { return CtrGet{} }
 
 // --- Set --------------------------------------------------------------
 

@@ -10,7 +10,9 @@ import (
 // TestReadOnlyOpsLeaveStateUnchanged is the property test behind the
 // lock-mode contract (and now the snapshot read path): for EVERY op the
 // package defines, ReadOnly() == true implies Apply returns the state
-// it was given, unchanged and deterministically. The op inventory below
+// it was given, unchanged and deterministically; and a write op that
+// names a ReadBack returns what that read, a zero-size read-only op,
+// returns from the state the write leaves. The op inventory below
 // must list every exported Op; the completeness check at the bottom
 // fails the test if a newly added op type is missing.
 func TestReadOnlyOpsLeaveStateUnchanged(t *testing.T) {
@@ -53,6 +55,15 @@ func TestReadOnlyOpsLeaveStateUnchanged(t *testing.T) {
 				covered[reflect.TypeOf(op)] = true
 				for _, s := range st[typ] {
 					next, v := op.Apply(s)
+					if rb, ok := op.(ReadBacker); ok {
+						r := rb.ReadBack()
+						if op.ReadOnly() || !r.ReadOnly() || reflect.TypeOf(r).Size() != 0 {
+							t.Fatalf("%T names %T as its read-back: a write must name a zero-size read", op, r)
+						}
+						if _, rv := r.Apply(next); !reflect.DeepEqual(v, rv) {
+							t.Fatalf("%v on %v returned %v, but its read-back %v reads %v", op, s, v, r, rv)
+						}
+					}
 					if !op.ReadOnly() {
 						continue
 					}

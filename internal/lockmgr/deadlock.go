@@ -43,10 +43,48 @@ import (
 
 // graphView enumerates wait-for edges from either one shard's records
 // (local, the shard's mutex held) or every shard's (escalated, all
-// mutexes held).
+// mutexes held), and walks them with w: the local shard's scratch, or
+// the manager's when escalated.
 type graphView struct {
 	m     *Manager
 	local *shard // nil in escalated mode
+	w     *walk
+}
+
+// walk is the scratch a deadlock walk reuses, so a walk that finds no
+// cycle allocates nothing once its buffers have grown: the transactions
+// it has reached (true while on the path), the path as a stack of
+// frames, the path's successor lists end to end, and the start list a
+// grant beside queued waiters builds. Each shard keeps one for its local
+// walks, guarded by its mutex; the manager keeps one for escalated
+// walks, which hold every shard mutex. The map is made by the first walk.
+type walk struct {
+	seen   map[tree.TID]bool
+	path   []frame
+	succ   []tree.TID
+	starts []tree.TID
+}
+
+// frame is one transaction on the walk's path: its successors are
+// succ[lo:end], and succ[next] is the one to follow next.
+type frame struct {
+	t             tree.TID
+	lo, next, end int
+}
+
+// maxKeptSeen is the most transactions a walk may have reached for its
+// map to be kept: clear costs a map's capacity, which never shrinks, so
+// one huge walk would otherwise tax every walk after it.
+const maxKeptSeen = 64
+
+// reset empties w for the next walk.
+func (w *walk) reset() {
+	if w.seen == nil || len(w.seen) > maxKeptSeen {
+		w.seen = make(map[tree.TID]bool)
+	} else {
+		clear(w.seen)
+	}
+	w.path, w.succ = w.path[:0], w.succ[:0]
 }
 
 // eachWaiter calls f on every queued waiter of top's tree the view sees,
@@ -117,50 +155,14 @@ func (ls *lockState) waitsFor(t tree.TID, write bool, buf []tree.TID) []tree.TID
 // shard — the local view might be missing edges of that node, so only
 // the all-shard walk can decide.
 func (g graphView) detect(starts []tree.TID) (victim *waiter, cycle []tree.TID, escalate bool) {
-	visited := map[tree.TID]bool{}
-	onPath := map[tree.TID]bool{}
-	var path []tree.TID
-	escalated := false
-	var dfs func(t tree.TID) []tree.TID
-	dfs = func(t tree.TID) []tree.TID {
-		if onPath[t] {
-			// Extract the cycle suffix.
-			for i, u := range path {
-				if u == t {
-					return append([]tree.TID(nil), path[i:]...)
-				}
-			}
-			return append([]tree.TID(nil), path...)
-		}
-		if visited[t] {
-			return nil
-		}
-		if g.local != nil && !g.m.treeConfined(topOf(t), g.local.id) {
-			escalated = true
-			return nil
-		}
-		visited[t] = true
-		onPath[t] = true
-		path = append(path, t)
-		for _, u := range g.succ(t, nil) {
-			if u == tree.Root {
-				continue
-			}
-			if c := dfs(u); c != nil || escalated {
-				return c
-			}
-		}
-		onPath[t] = false
-		path = path[:len(path)-1]
-		return nil
-	}
+	g.w.reset()
 	for _, s := range starts {
-		if cycle = dfs(s); cycle != nil || escalated {
+		if cycle, escalate = g.dfs(s); cycle != nil || escalate {
 			break
 		}
 	}
-	if escalated || cycle == nil {
-		return nil, nil, escalated
+	if escalate || cycle == nil {
+		return nil, nil, escalate
 	}
 	// Victim: the deepest transaction in the cycle that is actually
 	// waiting, breaking level ties in favour of the latest sibling —
@@ -177,6 +179,64 @@ func (g graphView) detect(starts []tree.TID) (victim *waiter, cycle []tree.TID, 
 		})
 	}
 	return victim, cycle, false
+}
+
+// dfs walks depth first from s, skipping what earlier walks of the same
+// detect reached, and returns the first cycle it closes — the path from
+// the transaction it reached again — or escalate.
+func (g graphView) dfs(s tree.TID) (cycle []tree.TID, escalate bool) {
+	w := g.w
+	if cycle, escalate = g.visit(s); cycle != nil || escalate {
+		return cycle, escalate
+	}
+	for len(w.path) > 0 {
+		f := &w.path[len(w.path)-1]
+		if f.next == f.end {
+			w.seen[f.t] = false
+			w.succ = w.succ[:f.lo]
+			w.path = w.path[:len(w.path)-1]
+			continue
+		}
+		u := w.succ[f.next]
+		f.next++
+		if u == tree.Root {
+			continue
+		}
+		if cycle, escalate = g.visit(u); cycle != nil || escalate {
+			return cycle, escalate
+		}
+	}
+	return nil, false
+}
+
+// visit reaches t: it returns the cycle t closes when t is on the path,
+// nothing when an earlier path reached it, escalate when t's tree waits
+// outside the local shard, and otherwise pushes t with its successors.
+func (g graphView) visit(t tree.TID) (cycle []tree.TID, escalate bool) {
+	w := g.w
+	onPath, seen := w.seen[t]
+	if onPath {
+		for i := range w.path {
+			if w.path[i].t == t {
+				cycle = make([]tree.TID, 0, len(w.path)-i)
+				for _, f := range w.path[i:] {
+					cycle = append(cycle, f.t)
+				}
+				return cycle, false
+			}
+		}
+	}
+	if seen {
+		return nil, false
+	}
+	if g.local != nil && !g.m.treeConfined(topOf(t), g.local.id) {
+		return nil, true
+	}
+	w.seen[t] = true
+	lo := len(w.succ)
+	w.succ = g.succ(t, w.succ)
+	w.path = append(w.path, frame{t: t, lo: lo, next: lo, end: len(w.succ)})
+	return nil, false
 }
 
 // elect makes w the victim of cycle: it leaves its queue and wakes to
@@ -214,7 +274,7 @@ func (e *deadlockError) Unwrap() error { return ErrDeadlock }
 // may leave the shard — the caller must then drop sh.mu and run
 // breakCyclesGlobal with the same starts. Caller holds sh.mu.
 func (sh *shard) breakCyclesLocked(starts []tree.TID) (escalate bool) {
-	g := graphView{m: sh.m, local: sh}
+	g := graphView{m: sh.m, local: sh, w: &sh.walk}
 	for {
 		victim, cycle, esc := g.detect(starts)
 		if esc {
@@ -235,7 +295,7 @@ func (m *Manager) breakCyclesGlobal(starts []tree.TID) {
 	for _, sh := range m.shards {
 		sh.mu.Lock()
 	}
-	g := graphView{m: m}
+	g := graphView{m: m, w: &m.walk}
 	for {
 		victim, cycle, _ := g.detect(starts)
 		if victim == nil {

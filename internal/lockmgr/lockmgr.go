@@ -108,6 +108,9 @@ type Manager struct {
 	shards      []*shard
 	stripes     []indexStripe
 	escalations atomic.Uint64
+	// walk is the scratch of the escalated deadlock walks, which hold
+	// every shard mutex.
+	walk walk
 }
 
 // indexStripe holds the cross-shard index for a slice of the top-level
@@ -438,17 +441,22 @@ func (m *Manager) Acquire(tx, access tree.TID, x string, op adt.Op, cancel inter
 			// edge the grant adds sources from a waiter already queued on
 			// this object, so those transactions are the only roots a new
 			// cycle can be found from.
-			var starts []tree.TID
+			var escalated []tree.TID
 			if len(ls.queue) > 0 {
-				starts = make([]tree.TID, 0, len(ls.queue))
+				starts := sh.walk.starts[:0]
 				for _, qw := range ls.queue {
 					starts = append(starts, qw.tx)
 				}
+				sh.walk.starts = starts
+				if sh.breakCyclesLocked(starts) {
+					// The shard's scratch is the next walk's once sh.mu
+					// is dropped, so the escalated walk gets a copy.
+					escalated = slices.Clone(starts)
+				}
 			}
-			escalate := len(starts) > 0 && sh.breakCyclesLocked(starts)
 			sh.mu.Unlock()
-			if escalate {
-				m.breakCyclesGlobal(starts)
+			if escalated != nil {
+				m.breakCyclesGlobal(escalated)
 			}
 			return v, nil
 		}

@@ -362,6 +362,64 @@ func TestGrantCompletesCycle(t *testing.T) {
 	}
 }
 
+// TestGrantBesideAQueuedWaiterAllocatesNothing: a grant on an object
+// with a queued waiter walks the wait-for graph from that waiter, since
+// the grant may have closed a cycle. The walk keeps its visited set, its
+// path, its successor lists and its start list on the shard, so once
+// they have grown a walk that finds no cycle allocates nothing. Here
+// T0.0 holds a read lock on x, T0.1 waits to write x, and T0.0 reads x
+// again: a memo hit, and a walk T0.1 → T0.0 that ends there. A walk that
+// made its maps, closure, successor buffers and start list afresh read 4.
+func TestGrantBesideAQueuedWaiterAllocatesNothing(t *testing.T) {
+	m := memoMgr(t, core.ReadWrite)
+	expect(t, m, "T0.0", "", "x", adt.CtrGet{}, int64(hot))
+	waited := make(chan error, 1)
+	go func() {
+		_, err := m.Acquire("T0.1", "", "x", adt.CtrAdd{Delta: 1}, nil)
+		waited <- err
+	}()
+	sh, ls := m.shardFor("x"), lockStateOf(m, "x")
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		sh.mu.Lock()
+		queued := len(ls.queue)
+		sh.mu.Unlock()
+		if queued == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("T0.1 never queued behind T0.0's read lock")
+		}
+	}
+	before := sh.stats.Acquires
+	read := func() {
+		if _, err := m.Acquire("T0.0", "", "x", adt.CtrGet{}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := testing.AllocsPerRun(100, read)
+	t.Logf("a grant beside a queued waiter: %.1f allocations", n)
+	if n != 0 {
+		t.Errorf("a grant beside a queued waiter allocates %.1f, want 0", n)
+	}
+	sh.mu.Lock()
+	grants, queued := sh.stats.Acquires-before, len(ls.queue)
+	sh.mu.Unlock()
+	if grants != 101 || queued != 1 {
+		t.Fatalf("%d grants with %d queued, want 101 beside the one waiter", grants, queued)
+	}
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	m.Commit("T0.0", nil)
+	if err := <-waited; err != nil {
+		t.Fatal(err)
+	}
+	m.Abort("T0.1")
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestVictimTieBreakNumeric pins the "latest sibling" victim choice: in a
 // level-tied cycle between T0.9 and T0.10 the victim must be T0.10. A
 // lexicographic tie-break gets this backwards ("T0.9" > "T0.10" as

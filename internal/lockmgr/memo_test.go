@@ -47,7 +47,8 @@ func expect(t testing.TB, m *Manager, tx, access tree.TID, x string, op adt.Op, 
 func lockStateOf(m *Manager, x string) *lockState { return m.lookup(x) }
 
 // TestReadAfterWriteSeesTheNewValue: a write replaces the version a read
-// was memoized on, so the next read is applied to the new one.
+// was memoized on, and leaves the memo its read-back — CtrGet and the
+// total the add returned — so the next read sees the new value.
 func TestReadAfterWriteSeesTheNewValue(t *testing.T) {
 	m := memoMgr(t, core.ReadWrite)
 	expect(t, m, "T0.0", "T0.0.0", "x", adt.CtrGet{}, int64(hot))
@@ -55,8 +56,8 @@ func TestReadAfterWriteSeesTheNewValue(t *testing.T) {
 		t.Fatal("a CtrGet left no memo")
 	}
 	expect(t, m, "T0.0", "T0.0.1", "x", adt.CtrAdd{Delta: 1}, int64(hot+1))
-	if lockStateOf(m, "x").memo.op != nil {
-		t.Fatal("a write left the memo of the version it replaced")
+	if memo := lockStateOf(m, "x").memo; memo != (readMemo{op: adt.CtrGet{}, v: int64(hot + 1)}) {
+		t.Fatalf("after an add to %d the memo is (%v, %v), want (get, %d)", hot, memo.op, memo.v, hot+1)
 	}
 	expect(t, m, "T0.0", "T0.0.2", "x", adt.CtrGet{}, int64(hot+1))
 	expect(t, m, "T0.0", "T0.0.3", "x", adt.CtrGet{}, int64(hot+1))
@@ -131,8 +132,8 @@ func TestUncomparableReadIsAppliedEveryTime(t *testing.T) {
 
 // TestExclusiveReaderKeepsTheMemo: under exclusive locking a read takes a
 // write lock, pushing or overwriting the top of the chain with the version
-// it found, so the memo stays; a write then clears it, and an abort of
-// the writer brings back the version below.
+// it found, so the memo stays; a write then replaces it with its
+// read-back, and an abort of the writer brings back the version below.
 func TestExclusiveReaderKeepsTheMemo(t *testing.T) {
 	m := memoMgr(t, core.Exclusive)
 	expect(t, m, "T0.0", "T0.0.0", "x", adt.CtrGet{}, int64(hot))
@@ -307,6 +308,62 @@ func TestUnpublishedTopLevelWriteIsGone(t *testing.T) {
 			expect(t, m, "T0.2", "T0.2.0", "x", adt.CtrGet{}, int64(hot+1))
 			if got := committed(m, "x"); got != (adt.Counter{N: hot + 1}) {
 				t.Fatalf("store's latest x = %v, want %d", got, hot+1)
+			}
+		})
+	}
+}
+
+// fetchAdd adds Delta and returns the total it found, yet names CtrGet as
+// its read-back: a declaration off by Delta, the mistake of a write whose
+// value is the old state.
+type fetchAdd struct{ Delta int64 }
+
+func (a fetchAdd) Apply(s adt.State) (adt.State, adt.Value) {
+	n := s.(adt.Counter).N
+	return adt.Counter{N: n + a.Delta}, n
+}
+func (fetchAdd) ReadOnly() bool   { return false }
+func (fetchAdd) String() string   { return "fetch-add" }
+func (fetchAdd) ReadBack() adt.Op { return adt.CtrGet{} }
+
+// misreadAdd is CtrAdd naming another type's read as its read-back.
+type misreadAdd struct{ adt.CtrAdd }
+
+func (misreadAdd) ReadBack() adt.Op { return adt.AcctBalance{} }
+func (misreadAdd) String() string   { return "misread-add" }
+
+// TestWrongReadBackIsCaught: a write op whose declared read-back does not
+// read back what it returned leaves a false memo. CheckInvariants applies
+// the memo's op to the current version and reports both kinds of lie;
+// the lockstep harness, which calls it after every step, fails on the
+// write, and on its own finds the read that returns the false value, for
+// M(X) applies every read.
+func TestWrongReadBackIsCaught(t *testing.T) {
+	for _, op := range []adt.Op{fetchAdd{Delta: 1}, misreadAdd{adt.CtrAdd{Delta: 1}}} {
+		t.Run(op.String(), func(t *testing.T) {
+			m := memoMgr(t, core.ReadWrite)
+			if _, err := m.Acquire("T0.0", "", "x", op, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CheckInvariants(); err == nil {
+				t.Fatalf("CheckInvariants passed a memo of %s's wrong read-back", op)
+			} else {
+				t.Log(err)
+			}
+
+			l := newLockstep(t, core.ReadWrite, 1, "x")
+			if _, err := l.access("T0.0", "T0.0.0", "x", op); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.check(); err == nil {
+				t.Fatalf("the lockstep check passed a memo of %s's wrong read-back", op)
+			}
+			_, err := l.access("T0.0", "T0.0.1", "x", adt.CtrGet{})
+			if _, lies := op.(fetchAdd); lies != (err != nil) {
+				t.Fatalf("a read after %s: error %v", op, err)
+			}
+			if err != nil {
+				t.Log(err)
 			}
 		})
 	}

@@ -35,7 +35,9 @@ type shard struct {
 	// freeReads are emptied read sets, kept for the next object that
 	// gains a first read-lockholder (see lockState.read).
 	freeReads []tree.Set
-	stats     Stats
+	// walk is the scratch of the deadlock walks that hold only mu.
+	walk  walk
+	stats Stats
 }
 
 // treeRec is everything one transaction tree has in one shard.
@@ -114,12 +116,15 @@ type lockState struct {
 	// back, so an object nobody reads holds no set.
 	read  tree.Set
 	queue []*waiter
-	// memo, when memo.op is set, is the value memo.op last returned from
+	// memo, when memo.op is set, is the value memo.op returns from
 	// current(). A read leaves the version as it found it and returns a
 	// function of it (§4.3), so an equal read takes memo.v without Apply.
-	// A non-read-only grant, a truncating discardWrites and a top-level
-	// commit of a mutated version nobody published clear it; a nested
-	// commit and an exclusive-mode read leave current() as it was.
+	// A memoizable read that is applied sets it; so does a write whose op
+	// names a memoizable read-back (adt.ReadBacker), to that read and the
+	// value the write returned, and any other write clears it. A
+	// truncating discardWrites and a top-level commit of a mutated version
+	// nobody published clear it too; a nested commit and an
+	// exclusive-mode read leave current() as it was.
 	memo readMemo
 	// base is the chain's first array: room for one top-level writer in
 	// the lock state's own allocation, so registering an object makes no
@@ -142,6 +147,19 @@ type readMemo struct {
 func memoizable(op adt.Op) bool {
 	t := reflect.TypeOf(op)
 	return op.ReadOnly() && t.Size() == 0 && t.Comparable()
+}
+
+// applyTo returns op's value on st, and an error where Apply panics: a
+// memo's op (a write's read-back among them) made for another type's
+// state.
+func applyTo(op adt.Op, st adt.State) (v adt.Value, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("%s does not apply to %s: %v", op, st, r)
+		}
+	}()
+	_, v = op.Apply(st)
+	return v, nil
 }
 
 // sameState reports whether a == b, and false where == could panic.
@@ -418,8 +436,9 @@ func (sh *shard) wakeQueuedLocked(ls *lockState) {
 
 // grantLocked applies op, grants the access its lock, and immediately
 // commits the access so the lock is inherited by tx. A read-only op equal
-// to the memo's takes the memo's value without being applied. Caller
-// holds sh.mu.
+// to the memo's takes the memo's value without being applied; a write
+// leaves the memo its read-back and the value it returned, or none.
+// Caller holds sh.mu.
 func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, write bool) adt.Value {
 	cur := ls.current()
 	readOnly := op.ReadOnly()
@@ -428,6 +447,11 @@ func (sh *shard) grantLocked(ls *lockState, tx, access tree.TID, op adt.Op, writ
 		next, v = op.Apply(cur)
 		if !readOnly {
 			ls.memo = readMemo{}
+			if rb, ok := op.(adt.ReadBacker); ok {
+				if r := rb.ReadBack(); memoizable(r) {
+					ls.memo = readMemo{op: r, v: v}
+				}
+			}
 		} else if memoizable(op) {
 			ls.memo = readMemo{op: op, v: v}
 		}
@@ -507,7 +531,11 @@ func (sh *shard) checkLocked(objs []*lockState) error {
 			if !memoizable(op) {
 				return fmt.Errorf("lockmgr: %s: memo keeps %s, not a read-only op of a comparable zero-size type", x, op)
 			}
-			if _, v := op.Apply(ls.current()); !reflect.DeepEqual(v, ls.memo.v) {
+			v, err := applyTo(op, ls.current())
+			if err != nil {
+				return fmt.Errorf("lockmgr: %s: memo keeps %s: %w", x, op, err)
+			}
+			if !reflect.DeepEqual(v, ls.memo.v) {
 				return fmt.Errorf("lockmgr: %s: memo says %s returns %v, the current version %s says %v", x, op, ls.memo.v, ls.current(), v)
 			}
 		}

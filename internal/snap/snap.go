@@ -116,11 +116,15 @@ type version struct {
 // own — the lock manager embeds an Object in each object's lock state,
 // so one lookup in the store's index finds both — and names that record
 // its owner, which Owner returns. Base makes records of its own, with no
-// owner. Filing starts the chain in first, at capacity one, so the first
-// publication to the object copies it out and nothing writes into first
-// after that. The name and the owner come last, so that a record which
-// embeds an Object first has them next to its own fields: a lookup
-// that goes on to the owner reads one run of memory.
+// owner. Filing starts the chain in first, at capacity one. A publication
+// that no pin and no unsettled publication can read behind overwrites a
+// one-version chain where it lies, in first or in an array an earlier
+// publication grew, so an object written only while nobody reads behind
+// it never leaves first. One that must keep the old version beside the
+// new appends, and the first such append copies the chain out of first.
+// The name and the owner come last, so that a record which embeds an
+// Object first has them next to its own fields: a lookup that goes on to
+// the owner reads one run of memory.
 type Object struct {
 	chain []version
 	first [1]version
@@ -329,7 +333,14 @@ func (s *Store) publishLocked(top string, updates map[string]adt.State, lsn uint
 		if o == nil {
 			panic("snap: object " + x + " published but never based")
 		}
-		o.chain = trim(append(o.chain, version{seq: s.seq, st: st}), floor)
+		v := version{seq: s.seq, st: st}
+		if len(o.chain) == 1 && floor >= s.seq {
+			// No pin and nothing unsettled can read the one version
+			// there is: trim would keep the new one alone.
+			o.chain[0] = v
+			continue
+		}
+		o.chain = trim(append(o.chain, v), floor)
 	}
 	if s.rec {
 		cp := make(map[string]adt.State, len(updates))
@@ -574,7 +585,7 @@ func (s *Store) TxLog() []TxEntry {
 type Tx struct {
 	pin Pin
 	met *obs.Metrics
-	id  string
+	n   uint64 // the transaction's number: ID formats it
 
 	mu   sync.Mutex
 	done bool
@@ -594,15 +605,24 @@ func (s *Store) Begin(met *obs.Metrics) *Tx {
 		rec = &TxEntry{Seq: seq, Pinned: s.tick}
 	}
 	s.mu.Unlock()
-	t := &Tx{pin: Pin{s: s, seq: seq}, met: obs.Or(met), id: "S" + strconv.FormatUint(n, 10), rec: rec}
+	t := &Tx{pin: Pin{s: s, seq: seq}, met: obs.Or(met), n: n, rec: rec}
 	t.met.SnapBegin()
-	t.met.Trace("SNAP_BEGIN", t.id, "", 0)
+	t.trace("SNAP_BEGIN")
 	return t
 }
 
 // ID returns the transaction's identifier (S0, S1, …); the namespace is
-// disjoint from the transaction tree's TIDs.
-func (t *Tx) ID() string { return t.id }
+// disjoint from the transaction tree's TIDs. It is formatted on each
+// call, so a transaction nobody names costs no string.
+func (t *Tx) ID() string { return "S" + strconv.FormatUint(t.n, 10) }
+
+// trace records kind for the transaction when its metrics trace, and
+// formats its ID only then.
+func (t *Tx) trace(kind string) {
+	if t.met.Tracer != nil {
+		t.met.Trace(kind, t.ID(), "", 0)
+	}
+}
 
 // Seq returns the pinned sequence number: the transaction observes
 // exactly the first Seq publications.
@@ -614,7 +634,7 @@ func (t *Tx) Seq() uint64 { return t.pin.seq }
 // registered at the pin point.
 func (t *Tx) Read(obj string, op adt.Op) (adt.Value, error) {
 	if !op.ReadOnly() {
-		return nil, fmt.Errorf("nestedtx: %s: operation %T is not read-only", t.id, op)
+		return nil, fmt.Errorf("nestedtx: %s: operation %T is not read-only", t.ID(), op)
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -624,7 +644,7 @@ func (t *Tx) Read(obj string, op adt.Op) (adt.Value, error) {
 	start := time.Now()
 	st, err := t.pin.Read(obj)
 	if err != nil {
-		return nil, fmt.Errorf("nestedtx: %s: %w", t.id, err)
+		return nil, fmt.Errorf("nestedtx: %s: %w", t.ID(), err)
 	}
 	_, v := op.Apply(st)
 	t.met.ObserveSnapRead(time.Since(start))
@@ -645,9 +665,9 @@ func (t *Tx) Close() error {
 	t.mu.Unlock()
 	t.pin.Release()
 	t.met.SnapPinned.Add(-1)
-	t.met.Trace("SNAP_END", t.id, "", 0)
+	t.trace("SNAP_END")
 	if t.rec != nil {
-		t.rec.ID = t.id
+		t.rec.ID = t.ID()
 		s := t.pin.s
 		s.mu.Lock()
 		s.done = append(s.done, *t.rec)

@@ -3,6 +3,7 @@ package snap
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"nestedtx/internal/adt"
+	"nestedtx/internal/obs"
 )
 
 func ctr(n int64) adt.State { return adt.Counter{N: n} }
@@ -98,6 +100,112 @@ func TestFirstPublishLeavesItsNeighboursAlone(t *testing.T) {
 	p0.Release()
 	p1.Release()
 	p2.Release()
+}
+
+// TestWriteNobodyReadsBehindHoldsNothing: a publication that no pin and
+// no unsettled publication can read behind overwrites a one-version chain
+// where it lies, in the record's own first slot, so writing each of
+// 65,536 objects once holds no byte and makes no allocation. Copying each
+// chain out into a two-version array held 48 B and made one allocation
+// per object. A pinned or unsettled publication still keeps the old
+// version beside the new, for the reader behind it.
+func TestWriteNobodyReadsBehindHoldsNothing(t *testing.T) {
+	const objects = 1 << 16
+	s := New(false)
+	names := make([]string, objects)
+	states := make([]adt.State, 2*objects) // boxed up front, and kept
+	for i := range names {
+		names[i] = fmt.Sprintf("c%05d", i)
+		states[2*i], states[2*i+1] = ctr(int64(i)+1000), ctr(int64(i)+2000)
+		s.Base(names[i], states[2*i])
+	}
+	up := map[string]adt.State{}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i, x := range names {
+		clear(up)
+		up[x] = states[2*i+1]
+		s.Publish("T", up)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	held := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / objects
+	mallocs := float64(after.Mallocs-before.Mallocs) / objects
+	t.Logf("one write to each of %d objects: %.1f B held and %.3f mallocs per object", objects, held, mallocs)
+	if held > 2 || mallocs > 0.01 {
+		t.Errorf("one write per object holds %.1f B and makes %.3f mallocs per object, budget 2 B and 0.01", held, mallocs)
+	}
+	runtime.KeepAlive(states)
+	if n := s.Versions(); n != objects {
+		t.Fatalf("%d versions after one write to each of %d objects, want one each", n, objects)
+	}
+	for i, x := range names[:3] {
+		if st, err := s.Head(x); err != nil || st != states[2*i+1] {
+			t.Fatalf("Head(%s) = %v, %v; want %v", x, st, err, states[2*i+1])
+		}
+	}
+
+	// Behind a pin, and behind an unsettled publication, the old version
+	// stays.
+	p := s.Acquire()
+	s.Publish("T", map[string]adt.State{names[0]: ctr(7)})
+	if st, _ := p.Read(names[0]); st != states[1] {
+		t.Fatalf("a pin taken before the write reads %v, want %v", st, states[1])
+	}
+	p.Release()
+	s.Stage("T", map[string]adt.State{names[1]: ctr(8)}, 1)
+	if st, _ := s.Head(names[1]); st != states[3] {
+		t.Fatalf("Head reads %v behind an unsettled write, want %v", st, states[3])
+	}
+	if n := s.Versions(); n != objects+2 {
+		t.Fatalf("%d versions after a pinned and an unsettled write, want %d", n, objects+2)
+	}
+	s.Settle(2)
+	if st, _ := s.Head(names[1]); st != ctr(8) {
+		t.Fatalf("Head reads %v once the write settled, want %v", st, ctr(8))
+	}
+}
+
+// TestPinNamesItselfOnlyWhenAsked: a read-only transaction keeps its
+// number and formats S<n> for ID, for an error, for a recording store's
+// log and for a trace, and only for a trace when its metrics have a
+// tracer: an untraced pin allocates its Tx and nothing else.
+func TestPinNamesItselfOnlyWhenAsked(t *testing.T) {
+	s := New(true)
+	s.Base("x", ctr(300))
+	met := &obs.Metrics{Tracer: obs.NewTracer(8)}
+	for range 101 {
+		s.Begin(nil).Close()
+	}
+	tx := s.Begin(met)
+	if id := tx.ID(); id != "S101" {
+		t.Fatalf("the 102nd read-only transaction is %q, want S101", id)
+	}
+	if _, err := tx.Read("y", adt.CtrGet{}); err == nil || !strings.Contains(err.Error(), "S101") {
+		t.Fatalf("a read of an unknown object fails with %v, want it to name S101", err)
+	}
+	tx.Close()
+	var traced []string
+	for _, e := range met.Tracer.Dump() {
+		traced = append(traced, e.Kind+" "+e.T)
+	}
+	if want := []string{"SNAP_BEGIN S101", "SNAP_END S101"}; !slices.Equal(traced, want) {
+		t.Fatalf("traced %q, want %q", traced, want)
+	}
+	if log := s.TxLog(); len(log) != 102 || log[101].ID != "S101" {
+		t.Fatalf("the log holds %d transactions, the last %+v; want 102, the last S101", len(log), log[len(log)-1])
+	}
+
+	untraced := New(false)
+	untraced.Base("x", ctr(300))
+	quiet := new(obs.Metrics)
+	for range 200 {
+		untraced.Begin(quiet).Close()
+	}
+	if n := testing.AllocsPerRun(100, func() { untraced.Begin(quiet).Close() }); n != 1 {
+		t.Fatalf("an untraced pin allocates %.1f, want its Tx alone", n)
+	}
 }
 
 // TestObjectChunkFillsItsSizeClass: a chunk of objectChunk records and
