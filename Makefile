@@ -114,10 +114,13 @@ metrics-smoke:
 	./scripts/metrics_smoke.sh
 
 # The experiment, verifier and trace tools still run end to end: one
-# small txsim experiment, 24 random verified systems, one trace.
+# small txsim experiment, 24 random verified systems, the first 2,000
+# enumerated schedules in each lock mode, one trace.
 tools-smoke:
 	$(GO) run ./cmd/txsim -exp e7
 	$(GO) run ./cmd/txverify -runs 24
+	$(GO) run ./cmd/txverify -exhaustive -limit 2000
+	$(GO) run ./cmd/txverify -exhaustive -limit 2000 -exclusive
 	$(GO) run ./cmd/txtrace -seed 1 >/dev/null
 
 # The number every simplicity PR quotes: non-test Go lines outside bench/.

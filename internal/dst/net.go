@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -212,26 +211,9 @@ func counterState(st nestedtx.State, err error) (int64, error) {
 // specs run remote read-only snapshots.
 func runNetSpecs(env *simEnv, pool *client.Pool, specs []TxSpec) (execStats, error) {
 	var st execStats
-	var wg sync.WaitGroup
-	jobs := make(chan TxSpec)
-	for w := 0; w < env.scn.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for spec := range jobs {
-				runNetSpec(env, pool, spec, &st)
-				if env.scn.ThinkMax > 0 {
-					env.clk.Sleep(time.Duration(spec.Seed % int64(env.scn.ThinkMax)))
-				}
-			}
-		}()
-	}
-	for _, s := range specs {
-		jobs <- s
-	}
-	close(jobs)
-	wg.Wait()
-	return st, nil
+	err := runPool(env, specs, func(spec TxSpec) error { runNetSpec(env, pool, spec, &st); return nil },
+		func(spec TxSpec) time.Duration { return time.Duration(spec.Seed % int64(env.scn.ThinkMax)) })
+	return st, err
 }
 
 func runNetSpec(env *simEnv, pool *client.Pool, spec TxSpec, st *execStats) {

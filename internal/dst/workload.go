@@ -221,13 +221,24 @@ type execStats struct {
 	Seen      int64 // largest txctr a snapshot scan read (Crash scenarios)
 }
 
-// runSpecs drives the plan through an embedded manager with
-// scn.Workers goroutines. Spec-to-worker assignment is racy on
-// purpose — the interleaving is the input the checker adjudicates.
-// A non-nil invariant error (bank conservation broken inside a
-// snapshot) aborts the run.
+// runSpecs drives the plan through an embedded manager. A non-nil
+// invariant error (bank conservation broken inside a snapshot) aborts
+// the run.
 func runSpecs(env *simEnv, m *nestedtx.Manager, specs []TxSpec) (execStats, error) {
 	var st execStats
+	err := runPool(env, specs, func(spec TxSpec) error { return runSpec(env, m, spec, &st) },
+		func(spec TxSpec) time.Duration {
+			return time.Duration(rand.New(rand.NewSource(spec.Seed ^ 0x5eed)).Int63n(int64(env.scn.ThinkMax)))
+		})
+	return st, err
+}
+
+// runPool hands specs to env.scn.Workers goroutines. Spec-to-worker
+// assignment is racy on purpose — the interleaving is the input the
+// checker adjudicates. After each spec a worker sleeps think(spec) of
+// simulated time when ThinkMax is set. It returns the first error a spec
+// returned.
+func runPool(env *simEnv, specs []TxSpec, run func(TxSpec) error, think func(TxSpec) time.Duration) error {
 	var firstErr atomic.Value
 	jobs := make(chan TxSpec)
 	var wg sync.WaitGroup
@@ -236,11 +247,11 @@ func runSpecs(env *simEnv, m *nestedtx.Manager, specs []TxSpec) (execStats, erro
 		go func() {
 			defer wg.Done()
 			for spec := range jobs {
-				if err := runSpec(env, m, spec, &st); err != nil {
+				if err := run(spec); err != nil {
 					firstErr.CompareAndSwap(nil, err) //nolint:errcheck
 				}
 				if env.scn.ThinkMax > 0 {
-					env.clk.Sleep(time.Duration(rand.New(rand.NewSource(spec.Seed ^ 0x5eed)).Int63n(int64(env.scn.ThinkMax))))
+					env.clk.Sleep(think(spec))
 				}
 			}
 		}()
@@ -250,10 +261,8 @@ func runSpecs(env *simEnv, m *nestedtx.Manager, specs []TxSpec) (execStats, erro
 	}
 	close(jobs)
 	wg.Wait()
-	if err, ok := firstErr.Load().(error); ok && err != nil {
-		return st, err
-	}
-	return st, nil
+	err, _ := firstErr.Load().(error)
+	return err
 }
 
 // runSpec executes one planned transaction. Commit/abort losses from

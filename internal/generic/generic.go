@@ -12,56 +12,20 @@ import (
 	"fmt"
 
 	"nestedtx/internal/event"
+	"nestedtx/internal/serial"
 	"nestedtx/internal/tree"
 )
 
 // Scheduler is the generic scheduler automaton's state: the same six sets
-// as the serial scheduler, but with the §5.2 (weaker) preconditions.
-type Scheduler struct {
-	createRequested tree.Set
-	created         tree.Set
-	commitRequested map[tree.TID]event.Value
-	committed       tree.Set
-	aborted         tree.Set
-	returned        tree.Set
-}
+// as the serial scheduler, with the same effects, under the §5.2 (weaker)
+// preconditions.
+type Scheduler = serial.Scheduler
 
-// NewScheduler returns the scheduler in its initial state.
-func NewScheduler() *Scheduler {
-	return &Scheduler{
-		createRequested: tree.NewSet(tree.Root),
-		created:         tree.NewSet(),
-		commitRequested: make(map[tree.TID]event.Value),
-		committed:       tree.NewSet(),
-		aborted:         tree.NewSet(),
-		returned:        tree.NewSet(),
-	}
-}
+// NewScheduler returns the generic scheduler in its initial state.
+func NewScheduler() *Scheduler { return serial.New(enabled) }
 
-// Committed reports whether COMMIT(t) has occurred.
-func (s *Scheduler) Committed(t tree.TID) bool { return s.committed.Has(t) }
-
-// Aborted reports whether ABORT(t) has occurred.
-func (s *Scheduler) Aborted(t tree.TID) bool { return s.aborted.Has(t) }
-
-// Created reports whether CREATE(t) has occurred.
-func (s *Scheduler) Created(t tree.TID) bool { return s.created.Has(t) }
-
-// Returned reports whether t has returned (committed or aborted).
-func (s *Scheduler) Returned(t tree.TID) bool { return s.returned.Has(t) }
-
-// CreateRequested reports whether REQUEST_CREATE(t) has occurred (or t is
-// the root).
-func (s *Scheduler) CreateRequested(t tree.TID) bool { return s.createRequested.Has(t) }
-
-// CommitRequested returns the requested commit value for t.
-func (s *Scheduler) CommitRequested(t tree.TID) (event.Value, bool) {
-	v, ok := s.commitRequested[t]
-	return v, ok
-}
-
-// Enabled checks the §5.2 precondition of e in the current state.
-func (s *Scheduler) Enabled(e event.Event) error {
+// enabled is the generic scheduler's precondition set (§5.2).
+func enabled(s *Scheduler, e event.Event) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("generic scheduler: %s: %s", e, fmt.Sprintf(format, args...))
 	}
@@ -69,10 +33,10 @@ func (s *Scheduler) Enabled(e event.Event) error {
 	case event.RequestCreate, event.RequestCommit:
 		return nil // inputs always enabled
 	case event.Create:
-		if !s.createRequested.Has(e.T) {
+		if !s.CreateRequested(e.T) {
 			return fail("creation not requested")
 		}
-		if s.created.Has(e.T) {
+		if s.Created(e.T) {
 			return fail("already created")
 		}
 		return nil
@@ -81,13 +45,13 @@ func (s *Scheduler) Enabled(e event.Event) error {
 		if t == tree.Root {
 			return fail("the root does not commit")
 		}
-		if _, ok := s.commitRequested[t]; !ok {
+		if _, ok := s.CommitValue(t); !ok {
 			return fail("commit not requested")
 		}
-		if s.returned.Has(t) {
+		if s.Returned(t) {
 			return fail("already returned")
 		}
-		if c, ok := s.requestedChildNotReturned(t); ok {
+		if c, ok := s.RequestedChildNotReturned(t); ok {
 			return fail("child %s requested but not returned", c)
 		}
 		return nil
@@ -96,110 +60,37 @@ func (s *Scheduler) Enabled(e event.Event) error {
 		if t == tree.Root {
 			return fail("the root does not abort")
 		}
-		if !s.createRequested.Has(t) {
+		if !s.CreateRequested(t) {
 			return fail("creation not requested")
 		}
-		if s.returned.Has(t) {
+		if s.Returned(t) {
 			return fail("already returned")
 		}
 		return nil
 	case event.ReportCommit:
-		if !s.committed.Has(e.T) {
+		if !s.Committed(e.T) {
 			return fail("not committed")
 		}
-		if v, ok := s.commitRequested[e.T]; !ok || v != e.Value {
+		if v, ok := s.CommitValue(e.T); !ok || v != e.Value {
 			return fail("value %v was not the requested commit value", e.Value)
 		}
 		return nil
 	case event.ReportAbort:
-		if !s.aborted.Has(e.T) {
+		if !s.Aborted(e.T) {
 			return fail("not aborted")
 		}
 		return nil
 	case event.InformCommitAt:
-		if !s.committed.Has(e.T) {
+		if !s.Committed(e.T) {
 			return fail("not committed")
 		}
 		return nil
 	case event.InformAbortAt:
-		if !s.aborted.Has(e.T) {
+		if !s.Aborted(e.T) {
 			return fail("not aborted")
 		}
 		return nil
 	default:
 		return fail("unknown operation kind")
 	}
-}
-
-func (s *Scheduler) requestedChildNotReturned(t tree.TID) (tree.TID, bool) {
-	for u := range s.createRequested {
-		if u.Parent() == t && !s.returned.Has(u) {
-			return u, true
-		}
-	}
-	return "", false
-}
-
-// Apply performs the state change of e. Callers should check Enabled first
-// for output operations.
-func (s *Scheduler) Apply(e event.Event) {
-	switch e.Kind {
-	case event.RequestCreate:
-		s.createRequested.Add(e.T)
-	case event.RequestCommit:
-		if _, ok := s.commitRequested[e.T]; !ok {
-			s.commitRequested[e.T] = e.Value
-		}
-	case event.Create:
-		s.created.Add(e.T)
-	case event.Commit:
-		s.committed.Add(e.T)
-		s.returned.Add(e.T)
-	case event.Abort:
-		s.aborted.Add(e.T)
-		s.returned.Add(e.T)
-	}
-}
-
-// Step checks e's precondition and applies it.
-func (s *Scheduler) Step(e event.Event) error {
-	if err := s.Enabled(e); err != nil {
-		return err
-	}
-	s.Apply(e)
-	return nil
-}
-
-// PendingCreates returns transactions whose creation is requested but which
-// have neither been created nor returned.
-func (s *Scheduler) PendingCreates() []tree.TID {
-	var out []tree.TID
-	for t := range s.createRequested {
-		if !s.created.Has(t) && !s.returned.Has(t) {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// CommittableTransactions returns transactions whose COMMIT is enabled.
-func (s *Scheduler) CommittableTransactions() []tree.TID {
-	var out []tree.TID
-	for t := range s.commitRequested {
-		if s.Enabled(event.Event{Kind: event.Commit, T: t}) == nil {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// AbortableTransactions returns transactions whose ABORT is enabled.
-func (s *Scheduler) AbortableTransactions() []tree.TID {
-	var out []tree.TID
-	for t := range s.createRequested {
-		if t != tree.Root && !s.returned.Has(t) {
-			out = append(out, t)
-		}
-	}
-	return out
 }

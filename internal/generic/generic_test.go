@@ -132,8 +132,8 @@ func TestQueries(t *testing.T) {
 	if n := len(s.AbortableTransactions()); n != 2 {
 		t.Fatalf("abortable = %d", n) // T0.0 and T0.1 (not the root)
 	}
-	if v, ok := s.CommitRequested("T0.0"); !ok || v != int64(1) {
-		t.Fatal("CommitRequested")
+	if v, ok := s.CommitValue("T0.0"); !ok || v != int64(1) {
+		t.Fatal("CommitValue")
 	}
 	if !s.CreateRequested("T0.1") || s.CreateRequested("T0.7") {
 		t.Fatal("CreateRequested")

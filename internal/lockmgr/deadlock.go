@@ -216,15 +216,17 @@ func (g graphView) visit(t tree.TID) (cycle []tree.TID, escalate bool) {
 	w := g.w
 	onPath, seen := w.seen[t]
 	if onPath {
-		for i := range w.path {
-			if w.path[i].t == t {
-				cycle = make([]tree.TID, 0, len(w.path)-i)
-				for _, f := range w.path[i:] {
-					cycle = append(cycle, f.t)
-				}
-				return cycle, false
-			}
+		// The flag is the record of being on the path; the scan only
+		// finds where the cycle starts.
+		i := len(w.path) - 1
+		for i > 0 && w.path[i].t != t {
+			i--
 		}
+		cycle = make([]tree.TID, 0, len(w.path)-i)
+		for _, f := range w.path[i:] {
+			cycle = append(cycle, f.t)
+		}
+		return cycle, false
 	}
 	if seen {
 		return nil, false

@@ -362,6 +362,80 @@ func TestGrantCompletesCycle(t *testing.T) {
 	}
 }
 
+// TestWaitDiamondIsNoCycle: two wait paths lead into one transaction, and
+// that is not a cycle. T0.2 and T0.3 read X and then wait to read Y, which
+// T0.4 writes; T0.1 waits to write X behind both readers. The walk from
+// T0.1 reaches T0.4 through T0.2, finishes it, and reaches it again
+// through T0.3: a walk that left the finished T0.4 on its path would
+// read the second arrival as a cycle and elect a victim. One shard keeps
+// every walk inside the waiter's critical section, so once T0.1 is seen
+// queued the walk its wait started is over.
+func TestWaitDiamondIsNoCycle(t *testing.T) {
+	m := NewSharded(nil, core.ReadWrite, nil, 1)
+	for _, x := range []string{"X", "Y"} {
+		if err := m.Register(x, adt.NewRegister(int64(0))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acquire := func(tx tree.TID, x string, op adt.Op) {
+		t.Helper()
+		if _, err := m.Acquire(tx, "", x, op, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	acquire("T0.4", "Y", adt.RegWrite{V: int64(4)})
+	acquire("T0.2", "X", adt.RegRead{})
+	acquire("T0.3", "X", adt.RegRead{})
+	errs := make(map[tree.TID]chan error)
+	wait := func(tx tree.TID, x string, op adt.Op, queued int) {
+		t.Helper()
+		ch := make(chan error, 1)
+		errs[tx] = ch
+		go func() {
+			_, err := m.Acquire(tx, "", x, op, nil)
+			ch <- err
+		}()
+		for deadline := time.Now().Add(5 * time.Second); m.queueDepth(x) < queued; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never queued on %s", tx, x)
+			}
+		}
+	}
+	wait("T0.2", "Y", adt.RegRead{}, 1)
+	wait("T0.3", "Y", adt.RegRead{}, 2)
+	wait("T0.1", "X", adt.RegWrite{V: int64(1)}, 1)
+	for tx, ch := range errs {
+		select {
+		case err := <-ch:
+			t.Fatalf("%s returned %v while T0.4 still holds Y", tx, err)
+		default:
+		}
+	}
+	if n := m.Stats().Deadlocks; n != 0 {
+		t.Fatalf("%d victims elected in a wait-for graph with no cycle", n)
+	}
+	granted := func(tx tree.TID) {
+		t.Helper()
+		select {
+		case err := <-errs[tx]:
+			if err != nil {
+				t.Fatalf("%s: %v", tx, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s never granted", tx)
+		}
+	}
+	commitTop(m, "T0.4")
+	granted("T0.2")
+	granted("T0.3")
+	commitTop(m, "T0.2")
+	commitTop(m, "T0.3")
+	granted("T0.1")
+	if err := m.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestGrantBesideAQueuedWaiterAllocatesNothing: a grant on an object
 // with a queued waiter walks the wait-for graph from that waiter, since
 // the grant may have closed a cycle. The walk keeps its visited set, its

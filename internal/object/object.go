@@ -56,8 +56,9 @@ func (b *Basic) Name() string { return b.x }
 // State returns the current data-type instance.
 func (b *Basic) State() adt.State { return b.state }
 
-// Pending returns the pending accesses in creation order.
-func (b *Basic) Pending() []tree.TID {
+// EnabledAccesses returns the pending accesses in creation order: a basic
+// object may respond to any of them.
+func (b *Basic) EnabledAccesses() []tree.TID {
 	out := make([]tree.TID, len(b.pending))
 	copy(out, b.pending)
 	return out

@@ -43,7 +43,7 @@ func TestBasicLifecycle(t *testing.T) {
 	if err := b.Create(ws[0]); err == nil {
 		t.Fatal("duplicate create must fail")
 	}
-	if len(b.Pending()) != 1 {
+	if len(b.EnabledAccesses()) != 1 {
 		t.Fatal("one pending access expected")
 	}
 	e, err := b.Respond(ws[0])

@@ -1,5 +1,5 @@
-// Package serial implements the serial scheduler (§3.3) and the serial
-// system validator (§3.4).
+// Package serial implements the serial scheduler (§3.3), whose state the
+// generic scheduler (§5.2) shares, and the serial system validator (§3.4).
 //
 // The serial scheduler is the one fully specified automaton of the serial
 // system: it runs the children of each transaction sequentially (no
@@ -12,15 +12,22 @@ package serial
 
 import (
 	"fmt"
+	"maps"
 
 	"nestedtx/internal/event"
 	"nestedtx/internal/object"
 	"nestedtx/internal/tree"
 )
 
-// Scheduler is the serial scheduler automaton's state: six sets, exactly
-// as in §3.3. commitRequested maps each transaction to its requested value.
+// Scheduler is a scheduler automaton's state: the six sets of §3.3,
+// commitRequested mapping each transaction to its requested value. The
+// generic scheduler of §5.2 has the same state and the same effects and
+// differs only in its preconditions, so both schedulers are this type,
+// each with its own precondition set: enabled below, and
+// generic.NewScheduler's.
 type Scheduler struct {
+	pre Preconditions
+
 	createRequested tree.Set
 	created         tree.Set
 	commitRequested map[tree.TID]event.Value
@@ -33,10 +40,20 @@ type Scheduler struct {
 	requestedOpen map[tree.TID]int // children create-requested but not returned
 }
 
-// NewScheduler returns the scheduler in its initial state: create-requested
-// = {T0}, all other sets empty.
-func NewScheduler() *Scheduler {
+// Preconditions is a scheduler's precondition set: it checks e against
+// s's state. Input operations (REQUEST_CREATE, REQUEST_COMMIT) are always
+// enabled; for output operations the error explains which precondition
+// fails.
+type Preconditions func(s *Scheduler, e event.Event) error
+
+// NewScheduler returns the serial scheduler in its initial state.
+func NewScheduler() *Scheduler { return New(enabled) }
+
+// New returns a scheduler with preconditions pre in its initial state:
+// create-requested = {T0}, all other sets empty.
+func New(pre Preconditions) *Scheduler {
 	return &Scheduler{
+		pre:             pre,
 		createRequested: tree.NewSet(tree.Root),
 		created:         tree.NewSet(),
 		commitRequested: make(map[tree.TID]event.Value),
@@ -57,16 +74,24 @@ func (s *Scheduler) Aborted(t tree.TID) bool { return s.aborted.Has(t) }
 // Created reports whether CREATE(t) has occurred.
 func (s *Scheduler) Created(t tree.TID) bool { return s.created.Has(t) }
 
+// Returned reports whether t has returned (committed or aborted).
+func (s *Scheduler) Returned(t tree.TID) bool { return s.returned.Has(t) }
+
+// CreateRequested reports whether REQUEST_CREATE(t) has occurred (or t is
+// the root).
+func (s *Scheduler) CreateRequested(t tree.TID) bool { return s.createRequested.Has(t) }
+
 // CommitValue returns the value with which t requested commit.
 func (s *Scheduler) CommitValue(t tree.TID) (event.Value, bool) {
 	v, ok := s.commitRequested[t]
 	return v, ok
 }
 
-// Enabled checks the precondition of e in the current state. Input
-// operations (REQUEST_CREATE, REQUEST_COMMIT) are always enabled; for
-// output operations the error explains which precondition fails.
-func (s *Scheduler) Enabled(e event.Event) error {
+// Enabled checks the precondition of e in the current state.
+func (s *Scheduler) Enabled(e event.Event) error { return s.pre(s, e) }
+
+// enabled is the serial scheduler's precondition set (§3.3).
+func enabled(s *Scheduler, e event.Event) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("serial scheduler: %s: %s", e, fmt.Sprintf(format, args...))
 	}
@@ -101,7 +126,7 @@ func (s *Scheduler) Enabled(e event.Event) error {
 			return fail("already returned")
 		}
 		// children(T) ∩ create-requested ⊆ returned.
-		if c, ok := s.requestedChildNotReturned(t); ok {
+		if c, ok := s.RequestedChildNotReturned(t); ok {
 			return fail("child %s requested but not returned", c)
 		}
 		return nil
@@ -165,7 +190,10 @@ func (s *Scheduler) createdSiblingNotReturned(t tree.TID) (tree.TID, bool) {
 	return "", false
 }
 
-func (s *Scheduler) requestedChildNotReturned(t tree.TID) (tree.TID, bool) {
+// RequestedChildNotReturned returns a child of t that was create-requested
+// and has not returned, if there is one: both schedulers' COMMIT(t)
+// precondition is that there is none.
+func (s *Scheduler) RequestedChildNotReturned(t tree.TID) (tree.TID, bool) {
 	if s.requestedOpen[t] <= 0 {
 		return "", false
 	}
@@ -207,7 +235,7 @@ func (s *Scheduler) Apply(e event.Event) {
 		s.markReturned(e.T)
 		s.aborted.Add(e.T)
 	}
-	// Report operations have no postcondition (no state change).
+	// Report and inform operations have no postcondition (no state change).
 }
 
 func (s *Scheduler) markReturned(t tree.TID) {
@@ -231,6 +259,40 @@ func (s *Scheduler) Step(e event.Event) error {
 	}
 	s.Apply(e)
 	return nil
+}
+
+// PendingCreates returns the transactions whose CREATE is enabled and
+// which have not returned.
+func (s *Scheduler) PendingCreates() []tree.TID {
+	var out []tree.TID
+	for t := range s.createRequested {
+		if !s.created.Has(t) && !s.returned.Has(t) && s.Enabled(event.Event{Kind: event.Create, T: t}) == nil {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// CommittableTransactions returns transactions whose COMMIT is enabled.
+func (s *Scheduler) CommittableTransactions() []tree.TID {
+	var out []tree.TID
+	for t := range s.commitRequested {
+		if s.Enabled(event.Event{Kind: event.Commit, T: t}) == nil {
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// AbortableTransactions returns transactions whose ABORT is enabled.
+func (s *Scheduler) AbortableTransactions() []tree.TID {
+	var out []tree.TID
+	for t := range s.createRequested {
+		if t != tree.Root && !s.returned.Has(t) && s.Enabled(event.Event{Kind: event.Abort, T: t}) == nil {
+			out = append(out, t)
+		}
+	}
+	return out
 }
 
 // Validate checks that s is a serial schedule of the given system type:
@@ -290,26 +352,15 @@ func SeriallyCorrectFor(alpha, beta event.Schedule, st *event.SystemType, t tree
 // Clone returns a deep copy of the scheduler state, for search algorithms
 // that need to backtrack.
 func (s *Scheduler) Clone() *Scheduler {
-	cr := make(map[tree.TID]event.Value, len(s.commitRequested))
-	for k, v := range s.commitRequested {
-		cr[k] = v
-	}
-	co := make(map[tree.TID]int, len(s.createdOpen))
-	for k, v := range s.createdOpen {
-		co[k] = v
-	}
-	ro := make(map[tree.TID]int, len(s.requestedOpen))
-	for k, v := range s.requestedOpen {
-		ro[k] = v
-	}
 	return &Scheduler{
+		pre:             s.pre,
 		createRequested: s.createRequested.Clone(),
 		created:         s.created.Clone(),
-		commitRequested: cr,
+		commitRequested: maps.Clone(s.commitRequested),
 		committed:       s.committed.Clone(),
 		aborted:         s.aborted.Clone(),
 		returned:        s.returned.Clone(),
-		createdOpen:     co,
-		requestedOpen:   ro,
+		createdOpen:     maps.Clone(s.createdOpen),
+		requestedOpen:   maps.Clone(s.requestedOpen),
 	}
 }

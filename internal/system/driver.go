@@ -34,31 +34,95 @@ type DriverConfig struct {
 	ContainOrphans bool
 }
 
-// maxSteps bounds a run of either driver.
+// maxSteps bounds a run of the driver.
 const maxSteps = 1 << 20
 
 // RunConcurrent executes the R/W Locking system — scripted transactions,
 // M(X) objects, generic scheduler — resolving nondeterminism with the
 // seed, and returns the concurrent schedule.
 func (sys *System) RunConcurrent(cfg DriverConfig) (event.Schedule, error) {
-	d, err := newConcurrentDriver(sys, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return d.run()
+	sched, _, err := sys.RunConcurrentInspect(cfg)
+	return sched, err
 }
 
-type concurrentDriver struct {
+// RunConcurrentInspect is RunConcurrent but also returns the final M(X)
+// automata, so tests can check lock-table invariants and final states.
+func (sys *System) RunConcurrentInspect(cfg DriverConfig) (event.Schedule, map[string]*core.LockObject, error) {
+	d, locks, err := sys.lockingDriver(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	sched, err := d.run()
+	return sched, locks, err
+}
+
+// RunSerial executes the serial system — the same scripted transactions
+// with basic objects and the serial scheduler — and returns the serial
+// schedule. abortProb gives the probability that the driver aborts a
+// requested-but-uncreated transaction (the only aborts the serial
+// scheduler allows) instead of taking a normal step.
+func (sys *System) RunSerial(seed int64, abortProb float64) (event.Schedule, error) {
+	objs := make(map[string]objectAutomaton)
+	for _, x := range sys.st.Objects() {
+		b, err := object.New(sys.st, x)
+		if err != nil {
+			return nil, err
+		}
+		objs[x] = b
+	}
+	return sys.newDriver(DriverConfig{Seed: seed, AbortProb: abortProb}, serial.NewScheduler(), objs).run()
+}
+
+// lockingDriver composes the R/W Locking system (§5.3): M(X) objects in
+// cfg.Mode and the generic scheduler. It also returns the M(X) automata.
+func (sys *System) lockingDriver(cfg DriverConfig) (*driver, map[string]*core.LockObject, error) {
+	locks := make(map[string]*core.LockObject)
+	objs := make(map[string]objectAutomaton)
+	for _, x := range sys.st.Objects() {
+		m, err := core.NewLockObject(sys.st, x, cfg.Mode)
+		if err != nil {
+			return nil, nil, err
+		}
+		locks[x], objs[x] = m, m
+	}
+	return sys.newDriver(cfg, generic.NewScheduler(), objs), locks, nil
+}
+
+// objectAutomaton is an object component of the composition: a basic
+// object (object.Basic) in the serial system, M(X) (core.LockObject) in
+// the R/W Locking system.
+type objectAutomaton interface {
+	Create(t tree.TID) error
+	Respond(t tree.TID) (event.Event, error)
+	EnabledAccesses() []tree.TID
+}
+
+// informed is an object that takes the scheduler's INFORM inputs: M(X)
+// does, a basic object does not.
+type informed interface {
+	InformCommit(t tree.TID) error
+	InformAbort(t tree.TID) error
+}
+
+// driver runs one composition of the scripted transaction automata with a
+// scheduler and objects: the serial system (serial scheduler, basic
+// objects) or the R/W Locking system (generic scheduler, M(X) objects).
+type driver struct {
 	sys   *System
 	cfg   DriverConfig
 	rng   *rand.Rand
-	sched *generic.Scheduler
+	sched *serial.Scheduler // the serial or the generic preconditions
 	txs   map[tree.TID]*txState
-	objs  map[string]*core.LockObject
+	objs  map[string]objectAutomaton
+	// txOrder and objOrder are the transactions and objects, sorted: the
+	// order candidates are listed in.
+	txOrder  []*txState
+	objOrder []string
 
 	// touched[t] is the set of objects some descendant access of t has run
-	// at; INFORM candidates are generated only for touched objects (the
-	// scheduler may legally inform any object, but only these matter).
+	// at; INFORM candidates are generated only for touched objects that
+	// take informs (the scheduler may legally inform any object, but only
+	// these matter).
 	touched map[tree.TID]map[string]struct{}
 	// reportsDelivered / informsDelivered avoid repeating deliverable-many-
 	// times operations.
@@ -73,32 +137,29 @@ type informKey struct {
 	t tree.TID
 }
 
-func newConcurrentDriver(sys *System, cfg DriverConfig) (*concurrentDriver, error) {
-	d := &concurrentDriver{
+func (sys *System) newDriver(cfg DriverConfig, sched *serial.Scheduler, objs map[string]objectAutomaton) *driver {
+	d := &driver{
 		sys:              sys,
 		cfg:              cfg,
 		rng:              rand.New(rand.NewSource(cfg.Seed)),
-		sched:            generic.NewScheduler(),
-		txs:              make(map[tree.TID]*txState),
-		objs:             make(map[string]*core.LockObject),
+		sched:            sched,
+		txs:              make(map[tree.TID]*txState, len(sys.programs)),
+		objs:             objs,
+		objOrder:         sys.st.Objects(),
 		touched:          make(map[tree.TID]map[string]struct{}),
 		reportsDelivered: make(map[tree.TID]struct{}),
 		informsDelivered: make(map[informKey]struct{}),
 	}
-	for t, p := range sys.programs {
-		d.txs[t] = newTxState(t, p)
+	for _, t := range sys.Transactions() {
+		tx := newTxState(t, sys.programs[t])
+		d.txs[t] = tx
+		d.txOrder = append(d.txOrder, tx)
 	}
-	for _, x := range sys.st.Objects() {
-		m, err := core.NewLockObject(sys.st, x, cfg.Mode)
-		if err != nil {
-			return nil, err
-		}
-		d.objs[x] = m
-	}
-	return d, nil
+	sort.Strings(d.objOrder)
+	return d
 }
 
-func (d *concurrentDriver) run() (event.Schedule, error) {
+func (d *driver) run() (event.Schedule, error) {
 	return d.runWith(func(cands, aborts []event.Event) (event.Event, bool) {
 		switch {
 		case len(cands) == 0 && len(aborts) == 0:
@@ -120,7 +181,7 @@ func (d *concurrentDriver) run() (event.Schedule, error) {
 // aborts (both deterministically ordered) and returns the next operation,
 // or ok=false to end the run. Used by the seeded policy above and by the
 // exhaustive enumerator.
-func (d *concurrentDriver) runWith(pick func(cands, aborts []event.Event) (event.Event, bool)) (event.Schedule, error) {
+func (d *driver) runWith(pick func(cands, aborts []event.Event) (event.Event, bool)) (event.Schedule, error) {
 	for len(d.out) < maxSteps {
 		cands := d.candidates()
 		aborts := d.abortCandidates()
@@ -129,14 +190,14 @@ func (d *concurrentDriver) runWith(pick func(cands, aborts []event.Event) (event
 			return d.out, nil
 		}
 		if err := d.apply(e); err != nil {
-			return d.out, fmt.Errorf("system: concurrent driver: %w", err)
+			return d.out, fmt.Errorf("system: driver: %w", err)
 		}
 	}
-	return d.out, fmt.Errorf("system: concurrent driver: step budget %d exhausted", maxSteps)
+	return d.out, fmt.Errorf("system: driver: step budget %d exhausted", maxSteps)
 }
 
 // isOrphan reports whether some ancestor of t has been aborted.
-func (d *concurrentDriver) isOrphan(t tree.TID) bool {
+func (d *driver) isOrphan(t tree.TID) bool {
 	for _, u := range t.Ancestors() {
 		if d.sched.Aborted(u) {
 			return true
@@ -147,23 +208,22 @@ func (d *concurrentDriver) isOrphan(t tree.TID) bool {
 
 // candidates gathers every enabled non-abort output operation of every
 // component, in a deterministic order.
-func (d *concurrentDriver) candidates() []event.Event {
+func (d *driver) candidates() []event.Event {
 	var out []event.Event
 	contained := func(t tree.TID) bool {
 		return d.cfg.ContainOrphans && d.isOrphan(t)
 	}
 	// Transaction outputs (REQUEST_CREATE, REQUEST_COMMIT of non-access).
-	for _, t := range d.sortedTxs() {
-		if contained(t) {
+	for _, tx := range d.txOrder {
+		if contained(tx.id) {
 			continue
 		}
-		out = append(out, d.txs[t].enabledOutputs()...)
+		out = append(out, tx.enabledOutputs()...)
 	}
 	// Object outputs (REQUEST_COMMIT of accesses). The value is computed
 	// at apply time; candidates carry only the identity.
-	for _, x := range d.sortedObjects() {
-		m := d.objs[x]
-		ts := m.EnabledAccesses()
+	for _, x := range d.objOrder {
+		ts := d.objs[x].EnabledAccesses()
 		sortTIDs(ts)
 		for _, t := range ts {
 			if contained(t) {
@@ -185,18 +245,17 @@ func (d *concurrentDriver) candidates() []event.Event {
 	}
 	// Reports (each delivered once; an orphaned parent receives none when
 	// containment is on).
-	for _, t := range d.sortedTxs() {
-		if contained(t) {
+	for _, tx := range d.txOrder {
+		if contained(tx.id) {
 			continue
 		}
-		tx := d.txs[t]
 		for i := range tx.prog.Children {
-			c := t.Child(i)
+			c := tx.id.Child(i)
 			if _, done := d.reportsDelivered[c]; done {
 				continue
 			}
 			if sch.Committed(c) {
-				if v, ok := sch.CommitRequested(c); ok {
+				if v, ok := sch.CommitValue(c); ok {
 					out = append(out, event.Event{Kind: event.ReportCommit, T: c, Value: v})
 				}
 			} else if sch.Aborted(c) {
@@ -209,7 +268,7 @@ func (d *concurrentDriver) candidates() []event.Event {
 	return out
 }
 
-func (d *concurrentDriver) informCandidates() []event.Event {
+func (d *driver) informCandidates() []event.Event {
 	var out []event.Event
 	var ts []tree.TID
 	for t := range d.touched {
@@ -245,7 +304,7 @@ func (d *concurrentDriver) informCandidates() []event.Event {
 
 // abortCandidates returns the enabled ABORT operations for transactions
 // other than the root.
-func (d *concurrentDriver) abortCandidates() []event.Event {
+func (d *driver) abortCandidates() []event.Event {
 	var out []event.Event
 	for _, t := range sortedSet(d.sched.AbortableTransactions()) {
 		out = append(out, event.Event{Kind: event.Abort, T: t})
@@ -255,7 +314,7 @@ func (d *concurrentDriver) abortCandidates() []event.Event {
 
 // apply performs e at every component that shares it and appends it to the
 // schedule.
-func (d *concurrentDriver) apply(e event.Event) error {
+func (d *driver) apply(e event.Event) error {
 	switch e.Kind {
 	case event.RequestCreate:
 		tx := d.txs[e.T.Parent()]
@@ -263,12 +322,15 @@ func (d *concurrentDriver) apply(e event.Event) error {
 		d.sched.Apply(e)
 	case event.RequestCommit:
 		if a, isAccess := d.sys.st.AccessInfo(e.T); isAccess {
-			resp, err := d.objs[a.Object].Respond(e.T)
+			obj := d.objs[a.Object]
+			resp, err := obj.Respond(e.T)
 			if err != nil {
 				return err
 			}
 			e = resp // carries the computed value
-			d.markTouched(e.T, a.Object)
+			if _, ok := obj.(informed); ok {
+				d.markTouched(e.T, a.Object)
+			}
 		} else {
 			d.txs[e.T].requestedCommit = true
 		}
@@ -301,7 +363,8 @@ func (d *concurrentDriver) apply(e event.Event) error {
 			return err
 		}
 		d.informsDelivered[informKey{e.Object, e.T}] = struct{}{}
-		m := d.objs[e.Object]
+		// Only the generic scheduler informs, and only M(X) objects.
+		m := d.objs[e.Object].(informed)
 		if e.Kind == event.InformCommitAt {
 			if err := m.InformCommit(e.T); err != nil {
 				return err
@@ -321,7 +384,7 @@ func (d *concurrentDriver) apply(e event.Event) error {
 // markTouched records that t's subtree has activity at object x, for every
 // proper ancestor of t as well (their commits must be forwarded to x for
 // locks to keep flowing upward).
-func (d *concurrentDriver) markTouched(t tree.TID, x string) {
+func (d *driver) markTouched(t tree.TID, x string) {
 	for _, u := range t.Ancestors() {
 		m := d.touched[u]
 		if m == nil {
@@ -341,194 +404,7 @@ func stripDriverFields(e event.Event) event.Event {
 	return e
 }
 
-func (d *concurrentDriver) sortedTxs() []tree.TID {
-	out := make([]tree.TID, 0, len(d.txs))
-	for t := range d.txs {
-		out = append(out, t)
-	}
-	sortTIDs(out)
-	return out
-}
-
-func (d *concurrentDriver) sortedObjects() []string {
-	out := d.sys.st.Objects()
-	sort.Strings(out)
-	return out
-}
-
 func sortedSet(ts []tree.TID) []tree.TID {
 	sortTIDs(ts)
 	return ts
-}
-
-// LockObjects exposes the driver's final lock objects for invariant checks
-// in tests. It is only meaningful after run() returns.
-func (d *concurrentDriver) lockObjects() map[string]*core.LockObject { return d.objs }
-
-// RunConcurrentInspect is RunConcurrent but also returns the final M(X)
-// automata, so tests can check lock-table invariants and final states.
-func (sys *System) RunConcurrentInspect(cfg DriverConfig) (event.Schedule, map[string]*core.LockObject, error) {
-	d, err := newConcurrentDriver(sys, cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	sched, err := d.run()
-	return sched, d.lockObjects(), err
-}
-
-// RunSerial executes the serial system — the same scripted transactions
-// with basic objects and the serial scheduler — and returns the serial
-// schedule. abortProb gives the probability that a requested-but-uncreated
-// transaction is aborted instead of created.
-func (sys *System) RunSerial(seed int64, abortProb float64) (event.Schedule, error) {
-	rng := rand.New(rand.NewSource(seed))
-	sched := serial.NewScheduler()
-	txs := make(map[tree.TID]*txState, len(sys.programs))
-	for t, p := range sys.programs {
-		txs[t] = newTxState(t, p)
-	}
-	objs := make(map[string]*object.Basic)
-	for _, x := range sys.st.Objects() {
-		b, err := object.New(sys.st, x)
-		if err != nil {
-			return nil, err
-		}
-		objs[x] = b
-	}
-	var out event.Schedule
-	reportsDelivered := make(map[tree.TID]struct{})
-
-	sortedTxs := func() []tree.TID {
-		ts := make([]tree.TID, 0, len(txs))
-		for t := range txs {
-			ts = append(ts, t)
-		}
-		sortTIDs(ts)
-		return ts
-	}
-
-	for steps := 0; steps < maxSteps; steps++ {
-		var cands []event.Event
-		// Transaction outputs.
-		for _, t := range sortedTxs() {
-			cands = append(cands, txs[t].enabledOutputs()...)
-		}
-		// Object outputs: in the serial system at most one access is
-		// pending per object at a time; respond to any pending access.
-		for _, x := range sys.st.Objects() {
-			for _, t := range objs[x].Pending() {
-				cands = append(cands, event.Event{Kind: event.RequestCommit, T: t, Object: x})
-			}
-		}
-		// Scheduler outputs, filtered by the serial preconditions.
-		var schedCands []event.Event
-		var abortCands []event.Event
-		for t := range txs {
-			schedCands = append(schedCands, event.Event{Kind: event.Create, T: t})
-			if t != tree.Root {
-				schedCands = append(schedCands, event.Event{Kind: event.Commit, T: t})
-				abortCands = append(abortCands, event.Event{Kind: event.Abort, T: t})
-			}
-		}
-		for _, t := range sys.st.Accesses() {
-			schedCands = append(schedCands, event.Event{Kind: event.Create, T: t})
-			schedCands = append(schedCands, event.Event{Kind: event.Commit, T: t})
-			abortCands = append(abortCands, event.Event{Kind: event.Abort, T: t})
-		}
-		for _, e := range schedCands {
-			if sched.Enabled(e) == nil {
-				cands = append(cands, e)
-			}
-		}
-		// Reports for returned transactions, once each.
-		for t := range txs {
-			for i := range txs[t].prog.Children {
-				c := t.Child(i)
-				if _, done := reportsDelivered[c]; done {
-					continue
-				}
-				if sched.Committed(c) {
-					if v, ok := sched.CommitValue(c); ok {
-						cands = append(cands, event.Event{Kind: event.ReportCommit, T: c, Value: v})
-					}
-				} else if sched.Aborted(c) {
-					cands = append(cands, event.Event{Kind: event.ReportAbort, T: c})
-				}
-			}
-		}
-		sortEvents(cands)
-		var abortsEnabled []event.Event
-		for _, e := range abortCands {
-			if sched.Enabled(e) == nil {
-				abortsEnabled = append(abortsEnabled, e)
-			}
-		}
-		sortEvents(abortsEnabled)
-
-		var pick event.Event
-		switch {
-		case len(cands) == 0:
-			return out, nil
-		case len(abortsEnabled) > 0 && rng.Float64() < abortProb:
-			pick = abortsEnabled[rng.Intn(len(abortsEnabled))]
-		default:
-			pick = cands[rng.Intn(len(cands))]
-		}
-
-		// Apply.
-		e := pick
-		switch e.Kind {
-		case event.RequestCreate:
-			txs[e.T.Parent()].requested[childIndex(e.T)] = true
-			sched.Apply(e)
-		case event.RequestCommit:
-			if a, isAccess := sys.st.AccessInfo(e.T); isAccess {
-				resp, err := objs[a.Object].Respond(e.T)
-				if err != nil {
-					return out, err
-				}
-				e = resp
-			} else {
-				txs[e.T].requestedCommit = true
-			}
-			sched.Apply(e)
-		case event.Create:
-			if err := sched.Step(e); err != nil {
-				return out, err
-			}
-			if a, isAccess := sys.st.AccessInfo(e.T); isAccess {
-				if err := objs[a.Object].Create(e.T); err != nil {
-					return out, err
-				}
-			} else {
-				txs[e.T].handleCreate()
-			}
-		case event.Commit, event.Abort:
-			if err := sched.Step(e); err != nil {
-				return out, err
-			}
-		case event.ReportCommit, event.ReportAbort:
-			if err := sched.Step(e); err != nil {
-				return out, err
-			}
-			reportsDelivered[e.T] = struct{}{}
-			if parent, ok := txs[e.T.Parent()]; ok {
-				parent.handleReport(e.T, e.Kind == event.ReportCommit)
-			}
-		}
-		out = append(out, stripDriverFields(e))
-	}
-	return out, fmt.Errorf("system: serial driver: step budget exhausted")
-}
-
-func sortEvents(es []event.Event) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].Kind != es[j].Kind {
-			return es[i].Kind < es[j].Kind
-		}
-		if es[i].T != es[j].T {
-			return es[i].T < es[j].T
-		}
-		return es[i].Object < es[j].Object
-	})
 }

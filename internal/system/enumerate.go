@@ -43,7 +43,7 @@ func (sys *System) Enumerate(cfg EnumConfig, visit func(event.Schedule) bool) (i
 		if stopped {
 			return nil
 		}
-		d, err := newConcurrentDriver(sys, DriverConfig{Mode: cfg.Mode})
+		d, _, err := sys.lockingDriver(DriverConfig{Mode: cfg.Mode})
 		if err != nil {
 			return err
 		}

@@ -106,21 +106,30 @@ func TestDriverSchedulesAreWellFormed(t *testing.T) {
 
 func TestDriverCompletesAllWorkWithoutAborts(t *testing.T) {
 	sys := simpleSystem(t)
-	sched, err := sys.RunConcurrent(DriverConfig{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
+	runs := []struct {
+		name string
+		run  func() (event.Schedule, error)
+	}{
+		{"concurrent", func() (event.Schedule, error) { return sys.RunConcurrent(DriverConfig{Seed: 5}) }},
+		{"serial", func() (event.Schedule, error) { return sys.RunSerial(5, 0) }},
 	}
-	// With AbortProb 0 and no deadlock in this system, every top-level
-	// commits.
-	for _, tl := range []tree.TID{"T0.0", "T0.1"} {
-		found := false
-		for _, e := range sched {
-			if e.Kind == event.Commit && e.T == tl {
-				found = true
-			}
+	for _, r := range runs {
+		sched, err := r.run()
+		if err != nil {
+			t.Fatalf("%s: %v", r.name, err)
 		}
-		if !found {
-			t.Fatalf("%s did not commit:\n%s", tl, sched)
+		// With AbortProb 0 and no deadlock in this system, every
+		// transaction commits: both top-levels and their three accesses.
+		for _, tl := range []tree.TID{"T0.0", "T0.1", "T0.0.0", "T0.0.1", "T0.1.0"} {
+			found := false
+			for _, e := range sched {
+				if e.Kind == event.Commit && e.T == tl {
+					found = true
+				}
+			}
+			if !found {
+				t.Fatalf("%s: %s did not commit:\n%s", r.name, tl, sched)
+			}
 		}
 	}
 }
